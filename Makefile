@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-json lint-race test race short bench bench-json bench-ingest bench-postings bench-compaction bench-compare verify experiments ci clean
+.PHONY: all build vet lint lint-json lint-race test race short bench bench-json bench-ingest bench-postings bench-compaction bench-compare bench-test verify experiments ci clean
 
 all: vet build test
 
@@ -26,8 +26,11 @@ lint-json:
 # (lockorder/goleak/atomicmix) reason about: the commit-queue and
 # parallel sub-compaction stress tests in internal/lsm and the
 # concurrent workload profiler in internal/explain. Dynamic confirmation
-# that the statically blessed lock order holds under contention.
+# that the statically blessed lock order holds under contention. The
+# sstable test runs concurrent table builds and reads over the shared
+# flate writer and block decoder pools.
 lint-race:
+	$(GO) test -race -run 'TestConcurrentBuildAndRead' ./internal/sstable/
 	$(GO) test -race -run 'TestGroupCommit|TestCommit|TestParallelCompaction' ./internal/lsm/
 	$(GO) test -race -run 'TestProfilerConcurrent|TestWorkloadSnapshot' ./internal/explain/
 
@@ -96,12 +99,19 @@ bench-compare:
 	  $(GO) test -run '^$$' -bench 'BenchmarkCompactionThroughput' -benchmem \
 		./internal/core/ ; } | $(GO) run ./cmd/benchjson -compare $(BASE) -max-drop $(MAX_DROP)
 
+# The end-to-end benchmark is a module of its own (bench/go.mod), so
+# ./... from the root does not reach its smoke and manifest-agreement
+# tests.
+bench-test:
+	cd bench && $(GO) test ./...
+
 # Fast correctness gate for the read-path packages: static checks plus a
 # race-detector pass over the sstable block format and the lsm engine.
-verify: vet lint build
+verify: vet lint build bench-test
 	$(GO) test -race ./internal/sstable/... ./internal/lsm/...
 
-# The full pre-merge gate: static checks (go vet + lsmlint), a
+# The full pre-merge gate: static checks (go vet + lsmlint), the
+# benchmark module's own tests, a
 # race-detector pass over every package, 10-second fuzz smokes of
 # the sstable block round-trip and the posting-list codec (both seeded
 # from testdata/fuzz corpora), and the bench-compare regression smoke
@@ -109,7 +119,7 @@ verify: vet lint build
 # minutes under the race detector on a small box, so the per-package
 # timeout (a hang guard, not a budget) is raised above go test's 10m
 # default.
-ci: vet lint lint-race build
+ci: vet lint lint-race build bench-test
 	$(GO) test -race -timeout 45m ./...
 	$(GO) test -fuzz=FuzzBlockRoundTrip -fuzztime=10s ./internal/sstable/
 	$(GO) test -fuzz=FuzzPostingsRoundTrip -fuzztime=10s ./internal/postings/

@@ -15,6 +15,11 @@ import (
 //     vDSO call per key visited
 //   - fmt.Sprintf / fmt.Sprint / fmt.Sprintln — each allocates; hot
 //     paths return sentinel errors or write into caller buffers
+//   - flate.NewWriter / flate.NewReader — a compressor is about 1 MB of
+//     zeroed state and an inflater about 40 KB; block paths take one from
+//     a sync.Pool and Reset it (the pool's New func is not a hot path)
+//   - io.ReadAll — grows a fresh buffer by doubling on every call and
+//     returns it with spare capacity; read into a reused buffer
 //   - growing append: append(dst, ...) where dst is neither re-sliced
 //     (dst[:n], the reuse idiom) nor rooted in a parameter/receiver
 //     (caller-owned scratch) — i.e. an append that can only grow a
@@ -25,7 +30,7 @@ import (
 // //lsm:allocok.
 var HotPath = &Analyzer{
 	Name:        "hotpath",
-	Doc:         "//lsm:hotpath functions avoid time.Now, fmt.Sprintf and unbounded append",
+	Doc:         "//lsm:hotpath functions avoid time.Now, fmt.Sprintf, per-call flate codecs, io.ReadAll and unbounded append",
 	Suppression: "lsm:allocok",
 	Run:         runHotPath,
 }
@@ -99,6 +104,11 @@ func checkHotPathFunc(pass *Pass, fd *ast.FuncDecl) {
 			isPkgFunc(info, call, "fmt", "Sprint"),
 			isPkgFunc(info, call, "fmt", "Sprintln"):
 			report(call, "fmt string formatting allocates in //lsm:hotpath %s; use sentinel errors or caller buffers", fd.Name.Name)
+		case isPkgFunc(info, call, "compress/flate", "NewWriter"),
+			isPkgFunc(info, call, "compress/flate", "NewReader"):
+			report(call, "flate codec built per call in //lsm:hotpath %s; take one from a sync.Pool and Reset it", fd.Name.Name)
+		case isPkgFunc(info, call, "io", "ReadAll"):
+			report(call, "io.ReadAll in //lsm:hotpath %s allocates and over-sizes its result; read into a reused buffer", fd.Name.Name)
 		case isBuiltinAppend(info, call) && len(call.Args) > 0:
 			if hotAppendOK(info, callerOwned, call.Args[0]) {
 				return true

@@ -1,9 +1,14 @@
 // Package hotpath exercises the hotpath analyzer: //lsm:hotpath functions
-// must not read the clock, format strings, or grow fresh allocations.
+// must not read the clock, format strings, build a flate codec, call
+// io.ReadAll, or grow fresh allocations.
 package hotpath
 
 import (
+	"bytes"
+	"compress/flate"
 	"fmt"
+	"io"
+	"sync"
 	"time"
 )
 
@@ -36,7 +41,45 @@ func (c *cursor) method(in []byte) {
 	c.buf = append(c.buf, in...) // receiver-rooted scratch: ok
 }
 
+// A pool's New func is a function literal in a package-level variable,
+// not part of any hot path: it is where the constructors belong.
+var writers = sync.Pool{New: func() any {
+	fw, _ := flate.NewWriter(nil, flate.BestSpeed)
+	return fw
+}}
+
+//lsm:hotpath
+func badCodec(c *cursor, in []byte) error {
+	fw, err := flate.NewWriter(io.Discard, flate.BestSpeed) // want "flate codec built per call in //lsm:hotpath badCodec"
+	if err != nil {
+		return err
+	}
+	if _, err := fw.Write(in); err != nil {
+		return err
+	}
+	fr := flate.NewReader(bytes.NewReader(in)) // want "flate codec built per call in //lsm:hotpath badCodec"
+	c.buf, err = io.ReadAll(fr)                // want "io.ReadAll in //lsm:hotpath badCodec"
+	return err
+}
+
+//lsm:hotpath
+func goodCodec(c *cursor, src *bytes.Reader, fr io.Reader, in []byte) error {
+	fw := writers.Get().(*flate.Writer) // pooled: ok
+	fw.Reset(io.Discard)
+	if _, err := fw.Write(in); err != nil {
+		return err
+	}
+	writers.Put(fw)
+	src.Reset(in)
+	if err := fr.(flate.Resetter).Reset(src, nil); err != nil { // reset in place: ok
+		return err
+	}
+	_, err := io.ReadFull(fr, c.buf) // reads into the caller's buffer: ok
+	return err
+}
+
 func unannotated(in []byte) []byte {
 	_ = time.Now() // cold code: ok
-	return append([]byte(nil), in...)
+	out, _ := io.ReadAll(flate.NewReader(bytes.NewReader(in)))
+	return append(out, in...)
 }

@@ -23,6 +23,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"sync"
 
 	"leveldbpp/internal/ikey"
 )
@@ -54,15 +55,31 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // stored with sharedLen 0 and its offset recorded; finish appends the
 // restart offsets and their count — both big-endian uint32 — after the
 // entries, inside the compressed/checksummed payload.
+//
+// A blockBuilder is reused for every block of a table: its buffers and its
+// flate writer survive reset, so a block costs no allocation once they
+// have grown to the block size.
 type blockBuilder struct {
-	buf             bytes.Buffer
-	scratch         [3 * binary.MaxVarintLen64]byte
+	buf             []byte // entries; finish appends the trailer in place
 	prevKey         []byte
 	count           int
 	restartInterval int // <=0 writes v1 blocks with no restart trailer
 	restarts        []uint32
 	sinceRestart    int
+
+	fw   *flate.Writer // from flateWriters on the first compressed block
+	cbuf bytes.Buffer  // fw's output for the current block
 }
+
+// flateWriters recycles compressor state (about 1 MB each) between the
+// builders of successive and concurrent tables.
+var flateWriters = sync.Pool{New: func() any {
+	fw, err := flate.NewWriter(nil, flate.BestSpeed)
+	if err != nil {
+		panic(err) // BestSpeed is a valid level
+	}
+	return fw
+}}
 
 func sharedPrefixLen(a, b []byte) int {
 	n := len(a)
@@ -79,18 +96,17 @@ func sharedPrefixLen(a, b []byte) int {
 func (b *blockBuilder) add(key, value []byte) {
 	shared := 0
 	if b.restartInterval > 0 && b.sinceRestart%b.restartInterval == 0 {
-		b.restarts = append(b.restarts, uint32(b.buf.Len()))
+		b.restarts = append(b.restarts, uint32(len(b.buf)))
 		b.sinceRestart = 0
 	} else {
 		shared = sharedPrefixLen(b.prevKey, key)
 	}
 	b.sinceRestart++
-	n := binary.PutUvarint(b.scratch[:], uint64(shared))
-	n += binary.PutUvarint(b.scratch[n:], uint64(len(key)-shared))
-	n += binary.PutUvarint(b.scratch[n:], uint64(len(value)))
-	b.buf.Write(b.scratch[:n])
-	b.buf.Write(key[shared:])
-	b.buf.Write(value)
+	b.buf = binary.AppendUvarint(b.buf, uint64(shared))
+	b.buf = binary.AppendUvarint(b.buf, uint64(len(key)-shared))
+	b.buf = binary.AppendUvarint(b.buf, uint64(len(value)))
+	b.buf = append(b.buf, key[shared:]...)
+	b.buf = append(b.buf, value...)
 	b.prevKey = append(b.prevKey[:0], key...)
 	b.count++
 }
@@ -100,67 +116,106 @@ func (b *blockBuilder) add(key, value []byte) {
 // entries-only estimate so legacy tables cut at identical boundaries.
 func (b *blockBuilder) sizeEstimate() int {
 	if b.restartInterval > 0 {
-		return b.buf.Len() + 4*len(b.restarts) + 4
+		return len(b.buf) + 4*len(b.restarts) + 4
 	}
-	return b.buf.Len()
+	return len(b.buf)
 }
 func (b *blockBuilder) empty() bool { return b.count == 0 }
 
 func (b *blockBuilder) reset() {
-	b.buf.Reset()
+	b.buf = b.buf[:0]
 	b.prevKey = b.prevKey[:0]
 	b.count = 0
 	b.restarts = b.restarts[:0]
 	b.sinceRestart = 0
 }
 
+// release hands the flate writer back for the next table's builder.
+func (b *blockBuilder) release() {
+	if b.fw != nil {
+		b.fw.Reset(nil) // the pool must not pin cbuf
+		flateWriters.Put(b.fw)
+		b.fw = nil
+	}
+}
+
 // finish returns the physical block: payload, a codec byte, and a CRC32C
 // of payload+codec. For v2 the payload is entries + restart trailer; the
 // CRC therefore covers the restart array too. The payload is compressed
 // only when that actually shrinks it (LevelDB applies the same rule).
+// The result is built in the builder's own buffers and is valid until the
+// next reset.
+//
+//lsm:hotpath
 func (b *blockBuilder) finish(c Compression) ([]byte, error) {
-	raw := b.buf.Bytes()
 	if b.restartInterval > 0 {
-		if b.buf.Len() > math.MaxUint32 {
-			return nil, fmt.Errorf("sstable: block of %d bytes exceeds restart-offset range", b.buf.Len())
+		if len(b.buf) > math.MaxUint32 {
+			return nil, fmt.Errorf("sstable: block of %d bytes exceeds restart-offset range", len(b.buf))
 		}
-		trailer := make([]byte, 0, 4*len(b.restarts)+4)
 		for _, r := range b.restarts {
-			trailer = binary.BigEndian.AppendUint32(trailer, r)
+			b.buf = binary.BigEndian.AppendUint32(b.buf, r)
 		}
-		trailer = binary.BigEndian.AppendUint32(trailer, uint32(len(b.restarts)))
-		raw = append(raw, trailer...)
+		b.buf = binary.BigEndian.AppendUint32(b.buf, uint32(len(b.restarts)))
 	}
-	payload := raw
-	codec := NoCompression
 	if c == FlateCompression {
-		var cbuf bytes.Buffer
-		fw, err := flate.NewWriter(&cbuf, flate.BestSpeed)
-		if err != nil {
-			return nil, fmt.Errorf("sstable: flate init: %w", err)
+		if b.fw == nil {
+			b.fw = flateWriters.Get().(*flate.Writer)
 		}
-		if _, err := fw.Write(raw); err != nil {
+		b.cbuf.Reset()
+		b.fw.Reset(&b.cbuf)
+		if _, err := b.fw.Write(b.buf); err != nil {
 			return nil, fmt.Errorf("sstable: flate write: %w", err)
 		}
-		if err := fw.Close(); err != nil {
+		if err := b.fw.Close(); err != nil {
 			return nil, fmt.Errorf("sstable: flate close: %w", err)
 		}
-		if cbuf.Len() < len(raw) {
-			payload = cbuf.Bytes()
-			codec = FlateCompression
+		if b.cbuf.Len() < len(b.buf) {
+			tail := [5]byte{byte(FlateCompression)}
+			crc := crc32.Update(crc32.Checksum(b.cbuf.Bytes(), crcTable), crcTable, tail[:1])
+			binary.BigEndian.PutUint32(tail[1:], crc)
+			b.cbuf.Write(tail[:])
+			return b.cbuf.Bytes(), nil
 		}
 	}
-	out := make([]byte, 0, len(payload)+5)
-	out = append(out, payload...)
-	out = append(out, byte(codec))
-	crc := crc32.Checksum(out, crcTable)
-	out = binary.BigEndian.AppendUint32(out, crc)
-	return out, nil
+	b.buf = append(b.buf, byte(NoCompression))
+	b.buf = binary.BigEndian.AppendUint32(b.buf, crc32.Checksum(b.buf, crcTable))
+	return b.buf, nil
 }
 
-// decodeBlock verifies the CRC and decompresses a physical block into its
-// raw payload (entry stream, plus the restart trailer for v2 blocks).
-func decodeBlock(phys []byte) ([]byte, error) {
+// blockBuf is the pair of buffers one block load fills and the next one
+// reuses: the physical block as the file holds it and, for a compressed
+// block, its inflated payload.
+type blockBuf struct{ phys, raw []byte }
+
+// flateReader is the stdlib inflater: a reader that can be reset in place.
+type flateReader interface {
+	io.Reader
+	flate.Resetter
+}
+
+// blockDecoder is the reusable state of the block load path: the inflater
+// and its source reader, and the buffers of the loads whose caller keeps
+// only a copy (everything but a compaction Iterator, which brings its own).
+type blockDecoder struct {
+	fr  flateReader
+	src bytes.Reader
+	buf blockBuf
+}
+
+var blockDecoders = sync.Pool{New: func() any {
+	d := new(blockDecoder)
+	d.fr = flate.NewReader(&d.src).(flateReader)
+	return d
+}}
+
+// decodeBlock verifies the CRC of a physical block and returns its raw payload
+// (entry stream, plus the restart trailer for v2 blocks) without copying
+// it: a stored payload aliases phys, a compressed one is inflated into
+// *scratch. Every use starts by resetting the inflater, so a block that
+// failed to inflate leaves nothing behind for the next one.
+//
+//lsm:hotpath
+func (d *blockDecoder) decodeBlock(phys []byte, scratch *[]byte) ([]byte, error) {
 	if len(phys) < 5 {
 		return nil, fmt.Errorf("sstable: block too short (%d bytes)", len(phys))
 	}
@@ -173,16 +228,35 @@ func decodeBlock(phys []byte) ([]byte, error) {
 	case NoCompression:
 		return payload, nil
 	case FlateCompression:
-		fr := flate.NewReader(bytes.NewReader(payload))
-		defer fr.Close()
-		raw, err := io.ReadAll(fr)
-		if err != nil {
+		d.src.Reset(payload)
+		err := d.fr.Reset(&d.src, nil)
+		raw := (*scratch)[:0]
+		for err == nil {
+			if len(raw) == cap(raw) {
+				raw = append(raw, 0)[:len(raw)] //lsm:allocok grows the reused scratch
+			}
+			var n int
+			n, err = d.fr.Read(raw[len(raw):cap(raw)])
+			raw = raw[:len(raw)+n]
+		}
+		*scratch = raw
+		d.src.Reset(nil) // a pooled decoder must not pin the caller's block
+		if err != io.EOF {
 			return nil, fmt.Errorf("sstable: flate decode: %w", err)
 		}
 		return raw, nil
 	default:
 		return nil, fmt.Errorf("sstable: unknown block codec %d", codec)
 	}
+}
+
+// ownedCopy returns p in a slice of exactly its length that nothing else
+// references: what a Get caller and the block cache keep, and what the
+// cache charges for.
+func ownedCopy(p []byte) []byte {
+	out := make([]byte, len(p))
+	copy(out, p)
+	return out
 }
 
 // BlockIter walks the decoded entries of one block in order,

@@ -1,6 +1,7 @@
 package sstable
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -120,46 +121,99 @@ type secAttrMeta struct {
 	blocks   []secBlockMeta
 }
 
+// byteStrings collects one block's worth of byte strings (user keys, or
+// one attribute's values) back to back in a single buffer, and lends them
+// to bloom.Build as slices. Everything is reused from block to block.
+type byteStrings struct {
+	data  []byte
+	ends  []int // ends[i] is where string i stops in data
+	views [][]byte
+}
+
+func (s *byteStrings) add(p []byte) {
+	s.data = append(s.data, p...)
+	s.ends = append(s.ends, len(s.data))
+}
+
+func (s *byteStrings) addString(p string) {
+	s.data = append(s.data, p...)
+	s.ends = append(s.ends, len(s.data))
+}
+
+// slices returns the collected strings; they alias the buffer and are
+// valid until the next add or reset.
+func (s *byteStrings) slices() [][]byte {
+	s.views = s.views[:0]
+	start := 0
+	for _, end := range s.ends {
+		s.views = append(s.views, s.data[start:end:end])
+		start = end
+	}
+	return s.views
+}
+
+func (s *byteStrings) reset() { s.data, s.ends = s.data[:0], s.ends[:0] }
+
+// attrBuilder is the build state of one indexed secondary attribute: the
+// table-wide metadata collected so far and the pending block's values and
+// zone map.
+type attrBuilder struct {
+	meta   secAttrMeta
+	values byteStrings
+	zone   zone
+}
+
+// tableWriteBuffer batches a table's output into one write per 16 or more
+// data blocks of the default 4 KiB (about 20 once compressed).
+const tableWriteBuffer = 64 << 10
+
 // Builder writes an SSTable to w. Entries must be added in strictly
 // increasing internal-key order.
 type Builder struct {
-	w    io.Writer
+	w    *bufio.Writer
 	opts Options
 
-	block      blockBuilder
-	firstIKey  []byte
-	lastIKey   []byte
-	userKeys   [][]byte
-	attrValues map[string][]string
-	attrZone   map[string]*zone
+	block     blockBuilder
+	firstIKey []byte // of the pending block; handed to its blockMeta
+	lastIKey  []byte // the last key added
+	userKeys  byteStrings
+	attrs     []attrBuilder // one per distinct name in opts.SecondaryAttrs
 
 	blocks     []blockMeta
-	attrs      map[string]*secAttrMeta
 	offset     uint64
 	entryCount int
 	maxSeq     uint64
-	prevIKey   []byte
 	err        error
 }
 
-// NewBuilder returns a Builder writing to w with the given options.
+// NewBuilder returns a Builder writing to w with the given options. Output
+// is buffered: it has all reached w only when Finish returns.
 func NewBuilder(w io.Writer, opts Options) *Builder {
 	opts = opts.withDefaults()
 	b := &Builder{
-		w:          w,
-		opts:       opts,
-		attrValues: map[string][]string{},
-		attrZone:   map[string]*zone{},
-		attrs:      map[string]*secAttrMeta{},
+		w:    bufio.NewWriterSize(w, tableWriteBuffer),
+		opts: opts,
 	}
 	if opts.RestartInterval > 0 {
 		b.block.restartInterval = opts.RestartInterval
 	}
 	for _, a := range opts.SecondaryAttrs {
-		b.attrs[a] = &secAttrMeta{name: a}
-		b.attrZone[a] = &zone{}
+		if b.attr(a) == nil {
+			b.attrs = append(b.attrs, attrBuilder{meta: secAttrMeta{name: a}})
+		}
 	}
 	return b
+}
+
+// attr returns the build state of the named attribute, nil when it is not
+// indexed. Tables index a handful of attributes, so a scan beats a map.
+func (b *Builder) attr(name string) *attrBuilder {
+	for i := range b.attrs {
+		if b.attrs[i].meta.name == name {
+			return &b.attrs[i]
+		}
+	}
+	return nil
 }
 
 // Add appends an entry. attrs carries the entry's indexed secondary
@@ -169,23 +223,21 @@ func (b *Builder) Add(internalKey, value []byte, attrs []AttrValue) error {
 	if b.err != nil {
 		return b.err
 	}
-	if b.prevIKey != nil && ikey.Compare(b.prevIKey, internalKey) >= 0 {
+	if b.entryCount > 0 && ikey.Compare(b.lastIKey, internalKey) >= 0 {
 		b.err = fmt.Errorf("sstable: keys added out of order: %s then %s",
-			ikey.String(b.prevIKey), ikey.String(internalKey))
+			ikey.String(b.lastIKey), ikey.String(internalKey))
 		return b.err
 	}
-	b.prevIKey = append(b.prevIKey[:0], internalKey...)
-
 	if b.block.empty() {
 		b.firstIKey = append([]byte(nil), internalKey...)
 	}
 	b.lastIKey = append(b.lastIKey[:0], internalKey...)
 	b.block.add(internalKey, value)
-	b.userKeys = append(b.userKeys, append([]byte(nil), ikey.UserKey(internalKey)...))
+	b.userKeys.add(ikey.UserKey(internalKey))
 	for _, av := range attrs {
-		if z, indexed := b.attrZone[av.Attr]; indexed {
-			b.attrValues[av.Attr] = append(b.attrValues[av.Attr], av.Value)
-			z.extend(av.Value)
+		if a := b.attr(av.Attr); a != nil {
+			a.values.addString(av.Value)
+			a.zone.extend(av.Value)
 		}
 	}
 	b.entryCount++
@@ -199,6 +251,11 @@ func (b *Builder) Add(internalKey, value []byte, attrs []AttrValue) error {
 	return nil
 }
 
+// flushBlock writes the pending block and records its metadata. What it
+// allocates is what the table's metadata keeps: the block's last key and
+// one bloom filter for the primary key and for each attribute.
+//
+//lsm:hotpath
 func (b *Builder) flushBlock() error {
 	phys, err := b.block.finish(b.opts.Compression)
 	if err != nil {
@@ -223,33 +280,29 @@ func (b *Builder) flushBlock() error {
 		offset:       b.offset,
 		size:         uint64(len(phys)),
 		firstKey:     b.firstIKey,
-		lastKey:      append([]byte(nil), b.lastIKey...),
-		primaryBloom: bloom.Build(b.userKeys, b.opts.BitsPerKey),
+		lastKey:      append([]byte(nil), b.lastIKey...), //lsm:allocok kept by the block index
+		primaryBloom: bloom.Build(b.userKeys.slices(), b.opts.BitsPerKey),
 	}
 	b.blocks = append(b.blocks, bm)
 	b.offset += uint64(len(phys))
 
-	for name, meta := range b.attrs {
-		vals := b.attrValues[name]
-		byteVals := make([][]byte, len(vals))
-		for i, v := range vals {
-			byteVals[i] = []byte(v)
-		}
+	for i := range b.attrs {
+		a := &b.attrs[i]
 		sb := secBlockMeta{
-			filter: bloom.Build(byteVals, b.opts.SecondaryBitsPerKey),
-			zone:   *b.attrZone[name],
+			filter: bloom.Build(a.values.slices(), b.opts.SecondaryBitsPerKey),
+			zone:   a.zone,
 		}
-		meta.blocks = append(meta.blocks, sb)
+		a.meta.blocks = append(a.meta.blocks, sb) //lsm:allocok kept by the attribute's index
 		if sb.zone.ok {
-			meta.fileZone.extend(sb.zone.min)
-			meta.fileZone.extend(sb.zone.max)
+			a.meta.fileZone.extend(sb.zone.min)
+			a.meta.fileZone.extend(sb.zone.max)
 		}
-		b.attrValues[name] = vals[:0]
-		*b.attrZone[name] = zone{}
+		a.values.reset()
+		a.zone = zone{}
 	}
 
 	b.block.reset()
-	b.userKeys = b.userKeys[:0]
+	b.userKeys.reset()
 	b.firstIKey = nil
 	return nil
 }
@@ -273,6 +326,7 @@ const (
 // Finish flushes the pending block, writes the meta section and footer,
 // and returns the total file size. The Builder must not be reused.
 func (b *Builder) Finish() (int64, error) {
+	defer b.block.release()
 	if b.err != nil {
 		return 0, b.err
 	}
@@ -310,6 +364,9 @@ func (b *Builder) Finish() (int64, error) {
 	}
 	if _, err := b.w.Write(footer[:n]); err != nil {
 		return 0, fmt.Errorf("sstable: write footer: %w", err)
+	}
+	if err := b.w.Flush(); err != nil {
+		return 0, fmt.Errorf("sstable: flush table: %w", err)
 	}
 	b.offset += uint64(n)
 	return int64(b.offset), nil
@@ -355,7 +412,7 @@ func (b *Builder) encodeMeta() []byte {
 	// Deterministic attribute order.
 	m.putUvarint(uint64(len(b.opts.SecondaryAttrs)))
 	for _, name := range b.opts.SecondaryAttrs {
-		am := b.attrs[name]
+		am := &b.attr(name).meta
 		m.putString(am.name)
 		m.putBool(am.fileZone.ok)
 		m.putString(am.fileZone.min)

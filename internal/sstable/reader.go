@@ -230,7 +230,11 @@ func (t *Table) readBlock(i int, compaction bool) ([]byte, error) {
 
 // readBlockT is readBlock with optional trace attribution: a cache-served
 // fetch is timed as PhaseCacheHit, a disk read as PhaseBlockLoad (both
-// sub-phases, nested inside whatever probe phase is running).
+// sub-phases, nested inside whatever probe phase is running). The block it
+// returns is immutable and, on a miss, an exact-size copy that only the
+// caller and the cache reference.
+//
+//lsm:hotpath
 func (t *Table) readBlockT(i int, compaction bool, tr *metrics.Trace) ([]byte, error) {
 	t0 := tr.Now()
 	// Foreground reads may be served from the block cache; compaction
@@ -249,8 +253,34 @@ func (t *Table) readBlockT(i int, compaction bool, tr *metrics.Trace) ([]byte, e
 			t.stats.CacheMisses.Add(1)
 		}
 	}
+	d := blockDecoders.Get().(*blockDecoder)
+	raw, err := t.fetchBlock(d, &d.buf, i, compaction)
+	if err == nil {
+		raw = ownedCopy(raw)
+	}
+	blockDecoders.Put(d)
+	if err != nil {
+		return nil, err
+	}
+	if !compaction {
+		tr.Count(metrics.CtrBlockReads, 1)
+		if t.cache != nil {
+			t.cache.Put(cache.Key{Table: t.id, Block: i}, raw)
+		}
+	}
+	tr.Since(metrics.PhaseBlockLoad, t0)
+	return raw, nil
+}
+
+// fetchBlock reads block i from the file into buf and verifies and
+// decompresses it there. The payload it returns aliases buf and is valid
+// until buf's next use.
+func (t *Table) fetchBlock(d *blockDecoder, buf *blockBuf, i int, compaction bool) ([]byte, error) {
 	bm := t.blocks[i]
-	phys := make([]byte, bm.size)
+	if uint64(cap(buf.phys)) < bm.size {
+		buf.phys = make([]byte, bm.size)
+	}
+	phys := buf.phys[:bm.size]
 	if _, err := t.r.ReadAt(phys, int64(bm.offset)); err != nil {
 		return nil, fmt.Errorf("sstable: read block %d: %w", i, err)
 	}
@@ -263,18 +293,7 @@ func (t *Table) readBlockT(i int, compaction bool, tr *metrics.Trace) ([]byte, e
 			t.stats.BlockReadBytes.Add(int64(len(phys)))
 		}
 	}
-	if !compaction {
-		tr.Count(metrics.CtrBlockReads, 1)
-	}
-	raw, err := decodeBlock(phys)
-	if err != nil {
-		return nil, err
-	}
-	if t.cache != nil && !compaction {
-		t.cache.Put(cache.Key{Table: t.id, Block: i}, raw)
-	}
-	tr.Since(metrics.PhaseBlockLoad, t0)
-	return raw, nil
+	return d.decodeBlock(phys, &buf.raw)
 }
 
 // candidateBlocks returns the index range [lo, hi) of blocks whose
@@ -550,6 +569,7 @@ type Iterator struct {
 	blockIdx   int
 	bi         *BlockIter // nil when unpositioned / between blocks
 	biStore    BlockIter  // backing store: key buffer reused across blocks
+	buf        blockBuf   // compaction only: holds the current block
 	tr         *metrics.Trace
 	err        error
 }
@@ -589,12 +609,28 @@ func (t *Table) BlockIteratorTraced(i int, compaction bool, tr *metrics.Trace) (
 	return bi, nil
 }
 
+// loadBlock positions the iterator at the start of block i. A compaction
+// iterator never touches the cache and hands out keys and values only
+// until its next call, so it decodes every block into the same buffers;
+// any other goes through readBlockT for a block it may share.
+//
+//lsm:hotpath
 func (it *Iterator) loadBlock(i int) bool {
 	if i >= len(it.t.blocks) {
 		it.bi = nil
 		return false
 	}
-	raw, err := it.t.readBlockT(i, it.compaction, it.tr)
+	var raw []byte
+	var err error
+	if it.compaction {
+		t0 := it.tr.Now()
+		d := blockDecoders.Get().(*blockDecoder)
+		raw, err = it.t.fetchBlock(d, &it.buf, i, true)
+		blockDecoders.Put(d)
+		it.tr.Since(metrics.PhaseBlockLoad, t0)
+	} else {
+		raw, err = it.t.readBlockT(i, false, it.tr)
+	}
 	if err != nil {
 		it.err = err
 		it.bi = nil
