@@ -113,8 +113,9 @@ verify: vet lint build bench-test
 # The full pre-merge gate: static checks (go vet + lsmlint), the
 # benchmark module's own tests, a
 # race-detector pass over every package, 10-second fuzz smokes of
-# the sstable block round-trip and the posting-list codec (both seeded
-# from testdata/fuzz corpora), and the bench-compare regression smoke
+# the sstable block round-trip, the posting-list codec and the attribute
+# scanner against its json.Unmarshal oracle (all seeded from testdata/fuzz
+# corpora), and the bench-compare regression smoke
 # against the recorded BENCH_pr7.json baseline. The experiments package alone runs ~18
 # minutes under the race detector on a small box, so the per-package
 # timeout (a hang guard, not a budget) is raised above go test's 10m
@@ -123,6 +124,7 @@ ci: vet lint lint-race build bench-test
 	$(GO) test -race -timeout 45m ./...
 	$(GO) test -fuzz=FuzzBlockRoundTrip -fuzztime=10s ./internal/sstable/
 	$(GO) test -fuzz=FuzzPostingsRoundTrip -fuzztime=10s ./internal/postings/
+	$(GO) test -fuzz=FuzzExtractAttrs -fuzztime=10s ./internal/core/
 	$(MAKE) bench-compare
 
 # Regenerate the paper's evaluation at the default reduced scale.

@@ -11,7 +11,10 @@
 // readers with its memtable swap lock.
 package btree
 
-import "sort"
+import (
+	"sort"
+	"strings"
+)
 
 // Posting records that the row with primary key Key was written with
 // sequence number Seq while carrying the indexed attribute value.
@@ -61,6 +64,8 @@ func (n *node) search(key string) (int, bool) {
 // Add appends a posting to the list for key, creating the key if absent.
 // Postings arrive in increasing sequence order (the engine assigns
 // monotonically increasing sequence numbers), so lists stay time-ordered.
+// A new key is stored as a copy, so key may be a view of bytes the caller
+// goes on to change.
 func (t *Tree) Add(key string, p Posting) {
 	t.posts++
 	if existing := t.find(t.root, key); existing != nil {
@@ -73,7 +78,7 @@ func (t *Tree) Add(key string, p Posting) {
 		t.root = &node{children: []*node{old}}
 		t.root.splitChild(0)
 	}
-	t.insertNonFull(t.root, item{key: key, postings: []Posting{p}})
+	t.insertNonFull(t.root, item{key: strings.Clone(key), postings: []Posting{p}})
 }
 
 func (t *Tree) find(n *node, key string) *item {

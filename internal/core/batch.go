@@ -88,32 +88,16 @@ func (db *DB) Apply(b *Batch) error {
 	if db.indexes == nil {
 		return nil
 	}
+	var buf [4]attrSlot
+	slots := attrSlots(&buf, len(db.opts.Attrs))
 	for i, op := range b.ops {
-		seq := firstSeq + uint64(i)
-		var err error
-		switch {
-		case op.del && oldDocs[i] == nil:
-			// Nothing was indexed for this key.
-		case op.del:
-			switch db.opts.Index {
-			case IndexEager:
-				err = db.eagerDelete(op.key, oldDocs[i], seq)
-			case IndexLazy:
-				err = db.lazyDelete(op.key, oldDocs[i], seq)
-			case IndexComposite:
-				err = db.compositeDelete(op.key, oldDocs[i])
-			}
-		default:
-			switch db.opts.Index {
-			case IndexEager:
-				err = db.eagerPut(op.key, op.value, seq)
-			case IndexLazy:
-				err = db.lazyPut(op.key, op.value, seq)
-			case IndexComposite:
-				err = db.compositePut(op.key, op.value, seq)
+		doc := op.value
+		if op.del {
+			if doc = oldDocs[i]; doc == nil {
+				continue // nothing was indexed for this key
 			}
 		}
-		if err != nil {
+		if err := db.indexWrite(op.key, doc, slots, firstSeq+uint64(i), op.del); err != nil {
 			return err
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"leveldbpp/internal/lsm"
 	"leveldbpp/internal/metrics"
 	"leveldbpp/internal/postings"
 )
@@ -14,7 +15,7 @@ import (
 // the paper's explanation for why Composite loses to Lazy at small K but
 // wins when K is unbounded (no posting-list CPU cost).
 
-func compositeKey(attrValue, primaryKey string) []byte {
+func compositeKey[T string | []byte](attrValue T, primaryKey string) []byte {
 	k := make([]byte, 0, len(attrValue)+1+len(primaryKey))
 	k = append(k, attrValue...)
 	k = append(k, compositeSep)
@@ -31,27 +32,14 @@ func splitCompositeKey(k []byte) (attrValue, primaryKey string, ok bool) {
 	return "", "", false
 }
 
-func (db *DB) compositePut(key string, value []byte, seq uint64) error {
-	for _, av := range extractAttrs(value, db.opts.Attrs) {
-		idx := db.indexes[av.Attr]
-		if err := idx.Put(compositeKey(av.Value, key), nil); err != nil {
-			return err
-		}
+// compositeWrite inserts the composite key, or with del writes a
+// tombstone for it (paper: "a DEL operation inserts the composite key
+// with a deletion marker in index table").
+func compositeWrite(idx *lsm.DB, attrValue []byte, key string, del bool) error {
+	if del {
+		return idx.Delete(compositeKey(attrValue, key))
 	}
-	return nil
-}
-
-// compositeDelete writes a tombstone for the old record's composite keys
-// (paper: "a DEL operation inserts the composite key with a deletion
-// marker in index table").
-func (db *DB) compositeDelete(key string, oldValue []byte) error {
-	for _, av := range extractAttrs(oldValue, db.opts.Attrs) {
-		idx := db.indexes[av.Attr]
-		if err := idx.Delete(compositeKey(av.Value, key)); err != nil {
-			return err
-		}
-	}
-	return nil
+	return idx.Put(compositeKey(attrValue, key), nil)
 }
 
 // compositeLookup is Algorithm 4: a prefix scan over the index table for

@@ -21,7 +21,6 @@
 package core
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -73,10 +72,11 @@ func (k IndexKind) String() string {
 type Options struct {
 	// Index selects the secondary indexing technique.
 	Index IndexKind
-	// Attrs lists the secondary attributes to index. Attribute values
-	// must be top-level JSON string fields of the document; range
-	// semantics follow byte-wise string order, so numeric attributes
-	// should be zero-padded (see workload.EncodeTime).
+	// Attrs lists the secondary attributes to index: names of JSON string
+	// fields of the document, top-level or dot paths into nested objects
+	// (extract.go has the matching rules). Range semantics follow
+	// byte-wise string order, so numeric attributes should be zero-padded
+	// (see workload.EncodeTime).
 	Attrs []string
 
 	// Engine tuning (zero values take lsm defaults).
@@ -211,61 +211,6 @@ var ErrUnknownAttr = errors.New("core: attribute is not indexed")
 // index entries; attribute values must not contain it.
 const compositeSep = byte(0)
 
-// extractAttrs pulls the indexed attributes out of a JSON document.
-// Attribute names may be dot paths into nested objects ("user.id"); the
-// resolved value must be a JSON string, anything else is skipped.
-func extractAttrs(value []byte, attrs []string) []sstable.AttrValue {
-	var doc map[string]json.RawMessage
-	if err := json.Unmarshal(value, &doc); err != nil {
-		return nil
-	}
-	var out []sstable.AttrValue
-	for _, a := range attrs {
-		raw, ok := resolvePath(doc, a)
-		if !ok {
-			continue
-		}
-		var s string
-		if err := json.Unmarshal(raw, &s); err != nil {
-			continue
-		}
-		if strings.IndexByte(s, compositeSep) >= 0 {
-			continue // NUL would corrupt Composite key framing; unindexable
-		}
-		out = append(out, sstable.AttrValue{Attr: a, Value: s})
-	}
-	return out
-}
-
-// resolvePath walks a dot path through nested JSON objects. A field whose
-// literal name contains a dot takes precedence over path traversal.
-func resolvePath(doc map[string]json.RawMessage, path string) (json.RawMessage, bool) {
-	if raw, ok := doc[path]; ok {
-		return raw, true
-	}
-	head, rest, found := strings.Cut(path, ".")
-	if !found {
-		return nil, false
-	}
-	raw, ok := doc[head]
-	if !ok {
-		return nil, false
-	}
-	var sub map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &sub); err != nil {
-		return nil, false
-	}
-	return resolvePath(sub, rest)
-}
-
-// attrValue extracts one attribute's string value from a document.
-func attrValue(value []byte, attr string) (string, bool) {
-	for _, av := range extractAttrs(value, []string{attr}) {
-		return av.Value, true
-	}
-	return "", false
-}
-
 // Open creates or reopens a LevelDB++ database rooted at dir. The primary
 // table lives in dir/primary; stand-alone index tables in
 // dir/index-<attr>.
@@ -307,8 +252,8 @@ func Open(dir string, opts Options) (*DB, error) {
 	}
 	if opts.Index == IndexEmbedded {
 		primaryOpts.SecondaryAttrs = attrs
-		primaryOpts.Extract = func(key, value []byte) []sstable.AttrValue {
-			return extractAttrs(value, attrs)
+		primaryOpts.Extract = func(dst []sstable.AttrValue, _, value []byte) []sstable.AttrValue {
+			return appendAttrValues(dst, value, attrs)
 		}
 	}
 	primary, err := lsm.Open(filepath.Join(dir, "primary"), primaryOpts)
@@ -391,42 +336,74 @@ func (db *DB) Get(key string) ([]byte, bool, error) {
 func (db *DB) Put(key string, value []byte) error {
 	t0 := time.Now()
 	tr := db.tracer.Start(metrics.OpPut)
-	err := db.putTraced(key, value, tr)
+	var buf [4]attrSlot
+	slots := attrSlots(&buf, len(db.opts.Attrs))
+	err := db.putTraced(key, value, slots, tr)
 	tr.Finish()
 	db.ops.Observe(metrics.OpPut, time.Since(t0))
 	db.profiler.RecordOp(metrics.OpPut)
 	// Sample every 16th PUT's attribute values into the time-correlation
-	// estimator — it needs consecutive-pair counts, not every write.
+	// estimator — it needs consecutive-pair counts, not every write. The
+	// stand-alone kinds have scanned the document already.
 	if len(db.opts.Attrs) > 0 && db.putCount.Add(1)&15 == 0 {
-		for _, av := range extractAttrs(value, db.opts.Attrs) {
-			db.profiler.RecordAttrValue(av.Attr, av.Value)
+		if db.indexes == nil {
+			scanAttrs(value, db.opts.Attrs, slots)
+		}
+		for i, sl := range slots {
+			if sl.val != nil {
+				db.profiler.RecordAttrValue(db.opts.Attrs[i], string(sl.val))
+			}
 		}
 	}
 	return err
 }
 
-func (db *DB) putTraced(key string, value []byte, tr *metrics.Trace) error {
+// putTraced writes the document and, for the stand-alone kinds, its index
+// entries, leaving the document's attribute values in slots.
+func (db *DB) putTraced(key string, value []byte, slots []attrSlot, tr *metrics.Trace) error {
 	if db.indexes != nil {
 		db.writeMu.Lock()
 		defer db.writeMu.Unlock()
 	}
 	seq, err := db.primary.PutWithSeqTraced([]byte(key), value, tr)
-	if err != nil {
+	if err != nil || db.indexes == nil {
 		return err
 	}
 	tI := tr.Now()
-	switch db.opts.Index {
-	case IndexEager:
-		err = db.eagerPut(key, value, seq)
-	case IndexLazy:
-		err = db.lazyPut(key, value, seq)
-	case IndexComposite:
-		err = db.compositePut(key, value, seq)
-	default:
-		return nil
-	}
+	err = db.indexWrite(key, value, slots, seq, false)
 	tr.Since(metrics.PhaseIndexUpdate, tI)
 	return err
+}
+
+// indexWrite maintains the stand-alone index tables for one write to the
+// primary table: it scans doc into slots, and for every indexed attribute
+// the document carries adds the (attribute value, key) pair to that
+// attribute's table, or with del marks it deleted there. The values go
+// into the index keys as they are; the engine copies a key before keeping
+// it.
+//
+//lsm:locked — writeMu is held by putTraced, deleteTraced and Apply.
+func (db *DB) indexWrite(key string, doc []byte, slots []attrSlot, seq uint64, del bool) error {
+	scanAttrs(doc, db.opts.Attrs, slots)
+	for i, sl := range slots {
+		if sl.val == nil {
+			continue
+		}
+		idx := db.indexes[db.opts.Attrs[i]]
+		var err error
+		switch db.opts.Index {
+		case IndexEager:
+			err = db.eagerUpdate(idx, sl.val, key, seq, del)
+		case IndexLazy:
+			err = db.lazyAppend(idx, sl.val, key, seq, del)
+		case IndexComposite:
+			err = compositeWrite(idx, sl.val, key, del)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Delete removes the document under key (Table 1: DEL). For stand-alone
@@ -467,17 +444,13 @@ func (db *DB) deleteTraced(key string, tr *metrics.Trace) error {
 	if err != nil {
 		return err
 	}
-	tI := tr.Now()
-	switch db.opts.Index {
-	case IndexEager:
-		err = db.eagerDelete(key, old, seq)
-	case IndexLazy:
-		err = db.lazyDelete(key, old, seq)
-	case IndexComposite:
-		err = db.compositeDelete(key, old)
-	default:
+	if db.indexes == nil {
 		return nil
 	}
+	var buf [4]attrSlot
+	slots := attrSlots(&buf, len(db.opts.Attrs))
+	tI := tr.Now()
+	err = db.indexWrite(key, old, slots, seq, true)
 	tr.Since(metrics.PhaseIndexUpdate, tI)
 	return err
 }
@@ -735,13 +708,13 @@ func (db *DB) validate(pk, attr, lo, hi string) ([]byte, bool, error) {
 	return db.validateWith(pk, attr, lo, hi, nil)
 }
 
+//lsm:hotpath
 func (db *DB) validateWith(pk, attr, lo, hi string, tr *metrics.Trace) ([]byte, bool, error) {
 	value, ok, err := db.primary.GetTraced([]byte(pk), tr)
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	v, ok := attrValue(value, attr)
-	if !ok || v < lo || v > hi {
+	if !attrInRange(value, attr, lo, hi) {
 		return nil, false, nil
 	}
 	return value, true, nil

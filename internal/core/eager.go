@@ -16,37 +16,15 @@ import (
 // older ones), so LOOKUP needs only the single newest list, but writes
 // suffer the paper's headline write amplification (WAMF ≈ PL_S·22·(L−1)).
 
-func (db *DB) eagerPut(key string, value []byte, seq uint64) error {
-	for _, av := range extractAttrs(value, db.opts.Attrs) {
-		idx := db.indexes[av.Attr]
-		if err := db.eagerUpdate(idx, av.Value, key, seq, false); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// eagerDelete marks key deleted in the posting lists of the old record's
-// attribute values (read-update-write, paper §4.1.1).
-func (db *DB) eagerDelete(key string, oldValue []byte, seq uint64) error {
-	for _, av := range extractAttrs(oldValue, db.opts.Attrs) {
-		idx := db.indexes[av.Attr]
-		if err := db.eagerUpdate(idx, av.Value, key, seq, true); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // eagerUpdate is the read-modify-write: fetch the current list, prepend
 // the new posting, drop the superseded entry for the same primary key,
 // and write the list back. The stored list is already newest-first, so
 // AppendAdd streams the update — no re-sort, and no intermediate []Entry
 // — into the DB's scratch buffer.
 //
-//lsm:locked — writeMu is held by putTraced/deleteTraced on every caller path.
-func (db *DB) eagerUpdate(idx *lsm.DB, attrValue, key string, seq uint64, del bool) error {
-	cur, _, err := idx.Get([]byte(attrValue))
+//lsm:locked — writeMu is held by indexWrite's callers.
+func (db *DB) eagerUpdate(idx *lsm.DB, attrValue []byte, key string, seq uint64, del bool) error {
+	cur, _, err := idx.Get(attrValue)
 	if err != nil {
 		return err
 	}
@@ -57,7 +35,7 @@ func (db *DB) eagerUpdate(idx *lsm.DB, attrValue, key string, seq uint64, del bo
 	st := idx.Stats()
 	st.PostingsBytesDecoded.Add(int64(len(cur)))
 	st.PostingsEntriesDecoded.Add(decoded)
-	err = idx.Put([]byte(attrValue), out)
+	err = idx.Put(attrValue, out)
 	db.postBuf = out[:0]
 	return err
 }
@@ -170,13 +148,17 @@ func (db *DB) eagerRangeLookup(attr, lo, hi string, k int, tr *metrics.Trace) ([
 // against the data table until k valid entries are collected (k <= 0
 // validates everything).
 func (db *DB) validateCandidates(cands []postings.Entry, attr, lo, hi string, k int, heap *topK, tr *metrics.Trace) error {
-	t0 := tr.Now()
+	// As in eagerLookup, the mark alternates the trace between
+	// posting_merge — ordering the candidates, then walking them (dedupe,
+	// Worth, heap) — and validate, so the walk's share of a lookup shows
+	// however cheap a validation gets.
+	mark := tr.Now()
 	sortPostingsBySeqDesc(cands)
-	tr.Since(metrics.PhasePostingMerge, t0)
 	if db.opts.LookupParallelism > 1 && len(cands) > 1 {
+		tr.Since(metrics.PhasePostingMerge, mark)
 		// Workers carry no trace (a Trace is single-goroutine); the whole
 		// fan-out is attributed to validate from this side.
-		t0 = tr.Now()
+		t0 := tr.Now()
 		err := db.validateCandidatesParallel(cands, attr, lo, hi, heap)
 		tr.Since(metrics.PhaseValidate, t0)
 		return err
@@ -190,7 +172,9 @@ func (db *DB) validateCandidates(cands []postings.Entry, attr, lo, hi string, k 
 		if !heap.Worth(c.Seq) {
 			continue
 		}
+		tr.Since(metrics.PhasePostingMerge, mark)
 		doc, valid, err := db.validateTraced(c.Key, attr, lo, hi, tr)
+		mark = tr.Now()
 		if err != nil {
 			return err
 		}
@@ -199,10 +183,11 @@ func (db *DB) validateCandidates(cands []postings.Entry, attr, lo, hi string, k 
 			if heap.Full() {
 				// Remaining candidates are all older; the heap cannot
 				// change further.
-				return nil
+				break
 			}
 		}
 	}
+	tr.Since(metrics.PhasePostingMerge, mark)
 	return nil
 }
 

@@ -125,7 +125,7 @@ func (db *DB) embeddedScan(attr, lo, hi string, k int, useFilters bool, tr *metr
 					if heap.Full() && fm.Table().MaxSeq() <= heap.MinSeq() {
 						continue // nothing here can improve the heap
 					}
-					if err := db.embeddedScanTable(v, strata, si, fm, attr, lo, hi, heap, useFilters, seen, tr); err != nil {
+					if err := db.embeddedScanTable(v, strata, si, fm, attr, lo, hi, useFilters, seen, tr, heap.Worth, heap.Add); err != nil {
 						tr.Since(metrics.PhaseIndexProbe, t0)
 						return err
 					}
@@ -146,7 +146,12 @@ func (db *DB) embeddedScan(attr, lo, hi string, k int, useFilters bool, tr *metr
 				}
 			}
 		}
+		// Ordering the heap belongs to the phase that filled it: with the
+		// per-record test cheap, sorting a few hundred unbounded-K results
+		// is no longer lost in the scan.
+		t0 := tr.Now()
 		results = heap.Results()
+		tr.Since(metrics.PhaseIndexProbe, t0)
 		return nil
 	})
 	return results, err
@@ -215,8 +220,7 @@ func (db *DB) embeddedScanMem(v *lsm.View, imm bool, attr, lo, hi string, heap *
 		if shadowedByMem(uk) {
 			continue
 		}
-		av, ok := attrValue(it.Value(), attr)
-		if !ok || av < lo || av > hi {
+		if !attrInRange(it.Value(), attr, lo, hi) {
 			continue
 		}
 		heap.Add(Entry{Key: string(uk), Value: append([]byte(nil), it.Value()...), Seq: ikey.Seq(ik)})
@@ -224,10 +228,16 @@ func (db *DB) embeddedScanMem(v *lsm.View, imm bool, attr, lo, hi string, heap *
 	return nil
 }
 
-// embeddedScanTable reads the candidate blocks of one table and offers
-// matches to the heap after a validity check against the strata above.
+// embeddedScanTable reads the candidate blocks of one table and hands
+// emit every live entry whose attr lies in [lo, hi], whose sequence number
+// is worth the caller's top-K and which passes the validity check against
+// the strata above. The attribute is tested where it lies in the block;
+// key and value are copied only for an entry that is emitted.
+//
+//lsm:hotpath
 func (db *DB) embeddedScanTable(v *lsm.View, strata []stratum, si int, fm *lsm.FileMeta,
-	attr, lo, hi string, heap *topK, useFilters bool, seen map[string]bool, tr *metrics.Trace) error {
+	attr, lo, hi string, useFilters bool, seen map[string]bool, tr *metrics.Trace,
+	worth func(seq uint64) bool, emit func(Entry)) error {
 
 	tbl := fm.Table()
 	var candidates []int
@@ -260,16 +270,12 @@ func (db *DB) embeddedScanTable(v *lsm.View, strata []stratum, si int, fm *lsm.F
 		matchedInBlock := false
 		for it.Next() {
 			ik := it.Key()
-			if ikey.KindOf(ik) == ikey.KindDelete {
-				continue
-			}
-			av, ok := attrValue(it.Value(), attr)
-			if !ok || av < lo || av > hi {
+			if ikey.KindOf(ik) == ikey.KindDelete || !attrInRange(it.Value(), attr, lo, hi) {
 				continue
 			}
 			matchedInBlock = true
 			seq := ikey.Seq(ik)
-			if !heap.Worth(seq) {
+			if !worth(seq) {
 				continue
 			}
 			pk := string(ikey.UserKey(ik))
@@ -278,7 +284,7 @@ func (db *DB) embeddedScanTable(v *lsm.View, strata []stratum, si int, fm *lsm.F
 				return err
 			}
 			if valid {
-				heap.Add(Entry{Key: pk, Value: append([]byte(nil), it.Value()...), Seq: seq})
+				emit(Entry{Key: pk, Value: append([]byte(nil), it.Value()...), Seq: seq}) //lsm:allocok the result's own copy
 			}
 		}
 		if err := it.Err(); err != nil {
@@ -313,8 +319,7 @@ func (db *DB) candidateValid(v *lsm.View, strata []stratum, si int, pk string, s
 		if err != nil || !ok {
 			return false, err
 		}
-		av, ok := attrValue(value, attr)
-		valid := ok && av >= lo && av <= hi
+		valid := attrInRange(value, attr, lo, hi)
 		if valid {
 			seen[pk] = true
 		}
@@ -389,7 +394,10 @@ func (db *DB) embeddedScanStratumParallel(v *lsm.View, strata []stratum, si int,
 				if full && fm.Table().MaxSeq() <= minSeq {
 					continue // nothing here can improve the heap
 				}
-				results[ti], errs[ti] = db.embeddedCollectTable(v, strata, si, fm, attr, lo, hi, worth, useFilters)
+				// Untraced, and GetLite validation only: a Trace and the
+				// full-GET ablation's seen map are single-goroutine.
+				errs[ti] = db.embeddedScanTable(v, strata, si, fm, attr, lo, hi, useFilters, nil, nil,
+					worth, func(e Entry) { results[ti] = append(results[ti], e) })
 			}
 		}()
 	}
@@ -407,66 +415,4 @@ func (db *DB) embeddedScanStratumParallel(v *lsm.View, strata []stratum, si int,
 		}
 	}
 	return nil
-}
-
-// embeddedCollectTable is embeddedScanTable with the heap factored out:
-// it returns the table's validated candidates so a parallel caller can
-// fold them in after all workers finish. GetLite validation only (the
-// full-GET ablation path shares a seen map and stays sequential).
-func (db *DB) embeddedCollectTable(v *lsm.View, strata []stratum, si int, fm *lsm.FileMeta,
-	attr, lo, hi string, worth func(uint64) bool, useFilters bool) ([]Entry, error) {
-
-	tbl := fm.Table()
-	var candidates []int
-	if !useFilters {
-		candidates = make([]int, tbl.NumBlocks())
-		for i := range candidates {
-			candidates[i] = i
-		}
-	} else {
-		if !db.opts.DisableFileZoneMap {
-			if _, _, ok := tbl.FileZone(attr); !ok {
-				return nil, nil
-			}
-		}
-		if lo == hi {
-			candidates = tbl.SecondaryCandidates(attr, lo)
-		} else {
-			candidates = tbl.SecondaryRangeCandidates(attr, lo, hi)
-		}
-	}
-
-	var out []Entry
-	for _, bi := range candidates {
-		it, err := tbl.BlockIterator(bi, false)
-		if err != nil {
-			return nil, err
-		}
-		for it.Next() {
-			ik := it.Key()
-			if ikey.KindOf(ik) == ikey.KindDelete {
-				continue
-			}
-			av, ok := attrValue(it.Value(), attr)
-			if !ok || av < lo || av > hi {
-				continue
-			}
-			seq := ikey.Seq(ik)
-			if !worth(seq) {
-				continue
-			}
-			pk := string(ikey.UserKey(ik))
-			valid, err := db.candidateValid(v, strata, si, pk, seq, attr, lo, hi, nil, nil)
-			if err != nil {
-				return nil, err
-			}
-			if valid {
-				out = append(out, Entry{Key: pk, Value: append([]byte(nil), it.Value()...), Seq: seq})
-			}
-		}
-		if err := it.Err(); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }

@@ -21,34 +21,16 @@ import (
 // top-K heap is full — fragments deeper down are strictly older for the
 // same secondary key.
 
-//lsm:locked — writeMu is held by putTraced on every caller path.
-func (db *DB) lazyPut(key string, value []byte, seq uint64) error {
-	for _, av := range extractAttrs(value, db.opts.Attrs) {
-		idx := db.indexes[av.Attr]
-		// Fragment built in the shared scratch (writeMu held); the engine
-		// copies the value before Put returns.
-		db.postBuf = postings.AppendSingle(db.postBuf[:0], key, seq, false, db.pf)
-		if err := idx.Put([]byte(av.Value), db.postBuf); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// lazyDelete appends deletion-marker fragments (paper: "DEL operation
+// lazyAppend is the blind write: a one-entry fragment for key under
+// attrValue, or with del a deletion marker (paper: "DEL operation
 // similarly issues a PUT(a_i del, [k]) ... used during merge in compaction
-// to remove the deleted entry").
+// to remove the deleted entry"). The fragment is built in the shared
+// scratch; the engine copies the value before Put returns.
 //
-//lsm:locked — writeMu is held by deleteTraced on every caller path.
-func (db *DB) lazyDelete(key string, oldValue []byte, seq uint64) error {
-	for _, av := range extractAttrs(oldValue, db.opts.Attrs) {
-		idx := db.indexes[av.Attr]
-		db.postBuf = postings.AppendSingle(db.postBuf[:0], key, seq, true, db.pf)
-		if err := idx.Put([]byte(av.Value), db.postBuf); err != nil {
-			return err
-		}
-	}
-	return nil
+//lsm:locked — writeMu is held by indexWrite's callers.
+func (db *DB) lazyAppend(idx *lsm.DB, attrValue []byte, key string, seq uint64, del bool) error {
+	db.postBuf = postings.AppendSingle(db.postBuf[:0], key, seq, del, db.pf)
+	return idx.Put(attrValue, db.postBuf)
 }
 
 // lazyFragments visits every fragment stored for secondary key value,

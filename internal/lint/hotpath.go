@@ -20,6 +20,9 @@ import (
 //     a sync.Pool and Reset it (the pool's New func is not a hot path)
 //   - io.ReadAll — grows a fresh buffer by doubling on every call and
 //     returns it with spare capacity; read into a reused buffer
+//   - json.Unmarshal / json.Marshal / json.NewDecoder — reflection and a
+//     fresh map or buffer per call; per-record paths scan the document in
+//     place (core.scanAttrs) or use the binary codecs
 //   - growing append: append(dst, ...) where dst is neither re-sliced
 //     (dst[:n], the reuse idiom) nor rooted in a parameter/receiver
 //     (caller-owned scratch) — i.e. an append that can only grow a
@@ -30,7 +33,7 @@ import (
 // //lsm:allocok.
 var HotPath = &Analyzer{
 	Name:        "hotpath",
-	Doc:         "//lsm:hotpath functions avoid time.Now, fmt.Sprintf, per-call flate codecs, io.ReadAll and unbounded append",
+	Doc:         "//lsm:hotpath functions avoid time.Now, fmt.Sprintf, per-call flate codecs, io.ReadAll, encoding/json and unbounded append",
 	Suppression: "lsm:allocok",
 	Run:         runHotPath,
 }
@@ -109,6 +112,10 @@ func checkHotPathFunc(pass *Pass, fd *ast.FuncDecl) {
 			report(call, "flate codec built per call in //lsm:hotpath %s; take one from a sync.Pool and Reset it", fd.Name.Name)
 		case isPkgFunc(info, call, "io", "ReadAll"):
 			report(call, "io.ReadAll in //lsm:hotpath %s allocates and over-sizes its result; read into a reused buffer", fd.Name.Name)
+		case isPkgFunc(info, call, "encoding/json", "Unmarshal"),
+			isPkgFunc(info, call, "encoding/json", "Marshal"),
+			isPkgFunc(info, call, "encoding/json", "NewDecoder"):
+			report(call, "encoding/json in //lsm:hotpath %s reflects and allocates per call; scan the bytes in place", fd.Name.Name)
 		case isBuiltinAppend(info, call) && len(call.Args) > 0:
 			if hotAppendOK(info, callerOwned, call.Args[0]) {
 				return true

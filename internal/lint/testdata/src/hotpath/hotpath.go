@@ -1,11 +1,12 @@
 // Package hotpath exercises the hotpath analyzer: //lsm:hotpath functions
 // must not read the clock, format strings, build a flate codec, call
-// io.ReadAll, or grow fresh allocations.
+// io.ReadAll or encoding/json, or grow fresh allocations.
 package hotpath
 
 import (
 	"bytes"
 	"compress/flate"
+	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
@@ -78,8 +79,29 @@ func goodCodec(c *cursor, src *bytes.Reader, fr io.Reader, in []byte) error {
 	return err
 }
 
+//lsm:hotpath
+func badJSON(c *cursor, in []byte) error {
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(in, &doc); err != nil { // want "encoding/json in //lsm:hotpath badJSON"
+		return err
+	}
+	out, err := json.Marshal(doc) // want "encoding/json in //lsm:hotpath badJSON"
+	c.buf = out
+	if err != nil {
+		return err
+	}
+	return json.NewDecoder(bytes.NewReader(in)).Decode(&doc) // want "encoding/json in //lsm:hotpath badJSON"
+}
+
+//lsm:hotpath
+func goodJSON(in []byte) bool {
+	return json.Valid(in) // a scan, no reflection: ok
+}
+
 func unannotated(in []byte) []byte {
 	_ = time.Now() // cold code: ok
+	var doc map[string]string
+	_ = json.Unmarshal(in, &doc)
 	out, _ := io.ReadAll(flate.NewReader(bytes.NewReader(in)))
 	return append(out, in...)
 }

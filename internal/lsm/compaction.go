@@ -50,6 +50,7 @@ func (db *DB) buildMemTable(mem *memTable, fileNum uint64) (*FileMeta, error) {
 	builder := sstable.NewBuilder(f, db.opts.tableOptions(false))
 	it := mem.iter()
 	var prevUser []byte
+	var attrs []sstable.AttrValue
 	for it.SeekToFirst(); it.Valid(); it.Next() {
 		ik, val := it.Key(), it.Value()
 		uk := ikey.UserKey(ik)
@@ -61,9 +62,9 @@ func (db *DB) buildMemTable(mem *memTable, fileNum uint64) (*FileMeta, error) {
 			continue
 		}
 		prevUser = append(prevUser[:0], uk...)
-		var attrs []sstable.AttrValue
+		attrs = attrs[:0]
 		if db.opts.Extract != nil && ikey.KindOf(ik) == ikey.KindSet {
-			attrs = db.opts.Extract(uk, val)
+			attrs = db.opts.Extract(attrs, uk, val)
 		}
 		if err := builder.Add(ik, val, attrs); err != nil {
 			_ = f.Close()

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"unsafe"
 
 	"leveldbpp/internal/ikey"
 	"leveldbpp/internal/sstable"
@@ -404,12 +405,17 @@ func TestStatsCountIO(t *testing.T) {
 func TestEmbeddedAttrsSurviveFlushAndCompaction(t *testing.T) {
 	opts := smallOpts()
 	opts.SecondaryAttrs = []string{"user"}
-	opts.Extract = func(key, value []byte) []sstable.AttrValue {
+	// The extractor hands out a view of a buffer its next call overwrites,
+	// as core's hands out views of block bytes: whatever the engine keeps
+	// of it — B-tree keys, bloom inputs, zone maps — must be a copy.
+	var scratch []byte
+	opts.Extract = func(dst []sstable.AttrValue, _, value []byte) []sstable.AttrValue {
 		var doc map[string]string
 		if json.Unmarshal(value, &doc) != nil {
-			return nil
+			return dst
 		}
-		return []sstable.AttrValue{{Attr: "user", Value: doc["user"]}}
+		scratch = append(scratch[:0], doc["user"]...)
+		return append(dst, sstable.AttrValue{Attr: "user", Value: unsafe.String(unsafe.SliceData(scratch), len(scratch))})
 	}
 	db, _ := openTestDB(t, opts)
 	for i := 0; i < 3000; i++ {
@@ -423,6 +429,11 @@ func TestEmbeddedAttrsSurviveFlushAndCompaction(t *testing.T) {
 			for _, fm := range fms {
 				if !fm.Table().HasAttr("user") {
 					t.Errorf("%s table %d lacks embedded attr", lvl, fm.Num)
+				}
+				for i := 0; i < fm.Table().NumBlocks(); i++ {
+					if lo, hi, ok := fm.Table().BlockZone("user", i); !ok || len(lo) != 4 || len(hi) != 4 || lo > hi || hi > "u039" {
+						t.Errorf("%s table %d block %d: zone [%q, %q] ok=%v", lvl, fm.Num, i, lo, hi, ok)
+					}
 				}
 				if c := fm.Table().SecondaryCandidates("user", "u007"); len(c) == 0 {
 					// u007 occurs every 40 entries; any table with ≥40
@@ -441,6 +452,7 @@ func TestEmbeddedAttrsSurviveFlushAndCompaction(t *testing.T) {
 	})
 	// MemTable B-tree must cover unflushed entries.
 	mustPut(t, db, "t999999", `{"user":"u999","text":"fresh"}`)
+	mustPut(t, db, "t999998", `{"user":"u000","text":"overwrites the extractor's buffer"}`)
 	db.View(func(v *View) error {
 		tree := v.MemSecTree("user")
 		if tree == nil {

@@ -6,6 +6,7 @@ import (
 	"leveldbpp/internal/btree"
 	"leveldbpp/internal/ikey"
 	"leveldbpp/internal/skiplist"
+	"leveldbpp/internal/sstable"
 )
 
 // memTable is the in-memory component C0: a skip list over internal keys
@@ -16,6 +17,7 @@ type memTable struct {
 	list   *skiplist.List
 	sec    map[string]*btree.Tree // attr name → value → postings
 	maxSeq uint64                 // highest sequence number added
+	attrs  []sstable.AttrValue    // add's extraction scratch
 }
 
 func newMemTable(secondaryAttrs []string) *memTable {
@@ -37,7 +39,8 @@ func (m *memTable) add(seq uint64, kind ikey.Kind, userKey, value []byte, extrac
 		m.maxSeq = seq
 	}
 	if m.sec != nil && kind == ikey.KindSet && extract != nil {
-		for _, av := range extract(userKey, value) {
+		m.attrs = extract(m.attrs[:0], userKey, value)
+		for _, av := range m.attrs {
 			if tree, ok := m.sec[av.Attr]; ok {
 				tree.Add(av.Value, btree.Posting{Key: userKey, Seq: seq})
 			}

@@ -47,10 +47,14 @@ type MergerForker interface {
 // cost (DESIGN.md §5).
 type WriteMerger func(existing, incoming []byte) []byte
 
-// AttrExtractor reports the indexed secondary attribute values of an
-// entry; it is invoked at flush and compaction time to build the Embedded
-// index structures of each new SSTable. It may return nil.
-type AttrExtractor func(userKey, value []byte) []sstable.AttrValue
+// AttrExtractor appends the indexed secondary attribute values of an
+// entry to dst and returns the extended slice; it is invoked for every
+// MemTable insert and at flush and compaction time to build the Embedded
+// index structures. The Value strings it appends may be views of value's
+// bytes rather than copies: they hold only while value is unchanged, and
+// whoever keeps one past that copies it (btree.Tree.Add and
+// sstable.Builder.Add do).
+type AttrExtractor func(dst []sstable.AttrValue, userKey, value []byte) []sstable.AttrValue
 
 // Options tunes a DB. The zero value is usable; defaults mirror LevelDB's
 // constants scaled to experiment-friendly sizes.

@@ -242,7 +242,8 @@ type compactionWriter struct {
 	file    *os.File
 	builder *sstable.Builder
 	num     uint64
-	writeNS int64 // accumulated wall time inside add/flush (compact_write)
+	attrs   []sstable.AttrValue // add's extraction scratch
+	writeNS int64               // accumulated wall time inside add/flush (compact_write)
 }
 
 func (db *DB) newCompactionWriter(tr *metrics.Trace) *compactionWriter {
@@ -263,11 +264,11 @@ func (w *compactionWriter) add(ik, value []byte) error {
 		w.file = f
 		w.builder = sstable.NewBuilder(f, w.db.opts.tableOptions(true))
 	}
-	var attrs []sstable.AttrValue
+	w.attrs = w.attrs[:0]
 	if w.db.opts.Extract != nil && ikey.KindOf(ik) == ikey.KindSet {
-		attrs = w.db.opts.Extract(ikey.UserKey(ik), value)
+		w.attrs = w.db.opts.Extract(w.attrs, ikey.UserKey(ik), value)
 	}
-	if err := w.builder.Add(ik, value, attrs); err != nil {
+	if err := w.builder.Add(ik, value, w.attrs); err != nil {
 		return err
 	}
 	if w.builder.EstimatedSize() >= maxTableBytes {

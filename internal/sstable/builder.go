@@ -2,6 +2,7 @@ package sstable
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -155,12 +156,28 @@ func (s *byteStrings) slices() [][]byte {
 func (s *byteStrings) reset() { s.data, s.ends = s.data[:0], s.ends[:0] }
 
 // attrBuilder is the build state of one indexed secondary attribute: the
-// table-wide metadata collected so far and the pending block's values and
-// zone map.
+// table-wide metadata collected so far and the pending block's values.
 type attrBuilder struct {
 	meta   secAttrMeta
 	values byteStrings
-	zone   zone
+}
+
+// zoneOf returns the zone map of one block's attribute values. Its two
+// bounds are copies, cut from one string.
+func zoneOf(values [][]byte) zone {
+	if len(values) == 0 {
+		return zone{}
+	}
+	lo, hi := values[0], values[0]
+	for _, v := range values[1:] {
+		if bytes.Compare(v, lo) < 0 {
+			lo = v
+		} else if bytes.Compare(v, hi) > 0 {
+			hi = v
+		}
+	}
+	both := string(lo) + string(hi)
+	return zone{min: both[:len(lo)], max: both[len(lo):], ok: true}
 }
 
 // tableWriteBuffer batches a table's output into one write per 16 or more
@@ -218,7 +235,8 @@ func (b *Builder) attr(name string) *attrBuilder {
 
 // Add appends an entry. attrs carries the entry's indexed secondary
 // attribute values; attribute names not listed in Options.SecondaryAttrs
-// are ignored, and entries (e.g. tombstones) may carry none.
+// are ignored, and entries (e.g. tombstones) may carry none. Nothing
+// passed in is kept: keys, value and attribute values are copied.
 func (b *Builder) Add(internalKey, value []byte, attrs []AttrValue) error {
 	if b.err != nil {
 		return b.err
@@ -237,7 +255,6 @@ func (b *Builder) Add(internalKey, value []byte, attrs []AttrValue) error {
 	for _, av := range attrs {
 		if a := b.attr(av.Attr); a != nil {
 			a.values.addString(av.Value)
-			a.zone.extend(av.Value)
 		}
 	}
 	b.entryCount++
@@ -288,9 +305,10 @@ func (b *Builder) flushBlock() error {
 
 	for i := range b.attrs {
 		a := &b.attrs[i]
+		values := a.values.slices()
 		sb := secBlockMeta{
-			filter: bloom.Build(a.values.slices(), b.opts.SecondaryBitsPerKey),
-			zone:   a.zone,
+			filter: bloom.Build(values, b.opts.SecondaryBitsPerKey),
+			zone:   zoneOf(values),
 		}
 		a.meta.blocks = append(a.meta.blocks, sb) //lsm:allocok kept by the attribute's index
 		if sb.zone.ok {
@@ -298,7 +316,6 @@ func (b *Builder) flushBlock() error {
 			a.meta.fileZone.extend(sb.zone.max)
 		}
 		a.values.reset()
-		a.zone = zone{}
 	}
 
 	b.block.reset()

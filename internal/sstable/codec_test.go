@@ -474,9 +474,9 @@ func TestCodecAllocations(t *testing.T) {
 		blocks := nb - 4
 		allocs := testing.AllocsPerRun(blocks, addBlock)
 		// What the metadata keeps per block: first key, last key, primary
-		// bloom, one bloom per attribute. The +1 is the amortised growth of
-		// the slices that hold them.
-		if limit := float64(3 + len(opts.SecondaryAttrs) + 1); allocs > limit {
+		// bloom, one bloom and one zone map per attribute. The +1 is the
+		// amortised growth of the slices that hold them.
+		if limit := float64(3 + 2*len(opts.SecondaryAttrs) + 1); allocs > limit {
 			t.Fatalf("a block's Adds and flushBlock allocate %.0f times, want ≤ %.0f", allocs, limit)
 		}
 		if _, err := b.Finish(); err != nil {
