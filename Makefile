@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-json lint-race test race short bench bench-json bench-ingest bench-postings bench-compaction bench-compare bench-test verify experiments ci clean
+.PHONY: all build vet lint lint-json lint-race test race short bench bench-test verify experiments ci clean
 
 all: vet build test
 
@@ -46,58 +46,12 @@ race:
 short:
 	$(GO) test -short ./...
 
+# The end-to-end benchmark (bench/README.md): four closed-loop workloads
+# through core.DB and lsmserver. Pass e.g. ARGS="--workload wh-lazy
+# --seed 1 --seconds 10 --trace 1"; the last stdout line is the JSON
+# result.
 bench:
-	$(GO) test -bench=. -benchmem
-
-# Run the restart-format block benchmarks (linear v1 vs restart-seek v2 at
-# 4K/16K/64K blocks) and emit machine-readable results for the PR record.
-bench-json:
-	$(GO) test -run '^$$' -bench 'BenchmarkTableGet|BenchmarkSeekGE' -benchmem \
-		./internal/sstable/ | $(GO) run ./cmd/benchjson > BENCH_pr2.json
-	@echo wrote BENCH_pr2.json
-
-# Run the group-commit ingest benchmarks (1/8 writers, inline vs grouped
-# WAL sync under SyncGrouped) and emit machine-readable results for the
-# PR record: ops/sec, fsyncs/op and commits per group.
-bench-ingest:
-	$(GO) test -run '^$$' -bench 'BenchmarkIngestGroupCommit' -benchtime=2s \
-		./internal/lsm/ | $(GO) run ./cmd/benchjson > BENCH_pr6.json
-	@echo wrote BENCH_pr6.json
-
-# Run the posting-list codec benchmarks (v1 JSON vs v2 binary): the
-# isolated decode+merge at 10/100/1k-entry lists, the Eager RMW PUT at a
-# fixed list size, and the Lazy LOOKUP top-10 end to end. Emits
-# machine-readable results for the PR record.
-bench-postings:
-	{ $(GO) test -run '^$$' -bench 'BenchmarkPostingsMerge' -benchmem \
-		./internal/postings/ ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkEagerPut|BenchmarkLazyLookup' -benchmem \
-		./internal/core/ ; } | $(GO) run ./cmd/benchjson > BENCH_pr7.json
-	@echo wrote BENCH_pr7.json
-
-# Run the sub-compaction engine benchmarks: full-compaction throughput at
-# parallelism 1/2/4 over the primary-only and Lazy-index workloads. Emits
-# machine-readable results for the PR record. Speedups at parallelism > 1
-# require GOMAXPROCS >= parallelism (EXPERIMENTS.md).
-bench-compaction:
-	$(GO) test -run '^$$' -bench 'BenchmarkCompactionThroughput' -benchmem \
-		./internal/core/ | $(GO) run ./cmd/benchjson > BENCH_pr10.json
-	@echo wrote BENCH_pr10.json
-
-# Benchmark regression gate: re-run the baseline's benchmarks and fail if
-# any ops/sec dropped more than MAX_DROP percent against the recorded
-# BASE JSON. Benchmarks missing from the base are reported and skipped
-# (BenchmarkCompactionThroughput is new in BENCH_pr10.json and gates once
-# a future BASE includes it).
-BASE ?= BENCH_pr7.json
-MAX_DROP ?= 25
-bench-compare:
-	{ $(GO) test -run '^$$' -bench 'BenchmarkPostingsMerge' -benchmem \
-		./internal/postings/ ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkEagerPut|BenchmarkLazyLookup' -benchmem \
-		./internal/core/ ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkCompactionThroughput' -benchmem \
-		./internal/core/ ; } | $(GO) run ./cmd/benchjson -compare $(BASE) -max-drop $(MAX_DROP)
+	bash bench/run.sh $(ARGS)
 
 # The end-to-end benchmark is a module of its own (bench/go.mod), so
 # ./... from the root does not reach its smoke and manifest-agreement
@@ -112,20 +66,21 @@ verify: vet lint build bench-test
 
 # The full pre-merge gate: static checks (go vet + lsmlint), the
 # benchmark module's own tests, a
-# race-detector pass over every package, 10-second fuzz smokes of
-# the sstable block round-trip, the posting-list codec and the attribute
-# scanner against its json.Unmarshal oracle (all seeded from testdata/fuzz
-# corpora), and the bench-compare regression smoke
-# against the recorded BENCH_pr7.json baseline. The experiments package alone runs ~18
+# race-detector pass over every package, and 10-second fuzz smokes of
+# the sstable block round-trip, the posting-list codec, the attribute
+# scanner against its json.Unmarshal oracle and the newest-first candidate
+# stream against decode-all + stable sort (all seeded from testdata/fuzz
+# corpora). The experiments package alone runs ~18
 # minutes under the race detector on a small box, so the per-package
 # timeout (a hang guard, not a budget) is raised above go test's 10m
-# default.
+# default. Performance is gated by the end-to-end benchmark (make bench),
+# not here.
 ci: vet lint lint-race build bench-test
 	$(GO) test -race -timeout 45m ./...
 	$(GO) test -fuzz=FuzzBlockRoundTrip -fuzztime=10s ./internal/sstable/
 	$(GO) test -fuzz=FuzzPostingsRoundTrip -fuzztime=10s ./internal/postings/
 	$(GO) test -fuzz=FuzzExtractAttrs -fuzztime=10s ./internal/core/
-	$(MAKE) bench-compare
+	$(GO) test -fuzz=FuzzNewestFirstStream -fuzztime=10s -fuzzminimizetime=1s ./internal/core/
 
 # Regenerate the paper's evaluation at the default reduced scale.
 experiments:

@@ -3,7 +3,6 @@ package core
 import (
 	"leveldbpp/internal/lsm"
 	"leveldbpp/internal/metrics"
-	"leveldbpp/internal/postings"
 )
 
 // The Composite index (paper §4.2) stores, per indexed attribute, a
@@ -23,15 +22,6 @@ func compositeKey[T string | []byte](attrValue T, primaryKey string) []byte {
 	return k
 }
 
-func splitCompositeKey(k []byte) (attrValue, primaryKey string, ok bool) {
-	for i, b := range k {
-		if b == compositeSep {
-			return string(k[:i]), string(k[i+1:]), true
-		}
-	}
-	return "", "", false
-}
-
 // compositeWrite inserts the composite key, or with del writes a
 // tombstone for it (paper: "a DEL operation inserts the composite key
 // with a deletion marker in index table").
@@ -47,39 +37,28 @@ func compositeWrite(idx *lsm.DB, attrValue []byte, key string, del bool) error {
 // Lazy there is no per-level early exit); candidates are then validated
 // newest-first against the data table.
 func (db *DB) compositeLookup(attr, value string, k int, tr *metrics.Trace) ([]Entry, error) {
-	lo := compositeKey(value, "")
-	hiExcl := append([]byte(value), compositeSep+1)
-	return db.compositeCollect(attr, value, value, lo, hiExcl, k, tr)
+	return db.compositeRangeLookup(attr, value, value, k, tr)
 }
 
 // compositeRangeLookup is Algorithm 7: the prefix scan widens to every
-// composite key whose secondary component lies in [lo, hi].
+// composite key whose secondary component lies in [lo, hi]; their primary
+// keys go into a compositeHeap that collect drains newest first.
 func (db *DB) compositeRangeLookup(attr, lo, hi string, k int, tr *metrics.Trace) ([]Entry, error) {
-	loK := compositeKey(lo, "")
-	hiExcl := append([]byte(hi), compositeSep+1)
-	return db.compositeCollect(attr, lo, hi, loK, hiExcl, k, tr)
-}
-
-func (db *DB) compositeCollect(attr, lo, hi string, loK, hiExcl []byte, k int, tr *metrics.Trace) ([]Entry, error) {
 	idx := db.indexes[attr]
-	heap := newTopK(k)
-	var candidates []postings.Entry
+	var src compositeHeap
 	t0 := tr.Now()
-	err := idx.ScanTraced(loK, hiExcl, tr, func(key, _ []byte, seq uint64) bool {
-		av, pk, ok := splitCompositeKey(key)
-		if !ok || av < lo || av > hi {
-			return true
+	err := idx.ScanTraced(compositeKey(lo, ""), append([]byte(hi), compositeSep+1), tr, func(key, _ []byte, seq uint64) bool {
+		if src.add(key, lo, hi, seq) {
+			tr.Count(metrics.CtrPostingEntries, 1)
 		}
-		candidates = append(candidates, postings.Entry{Key: pk, Seq: seq})
-		tr.Count(metrics.CtrPostingEntries, 1)
 		return true
 	})
 	tr.Since(metrics.PhaseIndexProbe, t0)
 	if err != nil {
 		return nil, err
 	}
-	if err := db.validateCandidates(candidates, attr, lo, hi, k, heap, tr); err != nil {
-		return nil, err
-	}
-	return heap.Results(), nil
+	t0 = tr.Now()
+	heapify(src.h, newerComposite)
+	tr.Since(metrics.PhasePostingMerge, t0)
+	return db.collect(&src, &query{attr: attr, lo: lo, hi: hi, k: k, idx: idx, phase: metrics.PhasePostingMerge, tr: tr})
 }

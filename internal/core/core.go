@@ -700,40 +700,6 @@ func (db *DB) FilterMemoryUsage() int {
 	return n
 }
 
-// validate fetches the current record for primary key pk and reports
-// whether its attr still lies in [lo, hi] — the staleness check every
-// stand-alone lookup performs on each candidate (paper §4: "We make sure
-// val(A_i) = a ... as there could be invalid keys ... caused by updates").
-func (db *DB) validate(pk, attr, lo, hi string) ([]byte, bool, error) {
-	return db.validateWith(pk, attr, lo, hi, nil)
-}
-
-//lsm:hotpath
-func (db *DB) validateWith(pk, attr, lo, hi string, tr *metrics.Trace) ([]byte, bool, error) {
-	value, ok, err := db.primary.GetTraced([]byte(pk), tr)
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	if !attrInRange(value, attr, lo, hi) {
-		return nil, false, nil
-	}
-	return value, true, nil
-}
-
-// validateTraced is validate with its whole cost (primary GET + attribute
-// re-check) attributed to the validate phase; the nested GET contributes
-// I/O counters only (IOOnly), so its internal probe phases cannot
-// double-count inside the validate window. tr may be nil.
-func (db *DB) validateTraced(pk, attr, lo, hi string, tr *metrics.Trace) ([]byte, bool, error) {
-	t0 := tr.Now()
-	tr.Count(metrics.CtrValidations, 1)
-	tr.IOOnlyBegin()
-	value, valid, err := db.validateWith(pk, attr, lo, hi, tr)
-	tr.IOOnlyEnd()
-	tr.Since(metrics.PhaseValidate, t0)
-	return value, valid, err
-}
-
 // newLazyWriteMerger returns the WriteMerger that coalesces posting
 // fragments inside the MemTable so each level holds at most one fragment
 // per secondary key. The streaming merge reuses one scratch across calls

@@ -23,6 +23,10 @@ import (
 //   - json.Unmarshal / json.Marshal / json.NewDecoder — reflection and a
 //     fresh map or buffer per call; per-record paths scan the document in
 //     place (core.scanAttrs) or use the binary codecs
+//   - sort.Slice / sort.SliceStable / sort.Sort — the reflective swapper,
+//     the less closure and the interface conversion allocate on every
+//     call; hot paths keep their input ordered (core's newest-first
+//     candidate streams) or sift a heap in place
 //   - growing append: append(dst, ...) where dst is neither re-sliced
 //     (dst[:n], the reuse idiom) nor rooted in a parameter/receiver
 //     (caller-owned scratch) — i.e. an append that can only grow a
@@ -33,7 +37,7 @@ import (
 // //lsm:allocok.
 var HotPath = &Analyzer{
 	Name:        "hotpath",
-	Doc:         "//lsm:hotpath functions avoid time.Now, fmt.Sprintf, per-call flate codecs, io.ReadAll, encoding/json and unbounded append",
+	Doc:         "//lsm:hotpath functions avoid time.Now, fmt.Sprintf, per-call flate codecs, io.ReadAll, encoding/json, sort.Slice/Sort and unbounded append",
 	Suppression: "lsm:allocok",
 	Run:         runHotPath,
 }
@@ -116,6 +120,10 @@ func checkHotPathFunc(pass *Pass, fd *ast.FuncDecl) {
 			isPkgFunc(info, call, "encoding/json", "Marshal"),
 			isPkgFunc(info, call, "encoding/json", "NewDecoder"):
 			report(call, "encoding/json in //lsm:hotpath %s reflects and allocates per call; scan the bytes in place", fd.Name.Name)
+		case isPkgFunc(info, call, "sort", "Slice"),
+			isPkgFunc(info, call, "sort", "SliceStable"),
+			isPkgFunc(info, call, "sort", "Sort"):
+			report(call, "sort in //lsm:hotpath %s allocates per call; keep the input ordered or sift a heap in place", fd.Name.Name)
 		case isBuiltinAppend(info, call) && len(call.Args) > 0:
 			if hotAppendOK(info, callerOwned, call.Args[0]) {
 				return true

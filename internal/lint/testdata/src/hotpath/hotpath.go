@@ -1,6 +1,6 @@
 // Package hotpath exercises the hotpath analyzer: //lsm:hotpath functions
 // must not read the clock, format strings, build a flate codec, call
-// io.ReadAll or encoding/json, or grow fresh allocations.
+// io.ReadAll, encoding/json or sort.Slice/Sort, or grow fresh allocations.
 package hotpath
 
 import (
@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sort"
 	"sync"
 	"time"
 )
@@ -98,10 +99,31 @@ func goodJSON(in []byte) bool {
 	return json.Valid(in) // a scan, no reflection: ok
 }
 
+type bySeq []uint64
+
+func (s bySeq) Len() int           { return len(s) }
+func (s bySeq) Less(i, j int) bool { return s[i] > s[j] }
+func (s bySeq) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
+
+//lsm:hotpath
+func badSort(seqs []uint64) {
+	sort.Slice(seqs, func(i, j int) bool { return seqs[i] > seqs[j] })       // want "sort in //lsm:hotpath badSort"
+	sort.SliceStable(seqs, func(i, j int) bool { return seqs[i] > seqs[j] }) // want "sort in //lsm:hotpath badSort"
+	sort.Sort(bySeq(seqs))                                                   // want "sort in //lsm:hotpath badSort"
+}
+
+//lsm:hotpath
+func goodSort(seqs []uint64) bool {
+	// A check and a binary search build no swapper: ok.
+	return sort.SliceIsSorted(seqs, func(i, j int) bool { return seqs[i] > seqs[j] }) ||
+		sort.SearchInts(nil, 0) == 0
+}
+
 func unannotated(in []byte) []byte {
 	_ = time.Now() // cold code: ok
 	var doc map[string]string
 	_ = json.Unmarshal(in, &doc)
 	out, _ := io.ReadAll(flate.NewReader(bytes.NewReader(in)))
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return append(out, in...)
 }

@@ -25,7 +25,7 @@ import (
 // is ready to use; a scratch is not safe for concurrent use.
 type MergeScratch struct {
 	cursors []Cursor
-	seen    keySet
+	seen    KeySet
 
 	// Fallback buffers for unsorted fragments and v1-encoded output.
 	frags []List
@@ -91,7 +91,7 @@ func (s *MergeScratch) MergeFunc(fragments [][]byte, dropDeleted bool, emit func
 		return s.mergeFallback(fragments, dropDeleted, emit)
 	}
 
-	s.seen.reset()
+	s.seen.Reset()
 
 	// live holds the indices of non-exhausted cursors, in fragment order;
 	// each cursor is positioned on its current (yet unconsumed) entry.
@@ -106,7 +106,7 @@ func (s *MergeScratch) MergeFunc(fragments [][]byte, dropDeleted bool, emit func
 		}
 		c := &s.cursors[best]
 		key, seq, del := c.Key(), c.Seq(), c.Del()
-		if s.seen.insert(key) {
+		if s.seen.Insert(key) {
 			if !(dropDeleted && del) {
 				s.emitted++
 				emit(key, seq, del)
@@ -146,33 +146,11 @@ func (s *MergeScratch) primeCursors(fragments [][]byte) (sorted bool, err error)
 			s.cursors = s.cursors[:len(s.cursors)+1]
 		}
 		c := &s.cursors[len(s.cursors)-1]
-		if err := c.Reset(frag); err != nil {
+		ok, err := c.Prime(frag)
+		if err != nil {
 			return false, err
 		}
-		if c.list != nil {
-			// v1: the entries are already materialized; check order on them
-			// rather than re-decoding the JSON.
-			for i := 1; i < len(c.list); i++ {
-				if c.list[i].Seq > c.list[i-1].Seq {
-					sorted = false
-				}
-			}
-		} else {
-			// v2: a throwaway walk over the raw bytes is allocation-free and
-			// surfaces corruption before the merge emits anything.
-			var v Cursor
-			_ = v.Reset(frag) // cannot fail: v2 Reset only slices
-			prev, first := uint64(0), true
-			for v.Next() {
-				if !first && v.Seq() > prev {
-					sorted = false
-				}
-				prev, first = v.Seq(), false
-			}
-			if err := v.Err(); err != nil {
-				return false, err
-			}
-		}
+		sorted = sorted && ok
 		if !c.Next() {
 			s.cursors = s.cursors[:len(s.cursors)-1] // empty fragment
 		}
@@ -201,19 +179,21 @@ func (s *MergeScratch) mergeFallback(fragments [][]byte, dropDeleted bool, emit 
 	return nil
 }
 
-// keySet is the merge's per-call dedup set: an open-addressing hash
-// table whose keys live in one reusable byte arena. A map[string]struct{}
-// would allocate one string per distinct primary key on every merge
+// KeySet is a per-call dedup set of byte-string keys: an open-addressing
+// hash table whose keys live in one reusable byte arena. A
+// map[string]struct{} would allocate one string per distinct key
 // (`m[string(b)] = ...` always converts); the arena and table persist
-// across merges on the same scratch, so a warm set inserts without
-// touching the heap.
-type keySet struct {
+// across Resets, so a warm set inserts without touching the heap. The
+// merges here and the stand-alone lookups in internal/core dedupe primary
+// keys through it. Call Reset before first use.
+type KeySet struct {
 	arena []byte   // inserted keys, concatenated
 	ends  []uint32 // ends[i] = end offset of key i in arena (start = ends[i-1])
 	tab   []int32  // 1-based index into ends; 0 = empty slot
 }
 
-func (ks *keySet) reset() {
+// Reset empties the set, keeping its memory.
+func (ks *KeySet) Reset() {
 	ks.arena = ks.arena[:0]
 	ks.ends = ks.ends[:0]
 	if ks.tab == nil {
@@ -222,12 +202,19 @@ func (ks *keySet) reset() {
 	clear(ks.tab)
 }
 
-func (ks *keySet) key(i int32) []byte {
+func (ks *KeySet) key(i int32) []byte {
 	start := uint32(0)
 	if i > 0 {
 		start = ks.ends[i-1]
 	}
 	return ks.arena[start:ks.ends[i]]
+}
+
+// Last returns the set's copy of the most recently inserted key. Later
+// inserts only append to the arena, so the slice keeps its contents until
+// the next Reset.
+func (ks *KeySet) Last() []byte {
+	return ks.key(int32(len(ks.ends) - 1))
 }
 
 //lsm:hotpath
@@ -239,10 +226,10 @@ func hashKey(b []byte) uint32 {
 	return h
 }
 
-// insert reports whether key was absent, adding it if so.
+// Insert reports whether key was absent, adding a copy of it if so.
 //
 //lsm:hotpath
-func (ks *keySet) insert(key []byte) bool {
+func (ks *KeySet) Insert(key []byte) bool {
 	if 4*(len(ks.ends)+1) > 3*len(ks.tab) {
 		ks.grow()
 	}
@@ -265,7 +252,7 @@ func (ks *keySet) insert(key []byte) bool {
 
 // grow doubles the table and rehashes from the arena (amortized; only
 // this path allocates, and only until the scratch has seen its peak).
-func (ks *keySet) grow() {
+func (ks *KeySet) grow() {
 	ks.tab = make([]int32, 2*len(ks.tab))
 	mask := uint32(len(ks.tab) - 1)
 	for i := range ks.ends {

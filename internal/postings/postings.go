@@ -172,14 +172,3 @@ func Add(l List, key string, seq uint64, del bool) List {
 	}
 	return out
 }
-
-// Live returns the non-deleted entries, preserving order.
-func Live(l List) List {
-	out := make(List, 0, len(l))
-	for _, e := range l {
-		if !e.Del {
-			out = append(out, e)
-		}
-	}
-	return out
-}

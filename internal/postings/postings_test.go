@@ -82,14 +82,6 @@ func TestAddSupersedes(t *testing.T) {
 	}
 }
 
-func TestLive(t *testing.T) {
-	l := List{{Key: "a", Seq: 3}, {Key: "b", Seq: 2, Del: true}, {Key: "c", Seq: 1}}
-	live := Live(l)
-	if len(live) != 2 || live[0].Key != "a" || live[1].Key != "c" {
-		t.Fatalf("Live = %+v", live)
-	}
-}
-
 func TestQuickMergeInvariants(t *testing.T) {
 	prop := func(keys []uint8, seqs []uint16) bool {
 		// Build random fragments.
