@@ -67,9 +67,10 @@ verify: vet lint build bench-test
 # The full pre-merge gate: static checks (go vet + lsmlint), the
 # benchmark module's own tests, a
 # race-detector pass over every package, and 10-second fuzz smokes of
-# the sstable block round-trip, the posting-list codec, the attribute
-# scanner against its json.Unmarshal oracle and the newest-first candidate
-# stream against decode-all + stable sort (all seeded from testdata/fuzz
+# the sstable block round-trip, the block inflater against
+# compress/flate's reader, the posting-list codec, the attribute scanner
+# against its json.Unmarshal oracle and the newest-first candidate stream
+# against decode-all + stable sort (all seeded from testdata/fuzz
 # corpora). The experiments package alone runs ~18
 # minutes under the race detector on a small box, so the per-package
 # timeout (a hang guard, not a budget) is raised above go test's 10m
@@ -78,6 +79,7 @@ verify: vet lint build bench-test
 ci: vet lint lint-race build bench-test
 	$(GO) test -race -timeout 45m ./...
 	$(GO) test -fuzz=FuzzBlockRoundTrip -fuzztime=10s ./internal/sstable/
+	$(GO) test -fuzz=FuzzInflate -fuzztime=10s -fuzzminimizetime=1s ./internal/sstable/
 	$(GO) test -fuzz=FuzzPostingsRoundTrip -fuzztime=10s ./internal/postings/
 	$(GO) test -fuzz=FuzzExtractAttrs -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzNewestFirstStream -fuzztime=10s -fuzzminimizetime=1s ./internal/core/

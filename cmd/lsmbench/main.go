@@ -7,8 +7,8 @@
 //	lsmbench -exp all   -scale 20000 -queries 100
 //
 // Experiments: fig2 fig7 fig8a fig8b fig8c fig9 fig10 fig11 fig12 fig13
-// fig14 fig15 table3 table5 c1 c2 ablation cache seek concurrency pipeline
-// ingest ycsb all. Figures 12–15 share the
+// fig14 fig15 table3 table5 c1 c2 ablation cache concurrency explain ycsb
+// all. Figures 12–15 share the
 // Mixed-workload driver: fig12 runs all three mixes; fig13/14/15 run the
 // write-, read- and update-heavy mixes individually.
 package main
@@ -24,7 +24,7 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment to run (fig2,fig7,fig8a,...,table5,c1,c2,ablation,cache,concurrency,all)")
+		exp     = flag.String("exp", "all", "experiment to run (fig2,fig7,fig8a,...,table5,c1,c2,ablation,cache,concurrency,explain,ycsb,all)")
 		scale   = flag.Int("scale", 20000, "number of tweets to ingest")
 		queries = flag.Int("queries", 100, "queries per measurement cell")
 		seed    = flag.Int64("seed", 2018, "dataset RNG seed")
@@ -148,35 +148,10 @@ func main() {
 			return err
 		},
 		"cache": func() error { _, err := experiments.CacheEffects(cfg); return err },
-		"seek":  func() error { _, err := experiments.SeekProfile(cfg); return err },
 		"ycsb":  func() error { _, err := experiments.YCSBBench(cfg, nil); return err },
 		"concurrency": func() error {
 			_, err := experiments.ConcurrentReaders(cfg, nil)
 			return err
-		},
-		"pipeline": func() error {
-			rs, err := experiments.PipelineIngest(cfg)
-			if err != nil {
-				return err
-			}
-			h, rows := experiments.PipelineCSV(rs)
-			return csvOut("pipeline", h, rows)
-		},
-		"ingest": func() error {
-			rs, err := experiments.IngestThroughput(cfg)
-			if err != nil {
-				return err
-			}
-			h, rows := experiments.IngestCSV(rs)
-			return csvOut("ingest", h, rows)
-		},
-		"postings": func() error {
-			rs, err := experiments.PostingsCost(cfg)
-			if err != nil {
-				return err
-			}
-			h, rows := experiments.PostingsCSV(rs)
-			return csvOut("postings", h, rows)
 		},
 		"explain": func() error {
 			rs, err := experiments.ExplainValidation(cfg)
@@ -189,7 +164,7 @@ func main() {
 	}
 
 	order := []string{"fig7", "fig2", "fig8a", "fig8b", "fig8c", "fig9", "fig10", "fig11",
-		"fig12", "table3", "table5", "c1", "c2", "ablation", "cache", "seek", "concurrency", "pipeline", "ingest", "postings", "explain", "ycsb"}
+		"fig12", "table3", "table5", "c1", "c2", "ablation", "cache", "concurrency", "explain", "ycsb"}
 
 	if *exp == "all" {
 		for _, name := range order {

@@ -85,92 +85,6 @@ func CacheEffects(c Config) ([]CacheResult, error) {
 	return out, nil
 }
 
-// SeekResult is one row of the restart-format experiment: a GET-heavy run
-// against v1 linear-scan blocks versus v2 restart-point blocks, reporting
-// the in-block work each format does per point read.
-type SeekResult struct {
-	Format         string // "v1-linear" or "v2-restart"
-	BlockSize      int
-	PointGets      int64
-	EntriesDecoded int64
-	BlockSeeks     int64
-	DecodesPerGet  float64
-	MeanOpMicro    float64
-}
-
-// SeekProfile quantifies the restart-point block format (DESIGN.md §5.2):
-// identical GET-heavy workloads run against legacy v1 blocks and v2
-// restart blocks; the EntriesDecoded / PointGets ratio is the per-read
-// CPU work the binary in-block seek removes.
-func SeekProfile(c Config) ([]SeekResult, error) {
-	c = c.withDefaults()
-	nOps := c.Scale
-	c.printf("Restart-point seek profile — GET-heavy mix, %d ops, Lazy index\n", nOps)
-	c.printf("%-12s %8s %12s %14s %12s %14s %12s\n",
-		"format", "block", "point-gets", "entries-dec", "seeks", "decodes/get", "mean-op(us)")
-
-	formats := []struct {
-		label    string
-		interval int
-	}{
-		{"v1-linear", -1},
-		{"v2-restart", 0},
-	}
-	// The paper's 4 KiB default holds only ~13 tweet documents per block,
-	// so in-block scans are short; 16 KiB makes the in-block component of
-	// a GET dominant and the restart seek's effect visible at DB level.
-	var out []SeekResult
-	for _, blockSize := range []int{4096, 16384} {
-		for _, f := range formats {
-			opts := mixedOptions(core.IndexLazy)
-			opts.RestartInterval = f.interval
-			opts.BlockSize = blockSize
-			// Tight flush threshold so reduced-scale runs reach the SSTable
-			// read path rather than answering from the MemTable.
-			opts.MemTableBytes = 64 << 10
-			opts.BaseLevelBytes = 256 << 10
-			db, err := c.open(filepath.Join(c.Dir, fmt.Sprintf("seek-%s-%d", f.label, blockSize)), opts)
-			if err != nil {
-				return nil, err
-			}
-			m := workload.NewMixed(workload.Config{Seed: c.Seed, Tweets: nOps}, workload.ReadHeavy, nOps, 10)
-			var total time.Duration
-			done := 0
-			for {
-				op, ok := m.Next()
-				if !ok {
-					break
-				}
-				d, err := runOp(db, op)
-				if err != nil {
-					_ = db.Close()
-					return nil, err
-				}
-				total += d
-				done++
-			}
-			s := db.Stats()
-			r := SeekResult{
-				Format:         f.label,
-				BlockSize:      blockSize,
-				PointGets:      s.Primary.PointGets + s.Index.PointGets,
-				EntriesDecoded: s.Primary.EntriesDecoded + s.Index.EntriesDecoded,
-				BlockSeeks:     s.Primary.BlockSeeks + s.Index.BlockSeeks,
-				MeanOpMicro:    float64(total.Microseconds()) / float64(done),
-			}
-			if r.PointGets > 0 {
-				r.DecodesPerGet = float64(r.EntriesDecoded) / float64(r.PointGets)
-			}
-			out = append(out, r)
-			c.printf("%-12s %8d %12d %14d %12d %14.2f %12.1f\n",
-				r.Format, r.BlockSize, r.PointGets, r.EntriesDecoded, r.BlockSeeks, r.DecodesPerGet, r.MeanOpMicro)
-			_ = db.Close()
-		}
-	}
-	c.printf("\n")
-	return out, nil
-}
-
 // ConcurrencyResult is one row of the concurrent-readers experiment
 // (the analogue of the paper's Appendix C concurrency discussion):
 // aggregate LOOKUP throughput as reader goroutines scale, with a single

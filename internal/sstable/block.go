@@ -20,7 +20,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 	"sort"
 	"sync"
@@ -29,8 +28,9 @@ import (
 )
 
 // Compression selects the per-block compression codec. The paper uses
-// Snappy; we substitute stdlib DEFLATE at its fastest setting (see
-// DESIGN.md §3) and support disabling it (paper Appendix C.2).
+// Snappy; we substitute DEFLATE at its fastest setting (see DESIGN.md §3),
+// written by compress/flate and read by this package's inflater, and
+// support disabling it (paper Appendix C.2).
 type Compression uint8
 
 const (
@@ -187,32 +187,22 @@ func (b *blockBuilder) finish(c Compression) ([]byte, error) {
 // block, its inflated payload.
 type blockBuf struct{ phys, raw []byte }
 
-// flateReader is the stdlib inflater: a reader that can be reset in place.
-type flateReader interface {
-	io.Reader
-	flate.Resetter
-}
-
-// blockDecoder is the reusable state of the block load path: the inflater
-// and its source reader, and the buffers of the loads whose caller keeps
-// only a copy (everything but a compaction Iterator, which brings its own).
+// blockDecoder is the reusable state of the block load path: the
+// inflater's Huffman tables, and the buffers of the loads whose caller
+// keeps only a copy (everything but a compaction Iterator, which brings
+// its own).
 type blockDecoder struct {
-	fr  flateReader
-	src bytes.Reader
+	inf inflater
 	buf blockBuf
 }
 
-var blockDecoders = sync.Pool{New: func() any {
-	d := new(blockDecoder)
-	d.fr = flate.NewReader(&d.src).(flateReader)
-	return d
-}}
+var blockDecoders = sync.Pool{New: func() any { return new(blockDecoder) }}
 
 // decodeBlock verifies the CRC of a physical block and returns its raw payload
 // (entry stream, plus the restart trailer for v2 blocks) without copying
 // it: a stored payload aliases phys, a compressed one is inflated into
-// *scratch. Every use starts by resetting the inflater, so a block that
-// failed to inflate leaves nothing behind for the next one.
+// *scratch. The inflater keeps nothing from one block to the next, so a
+// block that failed to inflate leaves nothing behind.
 //
 //lsm:hotpath
 func (d *blockDecoder) decodeBlock(phys []byte, scratch *[]byte) ([]byte, error) {
@@ -228,20 +218,9 @@ func (d *blockDecoder) decodeBlock(phys []byte, scratch *[]byte) ([]byte, error)
 	case NoCompression:
 		return payload, nil
 	case FlateCompression:
-		d.src.Reset(payload)
-		err := d.fr.Reset(&d.src, nil)
-		raw := (*scratch)[:0]
-		for err == nil {
-			if len(raw) == cap(raw) {
-				raw = append(raw, 0)[:len(raw)] //lsm:allocok grows the reused scratch
-			}
-			var n int
-			n, err = d.fr.Read(raw[len(raw):cap(raw)])
-			raw = raw[:len(raw)+n]
-		}
+		raw, err := d.inf.inflate((*scratch)[:0], payload)
 		*scratch = raw
-		d.src.Reset(nil) // a pooled decoder must not pin the caller's block
-		if err != io.EOF {
+		if err != nil {
 			return nil, fmt.Errorf("sstable: flate decode: %w", err)
 		}
 		return raw, nil

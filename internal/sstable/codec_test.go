@@ -435,6 +435,24 @@ func TestCodecAllocations(t *testing.T) {
 		}
 	})
 
+	t.Run("inflate", func(t *testing.T) {
+		bm := tbl.blocks[nb/2]
+		payload := data[bm.offset : bm.offset+bm.size-5]
+		inf := new(inflater)
+		dst, err := inf.inflate(nil, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			if dst, err = inf.inflate(dst[:0], payload); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("inflate into a buffer with room allocates %.0f times, want 0", allocs)
+		}
+	})
+
 	t.Run("compaction loadBlock", func(t *testing.T) {
 		it := tbl.NewIterator(true)
 		for i := 0; i < nb; i++ { // grow the iterator's buffers to the largest block
@@ -556,30 +574,48 @@ func BenchmarkTableBuild(b *testing.B) {
 var benchSink []byte
 
 // BenchmarkDecodeBlock measures one uncached load of a compressed block
-// from memory: verify, inflate and copy out. It is the cost of a
-// block-cache miss without the file read.
+// of workload tweet documents from memory: verify, inflate and copy out.
+// It is the cost of a block-cache miss without the file read. The
+// compress-flate sub-benchmark inflates the same block's payload with the
+// standard library's reader, the reference the in-package inflater is
+// measured against.
 func BenchmarkDecodeBlock(b *testing.B) {
-	entries := codecEntries(1, 20000)
-	for i := range entries {
-		entries[i].val = []byte(fmt.Sprintf(`{"UserID":"u%04d","Text":"lorem ipsum dolor sit amet %d"}`, i%50, i))
-	}
+	entries := tweetEntries(5000)
 	for _, bs := range []int{4096, 16384} {
+		data := buildTableBytes(b, entries, Options{BlockSize: bs, Compression: FlateCompression})
+		tbl, err := OpenTable(bytes.NewReader(data), int64(len(data)), nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		i := tbl.NumBlocks() / 2
+		raw, err := tbl.readBlock(i, false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		bm := tbl.blocks[i]
+		payload := data[bm.offset : bm.offset+bm.size-5]
 		b.Run(fmt.Sprintf("block=%d", bs), func(b *testing.B) {
-			data := buildTableBytes(b, entries, Options{BlockSize: bs, Compression: FlateCompression})
-			tbl, err := OpenTable(bytes.NewReader(data), int64(len(data)), nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			i := tbl.NumBlocks() / 2
-			raw, err := tbl.readBlock(i, false)
-			if err != nil {
-				b.Fatal(err)
-			}
 			b.SetBytes(int64(len(raw)))
 			b.ReportAllocs()
-			b.ResetTimer()
 			for n := 0; n < b.N; n++ {
 				if benchSink, err = tbl.readBlock(i, false); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("block=%d/compress-flate", bs), func(b *testing.B) {
+			var src bytes.Reader
+			fr := flate.NewReader(&src)
+			out := bytes.NewBuffer(make([]byte, 0, 2*bs))
+			b.SetBytes(int64(len(raw)))
+			b.ReportAllocs()
+			for n := 0; n < b.N; n++ {
+				src.Reset(payload)
+				if err := fr.(flate.Resetter).Reset(&src, nil); err != nil {
+					b.Fatal(err)
+				}
+				out.Reset()
+				if _, err := out.ReadFrom(fr); err != nil {
 					b.Fatal(err)
 				}
 			}
