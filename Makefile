@@ -24,14 +24,16 @@ lint-json:
 
 # Race-detector smoke over the packages the concurrency analyzers
 # (lockorder/goleak/atomicmix) reason about: the commit-queue and
-# parallel sub-compaction stress tests in internal/lsm and the
-# concurrent workload profiler in internal/explain. Dynamic confirmation
-# that the statically blessed lock order holds under contention. The
-# sstable test runs concurrent table builds and reads over the shared
-# flate writer and block decoder pools.
+# parallel sub-compaction stress tests in internal/lsm, concurrent core
+# writers (every write takes the commit queue) and the concurrent
+# workload profiler in internal/explain. Dynamic confirmation that the
+# statically blessed lock order holds under contention. The sstable test
+# runs concurrent table builds and reads over the shared flate writer and
+# block decoder pools.
 lint-race:
 	$(GO) test -race -run 'TestConcurrentBuildAndRead' ./internal/sstable/
-	$(GO) test -race -run 'TestGroupCommit|TestCommit|TestParallelCompaction' ./internal/lsm/
+	$(GO) test -race -run 'TestGroupCommit|TestCommit|TestUncontendedCommit|TestParallelCompaction' ./internal/lsm/
+	$(GO) test -race -run 'TestGroupCommitConcurrentCore' ./internal/core/
 	$(GO) test -race -run 'TestProfilerConcurrent|TestWorkloadSnapshot' ./internal/explain/
 
 test: build

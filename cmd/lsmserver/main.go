@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"leveldbpp/internal/core"
-	"leveldbpp/internal/lsm"
 	"leveldbpp/internal/metrics"
 	"leveldbpp/internal/postings"
 	"leveldbpp/internal/server"
@@ -49,7 +48,6 @@ func main() {
 		traceRate  = flag.Float64("trace-sample", 0, "fraction of operations to trace (0 disables, 1 traces all)")
 		eventsOut  = flag.String("events-jsonl", "", "append lifecycle events as JSON lines to this file")
 		syncMode   = flag.String("sync-mode", "off", "WAL durability: off|always|grouped (grouped = one fsync per commit group)")
-		groupOn    = flag.Bool("group-commit", false, "batch concurrent commits through the group-commit queue")
 		postFmt    = flag.String("postings-format", "v2", "posting-list encoding written by Eager/Lazy indexes: v2 (binary) or v1 (seed JSON); reads sniff either")
 		advisorIv  = flag.Duration("advisor-check", 0, "re-run the online index advisor at this interval (0 disables); flips land in the event log")
 		compactPar = flag.Int("compaction-parallelism", 1, "key-range sub-compaction workers per compaction (1 = serial engine; results identical at any setting)")
@@ -97,7 +95,6 @@ func main() {
 		TraceSampleRate: *traceRate,
 		Events:          events,
 		SyncMode:        sync,
-		GroupCommit:     lsm.GroupCommitOptions{Enabled: *groupOn},
 		PostingsFormat:  pf,
 
 		CompactionParallelism: *compactPar,

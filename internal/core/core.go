@@ -89,15 +89,10 @@ type Options struct {
 	BaseLevelBytes      int64
 	LevelMultiplier     int
 	MaxLevels           int
-	SyncWAL             bool
 	// SyncMode selects WAL durability per commit (off / always /
-	// grouped); when unset it resolves from SyncWAL. See
-	// lsm.Options.SyncMode.
+	// grouped) on the primary table and every index table; the zero
+	// value is off. See lsm.Options.SyncMode.
 	SyncMode wal.SyncMode
-	// GroupCommit enables the leader-based commit queue on the primary
-	// table and every index table, so concurrent writers of any index
-	// kind batch their WAL writes and share fsyncs (DESIGN.md §5.5).
-	GroupCommit lsm.GroupCommitOptions
 	// RestartInterval sets the SSTable restart-point spacing for both the
 	// primary and index tables (see lsm.Options.RestartInterval): 0 is the
 	// v2 default, negative writes legacy v1 linear-scan blocks.
@@ -230,8 +225,9 @@ func Open(dir string, opts Options) (*DB, error) {
 	events := metrics.NewEventLog(opts.EventBufferSize)
 	events.Attach(opts.Events)
 
-	primaryOpts := &lsm.Options{
-		Events:                events.Named("primary"),
+	// One engine configuration for every table; each table gets a copy
+	// with its own event sink, and only the primary embeds attributes.
+	base := lsm.Options{
 		MemTableBytes:         opts.MemTableBytes,
 		BlockSize:             opts.BlockSize,
 		BitsPerKey:            opts.BitsPerKey,
@@ -241,22 +237,22 @@ func Open(dir string, opts Options) (*DB, error) {
 		BaseLevelBytes:        opts.BaseLevelBytes,
 		LevelMultiplier:       opts.LevelMultiplier,
 		MaxLevels:             opts.MaxLevels,
-		SyncWAL:               opts.SyncWAL,
 		SyncMode:              opts.SyncMode,
-		GroupCommit:           opts.GroupCommit,
 		RestartInterval:       opts.RestartInterval,
 		BlockCacheBytes:       opts.BlockCacheBytes,
 		BackgroundCompaction:  opts.BackgroundCompaction,
 		CompactionParallelism: opts.CompactionParallelism,
 		Tracer:                tracer,
 	}
+	primaryOpts := base
+	primaryOpts.Events = events.Named("primary")
 	if opts.Index == IndexEmbedded {
 		primaryOpts.SecondaryAttrs = attrs
 		primaryOpts.Extract = func(dst []sstable.AttrValue, _, value []byte) []sstable.AttrValue {
 			return appendAttrValues(dst, value, attrs)
 		}
 	}
-	primary, err := lsm.Open(filepath.Join(dir, "primary"), primaryOpts)
+	primary, err := lsm.Open(filepath.Join(dir, "primary"), &primaryOpts)
 	if err != nil {
 		return nil, err
 	}
@@ -268,25 +264,8 @@ func Open(dir string, opts Options) (*DB, error) {
 	case IndexEager, IndexLazy, IndexComposite:
 		db.indexes = make(map[string]*lsm.DB, len(attrs))
 		for _, attr := range attrs {
-			idxOpts := &lsm.Options{
-				Events:                events.Named("index-" + attr),
-				MemTableBytes:         opts.MemTableBytes,
-				BlockSize:             opts.BlockSize,
-				BitsPerKey:            opts.BitsPerKey,
-				DisableCompression:    opts.DisableCompression,
-				L0CompactionTrigger:   opts.L0CompactionTrigger,
-				BaseLevelBytes:        opts.BaseLevelBytes,
-				LevelMultiplier:       opts.LevelMultiplier,
-				MaxLevels:             opts.MaxLevels,
-				SyncWAL:               opts.SyncWAL,
-				SyncMode:              opts.SyncMode,
-				GroupCommit:           opts.GroupCommit,
-				RestartInterval:       opts.RestartInterval,
-				BlockCacheBytes:       opts.BlockCacheBytes,
-				BackgroundCompaction:  opts.BackgroundCompaction,
-				CompactionParallelism: opts.CompactionParallelism,
-				Tracer:                tracer,
-			}
+			idxOpts := base
+			idxOpts.Events = events.Named("index-" + attr)
 			if opts.Index == IndexLazy {
 				// The mergers run inside the engine (write path and
 				// compaction), so the index table's IOStats is created here
@@ -296,7 +275,7 @@ func Open(dir string, opts Options) (*DB, error) {
 				idxOpts.WriteMerge = newLazyWriteMerger(db.pf, st)
 				idxOpts.Merge = &lazyCompactionMerger{f: db.pf, st: st}
 			}
-			idx, err := lsm.Open(filepath.Join(dir, "index-"+attr), idxOpts)
+			idx, err := lsm.Open(filepath.Join(dir, "index-"+attr), &idxOpts)
 			if err != nil {
 				_ = primary.Close()
 				for _, other := range db.indexes {

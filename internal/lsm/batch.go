@@ -65,80 +65,9 @@ func (db *DB) ApplyWithSeq(b *Batch) (uint64, error) {
 	if b.Len() == 0 {
 		return 0, nil
 	}
-	if db.opts.GroupCommit.Enabled {
-		// The batch owns its record buffers (Put copies at enqueue;
-		// PutNoCopy transfers ownership), so the MemTable retains them.
-		return db.commit(b.records, true, nil)
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return 0, ErrClosed
-	}
-	if db.bg != nil {
-		if err := db.throttleLocked(); err != nil {
-			return 0, err
-		}
-	}
-	var pending map[string][]byte
-	if db.opts.WriteMerge != nil {
-		pending = make(map[string][]byte, len(b.records))
-	}
-	db.assignSeqsLocked(b.records, pending)
-	firstSeq := b.records[0].Seq
-	db.logMu.Lock()
-	err := db.log.AppendBatch(b.records)
-	if err == nil {
-		err = db.syncWALLocked(1, nil)
-	}
-	db.logMu.Unlock()
-	if err != nil {
-		return 0, err
-	}
-	for _, r := range b.records {
-		db.mem.add(r.Seq, ikey.Kind(r.Kind), r.Key, r.Value, db.opts.Extract)
-		db.ingestBytes += int64(len(r.Key) + len(r.Value))
-	}
-	db.cstats.commits.Add(1)
-	db.cstats.records.Add(int64(len(b.records)))
-	db.cstats.groups.Add(1)
-	db.groupSize.Observe(1)
-	if db.mem.approximateBytes() >= db.opts.MemTableBytes {
-		if err := db.rotateMemLocked(); err != nil {
-			return 0, err
-		}
-	}
-	return firstSeq, nil
-}
-
-// assignSeqsLocked stamps consecutive sequence numbers onto records and,
-// when a WriteMerger is configured, rewrites each set's value with the
-// merge of the newest prior value — an earlier record this commit pass
-// (via pending, which spans a whole commit group) or the MemTable's
-// current value. WriteMerge must run before logging: the WAL stores
-// post-merge values so replay reconstructs the MemTable without
-// re-merging. Caller holds db.mu.
-func (db *DB) assignSeqsLocked(records []wal.Record, pending map[string][]byte) {
-	for i := range records {
-		db.lastSeq++
-		records[i].Seq = db.lastSeq
-		if db.opts.WriteMerge == nil {
-			continue
-		}
-		k := string(records[i].Key)
-		if records[i].Kind != byte(ikey.KindSet) {
-			delete(pending, k)
-			continue
-		}
-		existing, merged := pending[k], false
-		if existing != nil {
-			merged = true
-		} else if v, _, kind, ok := db.mem.get(records[i].Key); ok && kind == ikey.KindSet {
-			existing, merged = v, true
-		}
-		if merged {
-			records[i].Value = db.opts.WriteMerge(existing, records[i].Value)
-		}
-		pending[k] = records[i].Value
-	}
+	// The batch owns its record buffers (Put copies at enqueue; PutNoCopy
+	// transfers ownership), so the MemTable retains them.
+	pc := pendingPool.Get().(*pendingCommit)
+	pc.records, pc.noCopy = b.records, true
+	return db.commit(pc)
 }

@@ -1,12 +1,15 @@
-// Leader-based group commit (DESIGN.md §5.5). When
-// Options.GroupCommit.Enabled, every Put/Delete/Apply becomes a pending
-// commit on a queue: the first writer to arrive leads, drains the queue
-// up to a byte/count budget, assigns one contiguous sequence range under
-// db.mu, writes every member's records as a single WAL batch frame off
-// db.mu (one buffer flush, and one fsync per group under SyncGrouped),
-// re-acquires db.mu for the MemTable inserts, and wakes the followers.
-// WAL I/O and fsync latency thereby leave the critical section guarded
-// by db.mu, and concurrent committers share the per-group fsync.
+// Leader-based group commit (DESIGN.md §5.5), the engine's only write
+// path. Every Put/Delete/Apply becomes a pending commit on a queue: the
+// first writer to arrive leads, drains the queue up to a byte/count
+// budget, assigns one contiguous sequence range under db.mu, writes every
+// member's records as a single WAL batch frame off db.mu (one buffer
+// flush, and one fsync per group under SyncGrouped), re-acquires db.mu
+// for the MemTable inserts, and wakes the followers. WAL I/O and fsync
+// latency thereby leave the critical section guarded by db.mu, and
+// concurrent committers share the per-group fsync. A lone writer is a
+// group of one and pays what a serial commit would: its pendingCommit
+// comes from a pool, holds its record inline, and gets wakeup channels
+// only if it has to queue behind another leader.
 package lsm
 
 import (
@@ -19,57 +22,84 @@ import (
 	"leveldbpp/internal/wal"
 )
 
+// Group bounds: a leader stops draining queued commits into its group
+// when one more would exceed maxGroupBytes of WAL payload or
+// maxGroupWaiters members. The leader's own commit always fits.
+const (
+	maxGroupBytes   = 1 << 20
+	maxGroupWaiters = 128
+)
+
 // pendingCommit is one writer's enqueued commit. The enqueuing goroutine
 // blocks until done or lead closes; the leader that drains it owns every
 // field in between.
 type pendingCommit struct {
-	records []wal.Record
-	noCopy  bool // MemTable may retain Key/Value without copying
+	records []wal.Record  // a Batch's records, or one[:] for a Put/Delete
+	one     [1]wal.Record // backs records for a single-record commit
+	noCopy  bool          // MemTable may retain Key/Value without copying
 	bytes   int64
 	tr      *metrics.Trace
 
 	firstSeq uint64 // set by the leader before done closes
 	err      error  // set by the leader before done closes
 
-	// done wakes the waiter after its group committed (close-once).
+	// done wakes the waiter after its group committed (close-once). done
+	// and lead are made only when the commit queues behind an active
+	// leader; a commit that leads its own group has neither.
 	done chan struct{}
 	// lead promotes the waiter to leader of the next group (close-once).
 	lead chan struct{}
 }
 
-// commitQueue is the group-commit waiter queue. At most one leader exists
-// at a time; its commit is never in pending (it seeds its own group).
+// pendingPool recycles pendingCommits: the committing goroutine returns
+// its own after reading the result, when no leader references it.
+var pendingPool = sync.Pool{New: func() any { return new(pendingCommit) }}
+
+// commitQueue is the group-commit waiter queue. It has no lock of its
+// own: db.mu guards it, so a writer enqueues, and a leader drains and
+// hands off, inside critical sections the leader pass takes anyway. At
+// most one leader exists at a time; its commit is never in pending (it
+// seeds its own group).
 type commitQueue struct {
-	mu      sync.Mutex
-	pending []*pendingCommit // guarded by mu
-	leading bool             // guarded by mu
+	pending []*pendingCommit // guarded by db.mu
+	leading bool             // guarded by db.mu
+	// group backs the current leader's group, reused by every pass;
+	// between passes its length says how many writers the last one
+	// released.
+	group []*pendingCommit // guarded by db.mu
+	// maxWaiters is maxGroupWaiters, set at Open; tests lower it to
+	// force handoffs with commits still queued.
+	maxWaiters int
 }
 
-// enqueue registers pc and reports whether the caller must lead: true
-// when no leader is active (pc seeds the new group and is not queued),
-// false when pc joined pending and the caller should wait.
-func (q *commitQueue) enqueue(pc *pendingCommit) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
+// enqueueLocked registers pc and reports whether the caller must lead:
+// true when no leader is active (pc seeds the new group and is not
+// queued), false when pc joined pending and the caller should wait. A
+// new leader is also told to yield before draining when the previous
+// group had other members: their writers were released with it and are
+// about to commit again. A lone writer's previous group is itself, so
+// it never yields.
+func (q *commitQueue) enqueueLocked(pc *pendingCommit) (lead, yield bool) {
 	if !q.leading {
 		q.leading = true
-		return true
+		return true, len(q.group) > 1
 	}
+	pc.done = make(chan struct{})
+	pc.lead = make(chan struct{})
 	q.pending = append(q.pending, pc)
-	return false
+	return false, false
 }
 
-// drain builds the leader's group: seed plus queued commits, in arrival
-// order, until adding one would exceed maxBytes payload or maxWaiters
-// members. The seed always fits regardless of budget.
-func (q *commitQueue) drain(seed *pendingCommit, maxBytes int64, maxWaiters int) []*pendingCommit {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	group := []*pendingCommit{seed}
+// drainLocked builds the leader's group: seed plus queued commits, in
+// arrival order, until adding one would exceed the group bounds. The
+// seed always fits regardless of budget. The returned slice is valid
+// until the leader hands off.
+func (q *commitQueue) drainLocked(seed *pendingCommit) []*pendingCommit {
+	group := append(q.group[:0], seed)
 	bytes := seed.bytes
-	for len(q.pending) > 0 && len(group) < maxWaiters {
+	for len(q.pending) > 0 && len(group) < q.maxWaiters {
 		pc := q.pending[0]
-		if bytes+pc.bytes > maxBytes {
+		if bytes+pc.bytes > maxGroupBytes {
 			break
 		}
 		group = append(group, pc)
@@ -79,15 +109,14 @@ func (q *commitQueue) drain(seed *pendingCommit, maxBytes int64, maxWaiters int)
 	if len(q.pending) == 0 {
 		q.pending = nil // release the drained backing array
 	}
+	q.group = group
 	return group
 }
 
-// handoff retires the current leader: it pops and returns the next
+// handoffLocked retires the current leader: it pops and returns the next
 // leader's commit, or nil (clearing the leading flag) when the queue is
 // empty.
-func (q *commitQueue) handoff() *pendingCommit {
-	q.mu.Lock()
-	defer q.mu.Unlock()
+func (q *commitQueue) handoffLocked() *pendingCommit {
 	if len(q.pending) == 0 {
 		q.leading = false
 		return nil
@@ -101,7 +130,7 @@ func (q *commitQueue) handoff() *pendingCommit {
 type commitStats struct {
 	commits atomic.Int64 // logical commits acknowledged
 	records atomic.Int64 // records across all commits
-	groups  atomic.Int64 // WAL write passes (a group per pass; inline commits are groups of 1)
+	groups  atomic.Int64 // WAL write passes (one per group)
 	fsyncs  atomic.Int64 // fsyncs issued by the commit path
 }
 
@@ -153,70 +182,82 @@ func (db *DB) CommitStats() CommitStats {
 // GroupSizeHist returns the histogram of commits per WAL write pass.
 func (db *DB) GroupSizeHist() *metrics.Histogram { return db.groupSize }
 
-// commit routes one logical commit (records, not yet sequenced) through
-// the group-commit queue and blocks until it is durable per SyncMode.
-// It returns the sequence number assigned to records[0]. When noCopy is
-// set the MemTable retains the record buffers directly; the caller must
-// never mutate them afterwards.
-func (db *DB) commit(records []wal.Record, noCopy bool, tr *metrics.Trace) (uint64, error) {
-	var bytes int64
-	for i := range records {
-		bytes += int64(len(records[i].Key) + len(records[i].Value))
+// commit routes pc — a pooled pendingCommit whose records (not yet
+// sequenced), noCopy and tr the caller filled in — through the queue,
+// blocks until it is durable per SyncMode, and returns pc to the pool.
+// It returns the sequence number assigned to the first record. When
+// noCopy is set the MemTable retains the record buffers directly; the
+// caller must never mutate them afterwards.
+func (db *DB) commit(pc *pendingCommit) (uint64, error) {
+	for i := range pc.records {
+		pc.bytes += int64(len(pc.records[i].Key) + len(pc.records[i].Value))
 	}
-	pc := &pendingCommit{
-		records: records,
-		noCopy:  noCopy,
-		bytes:   bytes,
-		tr:      tr,
-		done:    make(chan struct{}),
-		lead:    make(chan struct{}),
-	}
-	if db.commitQ.enqueue(pc) {
-		db.leadGroup(pc)
+	db.mu.Lock()
+	if lead, yield := db.commitQ.enqueueLocked(pc); lead {
+		db.leadGroupLocked(pc, yield)
 	} else {
-		t0 := tr.Now()
+		db.mu.Unlock()
+		t0 := pc.tr.Now()
 		select {
 		case <-pc.done:
-			tr.Since(metrics.PhaseCommitWait, t0)
+			pc.tr.Since(metrics.PhaseCommitWait, t0)
 		case <-pc.lead:
-			tr.Since(metrics.PhaseCommitWait, t0)
-			db.leadGroup(pc)
+			pc.tr.Since(metrics.PhaseCommitWait, t0)
+			db.mu.Lock()
+			db.leadGroupLocked(pc, true)
 		}
 	}
-	return pc.firstSeq, pc.err
+	seq, err := pc.firstSeq, pc.err
+	*pc = pendingCommit{}
+	pendingPool.Put(pc)
+	if err != nil {
+		return 0, err
+	}
+	return seq, nil
 }
 
-// leadGroup runs one leader pass seeded by seed, publishes the result to
-// every member, and hands leadership to the next waiter (if any).
-func (db *DB) leadGroup(seed *pendingCommit) {
-	// Yield once before draining: the previous pass released its group and
-	// promoted this leader at the same instant, so the released writers
-	// are runnable but typically have not re-enqueued yet. One scheduler
-	// pass lets them join this group instead of the next, roughly doubling
-	// the steady-state group size for sub-millisecond fsyncs (for longer
-	// fsyncs arrivals during the sync dominate and the yield is noise).
-	runtime.Gosched()
-	group := db.commitQ.drain(seed,
-		db.opts.GroupCommit.MaxBatchBytes, db.opts.GroupCommit.MaxWaiters)
-	err := db.commitGroup(group)
+// leadGroupLocked runs one leader pass seeded by seed, publishes the
+// result to every member, and hands leadership to the next waiter (if
+// any). yield is set for a promoted leader and for one whose previous
+// group had other members. Caller holds db.mu; it is released on return.
+func (db *DB) leadGroupLocked(seed *pendingCommit, yield bool) {
+	if yield {
+		// Yield once before draining: the previous pass released its group
+		// just before this leader took over, so the released writers are
+		// runnable but typically have not re-enqueued yet. One scheduler
+		// pass lets them join this group instead of the next, roughly
+		// doubling the steady-state group size for sub-millisecond fsyncs
+		// (for longer fsyncs arrivals during the sync dominate and the
+		// yield is noise).
+		db.mu.Unlock()
+		runtime.Gosched()
+		db.mu.Lock()
+	}
+	group := db.commitQ.drainLocked(seed)
+	err := db.commitGroupLocked(group)
+	// Wake the members before handing off: the next leader reuses the
+	// group's backing array.
 	for _, pc := range group {
 		pc.err = err
-		close(pc.done)
+		if pc.done != nil {
+			close(pc.done) // pc may be recycled from here on
+		}
 	}
-	if next := db.commitQ.handoff(); next != nil {
+	next := db.commitQ.handoffLocked()
+	db.mu.Unlock()
+	if next != nil {
 		close(next.lead)
 	}
 }
 
-// commitGroup performs the leader pass over group: sequence assignment
-// and write-merge under db.mu, WAL batch append + sync under logMu only,
-// MemTable inserts back under db.mu, then counter updates. The returned
-// error is shared by every member.
-func (db *DB) commitGroup(group []*pendingCommit) error {
+// commitGroupLocked performs the leader pass over group: sequence
+// assignment and write-merge under db.mu, WAL batch append + sync under
+// logMu only, MemTable inserts and counter updates back under db.mu.
+// The returned error is shared by every member. Caller holds db.mu,
+// which is released across the WAL write and held again on return.
+func (db *DB) commitGroupLocked(group []*pendingCommit) error {
 	tr := group[0].tr // the leader's own trace; followers only see commit_wait
-	db.mu.Lock()
 	if db.closed {
-		db.mu.Unlock()
 		return ErrClosed
 	}
 	if db.bg != nil {
@@ -224,28 +265,26 @@ func (db *DB) commitGroup(group []*pendingCommit) error {
 		err := db.throttleLocked()
 		tr.Since(metrics.PhaseThrottle, t0)
 		if err != nil {
-			db.mu.Unlock()
 			return err
 		}
 	}
 	// One contiguous sequence range for the whole group, and one shared
 	// write-merge scope: a member's Put coalesces against earlier members
 	// in this group exactly as it would against earlier serial commits,
-	// so the WAL records (post-merge values) replay identically.
-	var pending map[string][]byte
+	// so the WAL records (post-merge values) replay identically. A single
+	// record has no earlier member to coalesce against.
 	total := 0
-	if db.opts.WriteMerge != nil {
-		for _, pc := range group {
-			total += len(pc.records)
-		}
+	for _, pc := range group {
+		total += len(pc.records)
+	}
+	var pending map[string][]byte
+	if db.opts.WriteMerge != nil && total > 1 {
 		pending = make(map[string][]byte, total)
-		total = 0
 	}
 	t0 := tr.Now()
 	for _, pc := range group {
 		pc.firstSeq = db.lastSeq + 1
 		db.assignSeqsLocked(pc.records, pending)
-		total += len(pc.records)
 	}
 	if db.opts.WriteMerge != nil {
 		tr.Since(metrics.PhaseMergeProbe, t0)
@@ -290,7 +329,6 @@ func (db *DB) commitGroup(group []*pendingCommit) error {
 	db.commitsInFlight--
 	db.cond.Broadcast() // wake freeze/flush waiting on commitsInFlight
 	if werr != nil {
-		db.mu.Unlock()
 		return werr
 	}
 	var rerr error
@@ -299,13 +337,48 @@ func (db *DB) commitGroup(group []*pendingCommit) error {
 		rerr = db.rotateMemLocked()
 		tr.Since(metrics.PhaseRotate, t0)
 	}
-	db.mu.Unlock()
-
 	db.cstats.groups.Add(1)
 	db.cstats.commits.Add(int64(len(group)))
 	db.cstats.records.Add(int64(total))
 	db.groupSize.Observe(float64(len(group)))
 	return rerr
+}
+
+// assignSeqsLocked stamps consecutive sequence numbers onto records and,
+// when a WriteMerger is configured, rewrites each set's value with the
+// merge of the newest prior value — an earlier record this commit pass
+// (via pending, which spans a whole commit group and is nil when the
+// group holds a single record) or the MemTable's current value.
+// WriteMerge must run before logging: the WAL stores post-merge values
+// so replay reconstructs the MemTable without re-merging. Caller holds
+// db.mu.
+func (db *DB) assignSeqsLocked(records []wal.Record, pending map[string][]byte) {
+	for i := range records {
+		r := &records[i]
+		db.lastSeq++
+		r.Seq = db.lastSeq
+		if db.opts.WriteMerge == nil {
+			continue
+		}
+		if r.Kind != byte(ikey.KindSet) {
+			if pending != nil {
+				delete(pending, string(r.Key))
+			}
+			continue
+		}
+		existing, merged := pending[string(r.Key)], false
+		if existing != nil {
+			merged = true
+		} else if v, _, kind, ok := db.mem.get(r.Key); ok && kind == ikey.KindSet {
+			existing, merged = v, true
+		}
+		if merged {
+			r.Value = db.opts.WriteMerge(existing, r.Value)
+		}
+		if pending != nil {
+			pending[string(r.Key)] = r.Value
+		}
+	}
 }
 
 // syncWALLocked makes the group's WAL frames durable per SyncMode: a

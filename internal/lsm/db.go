@@ -32,12 +32,11 @@ var ErrStalled = errors.New("lsm: write stall: level-0 at stop trigger")
 // the transitive closure of all chains. core's writeMu is the outermost
 // (it serializes primary+index write pairs above this package), then the
 // compaction interlock, then db.mu, then the WAL lock; cache shards and
-// metrics histograms are leaves taken under db.mu. The commit queue's
-// own mutex is deliberately unordered against db.mu — the group-commit
-// protocol never holds one while taking the other.
+// metrics histograms are leaves taken under db.mu. The commit queue has
+// no lock of its own: db.mu guards it.
 //
 // The sub-compaction run lock (compactionRun.mu) is a leaf below db.mu:
-// the inline-mode writer cancels a failed run while holding db.mu, and
+// an inline compaction cancels a failed run while holding db.mu, and
 // partition workers take it bare — never the other way around. The
 // tracer's ring mutex is a leaf for the same reason: inline compactions
 // finish their OpCompact trace while still holding db.mu, and
@@ -46,7 +45,6 @@ var ErrStalled = errors.New("lsm: write stall: level-0 at stop trigger")
 //lsm:lockorder core.DB.writeMu < lsm.background.compactionMu < lsm.DB.mu < lsm.DB.logMu
 //lsm:lockorder lsm.DB.mu < cache.shard.mu
 //lsm:lockorder lsm.DB.mu < metrics.Histogram.mu
-//lsm:lockorder core.DB.writeMu < lsm.commitQueue.mu
 //lsm:lockorder lsm.DB.mu < lsm.compactionRun.mu
 //lsm:lockorder lsm.DB.mu < metrics.Tracer.mu
 
@@ -62,8 +60,8 @@ type DB struct {
 	cond *sync.Cond // signals imm-slot free, L0 drained, background done, commits landed
 	mem  *memTable  // guarded by mu
 	imm  *memTable  // guarded by mu; frozen MemTable awaiting background flush (nil inline)
-	// logMu guards the WAL writer pointer and all WAL I/O, so a
-	// group-commit leader appends and fsyncs without holding db.mu.
+	// logMu guards the WAL writer pointer and all WAL I/O, so a commit
+	// leader appends and fsyncs without holding db.mu.
 	// Lock order: db.mu (either mode) before logMu, never the reverse;
 	// no goroutine acquires db.mu while holding logMu.
 	logMu   sync.Mutex
@@ -134,6 +132,7 @@ func Open(dir string, o *Options) (*DB, error) {
 		compactingLevels: make([]bool, opts.MaxLevels),
 	}
 	db.cond = sync.NewCond(&db.mu)
+	db.commitQ.maxWaiters = maxGroupWaiters
 	db.nextFileNum.Store(1)
 	db.groupSize = metrics.NewHistogramBuckets(0, metrics.ExpBuckets(1, 2, 9))
 	if opts.BlockCacheBytes > 0 {
@@ -343,62 +342,14 @@ func (db *DB) DeleteWithSeqTraced(key []byte, tr *metrics.Trace) (uint64, error)
 	return db.write(ikey.KindDelete, key, nil, tr)
 }
 
+// write commits one record. The MemTable keeps copies of key and value:
+// callers may reuse their buffers.
 func (db *DB) write(kind ikey.Kind, key, value []byte, tr *metrics.Trace) (uint64, error) {
-	if db.opts.GroupCommit.Enabled {
-		return db.commit([]wal.Record{{Kind: byte(kind), Key: key, Value: value}}, false, tr)
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return 0, ErrClosed
-	}
-	if db.bg != nil {
-		t0 := tr.Now()
-		err := db.throttleLocked()
-		tr.Since(metrics.PhaseThrottle, t0)
-		if err != nil {
-			return 0, err
-		}
-	}
-	if db.opts.WriteMerge != nil && kind == ikey.KindSet {
-		t0 := tr.Now()
-		if existing, _, k, ok := db.mem.get(key); ok && k == ikey.KindSet {
-			value = db.opts.WriteMerge(existing, value)
-		}
-		tr.Since(metrics.PhaseMergeProbe, t0)
-	}
-	db.lastSeq++
-	seq := db.lastSeq
-	t0 := tr.Now()
-	db.logMu.Lock()
-	err := db.log.Append(wal.Record{Seq: seq, Kind: byte(kind), Key: key, Value: value})
-	if err == nil {
-		err = db.syncWALLocked(1, tr)
-	}
-	db.logMu.Unlock()
-	tr.Since(metrics.PhaseWAL, t0)
-	if err != nil {
-		return 0, err
-	}
-	// Copy: callers may reuse their buffers.
-	t0 = tr.Now()
-	db.mem.add(seq, kind, append([]byte(nil), key...), append([]byte(nil), value...), db.opts.Extract)
-	tr.Since(metrics.PhaseMemInsert, t0)
-	db.ingestBytes += int64(len(key) + len(value))
-	db.cstats.commits.Add(1)
-	db.cstats.records.Add(1)
-	db.cstats.groups.Add(1)
-	db.groupSize.Observe(1)
-
-	if db.mem.approximateBytes() >= db.opts.MemTableBytes {
-		t0 = tr.Now()
-		err := db.rotateMemLocked()
-		tr.Since(metrics.PhaseRotate, t0)
-		if err != nil {
-			return 0, err
-		}
-	}
-	return seq, nil
+	pc := pendingPool.Get().(*pendingCommit)
+	pc.one[0] = wal.Record{Kind: byte(kind), Key: key, Value: value}
+	pc.records = pc.one[:]
+	pc.tr = tr
+	return db.commit(pc)
 }
 
 // rotateMemLocked handles a full MemTable: inline mode flushes and
@@ -543,7 +494,7 @@ func (db *DB) Close() error {
 	}
 	db.closed = true
 	db.cond.Broadcast()
-	// A group-commit leader may be mid-pass (off-mu WAL write); let it
+	// A commit leader may be mid-pass (off-mu WAL write); let it
 	// land its MemTable inserts before the log closes under it.
 	db.waitCommitsLocked()
 	var firstErr error

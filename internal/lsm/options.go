@@ -6,8 +6,11 @@
 // The engine is deliberately single-writer with *inline* flush and
 // compaction: the paper picked LevelDB because a single-threaded store
 // isolates and explains index costs, and inline compaction additionally
-// makes every experiment deterministic. Reads are guarded by an RWMutex
-// and may run concurrently with each other.
+// makes every experiment deterministic. Like LevelDB's writer queue,
+// every Put, Delete and Apply commits through one leader-based queue
+// (commit.go); a lone writer is a group of one, and concurrent writers
+// share a WAL write and, under wal.SyncGrouped, an fsync. Reads are
+// guarded by an RWMutex and may run concurrently with each other.
 package lsm
 
 import (
@@ -99,19 +102,12 @@ type Options struct {
 	// WriteMerge, when set, merges an incoming Put with the MemTable's
 	// current value for the key.
 	WriteMerge WriteMerger
-	// SyncWAL forces an fsync per write. Off by default (the paper's
-	// throughput experiments run LevelDB in its default async mode).
-	// Deprecated shorthand: SyncMode supersedes it when set.
-	SyncWAL bool
-	// SyncMode selects WAL durability per commit: off (never fsync),
-	// always (one fsync per logical commit), or grouped (one fsync per
-	// commit group — concurrent committers share it). The zero value
-	// (wal.SyncUnset) resolves from SyncWAL: true → always, false → off.
+	// SyncMode selects WAL durability per commit: off (never fsync; the
+	// zero value, and the paper's configuration — its throughput
+	// experiments run LevelDB in its default async mode), always (one
+	// fsync per logical commit), or grouped (one fsync per commit group —
+	// concurrent committers share it).
 	SyncMode wal.SyncMode
-	// GroupCommit configures the leader-based commit queue. Off by
-	// default: the paper's experiments use the serial inline commit path
-	// for determinism.
-	GroupCommit GroupCommitOptions
 	// BackgroundCompaction decouples ingestion from merge work: on
 	// memtable-full the writer swaps in a fresh MemTable + WAL segment and
 	// hands the frozen one to a background flusher, while a dedicated
@@ -152,22 +148,6 @@ type Options struct {
 	// rotations — see metrics.EventType). Nil disables event emission.
 	// Sinks are called with db.mu held and must not block on this DB.
 	Events metrics.EventSink
-}
-
-// GroupCommitOptions tunes the leader-based commit queue (DESIGN.md
-// §5.5). When Enabled, every Put/Delete/Apply enqueues a pending commit;
-// the first waiter becomes leader, drains the queue up to the budgets
-// below, writes one WAL batch, issues the fsyncs its group's SyncMode
-// demands, performs the MemTable inserts, and wakes the followers.
-type GroupCommitOptions struct {
-	// Enabled turns the commit queue on.
-	Enabled bool
-	// MaxBatchBytes caps the WAL payload bytes a leader drains into one
-	// group. Default 1 MiB.
-	MaxBatchBytes int64
-	// MaxWaiters caps the number of pending commits a leader drains into
-	// one group. Default 128.
-	MaxWaiters int
 }
 
 func (o *Options) withDefaults() Options {
@@ -213,19 +193,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if opts.CompactionParallelism <= 0 {
 		opts.CompactionParallelism = 1
-	}
-	if opts.SyncMode == wal.SyncUnset {
-		if opts.SyncWAL {
-			opts.SyncMode = wal.SyncAlways
-		} else {
-			opts.SyncMode = wal.SyncOff
-		}
-	}
-	if opts.GroupCommit.MaxBatchBytes <= 0 {
-		opts.GroupCommit.MaxBatchBytes = 1 << 20
-	}
-	if opts.GroupCommit.MaxWaiters <= 0 {
-		opts.GroupCommit.MaxWaiters = 128
 	}
 	return opts
 }

@@ -114,7 +114,7 @@ func (s *Server) writeMetrics(w io.Writer) {
 			func(cs lsm.CommitStats) int64 { return cs.Commits }},
 		{"lsmpp_commit_records_total", "Records written across all commits.",
 			func(cs lsm.CommitStats) int64 { return cs.Records }},
-		{"lsmpp_commit_groups_total", "WAL write passes (commit groups; inline commits count 1 each).",
+		{"lsmpp_commit_groups_total", "WAL write passes (commit groups; a lone writer is a group of 1).",
 			func(cs lsm.CommitStats) int64 { return cs.Groups }},
 		{"lsmpp_wal_fsyncs_total", "fsyncs issued by the commit path.",
 			func(cs lsm.CommitStats) int64 { return cs.Fsyncs }},

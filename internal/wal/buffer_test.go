@@ -127,8 +127,8 @@ func TestParseSyncMode(t *testing.T) {
 		{"off", SyncOff, true},
 		{"always", SyncAlways, true},
 		{"grouped", SyncGrouped, true},
-		{"", SyncUnset, false},
-		{"ALWAYS", SyncUnset, false},
+		{"", SyncOff, false},
+		{"ALWAYS", SyncOff, false},
 	} {
 		got, err := ParseSyncMode(tc.in)
 		if (err == nil) != tc.ok || got != tc.want {

@@ -5,9 +5,9 @@
 // recovery contract).
 //
 // The writer buffers frames in memory (bufio) and the engine flushes at
-// commit granularity: one write syscall per commit — or per commit
-// *group* under group commit — instead of two per record. Sync flushes
-// the buffer and fsyncs; callers choose when via SyncMode.
+// commit-group granularity: one write syscall per group of concurrent
+// commits (a lone commit is a group of one) instead of two per record.
+// Sync flushes the buffer and fsyncs; callers choose when via SyncMode.
 package wal
 
 import (
@@ -25,24 +25,21 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // SyncMode selects WAL durability semantics per commit.
 type SyncMode uint8
 
-// The sync modes. SyncUnset is the zero value so legacy configurations
-// (the SyncWAL bool) keep working: the engine resolves it to SyncAlways
-// or SyncOff at open time.
+// The sync modes. The zero value is SyncOff.
 const (
-	SyncUnset SyncMode = iota
 	// SyncOff never fsyncs: frames reach the OS (buffer flush per
 	// commit) but a machine crash can lose acknowledged writes. The
 	// paper's throughput configuration.
-	SyncOff
+	SyncOff SyncMode = iota
 	// SyncAlways fsyncs once per logical commit before it is
-	// acknowledged, even when a group-commit leader batched the WAL
-	// write — the seed-equivalent fsync accounting, kept as the
-	// ablation baseline for measuring what sync batching alone buys.
+	// acknowledged, even when a commit leader batched the WAL write —
+	// the seed-equivalent fsync accounting, kept as the ablation
+	// baseline for measuring what sync batching alone buys.
 	SyncAlways
 	// SyncGrouped fsyncs once per commit *group*: every member is still
 	// acknowledged only after an fsync covering its records, but
-	// concurrent committers share one. Without group commit each commit
-	// is its own group, making this identical to SyncAlways.
+	// concurrent committers share one. A lone writer is a group of one,
+	// so without concurrency this is identical to SyncAlways.
 	SyncGrouped
 )
 
@@ -56,7 +53,7 @@ func (m SyncMode) String() string {
 	case SyncGrouped:
 		return "grouped"
 	default:
-		return "unset"
+		return fmt.Sprintf("SyncMode(%d)", m)
 	}
 }
 
@@ -70,7 +67,7 @@ func ParseSyncMode(s string) (SyncMode, error) {
 	case "grouped":
 		return SyncGrouped, nil
 	default:
-		return SyncUnset, fmt.Errorf("wal: unknown sync mode %q (want off, always or grouped)", s)
+		return SyncOff, fmt.Errorf("wal: unknown sync mode %q (want off, always or grouped)", s)
 	}
 }
 
