@@ -28,7 +28,7 @@ lint-json:
 # writers (every write takes the commit queue) and the concurrent
 # workload profiler in internal/explain. Dynamic confirmation that the
 # statically blessed lock order holds under contention. The sstable test
-# runs concurrent table builds and reads over the shared flate writer and
+# runs concurrent table builds and reads over the shared deflater and
 # block decoder pools.
 lint-race:
 	$(GO) test -race -run 'TestConcurrentBuildAndRead' ./internal/sstable/
@@ -69,7 +69,8 @@ verify: vet lint build bench-test
 # The full pre-merge gate: static checks (go vet + lsmlint), the
 # benchmark module's own tests, a
 # race-detector pass over every package, and 10-second fuzz smokes of
-# the sstable block round-trip, the block inflater against
+# the sstable block round-trip, the block deflater against
+# compress/flate's BestSpeed writer, the block inflater against
 # compress/flate's reader, the posting-list codec, the attribute scanner
 # against its json.Unmarshal oracle and the newest-first candidate stream
 # against decode-all + stable sort (all seeded from testdata/fuzz
@@ -81,6 +82,7 @@ verify: vet lint build bench-test
 ci: vet lint lint-race build bench-test
 	$(GO) test -race -timeout 45m ./...
 	$(GO) test -fuzz=FuzzBlockRoundTrip -fuzztime=10s ./internal/sstable/
+	$(GO) test -fuzz=FuzzDeflate -fuzztime=10s -fuzzminimizetime=1s ./internal/sstable/
 	$(GO) test -fuzz=FuzzInflate -fuzztime=10s -fuzzminimizetime=1s ./internal/sstable/
 	$(GO) test -fuzz=FuzzPostingsRoundTrip -fuzztime=10s ./internal/postings/
 	$(GO) test -fuzz=FuzzExtractAttrs -fuzztime=10s ./internal/core/

@@ -15,12 +15,11 @@
 package sstable
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -29,8 +28,9 @@ import (
 
 // Compression selects the per-block compression codec. The paper uses
 // Snappy; we substitute DEFLATE at its fastest setting (see DESIGN.md §3),
-// written by compress/flate and read by this package's inflater, and
-// support disabling it (paper Appendix C.2).
+// written by this package's deflater (byte for byte compress/flate's
+// BestSpeed) and read by its inflater, and support disabling it (paper
+// Appendix C.2).
 type Compression uint8
 
 const (
@@ -56,9 +56,10 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // restart offsets and their count — both big-endian uint32 — after the
 // entries, inside the compressed/checksummed payload.
 //
-// A blockBuilder is reused for every block of a table: its buffers and its
-// flate writer survive reset, so a block costs no allocation once they
-// have grown to the block size.
+// A blockBuilder is reused for every block of a table: its buffers survive
+// reset, so a block costs no allocation once they have grown to the block
+// size. It holds no encoder: finish borrows one from deflaters for the
+// call, so a builder dropped without Finish strands nothing.
 type blockBuilder struct {
 	buf             []byte // entries; finish appends the trailer in place
 	prevKey         []byte
@@ -67,26 +68,19 @@ type blockBuilder struct {
 	restarts        []uint32
 	sinceRestart    int
 
-	fw   *flate.Writer // from flateWriters on the first compressed block
-	cbuf bytes.Buffer  // fw's output for the current block
+	cbuf []byte // the current block deflated
 }
 
-// flateWriters recycles compressor state (about 1 MB each) between the
-// builders of successive and concurrent tables.
-var flateWriters = sync.Pool{New: func() any {
-	fw, err := flate.NewWriter(nil, flate.BestSpeed)
-	if err != nil {
-		panic(err) // BestSpeed is a valid level
-	}
-	return fw
-}}
-
+// sharedPrefixLen returns the length of the longest common prefix of a
+// and b, comparing eight bytes at a time.
 func sharedPrefixLen(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
+	n := min(len(a), len(b))
 	i := 0
+	for ; i+8 <= n; i += 8 {
+		if x := binary.LittleEndian.Uint64(a[i:]) ^ binary.LittleEndian.Uint64(b[i:]); x != 0 {
+			return i + bits.TrailingZeros64(x)>>3
+		}
+	}
 	for i < n && a[i] == b[i] {
 		i++
 	}
@@ -130,15 +124,6 @@ func (b *blockBuilder) reset() {
 	b.sinceRestart = 0
 }
 
-// release hands the flate writer back for the next table's builder.
-func (b *blockBuilder) release() {
-	if b.fw != nil {
-		b.fw.Reset(nil) // the pool must not pin cbuf
-		flateWriters.Put(b.fw)
-		b.fw = nil
-	}
-}
-
 // finish returns the physical block: payload, a codec byte, and a CRC32C
 // of payload+codec. For v2 the payload is entries + restart trailer; the
 // CRC therefore covers the restart array too. The payload is compressed
@@ -158,23 +143,10 @@ func (b *blockBuilder) finish(c Compression) ([]byte, error) {
 		b.buf = binary.BigEndian.AppendUint32(b.buf, uint32(len(b.restarts)))
 	}
 	if c == FlateCompression {
-		if b.fw == nil {
-			b.fw = flateWriters.Get().(*flate.Writer)
-		}
-		b.cbuf.Reset()
-		b.fw.Reset(&b.cbuf)
-		if _, err := b.fw.Write(b.buf); err != nil {
-			return nil, fmt.Errorf("sstable: flate write: %w", err)
-		}
-		if err := b.fw.Close(); err != nil {
-			return nil, fmt.Errorf("sstable: flate close: %w", err)
-		}
-		if b.cbuf.Len() < len(b.buf) {
-			tail := [5]byte{byte(FlateCompression)}
-			crc := crc32.Update(crc32.Checksum(b.cbuf.Bytes(), crcTable), crcTable, tail[:1])
-			binary.BigEndian.PutUint32(tail[1:], crc)
-			b.cbuf.Write(tail[:])
-			return b.cbuf.Bytes(), nil
+		if b.cbuf = deflate(b.cbuf[:0], b.buf); len(b.cbuf) < len(b.buf) {
+			b.cbuf = append(b.cbuf, byte(FlateCompression))
+			b.cbuf = binary.BigEndian.AppendUint32(b.cbuf, crc32.Checksum(b.cbuf, crcTable))
+			return b.cbuf, nil
 		}
 	}
 	b.buf = append(b.buf, byte(NoCompression))

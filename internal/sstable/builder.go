@@ -343,7 +343,6 @@ const (
 // Finish flushes the pending block, writes the meta section and footer,
 // and returns the total file size. The Builder must not be reused.
 func (b *Builder) Finish() (int64, error) {
-	defer b.block.release()
 	if b.err != nil {
 		return 0, b.err
 	}

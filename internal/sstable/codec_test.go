@@ -208,7 +208,7 @@ var codecCases = []struct {
 // reuse: every table must equal, byte for byte, what the per-block
 // reference encoder produces and what the parent commit wrote. Each case
 // builds four tables of different contents and sizes back to back, so the
-// later ones run through a flate writer and decoder that earlier tables
+// later ones run through a pooled deflater and decoder that earlier tables
 // have used.
 func TestTableBytesMatchReference(t *testing.T) {
 	for _, c := range codecCases {
@@ -435,6 +435,20 @@ func TestCodecAllocations(t *testing.T) {
 		}
 	})
 
+	t.Run("deflate", func(t *testing.T) {
+		raw, err := tbl.readBlock(nb/2, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := deflate(nil, raw)
+		allocs := testing.AllocsPerRun(200, func() {
+			dst = deflate(dst[:0], raw)
+		})
+		if allocs != 0 {
+			t.Fatalf("deflate into a buffer with room allocates %.0f times, want 0", allocs)
+		}
+	})
+
 	t.Run("inflate", func(t *testing.T) {
 		bm := tbl.blocks[nb/2]
 		payload := data[bm.offset : bm.offset+bm.size-5]
@@ -487,14 +501,15 @@ func TestCodecAllocations(t *testing.T) {
 				}
 			}
 		}
-		addBlock() // takes the flate writer, grows the buffers
+		addBlock() // grows the buffers
 		addBlock()
 		blocks := nb - 4
 		allocs := testing.AllocsPerRun(blocks, addBlock)
 		// What the metadata keeps per block: first key, last key, primary
-		// bloom, one bloom and one zone map per attribute. The +1 is the
-		// amortised growth of the slices that hold them.
-		if limit := float64(3 + 2*len(opts.SecondaryAttrs) + 1); allocs > limit {
+		// bloom, one bloom and one zone map per attribute. The growth of the
+		// slices that hold them is amortised below one per block, and
+		// deflating allocates nothing.
+		if limit := float64(3 + 2*len(opts.SecondaryAttrs)); allocs > limit {
 			t.Fatalf("a block's Adds and flushBlock allocate %.0f times, want ≤ %.0f", allocs, limit)
 		}
 		if _, err := b.Finish(); err != nil {
@@ -504,8 +519,8 @@ func TestCodecAllocations(t *testing.T) {
 }
 
 // TestConcurrentBuildAndRead is the sub-compaction worker pattern: several
-// goroutines build tables and read others back at once, sharing the flate
-// writer and decoder pools. Every table must match its reference bytes and
+// goroutines build tables and read others back at once, sharing the
+// deflater and decoder pools. Every table must match its reference bytes and
 // read back whole. Run under -race.
 func TestConcurrentBuildAndRead(t *testing.T) {
 	const workers = 8
@@ -572,6 +587,52 @@ func BenchmarkTableBuild(b *testing.B) {
 }
 
 var benchSink []byte
+
+// BenchmarkEncodeBlock measures deflating the payload of one block of
+// workload tweet documents — the block BenchmarkDecodeBlock loads — which
+// flush and compaction pay for every block they write. The compress-flate
+// sub-benchmark encodes the same payload with the standard library's
+// BestSpeed writer, whose bytes deflate reproduces.
+func BenchmarkEncodeBlock(b *testing.B) {
+	entries := tweetEntries(5000)
+	for _, bs := range []int{4096, 16384} {
+		data := buildTableBytes(b, entries, Options{BlockSize: bs, Compression: FlateCompression})
+		tbl, err := OpenTable(bytes.NewReader(data), int64(len(data)), nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		raw, err := tbl.readBlock(tbl.NumBlocks()/2, false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("block=%d", bs), func(b *testing.B) {
+			dst := deflate(nil, raw)
+			b.SetBytes(int64(len(raw)))
+			b.ReportAllocs()
+			for n := 0; n < b.N; n++ {
+				dst = deflate(dst[:0], raw)
+			}
+			benchSink = dst
+		})
+		b.Run(fmt.Sprintf("block=%d/compress-flate", bs), func(b *testing.B) {
+			var out bytes.Buffer
+			fw, err := flate.NewWriter(&out, flate.BestSpeed)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(raw)))
+			b.ReportAllocs()
+			for n := 0; n < b.N; n++ {
+				out.Reset()
+				fw.Reset(&out)
+				fw.Write(raw)
+				if err := fw.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
 
 // BenchmarkDecodeBlock measures one uncached load of a compressed block
 // of workload tweet documents from memory: verify, inflate and copy out.

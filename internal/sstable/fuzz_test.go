@@ -83,7 +83,6 @@ func FuzzBlockRoundTrip(f *testing.F) {
 		}
 		rng := rand.New(rand.NewSource(seed))
 		bb := blockBuilder{restartInterval: interval}
-		defer bb.release()
 		d := blockDecoders.Get().(*blockDecoder)
 		defer blockDecoders.Put(d)
 		var scratch []byte

@@ -8,12 +8,12 @@ import (
 )
 
 // inflate.go decodes the DEFLATE (RFC 1951) streams the block builder's
-// flate.Writer produces. A block is always complete in memory, so the
-// decoder works on the whole buffer at once: no io.Reader, no 32 KiB ring
-// window and no copy out of it — back-references copy within the output
-// slice itself. It accepts exactly the streams compress/flate's reader
-// accepts and decodes them to the same bytes (FuzzInflate holds it to
-// that); compress/flate remains the encoder.
+// deflater (deflate.go) produces. A block is always complete in memory, so
+// the decoder works on the whole buffer at once: no io.Reader, no 32 KiB
+// ring window and no copy out of it — back-references copy within the
+// output slice itself. It accepts exactly the streams compress/flate's
+// reader accepts and decodes them to the same bytes (FuzzInflate holds it
+// to that).
 
 // Table geometry. Each Huffman code is decoded with one lookup in a root
 // table indexed by the next rootBits input bits, plus one lookup in a
@@ -78,20 +78,14 @@ func init() {
 	litSyms[256] = entry(kindEnd, 0, 0)
 	base := uint32(3)
 	for i := uint32(0); i < 28; i++ {
-		extra := uint32(0)
-		if i >= 8 {
-			extra = (i - 4) >> 2
-		}
+		extra := uint32(lengthExtra[i])
 		litSyms[257+i] = entry(kindCopy, base, extra)
 		base += 1 << extra
 	}
 	litSyms[285] = entry(kindCopy, 258, 0) // 286 and 287 stay invalid
 	base = 1
 	for i := uint32(0); i < maxDistCodes; i++ { // 30 and 31 stay invalid
-		extra := uint32(0)
-		if i >= 2 {
-			extra = (i - 2) >> 1
-		}
+		extra := uint32(offsetExtra[i])
 		distSyms[i] = entry(kindCopy, base, extra)
 		base += 1 << extra
 	}
