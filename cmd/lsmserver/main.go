@@ -31,7 +31,6 @@ import (
 
 	"leveldbpp/internal/core"
 	"leveldbpp/internal/metrics"
-	"leveldbpp/internal/postings"
 	"leveldbpp/internal/server"
 	"leveldbpp/internal/wal"
 )
@@ -48,7 +47,6 @@ func main() {
 		traceRate  = flag.Float64("trace-sample", 0, "fraction of operations to trace (0 disables, 1 traces all)")
 		eventsOut  = flag.String("events-jsonl", "", "append lifecycle events as JSON lines to this file")
 		syncMode   = flag.String("sync-mode", "off", "WAL durability: off|always|grouped (grouped = one fsync per commit group)")
-		postFmt    = flag.String("postings-format", "v2", "posting-list encoding written by Eager/Lazy indexes: v2 (binary) or v1 (seed JSON); reads sniff either")
 		advisorIv  = flag.Duration("advisor-check", 0, "re-run the online index advisor at this interval (0 disables); flips land in the event log")
 		compactPar = flag.Int("compaction-parallelism", 1, "key-range sub-compaction workers per compaction (1 = serial engine; results identical at any setting)")
 	)
@@ -63,11 +61,6 @@ func main() {
 		os.Exit(1)
 	}
 	sync, err := wal.ParseSyncMode(*syncMode)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "lsmserver:", err)
-		os.Exit(1)
-	}
-	pf, err := postings.ParseFormat(*postFmt)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lsmserver:", err)
 		os.Exit(1)
@@ -95,7 +88,6 @@ func main() {
 		TraceSampleRate: *traceRate,
 		Events:          events,
 		SyncMode:        sync,
-		PostingsFormat:  pf,
 
 		CompactionParallelism: *compactPar,
 	})

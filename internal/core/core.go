@@ -93,16 +93,6 @@ type Options struct {
 	// grouped) on the primary table and every index table; the zero
 	// value is off. See lsm.Options.SyncMode.
 	SyncMode wal.SyncMode
-	// RestartInterval sets the SSTable restart-point spacing for both the
-	// primary and index tables (see lsm.Options.RestartInterval): 0 is the
-	// v2 default, negative writes legacy v1 linear-scan blocks.
-	RestartInterval int
-	// PostingsFormat selects the posting-list encoding written by the
-	// Eager and Lazy index paths (DESIGN.md §5.6): unset/v2 is the binary
-	// varint format, v1 the seed's JSON arrays. Reading is always
-	// format-sniffing, so a database written under either setting opens
-	// under the other without conversion.
-	PostingsFormat postings.Format
 	// BlockCacheBytes enables an LRU block cache on the primary and
 	// index tables (0 = off, the paper's configuration).
 	BlockCacheBytes int64
@@ -175,8 +165,6 @@ type DB struct {
 	// engine's commit queue and can actually form groups.
 	writeMu sync.Mutex
 
-	// pf is the resolved posting-list encoding for index writes.
-	pf postings.Format
 	// postBuf is the posting-list encode scratch shared by the Eager RMW
 	// and Lazy fragment write paths; guarded by writeMu (always held on
 	// those paths), and safe to reuse across engine Puts because the
@@ -238,7 +226,6 @@ func Open(dir string, opts Options) (*DB, error) {
 		LevelMultiplier:       opts.LevelMultiplier,
 		MaxLevels:             opts.MaxLevels,
 		SyncMode:              opts.SyncMode,
-		RestartInterval:       opts.RestartInterval,
 		BlockCacheBytes:       opts.BlockCacheBytes,
 		BackgroundCompaction:  opts.BackgroundCompaction,
 		CompactionParallelism: opts.CompactionParallelism,
@@ -256,7 +243,7 @@ func Open(dir string, opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	db := &DB{opts: opts, primary: primary, pf: opts.PostingsFormat.OrDefault(),
+	db := &DB{opts: opts, primary: primary,
 		tracer: tracer, ops: metrics.NewOpStats(), events: events,
 		profiler: explain.NewWorkloadProfiler(events)}
 
@@ -272,8 +259,8 @@ func Open(dir string, opts Options) (*DB, error) {
 				// and injected into both the engine and the mergers.
 				st := &metrics.IOStats{}
 				idxOpts.Stats = st
-				idxOpts.WriteMerge = newLazyWriteMerger(db.pf, st)
-				idxOpts.Merge = &lazyCompactionMerger{f: db.pf, st: st}
+				idxOpts.WriteMerge = newLazyWriteMerger(st)
+				idxOpts.Merge = &lazyCompactionMerger{st: st}
 			}
 			idx, err := lsm.Open(filepath.Join(dir, "index-"+attr), &idxOpts)
 			if err != nil {
@@ -686,13 +673,13 @@ func (db *DB) FilterMemoryUsage() int {
 // closure safe regardless), but the output is always freshly allocated:
 // the group-commit leader retains merged values across the rest of its
 // batch, so a reused buffer would corrupt earlier records.
-func newLazyWriteMerger(f postings.Format, st *metrics.IOStats) lsm.WriteMerger {
+func newLazyWriteMerger(st *metrics.IOStats) lsm.WriteMerger {
 	var mu sync.Mutex
 	var sc postings.MergeScratch
 	return func(existing, incoming []byte) []byte {
 		mu.Lock()
 		defer mu.Unlock()
-		out, err := sc.Merge(nil, [][]byte{incoming, existing}, false, f)
+		out, err := sc.Merge(nil, [][]byte{incoming, existing}, false)
 		if err != nil {
 			// Never drop data on decode problems; newest fragment wins.
 			return incoming
@@ -710,7 +697,6 @@ func newLazyWriteMerger(f postings.Format, st *metrics.IOStats) lsm.WriteMerger 
 // calls under mu — the SSTable builder copies the value into its block
 // before the next Merge can run.
 type lazyCompactionMerger struct {
-	f  postings.Format
 	st *metrics.IOStats
 
 	mu  sync.Mutex
@@ -721,7 +707,7 @@ type lazyCompactionMerger struct {
 func (m *lazyCompactionMerger) Merge(_ []byte, values [][]byte, bottom bool) ([]byte, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out, err := m.sc.Merge(m.buf[:0], values, bottom, m.f)
+	out, err := m.sc.Merge(m.buf[:0], values, bottom)
 	if err != nil {
 		return m.mergeSalvage(values, bottom)
 	}
@@ -739,7 +725,7 @@ func (m *lazyCompactionMerger) Merge(_ []byte, values [][]byte, bottom bool) ([]
 // worker gets a private MergeScratch and output buffer, while the shared
 // IOStats keeps aggregating decode counters (its fields are atomic).
 func (m *lazyCompactionMerger) ForkMerger() lsm.Merger {
-	return &lazyCompactionMerger{f: m.f, st: m.st}
+	return &lazyCompactionMerger{st: m.st}
 }
 
 // mergeSalvage preserves the seed behaviour when a fragment is corrupt:
@@ -758,7 +744,7 @@ func (m *lazyCompactionMerger) mergeSalvage(values [][]byte, bottom bool) ([]byt
 	if len(merged) == 0 {
 		return nil, false
 	}
-	return postings.EncodeFormat(merged, m.f), true
+	return postings.AppendList(nil, merged), true
 }
 
 // Verify audits the primary table and every index table: full checksum

@@ -27,7 +27,7 @@ func (db *DB) eagerUpdate(idx *lsm.DB, attrValue []byte, key string, seq uint64,
 	if err != nil {
 		return err
 	}
-	out, decoded, err := postings.AppendAdd(db.postBuf[:0], cur, key, seq, del, db.pf)
+	out, decoded, err := postings.AppendAdd(db.postBuf[:0], cur, key, seq, del)
 	if err != nil {
 		return err
 	}

@@ -28,7 +28,7 @@ import (
 //
 //lsm:locked — writeMu is held by indexWrite's callers.
 func (db *DB) lazyAppend(idx *lsm.DB, attrValue []byte, key string, seq uint64, del bool) error {
-	db.postBuf = postings.AppendSingle(db.postBuf[:0], key, seq, del, db.pf)
+	db.postBuf = postings.AppendSingle(db.postBuf[:0], key, seq, del)
 	return idx.Put(attrValue, db.postBuf)
 }
 

@@ -3,17 +3,14 @@ package core
 import (
 	"fmt"
 	"testing"
-
-	"leveldbpp/internal/postings"
 )
 
 // benchPostingsOptions sizes the engine so the benchmarks measure the
 // posting-list codec, not flush/compaction churn: a large MemTable keeps
 // the hot lists memory-resident across iterations.
-func benchPostingsOptions(kind IndexKind, f postings.Format) Options {
+func benchPostingsOptions(kind IndexKind) Options {
 	opts := smallOptions(kind)
 	opts.MemTableBytes = 16 << 20
-	opts.PostingsFormat = f
 	return opts
 }
 
@@ -22,61 +19,57 @@ func benchPostingsOptions(kind IndexKind, f postings.Format) Options {
 // drops the superseded entry and the list holds steady at size entries.
 func BenchmarkEagerPut(b *testing.B) {
 	for _, size := range []int{10, 100, 1000} {
-		for _, f := range []postings.Format{postings.FormatV1, postings.FormatV2} {
-			b.Run(fmt.Sprintf("entries=%d/%s", size, f), func(b *testing.B) {
-				db, err := Open(b.TempDir(), benchPostingsOptions(IndexEager, f))
-				if err != nil {
+		b.Run(fmt.Sprintf("entries=%d", size), func(b *testing.B) {
+			db, err := Open(b.TempDir(), benchPostingsOptions(IndexEager))
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer db.Close()
+			doc := tweetDoc("u-bench", 1, "eager put benchmark tweet")
+			for i := 0; i < size-1; i++ {
+				if err := db.Put(fmt.Sprintf("t%07d", i), doc); err != nil {
 					b.Fatal(err)
 				}
-				defer db.Close()
-				doc := tweetDoc("u-bench", 1, "eager put benchmark tweet")
-				for i := 0; i < size-1; i++ {
-					if err := db.Put(fmt.Sprintf("t%07d", i), doc); err != nil {
-						b.Fatal(err)
-					}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := db.Put("t-bench", doc); err != nil {
+					b.Fatal(err)
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := db.Put("t-bench", doc); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
 // BenchmarkLazyLookup measures LOOKUP top-10 against a single user whose
-// merged fragment holds size entries: v1 JSON-decodes the whole list per
-// query, v2 streams and stops decoding once the top-K heap fills.
+// merged fragment holds size entries: the cursor streams the v2 list and
+// stops decoding once K candidates are valid.
 func BenchmarkLazyLookup(b *testing.B) {
 	for _, size := range []int{10, 100, 1000} {
-		for _, f := range []postings.Format{postings.FormatV1, postings.FormatV2} {
-			b.Run(fmt.Sprintf("entries=%d/%s", size, f), func(b *testing.B) {
-				db, err := Open(b.TempDir(), benchPostingsOptions(IndexLazy, f))
+		b.Run(fmt.Sprintf("entries=%d", size), func(b *testing.B) {
+			db, err := Open(b.TempDir(), benchPostingsOptions(IndexLazy))
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer db.Close()
+			for i := 0; i < size; i++ {
+				doc := tweetDoc("u-bench", 1000+i, "lazy lookup benchmark tweet")
+				if err := db.Put(fmt.Sprintf("t%07d", i), doc); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := db.Lookup("UserID", "u-bench", 10)
 				if err != nil {
 					b.Fatal(err)
 				}
-				defer db.Close()
-				for i := 0; i < size; i++ {
-					doc := tweetDoc("u-bench", 1000+i, "lazy lookup benchmark tweet")
-					if err := db.Put(fmt.Sprintf("t%07d", i), doc); err != nil {
-						b.Fatal(err)
-					}
+				if want := min(10, size); len(res) != want {
+					b.Fatalf("got %d results, want %d", len(res), want)
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res, err := db.Lookup("UserID", "u-bench", 10)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if want := min(10, size); len(res) != want {
-						b.Fatalf("got %d results, want %d", len(res), want)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }

@@ -2,10 +2,10 @@ package core
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
-
-	"leveldbpp/internal/postings"
 )
 
 // postingsWorkload drives enough writes, overwrites and deletes through db
@@ -78,28 +78,17 @@ func collectPostingsResult(t *testing.T, db *DB) postingsResult {
 	return r
 }
 
-// TestPostingsFormatEquivalence runs the same workload under v1 and v2
-// posting encodings for all five kinds: every observable result (scan,
-// LOOKUP, RANGELOOKUP) must be identical. Kinds that store no posting
-// lists must additionally match on every I/O counter and on-disk byte;
+// TestPostingsFormatEquivalence compares each seed-format fixture — v1
+// table blocks and v1 JSON posting lists — with a database that took the
+// same writes in the current formats, for all five kinds: every
+// observable result (scan, LOOKUP, RANGELOOKUP) must be identical, and
 // for Eager/Lazy the v2 index must be no larger on disk.
 func TestPostingsFormatEquivalence(t *testing.T) {
-	run := func(t *testing.T, kind IndexKind, f postings.Format) postingsResult {
-		opts := smallOptions(kind)
-		opts.PostingsFormat = f
-		db, err := Open(t.TempDir(), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer db.Close()
-		postingsWorkload(t, db)
-		return collectPostingsResult(t, db)
-	}
-
 	for _, kind := range allKinds {
 		t.Run(kind.String(), func(t *testing.T) {
-			v1 := run(t, kind, postings.FormatV1)
-			v2 := run(t, kind, postings.FormatV2)
+			v1db, _ := openSeedFormat(t, kind)
+			v1 := collectPostingsResult(t, v1db)
+			v2 := collectPostingsResult(t, openSeedReference(t, kind))
 			if !reflect.DeepEqual(v1.scan, v2.scan) {
 				t.Errorf("scan differs: v1 %d keys, v2 %d keys", len(v1.scan), len(v2.scan))
 			}
@@ -109,90 +98,36 @@ func TestPostingsFormatEquivalence(t *testing.T) {
 			if !reflect.DeepEqual(v1.rngs, v2.rngs) {
 				t.Errorf("RANGELOOKUP results differ:\nv1=%v\nv2=%v", v1.rngs, v2.rngs)
 			}
-			switch kind {
-			case IndexEager, IndexLazy:
-				if v2.index > v1.index {
-					t.Errorf("v2 index larger on disk: v2=%d v1=%d", v2.index, v1.index)
-				}
-			default:
-				// No posting lists stored: the format cannot change anything.
-				if !reflect.DeepEqual(v1.stats, v2.stats) {
-					t.Errorf("I/O counters differ:\nv1=%+v\nv2=%+v", v1.stats, v2.stats)
-				}
-				if v1.primary != v2.primary || v1.index != v2.index {
-					t.Errorf("disk usage differs: v1=(%d,%d) v2=(%d,%d)",
-						v1.primary, v1.index, v2.primary, v2.index)
-				}
+			if (kind == IndexEager || kind == IndexLazy) && v2.index > v1.index {
+				t.Errorf("v2 index larger on disk: v2=%d v1=%d", v2.index, v1.index)
 			}
 		})
 	}
 }
 
-// TestPostingsMixedFormatCompaction writes half the workload under v1,
-// reopens the same directory under v2 for the other half, then compacts:
-// the Lazy merge sees v1 and v2 fragments for the same secondary keys in
-// one call, and Eager RMW rewrites v1 lists into v2. Results must match a
-// database that ran the whole workload in one format.
+// TestPostingsMixedFormatCompaction writes v2 postings over a v1 fixture
+// and compacts: the Lazy merge sees v1 and v2 fragments for the same
+// secondary keys in one call, and Eager RMW rewrites v1 lists into v2.
+// Results must match a database that took every write in v2.
 func TestPostingsMixedFormatCompaction(t *testing.T) {
 	for _, kind := range []IndexKind{IndexEager, IndexLazy} {
 		t.Run(kind.String(), func(t *testing.T) {
-			dir := t.TempDir()
-			open := func(f postings.Format) *DB {
-				opts := smallOptions(kind)
-				opts.PostingsFormat = f
-				db, err := Open(dir, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return db
-			}
-
-			put := func(db *DB, lo, hi int) {
-				for i := lo; i < hi; i++ {
-					user := fmt.Sprintf("u%02d", i%5)
-					if err := db.Put(fmt.Sprintf("t%04d", i), tweetDoc(user, 1000+i, "x")); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-
-			db := open(postings.FormatV1)
-			put(db, 0, 200)
+			db, _ := openSeedFormat(t, kind)
+			seedUpdates(t, db)
 			if err := db.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			if err := db.Close(); err != nil {
-				t.Fatal(err)
-			}
-
-			db = open(postings.FormatV2)
-			defer db.Close()
-			put(db, 200, 400)
-			if err := db.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			// Full compaction merges v1 and v2 fragments of the same
-			// secondary key in single Merge calls.
+			before := db.Stats().Index.FragmentsMerged
 			if err := db.CompactRange("", ""); err != nil {
 				t.Fatal(err)
 			}
-
-			// Reference: the whole workload in one v2 database.
-			ref, err := Open(t.TempDir(), func() Options {
-				o := smallOptions(kind)
-				o.PostingsFormat = postings.FormatV2
-				return o
-			}())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ref.Close()
-			put(ref, 0, 400)
-			if err := ref.Flush(); err != nil {
-				t.Fatal(err)
+			if kind == IndexLazy && db.Stats().Index.FragmentsMerged == before {
+				t.Fatal("compaction merged no posting fragments")
 			}
 
-			for _, user := range []string{"u00", "u03", "u04"} {
+			ref := openSeedReference(t, kind)
+			seedUpdates(t, ref)
+			for _, user := range []string{"u00", "u03", "u04", "u77", "u88"} {
 				got, err := db.Lookup("UserID", user, 10)
 				if err != nil {
 					t.Fatal(err)
@@ -220,63 +155,38 @@ func TestPostingsMixedFormatCompaction(t *testing.T) {
 	}
 }
 
-// TestPostingsV1RecoveryWithV2Defaults simulates the upgrade path: a
-// database entirely written under v1 — including unflushed WAL tail —
-// reopens under the v2 default. WAL replay re-applies v1-encoded index
-// writes, lookups sniff the stored format, and a full compaction rewrites
-// the tables without losing entries.
+// TestPostingsV1RecoveryWithV2Defaults is the upgrade path: a fixture's
+// WAL tail holds v1-encoded index writes. Opening it replays them,
+// lookups sniff the stored format, and a flush plus full compaction
+// rewrite the tables without losing entries.
 func TestPostingsV1RecoveryWithV2Defaults(t *testing.T) {
 	for _, kind := range []IndexKind{IndexEager, IndexLazy} {
 		t.Run(kind.String(), func(t *testing.T) {
-			dir := t.TempDir()
-			opts := smallOptions(kind)
-			opts.PostingsFormat = postings.FormatV1
-			db, err := Open(dir, opts)
-			if err != nil {
-				t.Fatal(err)
+			db, dir := openSeedFormat(t, kind)
+			if fi, err := os.Stat(filepath.Join(dir, "index-UserID", "WAL")); err != nil || fi.Size() == 0 {
+				t.Fatalf("fixture has no index WAL tail: %v", err)
 			}
-			for i := 0; i < 300; i++ {
-				user := fmt.Sprintf("u%02d", i%4)
-				if err := db.Put(fmt.Sprintf("t%04d", i), tweetDoc(user, 1000+i, "x")); err != nil {
-					t.Fatal(err)
-				}
-			}
-			// No Flush: the MemTable tail (including its index-table posting
-			// lists) must come back via WAL replay.
-			want := map[string][]Entry{}
-			for _, user := range []string{"u00", "u01", "u02", "u03"} {
-				res, err := db.Lookup("UserID", user, 8)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want[user] = res
-			}
-			if err := db.Close(); err != nil {
-				t.Fatal(err)
-			}
-
-			reopened := smallOptions(kind) // PostingsFormat unset → v2 default
-			db2, err := Open(dir, reopened)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer db2.Close()
+			ref := openSeedReference(t, kind)
 			check := func(stage string) {
-				for user, w := range want {
-					got, err := db2.Lookup("UserID", user, 8)
+				for _, user := range []string{"u00", "u01", "u02", "u03", "u77"} {
+					got, err := db.Lookup("UserID", user, 8)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !reflect.DeepEqual(got, w) {
-						t.Errorf("%s: LOOKUP %s:\ngot  %v\nwant %v", stage, user, got, w)
+					want, err := ref.Lookup("UserID", user, 8)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%s: LOOKUP %s:\ngot  %v\nwant %v", stage, user, got, want)
 					}
 				}
 			}
 			check("after reopen")
-			if err := db2.Flush(); err != nil {
+			if err := db.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			if err := db2.CompactRange("", ""); err != nil {
+			if err := db.CompactRange("", ""); err != nil {
 				t.Fatal(err)
 			}
 			check("after compact")

@@ -170,24 +170,28 @@ func checkCollect(t *testing.T, db *DB, attr, lo, hi string, point, fallback boo
 
 // TestCollectMatchesReference drives random PUT / attribute-changing
 // UPDATE / DEL / Flush / CompactRange / reopen sequences through the three
-// stand-alone kinds, under both posting formats, and holds every LOOKUP and
-// RANGELOOKUP to refCollect.
+// stand-alone kinds, starting from an empty database (v2) and from the
+// seed-format fixture (v1 tables and posting lists, which the sequence
+// gradually rewrites), and holds every LOOKUP and RANGELOOKUP to
+// refCollect.
 func TestCollectMatchesReference(t *testing.T) {
-	for _, f := range []postings.Format{postings.FormatV2, postings.FormatV1} {
+	for _, leg := range []struct {
+		format string
+		seed   int64
+	}{{"v2", 2}, {"v1", 1}} {
 		for _, kind := range []IndexKind{IndexEager, IndexLazy, IndexComposite} {
-			if kind == IndexComposite && f == postings.FormatV1 {
-				continue // no posting lists
-			}
-			t.Run(kind.String()+"/"+f.String(), func(t *testing.T) {
+			t.Run(kind.String()+"/"+leg.format, func(t *testing.T) {
 				dir := t.TempDir()
+				if leg.format == "v1" {
+					dir = copySeedFormat(t, kind)
+				}
 				opts := smallOptions(kind)
-				opts.PostingsFormat = f
 				db, err := Open(dir, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer func() { db.Close() }()
-				rng := rand.New(rand.NewSource(int64(kind)*10 + int64(f)))
+				rng := rand.New(rand.NewSource(int64(kind)*10 + leg.seed))
 				user := func() string { return fmt.Sprintf("u%02d", rng.Intn(12)) }
 				steps, fresh := 600, 0
 				for step := 0; step < steps; step++ {

@@ -75,11 +75,6 @@ type Options struct {
 	// Compression selects the SSTable block codec. Default: flate
 	// (disable for paper Appendix C.2 runs).
 	DisableCompression bool
-	// RestartInterval is the SSTable restart-point spacing (full keys per
-	// data block, format v2). 0 means sstable.DefaultRestartInterval;
-	// negative writes legacy v1 blocks with linear-only in-block search
-	// (the seed format, kept for ablations and compatibility tests).
-	RestartInterval int
 	// L0CompactionTrigger is the number of level-0 files that forces an
 	// L0→L1 compaction. Default 4.
 	L0CompactionTrigger int
@@ -210,7 +205,6 @@ func (o Options) tableOptions(compaction bool) sstable.Options {
 		BitsPerKey:          o.BitsPerKey,
 		SecondaryBitsPerKey: o.SecondaryBitsPerKey,
 		Compression:         o.compression(),
-		RestartInterval:     o.RestartInterval,
 		SecondaryAttrs:      o.SecondaryAttrs,
 		Stats:               o.Stats,
 		CompactionIO:        compaction,

@@ -5,11 +5,12 @@ import (
 	"testing"
 )
 
-// benchFragments builds nFrags fragments of size entries each in format
-// f, newest-first within each fragment and across fragments (fragment 0
-// carries the highest sequence numbers), with disjoint primary keys —
-// the shape the Lazy index's strata hand to LOOKUP and compaction.
-func benchFragments(nFrags, size int, f Format) [][]byte {
+// benchFragments builds nFrags fragments of size entries each, written by
+// encode, newest-first within each fragment and across fragments
+// (fragment 0 carries the highest sequence numbers), with disjoint
+// primary keys — the shape the Lazy index's strata hand to LOOKUP and
+// compaction.
+func benchFragments(nFrags, size int, encode func(List) []byte) [][]byte {
 	var frags [][]byte
 	seq := uint64(nFrags*size + 1)
 	for fr := 0; fr < nFrags; fr++ {
@@ -18,27 +19,27 @@ func benchFragments(nFrags, size int, f Format) [][]byte {
 			seq--
 			l[i] = Entry{Key: fmt.Sprintf("t%07d", fr*size+i), Seq: seq}
 		}
-		frags = append(frags, EncodeFormat(l, f))
+		frags = append(frags, encode(l))
 	}
 	return frags
 }
 
 // BenchmarkPostingsMerge is the Lazy LOOKUP / compaction decode+merge in
 // isolation: a 4-way merge of size-entry fragments into a reused output
-// buffer, v1 (seed JSON) vs v2 (binary varint). This is the number the
-// PR's acceptance bar reads at entries=100.
+// buffer, from v1 (seed JSON) or v2 (binary varint) inputs; the output
+// is v2 either way.
 func BenchmarkPostingsMerge(b *testing.B) {
 	for _, size := range []int{10, 100, 1000} {
-		for _, f := range []Format{FormatV1, FormatV2} {
-			b.Run(fmt.Sprintf("entries=%d/%s", size, f), func(b *testing.B) {
-				frags := benchFragments(4, size, f)
+		for _, f := range encoders {
+			b.Run(fmt.Sprintf("entries=%d/%s", size, f.name), func(b *testing.B) {
+				frags := benchFragments(4, size, f.encode)
 				var sc MergeScratch
 				var out []byte
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					var err error
-					out, err = sc.Merge(out[:0], frags, false, f)
+					out, err = sc.Merge(out[:0], frags, false)
 					if err != nil {
 						b.Fatal(err)
 					}

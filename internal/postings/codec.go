@@ -54,14 +54,11 @@ func AppendList(dst []byte, l List) []byte {
 }
 
 // AppendSingle appends a one-entry fragment for key to dst — the fragment
-// a Lazy-index PUT writes. With FormatV2 and a dst of sufficient capacity
-// the call performs zero heap allocations.
+// a Lazy-index PUT writes. With a dst of sufficient capacity the call
+// performs zero heap allocations.
 //
 //lsm:hotpath
-func AppendSingle(dst []byte, key string, seq uint64, del bool, f Format) []byte {
-	if f.OrDefault() == FormatV1 {
-		return append(dst, Single(key, seq, del)...)
-	}
+func AppendSingle(dst []byte, key string, seq uint64, del bool) []byte {
 	dst = append(dst, MagicV2)
 	u := uint64(len(key)) << 1
 	if del {

@@ -3,8 +3,13 @@ package postings
 import (
 	"bytes"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -54,13 +59,13 @@ func TestV2RoundTripUnsortedAndHugeSeqs(t *testing.T) {
 
 func TestEncodeFormat(t *testing.T) {
 	l := sampleList()
-	v1 := EncodeFormat(l, FormatV1)
+	v1 := refEncodeV1(l)
 	if v1[0] != '[' {
 		t.Fatalf("v1 encoding not JSON: %q", v1)
 	}
-	v2 := EncodeFormat(l, FormatUnset) // unset resolves to v2
+	v2 := AppendList(nil, l)
 	if v2[0] != MagicV2 {
-		t.Fatalf("default encoding not v2: %x", v2)
+		t.Fatalf("v2 encoding has no magic: %x", v2)
 	}
 	if len(v2) >= len(v1) {
 		t.Fatalf("v2 (%d bytes) not smaller than v1 (%d bytes)", len(v2), len(v1))
@@ -73,18 +78,6 @@ func TestEncodeFormat(t *testing.T) {
 		if !reflect.DeepEqual(got, l) {
 			t.Fatalf("decode mismatch: %+v", got)
 		}
-	}
-}
-
-func TestParseFormat(t *testing.T) {
-	for s, want := range map[string]Format{"": FormatV2, "v2": FormatV2, "v1": FormatV1} {
-		got, err := ParseFormat(s)
-		if err != nil || got != want {
-			t.Fatalf("ParseFormat(%q) = %v, %v", s, got, err)
-		}
-	}
-	if _, err := ParseFormat("v3"); err == nil {
-		t.Fatal("ParseFormat accepted v3")
 	}
 }
 
@@ -111,7 +104,7 @@ func TestCursorEarlyStopConsumesPrefixOnly(t *testing.T) {
 func TestCursorV1Fallback(t *testing.T) {
 	l := sampleList()
 	var c Cursor
-	if err := c.Reset(Encode(l)); err != nil {
+	if err := c.Reset(refEncodeV1(l)); err != nil {
 		t.Fatal(err)
 	}
 	var got List
@@ -140,9 +133,9 @@ func TestCursorV1Fallback(t *testing.T) {
 func TestCursorCorruptInputs(t *testing.T) {
 	valid := AppendList(nil, sampleList())
 	for _, data := range [][]byte{
-		{MagicV2, 0x80},             // truncated uvarint
-		{MagicV2, 0x04},             // key length 2 past the buffer
-		{MagicV2, 0x02, 0x80},       // truncated seq varint
+		{MagicV2, 0x80},       // truncated uvarint
+		{MagicV2, 0x04},       // key length 2 past the buffer
+		{MagicV2, 0x02, 0x80}, // truncated seq varint
 		{MagicV2, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0x00}, // huge key length
 		valid[:len(valid)-1], // truncated key bytes
 	} {
@@ -161,46 +154,46 @@ func TestCursorCorruptInputs(t *testing.T) {
 	}
 }
 
+// TestAppendSingleMatchesSingle: the v2 one-entry fragment a Lazy PUT
+// writes decodes to the seed's one-entry v1 list.
 func TestAppendSingleMatchesSingle(t *testing.T) {
-	for _, f := range []Format{FormatV1, FormatV2} {
-		got, err := Decode(AppendSingle(nil, "t42", 7, true, f))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := Decode(Single("t42", 7, true))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%v: AppendSingle = %+v want %+v", f, got, want)
-		}
+	got, err := Decode(AppendSingle(nil, "t42", 7, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Decode(refEncodeV1(List{{Key: "t42", Seq: 7, Del: true}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("AppendSingle = %+v want %+v", got, want)
 	}
 }
 
 func TestAppendAddEquivalence(t *testing.T) {
 	base := sampleList()
-	for _, inFmt := range []Format{FormatV1, FormatV2} {
-		for _, outFmt := range []Format{FormatV1, FormatV2} {
-			existing := EncodeFormat(base, inFmt)
-			out, decoded, err := AppendAdd(nil, existing, "t3", 99, false, outFmt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if decoded != int64(len(base)) {
-				t.Fatalf("decoded = %d want %d", decoded, len(base))
-			}
-			got, err := Decode(out)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := Add(base, "t3", 99, false)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("in=%v out=%v: AppendAdd = %+v want %+v", inFmt, outFmt, got, want)
-			}
+	for _, in := range encoders {
+		out, decoded, err := AppendAdd(nil, in.encode(base), "t3", 99, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if decoded != int64(len(base)) {
+			t.Fatalf("decoded = %d want %d", decoded, len(base))
+		}
+		if out[0] != MagicV2 {
+			t.Fatalf("in=%s: AppendAdd wrote %q, not v2", in.name, out)
+		}
+		got, err := Decode(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := refAdd(base, "t3", 99, false)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("in=%s: AppendAdd = %+v want %+v", in.name, got, want)
 		}
 	}
 	// Missing list: prepend into nothing.
-	out, _, err := AppendAdd(nil, nil, "t1", 5, true, FormatV2)
+	out, _, err := AppendAdd(nil, nil, "t1", 5, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,32 +219,36 @@ func canonical(l List) List {
 	return out
 }
 
+// mergeStreams is MergeScratch.Merge on a fresh scratch.
+func mergeStreams(dst []byte, fragments [][]byte, dropDeleted bool) ([]byte, error) {
+	var s MergeScratch
+	return s.Merge(dst, fragments, dropDeleted)
+}
+
 func TestMergeStreamsMatchesMerge(t *testing.T) {
 	newer := List{{Key: "t5", Seq: 50}, {Key: "t2", Seq: 42, Del: true}, {Key: "t1", Seq: 25}}
 	older := List{{Key: "t2", Seq: 10}, {Key: "t1", Seq: 8}, {Key: "t0", Seq: 2}}
 	for _, drop := range []bool{false, true} {
 		want := canonical(Merge([]List{newer, older}, drop))
-		// All four format combinations of the two fragments, both output formats.
-		for _, f1 := range []Format{FormatV1, FormatV2} {
-			for _, f2 := range []Format{FormatV1, FormatV2} {
-				for _, outFmt := range []Format{FormatV1, FormatV2} {
-					frags := [][]byte{EncodeFormat(newer, f1), EncodeFormat(older, f2)}
-					out, err := MergeStreams(nil, frags, drop, outFmt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err := Decode(out)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(canonical(got), want) {
-						t.Fatalf("drop=%v %v+%v->%v: got %+v want %+v", drop, f1, f2, outFmt, got, want)
-					}
-					// Output must be newest-first.
-					for i := 1; i < len(got); i++ {
-						if got[i].Seq > got[i-1].Seq {
-							t.Fatalf("merge output not newest-first: %+v", got)
-						}
+		// All four format combinations of the two fragments.
+		for _, f1 := range encoders {
+			for _, f2 := range encoders {
+				frags := [][]byte{f1.encode(newer), f2.encode(older)}
+				out, err := mergeStreams(nil, frags, drop)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := Decode(out)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(canonical(got), want) {
+					t.Fatalf("drop=%v %s+%s: got %+v want %+v", drop, f1.name, f2.name, got, want)
+				}
+				// Output must be newest-first.
+				for i := 1; i < len(got); i++ {
+					if got[i].Seq > got[i-1].Seq {
+						t.Fatalf("merge output not newest-first: %+v", got)
 					}
 				}
 			}
@@ -265,7 +262,7 @@ func TestMergeStreamsUnsortedFallback(t *testing.T) {
 	unsorted := List{{Key: "a", Seq: 1}, {Key: "b", Seq: 9}, {Key: "a", Seq: 5}}
 	other := List{{Key: "b", Seq: 3}, {Key: "c", Seq: 2}}
 	want := canonical(Merge([]List{unsorted, other}, false))
-	out, err := MergeStreams(nil, [][]byte{AppendList(nil, unsorted), AppendList(nil, other)}, false, FormatV2)
+	out, err := mergeStreams(nil, [][]byte{AppendList(nil, unsorted), AppendList(nil, other)}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +278,7 @@ func TestMergeStreamsUnsortedFallback(t *testing.T) {
 func TestMergeStreamsCorruptFragmentFails(t *testing.T) {
 	good := AppendList(nil, sampleList())
 	for _, bad := range [][]byte{{MagicV2, 0x04}, []byte("{not json")} {
-		if _, err := MergeStreams(nil, [][]byte{good, bad}, false, FormatV2); err == nil {
+		if _, err := mergeStreams(nil, [][]byte{good, bad}, false); err == nil {
 			t.Fatalf("merge accepted corrupt fragment %x", bad)
 		}
 	}
@@ -293,7 +290,7 @@ func TestMergeScratchReuse(t *testing.T) {
 	a := AppendList(nil, List{{Key: "x", Seq: 4}})
 	b := AppendList(nil, List{{Key: "y", Seq: 2}})
 	for i := 0; i < 3; i++ {
-		out, err := s.Merge(buf[:0], [][]byte{a, b}, false, FormatV2)
+		out, err := s.Merge(buf[:0], [][]byte{a, b}, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,15 +311,20 @@ func TestMergeScratchReuse(t *testing.T) {
 // bug left stale Cursor structs in the scratch's slice after shift-
 // removal; on reuse two v1 cursors shared one keyBuf backing array and
 // clobbered each other's current key, collapsing the chain to two
-// mismatched entries. Both formats must grow the list by one per round.
+// mismatched entries. The list must grow by one per round whether both
+// inputs of every merge are v1 (re-encoded before each round) or v2.
 func TestMergeScratchReuseChainedV1(t *testing.T) {
-	for _, f := range []Format{FormatV1, FormatV2} {
-		t.Run(f.String(), func(t *testing.T) {
+	for _, f := range encoders {
+		t.Run(f.name, func(t *testing.T) {
 			var sc MergeScratch
 			var existing []byte
 			for i := 0; i < 10; i++ {
-				incoming := AppendSingle(nil, fmt.Sprintf("t%04d", i), uint64(100+i), false, f)
-				out, err := sc.Merge(nil, [][]byte{incoming, existing}, false, f)
+				prev, err := Decode(existing)
+				if err != nil {
+					t.Fatal(err)
+				}
+				incoming := f.encode(List{{Key: fmt.Sprintf("t%04d", i), Seq: uint64(100 + i)}})
+				out, err := sc.Merge(nil, [][]byte{incoming, f.encode(prev)}, false)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -349,7 +351,7 @@ func TestMergeScratchReuseChainedV1(t *testing.T) {
 func TestAppendSingleAllocationFree(t *testing.T) {
 	dst := make([]byte, 0, 64)
 	allocs := testing.AllocsPerRun(100, func() {
-		dst = AppendSingle(dst[:0], "tweet-0001234", 123456, false, FormatV2)
+		dst = AppendSingle(dst[:0], "tweet-0001234", 123456, false)
 	})
 	if allocs != 0 {
 		t.Fatalf("AppendSingle allocated %.1f times per call", allocs)
@@ -384,7 +386,7 @@ func TestAppendAddAllocationFree(t *testing.T) {
 	existing := AppendList(nil, sampleList())
 	dst := make([]byte, 0, 256)
 	allocs := testing.AllocsPerRun(100, func() {
-		out, _, err := AppendAdd(dst[:0], existing, "t3", 99, false, FormatV2)
+		out, _, err := AppendAdd(dst[:0], existing, "t3", 99, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -396,17 +398,45 @@ func TestAppendAddAllocationFree(t *testing.T) {
 }
 
 func TestV1EncodingUnchangedBySniffing(t *testing.T) {
-	// Byte-for-byte: the v1 writer output must be exactly what the seed
-	// produced, so existing databases remain readable and re-writable.
+	// Byte-for-byte: the reference v1 writer must produce exactly what the
+	// seed wrote, so the v1 inputs of these tests are the lists seed
+	// databases hold.
 	l := List{{Key: "t4", Seq: 4}, {Key: "t1", Seq: 1, Del: true}}
 	want := `[{"k":"t4","s":4},{"k":"t1","s":1,"d":true}]`
-	if got := string(EncodeFormat(l, FormatV1)); got != want {
+	if got := string(refEncodeV1(l)); got != want {
 		t.Fatalf("v1 bytes changed: %s", got)
 	}
-	if got := string(Encode(l)); got != want {
-		t.Fatalf("Encode bytes changed: %s", got)
+	if got := refEncodeV1(List{{Key: "t9", Seq: 9}}); !bytes.Equal(got, []byte(`[{"k":"t9","s":9}]`)) {
+		t.Fatalf("one-entry v1 bytes changed: %s", got)
 	}
-	if !bytes.Equal(Single("t9", 9, false), []byte(`[{"k":"t9","s":9}]`)) {
-		t.Fatalf("Single bytes changed: %s", Single("t9", 9, false))
+}
+
+// TestV1WriterOnlyInTests keeps the v1 writer out of the package: no
+// non-test file may encode JSON. Decoding v1 lists stays.
+func TestV1WriterOnlyInTests(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "json" &&
+				(strings.HasPrefix(sel.Sel.Name, "Marshal") || sel.Sel.Name == "NewEncoder") {
+				t.Errorf("%s: json.%s in non-test code", fset.Position(sel.Pos()), sel.Sel.Name)
+			}
+			return true
+		})
 	}
 }

@@ -60,16 +60,16 @@ func FuzzPostingsRoundTrip(f *testing.F) {
 		l := listFromFuzz(data)
 
 		// Both encodings must round-trip exactly.
-		for _, fm := range []Format{FormatV1, FormatV2} {
-			got, err := Decode(EncodeFormat(l, fm))
+		for _, fm := range encoders {
+			got, err := Decode(fm.encode(l))
 			if err != nil {
-				t.Fatalf("%v round trip: %v", fm, err)
+				t.Fatalf("%s round trip: %v", fm.name, err)
 			}
 			if len(l) == 0 && len(got) == 0 {
 				continue
 			}
 			if !reflect.DeepEqual(got, l) {
-				t.Fatalf("%v round trip = %+v want %+v", fm, got, l)
+				t.Fatalf("%s round trip = %+v want %+v", fm.name, got, l)
 			}
 		}
 
@@ -80,13 +80,9 @@ func FuzzPostingsRoundTrip(f *testing.F) {
 			want := canonical(Merge(frags, drop))
 			var enc [][]byte
 			for i, frag := range frags {
-				fm := FormatV2
-				if i%2 == 1 {
-					fm = FormatV1
-				}
-				enc = append(enc, EncodeFormat(frag, fm))
+				enc = append(enc, encoders[1-i%2].encode(frag)) // v2, v1, v2, ...
 			}
-			out, err := MergeStreams(nil, enc, drop, FormatV2)
+			out, err := mergeStreams(nil, enc, drop)
 			if err != nil {
 				t.Fatalf("MergeStreams: %v", err)
 			}
@@ -99,21 +95,21 @@ func FuzzPostingsRoundTrip(f *testing.F) {
 			}
 		}
 
-		// AppendAdd must match the decoded-path Add for both encodings.
+		// AppendAdd must match the decoded-path refAdd for both encodings.
 		if len(l) > 0 {
 			key, seq := l[0].Key, l[0].Seq+100
-			want := Add(l, key, seq, false)
-			for _, fm := range []Format{FormatV1, FormatV2} {
-				out, _, err := AppendAdd(nil, EncodeFormat(l, fm), key, seq, false, fm)
+			want := refAdd(l, key, seq, false)
+			for _, fm := range encoders {
+				out, _, err := AppendAdd(nil, fm.encode(l), key, seq, false)
 				if err != nil {
-					t.Fatalf("AppendAdd %v: %v", fm, err)
+					t.Fatalf("AppendAdd %s: %v", fm.name, err)
 				}
 				got, err := Decode(out)
 				if err != nil {
-					t.Fatalf("decode AppendAdd %v: %v", fm, err)
+					t.Fatalf("decode AppendAdd %s: %v", fm.name, err)
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%v AppendAdd = %+v want %+v", fm, got, want)
+					t.Fatalf("%s AppendAdd = %+v want %+v", fm.name, got, want)
 				}
 			}
 		}
@@ -148,10 +144,10 @@ func FuzzPostingsGarbage(f *testing.F) {
 			t.Fatalf("Cursor yielded %d entries, Decode %d", n, len(l))
 		}
 
-		if _, merr := MergeStreams(nil, [][]byte{data, data}, false, FormatV2); (merr == nil) != (err == nil) {
+		if _, merr := mergeStreams(nil, [][]byte{data, data}, false); (merr == nil) != (err == nil) {
 			t.Fatalf("Decode err=%v but MergeStreams err=%v", err, merr)
 		}
-		if _, _, aerr := AppendAdd(nil, data, "k", 1, false, FormatV2); (aerr == nil) != (err == nil) {
+		if _, _, aerr := AppendAdd(nil, data, "k", 1, false); (aerr == nil) != (err == nil) {
 			t.Fatalf("Decode err=%v but AppendAdd err=%v", err, aerr)
 		}
 	})

@@ -27,9 +27,8 @@ type MergeScratch struct {
 	cursors []Cursor
 	seen    KeySet
 
-	// Fallback buffers for unsorted fragments and v1-encoded output.
+	// Fallback buffer for unsorted fragments.
 	frags []List
-	list  List
 
 	entries int64
 	bytes   int64
@@ -54,19 +53,9 @@ func (s *MergeScratch) EntriesEmitted() int64 { return s.emitted }
 // encoded list appended to dst (pass a reused buffer sliced to [:0]): per
 // primary key only the newest entry survives; dropDeleted removes
 // surviving deletion markers (bottom-level compaction). The output is
-// encoded in format f, ordered newest first. Any structurally corrupt
-// fragment fails the whole merge.
-func (s *MergeScratch) Merge(dst []byte, fragments [][]byte, dropDeleted bool, f Format) ([]byte, error) {
-	if f.OrDefault() == FormatV1 {
-		s.list = s.list[:0]
-		err := s.MergeFunc(fragments, dropDeleted, func(key []byte, seq uint64, del bool) {
-			s.list = append(s.list, Entry{Key: string(key), Seq: seq, Del: del})
-		})
-		if err != nil {
-			return nil, err
-		}
-		return append(dst, Encode(s.list)...), nil
-	}
+// v2-encoded, ordered newest first. Any structurally corrupt fragment
+// fails the whole merge.
+func (s *MergeScratch) Merge(dst []byte, fragments [][]byte, dropDeleted bool) ([]byte, error) {
 	dst = append(dst, MagicV2)
 	prev := uint64(0)
 	err := s.MergeFunc(fragments, dropDeleted, func(key []byte, seq uint64, del bool) {
@@ -264,37 +253,18 @@ func (ks *KeySet) grow() {
 	}
 }
 
-// MergeStreams is the convenience form of MergeScratch.Merge for callers
-// without a scratch to reuse.
-func MergeStreams(dst []byte, fragments [][]byte, dropDeleted bool, f Format) ([]byte, error) {
-	var s MergeScratch
-	return s.Merge(dst, fragments, dropDeleted, f)
-}
-
 // AppendAdd re-encodes existing (either format; nil for a missing list)
 // with a new posting for key prepended and any older entry for the same
 // primary key removed — the Eager index's read-modify-write — appending
-// the result to dst (pass a reused buffer sliced to [:0]) in format f.
-// The stored list is already newest-first, so the update is a streaming
-// prepend + dedup with no re-sort and, for v2 in/out with sufficient dst
+// the result to dst (pass a reused buffer sliced to [:0]) in v2. The
+// stored list is already newest-first, so the update is a streaming
+// prepend + dedup with no re-sort and, for v2 input with sufficient dst
 // capacity, no heap allocation. decoded reports the entries read from
 // existing (I/O accounting).
-func AppendAdd(dst []byte, existing []byte, key string, seq uint64, del bool, f Format) (out []byte, decoded int64, err error) {
+func AppendAdd(dst []byte, existing []byte, key string, seq uint64, del bool) (out []byte, decoded int64, err error) {
 	var c Cursor
 	if err := c.Reset(existing); err != nil {
 		return nil, 0, err
-	}
-	if f.OrDefault() == FormatV1 {
-		l := List{{Key: key, Seq: seq, Del: del}}
-		for c.Next() {
-			if string(c.Key()) != key {
-				l = append(l, Entry{Key: string(c.Key()), Seq: c.Seq(), Del: c.Del()})
-			}
-		}
-		if err := c.Err(); err != nil {
-			return nil, 0, err
-		}
-		return append(dst, Encode(l)...), c.EntriesDecoded(), nil
 	}
 	dst = append(dst, MagicV2)
 	u := uint64(len(key)) << 1

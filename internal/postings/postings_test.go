@@ -1,13 +1,53 @@
 package postings
 
 import (
+	"encoding/json"
 	"testing"
 	"testing/quick"
 )
 
+// refEncodeV1 is the seed's posting-list writer: the list as a single
+// JSON array of {k, s, d} objects, the paper's representation ("Posting
+// lists can be serialized as a single JSON array"). The package reads v1
+// but no longer writes it; tests write it to keep that reading covered.
+func refEncodeV1(l List) []byte {
+	if len(l) == 0 {
+		return []byte("[]")
+	}
+	data, err := json.Marshal(l)
+	if err != nil {
+		panic(err) // a List of plain structs cannot fail to marshal
+	}
+	return data
+}
+
+// encoders writes a list in each format the package reads.
+var encoders = []struct {
+	name   string
+	encode func(List) []byte
+}{
+	{"v1", refEncodeV1},
+	{"v2", func(l List) []byte { return AppendList(nil, l) }},
+}
+
+// refAdd prepends a new posting for key with seq, superseding any
+// existing entry for the same primary key — the Eager index's
+// read-modify-write step on a decoded list, the reference for AppendAdd.
+// The input's newest-first order is preserved without re-sorting.
+func refAdd(l List, key string, seq uint64, del bool) List {
+	out := make(List, 0, len(l)+1)
+	out = append(out, Entry{Key: key, Seq: seq, Del: del})
+	for _, e := range l {
+		if e.Key != key {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	l := List{{Key: "t4", Seq: 4}, {Key: "t1", Seq: 1, Del: true}}
-	got, err := Decode(Encode(l))
+	got, err := Decode(refEncodeV1(l))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,9 +72,9 @@ func TestDecodeCorrupt(t *testing.T) {
 }
 
 func TestSingle(t *testing.T) {
-	l, err := Decode(Single("t9", 9, false))
+	l, err := Decode(AppendSingle(nil, "t9", 9, false))
 	if err != nil || len(l) != 1 || l[0].Key != "t9" || l[0].Seq != 9 || l[0].Del {
-		t.Fatalf("Single = %+v, %v", l, err)
+		t.Fatalf("AppendSingle = %+v, %v", l, err)
 	}
 }
 
@@ -72,13 +112,13 @@ func TestMergeDeletionMarkers(t *testing.T) {
 
 func TestAddSupersedes(t *testing.T) {
 	l := List{{Key: "t1", Seq: 5}, {Key: "t2", Seq: 3}}
-	l = Add(l, "t1", 9, false)
+	l = refAdd(l, "t1", 9, false)
 	if len(l) != 2 || l[0].Key != "t1" || l[0].Seq != 9 || l[1].Key != "t2" {
-		t.Fatalf("Add = %+v", l)
+		t.Fatalf("refAdd = %+v", l)
 	}
-	l = Add(l, "t3", 12, true)
+	l = refAdd(l, "t3", 12, true)
 	if len(l) != 3 || l[0].Key != "t3" || !l[0].Del {
-		t.Fatalf("Add del = %+v", l)
+		t.Fatalf("refAdd del = %+v", l)
 	}
 }
 

@@ -10,30 +10,18 @@ import (
 )
 
 // benchTable builds a 10k-entry table with ~50-byte values (≈64 entries
-// per 4 KiB block) at the given block size and restart interval
-// (-1 = legacy v1 linear blocks, the seed format).
-func benchTable(tb testing.TB, blockSize, restartInterval int, stats *metrics.IOStats) (*Table, int) {
+// per 4 KiB block) at the given block size and restart interval (<= 0:
+// the seed's v1 linear blocks, from the reference writer).
+func benchTable(tb testing.TB, blockSize, interval int, stats *metrics.IOStats) (*Table, int) {
 	tb.Helper()
-	var buf bytes.Buffer
-	b := NewBuilder(&buf, Options{
-		BlockSize:       blockSize,
-		BitsPerKey:      10,
-		Compression:     NoCompression,
-		RestartInterval: restartInterval,
-	})
 	const n = 10000
 	val := bytes.Repeat([]byte("v"), 50)
-	for i := 0; i < n; i++ {
-		ik := ikey.Make([]byte(fmt.Sprintf("t%08d", i)), uint64(i+1), ikey.KindSet)
-		if err := b.Add(ik, val, nil); err != nil {
-			tb.Fatal(err)
-		}
+	entries := make([]tableEntry, n)
+	for i := range entries {
+		entries[i] = tableEntry{ik: ikey.Make([]byte(fmt.Sprintf("t%08d", i)), uint64(i+1), ikey.KindSet), val: val}
 	}
-	size, err := b.Finish()
-	if err != nil {
-		tb.Fatal(err)
-	}
-	t, err := OpenTable(bytes.NewReader(buf.Bytes()), size, stats)
+	data := formatTableBytes(tb, entries, Options{BlockSize: blockSize, BitsPerKey: 10, Compression: NoCompression}, interval)
+	t, err := OpenTable(bytes.NewReader(data), int64(len(data)), stats)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -41,11 +29,11 @@ func benchTable(tb testing.TB, blockSize, restartInterval int, stats *metrics.IO
 }
 
 var benchFormats = []struct {
-	name            string
-	restartInterval int
+	name     string
+	interval int
 }{
-	{"linear", -1},   // v1: whole-block scan (seed behaviour)
-	{"restart16", 0}, // v2: binary seek over restart points (default interval)
+	{"linear", 0},                  // v1: whole-block scan (seed behaviour)
+	{"restart16", restartInterval}, // v2: binary seek over restart points
 }
 
 var benchBlockSizes = []int{4096, 16384, 65536}
@@ -60,7 +48,7 @@ func BenchmarkTableGet(b *testing.B) {
 		for _, f := range benchFormats {
 			b.Run(fmt.Sprintf("block=%d/%s", bs, f.name), func(b *testing.B) {
 				var stats metrics.IOStats
-				tbl, n := benchTable(b, bs, f.restartInterval, &stats)
+				tbl, n := benchTable(b, bs, f.interval, &stats)
 				var sc GetScratch
 				keys := make([][]byte, n)
 				for i := range keys {
@@ -91,7 +79,7 @@ func BenchmarkSeekGE(b *testing.B) {
 		for _, f := range benchFormats {
 			b.Run(fmt.Sprintf("block=%d/%s", bs, f.name), func(b *testing.B) {
 				var stats metrics.IOStats
-				tbl, n := benchTable(b, bs, f.restartInterval, &stats)
+				tbl, n := benchTable(b, bs, f.interval, &stats)
 				it := tbl.NewIterator(true)
 				seeks := make([][]byte, n)
 				for i := range seeks {
@@ -117,9 +105,9 @@ func BenchmarkSeekGE(b *testing.B) {
 // default 4 KiB block size the restart-point seek must decode at least 2×
 // fewer entries per GET than the v1 linear scan.
 func TestRestartSeekDecodesFewer(t *testing.T) {
-	perGet := func(restartInterval int) float64 {
+	perGet := func(interval int) float64 {
 		var stats metrics.IOStats
-		tbl, n := benchTable(t, 4096, restartInterval, &stats)
+		tbl, n := benchTable(t, 4096, interval, &stats)
 		var sc GetScratch
 		before := stats.Snapshot()
 		for i := 0; i < n; i++ {
@@ -131,8 +119,8 @@ func TestRestartSeekDecodesFewer(t *testing.T) {
 		}
 		return stats.Snapshot().Sub(before).EntriesDecodedPerGet()
 	}
-	linear := perGet(-1)
-	restart := perGet(0)
+	linear := perGet(0)
+	restart := perGet(restartInterval)
 	t.Logf("decodes/get: linear=%.2f restart=%.2f (%.1fx)", linear, restart, linear/restart)
 	if restart <= 0 {
 		t.Fatal("restart path decoded nothing; counter broken?")

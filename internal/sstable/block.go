@@ -6,12 +6,13 @@
 // indexed secondary attribute. All filters and maps are memory resident
 // once a table is opened; disk is touched only for data blocks.
 //
-// Two block formats coexist (DESIGN.md §5.2). Format v1 (the seed) is a
-// plain prefix-compressed entry stream, searchable only by linear scan.
-// Format v2 adds LevelDB's restart array: every RestartInterval-th entry
-// is written with a full (non-shared) key, and the block ends with the
-// byte offsets of those restart entries plus their count. Point reads and
-// seeks binary-search the restart points and decode at most one interval.
+// Two block formats are read (DESIGN.md §5.2); only v2 is written. Format
+// v1 (the seed) is a plain prefix-compressed entry stream, searchable only
+// by linear scan. Format v2 adds LevelDB's restart array: every
+// restartInterval-th entry is written with a full (non-shared) key, and
+// the block ends with the byte offsets of those restart entries plus their
+// count. Point reads and seeks binary-search the restart points and decode
+// at most one interval.
 package sstable
 
 import (
@@ -40,9 +41,9 @@ const (
 	FlateCompression Compression = 1
 )
 
-// DefaultRestartInterval is the v2 block restart spacing: one full
-// (non-shared) key every this many entries (LevelDB's constant).
-const DefaultRestartInterval = 16
+// restartInterval is the block restart spacing: one full (non-shared) key
+// every this many entries (LevelDB's constant).
+const restartInterval = 16
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
@@ -51,22 +52,21 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // that differs from the previous entry's key.
 // Entry wire format: varint(sharedLen) varint(unsharedLen) varint(valLen)
 // unsharedKeyBytes value.
-// With restartInterval > 0 (format v2) every restartInterval-th entry is
-// stored with sharedLen 0 and its offset recorded; finish appends the
-// restart offsets and their count — both big-endian uint32 — after the
-// entries, inside the compressed/checksummed payload.
+// Every restartInterval-th entry is stored with sharedLen 0 and its offset
+// recorded; finish appends the restart offsets and their count — both
+// big-endian uint32 — after the entries, inside the compressed/checksummed
+// payload.
 //
 // A blockBuilder is reused for every block of a table: its buffers survive
 // reset, so a block costs no allocation once they have grown to the block
 // size. It holds no encoder: finish borrows one from deflaters for the
 // call, so a builder dropped without Finish strands nothing.
 type blockBuilder struct {
-	buf             []byte // entries; finish appends the trailer in place
-	prevKey         []byte
-	count           int
-	restartInterval int // <=0 writes v1 blocks with no restart trailer
-	restarts        []uint32
-	sinceRestart    int
+	buf          []byte // entries; finish appends the trailer in place
+	prevKey      []byte
+	count        int
+	restarts     []uint32
+	sinceRestart int
 
 	cbuf []byte // the current block deflated
 }
@@ -89,7 +89,7 @@ func sharedPrefixLen(a, b []byte) int {
 
 func (b *blockBuilder) add(key, value []byte) {
 	shared := 0
-	if b.restartInterval > 0 && b.sinceRestart%b.restartInterval == 0 {
+	if b.sinceRestart%restartInterval == 0 {
 		b.restarts = append(b.restarts, uint32(len(b.buf)))
 		b.sinceRestart = 0
 	} else {
@@ -106,14 +106,9 @@ func (b *blockBuilder) add(key, value []byte) {
 }
 
 // sizeEstimate includes the pending restart trailer so block cutting
-// accounts for the real on-disk payload; v1 blocks keep the seed's
-// entries-only estimate so legacy tables cut at identical boundaries.
-func (b *blockBuilder) sizeEstimate() int {
-	if b.restartInterval > 0 {
-		return len(b.buf) + 4*len(b.restarts) + 4
-	}
-	return len(b.buf)
-}
+// accounts for the real on-disk payload.
+func (b *blockBuilder) sizeEstimate() int { return len(b.buf) + 4*len(b.restarts) + 4 }
+
 func (b *blockBuilder) empty() bool { return b.count == 0 }
 
 func (b *blockBuilder) reset() {
@@ -125,23 +120,21 @@ func (b *blockBuilder) reset() {
 }
 
 // finish returns the physical block: payload, a codec byte, and a CRC32C
-// of payload+codec. For v2 the payload is entries + restart trailer; the
-// CRC therefore covers the restart array too. The payload is compressed
+// of payload+codec. The payload is entries + restart trailer; the CRC
+// therefore covers the restart array too. The payload is compressed
 // only when that actually shrinks it (LevelDB applies the same rule).
 // The result is built in the builder's own buffers and is valid until the
 // next reset.
 //
 //lsm:hotpath
 func (b *blockBuilder) finish(c Compression) ([]byte, error) {
-	if b.restartInterval > 0 {
-		if len(b.buf) > math.MaxUint32 {
-			return nil, fmt.Errorf("sstable: block of %d bytes exceeds restart-offset range", len(b.buf))
-		}
-		for _, r := range b.restarts {
-			b.buf = binary.BigEndian.AppendUint32(b.buf, r)
-		}
-		b.buf = binary.BigEndian.AppendUint32(b.buf, uint32(len(b.restarts)))
+	if len(b.buf) > math.MaxUint32 {
+		return nil, fmt.Errorf("sstable: block of %d bytes exceeds restart-offset range", len(b.buf))
 	}
+	for _, r := range b.restarts {
+		b.buf = binary.BigEndian.AppendUint32(b.buf, r)
+	}
+	b.buf = binary.BigEndian.AppendUint32(b.buf, uint32(len(b.restarts)))
 	if c == FlateCompression {
 		if b.cbuf = deflate(b.cbuf[:0], b.buf); len(b.cbuf) < len(b.buf) {
 			b.cbuf = append(b.cbuf, byte(FlateCompression))

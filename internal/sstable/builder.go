@@ -24,13 +24,6 @@ type Options struct {
 	SecondaryBitsPerKey int
 	// Compression selects the block codec.
 	Compression Compression
-	// RestartInterval is the spacing of full (non-shared) keys in each
-	// data block — the v2 restart-point format that makes in-block seeks
-	// a binary search instead of a linear decode. 0 means
-	// DefaultRestartInterval (16). A negative value disables restarts and
-	// writes the legacy v1 block format and footer, byte-identical to the
-	// seed builder (used by format-compatibility tests and ablations).
-	RestartInterval int
 	// SecondaryAttrs lists the attributes for which embedded bloom
 	// filters and zone maps are built (paper §3). May be empty.
 	SecondaryAttrs []string
@@ -51,19 +44,7 @@ func (o Options) withDefaults() Options {
 	if o.SecondaryBitsPerKey <= 0 {
 		o.SecondaryBitsPerKey = o.BitsPerKey
 	}
-	if o.RestartInterval == 0 {
-		o.RestartInterval = DefaultRestartInterval
-	}
 	return o
-}
-
-// formatVersion returns the table format the options produce: 2 with a
-// restart array, 1 (the seed format) when restarts are disabled.
-func (o Options) formatVersion() int {
-	if o.RestartInterval > 0 {
-		return formatV2
-	}
-	return formatV1
 }
 
 // AttrValue carries one indexed secondary attribute value for an entry
@@ -184,8 +165,8 @@ func zoneOf(values [][]byte) zone {
 // data blocks of the default 4 KiB (about 20 once compressed).
 const tableWriteBuffer = 64 << 10
 
-// Builder writes an SSTable to w. Entries must be added in strictly
-// increasing internal-key order.
+// Builder writes an SSTable in format v2 to w. Entries must be added in
+// strictly increasing internal-key order.
 type Builder struct {
 	w    *bufio.Writer
 	opts Options
@@ -210,9 +191,6 @@ func NewBuilder(w io.Writer, opts Options) *Builder {
 	b := &Builder{
 		w:    bufio.NewWriterSize(w, tableWriteBuffer),
 		opts: opts,
-	}
-	if opts.RestartInterval > 0 {
-		b.block.restartInterval = opts.RestartInterval
 	}
 	for _, a := range opts.SecondaryAttrs {
 		if b.attr(a) == nil {
@@ -325,7 +303,8 @@ func (b *Builder) flushBlock() error {
 }
 
 const (
-	// footerLen is the legacy v1 footer: metaOff(8) metaLen(8) magic(8).
+	// footerLen is the seed's v1 footer: metaOff(8) metaLen(8) magic(8).
+	// The reader accepts it; Builder writes only the v2 footer.
 	footerLen = 24
 	// footerLenV2 adds one format-version byte between metaLen and the
 	// (new) magic: metaOff(8) metaLen(8) version(1) magicV2(8). A distinct
@@ -370,21 +349,15 @@ func (b *Builder) Finish() (int64, error) {
 	var footer [footerLenV2]byte
 	binary.BigEndian.PutUint64(footer[0:8], metaOff)
 	binary.BigEndian.PutUint64(footer[8:16], uint64(len(meta)))
-	n := footerLen
-	if b.opts.formatVersion() >= formatV2 {
-		footer[16] = formatV2
-		binary.BigEndian.PutUint64(footer[17:25], tableMagic2)
-		n = footerLenV2
-	} else {
-		binary.BigEndian.PutUint64(footer[16:24], tableMagic)
-	}
-	if _, err := b.w.Write(footer[:n]); err != nil {
+	footer[16] = formatV2
+	binary.BigEndian.PutUint64(footer[17:25], tableMagic2)
+	if _, err := b.w.Write(footer[:]); err != nil {
 		return 0, fmt.Errorf("sstable: write footer: %w", err)
 	}
 	if err := b.w.Flush(); err != nil {
 		return 0, fmt.Errorf("sstable: flush table: %w", err)
 	}
-	b.offset += uint64(n)
+	b.offset += footerLenV2
 	return int64(b.offset), nil
 }
 

@@ -104,19 +104,62 @@ func refFinish(entries []byte, restarts []uint32, v2 bool, c Compression) []byte
 	return binary.BigEndian.AppendUint32(out, crc32.Checksum(out, crcTable))
 }
 
+// refBlock writes block entries in either format at any restart
+// interval. It is the reference for blockBuilder, which writes v2 at
+// restartInterval only, and the one writer of v1 blocks (interval <= 0):
+// no restart points, and the seed builder's entries-only size estimate,
+// so v1 tables cut their blocks where the seed cut them.
+type refBlock struct {
+	interval     int
+	buf, prevKey []byte
+	restarts     []uint32
+	n            int
+}
+
+func (b *refBlock) add(key, value []byte) {
+	shared := 0
+	if b.interval > 0 && b.n%b.interval == 0 {
+		b.restarts = append(b.restarts, uint32(len(b.buf)))
+	} else {
+		for shared < len(key) && shared < len(b.prevKey) && key[shared] == b.prevKey[shared] {
+			shared++
+		}
+	}
+	b.buf = binary.AppendUvarint(b.buf, uint64(shared))
+	b.buf = binary.AppendUvarint(b.buf, uint64(len(key)-shared))
+	b.buf = binary.AppendUvarint(b.buf, uint64(len(value)))
+	b.buf = append(b.buf, key[shared:]...)
+	b.buf = append(b.buf, value...)
+	b.prevKey = append(b.prevKey[:0], key...)
+	b.n++
+}
+
+func (b *refBlock) sizeEstimate() int {
+	if b.interval > 0 {
+		return len(b.buf) + 4*len(b.restarts) + 4
+	}
+	return len(b.buf)
+}
+
+func (b *refBlock) reset() { *b = refBlock{interval: b.interval} }
+
+// finish returns the physical block.
+func (b *refBlock) finish(c Compression) []byte {
+	return refFinish(b.buf, b.restarts, b.interval > 0, c)
+}
+
 // refTableBytes builds a table the way the builder did before it reused
 // anything: refFinish per block, one copy per user key, maps keyed by
 // attribute name, unbuffered output. It shares with the builder only what
-// did not change: entry encoding, block cutting, bloom.Build and the meta
-// encoding.
-func refTableBytes(entries []tableEntry, opts Options) []byte {
+// did not change: block cutting, bloom.Build and the meta encoding. Its
+// blocks are refBlocks at the given restart interval: at restartInterval
+// the table is the one Builder writes, and at interval <= 0 it is a v1
+// table with the seed's 24-byte footer.
+func refTableBytes(entries []tableEntry, opts Options, interval int) []byte {
 	opts = opts.withDefaults()
 	var out bytes.Buffer
 	ref := Builder{opts: opts}
-	bb := blockBuilder{}
-	if opts.RestartInterval > 0 {
-		bb.restartInterval = opts.RestartInterval
-	}
+	bb := refBlock{interval: interval}
 	metas := map[string]*secAttrMeta{}
 	values := map[string][][]byte{}
 	zones := map[string]*zone{}
@@ -126,7 +169,7 @@ func refTableBytes(entries []tableEntry, opts Options) []byte {
 	var userKeys [][]byte
 	var first, last []byte
 	flush := func() {
-		phys := refFinish(bb.buf, bb.restarts, opts.RestartInterval > 0, opts.Compression)
+		phys := bb.finish(opts.Compression)
 		out.Write(phys)
 		ref.blocks = append(ref.blocks, blockMeta{
 			offset: ref.offset, size: uint64(len(phys)),
@@ -147,7 +190,7 @@ func refTableBytes(entries []tableEntry, opts Options) []byte {
 		userKeys = nil
 	}
 	for _, e := range entries {
-		if bb.empty() {
+		if bb.n == 0 {
 			first = e.ik
 		}
 		last = e.ik
@@ -167,7 +210,7 @@ func refTableBytes(entries []tableEntry, opts Options) []byte {
 			flush()
 		}
 	}
-	if !bb.empty() {
+	if bb.n > 0 {
 		flush()
 	}
 	for _, a := range opts.SecondaryAttrs {
@@ -180,7 +223,7 @@ func refTableBytes(entries []tableEntry, opts Options) []byte {
 	var footer []byte
 	footer = binary.BigEndian.AppendUint64(footer, ref.offset)
 	footer = binary.BigEndian.AppendUint64(footer, uint64(len(meta)))
-	if opts.formatVersion() >= formatV2 {
+	if interval > 0 {
 		footer = append(footer, formatV2)
 		footer = binary.BigEndian.AppendUint64(footer, tableMagic2)
 	} else {
@@ -190,34 +233,49 @@ func refTableBytes(entries []tableEntry, opts Options) []byte {
 	return out.Bytes()
 }
 
+// formatTableBytes returns the table Builder writes when interval is
+// restartInterval, and the reference writer's table at any other interval
+// (v1 at interval <= 0).
+func formatTableBytes(tb testing.TB, entries []tableEntry, opts Options, interval int) []byte {
+	if interval == restartInterval {
+		return buildTableBytes(tb, entries, opts)
+	}
+	return refTableBytes(entries, opts, interval)
+}
+
 var codecCases = []struct {
-	name string
-	opts Options
+	name     string
+	opts     Options
+	interval int // the block restart interval; <= 0 writes v1
 	// sha256 of the seed-1, 1500-entry table as the parent commit's
 	// builder (a flate.NewWriter per block) wrote it.
 	parentSHA string
 }{
-	{"v2-flate-attrs", Options{BlockSize: 1024, Compression: FlateCompression, SecondaryAttrs: []string{"UserID", "CreationTime"}}, "adb92fece34b9252db5174a21c8730c9d8bbd378c90c94d1ff3a3c04e7cb7609"},
-	{"v2-none-attrs", Options{BlockSize: 1024, Compression: NoCompression, SecondaryAttrs: []string{"CreationTime", "UserID"}}, "3ac17be5dca660276a6936a8a8a833be8b5cc7cc714e5528c815513db88efef1"},
-	{"v1-flate", Options{BlockSize: 4096, Compression: FlateCompression, RestartInterval: -1, SecondaryAttrs: []string{"UserID"}}, "f468af00eb69962d7a5030e20db4dea9e0454f0035deda6c3a09bbca2afd805a"},
-	{"v1-none", Options{BlockSize: 4096, Compression: NoCompression, RestartInterval: -1}, "edb5c3e82793bf62469c27101f53f986f80e5e5e977d0b80077364cb9848b99c"},
-	{"v2-flate-restart4", Options{BlockSize: 512, Compression: FlateCompression, RestartInterval: 4, SecondaryBitsPerKey: 6, SecondaryAttrs: []string{"UserID", "UserID"}}, "8c4eb3c3f372223e1fa50a7cc9c88ca701e1f02cb6aba3e4723edb4d3d6d6818"},
+	{"v2-flate-attrs", Options{BlockSize: 1024, Compression: FlateCompression, SecondaryAttrs: []string{"UserID", "CreationTime"}}, restartInterval, "adb92fece34b9252db5174a21c8730c9d8bbd378c90c94d1ff3a3c04e7cb7609"},
+	{"v2-none-attrs", Options{BlockSize: 1024, Compression: NoCompression, SecondaryAttrs: []string{"CreationTime", "UserID"}}, restartInterval, "3ac17be5dca660276a6936a8a8a833be8b5cc7cc714e5528c815513db88efef1"},
+	{"v1-flate", Options{BlockSize: 4096, Compression: FlateCompression, SecondaryAttrs: []string{"UserID"}}, 0, "f468af00eb69962d7a5030e20db4dea9e0454f0035deda6c3a09bbca2afd805a"},
+	{"v1-none", Options{BlockSize: 4096, Compression: NoCompression}, 0, "edb5c3e82793bf62469c27101f53f986f80e5e5e977d0b80077364cb9848b99c"},
+	{"v2-flate-restart4", Options{BlockSize: 512, Compression: FlateCompression, SecondaryBitsPerKey: 6, SecondaryAttrs: []string{"UserID", "UserID"}}, 4, "8c4eb3c3f372223e1fa50a7cc9c88ca701e1f02cb6aba3e4723edb4d3d6d6818"},
 }
 
 // TestTableBytesMatchReference pins the on-disk format across the codec
 // reuse: every table must equal, byte for byte, what the per-block
-// reference encoder produces and what the parent commit wrote. Each case
-// builds four tables of different contents and sizes back to back, so the
-// later ones run through a pooled deflater and decoder that earlier tables
-// have used.
+// reference encoder produces and what the parent commit wrote. Builder
+// writes only the cases at restartInterval; the v1 and restart-4 tables
+// come from the reference writer alone and are read back through the
+// production reader. Each case builds four tables of different contents
+// and sizes back to back, so the later ones run through a pooled deflater
+// and decoder that earlier tables have used.
 func TestTableBytesMatchReference(t *testing.T) {
 	for _, c := range codecCases {
 		t.Run(c.name, func(t *testing.T) {
 			for seed, n := range []int{1500, 300, 2500, 40} {
 				entries := codecEntries(int64(seed+1), n)
-				got := buildTableBytes(t, entries, c.opts)
-				if want := refTableBytes(entries, c.opts); !bytes.Equal(got, want) {
-					t.Fatalf("seed %d: table of %d bytes differs from the %d-byte reference", seed+1, len(got), len(want))
+				got := refTableBytes(entries, c.opts, c.interval)
+				if c.interval == restartInterval {
+					if built := buildTableBytes(t, entries, c.opts); !bytes.Equal(built, got) {
+						t.Fatalf("seed %d: table of %d bytes differs from the %d-byte reference", seed+1, len(built), len(got))
+					}
 				}
 				if seed == 0 {
 					sum := sha256.Sum256(got)
@@ -325,7 +383,7 @@ func garbageFlateBlock(rng *rand.Rand, n int) []byte {
 func TestCorruptBlockDoesNotPoisonDecoder(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	keys, vals := fuzzEntries(rng, 80, 12, 40)
-	bb := blockBuilder{restartInterval: 16}
+	var bb blockBuilder
 	for i := range keys {
 		bb.add(keys[i], bytes.Repeat(vals[i], 3))
 	}
@@ -529,7 +587,7 @@ func TestConcurrentBuildAndRead(t *testing.T) {
 	tables := make([][]byte, workers)
 	for w := range inputs {
 		inputs[w] = codecEntries(int64(100+w), 400+150*w)
-		tables[w] = refTableBytes(inputs[w], opts)
+		tables[w] = refTableBytes(inputs[w], opts, restartInterval)
 	}
 	rounds := 6
 	if testing.Short() {

@@ -4,43 +4,39 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"leveldbpp/internal/ikey"
 	"leveldbpp/internal/metrics"
 )
 
-func buildFormatTable(t *testing.T, restartInterval int, stats *metrics.IOStats) ([]byte, *Table) {
+// buildFormatTable opens a 500-entry table at the given restart interval:
+// Builder's at restartInterval, the reference writer's v1 at interval <= 0.
+func buildFormatTable(t *testing.T, interval int, stats *metrics.IOStats) ([]byte, *Table) {
 	t.Helper()
-	var buf bytes.Buffer
-	b := NewBuilder(&buf, Options{
-		BlockSize:       512,
-		BitsPerKey:      10,
-		Compression:     NoCompression,
-		RestartInterval: restartInterval,
-	})
-	for i := 0; i < 500; i++ {
+	entries := make([]tableEntry, 500)
+	for i := range entries {
 		ik := ikey.Make([]byte(fmt.Sprintf("user%06d", i)), uint64(i+1), ikey.KindSet)
-		if err := b.Add(ik, []byte(fmt.Sprintf("payload-%06d", i)), nil); err != nil {
-			t.Fatal(err)
-		}
+		entries[i] = tableEntry{ik: ik, val: []byte(fmt.Sprintf("payload-%06d", i))}
 	}
-	size, err := b.Finish()
+	data := formatTableBytes(t, entries, Options{BlockSize: 512, BitsPerKey: 10, Compression: NoCompression}, interval)
+	tbl, err := OpenTable(bytes.NewReader(data), int64(len(data)), stats)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl, err := OpenTable(bytes.NewReader(buf.Bytes()), size, stats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes(), tbl
+	return data, tbl
 }
 
-// TestV1FooterUnchanged pins the legacy wire format: RestartInterval < 0
-// must produce a table whose trailing 24 bytes are the seed's v1 footer —
-// old readers depend on finding tableMagic at exactly size-8.
+// TestV1FooterUnchanged pins the seed's wire format: a v1 table ends in
+// the 24-byte v1 footer — old readers depend on finding tableMagic at
+// exactly size-8 — and the reader opens it as v1.
 func TestV1FooterUnchanged(t *testing.T) {
-	data, tbl := buildFormatTable(t, -1, nil)
+	data, tbl := buildFormatTable(t, 0, nil)
 	if got := binary.BigEndian.Uint64(data[len(data)-8:]); got != tableMagic {
 		t.Fatalf("v1 magic = %#x, want %#x", got, uint64(tableMagic))
 	}
@@ -63,7 +59,7 @@ func TestV1FooterUnchanged(t *testing.T) {
 }
 
 func TestV2FooterAndMagic(t *testing.T) {
-	data, tbl := buildFormatTable(t, 0, nil)
+	data, tbl := buildFormatTable(t, restartInterval, nil)
 	if got := binary.BigEndian.Uint64(data[len(data)-8:]); got != tableMagic2 {
 		t.Fatalf("v2 magic = %#x, want %#x", got, uint64(tableMagic2))
 	}
@@ -80,8 +76,8 @@ func TestV2FooterAndMagic(t *testing.T) {
 // path never charges BlockSeeks while the v2 path does.
 func TestFormatsReadIdentically(t *testing.T) {
 	var s1, s2 metrics.IOStats
-	_, t1 := buildFormatTable(t, -1, &s1)
-	_, t2 := buildFormatTable(t, 0, &s2)
+	_, t1 := buildFormatTable(t, 0, &s1)
+	_, t2 := buildFormatTable(t, restartInterval, &s2)
 
 	for i := 0; i < 500; i++ {
 		key := []byte(fmt.Sprintf("user%06d", i))
@@ -140,7 +136,7 @@ func TestFormatsReadIdentically(t *testing.T) {
 // on a block which fails to load must report the error, not silently step
 // to the next block.
 func TestSeekGELoadErrorSurfaces(t *testing.T) {
-	data, tbl := buildFormatTable(t, 0, nil)
+	data, tbl := buildFormatTable(t, restartInterval, nil)
 	// Corrupt the first data block's CRC so loading it fails.
 	corrupt := append([]byte(nil), data...)
 	corrupt[0] ^= 0xff
@@ -162,5 +158,47 @@ func TestSeekGELoadErrorSurfaces(t *testing.T) {
 	}
 	if err := it2.Err(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestV1WriterOnlyInTests keeps the v1 table writer out of the package:
+// outside its declaration, non-test code may name tableMagic only as a
+// case the footer sniff matches, never as a value it writes.
+func TestV1WriterOnlyInTests(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allowed := map[*ast.Ident]bool{}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.ValueSpec:
+				for _, id := range n.Names {
+					allowed[id] = true
+				}
+			case *ast.CaseClause:
+				for _, e := range n.List {
+					if id, ok := e.(*ast.Ident); ok {
+						allowed[id] = true
+					}
+				}
+			}
+			return true
+		})
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && id.Name == "tableMagic" && !allowed[id] {
+				t.Errorf("%s: tableMagic used outside the footer sniff", fset.Position(id.Pos()))
+			}
+			return true
+		})
 	}
 }

@@ -38,16 +38,13 @@ func fuzzEntries(rng *rand.Rand, n int, maxKeyLen, maxValLen int) (keys, vals []
 
 // buildRawBlock encodes the entries into one raw (decoded) block payload
 // using the given restart interval (<=0 for v1).
-func buildRawBlock(t testing.TB, keys, vals [][]byte, restartInterval int) []byte {
+func buildRawBlock(t testing.TB, keys, vals [][]byte, interval int) []byte {
 	t.Helper()
-	bb := blockBuilder{restartInterval: restartInterval}
+	bb := refBlock{interval: interval}
 	for i := range keys {
 		bb.add(keys[i], vals[i])
 	}
-	phys, err := bb.finish(NoCompression)
-	if err != nil {
-		t.Fatal(err)
-	}
+	phys := bb.finish(NoCompression)
 	d := blockDecoders.Get().(*blockDecoder)
 	defer blockDecoders.Put(d)
 	raw, err := d.decodeBlock(phys, &d.buf.raw)
@@ -60,10 +57,11 @@ func buildRawBlock(t testing.TB, keys, vals [][]byte, restartInterval int) []byt
 // FuzzBlockRoundTrip drives encode→decode→iterate→seek over random keys,
 // values and restart intervals. Each input pushes two different blocks
 // through one block builder (one flate writer) and one decoder: both must
-// come out byte-identical to the per-block reference encoder, and every
-// entry must survive the round trip; SeekGE must land exactly where a
-// reference linear search says, for present keys, absent keys, and the
-// extremes.
+// come out byte-identical to the per-block reference encoder. Every entry
+// must survive the round trip of the builder's block and of the reference
+// block at the fuzzed interval (v1 at <= 0); SeekGE must land exactly
+// where a reference linear search says, for present keys, absent keys,
+// and the extremes.
 func FuzzBlockRoundTrip(f *testing.F) {
 	f.Add(int64(1), 10, 16, 24, 32)
 	f.Add(int64(2), 1, 1, 1, 0)
@@ -82,29 +80,36 @@ func FuzzBlockRoundTrip(f *testing.F) {
 			t.Skip()
 		}
 		rng := rand.New(rand.NewSource(seed))
-		bb := blockBuilder{restartInterval: interval}
+		var bb blockBuilder
 		d := blockDecoders.Get().(*blockDecoder)
 		defer blockDecoders.Put(d)
 		var scratch []byte
 		for round := 0; round < 2; round++ {
 			keys, vals := fuzzEntries(rng, n, maxKeyLen, maxValLen)
 			bb.reset()
+			ref, other := refBlock{interval: restartInterval}, refBlock{interval: interval}
 			for i := range keys {
 				bb.add(keys[i], vals[i])
+				ref.add(keys[i], vals[i])
+				other.add(keys[i], vals[i])
 			}
-			want := refFinish(bb.buf, bb.restarts, interval > 0, FlateCompression)
 			phys, err := bb.finish(FlateCompression)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(phys, want) {
+			if !bytes.Equal(phys, ref.finish(FlateCompression)) {
 				t.Fatalf("block %d through the reused codec differs from the reference encoding", round)
 			}
-			raw, err := d.decodeBlock(phys, &scratch)
-			if err != nil {
-				t.Fatalf("decode of block %d: %v", round, err)
+			for _, blk := range []struct {
+				phys     []byte
+				interval int
+			}{{phys, restartInterval}, {other.finish(FlateCompression), interval}} {
+				raw, err := d.decodeBlock(blk.phys, &scratch)
+				if err != nil {
+					t.Fatalf("decode of block %d (interval %d): %v", round, blk.interval, err)
+				}
+				checkBlockRoundTrip(t, rng, raw, keys, vals, blk.interval)
 			}
-			checkBlockRoundTrip(t, rng, raw, keys, vals, interval)
 		}
 	})
 }

@@ -352,8 +352,10 @@ func (t *Table) OverlappingBlockCount(loUser, hiExcl []byte) int {
 	return hi - lo
 }
 
-// FormatVersion reports the table's block format: 1 (seed, linear-only
-// blocks) or 2 (restart arrays).
+// FormatVersion reports the table's block format: 1 (the seed's
+// linear-only blocks, which are read but no longer written) or 2 (restart
+// arrays). It lets other packages check that compaction has rewritten a
+// seed-format database into v2.
 func (t *Table) FormatVersion() int { return t.format }
 
 // initBlockIter resets it over raw according to the table's format.
