@@ -23,8 +23,10 @@ lint-json:
 	$(GO) run ./cmd/lsmlint -json ./...
 
 # Race-detector smoke over the packages the concurrency analyzers
-# (lockorder/goleak/atomicmix) reason about: the commit-queue and
-# parallel sub-compaction stress tests in internal/lsm, concurrent core
+# (lockorder/goleak/atomicmix) reason about: the commit-queue, parallel
+# sub-compaction and flush/compaction pipeline tests in internal/lsm
+# (background runners, and writer-run jobs racing Flush and
+# CompactRange in deterministic mode), concurrent core
 # writers (every write takes the commit queue) and the concurrent
 # workload profiler in internal/explain. Dynamic confirmation that the
 # statically blessed lock order holds under contention. The sstable test
@@ -32,7 +34,7 @@ lint-json:
 # block decoder pools.
 lint-race:
 	$(GO) test -race -run 'TestConcurrentBuildAndRead' ./internal/sstable/
-	$(GO) test -race -run 'TestGroupCommit|TestCommit|TestUncontendedCommit|TestParallelCompaction' ./internal/lsm/
+	$(GO) test -race -run 'TestGroupCommit|TestCommit|TestUncontendedCommit|TestParallelCompaction|TestBackground|TestDeterministicConcurrentDrains' ./internal/lsm/
 	$(GO) test -race -run 'TestGroupCommitConcurrentCore' ./internal/core/
 	$(GO) test -race -run 'TestProfilerConcurrent|TestWorkloadSnapshot' ./internal/explain/
 

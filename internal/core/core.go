@@ -96,15 +96,15 @@ type Options struct {
 	// BlockCacheBytes enables an LRU block cache on the primary and
 	// index tables (0 = off, the paper's configuration).
 	BlockCacheBytes int64
-	// BackgroundCompaction moves flushes and compactions of the primary
-	// table and every index table to background goroutines (see
-	// lsm.Options.BackgroundCompaction). Off by default so the paper's
-	// experiments stay deterministic.
+	// BackgroundCompaction runs the flush and compaction jobs of the
+	// primary table and every index table on background goroutines
+	// instead of the writer (see lsm.Options.BackgroundCompaction). Off
+	// by default so the paper's experiments stay deterministic.
 	BackgroundCompaction bool
 	// CompactionParallelism bounds the key-range sub-compaction worker
 	// pool of the primary table and every index table (see
-	// lsm.Options.CompactionParallelism). 0 or 1 keeps the serial merge
-	// engine; results are byte-identical at every setting.
+	// lsm.Options.CompactionParallelism). 0 or 1 merges each compaction
+	// as a single partition; results are byte-identical at every setting.
 	CompactionParallelism int
 	// LookupParallelism > 1 fans LOOKUP/RANGELOOKUP candidate work out
 	// over that many goroutines: per-SSTable probing in the Embedded
@@ -624,9 +624,8 @@ func (db *DB) GroupSizeHists() map[string]*metrics.Histogram {
 	return out
 }
 
-// BackgroundStats sums the background-pipeline counters of the primary
-// table and every index table; all zeros unless
-// Options.BackgroundCompaction is set.
+// BackgroundStats sums the flush/compaction pipeline counters of the
+// primary table and every index table (see lsm.BackgroundStats).
 func (db *DB) BackgroundStats() lsm.BackgroundStats {
 	s := db.primary.BackgroundStats()
 	for _, idx := range db.indexes {

@@ -10,31 +10,31 @@ import (
 	"leveldbpp/internal/wal"
 )
 
-// background holds the state of the concurrent write pipeline
-// (Options.BackgroundCompaction): one flusher goroutine that turns frozen
-// MemTables into L0 tables, and one compaction scheduler that restores
-// the tree shape by dispatching jobs to runner goroutines — up to two at
-// once on disjoint level pairs when Options.CompactionParallelism > 1.
-// All fields except compactionMu and wg are guarded by db.mu; db.cond is
-// broadcast whenever any of them changes.
+// background holds the state of the flush/compaction pipeline. The
+// pipeline has one flush job (flushImmLocked) and one compaction job
+// (compactLocked); Options.BackgroundCompaction decides only who runs
+// them. In deterministic mode (the default) the writer that fills a
+// MemTable runs both before its write returns, and Flush and CompactRange
+// run them on the caller. In background mode a flusher goroutine and one
+// or two compaction runner goroutines run them, and writers only freeze
+// MemTables. All fields except compactionMu and wg are guarded by db.mu;
+// db.cond is broadcast whenever any of them changes.
 type background struct {
 	wg      sync.WaitGroup
 	closing bool  // guarded by db.mu; Close in progress: drain, accept no new work
-	quit    bool  // guarded by db.mu; goroutines must exit
 	jobs    int   // guarded by db.mu; compaction jobs in flight
-	maxJobs int   // immutable after startBackground; job-slot bound
-	err     error // guarded by db.mu; sticky first background failure; poisons writes
+	err     error // guarded by db.mu; sticky first pipeline failure; poisons writes
 
-	// compactionMu serializes compaction *scheduling* between the
-	// background scheduler and manual CompactRange: the scheduler holds it
-	// only while picking and reserving a job; CompactRange holds it for
-	// its whole duration, so once running jobs drain no new ones start.
-	// Runner goroutines never take it. Lock order: compactionMu before
+	// compactionMu serializes compaction *picking* between the background
+	// runners and manual CompactRange: a runner holds it only while it
+	// picks a job (db.mu stays held until the job is reserved);
+	// CompactRange holds it for its whole duration, so once running jobs
+	// drain no runner starts new ones. Lock order: compactionMu before
 	// db.mu, never the reverse.
 	compactionMu sync.Mutex
 
-	flushes       int64 // guarded by db.mu; background flushes completed
-	compactions   int64 // guarded by db.mu; background compactions completed
+	flushes       int64 // guarded by db.mu; flush jobs completed
+	compactions   int64 // guarded by db.mu; compaction jobs completed
 	slowdowns     int64 // guarded by db.mu; writes delayed ~1ms by the L0 slowdown trigger
 	throttleWaits int64 // guarded by db.mu; writes fully stalled by the L0 stop trigger
 
@@ -44,8 +44,9 @@ type background struct {
 	slowdownEngaged bool // guarded by db.mu
 }
 
-// BackgroundStats reports the pipeline's progress counters; all zeros in
-// inline mode.
+// BackgroundStats reports the pipeline's progress counters. Flushes and
+// Compactions count jobs in both modes; Slowdowns and ThrottleWaits stay
+// zero in deterministic mode, which never throttles writers.
 type BackgroundStats struct {
 	Flushes       int64
 	Compactions   int64
@@ -53,13 +54,10 @@ type BackgroundStats struct {
 	ThrottleWaits int64
 }
 
-// BackgroundStats returns the background pipeline counters.
+// BackgroundStats returns the pipeline counters.
 func (db *DB) BackgroundStats() BackgroundStats {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.bg == nil {
-		return BackgroundStats{}
-	}
 	return BackgroundStats{
 		Flushes:       db.bg.flushes,
 		Compactions:   db.bg.compactions,
@@ -68,45 +66,42 @@ func (db *DB) BackgroundStats() BackgroundStats {
 	}
 }
 
+// startBackground launches the flusher and the compaction runners: one
+// runner, or two with CompactionParallelism > 1 so that an L0→L1 job and
+// a deeper Ln→Ln+1 job can overlap on disjoint level pairs.
 func (db *DB) startBackground() {
-	db.bg = &background{maxJobs: 1}
+	runners := 1
 	if db.opts.CompactionParallelism > 1 {
-		// With the parallel engine on, let an L0→L1 job and one deeper
-		// Ln→Ln+1 job overlap; the per-level reservation in
-		// pickCompactionLocked keeps their file sets disjoint.
-		db.bg.maxJobs = 2
+		runners = 2
 	}
-	db.bg.wg.Add(2)
+	db.bg.wg.Add(1 + runners)
 	go db.flusher()
-	go db.compactor()
+	for i := 0; i < runners; i++ {
+		go db.compactor()
+	}
 }
 
-// stopBackground drains in-flight background work (the flusher finishes a
-// pending frozen MemTable; the compactor finishes its current job but
-// starts no new ones) and stops both goroutines. Writers arriving during
-// the drain receive ErrClosed.
-func (db *DB) stopBackground() error {
+// stopBackground drains the pipeline: it refuses new work, waits for the
+// in-flight flush and compaction jobs (whoever runs them) and joins the
+// background goroutines. Writers arriving during the drain receive
+// ErrClosed.
+func (db *DB) stopBackground() {
 	db.mu.Lock()
 	bg := db.bg
-	if bg == nil || db.closed {
+	if db.closed {
 		db.mu.Unlock()
-		return nil
+		return
 	}
-	if !bg.closing {
-		bg.closing = true
-		db.cond.Broadcast()
-	}
+	bg.closing = true
+	db.cond.Broadcast()
 	for (db.imm != nil || bg.jobs > 0) && bg.err == nil {
 		db.cond.Wait()
 	}
-	bg.quit = true
-	db.cond.Broadcast()
 	db.mu.Unlock()
 	bg.wg.Wait()
-	return nil
 }
 
-// failLocked records the first background failure and wakes everyone
+// failLocked records the first pipeline failure and wakes everyone
 // blocked on the pipeline; subsequent writes and Flush return the error.
 func (bg *background) failLocked(db *DB, err error) {
 	if bg.err == nil {
@@ -115,20 +110,37 @@ func (bg *background) failLocked(db *DB, err error) {
 	db.cond.Broadcast()
 }
 
-// throttleLocked applies LevelDB-style write control before a write is
-// accepted: a single ~1ms delay per write once L0 reaches the slowdown
-// trigger, and a full stall (condition wait) at the stop trigger so
-// writers degrade gracefully instead of racing compaction.
-func (db *DB) throttleLocked() error {
-	bg := db.bg
-	if bg.err != nil {
-		return bg.err
-	}
-	if bg.closing || db.closed {
+// pipelineErrLocked reports why the pipeline accepts no work: ErrClosed
+// once the DB is closed or closing, the sticky failure otherwise; nil
+// while it is serving.
+func (db *DB) pipelineErrLocked() error {
+	if db.closed {
 		return ErrClosed
 	}
+	if db.bg.err != nil {
+		return db.bg.err
+	}
+	if db.bg.closing {
+		return ErrClosed
+	}
+	return nil
+}
+
+// throttleLocked admits a write. It fails once the pipeline stopped
+// serving, and in background mode applies LevelDB-style write control: a
+// single ~1ms delay per write once L0 reaches the slowdown trigger, and a
+// full stall (condition wait) at the stop trigger so writers degrade
+// gracefully instead of racing compaction. Deterministic mode never
+// throttles: its writers compact L0 themselves.
+func (db *DB) throttleLocked(tr *metrics.Trace) error {
+	if err := db.pipelineErrLocked(); err != nil || !db.opts.BackgroundCompaction {
+		return err
+	}
+	t0 := tr.Now()
+	defer tr.Since(metrics.PhaseThrottle, t0)
+	bg := db.bg
 	stalled := false
-	for len(db.v.levels[0]) >= db.opts.L0StopTrigger && bg.err == nil && !bg.closing && !db.closed {
+	for len(db.v.levels[0]) >= db.opts.L0StopTrigger && db.pipelineErrLocked() == nil {
 		if !bg.stopEngaged {
 			bg.stopEngaged = true
 			db.emit(metrics.Event{Type: metrics.EventStopOn, Level: 0,
@@ -145,11 +157,8 @@ func (db *DB) throttleLocked() error {
 		db.emit(metrics.Event{Type: metrics.EventStopOff, Level: 0,
 			Detail: fmt.Sprintf("l0_files=%d", len(db.v.levels[0]))})
 	}
-	if bg.err != nil {
-		return bg.err
-	}
-	if bg.closing || db.closed {
-		return ErrClosed
+	if err := db.pipelineErrLocked(); err != nil {
+		return err
 	}
 	if !stalled && len(db.v.levels[0]) >= db.opts.L0SlowdownTrigger {
 		if !bg.slowdownEngaged {
@@ -161,13 +170,9 @@ func (db *DB) throttleLocked() error {
 		db.mu.Unlock()
 		time.Sleep(time.Millisecond)
 		db.mu.Lock()
-		if bg.err != nil {
-			return bg.err
-		}
-		if bg.closing || db.closed {
-			return ErrClosed
-		}
-	} else if bg.slowdownEngaged && len(db.v.levels[0]) < db.opts.L0SlowdownTrigger {
+		return db.pipelineErrLocked()
+	}
+	if bg.slowdownEngaged && len(db.v.levels[0]) < db.opts.L0SlowdownTrigger {
 		bg.slowdownEngaged = false
 		db.emit(metrics.Event{Type: metrics.EventSlowdownOff, Level: 0,
 			Detail: fmt.Sprintf("l0_files=%d", len(db.v.levels[0]))})
@@ -175,30 +180,37 @@ func (db *DB) throttleLocked() error {
 	return nil
 }
 
-// freezeMemLocked atomically swaps in a fresh MemTable + WAL segment and
-// hands the frozen MemTable to the background flusher. At most one frozen
-// MemTable is outstanding; a second freeze waits for the slot. force
-// freezes a MemTable of any size (Flush); without it a freeze is skipped
-// when another writer already rotated while this one waited for the slot.
+// rotateMemLocked is the write path's handoff point for a full MemTable:
+// it freezes the MemTable for the flush job and, in deterministic mode,
+// then runs the compactions the flush triggered on the writer, as the
+// paper's single-threaded LevelDB does.
+func (db *DB) rotateMemLocked() error {
+	if err := db.freezeMemLocked(false); err != nil || db.opts.BackgroundCompaction {
+		return err
+	}
+	return db.compactToShapeLocked()
+}
+
+// freezeMemLocked swaps in a fresh MemTable + WAL segment and hands the
+// frozen MemTable to the flush job: background mode wakes the flusher,
+// deterministic mode runs the job on the calling goroutine before
+// returning. At most one frozen MemTable is outstanding, and whoever
+// froze it owns its flush, so each is flushed exactly once; a second
+// freeze waits for the slot. force freezes a MemTable of any size
+// (Flush, CompactRange); without it a freeze is skipped when another
+// caller already rotated while this one waited for the slot.
 func (db *DB) freezeMemLocked(force bool) error {
-	bg := db.bg
-	// Also wait out in-flight group-commit leader passes: immSeq below is
-	// set to lastSeq, which must be fully present in the MemTable being
-	// frozen or the flusher would advance the manifest floor over records
-	// that only exist in the outgoing WAL segment.
-	for (db.imm != nil || db.commitsInFlight > 0) && bg.err == nil && !bg.closing && !db.closed {
+	// Also wait out in-flight commit leader passes: immSeq below is set to
+	// lastSeq, which must be fully present in the MemTable being frozen or
+	// the flush would advance the manifest floor over records that only
+	// exist in the outgoing WAL segment.
+	for (db.imm != nil || db.commitsInFlight > 0) && db.pipelineErrLocked() == nil {
 		db.cond.Wait()
 	}
-	if bg.err != nil {
-		return bg.err
+	if err := db.pipelineErrLocked(); err != nil {
+		return err
 	}
-	if bg.closing || db.closed {
-		return ErrClosed
-	}
-	if db.mem.empty() {
-		return nil
-	}
-	if !force && db.mem.approximateBytes() < db.opts.MemTableBytes/2 {
+	if db.mem.empty() || !force && db.mem.approximateBytes() < db.opts.MemTableBytes/2 {
 		return nil
 	}
 	db.walSeq++
@@ -223,162 +235,141 @@ func (db *DB) freezeMemLocked(force bool) error {
 		Entries: db.imm.list.Len(), Bytes: db.imm.approximateBytes()})
 	db.emit(metrics.Event{Type: metrics.EventWALRotate,
 		Detail: fmt.Sprintf("segment=%d", db.walSeq)})
-	db.cond.Broadcast() // wake the flusher
-	return nil
+	if db.opts.BackgroundCompaction {
+		db.cond.Broadcast() // wake the flusher
+		return nil
+	}
+	return db.flushImmLocked()
 }
 
-// waitPipelineIdleLocked blocks until the frozen MemTable (if any) is
-// flushed and the tree satisfies all shape invariants — the background
-// analogue of inline Flush's flush-then-compact-to-quiescence.
-func (db *DB) waitPipelineIdleLocked() error {
-	bg := db.bg
-	for (db.imm != nil || bg.jobs > 0 || db.needsCompactionLocked()) &&
-		bg.err == nil && !bg.closing && !db.closed {
+// settleLocked blocks until no MemTable is frozen, no compaction job is in
+// flight and the tree satisfies every shape invariant. In deterministic
+// mode the caller runs the pending compactions itself; in background mode
+// it waits for the runners.
+func (db *DB) settleLocked() error {
+	for db.pipelineErrLocked() == nil {
+		if !db.opts.BackgroundCompaction {
+			if err := db.compactToShapeLocked(); err != nil {
+				return err
+			}
+		}
+		if db.imm == nil && db.bg.jobs == 0 && !db.needsCompactionLocked() {
+			return nil
+		}
 		db.cond.Wait()
 	}
-	if bg.err != nil {
-		return bg.err
+	return db.pipelineErrLocked()
+}
+
+// awaitIdleLocked blocks until no MemTable is frozen and no compaction
+// job is in flight.
+func (db *DB) awaitIdleLocked() error {
+	for (db.imm != nil || db.bg.jobs > 0) && db.pipelineErrLocked() == nil {
+		db.cond.Wait()
 	}
-	if bg.closing || db.closed {
-		return ErrClosed
+	return db.pipelineErrLocked()
+}
+
+// flushImmLocked is the pipeline's flush job: it builds the frozen
+// MemTable into a level-0 table off-lock, installs it by version copy,
+// writes the manifest, deletes the frozen MemTable's WAL files and wakes
+// waiters. Caller holds db.mu and owns the frozen MemTable's flush (see
+// freezeMemLocked); db.mu is released across the build. A failure is
+// sticky: the frozen MemTable stays in place and its WAL files preserve
+// it for recovery.
+func (db *DB) flushImmLocked() error {
+	imm, immSeq, immWALs := db.imm, db.immSeq, db.immWALs
+	fileNum := db.allocFileNum()
+	hook := db.testBlockFlush
+	db.emit(metrics.Event{Type: metrics.EventFlushStart, Level: 0,
+		Entries: imm.list.Len(), Bytes: imm.approximateBytes()})
+	t0 := time.Now()
+	db.mu.Unlock()
+	if hook != nil {
+		<-hook
 	}
+	fm, err := db.buildMemTable(imm, fileNum)
+	db.mu.Lock()
+	if err == nil {
+		// Newest first in level 0; install by copy so concurrent readers
+		// holding the old version keep a stable view.
+		nv := db.v.clone()
+		nv.levels[0] = append([]*FileMeta{fm}, nv.levels[0]...)
+		db.v = nv
+		db.flushedSeq = immSeq
+		err = saveManifest(db.dir, db.v.toManifest(db.nextFileNum.Load(), db.flushedSeq))
+	}
+	if err != nil {
+		db.bg.failLocked(db, err)
+		return err
+	}
+	// The frozen MemTable is durable in the SSTable; its WAL files are no
+	// longer needed (a crash before this point replays them and skips
+	// records at or below the manifest floor).
+	db.imm = nil
+	db.immWALs = nil
+	db.bg.flushes++
+	db.emit(metrics.Event{Type: metrics.EventFlushDone, Level: 0, Outputs: 1,
+		Entries: fm.tbl.EntryCount(), Bytes: fm.Size,
+		DurationUS: time.Since(t0).Microseconds()})
+	for _, p := range immWALs {
+		_ = os.Remove(p)
+	}
+	db.cond.Broadcast() // wake writers waiting for the imm slot, drains and runners
 	return nil
 }
 
-// flusher is the background goroutine that builds an L0 table from each
-// frozen MemTable and installs it by version copy. On Close it drains a
-// pending frozen MemTable before exiting; on error it parks (the WAL
-// segments preserve the frozen contents for recovery).
+// flusher is the background goroutine that runs the flush job on each
+// frozen MemTable. On Close it flushes a pending frozen MemTable before
+// exiting; after a failure it exits (the WAL segments preserve the frozen
+// contents for recovery).
 func (db *DB) flusher() {
 	bg := db.bg
 	defer bg.wg.Done()
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	for {
-		for db.imm == nil && !bg.quit {
-			db.cond.Wait()
+	for bg.err == nil {
+		if db.imm != nil {
+			_ = db.flushImmLocked() // a failure is sticky and ends the loop
+			continue
 		}
-		if db.imm == nil {
-			return // quit with nothing pending
-		}
-		imm, immSeq, immWALs := db.imm, db.immSeq, db.immWALs
-		fileNum := db.allocFileNum()
-		hook := db.testBlockFlush
-		db.emit(metrics.Event{Type: metrics.EventFlushStart, Level: 0,
-			Entries: imm.list.Len(), Bytes: imm.approximateBytes()})
-		flushT0 := time.Now()
-		db.mu.Unlock()
-		if hook != nil {
-			<-hook
-		}
-		fm, err := db.buildMemTable(imm, fileNum)
-		db.mu.Lock()
-		if err != nil {
-			bg.failLocked(db, err)
+		if bg.closing {
 			return
 		}
-		nv := db.v.clone()
-		nv.levels[0] = append([]*FileMeta{fm}, nv.levels[0]...)
-		db.v = nv
-		db.flushedSeq = immSeq
-		if err := saveManifest(db.dir, db.v.toManifest(db.nextFileNum.Load(), db.flushedSeq)); err != nil {
-			bg.failLocked(db, err)
-			return
-		}
-		// The frozen MemTable is durable in the SSTable; its WAL segments
-		// are no longer needed (crash before this point replays them and
-		// skips records at or below the manifest floor).
-		db.imm = nil
-		db.immWALs = nil
-		bg.flushes++
-		db.emit(metrics.Event{Type: metrics.EventFlushDone, Level: 0, Outputs: 1,
-			Entries: fm.tbl.EntryCount(), Bytes: fm.Size,
-			DurationUS: time.Since(flushT0).Microseconds()})
-		for _, p := range immWALs {
-			_ = os.Remove(p)
-		}
-		db.cond.Broadcast() // wake writers waiting for the imm slot, and the compactor
+		db.cond.Wait()
 	}
 }
 
-// compactor is the background scheduler: it waits until some unreserved
-// level pair needs compaction and a job slot is free, picks a job under
-// compactionMu+db.mu (same L0-first, round-robin policy as inline mode),
-// reserves the job's two levels, and hands it to a runner goroutine. The
-// merge itself runs entirely outside both locks, so with maxJobs > 1 an
-// L0→L1 job and a deeper Ln→Ln+1 job overlap.
-//
-// Pick-time job.base stays valid for tombstone base checks under
-// concurrent jobs: a job at levels (l, l+1) only consults levels deeper
-// than l+1, and every other runnable job moves keys *between* such deeper
-// levels (or shallower ones), so a key present below the target at pick
-// time can at worst disappear — which makes the check conservative
-// (bottom=false retains a tombstone one round longer), never wrong.
+// compactor is a background compaction runner: it waits until some
+// unreserved level pair violates a shape invariant, picks a job under
+// compactionMu+db.mu (the same L0-first, round-robin policy the
+// deterministic drain applies) and runs the compaction job. The merge
+// runs outside both locks, so two runners overlap on disjoint level
+// pairs. A failure is sticky and stops the pipeline.
 func (db *DB) compactor() {
 	bg := db.bg
 	defer bg.wg.Done()
-	for {
-		db.mu.Lock()
-		for !(bg.jobs < bg.maxJobs && db.compactionReadyLocked()) &&
-			!bg.quit && !bg.closing && bg.err == nil {
-			db.cond.Wait()
-		}
-		if bg.quit || bg.closing || bg.err != nil {
-			db.mu.Unlock()
-			return
-		}
-		db.mu.Unlock()
-
-		// Lock order: compactionMu first (see background.compactionMu).
-		// The tree may have changed between the wait and reacquisition;
-		// a nil pick just loops back to the wait.
-		bg.compactionMu.Lock()
-		db.mu.Lock()
-		var job *compactionJob
-		if bg.jobs < bg.maxJobs {
-			job = db.pickCompactionLocked()
-		}
-		if job == nil {
-			db.mu.Unlock()
-			bg.compactionMu.Unlock()
-			continue
-		}
-		bg.jobs++
-		db.compactingLevels[job.level] = true
-		db.compactingLevels[job.level+1] = true
-		db.emitCompactionStart(job)
-		bg.wg.Add(1)
-		go db.runCompactionJob(job)
-		db.mu.Unlock()
-		bg.compactionMu.Unlock()
-	}
-}
-
-// runCompactionJob is one compaction job's runner goroutine: merge
-// off-lock (possibly fanned out over key-range sub-compactions), then
-// install, release the job's level reservation, and wake waiters.
-func (db *DB) runCompactionJob(job *compactionJob) {
-	bg := db.bg
-	defer bg.wg.Done()
-	t0 := time.Now()
-	tr := db.opts.Tracer.Start(metrics.OpCompact)
-	outputs, err := db.runCompactionMerge(job, tr)
-	tr.Finish()
-
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if err == nil {
-		err = db.installCompactionLocked(job, outputs)
+	for {
+		for db.compactionLevelLocked() < 0 && db.pipelineErrLocked() == nil {
+			db.cond.Wait()
+		}
+		if db.pipelineErrLocked() != nil {
+			return
+		}
+		// Lock order: compactionMu before db.mu (see background). The tree
+		// may change while db.mu is dropped; a nil pick loops back to the
+		// wait. db.mu stays held from the pick to the job's reservation.
+		db.mu.Unlock()
+		bg.compactionMu.Lock()
+		db.mu.Lock()
+		job := db.pickCompactionLocked()
+		bg.compactionMu.Unlock()
+		if job != nil {
+			if err := db.compactLocked(job); err != nil {
+				bg.failLocked(db, err)
+			}
+		}
 	}
-	bg.jobs--
-	db.compactingLevels[job.level] = false
-	db.compactingLevels[job.level+1] = false
-	if err != nil {
-		db.emitCompactionError(job, err)
-		bg.failLocked(db, err)
-		return
-	}
-	db.emitCompactionDone(job, outputs, t0)
-	bg.compactions++
-	db.cond.Broadcast() // wake throttled writers, Flush waiters and the scheduler
 }

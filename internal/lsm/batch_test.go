@@ -3,7 +3,6 @@ package lsm
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -83,11 +82,11 @@ func TestBatchCrashAtomicity(t *testing.T) {
 	if err := db.Apply(&b); err != nil {
 		t.Fatal(err)
 	}
+	walFile := activeWAL(db)
 	db.Close()
 
 	// Corrupt the tail of the WAL inside the batch frame: the whole batch
 	// must vanish on replay, not a prefix of it.
-	walFile := filepath.Join(dir, "WAL")
 	fi, _ := os.Stat(walFile)
 	if err := os.Truncate(walFile, fi.Size()-3); err != nil {
 		t.Fatal(err)

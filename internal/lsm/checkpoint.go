@@ -58,9 +58,9 @@ func (db *DB) Checkpoint(destDir string) error {
 		}
 	}
 	// Copy every WAL file backing the live and frozen MemTables under its
-	// original basename; replay at open visits them all. Inline mode has
-	// exactly the single legacy "WAL" file here. The read lock alone no
-	// longer excludes WAL appends (a group-commit leader writes off
+	// original basename — the segments, plus a legacy "WAL" file that no
+	// flush has deleted yet; replay at open visits them all. The read lock
+	// alone does not exclude WAL appends (a commit leader writes off
 	// db.mu), so hold logMu across the copies and flush the writer's
 	// buffer first: everything acknowledged before this call is then in
 	// the copied files.

@@ -257,16 +257,8 @@ func (db *DB) leadGroupLocked(seed *pendingCommit, yield bool) {
 // which is released across the WAL write and held again on return.
 func (db *DB) commitGroupLocked(group []*pendingCommit) error {
 	tr := group[0].tr // the leader's own trace; followers only see commit_wait
-	if db.closed {
-		return ErrClosed
-	}
-	if db.bg != nil {
-		t0 := tr.Now()
-		err := db.throttleLocked()
-		tr.Since(metrics.PhaseThrottle, t0)
-		if err != nil {
-			return err
-		}
+	if err := db.throttleLocked(tr); err != nil {
+		return err
 	}
 	// One contiguous sequence range for the whole group, and one shared
 	// write-merge scope: a member's Put coalesces against earlier members
@@ -289,8 +281,8 @@ func (db *DB) commitGroupLocked(group []*pendingCommit) error {
 	if db.opts.WriteMerge != nil {
 		tr.Since(metrics.PhaseMergeProbe, t0)
 	}
-	// Gate freeze/flush until the inserts land: flushedSeq/immSeq may not
-	// advance over sequences that are not yet in a MemTable.
+	// Gate freezes until the inserts land: immSeq may not advance over
+	// sequences that are not yet in a MemTable.
 	db.commitsInFlight++
 	db.mu.Unlock()
 
@@ -327,7 +319,7 @@ func (db *DB) commitGroupLocked(group []*pendingCommit) error {
 		tr.Since(metrics.PhaseMemInsert, t0)
 	}
 	db.commitsInFlight--
-	db.cond.Broadcast() // wake freeze/flush waiting on commitsInFlight
+	db.cond.Broadcast() // wake a freeze waiting on commitsInFlight
 	if werr != nil {
 		return werr
 	}
@@ -414,9 +406,8 @@ func (db *DB) syncWALLocked(members int, tr *metrics.Trace) error {
 }
 
 // waitCommitsLocked blocks until no leader pass sits between sequence
-// assignment and MemTable insertion. freeze/flush call it before
-// treating lastSeq as fully represented in the MemTables. Caller holds
-// db.mu.
+// assignment and MemTable insertion, so lastSeq is fully represented in
+// the MemTables. Caller holds db.mu.
 func (db *DB) waitCommitsLocked() {
 	for db.commitsInFlight > 0 {
 		db.cond.Wait()

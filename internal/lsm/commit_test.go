@@ -186,12 +186,11 @@ func TestGroupCommitConcurrentStress(t *testing.T) {
 }
 
 // TestGroupCommitWALEquivalence runs a single-writer workload — puts,
-// deletes, batches, write-merge coalescing — and pins the resulting WAL
-// file to the one the parent commit wrote on its inline (pre-queue)
-// commit path. It replaces the on/off comparison of the same name, whose
-// "off" side no longer exists: a group of one must still produce exactly
-// the seed frames, so replay (and every replay-derived invariant) is
-// unchanged.
+// deletes, batches, write-merge coalescing — and pins the active WAL
+// segment to the bytes the engine wrote on its inline (pre-queue) commit
+// path into the single legacy WAL file. A group of one must still produce
+// exactly the seed frames, so replay (and every replay-derived invariant)
+// is unchanged.
 func TestGroupCommitWALEquivalence(t *testing.T) {
 	const parentSHA = "4be7bb1b94718fff69d0115c08cf7b35be846371da9a12e110da19025af90681"
 	merger := func(existing, incoming []byte) []byte {
@@ -222,10 +221,11 @@ func TestGroupCommitWALEquivalence(t *testing.T) {
 			}
 		}
 	}
+	walFile := activeWAL(db)
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(db.walFile())
+	raw, err := os.ReadFile(walFile)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,26 +4,19 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"time"
 
-	"leveldbpp/internal/cache"
 	"leveldbpp/internal/ikey"
 	"leveldbpp/internal/metrics"
 	"leveldbpp/internal/sstable"
-	"leveldbpp/internal/wal"
 )
-
-func openSSTable(r io.ReaderAt, size int64, stats *metrics.IOStats, c *cache.Cache) (*sstable.Table, error) {
-	return sstable.OpenTableCached(r, size, stats, c)
-}
 
 // maxTableBytes is the target SSTable size (LevelDB's 2 MB).
 const maxTableBytes = 2 << 20
 
-// allocFileNum hands out the next SSTable file number. Atomic so the
-// background flusher and compactor can allocate without holding db.mu.
+// allocFileNum hands out the next SSTable file number. Atomic so a
+// compaction can allocate output numbers off-lock.
 func (db *DB) allocFileNum() uint64 {
 	return db.nextFileNum.Add(1) - 1
 }
@@ -39,8 +32,8 @@ func (db *DB) maxBytesForLevel(l int) int64 {
 }
 
 // buildMemTable writes mem's contents to a new SSTable and opens it. It
-// takes no locks and touches no mutable DB state, so the background
-// flusher runs it off-lock on a frozen MemTable.
+// takes no locks and touches no mutable DB state, so the flush job runs
+// it off-lock on a frozen MemTable.
 func (db *DB) buildMemTable(mem *memTable, fileNum uint64) (*FileMeta, error) {
 	path := tablePath(db.dir, fileNum)
 	f, err := os.Create(path)
@@ -86,70 +79,6 @@ func (db *DB) buildMemTable(mem *memTable, fileNum uint64) (*FileMeta, error) {
 	return db.openTable(fileRecord{Num: fileNum, Size: size})
 }
 
-// flushLocked writes the MemTable to a new level-0 SSTable, persists the
-// manifest, and restarts the WAL. Caller holds db.mu. In background mode
-// this runs only with the pipeline drained (no frozen MemTable
-// outstanding), from CompactRange.
-func (db *DB) flushLocked() error {
-	// flushedSeq below is set to lastSeq; wait out any group-commit
-	// leader pass so every assigned sequence is in the MemTable first.
-	db.waitCommitsLocked()
-	db.emit(metrics.Event{Type: metrics.EventFlushStart, Level: 0,
-		Entries: db.mem.list.Len(), Bytes: db.mem.approximateBytes()})
-	flushT0 := time.Now()
-	fm, err := db.buildMemTable(db.mem, db.allocFileNum())
-	if err != nil {
-		return err
-	}
-	// Newest first in level 0; install by copy so concurrent readers
-	// holding the old version keep a stable view.
-	nv := db.v.clone()
-	nv.levels[0] = append([]*FileMeta{fm}, nv.levels[0]...)
-	db.v = nv
-	db.flushedSeq = db.lastSeq
-
-	if err := saveManifest(db.dir, db.v.toManifest(db.nextFileNum.Load(), db.flushedSeq)); err != nil {
-		return err
-	}
-	db.emit(metrics.Event{Type: metrics.EventFlushDone, Level: 0, Outputs: 1,
-		Entries: fm.tbl.EntryCount(), Bytes: fm.Size,
-		DurationUS: time.Since(flushT0).Microseconds()})
-
-	// The MemTable is durable in the SSTable; restart the WAL. Any
-	// leftover background segments backing it are obsolete too.
-	db.logMu.Lock()
-	err = db.log.Close()
-	db.logMu.Unlock()
-	if err != nil {
-		return err
-	}
-	for _, p := range db.memWALs {
-		if p != db.walFile() {
-			_ = os.Remove(p)
-		}
-	}
-	db.logMu.Lock()
-	if db.bg != nil {
-		_ = os.Remove(db.walFile())
-		db.walSeq++
-		seg := walSegmentPath(db.dir, db.walSeq)
-		db.log, err = wal.Create(seg)
-		db.memWALs = []string{seg}
-		db.emit(metrics.Event{Type: metrics.EventWALRotate,
-			Detail: fmt.Sprintf("segment=%d", db.walSeq)})
-	} else {
-		db.log, err = wal.Create(db.walFile())
-		db.memWALs = []string{db.walFile()}
-		db.emit(metrics.Event{Type: metrics.EventWALRotate, Detail: "restart"})
-	}
-	db.logMu.Unlock()
-	if err != nil {
-		return err
-	}
-	db.mem = newMemTable(db.opts.SecondaryAttrs)
-	return nil
-}
-
 // needsCompactionLocked reports whether any shape invariant is violated.
 func (db *DB) needsCompactionLocked() bool {
 	if len(db.v.levels[0]) >= db.opts.L0CompactionTrigger {
@@ -164,44 +93,40 @@ func (db *DB) needsCompactionLocked() bool {
 }
 
 // levelBusyLocked reports whether a job out of level l would touch a
-// level reserved by an in-flight background job.
+// level reserved by an in-flight compaction job.
 func (db *DB) levelBusyLocked(l int) bool {
 	return db.compactingLevels[l] || db.compactingLevels[l+1]
 }
 
-// compactionReadyLocked reports whether some *unreserved* level pair
-// violates a shape invariant — the background scheduler's wake predicate.
-// Unlike pickCompactionLocked it is side-effect free (no compaction
-// pointer advance), so it is safe to evaluate repeatedly in a wait loop.
-func (db *DB) compactionReadyLocked() bool {
+// compactionLevelLocked returns the level the next compaction runs out
+// of, considering only unreserved level pairs: 0 once L0 reaches its
+// trigger, else the shallowest over-budget level; -1 when none needs a
+// compaction. Unlike pickCompactionLocked it is side-effect free (no
+// compaction pointer advance), so the runners evaluate it in their wait
+// loop.
+func (db *DB) compactionLevelLocked() int {
 	if len(db.v.levels[0]) >= db.opts.L0CompactionTrigger && !db.levelBusyLocked(0) {
-		return true
+		return 0
 	}
 	for l := 1; l < db.opts.MaxLevels-1; l++ {
 		if db.v.levelBytes(l) > db.maxBytesForLevel(l) && !db.levelBusyLocked(l) {
-			return true
+			return l
 		}
 	}
-	return false
-}
-
-// maybeCompactLocked runs compactions until the tree satisfies all shape
-// invariants. Caller holds db.mu. (Inline mode only.)
-func (db *DB) maybeCompactLocked() error {
-	for {
-		job := db.pickCompactionLocked()
-		if job == nil {
-			return nil
-		}
-		if err := db.runCompactionInlineLocked(job); err != nil {
-			return err
-		}
-	}
+	return -1
 }
 
 // compactionJob is one picked compaction: inputs from level, overlapping
-// files from level+1, and the pick-time version (stable until install,
-// since only one compaction runs at a time) for tombstone base checks.
+// files from level+1, and the pick-time version for tombstone base
+// checks.
+//
+// base stays valid until install although other jobs may run meanwhile:
+// a job at levels (l, l+1) only consults levels deeper than l+1, and every
+// other runnable job holds a disjoint reserved level pair, so it moves
+// keys between such deeper levels (or shallower ones). A key present
+// below the target at pick time can at worst disappear, which makes the
+// check conservative (bottom=false keeps a tombstone one round longer),
+// never wrong.
 type compactionJob struct {
 	level  int
 	inputs []*FileMeta
@@ -209,20 +134,20 @@ type compactionJob struct {
 	base   *version
 }
 
-// pickCompactionLocked chooses the next compaction with the same policy
-// inline mode applies: L0 first (merge all of L0 with overlapping L1),
-// then the shallowest over-budget level, one file round-robin (LevelDB's
-// compaction pointer, paper §4.2). Returns nil when the tree is in shape.
+// pickCompactionLocked chooses the next compaction among unreserved level
+// pairs: L0 first (merge all of L0 with overlapping L1), then the
+// shallowest over-budget level, one file round-robin (LevelDB's
+// compaction pointer, paper §4.2). Returns nil when no unreserved pair
+// needs a compaction.
 func (db *DB) pickCompactionLocked() *compactionJob {
-	if len(db.v.levels[0]) >= db.opts.L0CompactionTrigger && !db.levelBusyLocked(0) {
+	switch l := db.compactionLevelLocked(); l {
+	case -1:
+		return nil
+	case 0:
 		return db.pickL0Locked()
+	default:
+		return db.pickLevelLocked(l)
 	}
-	for l := 1; l < db.opts.MaxLevels-1; l++ {
-		if db.v.levelBytes(l) > db.maxBytesForLevel(l) && !db.levelBusyLocked(l) {
-			return db.pickLevelLocked(l)
-		}
-	}
-	return nil
 }
 
 // pickL0Locked builds the job that merges every level-0 file with the
@@ -267,25 +192,53 @@ func (db *DB) pickLevelLocked(l int) *compactionJob {
 	return &compactionJob{level: l, inputs: []*FileMeta{pick}, next: next, base: db.v}
 }
 
-// runCompactionInlineLocked merges and installs a job on the calling
-// goroutine with db.mu held throughout — the inline-mode path, and
-// CompactRange's path in both modes.
-func (db *DB) runCompactionInlineLocked(job *compactionJob) error {
+// compactLocked is the pipeline's compaction job, run by the background
+// runners, by the deterministic drain and by CompactRange: it reserves
+// the job's level pair, merges off-lock (possibly fanned out over
+// key-range sub-compactions), installs the outputs, releases the pair and
+// wakes waiters. Caller holds db.mu, which is released across the merge.
+func (db *DB) compactLocked(job *compactionJob) error {
+	bg := db.bg
+	bg.jobs++
+	db.compactingLevels[job.level] = true
+	db.compactingLevels[job.level+1] = true
 	db.emitCompactionStart(job)
+	db.mu.Unlock()
 	t0 := time.Now()
 	tr := db.opts.Tracer.Start(metrics.OpCompact)
-	outputs, err := db.runCompactionMerge(job, tr)
+	outputs, err := db.mergeCompaction(job, tr)
 	tr.Finish()
+	db.mu.Lock()
+	if err == nil {
+		err = db.installCompactionLocked(job, outputs)
+	}
+	bg.jobs--
+	db.compactingLevels[job.level] = false
+	db.compactingLevels[job.level+1] = false
+	db.cond.Broadcast() // wake throttled writers, drains and the runners
 	if err != nil {
 		db.emitCompactionError(job, err)
 		return err
 	}
-	if err := db.installCompactionLocked(job, outputs); err != nil {
-		db.emitCompactionError(job, err)
-		return err
-	}
 	db.emitCompactionDone(job, outputs, t0)
+	bg.compactions++
 	return nil
+}
+
+// compactToShapeLocked runs compaction jobs on the calling goroutine until
+// no unreserved level pair needs one: the deterministic drain, and
+// CompactRange's tail in both modes. Caller holds db.mu.
+func (db *DB) compactToShapeLocked() error {
+	for db.pipelineErrLocked() == nil {
+		job := db.pickCompactionLocked()
+		if job == nil {
+			return nil
+		}
+		if err := db.compactLocked(job); err != nil {
+			return err
+		}
+	}
+	return db.pipelineErrLocked()
 }
 
 // emitCompactionStart reports a picked job: source level, input file count
@@ -337,67 +290,6 @@ func (db *DB) emitCompactionError(job *compactionJob, err error) {
 	}
 	db.emit(metrics.Event{Type: metrics.EventCompactionError, Level: job.level,
 		Inputs: len(job.inputs) + len(job.next), Detail: detail})
-}
-
-// mergeSource is one input iterator of a compaction.
-type mergeSource struct {
-	it *sstable.Iterator
-}
-
-type mergeHeap []*mergeSource
-
-func (h mergeHeap) Len() int            { return len(h) }
-func (h mergeHeap) Less(i, j int) bool  { return ikey.Compare(h[i].it.Key(), h[j].it.Key()) < 0 }
-func (h mergeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *mergeHeap) Push(x interface{}) { *h = append(*h, x.(*mergeSource)) }
-func (h *mergeHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
-// runCompactionMerge merges job.inputs (from job.level) and job.next
-// (from job.level+1) into new tables for job.level+1 and returns them. It
-// reads only the job and immutable DB state, so the background compactor
-// runs it without holding db.mu: input tables are immutable files, and
-// job.base stays valid because concurrent jobs only move keys between
-// levels deeper than this job's target (see compactor). With
-// Options.CompactionParallelism > 1 the span is partitioned into key-range
-// sub-compactions merged concurrently (subcompact.go); the ordered write
-// stage keeps the outputs byte-identical either way.
-func (db *DB) runCompactionMerge(job *compactionJob, tr *metrics.Trace) ([]*FileMeta, error) {
-	all := append(append([]*FileMeta(nil), job.inputs...), job.next...)
-	if bounds := partitionBoundaries(all, db.opts.CompactionParallelism); len(bounds) > 0 {
-		return db.runCompactionParallel(job, all, bounds, tr)
-	}
-	return db.runCompactionSerial(job, all, tr)
-}
-
-// runCompactionSerial merges the whole span on the calling goroutine —
-// the CompactionParallelism ≤ 1 engine, and the fallback when the inputs
-// are too small to partition.
-func (db *DB) runCompactionSerial(job *compactionJob, all []*FileMeta, tr *metrics.Trace) ([]*FileMeta, error) {
-	target := job.level + 1
-	t0 := time.Now()
-	w := db.newCompactionWriter(tr)
-	err := mergeGroups(all, keyRange{}, func(g *keyGroup) error {
-		bottom := job.base.isBaseLevelForKey(target, g.key)
-		return resolveGroup(db.opts.Merge, bottom, g, w.add)
-	})
-	var outputs []*FileMeta
-	if err == nil {
-		outputs, err = w.finish()
-	}
-	if err != nil {
-		w.abort()
-		return nil, err
-	}
-	db.subcompactions.Add(1)
-	tr.Add(metrics.PhaseCompactWrite, time.Duration(w.writeNS))
-	tr.Add(metrics.PhaseCompactMerge, time.Since(t0)-time.Duration(w.writeNS))
-	return outputs, nil
 }
 
 // installCompactionLocked swaps in a version with the job's inputs
@@ -458,73 +350,50 @@ func sortFilesBySmallest(files []*FileMeta) {
 // CompactRange forces the user-key range [lo, hi] (nil = unbounded) down
 // the tree until every level except the deepest non-empty one is clear of
 // it — LevelDB's manual compaction. Useful for tests, space reclamation
-// after bulk deletes, and read-optimizing a cold dataset. In background
-// mode it excludes the background compactor for its duration and drains
-// the frozen MemTable first.
+// after bulk deletes, and read-optimizing a cold dataset. It flushes the
+// MemTable first, then runs each compaction job on the caller once no
+// other job is in flight; the background runners pick no new jobs for its
+// duration.
 func (db *DB) CompactRange(lo, hi []byte) error {
-	if db.bg != nil {
-		// Lock order: compactionMu before db.mu (see background).
-		db.bg.compactionMu.Lock()
-		defer db.bg.compactionMu.Unlock()
-	}
+	// Lock order: compactionMu before db.mu (see background).
+	db.bg.compactionMu.Lock()
+	defer db.bg.compactionMu.Unlock()
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.closed {
-		return ErrClosed
+	if err := db.freezeMemLocked(true); err != nil {
+		return err
 	}
-	if db.bg != nil {
-		// Wait out any in-flight flush and every running compaction job;
-		// the scheduler cannot start new ones (we hold compactionMu), so
-		// after this loop we mutate levels alone.
-		bg := db.bg
-		for (db.imm != nil || bg.jobs > 0) && bg.err == nil && !bg.closing && !db.closed {
-			db.cond.Wait()
-		}
-		if bg.err != nil {
-			return bg.err
-		}
-		if bg.closing || db.closed {
-			return ErrClosed
-		}
+	if err := db.awaitIdleLocked(); err != nil {
+		return err
 	}
-	if !db.mem.empty() {
-		if err := db.flushLocked(); err != nil {
+	if job := db.pickL0Locked(); job != nil {
+		if err := db.compactLocked(job); err != nil {
 			return err
-		}
-	}
-	if len(db.v.levels[0]) > 0 {
-		if job := db.pickL0Locked(); job != nil {
-			if err := db.runCompactionInlineLocked(job); err != nil {
-				return err
-			}
 		}
 	}
 	for l := 1; l < db.opts.MaxLevels-1; l++ {
 		for {
+			if err := db.awaitIdleLocked(); err != nil {
+				return err
+			}
 			overlapping := db.v.overlappingFiles(l, lo, hi)
 			if len(overlapping) == 0 {
 				break
 			}
 			// Skip when nothing deeper exists: the range already rests at
 			// its final level.
-			deeper := false
-			for dl := l + 1; dl < db.opts.MaxLevels; dl++ {
-				if len(db.v.levels[dl]) > 0 {
-					deeper = true
-				}
-			}
-			if !deeper && l == db.deepestNonEmptyLocked() {
+			if l == db.deepestNonEmptyLocked() {
 				break
 			}
 			pick := overlapping[0]
 			next := db.v.overlappingFiles(l+1, ikey.UserKey(pick.Smallest), ikey.UserKey(pick.Largest))
 			job := &compactionJob{level: l, inputs: []*FileMeta{pick}, next: next, base: db.v}
-			if err := db.runCompactionInlineLocked(job); err != nil {
+			if err := db.compactLocked(job); err != nil {
 				return err
 			}
 		}
 	}
-	return db.maybeCompactLocked()
+	return db.compactToShapeLocked()
 }
 
 func (db *DB) deepestNonEmptyLocked() int {

@@ -298,9 +298,9 @@ func TestParallelCompactionErrorAttribution(t *testing.T) {
 }
 
 // TestParallelCompactionStress is the race-detector workout for the
-// sub-compaction worker pool and the two-job background scheduler:
+// sub-compaction worker pool and the two background compaction runners:
 // concurrent writers and readers run against a background-mode DB with
-// CompactionParallelism 4 (maxJobs 2), with a manual CompactRange in the
+// CompactionParallelism 4 (two runners), with a manual CompactRange in the
 // middle. Wired into `make lint-race`.
 func TestParallelCompactionStress(t *testing.T) {
 	o := smallOpts()
@@ -406,8 +406,8 @@ func TestParallelCompactionStress(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reopen in inline mode: the on-disk state parallel jobs left behind
-	// must be mode- and parallelism-independent.
+	// Reopen in deterministic mode: the on-disk state parallel jobs left
+	// behind must be mode- and parallelism-independent.
 	re, err := Open(dir, smallOpts())
 	if err != nil {
 		t.Fatal(err)

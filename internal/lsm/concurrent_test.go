@@ -5,9 +5,12 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"leveldbpp/internal/metrics"
 )
 
 func bgOpts() *Options {
@@ -29,8 +32,9 @@ func waitGoroutines(t *testing.T, want int) {
 }
 
 // TestBackgroundBasic drives a background-mode DB through many flushes
-// and compactions, then reopens the directory in inline mode to prove the
-// on-disk formats (manifest, WAL segments, tables) are mode-independent.
+// and compactions, then reopens the directory in deterministic mode to
+// prove the on-disk formats (manifest, WAL segments, tables) are
+// mode-independent.
 func TestBackgroundBasic(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(dir, bgOpts())
@@ -58,19 +62,19 @@ func TestBackgroundBasic(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Cross-mode reopen: inline.
-	inline, err := Open(dir, smallOpts())
+	// Cross-mode reopen: deterministic.
+	det, err := Open(dir, smallOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer inline.Close()
+	defer det.Close()
 	for i := 0; i < n; i++ {
 		k := fmt.Sprintf("key-%05d", i)
-		if v, ok := mustGet(t, inline, k); !ok || v != fmt.Sprintf("value-%05d", i) {
-			t.Fatalf("after inline reopen, Get(%s) = %q %v", k, v, ok)
+		if v, ok := mustGet(t, det, k); !ok || v != fmt.Sprintf("value-%05d", i) {
+			t.Fatalf("after deterministic reopen, Get(%s) = %q %v", k, v, ok)
 		}
 	}
-	if rep, err := inline.Verify(); err != nil || len(rep.Problems) > 0 {
+	if rep, err := det.Verify(); err != nil || len(rep.Problems) > 0 {
 		t.Fatalf("verify after reopen: %v %v", err, rep.Problems)
 	}
 }
@@ -395,23 +399,175 @@ func TestBackgroundCheckpoint(t *testing.T) {
 	}
 }
 
-// TestInlineUnaffected guards the determinism contract: with
-// BackgroundCompaction off, the new machinery must not run at all.
-func TestInlineUnaffected(t *testing.T) {
-	db, _ := openTestDB(t, smallOpts())
-	for i := 0; i < 2000; i++ {
-		mustPut(t, db, fmt.Sprintf("key-%05d", i), fmt.Sprintf("value-%05d", i))
-	}
-	if db.bg != nil {
-		t.Fatal("inline DB has background state")
-	}
+// checkSettled fails unless the pipeline is idle: no frozen MemTable, no
+// compaction job in flight, every shape invariant satisfied.
+func checkSettled(t *testing.T, db *DB, after string) {
+	t.Helper()
 	db.mu.RLock()
-	imm := db.imm
-	db.mu.RUnlock()
-	if imm != nil {
-		t.Fatal("inline DB froze a memtable")
+	defer db.mu.RUnlock()
+	if db.imm != nil || db.bg.jobs != 0 || db.needsCompactionLocked() {
+		t.Fatalf("after %s: frozen=%v jobs=%d needsCompaction=%v",
+			after, db.imm != nil, db.bg.jobs, db.needsCompactionLocked())
 	}
-	if st := db.BackgroundStats(); st != (BackgroundStats{}) {
-		t.Fatalf("inline BackgroundStats = %+v", st)
+}
+
+// checkNoPipelineGoroutines fails if a flusher or compaction runner is
+// alive anywhere in the process.
+func checkNoPipelineGoroutines(t *testing.T) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	stacks := string(buf[:runtime.Stack(buf, true)])
+	for _, fn := range []string{"(*DB).flusher", "(*DB).compactor"} {
+		if strings.Contains(stacks, fn) {
+			t.Fatalf("deterministic mode started a pipeline goroutine: %s", fn)
+		}
+	}
+}
+
+// TestDeterministicModeContract guards the default mode: the writer runs
+// the pipeline's flush and compaction jobs itself, so whenever Put or
+// Flush returns no MemTable is frozen, no job is in flight and the tree
+// is in shape, and no pipeline goroutine ever starts.
+func TestDeterministicModeContract(t *testing.T) {
+	db, _ := openTestDB(t, smallOpts())
+	for i := 0; i < 3000; i++ {
+		mustPut(t, db, fmt.Sprintf("key-%05d", i%1100), fmt.Sprintf("value-%05d", i))
+		checkSettled(t, db, "Put")
+		if i%700 == 699 {
+			if err := db.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			checkSettled(t, db, "Flush")
+		}
+	}
+	st := db.BackgroundStats()
+	if st.Flushes == 0 || st.Compactions == 0 || st.Slowdowns != 0 || st.ThrottleWaits != 0 {
+		t.Fatalf("deterministic BackgroundStats = %+v; want flushes and compactions, no throttling", st)
+	}
+	checkNoPipelineGoroutines(t)
+}
+
+// drainAudit is an event sink that checks two pipeline invariants as the
+// events arrive (the engine emits them under db.mu, so they are ordered):
+// every frozen MemTable is flushed exactly once, and two in-flight
+// compaction jobs never share a level.
+type drainAudit struct {
+	t *testing.T
+
+	mu          sync.Mutex
+	busy        map[int]bool // guarded by mu; levels of in-flight jobs
+	frozen      int          // guarded by mu; MemTables frozen, not yet flushing
+	freezes     int          // guarded by mu
+	flushes     int          // guarded by mu
+	overlapping int          // guarded by mu; job starts while another job ran
+}
+
+func (a *drainAudit) Emit(e metrics.Event) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	switch e.Type {
+	case metrics.EventMemFreeze:
+		a.freezes++
+		a.frozen++
+	case metrics.EventFlushStart:
+		if a.frozen != 1 {
+			a.t.Errorf("flush started with %d frozen MemTables awaiting a flush", a.frozen)
+		}
+		a.frozen--
+		a.flushes++
+	case metrics.EventCompactionStart:
+		if a.busy[e.Level] || a.busy[e.Level+1] {
+			a.t.Errorf("compaction L%d→L%d started while a job held one of its levels", e.Level, e.Level+1)
+		}
+		if len(a.busy) > 0 {
+			a.overlapping++
+		}
+		a.busy[e.Level], a.busy[e.Level+1] = true, true
+	case metrics.EventCompactionDone, metrics.EventCompactionError:
+		delete(a.busy, e.Level)
+		delete(a.busy, e.Level+1)
+	}
+}
+
+// TestDeterministicConcurrentDrains races writers, Flush and CompactRange
+// in deterministic mode, where each of them runs flush and compaction
+// jobs on its own goroutine. Each frozen MemTable must be flushed exactly
+// once (its freezer owns the flush; a second drain must not flush it
+// again), concurrent jobs must never share a level, and the result must
+// hold every write. Wired into `make lint-race`.
+func TestDeterministicConcurrentDrains(t *testing.T) {
+	audit := &drainAudit{t: t, busy: map[int]bool{}}
+	o := smallOpts()
+	o.BaseLevelBytes = 8 << 10 // frequent deeper jobs beside L0→L1 ones
+	o.Events = audit
+	db, _ := openTestDB(t, o)
+
+	const (
+		writers = 4
+		perW    = 1500
+	)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perW; i++ {
+				k := fmt.Sprintf("w%d-key-%05d", w, i)
+				if err := db.Put([]byte(k), []byte(fmt.Sprintf("val-%d-%d-padding-padding-padding-padding-padding", w, i))); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 40; i++ {
+			if err := db.Flush(); err != nil {
+				t.Error(err)
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 10; i++ {
+			lo := []byte(fmt.Sprintf("w%d", i%writers))
+			if err := db.CompactRange(lo, nil); err != nil {
+				t.Error(err)
+				return
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}()
+	wg.Wait()
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	checkSettled(t, db, "the race")
+	checkNoPipelineGoroutines(t)
+
+	audit.mu.Lock()
+	freezes, flushes, frozen := audit.freezes, audit.flushes, audit.frozen
+	t.Logf("%d freezes, %d job starts overlapped another job", freezes, audit.overlapping)
+	audit.mu.Unlock()
+	if freezes == 0 || flushes != freezes || frozen != 0 {
+		t.Fatalf("%d MemTables frozen, %d flushes started, %d left frozen", freezes, flushes, frozen)
+	}
+	if st := db.BackgroundStats(); st.Flushes != int64(freezes) {
+		t.Fatalf("BackgroundStats.Flushes = %d, want %d (one per frozen MemTable)", st.Flushes, freezes)
+	}
+	for w := 0; w < writers; w++ {
+		for i := 0; i < perW; i++ {
+			k := fmt.Sprintf("w%d-key-%05d", w, i)
+			if v, ok := mustGet(t, db, k); !ok || v != fmt.Sprintf("val-%d-%d-padding-padding-padding-padding-padding", w, i) {
+				t.Fatalf("Get(%s) = %q %v", k, v, ok)
+			}
+		}
+	}
+	if rep, err := db.Verify(); err != nil || len(rep.Problems) > 0 {
+		t.Fatalf("verify: %v %v", err, rep.Problems)
 	}
 }

@@ -35,12 +35,11 @@ var ErrStalled = errors.New("lsm: write stall: level-0 at stop trigger")
 // metrics histograms are leaves taken under db.mu. The commit queue has
 // no lock of its own: db.mu guards it.
 //
-// The sub-compaction run lock (compactionRun.mu) is a leaf below db.mu:
-// an inline compaction cancels a failed run while holding db.mu, and
-// partition workers take it bare — never the other way around. The
-// tracer's ring mutex is a leaf for the same reason: inline compactions
-// finish their OpCompact trace while still holding db.mu, and
-// Tracer.finish touches nothing but its own ring and aggregates.
+// The sub-compaction run lock (compactionRun.mu) and the tracer's ring
+// mutex are leaves below db.mu. A compaction job is entered with db.mu
+// held and drops it only for the merge, which the analyzer does not see,
+// so it counts the merge's run lock and the job's OpCompact trace as
+// taken under db.mu; neither lock is ever held while taking db.mu.
 //
 //lsm:lockorder core.DB.writeMu < lsm.background.compactionMu < lsm.DB.mu < lsm.DB.logMu
 //lsm:lockorder lsm.DB.mu < cache.shard.mu
@@ -48,18 +47,19 @@ var ErrStalled = errors.New("lsm: write stall: level-0 at stop trigger")
 //lsm:lockorder lsm.DB.mu < lsm.compactionRun.mu
 //lsm:lockorder lsm.DB.mu < metrics.Tracer.mu
 
-// DB is a single-node LSM key-value store. Writes are serialized. By
-// default flushes and compactions run inline on the writing goroutine
-// (see package doc); with Options.BackgroundCompaction they move to
-// dedicated goroutines and the writer only swaps MemTables.
+// DB is a single-node LSM key-value store. Writes are serialized. The
+// flush and compaction jobs of one pipeline (background.go) keep the tree
+// in shape; by default the writing goroutine runs them (see package doc),
+// and with Options.BackgroundCompaction dedicated goroutines do and the
+// writer only swaps MemTables.
 type DB struct {
 	dir  string
 	opts Options
 
 	mu   sync.RWMutex
-	cond *sync.Cond // signals imm-slot free, L0 drained, background done, commits landed
+	cond *sync.Cond // signals imm-slot free, L0 drained, jobs done, commits landed
 	mem  *memTable  // guarded by mu
-	imm  *memTable  // guarded by mu; frozen MemTable awaiting background flush (nil inline)
+	imm  *memTable  // guarded by mu; frozen MemTable awaiting its flush job
 	// logMu guards the WAL writer pointer and all WAL I/O, so a commit
 	// leader appends and fsyncs without holding db.mu.
 	// Lock order: db.mu (either mode) before logMu, never the reverse;
@@ -69,12 +69,12 @@ type DB struct {
 	memWALs []string    // guarded by mu; WAL files backing mem (active segment last)
 	immWALs []string    // guarded by mu; WAL files backing imm; deleted after its flush
 	immSeq  uint64      // guarded by mu; highest seq in imm (manifest floor for its flush)
-	walSeq  uint64      // guarded by mu; next background WAL segment number
+	walSeq  uint64      // guarded by mu; number of the active WAL segment
 	v       *version    // guarded by mu
 	lastSeq uint64      // guarded by mu
 	// compactingLevels marks levels that are input or output of an
-	// in-flight background compaction job; the scheduler only picks jobs
-	// whose level pair is unmarked, so concurrent jobs never share files.
+	// in-flight compaction job; jobs are only picked on unmarked level
+	// pairs, so concurrent jobs never share files.
 	compactingLevels []bool   // guarded by mu
 	flushedSeq       uint64   // guarded by mu; highest seq durable in SSTables (manifest LastSeq)
 	compactPtr       [][]byte // guarded by mu; per-level round-robin compaction cursor (user key)
@@ -83,16 +83,16 @@ type DB struct {
 	closed           bool  // guarded by mu
 
 	// commitsInFlight counts leader passes between sequence assignment
-	// (under mu) and MemTable insertion (back under mu). freeze/flush/
-	// Close wait for zero via waitCommitsLocked before treating lastSeq
-	// as fully present in the MemTables.
+	// (under mu) and MemTable insertion (back under mu). A freeze and
+	// Close wait for zero before treating lastSeq as fully present in the
+	// MemTables.
 	commitsInFlight int // guarded by mu
 	commitQ         commitQueue
 	cstats          commitStats
 	groupSize       *metrics.Histogram // commits per WAL write pass
 
-	// nextFileNum is atomic so the background compactor can allocate
-	// output numbers while rolling tables without holding db.mu.
+	// nextFileNum is atomic so a compaction can allocate output numbers
+	// while rolling tables without holding db.mu.
 	nextFileNum atomic.Uint64
 
 	// Sub-compaction observability (DESIGN.md §5.9), atomic because
@@ -103,11 +103,11 @@ type DB struct {
 	workersBusy    atomic.Int64
 	stallNS        atomic.Int64
 
-	bg *background // non-nil iff Options.BackgroundCompaction
+	bg *background // the flush/compaction pipeline; goroutines only in background mode
 
-	// testBlockFlush, when non-nil, is received from by the background
-	// flusher before it builds a table — lets crash tests freeze a DB with
-	// an unflushed immutable MemTable outstanding.
+	// testBlockFlush, when non-nil, is received from by the flush job
+	// before it builds a table — lets crash tests freeze a DB with an
+	// unflushed immutable MemTable outstanding.
 	testBlockFlush chan struct{}
 
 	// testCompactRoll, when non-nil, runs after a compaction finishes each
@@ -130,6 +130,7 @@ func Open(dir string, o *Options) (*DB, error) {
 		v:                newVersion(opts.MaxLevels),
 		compactPtr:       make([][]byte, opts.MaxLevels),
 		compactingLevels: make([]bool, opts.MaxLevels),
+		bg:               &background{},
 	}
 	db.cond = sync.NewCond(&db.mu)
 	db.commitQ.maxWaiters = maxGroupWaiters
@@ -162,13 +163,19 @@ func Open(dir string, o *Options) (*DB, error) {
 	}
 
 	// Replay the WAL: records newer than the manifest's sequence were in
-	// a MemTable at crash/close time. Background mode writes numbered
-	// segments alongside the legacy single file, so replay visits them
-	// all (record seqs are unique, so segment order is immaterial).
+	// a MemTable at crash/close time. The WAL is a series of numbered
+	// segments; a directory written before segmentation may also hold a
+	// single legacy "WAL" file. Every one backs the recovered MemTable and
+	// is deleted after its flush (record seqs are unique, so file order is
+	// immaterial).
 	replayFloor := db.lastSeq
 	segments := walSegments(dir)
-	replayFiles := append([]string{db.walFile()}, segments...)
-	for _, path := range replayFiles {
+	legacy := filepath.Join(dir, "WAL")
+	if _, err := os.Stat(legacy); err == nil {
+		db.memWALs = append(db.memWALs, legacy)
+	}
+	db.memWALs = append(db.memWALs, segments...)
+	for _, path := range db.memWALs {
 		err = wal.Replay(path, func(r wal.Record) error {
 			if r.Seq <= replayFloor {
 				return nil // already durable in an SSTable
@@ -184,27 +191,12 @@ func Open(dir string, o *Options) (*DB, error) {
 		}
 	}
 
-	if opts.BackgroundCompaction {
-		// Start a fresh segment; every pre-existing WAL file still backs
-		// the recovered MemTable and is deleted only after its flush.
-		db.walSeq = nextWALSeq(segments) + 1
-		seg := walSegmentPath(dir, db.walSeq)
-		db.log, err = wal.Create(seg)
-		if err != nil {
-			return nil, err
-		}
-		if _, statErr := os.Stat(db.walFile()); statErr == nil {
-			db.memWALs = append(db.memWALs, db.walFile())
-		}
-		db.memWALs = append(db.memWALs, segments...)
-		db.memWALs = append(db.memWALs, seg)
-	} else {
-		db.log, err = wal.Append(db.walFile())
-		if err != nil {
-			return nil, err
-		}
-		db.memWALs = append(append([]string{}, segments...), db.walFile())
+	db.walSeq = nextWALSeq(segments) + 1
+	seg := walSegmentPath(dir, db.walSeq)
+	if db.log, err = wal.Create(seg); err != nil {
+		return nil, err
 	}
+	db.memWALs = append(db.memWALs, seg)
 	db.removeOrphanTables()
 	if opts.BackgroundCompaction {
 		db.startBackground()
@@ -225,7 +217,7 @@ func (db *DB) emit(e metrics.Event) {
 	}
 }
 
-// walSegmentPath names background-mode WAL segment n.
+// walSegmentPath names WAL segment n.
 func walSegmentPath(dir string, n uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("WAL-%06d", n))
 }
@@ -282,8 +274,6 @@ func (db *DB) removeOrphanTables() {
 	}
 }
 
-func (db *DB) walFile() string { return filepath.Join(db.dir, "WAL") }
-
 func (db *DB) openTable(fr fileRecord) (*FileMeta, error) {
 	f, err := os.Open(tablePath(db.dir, fr.Num))
 	if err != nil {
@@ -294,7 +284,7 @@ func (db *DB) openTable(fr fileRecord) (*FileMeta, error) {
 		_ = f.Close()
 		return nil, err
 	}
-	tbl, err := openSSTable(f, fi.Size(), db.opts.Stats, db.blockCache)
+	tbl, err := sstable.OpenTableCached(f, fi.Size(), db.opts.Stats, db.blockCache)
 	if err != nil {
 		_ = f.Close()
 		return nil, err
@@ -350,19 +340,6 @@ func (db *DB) write(kind ikey.Kind, key, value []byte, tr *metrics.Trace) (uint6
 	pc.records = pc.one[:]
 	pc.tr = tr
 	return db.commit(pc)
-}
-
-// rotateMemLocked handles a full MemTable: inline mode flushes and
-// compacts on the calling goroutine; background mode freezes the
-// MemTable and hands it to the flusher.
-func (db *DB) rotateMemLocked() error {
-	if db.bg != nil {
-		return db.freezeMemLocked(false)
-	}
-	if err := db.flushLocked(); err != nil {
-		return err
-	}
-	return db.maybeCompactLocked()
 }
 
 // Get returns the newest live value for key, reading the MemTable, then
@@ -451,42 +428,25 @@ func (db *DB) getLocked(key []byte, tr *metrics.Trace) ([]byte, bool, error) {
 	return nil, false, nil
 }
 
-// Flush forces the MemTable to level 0 and runs any pending compactions.
-// In background mode it blocks until the background pipeline has drained
-// (frozen MemTable flushed, tree shape within budget). Useful in tests
-// and at the end of bulk loads.
+// Flush forces the MemTable to level 0 and blocks until the pipeline is
+// idle: the frozen MemTable flushed, no compaction in flight, the tree
+// shape within budget. In deterministic mode the caller runs the flush
+// and the compactions itself. Useful in tests and at the end of bulk
+// loads.
 func (db *DB) Flush() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.closed {
-		return ErrClosed
-	}
-	if db.bg != nil {
-		if !db.mem.empty() {
-			if err := db.freezeMemLocked(true); err != nil {
-				return err
-			}
-		}
-		return db.waitPipelineIdleLocked()
-	}
-	if db.mem.empty() {
-		return nil
-	}
-	if err := db.flushLocked(); err != nil {
+	if err := db.freezeMemLocked(true); err != nil {
 		return err
 	}
-	return db.maybeCompactLocked()
+	return db.settleLocked()
 }
 
 // Close flushes nothing (the WAL preserves the MemTable) and releases file
-// handles. In background mode it first drains in-flight background work
-// and stops the flusher and compactor goroutines.
+// handles. It first drains the in-flight flush and compaction jobs and
+// stops the background goroutines, if any.
 func (db *DB) Close() error {
-	if db.bg != nil {
-		if err := db.stopBackground(); err != nil {
-			return err
-		}
-	}
+	db.stopBackground()
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed {
@@ -515,22 +475,20 @@ func (db *DB) Close() error {
 }
 
 // Health reports whether the DB is serving normally: ErrClosed after
-// Close, ErrStalled while the background-mode L0 write-stop throttle is
-// engaged, the background pipeline's sticky error if it failed, nil
-// otherwise. Served by the HTTP layer at /healthz.
+// Close, the pipeline's sticky error if a flush or background compaction
+// failed, ErrStalled while the background-mode L0 write-stop throttle is
+// engaged, nil otherwise. Served by the HTTP layer at /healthz.
 func (db *DB) Health() error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	if db.closed {
 		return ErrClosed
 	}
-	if db.bg != nil {
-		if db.bg.err != nil {
-			return db.bg.err
-		}
-		if len(db.v.levels[0]) >= db.opts.L0StopTrigger {
-			return ErrStalled
-		}
+	if db.bg.err != nil {
+		return db.bg.err
+	}
+	if db.opts.BackgroundCompaction && len(db.v.levels[0]) >= db.opts.L0StopTrigger {
+		return ErrStalled
 	}
 	return nil
 }
@@ -652,7 +610,7 @@ func (db *DB) LastSeq() uint64 {
 type View struct {
 	db     *DB
 	mem    *memTable
-	imm    *memTable // frozen MemTable (background mode), nil otherwise
+	imm    *memTable // frozen MemTable awaiting its flush, or nil
 	levels [][]*FileMeta
 }
 
@@ -693,8 +651,8 @@ func (v *View) MemSecTree(attr string) *btree.Tree { return v.mem.secTree(attr) 
 // empty) — the upper bound lookup algorithms use for stratum pruning.
 func (v *View) MemMaxSeq() uint64 { return v.mem.maxSeq }
 
-// HasImm reports whether a frozen MemTable stratum exists (background
-// mode, flush pending). It sits between the MemTable and level 0 in
+// HasImm reports whether a frozen MemTable stratum exists (its flush job
+// is pending or running). It sits between the MemTable and level 0 in
 // newest-first order.
 func (v *View) HasImm() bool { return v.imm != nil }
 

@@ -97,9 +97,10 @@ func TestBackgroundEventOrdering(t *testing.T) {
 	}
 }
 
-// TestInlineModeEvents checks the inline engine emits the same vocabulary
-// through flushLocked/runCompactionInlineLocked, and that a JSONL sink
-// attached behind the ring receives every event as one JSON line.
+// TestInlineModeEvents checks that deterministic mode, whose writer runs
+// the pipeline's flush and compaction jobs, emits the same vocabulary as
+// background mode, and that a JSONL sink attached behind the ring
+// receives every event as one JSON line.
 func TestInlineModeEvents(t *testing.T) {
 	var buf bytes.Buffer
 	jsonl := metrics.NewJSONLSink(&buf)
@@ -126,10 +127,10 @@ func TestInlineModeEvents(t *testing.T) {
 
 	counts := log.Counts()
 	if counts[metrics.EventFlushDone] == 0 {
-		t.Fatal("inline mode emitted no flush_done")
+		t.Fatal("deterministic mode emitted no flush_done")
 	}
 	if counts[metrics.EventCompactionDone] == 0 {
-		t.Fatal("inline mode emitted no compaction_done")
+		t.Fatal("deterministic mode emitted no compaction_done")
 	}
 	if counts[metrics.EventOpen] != 1 || counts[metrics.EventClose] != 1 {
 		t.Fatalf("open/close counts: %d/%d", counts[metrics.EventOpen], counts[metrics.EventClose])

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"testing"
 	"unsafe"
 
@@ -43,6 +42,13 @@ func mustPut(t testing.TB, db *DB, k, v string) {
 	if err := db.Put([]byte(k), []byte(v)); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// activeWAL returns the path of the WAL segment db appends to.
+func activeWAL(db *DB) string {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return db.memWALs[len(db.memWALs)-1]
 }
 
 func mustGet(t testing.TB, db *DB, k string) (string, bool) {
@@ -206,9 +212,9 @@ func TestRecoveryWithTornWAL(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		mustPut(t, db, fmt.Sprintf("k%03d", i), "v")
 	}
+	walFile := activeWAL(db)
 	db.Close()
 	// Tear the last record.
-	walFile := filepath.Join(dir, "WAL")
 	fi, _ := os.Stat(walFile)
 	if err := os.Truncate(walFile, fi.Size()-2); err != nil {
 		t.Fatal(err)

@@ -3,10 +3,13 @@
 // immutable SSTables with 10× fan-out, round-robin leveled compaction,
 // tombstone deletes, and exact logical block I/O accounting.
 //
-// The engine is deliberately single-writer with *inline* flush and
-// compaction: the paper picked LevelDB because a single-threaded store
-// isolates and explains index costs, and inline compaction additionally
-// makes every experiment deterministic. Like LevelDB's writer queue,
+// The engine is deliberately single-writer. Flushes and compactions are
+// the jobs of one pipeline (background.go), and by default the writer
+// that fills a MemTable runs them before its write returns: the paper
+// picked LevelDB because a single-threaded store isolates and explains
+// index costs, and writer-run jobs additionally make every experiment
+// deterministic. Options.BackgroundCompaction hands the same jobs to
+// background goroutines instead. Like LevelDB's writer queue,
 // every Put, Delete and Apply commits through one leader-based queue
 // (commit.go); a lone writer is a group of one, and concurrent writers
 // share a WAL write and, under wal.SyncGrouped, an fsync. Reads are
@@ -103,30 +106,33 @@ type Options struct {
 	// fsync per logical commit), or grouped (one fsync per commit group —
 	// concurrent committers share it).
 	SyncMode wal.SyncMode
-	// BackgroundCompaction decouples ingestion from merge work: on
-	// memtable-full the writer swaps in a fresh MemTable + WAL segment and
-	// hands the frozen one to a background flusher, while a dedicated
-	// goroutine runs compactions and installs new versions under the DB
-	// lock. Off by default — the paper's experiments require the inline,
-	// single-threaded mode for determinism and exact I/O attribution
-	// (DESIGN.md §5 "Concurrency modes").
+	// BackgroundCompaction decides who runs the pipeline's flush and
+	// compaction jobs. Off (the default), the writer that fills the
+	// MemTable runs them before its write returns, and Flush and
+	// CompactRange run them on the caller — the paper's single-threaded
+	// configuration, deterministic with exact I/O attribution (DESIGN.md
+	// §5.1). On, a flusher goroutine and compaction runner goroutines run
+	// the same jobs, and the writer only swaps in a fresh MemTable + WAL
+	// segment.
 	BackgroundCompaction bool
 	// L0SlowdownTrigger is the level-0 file count at which background-mode
 	// writers are delayed ~1ms per write so compaction can keep up.
-	// Default 8. Ignored in inline mode.
+	// Default 8. Ignored in deterministic mode, whose writers compact L0
+	// themselves.
 	L0SlowdownTrigger int
 	// L0StopTrigger is the level-0 file count at which background-mode
 	// writers block until compaction brings L0 back under the limit.
-	// Default 12. Ignored in inline mode.
+	// Default 12. Ignored in deterministic mode.
 	L0StopTrigger int
 	// CompactionParallelism bounds the worker pool of the key-range
 	// sub-compaction engine (DESIGN.md §5.9): each compaction's input span
 	// is partitioned into up to this many disjoint user-key ranges merged
 	// concurrently, and in background mode up to two compactions on
-	// disjoint level pairs run at once. 0 or 1 keeps the serial engine;
-	// results (output tables, manifests, write counters) are byte-identical
-	// at every setting — only CompactionReads may differ, because adjacent
-	// partitions re-read the boundary block they share.
+	// disjoint level pairs run at once. 0 or 1 merges each compaction as a
+	// single partition; results (output tables, manifests, write counters)
+	// are byte-identical at every setting — only CompactionReads may
+	// differ, because adjacent partitions re-read the boundary block they
+	// share.
 	CompactionParallelism int
 	// BlockCacheBytes enables an LRU block cache of the given capacity.
 	// 0 disables caching — the paper's configuration ("No block cache

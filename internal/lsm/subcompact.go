@@ -109,6 +109,22 @@ type compactionEntry struct {
 	value []byte
 }
 
+// mergeHeap orders the input iterators of a compaction by their current
+// internal key.
+type mergeHeap []*sstable.Iterator
+
+func (h mergeHeap) Len() int            { return len(h) }
+func (h mergeHeap) Less(i, j int) bool  { return ikey.Compare(h[i].Key(), h[j].Key()) < 0 }
+func (h mergeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *mergeHeap) Push(x interface{}) { *h = append(*h, x.(*sstable.Iterator)) }
+func (h *mergeHeap) Pop() interface{} {
+	old := *h
+	n := len(old)
+	x := old[n-1]
+	*h = old[:n-1]
+	return x
+}
+
 // keyGroup collects every version of one user key observed by the k-way
 // merge, newest first (internal-key order). A fresh group is allocated
 // per key so downstream stages may retain it.
@@ -138,7 +154,7 @@ func mergeGroups(all []*FileMeta, kr keyRange, fn func(g *keyGroup) error) error
 			}
 			continue
 		}
-		heap.Push(&h, &mergeSource{it: it})
+		heap.Push(&h, it)
 	}
 
 	var g *keyGroup
@@ -151,8 +167,8 @@ func mergeGroups(all []*FileMeta, kr keyRange, fn func(g *keyGroup) error) error
 		return err
 	}
 	for h.Len() > 0 {
-		src := h[0]
-		ik, val := src.it.Key(), src.it.Value()
+		it := h[0]
+		ik, val := it.Key(), it.Value()
 		uk := ikey.UserKey(ik)
 		if kr.hi != nil && bytes.Compare(uk, kr.hi) >= 0 {
 			// The heap top is the global minimum, so every remaining
@@ -170,10 +186,10 @@ func mergeGroups(all []*FileMeta, kr keyRange, fn func(g *keyGroup) error) error
 		g.values = append(g.values, append([]byte(nil), val...))
 		g.kinds = append(g.kinds, ikey.KindOf(ik))
 
-		if src.it.Next() {
+		if it.Next() {
 			heap.Fix(&h, 0)
 		} else {
-			if err := src.it.Err(); err != nil {
+			if err := it.Err(); err != nil {
 				return err
 			}
 			heap.Pop(&h)
@@ -232,9 +248,9 @@ func resolveGroup(merger Merger, bottom bool, g *keyGroup, emit func(ik, value [
 }
 
 // compactionWriter rolls resolved entries into target-size output tables.
-// Exactly one goroutine uses a writer; in the parallel engine that is the
-// caller draining partitions in key order, which is what keeps output
-// file boundaries independent of parallelism.
+// Exactly one goroutine uses a writer: the caller draining partitions in
+// key order, which is what keeps output file boundaries independent of
+// parallelism.
 type compactionWriter struct {
 	db      *DB
 	tr      *metrics.Trace
@@ -339,9 +355,9 @@ func (w *compactionWriter) since(t0 time.Time) {
 
 // partitionBoundaries derives up to n-1 interior user-key split points
 // from the data-index block boundaries of the input tables — metadata
-// already in memory, so partitioning costs no I/O. It returns nil (run
-// serial) when the inputs have too few distinct block boundaries to give
-// every partition at least a couple of blocks.
+// already in memory, so partitioning costs no I/O. It returns nil (one
+// partition) when n ≤ 1 or the inputs have too few distinct block
+// boundaries to give every partition at least a couple of blocks.
 func partitionBoundaries(all []*FileMeta, n int) [][]byte {
 	if n <= 1 {
 		return nil
@@ -445,12 +461,19 @@ func (db *DB) subcompactReader(run *compactionRun, all []*FileMeta, kr keyRange,
 	}
 }
 
-// runCompactionParallel partitions the job's span into len(bounds)+1
-// disjoint key ranges, merges them concurrently, and writes the resolved
-// stream in key order on the calling goroutine.
-func (db *DB) runCompactionParallel(job *compactionJob, all []*FileMeta,
-	bounds [][]byte, tr *metrics.Trace) ([]*FileMeta, error) {
+// mergeCompaction merges job.inputs (from job.level) and job.next (from
+// job.level+1) into new tables for job.level+1 and returns them. It reads
+// only the job and immutable DB state, so the compaction job runs it
+// without holding db.mu: input tables are immutable files, and job.base
+// stays valid (see compactionJob). The span is partitioned into up to
+// Options.CompactionParallelism disjoint key ranges (one at the default
+// setting), each merged on its own workers, and the resolved stream is
+// written in key order on the calling goroutine, so the outputs are
+// byte-identical at every setting.
+func (db *DB) mergeCompaction(job *compactionJob, tr *metrics.Trace) ([]*FileMeta, error) {
 	target := job.level + 1
+	all := append(append([]*FileMeta(nil), job.inputs...), job.next...)
+	bounds := partitionBoundaries(all, db.opts.CompactionParallelism)
 	ranges := make([]keyRange, 0, len(bounds)+1)
 	var lo []byte
 	for _, b := range bounds {

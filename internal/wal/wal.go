@@ -135,17 +135,6 @@ func Create(path string) (*Writer, error) {
 	return newWriter(f), nil
 }
 
-// Append opens path for appending, creating it if absent. Used on DB open
-// so that records replayed into the MemTable remain durable until the
-// next flush.
-func Append(path string) (*Writer, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("wal: append-open: %w", err)
-	}
-	return newWriter(f), nil
-}
-
 // Append writes one record. The frame is:
 //
 //	u32 crc | u32 payloadLen | payload
