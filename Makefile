@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-json lint-race test race short bench bench-test verify experiments ci clean
+.PHONY: all build vet lint lint-race test race short bench bench-test verify experiments ci clean
 
 all: vet build test
 
@@ -11,27 +11,24 @@ vet:
 	$(GO) vet ./...
 
 # Repo-specific static analysis (DESIGN.md §5.4): iterator aliasing,
-# lock-guard annotations, internal-key comparison, trace nil-safety,
-# hot-path allocation and error hygiene. Pure stdlib; exits non-zero on
-# any finding.
+# lock-guard annotations, internal-key comparison, hot-path allocation,
+# error hygiene and the blessed lock order. Pure stdlib; exits non-zero
+# on any finding.
 lint:
 	$(GO) run ./cmd/lsmlint ./...
 
-# Same findings as lint, one JSON object per line on stdout — for CI
-# annotators and editor integrations.
-lint-json:
-	$(GO) run ./cmd/lsmlint -json ./...
-
-# Race-detector smoke over the packages the concurrency analyzers
-# (lockorder/goleak/atomicmix) reason about: the commit-queue, parallel
+# Race-detector smoke over the packages the lockorder and lockguard
+# analyzers reason about: the commit-queue, parallel
 # sub-compaction and flush/compaction pipeline tests in internal/lsm
 # (background runners, and writer-run jobs racing Flush and
 # CompactRange in deterministic mode), concurrent core
 # writers (every write takes the commit queue) and the concurrent
 # workload profiler in internal/explain. Dynamic confirmation that the
-# statically blessed lock order holds under contention. The sstable test
-# runs concurrent table builds and reads over the shared deflater and
-# block decoder pools.
+# statically blessed lock order holds under contention. It is also the
+# goroutine-leak check: the background tests bound Close (closeWithin),
+# so a runner that never exits fails them with a goroutine dump. The
+# sstable test runs concurrent table builds and reads over the shared
+# deflater and block decoder pools.
 lint-race:
 	$(GO) test -race -run 'TestConcurrentBuildAndRead' ./internal/sstable/
 	$(GO) test -race -run 'TestGroupCommit|TestCommit|TestUncontendedCommit|TestParallelCompaction|TestBackground|TestDeterministicConcurrentDrains' ./internal/lsm/

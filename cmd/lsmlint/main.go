@@ -3,12 +3,10 @@
 //
 // Usage:
 //
-//	lsmlint [-list] [-only name,name] [-json] [patterns...]
+//	lsmlint [-list] [-only name,name] [patterns...]
 //
 // With no patterns it analyzes ./... relative to the current directory.
-// -json prints newline-delimited JSON (one diagnostic object per line:
-// analyzer, file, line, col, message, suppression) instead of the
-// file:line:col text form, for CI annotators and editor integrations.
+// Findings print one per line in file:line:col form.
 // Exit status: 0 clean, 1 findings, 2 load or usage failure.
 package main
 
@@ -24,7 +22,6 @@ import (
 func main() {
 	list := flag.Bool("list", false, "list the analyzers and exit")
 	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
-	asJSON := flag.Bool("json", false, "print diagnostics as newline-delimited JSON")
 	flag.Parse()
 
 	if *list {
@@ -59,15 +56,8 @@ func main() {
 	}
 
 	diags := lint.RunAnalyzers(pkgs, analyzers)
-	if *asJSON {
-		if err := lint.WriteJSON(os.Stdout, diags); err != nil {
-			fmt.Fprintf(os.Stderr, "lsmlint: %v\n", err)
-			os.Exit(2)
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Println(d.String())
-		}
+	for _, d := range diags {
+		fmt.Println(d.String())
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "lsmlint: %d finding(s) in %d package(s)\n", len(diags), len(pkgs))

@@ -28,10 +28,9 @@ import (
 // (*bufio.Writer).Flush and wal writer Sync/Flush are flagged: call them
 // inline and check the error (or wrap them in a closure that stores it).
 var ErrCheck = &Analyzer{
-	Name:        "errcheck",
-	Doc:         "no silently ignored error returns; fmt.Errorf wraps with %w",
-	Suppression: "lsm:errok",
-	Run:         runErrCheck,
+	Name: "errcheck",
+	Doc:  "no silently ignored error returns; fmt.Errorf wraps with %w",
+	Run:  runErrCheck,
 }
 
 var errType = types.Universe.Lookup("error").Type().Underlying().(*types.Interface)

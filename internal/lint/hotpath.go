@@ -36,10 +36,9 @@ import (
 // off the hot path by definition. Individual sites are waived with
 // //lsm:allocok.
 var HotPath = &Analyzer{
-	Name:        "hotpath",
-	Doc:         "//lsm:hotpath functions avoid time.Now, fmt.Sprintf, per-call flate codecs, io.ReadAll, encoding/json, sort.Slice/Sort and unbounded append",
-	Suppression: "lsm:allocok",
-	Run:         runHotPath,
+	Name: "hotpath",
+	Doc:  "//lsm:hotpath functions avoid time.Now, fmt.Sprintf, per-call flate codecs, io.ReadAll, encoding/json, sort.Slice/Sort and unbounded append",
+	Run:  runHotPath,
 }
 
 func runHotPath(pass *Pass) {

@@ -20,10 +20,9 @@ import (
 //     ikb, an "ik"-prefixed or "internalKey"-prefixed identifier, or the
 //     manifest bound fields Smallest/Largest
 var IKeyCmp = &Analyzer{
-	Name:        "ikeycmp",
-	Doc:         "internal keys are compared with ikey.Compare, never bytes.Compare/bytes.Equal",
-	Suppression: "lsm:aliasok",
-	Run:         runIKeyCmp,
+	Name: "ikeycmp",
+	Doc:  "internal keys are compared with ikey.Compare, never bytes.Compare/bytes.Equal",
+	Run:  runIKeyCmp,
 }
 
 func runIKeyCmp(pass *Pass) {

@@ -1,11 +1,10 @@
 // Package lint implements lsmlint, the engine's repo-specific static
-// analysis layer (DESIGN.md §5.4). The concurrent write pipeline, the
-// parallel lookup fan-out and the sampled tracer rest on invariants the
-// type system cannot express — iterator byte slices are only valid until
-// the next Next/Seek, mutex-guarded fields must not be touched off-lock,
-// internal keys must be compared through ikey.Compare, *metrics.Trace is
-// nil-safe only as a pointer — so this package checks them mechanically
-// on every commit (`make lint`).
+// analysis layer (DESIGN.md §5.4). The concurrent write pipeline and the
+// read path rest on invariants the type system cannot express — iterator
+// byte slices are only valid until the next Next/Seek, mutex-guarded
+// fields must not be touched off-lock, internal keys must be compared
+// through ikey.Compare, locks are taken in one blessed order — so this
+// package checks them mechanically on every commit (`make lint`).
 //
 // The framework is a deliberately small re-implementation of the shape of
 // golang.org/x/tools/go/analysis using only the standard library: an
@@ -13,7 +12,8 @@
 // type-checked package; diagnostics carry positions and stable messages
 // that the testdata harness matches against `// want "regexp"` comments.
 //
-// The comment directives that tune the analyzers at specific sites:
+// The comment directives that tune the analyzers at specific sites (the
+// whole set: TestRepoIsClean rejects any other //lsm: word):
 //
 //	//lsm:hotpath  (function doc)  — hotpath checks this function
 //	//lsm:locked   (function doc or end of line) — lockguard trusts the
@@ -23,8 +23,6 @@
 //	//lsm:allocok  (end of line)   — hotpath accepts this allocation
 //	//lsm:errok    (end of line)   — errcheck accepts this line
 //	//lsm:lockok   (end of line)   — lockorder accepts this acquisition
-//	//lsm:leakok   (end of line)   — goleak accepts this go statement
-//	//lsm:atomicok (end of line)   — atomicmix accepts this access
 //	//lsm:lockorder A < B < C      — declares a chain of the blessed
 //	                                 lock partial order (DESIGN.md §5.8)
 package lint
@@ -38,15 +36,11 @@ import (
 	"strings"
 )
 
-// Diagnostic is one analyzer finding. Suppression names the //lsm:
-// directive that would accept the finding at its line, "" when the
-// analyzer has no suppression; it rides along so machine consumers
-// (-json) can render the escape hatch next to the finding.
+// Diagnostic is one analyzer finding.
 type Diagnostic struct {
-	Analyzer    string
-	Pos         token.Position
-	Message     string
-	Suppression string
+	Analyzer string
+	Pos      token.Position
+	Message  string
 }
 
 // String renders the diagnostic in the conventional file:line:col form.
@@ -57,14 +51,12 @@ func (d Diagnostic) String() string {
 // Analyzer is one named check. Package analyzers set Run, which inspects
 // one type-checked package at a time; whole-program analyzers set
 // RunProgram instead, which sees every loaded package plus the lockfacts
-// call graph at once. Suppression names the //lsm: line directive that
-// silences the analyzer at a site (empty when there is none).
+// call graph at once.
 type Analyzer struct {
-	Name        string
-	Doc         string
-	Suppression string
-	Run         func(*Pass)
-	RunProgram  func(*ProgramPass)
+	Name       string
+	Doc        string
+	Run        func(*Pass)
+	RunProgram func(*ProgramPass)
 }
 
 // Pass carries one type-checked package through one analyzer.
@@ -84,10 +76,9 @@ type Pass struct {
 // Reportf records a diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 	*p.diags = append(*p.diags, Diagnostic{
-		Analyzer:    p.Analyzer.Name,
-		Pos:         p.Fset.Position(pos),
-		Message:     fmt.Sprintf(format, args...),
-		Suppression: p.Analyzer.Suppression,
+		Analyzer: p.Analyzer.Name,
+		Pos:      p.Fset.Position(pos),
+		Message:  fmt.Sprintf(format, args...),
 	})
 }
 
@@ -213,13 +204,9 @@ func Analyzers() []*Analyzer {
 		SliceRetain,
 		LockGuard,
 		IKeyCmp,
-		NilTrace,
-		ChanClose,
 		HotPath,
 		ErrCheck,
 		LockOrder,
-		GoLeak,
-		AtomicMix,
 	}
 }
 

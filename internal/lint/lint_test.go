@@ -81,10 +81,24 @@ func TestAnalyzersTestdata(t *testing.T) {
 	}
 }
 
+// knownDirectives is every //lsm: word an analyzer reads. Any other word
+// in non-test code is a typo (//lsm:hotpth silently turns hotpath off
+// for that function) or a leftover of a deleted analyzer.
+var knownDirectives = map[string]bool{
+	"lsm:hotpath":   true,
+	"lsm:locked":    true,
+	"lsm:aliasok":   true,
+	"lsm:allocok":   true,
+	"lsm:errok":     true,
+	"lsm:lockok":    true,
+	"lsm:lockorder": true,
+}
+
 // TestRepoIsClean is the whole-repo smoke test: lsmlint ./... must report
-// zero diagnostics, i.e. the codebase obeys its own invariants. Any
-// finding here is either a bug to fix or a site to annotate — never a
-// reason to weaken the analyzer.
+// zero diagnostics, i.e. the codebase obeys its own invariants, and every
+// //lsm: directive must be one an analyzer reads. Any finding here is
+// either a bug to fix or a site to annotate — never a reason to weaken
+// the analyzer.
 func TestRepoIsClean(t *testing.T) {
 	pkgs, err := Load("../..", "./...")
 	if err != nil {
@@ -99,6 +113,17 @@ func TestRepoIsClean(t *testing.T) {
 	}
 	if len(diags) > 0 {
 		t.Logf("%d finding(s); fix the code or annotate the site (see package lint doc)", len(diags))
+	}
+	for _, pkg := range pkgs {
+		for file, lines := range buildLineDirectives(pkg.Fset, pkg.Files) {
+			for line, ds := range lines {
+				for _, d := range ds {
+					if !knownDirectives[d] {
+						t.Errorf("%s:%d: unknown directive //%s; no analyzer reads it", file, line, d)
+					}
+				}
+			}
+		}
 	}
 }
 

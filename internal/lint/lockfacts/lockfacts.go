@@ -1,5 +1,5 @@
 // Package lockfacts is the whole-program substrate beneath lsmlint's
-// concurrency analyzers (DESIGN.md §5.8). From the packages the lint
+// lockorder analyzer (DESIGN.md §5.8). From the packages the lint
 // loader type-checked it builds:
 //
 //   - a whole-program call graph over declared functions and go-spawned
@@ -27,9 +27,6 @@
 // not a dataflow lattice. Every approximation errs toward missing an
 // edge, never toward inventing one, except for instance-blindness —
 // which is why the blessed order is a repo-wide contract, not a proof.
-//
-// The package is analyzer-agnostic so future checks (e.g. a
-// crash-consistency pass over WAL ordering) can reuse the same graph.
 package lockfacts
 
 import (
@@ -37,6 +34,7 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -47,7 +45,6 @@ type Pkg struct {
 	Path  string
 	Fset  *token.FileSet
 	Files []*ast.File
-	Types *types.Package
 	Info  *types.Info
 }
 
@@ -66,10 +63,7 @@ type Func struct {
 	ID      string // canonical, unique: "<import path>.(<recv>).<name>"
 	Display string // short, for witness chains: "<pkg tail>.<recv>.<name>"
 	Pkg     *Pkg
-	Decl    *ast.FuncDecl // nil for go-spawned literals
-	Lit     *ast.FuncLit  // nil for declared functions
 	Body    *ast.BlockStmt
-	GoRoot  bool // literal spawned by a go statement
 
 	// Calls are the statically resolvable call sites in Body, in source
 	// order. Interface-method calls carry one callee per implementation.
@@ -89,7 +83,6 @@ type Call struct {
 type Acquire struct {
 	Class string
 	Pos   token.Pos
-	Read  bool // RLock rather than Lock
 }
 
 // Witness is a deterministic path to a transitive acquisition: Chain is
@@ -108,7 +101,6 @@ type Edge struct {
 	From, To string
 	Pos      token.Pos
 	Holder   string   // display name of the function holding From
-	HoldPos  token.Pos
 	Chain    []string // nil for a direct acquisition in Holder
 	AcqPos   token.Pos
 }
@@ -119,36 +111,17 @@ func (e Edge) Path() string {
 	return strings.Join(parts, " -> ")
 }
 
-// GuardedField describes one `// guarded by <mu>` field annotation,
-// keyed canonically so cross-package accesses resolve to the same entry.
-type GuardedField struct {
-	Key   string // "<pkg tail>.<Type>.<field>"
-	Guard string // bare mutex name from the annotation
-}
-
 // Program is the built whole-program index.
 type Program struct {
 	Fset  *token.FileSet
-	Pkgs  []*Pkg
 	Funcs map[string]*Func
 	// FuncIDs is Funcs' key set in sorted order; every deterministic
 	// traversal iterates it rather than the map.
 	FuncIDs []string
-	// Guards maps canonical field keys to their annotated guard mutex.
-	Guards map[string]string
-	// LitFuncs maps each go-spawned function literal to its Func node.
-	LitFuncs map[*ast.FuncLit]*Func
 
-	idx      *resolveIndex
 	taCache  map[string]map[string]Witness
 	edges    []Edge
 	hasEdges bool
-}
-
-// Callees resolves a call expression in pkg to the canonical IDs of the
-// program functions it may invoke (see resolveIndex.callees).
-func (p *Program) Callees(pkg *Pkg, call *ast.CallExpr) []string {
-	return p.idx.callees(pkg, call)
 }
 
 // Build indexes pkgs into a Program. Determinism: packages are processed
@@ -156,19 +129,15 @@ func (p *Program) Callees(pkg *Pkg, call *ast.CallExpr) []string {
 // and all derived tables are keyed and iterated in sorted order.
 func Build(pkgs []*Pkg) *Program {
 	p := &Program{
-		Funcs:    map[string]*Func{},
-		Guards:   map[string]string{},
-		LitFuncs: map[*ast.FuncLit]*Func{},
-		taCache:  map[string]map[string]Witness{},
+		Funcs:   map[string]*Func{},
+		taCache: map[string]map[string]Witness{},
 	}
 	if len(pkgs) > 0 {
 		p.Fset = pkgs[0].Fset
 	}
-	p.Pkgs = pkgs
 
 	idx := newResolveIndex(pkgs)
 	for _, pkg := range pkgs {
-		p.collectGuards(pkg)
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
@@ -179,7 +148,6 @@ func Build(pkgs []*Pkg) *Program {
 					ID:      declID(pkg, fd),
 					Display: declDisplay(pkg, fd),
 					Pkg:     pkg,
-					Decl:    fd,
 					Body:    fd.Body,
 				}
 				p.Funcs[fn.ID] = fn
@@ -199,64 +167,25 @@ func Build(pkgs []*Pkg) *Program {
 				}
 				pos := pkg.Fset.Position(lit.Pos())
 				fn := &Func{
-					ID:      pkg.Path + ".$go:" + pos.Filename + ":" + itoa(pos.Line) + ":" + itoa(pos.Column),
-					Display: pkg.Tail() + ".go@" + itoa(pos.Line),
+					ID:      pkg.Path + ".$go:" + pos.Filename + ":" + strconv.Itoa(pos.Line) + ":" + strconv.Itoa(pos.Column),
+					Display: pkg.Tail() + ".go@" + strconv.Itoa(pos.Line),
 					Pkg:     pkg,
-					Lit:     lit,
 					Body:    lit.Body,
-					GoRoot:  true,
 				}
 				p.Funcs[fn.ID] = fn
-				p.LitFuncs[lit] = fn
 				return true
 			})
 		}
 	}
-	p.idx = idx
 	for id := range p.Funcs {
 		p.FuncIDs = append(p.FuncIDs, id)
 	}
 	sort.Strings(p.FuncIDs)
 
 	for _, id := range p.FuncIDs {
-		fn := p.Funcs[id]
-		collectFacts(p, idx, fn)
+		collectFacts(idx, p.Funcs[id])
 	}
 	return p
-}
-
-// FuncAt returns the Func whose body is decl, or nil.
-func (p *Program) FuncAt(pkg *Pkg, fd *ast.FuncDecl) *Func {
-	return p.Funcs[declID(pkg, fd)]
-}
-
-// Reachable returns the functions reachable from rootID through the call
-// graph, root included, in deterministic (sorted traversal) order.
-func (p *Program) Reachable(rootID string) []*Func {
-	root := p.Funcs[rootID]
-	if root == nil {
-		return nil
-	}
-	seen := map[string]bool{rootID: true}
-	out := []*Func{root}
-	queue := []*Func{root}
-	for len(queue) > 0 {
-		fn := queue[0]
-		queue = queue[1:]
-		for _, call := range fn.Calls {
-			for _, callee := range call.Callees {
-				if seen[callee] {
-					continue
-				}
-				seen[callee] = true
-				if next := p.Funcs[callee]; next != nil {
-					out = append(out, next)
-					queue = append(queue, next)
-				}
-			}
-		}
-	}
-	return out
 }
 
 // TransAcquires returns every lock class the function acquires directly
@@ -320,50 +249,6 @@ func (p *Program) Edges() []Edge {
 	return p.edges
 }
 
-// collectGuards records `// guarded by <mu>` annotations under canonical
-// field keys for cross-package consumers (the atomicmix analyzer).
-func (p *Program) collectGuards(pkg *Pkg) {
-	for _, f := range pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			ts, ok := n.(*ast.TypeSpec)
-			if !ok {
-				return true
-			}
-			st, ok := ts.Type.(*ast.StructType)
-			if !ok {
-				return true
-			}
-			owner := pkg.Tail() + "." + ts.Name.Name
-			for _, field := range st.Fields.List {
-				guard := guardAnnotation(field)
-				if guard == "" {
-					continue
-				}
-				for _, name := range field.Names {
-					p.Guards[owner+"."+name.Name] = guard
-				}
-			}
-			return true
-		})
-	}
-}
-
-func guardAnnotation(field *ast.Field) string {
-	for _, cg := range []*ast.CommentGroup{field.Doc, field.Comment} {
-		if cg == nil {
-			continue
-		}
-		if m := guardedByRE.FindStringSubmatch(cg.Text()); m != nil {
-			guard := m[1]
-			if i := strings.LastIndex(guard, "."); i >= 0 {
-				guard = guard[i+1:]
-			}
-			return guard
-		}
-	}
-	return ""
-}
-
 func sortedKeys(m map[string]Witness) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
@@ -371,18 +256,4 @@ func sortedKeys(m map[string]Witness) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }

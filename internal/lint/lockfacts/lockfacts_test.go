@@ -33,7 +33,6 @@ func buildProgram(t *testing.T, patterns ...string) *lockfacts.Program {
 			Path:  pkg.ImportPath,
 			Fset:  pkg.Fset,
 			Files: pkg.Files,
-			Types: pkg.Types,
 			Info:  pkg.Info,
 		})
 	}

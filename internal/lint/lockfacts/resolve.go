@@ -3,7 +3,6 @@ package lockfacts
 import (
 	"go/ast"
 	"go/types"
-	"regexp"
 	"sort"
 	"strings"
 )
@@ -14,8 +13,6 @@ import (
 // same function differs between the two views. All graph keys are
 // therefore canonical strings derived from package path, receiver type
 // name, and member name — equal across type-checker universes.
-
-var guardedByRE = regexp.MustCompile(`guarded by ([A-Za-z_][A-Za-z0-9_.]*)`)
 
 // funcKey canonicalizes a function or method object.
 func funcKey(fn *types.Func) string {

@@ -11,7 +11,7 @@ import (
 // Func nodes; other literals are a documented blind spot). go statements
 // are skipped entirely: the spawned work does not run under the caller's
 // locks, so a GoStmt is not a call-graph edge.
-func collectFacts(p *Program, idx *resolveIndex, fn *Func) {
+func collectFacts(idx *resolveIndex, fn *Func) {
 	pkg := fn.Pkg
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		switch x := n.(type) {
@@ -24,11 +24,7 @@ func collectFacts(p *Program, idx *resolveIndex, fn *Func) {
 				switch sel.Sel.Name {
 				case "Lock", "RLock":
 					if class := lockClass(pkg, sel.X); class != "" {
-						fn.Acquires = append(fn.Acquires, Acquire{
-							Class: class,
-							Pos:   x.Pos(),
-							Read:  sel.Sel.Name == "RLock",
-						})
+						fn.Acquires = append(fn.Acquires, Acquire{Class: class, Pos: x.Pos()})
 					}
 					return true
 				case "Unlock", "RUnlock", "TryLock", "TryRLock":
@@ -75,13 +71,8 @@ type edgeScanner struct {
 	fn       *Func
 	pkg      *Pkg
 	calleeAt map[token.Pos][]string
-	held     []heldLock
+	held     []string // classes, in acquisition order
 	edges    []Edge
-}
-
-type heldLock struct {
-	class string
-	pos   token.Pos
 }
 
 func (p *Program) scanEdges(fn *Func) []Edge {
@@ -93,7 +84,7 @@ func (p *Program) scanEdges(fn *Func) []Edge {
 	return s.edges
 }
 
-func (s *edgeScanner) snapshot() []heldLock { return append([]heldLock(nil), s.held...) }
+func (s *edgeScanner) snapshot() []string { return append([]string(nil), s.held...) }
 
 func (s *edgeScanner) block(b *ast.BlockStmt) {
 	for _, st := range b.List {
@@ -262,7 +253,7 @@ func (s *edgeScanner) call(call *ast.CallExpr, deferred bool) {
 
 func (s *edgeScanner) acquire(class string, pos token.Pos) {
 	s.emit(class, pos, nil, pos)
-	s.held = append(s.held, heldLock{class: class, pos: pos})
+	s.held = append(s.held, class)
 }
 
 func (s *edgeScanner) release(class string) {
@@ -270,7 +261,7 @@ func (s *edgeScanner) release(class string) {
 		return
 	}
 	for i := len(s.held) - 1; i >= 0; i-- {
-		if s.held[i].class == class {
+		if s.held[i] == class {
 			s.held = append(s.held[:i], s.held[i+1:]...)
 			return
 		}
@@ -282,18 +273,17 @@ func (s *edgeScanner) release(class string) {
 func (s *edgeScanner) emit(class string, pos token.Pos, chain []string, acqPos token.Pos) {
 	seen := map[string]bool{}
 	for _, h := range s.held {
-		if h.class == class || seen[h.class] {
+		if h == class || seen[h] {
 			continue
 		}
-		seen[h.class] = true
+		seen[h] = true
 		s.edges = append(s.edges, Edge{
-			From:    h.class,
-			To:      class,
-			Pos:     pos,
-			Holder:  s.fn.Display,
-			HoldPos: h.pos,
-			Chain:   chain,
-			AcqPos:  acqPos,
+			From:   h,
+			To:     class,
+			Pos:    pos,
+			Holder: s.fn.Display,
+			Chain:  chain,
+			AcqPos: acqPos,
 		})
 	}
 }

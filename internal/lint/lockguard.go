@@ -21,10 +21,9 @@ import (
 // results and receivers of mutex-containing struct types, and
 // dereference copies (x := *p). A copied mutex guards nothing.
 var LockGuard = &Analyzer{
-	Name:        "lockguard",
-	Doc:         "fields annotated `// guarded by mu` are only touched under the lock; mutexes are never copied",
-	Suppression: "lsm:locked",
-	Run:         runLockGuard,
+	Name: "lockguard",
+	Doc:  "fields annotated `// guarded by mu` are only touched under the lock; mutexes are never copied",
+	Run:  runLockGuard,
 }
 
 var guardedByRE = regexp.MustCompile(`guarded by ([A-Za-z_][A-Za-z0-9_.]*)`)

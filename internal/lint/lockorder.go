@@ -30,10 +30,9 @@ import (
 // acquiring a second instance of a held class is not reported. Suppress
 // a single acquisition site with //lsm:lockok.
 var LockOrder = &Analyzer{
-	Name:        "lockorder",
-	Doc:         "lock acquisitions follow the blessed //lsm:lockorder partial order; the observed acquisition graph is acyclic",
-	Suppression: "lsm:lockok",
-	RunProgram:  runLockOrder,
+	Name:       "lockorder",
+	Doc:        "lock acquisitions follow the blessed //lsm:lockorder partial order; the observed acquisition graph is acyclic",
+	RunProgram: runLockOrder,
 }
 
 // lockOrderDirective is one parsed //lsm:lockorder chain.

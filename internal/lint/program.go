@@ -37,7 +37,6 @@ func newProgramPass(pkgs []*Package, diags *[]Diagnostic) *ProgramPass {
 			Path:  pkg.ImportPath,
 			Fset:  pkg.Fset,
 			Files: pkg.Files,
-			Types: pkg.Types,
 			Info:  pkg.Info,
 		})
 		for file, lines := range buildLineDirectives(pkg.Fset, pkg.Files) {
@@ -48,23 +47,12 @@ func newProgramPass(pkgs []*Package, diags *[]Diagnostic) *ProgramPass {
 	return pp
 }
 
-// FactsPkg returns the lockfacts view of a loaded package.
-func (p *ProgramPass) FactsPkg(pkg *Package) *lockfacts.Pkg {
-	for _, fp := range p.Prog.Pkgs {
-		if fp.Path == pkg.ImportPath {
-			return fp
-		}
-	}
-	return nil
-}
-
 // Reportf records a diagnostic at pos.
 func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...interface{}) {
 	*p.diags = append(*p.diags, Diagnostic{
-		Analyzer:    p.Analyzer.Name,
-		Pos:         p.Fset.Position(pos),
-		Message:     fmt.Sprintf(format, args...),
-		Suppression: p.Analyzer.Suppression,
+		Analyzer: p.Analyzer.Name,
+		Pos:      p.Fset.Position(pos),
+		Message:  fmt.Sprintf(format, args...),
 	})
 }
 

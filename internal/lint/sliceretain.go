@@ -16,10 +16,9 @@ import (
 // deliberate aliasing (e.g. a scratch struct reset on every use) is
 // annotated //lsm:aliasok.
 var SliceRetain = &Analyzer{
-	Name:        "sliceretain",
-	Doc:         "iterator Key()/Value() bytes must be copied before they escape the iteration step",
-	Suppression: "lsm:aliasok",
-	Run:         runSliceRetain,
+	Name: "sliceretain",
+	Doc:  "iterator Key()/Value() bytes must be copied before they escape the iteration step",
+	Run:  runSliceRetain,
 }
 
 func runSliceRetain(pass *Pass) {

@@ -52,22 +52,16 @@ func pkgPathTail(path, pkg string) bool {
 	return path == pkg || strings.HasSuffix(path, "/"+pkg)
 }
 
-// calleeObj resolves the called function or method object, or nil for
-// builtins, type conversions and indirect calls.
-func calleeObj(info *types.Info, call *ast.CallExpr) types.Object {
-	switch fun := unparen(call.Fun).(type) {
-	case *ast.Ident:
-		return objOf(info, fun)
-	case *ast.SelectorExpr:
-		return objOf(info, fun.Sel)
-	}
-	return nil
-}
-
 // isPkgFunc reports whether call invokes the package-level function
 // pkg.name, with pkg matched by import-path tail (e.g. "ikey", "time").
 func isPkgFunc(info *types.Info, call *ast.CallExpr, pkg, name string) bool {
-	obj := calleeObj(info, call)
+	var obj types.Object
+	switch fun := unparen(call.Fun).(type) {
+	case *ast.Ident:
+		obj = objOf(info, fun)
+	case *ast.SelectorExpr:
+		obj = objOf(info, fun.Sel)
+	}
 	fn, ok := obj.(*types.Func)
 	if !ok || fn.Name() != name || fn.Pkg() == nil {
 		return false

@@ -173,9 +173,7 @@ func TestGroupCommitConcurrentStress(t *testing.T) {
 	if cs.Groups > cs.Commits || cs.Groups == 0 {
 		t.Errorf("CommitStats.Groups = %d (commits %d)", cs.Groups, cs.Commits)
 	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
+	closeWithin(t, db)
 
 	re, err := Open(dir, smallOpts())
 	if err != nil {

@@ -402,9 +402,7 @@ func TestParallelCompactionStress(t *testing.T) {
 	if rep, err := db.Verify(); err != nil || len(rep.Problems) > 0 {
 		t.Fatalf("verify: %v %v", err, rep.Problems)
 	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
+	closeWithin(t, db)
 
 	// Reopen in deterministic mode: the on-disk state parallel jobs left
 	// behind must be mode- and parallelism-independent.

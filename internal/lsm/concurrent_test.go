@@ -31,6 +31,28 @@ func waitGoroutines(t *testing.T, want int) {
 	t.Fatalf("goroutines did not drain: have %d, want <= %d", runtime.NumGoroutine(), want)
 }
 
+// closeWithin closes db, failing with a dump of every goroutine if Close
+// has not returned within a few seconds. A background goroutine that
+// never exits hangs Close in its WaitGroup; every background-mode test
+// closes through here, so such a leak fails the first of them with a dump
+// that names the goroutine instead of hanging the package until its
+// timeout.
+func closeWithin(t *testing.T, db *DB) {
+	t.Helper()
+	const deadline = 5 * time.Second
+	done := make(chan error, 1)
+	go func() { done <- db.Close() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(deadline):
+		buf := make([]byte, 1<<20)
+		t.Fatalf("Close did not return within %v; goroutines:\n%s", deadline, buf[:runtime.Stack(buf, true)])
+	}
+}
+
 // TestBackgroundBasic drives a background-mode DB through many flushes
 // and compactions, then reopens the directory in deterministic mode to
 // prove the on-disk formats (manifest, WAL segments, tables) are
@@ -58,9 +80,7 @@ func TestBackgroundBasic(t *testing.T) {
 			t.Fatalf("Get(%s) = %q %v", k, v, ok)
 		}
 	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
+	closeWithin(t, db)
 
 	// Cross-mode reopen: deterministic.
 	det, err := Open(dir, smallOpts())
@@ -88,7 +108,7 @@ func TestBackgroundFrozenMemtableVisible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db.Close()
+	defer closeWithin(t, db)
 	block := make(chan struct{})
 	db.mu.Lock()
 	db.testBlockFlush = block
@@ -150,7 +170,7 @@ func TestBackgroundCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db.Close()
+	defer closeWithin(t, db)
 	block := make(chan struct{})
 	db.mu.Lock()
 	db.testBlockFlush = block
@@ -204,7 +224,7 @@ func TestBackgroundCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer re.Close()
+	defer closeWithin(t, re)
 	for k, v := range want {
 		if got, ok := mustGet(t, re, k); !ok || got != v {
 			t.Fatalf("after crash recovery, Get(%s) = %q %v, want %q", k, got, ok, v)
@@ -213,46 +233,48 @@ func TestBackgroundCrashRecovery(t *testing.T) {
 }
 
 // TestBackgroundCloseDrains proves Close waits for in-flight background
-// work and leaves no goroutines behind, and that a reopen loses nothing.
+// work and leaves no goroutines behind, and that a reopen loses nothing,
+// with one compaction runner and with two. A runner that never exits
+// fails it in seconds (see closeWithin).
 func TestBackgroundCloseDrains(t *testing.T) {
-	base := runtime.NumGoroutine()
-	dir := t.TempDir()
-	db, err := Open(dir, bgOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 3000
-	for i := 0; i < n; i++ {
-		mustPut(t, db, fmt.Sprintf("key-%05d", i), fmt.Sprintf("value-%05d", i))
-	}
-	// Close immediately: a frozen MemTable may be mid-flush and the
-	// compactor mid-merge; both must drain.
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	waitGoroutines(t, base)
+	for _, parallelism := range []int{1, 2} {
+		t.Run(fmt.Sprintf("parallelism=%d", parallelism), func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			dir := t.TempDir()
+			o := bgOpts()
+			o.CompactionParallelism = parallelism
+			db, err := Open(dir, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const n = 3000
+			for i := 0; i < n; i++ {
+				mustPut(t, db, fmt.Sprintf("key-%05d", i), fmt.Sprintf("value-%05d", i))
+			}
+			// Close immediately: a frozen MemTable may be mid-flush and the
+			// compactors mid-merge; all must drain.
+			closeWithin(t, db)
+			waitGoroutines(t, base)
 
-	re, err := Open(dir, bgOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		k := fmt.Sprintf("key-%05d", i)
-		if v, ok := mustGet(t, re, k); !ok || v != fmt.Sprintf("value-%05d", i) {
-			t.Fatalf("after reopen, Get(%s) = %q %v", k, v, ok)
-		}
-	}
-	if err := re.Close(); err != nil {
-		t.Fatal(err)
-	}
-	waitGoroutines(t, base)
+			re, err := Open(dir, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				k := fmt.Sprintf("key-%05d", i)
+				if v, ok := mustGet(t, re, k); !ok || v != fmt.Sprintf("value-%05d", i) {
+					t.Fatalf("after reopen, Get(%s) = %q %v", k, v, ok)
+				}
+			}
+			closeWithin(t, re)
+			waitGoroutines(t, base)
 
-	// Closing twice is fine; writes after Close fail.
-	if err := re.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := re.Put([]byte("x"), []byte("y")); err != ErrClosed {
-		t.Fatalf("Put after Close = %v, want ErrClosed", err)
+			// Closing twice is fine; writes after Close fail.
+			closeWithin(t, re)
+			if err := re.Put([]byte("x"), []byte("y")); err != ErrClosed {
+				t.Fatalf("Put after Close = %v, want ErrClosed", err)
+			}
+		})
 	}
 }
 
@@ -363,9 +385,7 @@ func TestBackgroundConcurrentStress(t *testing.T) {
 	if rep, err := db.Verify(); err != nil || len(rep.Problems) > 0 {
 		t.Fatalf("verify: %v %v", err, rep.Problems)
 	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
+	closeWithin(t, db)
 }
 
 // TestBackgroundCheckpoint takes a checkpoint while the pipeline is busy
@@ -377,7 +397,7 @@ func TestBackgroundCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db.Close()
+	defer closeWithin(t, db)
 	const n = 1500
 	for i := 0; i < n; i++ {
 		mustPut(t, db, fmt.Sprintf("key-%05d", i), fmt.Sprintf("value-%05d", i))

@@ -39,9 +39,7 @@ func TestBackgroundEventOrdering(t *testing.T) {
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
+	closeWithin(t, db)
 
 	evs := log.Events()
 	if len(evs) == 0 {
