@@ -18,10 +18,10 @@ lint:
 	$(GO) run ./cmd/lsmlint ./...
 
 # Race-detector smoke over the packages the lockorder and lockguard
-# analyzers reason about: the commit-queue, parallel
-# sub-compaction and flush/compaction pipeline tests in internal/lsm
-# (background runners, and writer-run jobs racing Flush and
-# CompactRange in deterministic mode), concurrent core
+# analyzers reason about: the commit-queue, compaction merge stream
+# and flush/compaction pipeline tests in internal/lsm (the background
+# runner, a failed writer canceling its merge goroutine, and writer-run
+# jobs racing Flush and CompactRange in deterministic mode), concurrent core
 # writers (every write takes the commit queue) and the concurrent
 # workload profiler in internal/explain. Dynamic confirmation that the
 # statically blessed lock order holds under contention. It is also the
@@ -31,7 +31,7 @@ lint:
 # deflater and block decoder pools.
 lint-race:
 	$(GO) test -race -run 'TestConcurrentBuildAndRead' ./internal/sstable/
-	$(GO) test -race -run 'TestGroupCommit|TestCommit|TestUncontendedCommit|TestParallelCompaction|TestBackground|TestDeterministicConcurrentDrains' ./internal/lsm/
+	$(GO) test -race -run 'TestGroupCommit|TestCommit|TestUncontendedCommit|TestCompactionWriterFailureCancels|TestBackground|TestDeterministicConcurrentDrains' ./internal/lsm/
 	$(GO) test -race -run 'TestGroupCommitConcurrentCore' ./internal/core/
 	$(GO) test -race -run 'TestProfilerConcurrent|TestWorkloadSnapshot' ./internal/explain/
 
@@ -39,7 +39,7 @@ test: build
 	$(GO) test ./...
 
 # Race-detector pass over the engine packages; the concurrent write
-# pipeline and parallel lookup tests are the main target. -short skips
+# pipeline tests are the main target. -short skips
 # the long soaks so this stays tractable on small machines.
 race:
 	$(GO) test -race -short ./internal/...

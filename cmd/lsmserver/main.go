@@ -37,18 +37,17 @@ import (
 
 func main() {
 	var (
-		dir        = flag.String("db", "", "database directory (required)")
-		index      = flag.String("index", "lazy", "index kind: none|embedded|eager|lazy|composite")
-		attrs      = flag.String("attrs", "UserID,CreationTime", "comma-separated indexed attributes")
-		addr       = flag.String("addr", ":8080", "listen address")
-		cache      = flag.Int64("cache-mb", 0, "block cache size in MiB (0 = off, the paper's config)")
-		metricsOn  = flag.Bool("metrics", true, "expose Prometheus text format at GET /metrics")
-		pprofOn    = flag.Bool("pprof", false, "expose Go profiling at /debug/pprof/")
-		traceRate  = flag.Float64("trace-sample", 0, "fraction of operations to trace (0 disables, 1 traces all)")
-		eventsOut  = flag.String("events-jsonl", "", "append lifecycle events as JSON lines to this file")
-		syncMode   = flag.String("sync-mode", "off", "WAL durability: off|always|grouped (grouped = one fsync per commit group)")
-		advisorIv  = flag.Duration("advisor-check", 0, "re-run the online index advisor at this interval (0 disables); flips land in the event log")
-		compactPar = flag.Int("compaction-parallelism", 1, "key-range sub-compaction workers per compaction (1 = serial engine; results identical at any setting)")
+		dir       = flag.String("db", "", "database directory (required)")
+		index     = flag.String("index", "lazy", "index kind: none|embedded|eager|lazy|composite")
+		attrs     = flag.String("attrs", "UserID,CreationTime", "comma-separated indexed attributes")
+		addr      = flag.String("addr", ":8080", "listen address")
+		cache     = flag.Int64("cache-mb", 0, "block cache size in MiB (0 = off, the paper's config)")
+		metricsOn = flag.Bool("metrics", true, "expose Prometheus text format at GET /metrics")
+		pprofOn   = flag.Bool("pprof", false, "expose Go profiling at /debug/pprof/")
+		traceRate = flag.Float64("trace-sample", 0, "fraction of operations to trace (0 disables, 1 traces all)")
+		eventsOut = flag.String("events-jsonl", "", "append lifecycle events as JSON lines to this file")
+		syncMode  = flag.String("sync-mode", "off", "WAL durability: off|always|grouped (grouped = one fsync per commit group)")
+		advisorIv = flag.Duration("advisor-check", 0, "re-run the online index advisor at this interval (0 disables); flips land in the event log")
 	)
 	flag.Parse()
 	if *dir == "" {
@@ -88,8 +87,6 @@ func main() {
 		TraceSampleRate: *traceRate,
 		Events:          events,
 		SyncMode:        sync,
-
-		CompactionParallelism: *compactPar,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lsmserver:", err)

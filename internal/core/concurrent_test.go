@@ -7,10 +7,10 @@ import (
 )
 
 // TestConcurrentModeEquivalence runs the same randomized workload through
-// an inline-sequential DB and a background+parallel DB for every index
-// kind, comparing every LOOKUP and RANGELOOKUP answer. The concurrency
-// options must change scheduling only, never results (the determinism
-// contract the paper experiments depend on).
+// a deterministic-mode DB and a background-mode DB for every index kind,
+// comparing every LOOKUP and RANGELOOKUP answer. Who runs the flush and
+// compaction jobs must change scheduling only, never results (the
+// determinism contract the paper experiments depend on).
 func TestConcurrentModeEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("equivalence soak skipped in -short mode")
@@ -20,7 +20,6 @@ func TestConcurrentModeEquivalence(t *testing.T) {
 			inlineOpts := smallOptions(kind)
 			bgOpts := smallOptions(kind)
 			bgOpts.BackgroundCompaction = true
-			bgOpts.LookupParallelism = 4
 
 			inline, err := Open(t.TempDir(), inlineOpts)
 			if err != nil {

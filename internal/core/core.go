@@ -101,17 +101,6 @@ type Options struct {
 	// instead of the writer (see lsm.Options.BackgroundCompaction). Off
 	// by default so the paper's experiments stay deterministic.
 	BackgroundCompaction bool
-	// CompactionParallelism bounds the key-range sub-compaction worker
-	// pool of the primary table and every index table (see
-	// lsm.Options.CompactionParallelism). 0 or 1 merges each compaction
-	// as a single partition; results are byte-identical at every setting.
-	CompactionParallelism int
-	// LookupParallelism > 1 fans LOOKUP/RANGELOOKUP candidate work out
-	// over that many goroutines: per-SSTable probing in the Embedded
-	// index, and candidate validation in the Eager, Lazy and Composite
-	// indexes. 0 or 1 keeps the paper's sequential algorithms; results
-	// are identical either way.
-	LookupParallelism int
 
 	// DisableGetLite makes the Embedded index validate candidates with
 	// full GETs instead of the metadata-only GetLite probe (ablation;
@@ -216,20 +205,19 @@ func Open(dir string, opts Options) (*DB, error) {
 	// One engine configuration for every table; each table gets a copy
 	// with its own event sink, and only the primary embeds attributes.
 	base := lsm.Options{
-		MemTableBytes:         opts.MemTableBytes,
-		BlockSize:             opts.BlockSize,
-		BitsPerKey:            opts.BitsPerKey,
-		SecondaryBitsPerKey:   opts.SecondaryBitsPerKey,
-		DisableCompression:    opts.DisableCompression,
-		L0CompactionTrigger:   opts.L0CompactionTrigger,
-		BaseLevelBytes:        opts.BaseLevelBytes,
-		LevelMultiplier:       opts.LevelMultiplier,
-		MaxLevels:             opts.MaxLevels,
-		SyncMode:              opts.SyncMode,
-		BlockCacheBytes:       opts.BlockCacheBytes,
-		BackgroundCompaction:  opts.BackgroundCompaction,
-		CompactionParallelism: opts.CompactionParallelism,
-		Tracer:                tracer,
+		MemTableBytes:        opts.MemTableBytes,
+		BlockSize:            opts.BlockSize,
+		BitsPerKey:           opts.BitsPerKey,
+		SecondaryBitsPerKey:  opts.SecondaryBitsPerKey,
+		DisableCompression:   opts.DisableCompression,
+		L0CompactionTrigger:  opts.L0CompactionTrigger,
+		BaseLevelBytes:       opts.BaseLevelBytes,
+		LevelMultiplier:      opts.LevelMultiplier,
+		MaxLevels:            opts.MaxLevels,
+		SyncMode:             opts.SyncMode,
+		BlockCacheBytes:      opts.BlockCacheBytes,
+		BackgroundCompaction: opts.BackgroundCompaction,
+		Tracer:               tracer,
 	}
 	primaryOpts := base
 	primaryOpts.Events = events.Named("primary")
@@ -584,24 +572,10 @@ func (db *DB) CommitStats() (primary, index lsm.CommitStats) {
 	return primary, index
 }
 
-// CompactionStats returns the sub-compaction counters of the primary
-// table and (summed) of all index tables: partitions merged, workers busy
-// now, and cumulative L0 write-stall time (DESIGN.md §5.9).
-func (db *DB) CompactionStats() (primary, index lsm.CompactionStats) {
-	primary = db.primary.CompactionStats()
-	for _, idx := range db.indexes {
-		is := idx.CompactionStats()
-		index.Subcompactions += is.Subcompactions
-		index.WorkersBusy += is.WorkersBusy
-		index.StallSeconds += is.StallSeconds
-	}
-	return primary, index
-}
-
 // CompactAll drives a full manual compaction of the primary table and
-// every index table through the sub-compaction engine — lsm.CompactRange
-// over the unbounded range, surfacing any mid-merge failure (the event
-// log carries the failing partition's key range).
+// every index table — lsm.CompactRange over the unbounded range,
+// surfacing any mid-merge failure (the event log carries it as a
+// compaction_error event).
 func (db *DB) CompactAll() error {
 	if err := db.primary.CompactRange(nil, nil); err != nil {
 		return fmt.Errorf("core: compact primary: %w", err)
@@ -624,18 +598,20 @@ func (db *DB) GroupSizeHists() map[string]*metrics.Histogram {
 	return out
 }
 
-// BackgroundStats sums the flush/compaction pipeline counters of the
-// primary table and every index table (see lsm.BackgroundStats).
-func (db *DB) BackgroundStats() lsm.BackgroundStats {
-	s := db.primary.BackgroundStats()
+// BackgroundStats returns the flush/compaction pipeline counters of the
+// primary table and (summed) of all index tables (see
+// lsm.BackgroundStats), including the L0 write-stall time.
+func (db *DB) BackgroundStats() (primary, index lsm.BackgroundStats) {
+	primary = db.primary.BackgroundStats()
 	for _, idx := range db.indexes {
 		is := idx.BackgroundStats()
-		s.Flushes += is.Flushes
-		s.Compactions += is.Compactions
-		s.Slowdowns += is.Slowdowns
-		s.ThrottleWaits += is.ThrottleWaits
+		index.Flushes += is.Flushes
+		index.Compactions += is.Compactions
+		index.Slowdowns += is.Slowdowns
+		index.ThrottleWaits += is.ThrottleWaits
+		index.StallSeconds += is.StallSeconds
 	}
-	return s
+	return primary, index
 }
 
 // DiskUsage reports on-disk bytes of the primary table and of all index
@@ -692,20 +668,17 @@ func newLazyWriteMerger(st *metrics.IOStats) lsm.WriteMerger {
 
 // lazyCompactionMerger merges fragments scattered across levels during
 // index-table compaction (paper §4.1.2: "During merge compaction, we
-// merge these fragmented lists"). The output buffer is reused across
-// calls under mu — the SSTable builder copies the value into its block
-// before the next Merge can run.
+// merge these fragmented lists"). The engine merges only through a
+// per-job fork (ForkMerger), so one goroutine uses a merger's scratch,
+// and the output buffer is reused across calls: the engine copies a
+// merged value before the next Merge runs.
 type lazyCompactionMerger struct {
-	st *metrics.IOStats
-
-	mu  sync.Mutex
-	sc  postings.MergeScratch // guarded by mu
-	buf []byte                // guarded by mu
+	st  *metrics.IOStats
+	sc  postings.MergeScratch
+	buf []byte
 }
 
 func (m *lazyCompactionMerger) Merge(_ []byte, values [][]byte, bottom bool) ([]byte, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	out, err := m.sc.Merge(m.buf[:0], values, bottom)
 	if err != nil {
 		return m.mergeSalvage(values, bottom)
@@ -720,9 +693,10 @@ func (m *lazyCompactionMerger) Merge(_ []byte, values [][]byte, bottom bool) ([]
 	return out, true
 }
 
-// ForkMerger implements lsm.MergerForker: each key-range sub-compaction
-// worker gets a private MergeScratch and output buffer, while the shared
-// IOStats keeps aggregating decode counters (its fields are atomic).
+// ForkMerger implements lsm.MergerForker: each compaction job gets a
+// private MergeScratch and output buffer, dropped when the job ends, while
+// the shared IOStats keeps aggregating decode counters (its fields are
+// atomic).
 func (m *lazyCompactionMerger) ForkMerger() lsm.Merger {
 	return &lazyCompactionMerger{st: m.st}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"sync"
 
 	"leveldbpp/internal/btree"
 	"leveldbpp/internal/ikey"
@@ -112,20 +111,13 @@ func (db *DB) embeddedScan(attr, lo, hi string, k int, useFilters bool, tr *metr
 				if err != nil {
 					return err
 				}
-			} else if db.opts.LookupParallelism > 1 && len(s.tables) > 1 && seen == nil {
-				t0 := tr.Now()
-				err := db.embeddedScanStratumParallel(v, strata, si, attr, lo, hi, heap, useFilters)
-				tr.Since(metrics.PhaseIndexProbe, t0)
-				if err != nil {
-					return err
-				}
 			} else {
 				t0 := tr.Now()
 				for _, fm := range s.tables {
 					if heap.Full() && fm.Table().MaxSeq() <= heap.MinSeq() {
 						continue // nothing here can improve the heap
 					}
-					if err := db.embeddedScanTable(v, strata, si, fm, attr, lo, hi, useFilters, seen, tr, heap.Worth, heap.Add); err != nil {
+					if err := db.embeddedScanTable(v, strata, si, fm, attr, lo, hi, useFilters, seen, heap, tr); err != nil {
 						tr.Since(metrics.PhaseIndexProbe, t0)
 						return err
 					}
@@ -228,16 +220,15 @@ func (db *DB) embeddedScanMem(v *lsm.View, imm bool, attr, lo, hi string, heap *
 	return nil
 }
 
-// embeddedScanTable reads the candidate blocks of one table and hands
-// emit every live entry whose attr lies in [lo, hi], whose sequence number
-// is worth the caller's top-K and which passes the validity check against
-// the strata above. The attribute is tested where it lies in the block;
-// key and value are copied only for an entry that is emitted.
+// embeddedScanTable reads the candidate blocks of one table and adds to
+// heap every live entry whose attr lies in [lo, hi], whose sequence number
+// is worth the top-K and which passes the validity check against the
+// strata above. The attribute is tested where it lies in the block; key
+// and value are copied only for an entry that is added.
 //
 //lsm:hotpath
 func (db *DB) embeddedScanTable(v *lsm.View, strata []stratum, si int, fm *lsm.FileMeta,
-	attr, lo, hi string, useFilters bool, seen map[string]bool, tr *metrics.Trace,
-	worth func(seq uint64) bool, emit func(Entry)) error {
+	attr, lo, hi string, useFilters bool, seen map[string]bool, heap *topK, tr *metrics.Trace) error {
 
 	tbl := fm.Table()
 	var candidates []int
@@ -275,7 +266,7 @@ func (db *DB) embeddedScanTable(v *lsm.View, strata []stratum, si int, fm *lsm.F
 			}
 			matchedInBlock = true
 			seq := ikey.Seq(ik)
-			if !worth(seq) {
+			if !heap.Worth(seq) {
 				continue
 			}
 			pk := string(ikey.UserKey(ik))
@@ -284,7 +275,7 @@ func (db *DB) embeddedScanTable(v *lsm.View, strata []stratum, si int, fm *lsm.F
 				return err
 			}
 			if valid {
-				emit(Entry{Key: pk, Value: append([]byte(nil), it.Value()...), Seq: seq}) //lsm:allocok the result's own copy
+				heap.Add(Entry{Key: pk, Value: append([]byte(nil), it.Value()...), Seq: seq}) //lsm:allocok the result's own copy
 			}
 		}
 		if err := it.Err(); err != nil {
@@ -361,58 +352,4 @@ func (db *DB) candidateValid(v *lsm.View, strata []stratum, si int, pk string, s
 		}
 	}
 	return true, nil
-}
-
-// embeddedScanStratumParallel is the LookupParallelism > 1 variant of the
-// per-stratum table loop: candidate collection and validity probing for
-// each SSTable run on their own goroutines, and the results fold into the
-// heap afterwards. Because the Worth pre-check only prunes validation
-// work (membership is decided by Add, on unique sequence numbers), the
-// final heap matches the sequential scan exactly — the parallel path may
-// just validate a few extra candidates.
-func (db *DB) embeddedScanStratumParallel(v *lsm.View, strata []stratum, si int,
-	attr, lo, hi string, heap *topK, useFilters bool) error {
-
-	tables := strata[si].tables
-	full, minSeq := heap.Full(), heap.MinSeq()
-	worth := func(seq uint64) bool { return !full || seq > minSeq }
-
-	workers := db.opts.LookupParallelism
-	if workers > len(tables) {
-		workers = len(tables)
-	}
-	results := make([][]Entry, len(tables))
-	errs := make([]error, len(tables))
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ti := range next {
-				fm := tables[ti]
-				if full && fm.Table().MaxSeq() <= minSeq {
-					continue // nothing here can improve the heap
-				}
-				// Untraced, and GetLite validation only: a Trace and the
-				// full-GET ablation's seen map are single-goroutine.
-				errs[ti] = db.embeddedScanTable(v, strata, si, fm, attr, lo, hi, useFilters, nil, nil,
-					worth, func(e Entry) { results[ti] = append(results[ti], e) })
-			}
-		}()
-	}
-	for ti := range tables {
-		next <- ti
-	}
-	close(next)
-	wg.Wait()
-	for ti := range tables {
-		if errs[ti] != nil {
-			return errs[ti]
-		}
-		for _, e := range results[ti] {
-			heap.Add(e)
-		}
-	}
-	return nil
 }

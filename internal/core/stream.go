@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"sort"
-	"sync"
 
 	"leveldbpp/internal/lsm"
 	"leveldbpp/internal/metrics"
@@ -15,11 +14,9 @@ import (
 // posting cursors, or a compositeHeap of scanned composite keys. It yields
 // the query's candidates newest first — the order a stable sort by seq
 // descending of every decoded entry gives. key aliases source memory and
-// is valid until the next call. With open false the source reports the end
-// rather than fetch another stratum (the loop has candidates pending that
-// may fill K), and is asked again with open true.
+// is valid until the next call.
 type candidateSource interface {
-	next(open bool) (key []byte, seq uint64, del, ok bool)
+	next() (key []byte, seq uint64, del, ok bool)
 	// finish books the source's decode work on q and reports the error
 	// that ended the stream early, if any.
 	finish(q *query) error
@@ -34,63 +31,36 @@ type query struct {
 	tr           *metrics.Trace
 }
 
-// candidate is one primary key to validate (pk is the seen set's copy)
-// and, once validated, the outcome.
-type candidate struct {
-	pk    []byte
-	seq   uint64
-	doc   []byte
-	valid bool
-	err   error
-}
-
-// collect runs q over src. The first occurrence of a primary key decides
-// it, and a deletion marker only marks its key seen: any later version of
-// the document wrote a newer index entry. The stream is newest first, so
-// the top K are its first K valid candidates and the loop stops there.
-// With LookupParallelism > 1 it validates the next chunk of candidates
-// concurrently and folds the outcomes in sequence order: the same answer,
-// with at most one chunk of validations past the sequential stopping
-// point. A primary key becomes a string only once it is valid.
+// collect runs q over src, one candidate and one validation at a time.
+// The first occurrence of a primary key decides it, and a deletion marker
+// only marks its key seen: any later version of the document wrote a
+// newer index entry. The stream is newest first, so the top K are its
+// first K valid candidates and the loop stops there. A primary key becomes
+// a string only once it is valid.
 //
 //lsm:hotpath
 func (db *DB) collect(src candidateSource, q *query) ([]Entry, error) {
-	width := 1
-	if p := db.opts.LookupParallelism; p > 1 {
-		width = 4 * p
-	}
 	var seen postings.KeySet
 	seen.Reset()
-	batch := make([]candidate, width)
 	var out []Entry
 	var err error
-	more := func() bool { return err == nil && (q.k <= 0 || len(out) < q.k) }
 	mark := q.tr.Now()
-	for more() {
-		n := 0
-		for n < width {
-			key, seq, del, ok := src.next(n == 0)
-			if !ok {
-				break
-			}
-			if seen.Insert(key) && !del {
-				batch[n] = candidate{pk: seen.Last(), seq: seq}
-				n++
-			}
-		}
-		if n == 0 {
+	for err == nil && (q.k <= 0 || len(out) < q.k) {
+		key, seq, del, ok := src.next()
+		if !ok {
 			break
 		}
-		q.tr.Since(q.phase, mark)
-		db.validateAll(batch[:n], q)
-		mark = q.tr.Now()
-		for i := 0; i < n && more(); i++ {
-			if c := &batch[i]; c.valid {
-				out = append(out, Entry{Key: string(c.pk), Value: c.doc, Seq: c.seq}) //lsm:allocok the result
-			} else {
-				err = c.err
-			}
+		if !seen.Insert(key) || del {
+			continue
 		}
+		q.tr.Since(q.phase, mark)
+		pk := seen.Last()
+		var doc []byte
+		var valid bool
+		if doc, valid, err = db.validate(pk, q.attr, q.lo, q.hi, q.tr); valid {
+			out = append(out, Entry{Key: string(pk), Value: doc, Seq: seq}) //lsm:allocok the result
+		}
+		mark = q.tr.Now()
 	}
 	q.tr.Since(q.phase, mark)
 	if serr := src.finish(q); err == nil {
@@ -100,34 +70,6 @@ func (db *DB) collect(src candidateSource, q *query) ([]Entry, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// validateAll validates batch in place for a single candidate, otherwise
-// on up to LookupParallelism goroutines. Workers carry no trace (a Trace
-// is single-goroutine), so the fan-out is booked to the validate phase
-// from this side.
-func (db *DB) validateAll(batch []candidate, q *query) {
-	if len(batch) == 1 {
-		c := &batch[0]
-		c.doc, c.valid, c.err = db.validate(c.pk, q.attr, q.lo, q.hi, q.tr)
-		return
-	}
-	t0 := q.tr.Now()
-	q.tr.Count(metrics.CtrValidations, int64(len(batch)))
-	workers := min(db.opts.LookupParallelism, len(batch))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := w; i < len(batch); i += workers {
-				c := &batch[i]
-				c.doc, c.valid, c.err = db.validate(c.pk, q.attr, q.lo, q.hi, nil)
-			}
-		}()
-	}
-	wg.Wait()
-	q.tr.Since(metrics.PhaseValidate, t0)
 }
 
 // validate fetches the current record for primary key pk and reports
@@ -249,7 +191,7 @@ func (s *fragmentHeap) before(a, b int32) bool {
 }
 
 //lsm:hotpath
-func (s *fragmentHeap) next(open bool) ([]byte, uint64, bool, bool) {
+func (s *fragmentHeap) next() ([]byte, uint64, bool, bool) {
 	// Step past the entry handed out last only now, so its key stayed
 	// valid until this call.
 	if s.handed {
@@ -261,7 +203,7 @@ func (s *fragmentHeap) next(open bool) ([]byte, uint64, bool, bool) {
 		}
 		siftDown(s.h, 0, s.before)
 	}
-	if len(s.h) == 0 && open && s.fetch != nil {
+	if len(s.h) == 0 && s.fetch != nil {
 		s.pull()
 	}
 	if s.err != nil || len(s.h) == 0 {
@@ -318,7 +260,7 @@ func (s *compositeHeap) add(ck []byte, lo, hi string, seq uint64) bool {
 func newerComposite(a, b compositeCand) bool { return a.seq > b.seq }
 
 //lsm:hotpath
-func (s *compositeHeap) next(bool) ([]byte, uint64, bool, bool) {
+func (s *compositeHeap) next() ([]byte, uint64, bool, bool) {
 	if len(s.h) == 0 {
 		return nil, 0, false, false
 	}

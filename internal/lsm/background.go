@@ -15,8 +15,8 @@ import (
 // (compactLocked); Options.BackgroundCompaction decides only who runs
 // them. In deterministic mode (the default) the writer that fills a
 // MemTable runs both before its write returns, and Flush and CompactRange
-// run them on the caller. In background mode a flusher goroutine and one
-// or two compaction runner goroutines run them, and writers only freeze
+// run them on the caller. In background mode a flusher goroutine and a
+// compaction runner goroutine run them, and writers only freeze
 // MemTables. All fields except compactionMu and wg are guarded by db.mu;
 // db.cond is broadcast whenever any of them changes.
 type background struct {
@@ -26,17 +26,18 @@ type background struct {
 	err     error // guarded by db.mu; sticky first pipeline failure; poisons writes
 
 	// compactionMu serializes compaction *picking* between the background
-	// runners and manual CompactRange: a runner holds it only while it
+	// runner and manual CompactRange: the runner holds it only while it
 	// picks a job (db.mu stays held until the job is reserved);
 	// CompactRange holds it for its whole duration, so once running jobs
-	// drain no runner starts new ones. Lock order: compactionMu before
+	// drain the runner starts no new ones. Lock order: compactionMu before
 	// db.mu, never the reverse.
 	compactionMu sync.Mutex
 
-	flushes       int64 // guarded by db.mu; flush jobs completed
-	compactions   int64 // guarded by db.mu; compaction jobs completed
-	slowdowns     int64 // guarded by db.mu; writes delayed ~1ms by the L0 slowdown trigger
-	throttleWaits int64 // guarded by db.mu; writes fully stalled by the L0 stop trigger
+	flushes       int64         // guarded by db.mu; flush jobs completed
+	compactions   int64         // guarded by db.mu; compaction jobs completed
+	slowdowns     int64         // guarded by db.mu; writes delayed ~1ms by the L0 slowdown trigger
+	throttleWaits int64         // guarded by db.mu; writes fully stalled by the L0 stop trigger
+	stallTime     time.Duration // guarded by db.mu; wall time those writes spent stalled
 
 	// Throttle state for edge-triggered event emission: engage/release
 	// events fire on transitions, not per delayed write.
@@ -45,13 +46,16 @@ type background struct {
 }
 
 // BackgroundStats reports the pipeline's progress counters. Flushes and
-// Compactions count jobs in both modes; Slowdowns and ThrottleWaits stay
-// zero in deterministic mode, which never throttles writers.
+// Compactions count jobs in both modes; Slowdowns, ThrottleWaits and
+// StallSeconds stay zero in deterministic mode, which never throttles
+// writers. StallSeconds is the cumulative wall time writers spent blocked
+// on the L0 stop trigger.
 type BackgroundStats struct {
 	Flushes       int64
 	Compactions   int64
 	Slowdowns     int64
 	ThrottleWaits int64
+	StallSeconds  float64
 }
 
 // BackgroundStats returns the pipeline counters.
@@ -63,22 +67,15 @@ func (db *DB) BackgroundStats() BackgroundStats {
 		Compactions:   db.bg.compactions,
 		Slowdowns:     db.bg.slowdowns,
 		ThrottleWaits: db.bg.throttleWaits,
+		StallSeconds:  db.bg.stallTime.Seconds(),
 	}
 }
 
-// startBackground launches the flusher and the compaction runners: one
-// runner, or two with CompactionParallelism > 1 so that an L0→L1 job and
-// a deeper Ln→Ln+1 job can overlap on disjoint level pairs.
+// startBackground launches the flusher and the compaction runner.
 func (db *DB) startBackground() {
-	runners := 1
-	if db.opts.CompactionParallelism > 1 {
-		runners = 2
-	}
-	db.bg.wg.Add(1 + runners)
+	db.bg.wg.Add(2)
 	go db.flusher()
-	for i := 0; i < runners; i++ {
-		go db.compactor()
-	}
+	go db.compactor()
 }
 
 // stopBackground drains the pipeline: it refuses new work, waits for the
@@ -150,7 +147,7 @@ func (db *DB) throttleLocked(tr *metrics.Trace) error {
 		stalled = true
 		t0 := time.Now()
 		db.cond.Wait()
-		db.stallNS.Add(int64(time.Since(t0)))
+		bg.stallTime += time.Since(t0)
 	}
 	if bg.stopEngaged && len(db.v.levels[0]) < db.opts.L0StopTrigger {
 		bg.stopEngaged = false
@@ -245,7 +242,7 @@ func (db *DB) freezeMemLocked(force bool) error {
 // settleLocked blocks until no MemTable is frozen, no compaction job is in
 // flight and the tree satisfies every shape invariant. In deterministic
 // mode the caller runs the pending compactions itself; in background mode
-// it waits for the runners.
+// it waits for the runner.
 func (db *DB) settleLocked() error {
 	for db.pipelineErrLocked() == nil {
 		if !db.opts.BackgroundCompaction {
@@ -315,7 +312,7 @@ func (db *DB) flushImmLocked() error {
 	for _, p := range immWALs {
 		_ = os.Remove(p)
 	}
-	db.cond.Broadcast() // wake writers waiting for the imm slot, drains and runners
+	db.cond.Broadcast() // wake writers waiting for the imm slot, drains and the runner
 	return nil
 }
 
@@ -340,12 +337,11 @@ func (db *DB) flusher() {
 	}
 }
 
-// compactor is a background compaction runner: it waits until some
+// compactor is the background compaction runner: it waits until some
 // unreserved level pair violates a shape invariant, picks a job under
 // compactionMu+db.mu (the same L0-first, round-robin policy the
-// deterministic drain applies) and runs the compaction job. The merge
-// runs outside both locks, so two runners overlap on disjoint level
-// pairs. A failure is sticky and stops the pipeline.
+// deterministic drain applies) and runs the compaction job, whose merge
+// runs outside both locks. A failure is sticky and stops the pipeline.
 func (db *DB) compactor() {
 	bg := db.bg
 	defer bg.wg.Done()

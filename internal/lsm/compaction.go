@@ -2,7 +2,6 @@ package lsm
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"os"
 	"time"
@@ -102,7 +101,7 @@ func (db *DB) levelBusyLocked(l int) bool {
 // of, considering only unreserved level pairs: 0 once L0 reaches its
 // trigger, else the shallowest over-budget level; -1 when none needs a
 // compaction. Unlike pickCompactionLocked it is side-effect free (no
-// compaction pointer advance), so the runners evaluate it in their wait
+// compaction pointer advance), so the runner evaluates it in its wait
 // loop.
 func (db *DB) compactionLevelLocked() int {
 	if len(db.v.levels[0]) >= db.opts.L0CompactionTrigger && !db.levelBusyLocked(0) {
@@ -193,10 +192,10 @@ func (db *DB) pickLevelLocked(l int) *compactionJob {
 }
 
 // compactLocked is the pipeline's compaction job, run by the background
-// runners, by the deterministic drain and by CompactRange: it reserves
-// the job's level pair, merges off-lock (possibly fanned out over
-// key-range sub-compactions), installs the outputs, releases the pair and
-// wakes waiters. Caller holds db.mu, which is released across the merge.
+// runner, by the deterministic drain and by CompactRange: it reserves the
+// job's level pair, merges off-lock, installs the outputs, releases the
+// pair and wakes waiters. Caller holds db.mu, which is released across
+// the merge.
 func (db *DB) compactLocked(job *compactionJob) error {
 	bg := db.bg
 	bg.jobs++
@@ -215,7 +214,7 @@ func (db *DB) compactLocked(job *compactionJob) error {
 	bg.jobs--
 	db.compactingLevels[job.level] = false
 	db.compactingLevels[job.level+1] = false
-	db.cond.Broadcast() // wake throttled writers, drains and the runners
+	db.cond.Broadcast() // wake throttled writers, drains and the runner
 	if err != nil {
 		db.emitCompactionError(job, err)
 		return err
@@ -276,20 +275,13 @@ func (db *DB) emitCompactionDone(job *compactionJob, outputs []*FileMeta, t0 tim
 		DurationUS: time.Since(t0).Microseconds()})
 }
 
-// emitCompactionError reports a failed job. A sub-compaction failure
-// carries the partition's user-key range, so a mid-merge error is
-// attributable to the data that caused it.
+// emitCompactionError reports a failed job with its error.
 func (db *DB) emitCompactionError(job *compactionJob, err error) {
 	if db.opts.Events == nil {
 		return
 	}
-	detail := err.Error()
-	var se *subcompactionError
-	if errors.As(err, &se) {
-		detail = fmt.Sprintf("partition %s: %v", se.r, se.err)
-	}
 	db.emit(metrics.Event{Type: metrics.EventCompactionError, Level: job.level,
-		Inputs: len(job.inputs) + len(job.next), Detail: detail})
+		Inputs: len(job.inputs) + len(job.next), Detail: err.Error()})
 }
 
 // installCompactionLocked swaps in a version with the job's inputs
@@ -352,7 +344,7 @@ func sortFilesBySmallest(files []*FileMeta) {
 // it — LevelDB's manual compaction. Useful for tests, space reclamation
 // after bulk deletes, and read-optimizing a cold dataset. It flushes the
 // MemTable first, then runs each compaction job on the caller once no
-// other job is in flight; the background runners pick no new jobs for its
+// other job is in flight; the background runner picks no new jobs for its
 // duration.
 func (db *DB) CompactRange(lo, hi []byte) error {
 	// Lock order: compactionMu before db.mu (see background).

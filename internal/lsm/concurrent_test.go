@@ -233,49 +233,46 @@ func TestBackgroundCrashRecovery(t *testing.T) {
 }
 
 // TestBackgroundCloseDrains proves Close waits for in-flight background
-// work and leaves no goroutines behind, and that a reopen loses nothing,
-// with one compaction runner and with two. A runner that never exits
-// fails it in seconds (see closeWithin).
+// work and leaves no goroutines behind, and that a reopen loses nothing.
+// A runner that never exits fails it in seconds (see closeWithin).
 func TestBackgroundCloseDrains(t *testing.T) {
-	for _, parallelism := range []int{1, 2} {
-		t.Run(fmt.Sprintf("parallelism=%d", parallelism), func(t *testing.T) {
-			base := runtime.NumGoroutine()
-			dir := t.TempDir()
-			o := bgOpts()
-			o.CompactionParallelism = parallelism
-			db, err := Open(dir, o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			const n = 3000
-			for i := 0; i < n; i++ {
-				mustPut(t, db, fmt.Sprintf("key-%05d", i), fmt.Sprintf("value-%05d", i))
-			}
-			// Close immediately: a frozen MemTable may be mid-flush and the
-			// compactors mid-merge; all must drain.
-			closeWithin(t, db)
-			waitGoroutines(t, base)
+	// The subtest name is kept from when the number of compaction runners
+	// was an option; the pipeline now always runs exactly one.
+	t.Run("parallelism=1", func(t *testing.T) {
+		base := runtime.NumGoroutine()
+		dir := t.TempDir()
+		db, err := Open(dir, bgOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		const n = 3000
+		for i := 0; i < n; i++ {
+			mustPut(t, db, fmt.Sprintf("key-%05d", i), fmt.Sprintf("value-%05d", i))
+		}
+		// Close immediately: a frozen MemTable may be mid-flush and the
+		// runner mid-merge; both must drain.
+		closeWithin(t, db)
+		waitGoroutines(t, base)
 
-			re, err := Open(dir, o)
-			if err != nil {
-				t.Fatal(err)
+		re, err := Open(dir, bgOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			k := fmt.Sprintf("key-%05d", i)
+			if v, ok := mustGet(t, re, k); !ok || v != fmt.Sprintf("value-%05d", i) {
+				t.Fatalf("after reopen, Get(%s) = %q %v", k, v, ok)
 			}
-			for i := 0; i < n; i++ {
-				k := fmt.Sprintf("key-%05d", i)
-				if v, ok := mustGet(t, re, k); !ok || v != fmt.Sprintf("value-%05d", i) {
-					t.Fatalf("after reopen, Get(%s) = %q %v", k, v, ok)
-				}
-			}
-			closeWithin(t, re)
-			waitGoroutines(t, base)
+		}
+		closeWithin(t, re)
+		waitGoroutines(t, base)
 
-			// Closing twice is fine; writes after Close fail.
-			closeWithin(t, re)
-			if err := re.Put([]byte("x"), []byte("y")); err != ErrClosed {
-				t.Fatalf("Put after Close = %v, want ErrClosed", err)
-			}
-		})
-	}
+		// Closing twice is fine; writes after Close fail.
+		closeWithin(t, re)
+		if err := re.Put([]byte("x"), []byte("y")); err != ErrClosed {
+			t.Fatalf("Put after Close = %v, want ErrClosed", err)
+		}
+	})
 }
 
 // TestBackgroundConcurrentStress runs writers, point readers and scanners

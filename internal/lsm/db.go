@@ -35,16 +35,14 @@ var ErrStalled = errors.New("lsm: write stall: level-0 at stop trigger")
 // metrics histograms are leaves taken under db.mu. The commit queue has
 // no lock of its own: db.mu guards it.
 //
-// The sub-compaction run lock (compactionRun.mu) and the tracer's ring
-// mutex are leaves below db.mu. A compaction job is entered with db.mu
-// held and drops it only for the merge, which the analyzer does not see,
-// so it counts the merge's run lock and the job's OpCompact trace as
-// taken under db.mu; neither lock is ever held while taking db.mu.
+// The tracer's ring mutex is a leaf below db.mu. A compaction job is
+// entered with db.mu held and drops it only for the merge, which the
+// analyzer does not see, so it counts the job's OpCompact trace as taken
+// under db.mu; the ring mutex is never held while taking db.mu.
 //
 //lsm:lockorder core.DB.writeMu < lsm.background.compactionMu < lsm.DB.mu < lsm.DB.logMu
 //lsm:lockorder lsm.DB.mu < cache.shard.mu
 //lsm:lockorder lsm.DB.mu < metrics.Histogram.mu
-//lsm:lockorder lsm.DB.mu < lsm.compactionRun.mu
 //lsm:lockorder lsm.DB.mu < metrics.Tracer.mu
 
 // DB is a single-node LSM key-value store. Writes are serialized. The
@@ -95,14 +93,6 @@ type DB struct {
 	// while rolling tables without holding db.mu.
 	nextFileNum atomic.Uint64
 
-	// Sub-compaction observability (DESIGN.md §5.9), atomic because
-	// partition workers update them off-lock: partitions merged,
-	// currently-busy workers, and cumulative writer stall time under the
-	// L0 stop trigger.
-	subcompactions atomic.Int64
-	workersBusy    atomic.Int64
-	stallNS        atomic.Int64
-
 	bg *background // the flush/compaction pipeline; goroutines only in background mode
 
 	// testBlockFlush, when non-nil, is received from by the flush job
@@ -112,9 +102,10 @@ type DB struct {
 
 	// testCompactRoll, when non-nil, runs after a compaction finishes each
 	// output table, while nothing references it yet — lets crash tests
-	// snapshot a directory with sub-compaction outputs that no version
-	// edit has installed. Set before the compaction starts.
-	testCompactRoll func()
+	// snapshot a directory with outputs that no version edit has
+	// installed, and a non-nil return fails the compaction's writer there.
+	// Set before the compaction starts.
+	testCompactRoll func() error
 }
 
 // Open creates or recovers a DB in dir.

@@ -35,11 +35,11 @@ type Merger interface {
 }
 
 // MergerForker is optionally implemented by Mergers that carry per-call
-// scratch state. When key-range sub-compactions run partitions
-// concurrently (Options.CompactionParallelism > 1) the engine calls
-// ForkMerger once per partition worker, giving each a private scratch. A
-// Merger that does not implement it is shared across workers and must be
-// safe for concurrent use.
+// scratch state. The engine calls ForkMerger once per compaction job and
+// merges through the fork only, so each job has a private scratch that
+// is dropped when the job ends. A Merger that does not implement it is
+// shared by every job, and jobs on disjoint level pairs may run at once,
+// so it must be safe for concurrent use.
 type MergerForker interface {
 	Merger
 	// ForkMerger returns a Merger with private mutable state; shared
@@ -111,7 +111,7 @@ type Options struct {
 	// MemTable runs them before its write returns, and Flush and
 	// CompactRange run them on the caller — the paper's single-threaded
 	// configuration, deterministic with exact I/O attribution (DESIGN.md
-	// §5.1). On, a flusher goroutine and compaction runner goroutines run
+	// §5.1). On, a flusher goroutine and a compaction runner goroutine run
 	// the same jobs, and the writer only swaps in a fresh MemTable + WAL
 	// segment.
 	BackgroundCompaction bool
@@ -124,16 +124,6 @@ type Options struct {
 	// writers block until compaction brings L0 back under the limit.
 	// Default 12. Ignored in deterministic mode.
 	L0StopTrigger int
-	// CompactionParallelism bounds the worker pool of the key-range
-	// sub-compaction engine (DESIGN.md §5.9): each compaction's input span
-	// is partitioned into up to this many disjoint user-key ranges merged
-	// concurrently, and in background mode up to two compactions on
-	// disjoint level pairs run at once. 0 or 1 merges each compaction as a
-	// single partition; results (output tables, manifests, write counters)
-	// are byte-identical at every setting — only CompactionReads may
-	// differ, because adjacent partitions re-read the boundary block they
-	// share.
-	CompactionParallelism int
 	// BlockCacheBytes enables an LRU block cache of the given capacity.
 	// 0 disables caching — the paper's configuration ("No block cache
 	// was used"), keeping measured block I/O purely algorithmic.
@@ -191,9 +181,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if opts.Stats == nil {
 		opts.Stats = &metrics.IOStats{}
-	}
-	if opts.CompactionParallelism <= 0 {
-		opts.CompactionParallelism = 1
 	}
 	return opts
 }

@@ -88,7 +88,7 @@ const (
 	PhaseValidate     // candidate validation against the primary table
 
 	// Compaction top-level phases (the OpCompact trace, DESIGN.md §5.9):
-	// the sub-compaction pipeline's stage split, summed across workers.
+	// the job's wall time split into the writer's share and the rest.
 	PhaseCompactMerge // read/decode + k-way merge + group resolution (incl. posting merges)
 	PhaseCompactWrite // output encode (blocks, filters, compression) + file write + fsync
 

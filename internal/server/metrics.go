@@ -133,32 +133,15 @@ func (s *Server) writeMetrics(w io.Writer) {
 			metrics.Labels(map[string]string{"table": t.label}), t.cs.FsyncsPerCommit())
 	}
 
-	// Sub-compaction engine counters (DESIGN.md §5.9): key-range
-	// partitions merged, partition workers busy right now, and cumulative
-	// writer stall time under the L0 stop trigger.
-	primCmp, idxCmp := s.db.CompactionStats()
-	compactionTables := []struct {
-		label string
-		cs    lsm.CompactionStats
-	}{{"primary", primCmp}, {"index", idxCmp}}
-	metrics.WriteMetricHeader(w, "lsmpp_compaction_subcompactions_total",
-		"Key-range sub-compaction partitions merged (serial compactions count 1).", "counter")
-	for _, t := range compactionTables {
-		metrics.WriteSample(w, "lsmpp_compaction_subcompactions_total",
-			metrics.Labels(map[string]string{"table": t.label}), float64(t.cs.Subcompactions))
-	}
-	metrics.WriteMetricHeader(w, "lsmpp_compaction_workers_busy",
-		"Sub-compaction partition workers currently merging.", "gauge")
-	for _, t := range compactionTables {
-		metrics.WriteSample(w, "lsmpp_compaction_workers_busy",
-			metrics.Labels(map[string]string{"table": t.label}), float64(t.cs.WorkersBusy))
-	}
+	// Cumulative writer stall time under the L0 stop trigger, from the
+	// flush/compaction pipeline counters.
+	primBG, idxBG := s.db.BackgroundStats()
 	metrics.WriteMetricHeader(w, "lsmpp_compaction_stall_seconds_total",
 		"Cumulative time writers spent stalled on the L0 stop trigger.", "counter")
-	for _, t := range compactionTables {
-		metrics.WriteSample(w, "lsmpp_compaction_stall_seconds_total",
-			metrics.Labels(map[string]string{"table": t.label}), t.cs.StallSeconds)
-	}
+	metrics.WriteSample(w, "lsmpp_compaction_stall_seconds_total",
+		metrics.Labels(map[string]string{"table": "primary"}), primBG.StallSeconds)
+	metrics.WriteSample(w, "lsmpp_compaction_stall_seconds_total",
+		metrics.Labels(map[string]string{"table": "index"}), idxBG.StallSeconds)
 
 	// Commits-per-WAL-write histogram, one series set per table name
 	// (sorted for a deterministic exposition).

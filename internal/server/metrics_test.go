@@ -245,6 +245,31 @@ func TestMetricsPrometheusRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMetricsCompactionSeries checks the compaction series /metrics
+// serves: the L0 write-stall counter for both tables, and none of the
+// retired sub-compaction partition and worker series.
+func TestMetricsCompactionSeries(t *testing.T) {
+	ts, _ := newTestServer(t)
+	for i := 0; i < 200; i++ {
+		do(t, http.MethodPut, fmt.Sprintf("%s/doc/t%04d", ts.URL, i),
+			fmt.Sprintf(`{"UserID":"u%d","CreationTime":"%010d","pad":"%0200d"}`, i%7, i, i))
+	}
+	do(t, http.MethodPost, ts.URL+"/flush", "")
+	_, body := do(t, http.MethodGet, ts.URL+"/metrics", "")
+	samples := parsePrometheus(t, body)
+	for _, table := range []string{"primary", "index"} {
+		ss := find(samples, "lsmpp_compaction_stall_seconds_total", map[string]string{"table": table})
+		if len(ss) != 1 || ss[0].value < 0 {
+			t.Fatalf("lsmpp_compaction_stall_seconds_total{table=%q}: %v", table, ss)
+		}
+	}
+	for _, gone := range []string{"lsmpp_compaction_subcompactions_total", "lsmpp_compaction_workers_busy"} {
+		if bytes.Contains(body, []byte(gone)) {
+			t.Errorf("/metrics still serves %s", gone)
+		}
+	}
+}
+
 func leValue(t *testing.T, s promSample) float64 {
 	t.Helper()
 	le := s.labels["le"]

@@ -576,7 +576,7 @@ func TestCodecAllocations(t *testing.T) {
 	})
 }
 
-// TestConcurrentBuildAndRead is the sub-compaction worker pattern: several
+// TestConcurrentBuildAndRead is the concurrent compaction pattern: several
 // goroutines build tables and read others back at once, sharing the
 // deflater and decoder pools. Every table must match its reference bytes and
 // read back whole. Run under -race.
