@@ -48,7 +48,7 @@ func main() {
 	if *dir == "" {
 		fatal(fmt.Errorf("-db is required"))
 	}
-	kind, err := parseKind(*index)
+	kind, err := core.ParseIndexKind(*index)
 	if err != nil {
 		fatal(err)
 	}
@@ -81,23 +81,6 @@ func main() {
 		if err := execute(db, fields); err != nil {
 			fmt.Println("error:", err)
 		}
-	}
-}
-
-func parseKind(s string) (core.IndexKind, error) {
-	switch strings.ToLower(s) {
-	case "none":
-		return core.IndexNone, nil
-	case "embedded":
-		return core.IndexEmbedded, nil
-	case "eager":
-		return core.IndexEager, nil
-	case "lazy":
-		return core.IndexLazy, nil
-	case "composite":
-		return core.IndexComposite, nil
-	default:
-		return 0, fmt.Errorf("unknown index kind %q", s)
 	}
 }
 

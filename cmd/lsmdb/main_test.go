@@ -6,23 +6,6 @@ import (
 	"leveldbpp/internal/core"
 )
 
-func TestParseKind(t *testing.T) {
-	cases := map[string]core.IndexKind{
-		"none": core.IndexNone, "embedded": core.IndexEmbedded,
-		"eager": core.IndexEager, "lazy": core.IndexLazy,
-		"composite": core.IndexComposite, "LAZY": core.IndexLazy,
-	}
-	for in, want := range cases {
-		got, err := parseKind(in)
-		if err != nil || got != want {
-			t.Errorf("parseKind(%q) = %v, %v", in, got, err)
-		}
-	}
-	if _, err := parseKind("btree"); err == nil {
-		t.Error("unknown kind accepted")
-	}
-}
-
 func openShellDB(t *testing.T) *core.DB {
 	t.Helper()
 	db, err := core.Open(t.TempDir(), core.Options{

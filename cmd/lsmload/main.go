@@ -35,7 +35,7 @@ func main() {
 	if *dir == "" {
 		fatal(fmt.Errorf("-db is required"))
 	}
-	kind, err := parseKind(*index)
+	kind, err := core.ParseIndexKind(*index)
 	if err != nil {
 		fatal(err)
 	}
@@ -149,23 +149,6 @@ func replayOp(db *core.DB, raw []byte, counts map[string]int) error {
 		return err
 	default:
 		return fmt.Errorf("unknown op %q", op.Op)
-	}
-}
-
-func parseKind(s string) (core.IndexKind, error) {
-	switch strings.ToLower(s) {
-	case "none":
-		return core.IndexNone, nil
-	case "embedded":
-		return core.IndexEmbedded, nil
-	case "eager":
-		return core.IndexEager, nil
-	case "lazy":
-		return core.IndexLazy, nil
-	case "composite":
-		return core.IndexComposite, nil
-	default:
-		return 0, fmt.Errorf("unknown index kind %q", s)
 	}
 }
 

@@ -54,7 +54,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "lsmserver: -db is required")
 		os.Exit(1)
 	}
-	kind, err := parseKind(*index)
+	kind, err := core.ParseIndexKind(*index)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lsmserver:", err)
 		os.Exit(1)
@@ -130,22 +130,5 @@ func main() {
 	}
 	if err != nil && err != http.ErrServerClosed {
 		log.Fatal(err)
-	}
-}
-
-func parseKind(s string) (core.IndexKind, error) {
-	switch strings.ToLower(s) {
-	case "none":
-		return core.IndexNone, nil
-	case "embedded":
-		return core.IndexEmbedded, nil
-	case "eager":
-		return core.IndexEager, nil
-	case "lazy":
-		return core.IndexLazy, nil
-	case "composite":
-		return core.IndexComposite, nil
-	default:
-		return 0, fmt.Errorf("unknown index kind %q", s)
 	}
 }

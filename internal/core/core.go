@@ -68,6 +68,21 @@ func (k IndexKind) String() string {
 	}
 }
 
+// ParseIndexKind parses a kind's name, case-insensitively: its String()
+// or, for IndexNone, "none".
+func ParseIndexKind(s string) (IndexKind, error) {
+	name := strings.ToLower(s)
+	for k := IndexNone; k <= IndexComposite; k++ {
+		if name == strings.ToLower(k.String()) {
+			return k, nil
+		}
+	}
+	if name == "none" {
+		return IndexNone, nil
+	}
+	return 0, fmt.Errorf("unknown index kind %q", s)
+}
+
 // Options configures a LevelDB++ database.
 type Options struct {
 	// Index selects the secondary indexing technique.
@@ -115,19 +130,12 @@ type Options struct {
 	// period-based (one in round(1/rate) operations), so rate 1 traces
 	// everything. Ignored when Tracer is set.
 	TraceSampleRate float64
-	// SlowTraceThreshold keeps only traces at least this long in the
-	// recent-trace ring (the /trace/slow endpoint); 0 keeps every sampled
-	// trace. Aggregate per-phase breakdowns always include every sample.
-	SlowTraceThreshold time.Duration
 	// Tracer, when set, replaces the DB-owned tracer — lsmbench shares one
 	// tracer across DBs to print a single breakdown per experiment.
 	Tracer *metrics.Tracer
 	// Events, when set, receives every engine lifecycle event in addition
 	// to the DB-owned in-memory EventLog (e.g. a metrics.JSONLSink).
 	Events metrics.EventSink
-	// EventBufferSize caps the in-memory event ring
-	// (0 = metrics.DefaultEventRing).
-	EventBufferSize int
 }
 
 // Entry is one LOOKUP/RANGELOOKUP result: the record's primary key, its
@@ -196,10 +204,7 @@ func Open(dir string, opts Options) (*DB, error) {
 	if tracer == nil {
 		tracer = metrics.NewTracer(opts.TraceSampleRate, 0)
 	}
-	if opts.SlowTraceThreshold > 0 {
-		tracer.SetSlowThreshold(opts.SlowTraceThreshold)
-	}
-	events := metrics.NewEventLog(opts.EventBufferSize)
+	events := metrics.NewEventLog(0)
 	events.Attach(opts.Events)
 
 	// One engine configuration for every table; each table gets a copy

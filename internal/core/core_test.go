@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -20,6 +21,23 @@ func smallOptions(kind IndexKind) Options {
 		LevelMultiplier:     4,
 		L0CompactionTrigger: 3,
 		MaxLevels:           5,
+	}
+}
+
+func TestParseIndexKind(t *testing.T) {
+	cases := map[string]IndexKind{"none": IndexNone, "LAZY": IndexLazy}
+	for _, k := range allKinds {
+		cases[strings.ToLower(k.String())] = k
+	}
+	for in, want := range cases {
+		if got, err := ParseIndexKind(in); err != nil || got != want {
+			t.Errorf("ParseIndexKind(%q) = %v, %v; want %v", in, got, err, want)
+		}
+	}
+	for _, bad := range []string{"btree", "", "IndexKind(5)"} {
+		if _, err := ParseIndexKind(bad); err == nil {
+			t.Errorf("ParseIndexKind(%q) accepted", bad)
+		}
 	}
 }
 

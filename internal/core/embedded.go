@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 
 	"leveldbpp/internal/btree"
 	"leveldbpp/internal/ikey"
@@ -15,57 +16,14 @@ import (
 // indexed attribute, plus a file-level zone map, all memory resident; the
 // MemTable side is a B-tree from attribute value to postings.
 //
-// LOOKUP and RANGELOOKUP scan the store stratum by stratum — MemTable,
-// each level-0 file, then each deeper level — reading only the data
+// LOOKUP and RANGELOOKUP scan the store stratum by stratum (lsm.View's
+// Strata) — MemTable, frozen MemTable, each level-0 file, then each
+// deeper level — reading only the data
 // blocks whose filters pass, keeping a top-K min-heap by sequence number
 // (Algorithms 5 and 8). Candidate validity ("is this still the newest
 // version of the record?") is checked with GetLite: a metadata-only probe
 // of the strata above the candidate, touching disk only to confirm bloom
 // positives.
-
-// stratum is one time-ordered component of the store: the MemTable, the
-// frozen MemTable awaiting background flush (if any), or a set of
-// SSTables (one table for an L0 stratum, a whole level otherwise).
-type stratum struct {
-	isMem  bool
-	isImm  bool
-	memMax uint64 // max seq of a MemTable stratum (tables empty)
-	level  int    // LSM level of a table stratum (block attribution)
-	tables []*lsm.FileMeta
-}
-
-func (s stratum) maxSeq() uint64 {
-	if s.isMem || s.isImm {
-		return s.memMax
-	}
-	var m uint64
-	for _, fm := range s.tables {
-		if ms := fm.Table().MaxSeq(); ms > m {
-			m = ms
-		}
-	}
-	return m
-}
-
-// strataOf decomposes a view into newest-first strata. The frozen
-// MemTable (background mode) sits between the MemTable and level 0; its
-// memMax matters for the early-exit check — without it a full heap would
-// wrongly conclude no remaining stratum can improve it.
-func strataOf(v *lsm.View) []stratum {
-	out := []stratum{{isMem: true, memMax: v.MemMaxSeq()}}
-	if v.HasImm() {
-		out = append(out, stratum{isImm: true, memMax: v.ImmMaxSeq()})
-	}
-	for _, fm := range v.L0() {
-		out = append(out, stratum{tables: []*lsm.FileMeta{fm}})
-	}
-	for l := 1; l <= v.MaxLevel(); l++ {
-		if files := v.Level(l); len(files) > 0 {
-			out = append(out, stratum{level: l, tables: files})
-		}
-	}
-	return out
-}
 
 func (db *DB) embeddedLookup(attr, value string, k int, tr *metrics.Trace) ([]Entry, error) {
 	return db.embeddedScan(attr, value, value, k, true, tr)
@@ -84,7 +42,7 @@ func (db *DB) scanLookup(attr, lo, hi string, k int, tr *metrics.Trace) ([]Entry
 func (db *DB) embeddedScan(attr, lo, hi string, k int, useFilters bool, tr *metrics.Trace) ([]Entry, error) {
 	var results []Entry
 	err := db.primary.View(func(v *lsm.View) error {
-		strata := strataOf(v)
+		strata := v.Strata()
 		heap := newTopK(k)
 		// seen guards against double-reporting a primary key on the
 		// full-GET validation path (ablation); the GetLite path cannot
@@ -100,11 +58,11 @@ func (db *DB) embeddedScan(attr, lo, hi string, k int, useFilters bool, tr *metr
 		// GetLite validity probes — to index_probe, with block_load /
 		// cache_hit sub-phases from the traced block reads.
 		for si, s := range strata {
-			if s.isMem || s.isImm {
+			if s.IsMem() {
 				t0 := tr.Now()
-				err := db.embeddedScanMem(v, s.isImm, attr, lo, hi, heap, useFilters)
+				err := db.embeddedScanMem(strata, si, attr, lo, hi, heap, useFilters, tr)
 				phase := metrics.PhaseMemProbe
-				if s.isImm {
+				if s.Frozen {
 					phase = metrics.PhaseImmProbe
 				}
 				tr.Since(phase, t0)
@@ -113,7 +71,7 @@ func (db *DB) embeddedScan(attr, lo, hi string, k int, useFilters bool, tr *metr
 				}
 			} else {
 				t0 := tr.Now()
-				for _, fm := range s.tables {
+				for _, fm := range s.Tables {
 					if heap.Full() && fm.Table().MaxSeq() <= heap.MinSeq() {
 						continue // nothing here can improve the heap
 					}
@@ -129,9 +87,7 @@ func (db *DB) embeddedScan(attr, lo, hi string, k int, useFilters bool, tr *metr
 			if heap.Full() {
 				remainingMax := uint64(0)
 				for _, r := range strata[si+1:] {
-					if m := r.maxSeq(); m > remainingMax {
-						remainingMax = m
-					}
+					remainingMax = max(remainingMax, r.MaxSeq())
 				}
 				if remainingMax <= heap.MinSeq() {
 					break
@@ -149,29 +105,21 @@ func (db *DB) embeddedScan(attr, lo, hi string, k int, useFilters bool, tr *metr
 	return results, err
 }
 
-// embeddedScanMem collects matches from a MemTable stratum (the live
-// MemTable, or with imm set the frozen one): through the secondary B-tree
-// when the Embedded index is active, by direct scan for NoIndex.
-// Candidates are validated against the stratum itself — and, for the
-// frozen MemTable, against the live MemTable, whose every version is
-// newer.
-func (db *DB) embeddedScanMem(v *lsm.View, imm bool, attr, lo, hi string, heap *topK, useFilters bool) error {
-	get := v.MemGet
-	if imm {
-		get = v.ImmGet
-	}
-	shadowedByMem := func(pk []byte) bool {
-		if !imm {
-			return false
-		}
-		_, _, _, ok := v.MemGet(pk)
-		return ok
+// embeddedScanMem collects matches from the MemTable stratum strata[si]
+// (the live MemTable or the frozen one): through the secondary B-tree when
+// the Embedded index is active, by direct scan for NoIndex. A candidate
+// must be its key's newest version in the stratum and shadowed by no
+// stratum above.
+func (db *DB) embeddedScanMem(strata []lsm.Stratum, si int, attr, lo, hi string, heap *topK, useFilters bool, tr *metrics.Trace) error {
+	s := strata[si]
+	var err error
+	visible := func(pk []byte) bool {
+		hidden, serr := shadowed(strata[:si], pk, tr)
+		err = cmp.Or(err, serr)
+		return !hidden && serr == nil
 	}
 	if useFilters {
-		tree := v.MemSecTree(attr)
-		if imm {
-			tree = v.ImmSecTree(attr)
-		}
+		tree := s.MemSecTree(attr)
 		if tree == nil {
 			return nil
 		}
@@ -180,28 +128,21 @@ func (db *DB) embeddedScanMem(v *lsm.View, imm bool, attr, lo, hi string, heap *
 				if !heap.Worth(p.Seq) {
 					continue
 				}
-				val, seq, deleted, ok := get(p.Key)
+				val, seq, deleted, ok := s.MemGet(p.Key)
 				if !ok || deleted || seq != p.Seq {
 					continue // superseded within this MemTable
 				}
-				if shadowedByMem(p.Key) {
-					continue // live MemTable holds a newer version
+				if visible(p.Key) {
+					heap.Add(Entry{Key: string(p.Key), Value: append([]byte(nil), val...), Seq: seq})
 				}
-				heap.Add(Entry{Key: string(p.Key), Value: append([]byte(nil), val...), Seq: seq})
 			}
-			return true
+			return err == nil
 		})
-		return nil
+		return err
 	}
-	it := v.MemIter()
-	if imm {
-		it = v.ImmIter()
-	}
-	if it == nil {
-		return nil
-	}
+	it := s.MemIter()
 	var prevUser []byte
-	for it.SeekToFirst(); it.Valid(); it.Next() {
+	for it.SeekToFirst(); it.Valid() && err == nil; it.Next() {
 		ik := it.Key()
 		uk := ikey.UserKey(ik)
 		newest := prevUser == nil || !bytes.Equal(prevUser, uk)
@@ -209,15 +150,11 @@ func (db *DB) embeddedScanMem(v *lsm.View, imm bool, attr, lo, hi string, heap *
 		if !newest || ikey.KindOf(ik) == ikey.KindDelete {
 			continue
 		}
-		if shadowedByMem(uk) {
-			continue
+		if visible(uk) && attrInRange(it.Value(), attr, lo, hi) {
+			heap.Add(Entry{Key: string(uk), Value: append([]byte(nil), it.Value()...), Seq: ikey.Seq(ik)})
 		}
-		if !attrInRange(it.Value(), attr, lo, hi) {
-			continue
-		}
-		heap.Add(Entry{Key: string(uk), Value: append([]byte(nil), it.Value()...), Seq: ikey.Seq(ik)})
 	}
-	return nil
+	return err
 }
 
 // embeddedScanTable reads the candidate blocks of one table and adds to
@@ -227,7 +164,7 @@ func (db *DB) embeddedScanMem(v *lsm.View, imm bool, attr, lo, hi string, heap *
 // and value are copied only for an entry that is added.
 //
 //lsm:hotpath
-func (db *DB) embeddedScanTable(v *lsm.View, strata []stratum, si int, fm *lsm.FileMeta,
+func (db *DB) embeddedScanTable(v *lsm.View, strata []lsm.Stratum, si int, fm *lsm.FileMeta,
 	attr, lo, hi string, useFilters bool, seen map[string]bool, heap *topK, tr *metrics.Trace) error {
 
 	tbl := fm.Table()
@@ -254,7 +191,7 @@ func (db *DB) embeddedScanTable(v *lsm.View, strata []stratum, si int, fm *lsm.F
 	for _, bi := range candidates {
 		m := tr.BlockMark()
 		it, err := tbl.BlockIteratorTraced(bi, false, tr)
-		tr.CountLevelSince(strata[si].level, m)
+		tr.CountLevelSince(strata[si].Level, m)
 		if err != nil {
 			return err
 		}
@@ -296,7 +233,7 @@ func (db *DB) embeddedScanTable(v *lsm.View, strata []stratum, si int, fm *lsm.F
 // dedup), so within-stratum shadowing cannot occur. With DisableGetLite
 // the check degrades to the paper's alternative — a full GET from the top
 // with value comparison — which costs real block reads.
-func (db *DB) candidateValid(v *lsm.View, strata []stratum, si int, pk string, seq uint64,
+func (db *DB) candidateValid(v *lsm.View, strata []lsm.Stratum, si int, pk string, seq uint64,
 	attr, lo, hi string, seen map[string]bool, tr *metrics.Trace) (bool, error) {
 
 	tr.Count(metrics.CtrValidations, 1)
@@ -316,40 +253,36 @@ func (db *DB) candidateValid(v *lsm.View, strata []stratum, si int, pk string, s
 		}
 		return valid, nil
 	}
+	hidden, err := shadowed(strata[:si], []byte(pk), tr)
+	return !hidden && err == nil, err
+}
 
-	pkb := []byte(pk)
+// shadowed reports whether a stratum in above holds a version of pk: a
+// MemTable is asked directly, a table through its primary bloom filter,
+// and a bloom positive is confirmed with a real read so a false positive
+// cannot hide pk.
+func shadowed(above []lsm.Stratum, pk []byte, tr *metrics.Trace) (bool, error) {
 	var sc sstable.GetScratch // reused across every bloom-positive probe
 	sc.Trace = tr
-	for _, s := range strata[:si] {
-		if s.isMem {
-			if _, _, _, ok := v.MemGet(pkb); ok {
-				return false, nil // any MemTable version is newer
+	for _, s := range above {
+		if s.IsMem() {
+			if _, _, _, ok := s.MemGet(pk); ok {
+				return true, nil // any MemTable version is newer
 			}
 			continue
 		}
-		if s.isImm {
-			if _, _, _, ok := v.ImmGet(pkb); ok {
-				return false, nil // any frozen-MemTable version is newer
-			}
-			continue
-		}
-		for _, fm := range s.tables {
+		for _, fm := range s.Tables {
 			tbl := fm.Table()
-			if !tbl.MayContainPrimaryTraced(pkb, tr) {
+			if !tbl.MayContainPrimaryTraced(pk, tr) {
 				continue // pure in-memory rejection: the common case
 			}
-			// Bloom positive: confirm with a real read so a false
-			// positive cannot wrongly invalidate the candidate.
 			m := tr.BlockMark()
-			_, _, found, err := tbl.GetWith(&sc, pkb)
-			tr.CountLevelSince(s.level, m)
-			if err != nil {
-				return false, err
-			}
-			if found {
-				return false, nil
+			_, _, found, err := tbl.GetWith(&sc, pk)
+			tr.CountLevelSince(s.Level, m)
+			if err != nil || found {
+				return found, err
 			}
 		}
 	}
-	return true, nil
+	return false, nil
 }

@@ -7,7 +7,6 @@ import (
 	"leveldbpp/internal/lsm"
 	"leveldbpp/internal/metrics"
 	"leveldbpp/internal/postings"
-	"leveldbpp/internal/skiplist"
 	"leveldbpp/internal/sstable"
 )
 
@@ -37,11 +36,10 @@ func (db *DB) lazyAppend(idx *lsm.DB, attrValue []byte, key string, seq uint64, 
 // each deeper level (each holds at most one). A tombstone for the key
 // ends the chain. Fragment bytes alias stable arena or block memory.
 type lazyStrata struct {
-	v      *lsm.View
 	value  []byte
 	tr     *metrics.Trace
 	sc     sstable.GetScratch // one scratch across every index-table probe
-	strata []stratum          // not yet probed
+	strata []lsm.Stratum      // not yet probed
 }
 
 func (s *lazyStrata) next() ([]byte, bool, error) {
@@ -50,21 +48,16 @@ func (s *lazyStrata) next() ([]byte, bool, error) {
 		s.strata = s.strata[1:]
 		var data []byte
 		var found, deleted bool
-		switch {
-		case st.isMem:
-			data, _, deleted, found = s.v.MemGet(s.value)
-		case st.isImm:
-			data, _, deleted, found = s.v.ImmGet(s.value)
-		default:
-			fm := st.tables[0] // an L0 stratum is one file
-			if st.level > 0 {
-				if fm = s.v.FindLevelFile(st.level, s.value); fm == nil {
-					continue
-				}
+		if st.IsMem() {
+			data, _, deleted, found = st.MemGet(s.value)
+		} else {
+			fm := st.FindFile(s.value)
+			if fm == nil {
+				continue
 			}
 			m := s.tr.BlockMark()
 			ik, d, ok, err := fm.Table().GetWith(&s.sc, s.value)
-			s.tr.CountLevelSince(st.level, m)
+			s.tr.CountLevelSince(st.Level, m)
 			if err != nil {
 				return nil, false, err
 			}
@@ -87,7 +80,7 @@ func (db *DB) lazyLookup(attr, value string, k int, tr *metrics.Trace) ([]Entry,
 	idx := db.indexes[attr]
 	var out []Entry
 	err := idx.View(func(v *lsm.View) error {
-		strata := &lazyStrata{v: v, value: []byte(value), tr: tr, sc: sstable.GetScratch{Trace: tr}, strata: strataOf(v)}
+		strata := &lazyStrata{value: []byte(value), tr: tr, sc: sstable.GetScratch{Trace: tr}, strata: v.Strata()}
 		var err error
 		out, err = db.collect(&fragmentHeap{fetch: strata.next, tr: tr},
 			&query{attr: attr, lo: value, hi: value, k: k, idx: idx, phase: metrics.PhaseIndexProbe, tr: tr})
@@ -118,56 +111,42 @@ func lazyRangeFragments(idx *lsm.DB, lo, hi string, tr *metrics.Trace) ([][]byte
 	err := idx.View(func(v *lsm.View) error {
 		loB, hiExcl := []byte(lo), upperBoundExclusive(hi)
 
-		// MemTable strata: the live MemTable, then the frozen one if a
-		// background flush is pending.
-		scanMem := func(it *skiplist.Iterator) {
-			if it == nil {
-				return
-			}
-			var prevUser []byte
-			for it.SeekGE(ikey.SeekKey(loB)); it.Valid(); it.Next() {
-				ik := it.Key()
-				uk := ikey.UserKey(ik)
-				if bytes.Compare(uk, hiExcl) >= 0 {
-					break
+		// A MemTable holds every version of a key, newest first; its values
+		// alias arena memory that is never reused, so the newest fragment
+		// stays valid past the iteration. A table holds one version per key,
+		// and its iterator reuses value bytes across Next, so fragments are
+		// copied.
+		seek := ikey.SeekKey(loB)
+		for _, s := range v.Strata() {
+			if s.IsMem() {
+				var prevUser []byte
+				it := s.MemIter()
+				for it.SeekGE(seek); it.Valid(); it.Next() {
+					ik := it.Key()
+					uk := ikey.UserKey(ik)
+					if bytes.Compare(uk, hiExcl) >= 0 {
+						break
+					}
+					newest := prevUser == nil || !bytes.Equal(prevUser, uk)
+					prevUser = append(prevUser[:0], uk...)
+					if newest && ikey.KindOf(ik) != ikey.KindDelete {
+						frags = append(frags, it.Value()) //lsm:aliasok
+					}
 				}
-				newest := prevUser == nil || !bytes.Equal(prevUser, uk)
-				prevUser = append(prevUser[:0], uk...)
-				if !newest || ikey.KindOf(ik) == ikey.KindDelete {
-					continue
-				}
-				// Skiplist values alias arena memory that is never reused,
-				// so the fragment stays valid past the iteration.
-				frags = append(frags, it.Value()) //lsm:aliasok
+				continue
 			}
-		}
-		scanMem(v.MemIter())
-		scanMem(v.ImmIter())
-
-		// Table strata: each L0 file, then each deeper level. A table holds
-		// one version per key; iterator value bytes are reused across Next,
-		// so fragments are copied.
-		scanTable := func(fm *lsm.FileMeta) error {
-			ti := fm.Table().NewIteratorTraced(false, tr)
-			for ok := ti.SeekGE(ikey.SeekKey(loB)); ok; ok = ti.Next() {
-				ik := ti.Key()
-				if bytes.Compare(ikey.UserKey(ik), hiExcl) >= 0 {
-					break
+			for _, fm := range s.Overlapping(loB, []byte(hi)) {
+				ti := fm.Table().NewIteratorTraced(false, tr)
+				for ok := ti.SeekGE(seek); ok; ok = ti.Next() {
+					ik := ti.Key()
+					if bytes.Compare(ikey.UserKey(ik), hiExcl) >= 0 {
+						break
+					}
+					if ikey.KindOf(ik) != ikey.KindDelete {
+						frags = append(frags, bytes.Clone(ti.Value()))
+					}
 				}
-				if ikey.KindOf(ik) != ikey.KindDelete {
-					frags = append(frags, bytes.Clone(ti.Value()))
-				}
-			}
-			return ti.Err()
-		}
-		for _, fm := range v.L0() {
-			if err := scanTable(fm); err != nil {
-				return err
-			}
-		}
-		for l := 1; l <= v.MaxLevel(); l++ {
-			for _, fm := range v.OverlappingFiles(l, loB, []byte(hi)) {
-				if err := scanTable(fm); err != nil {
+				if err := ti.Err(); err != nil {
 					return err
 				}
 			}

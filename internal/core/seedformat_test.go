@@ -224,8 +224,8 @@ func tableFormats(t *testing.T, db *DB) (tables map[int]int, lists map[byte]int)
 	tables, lists = map[int]int{}, map[byte]int{}
 	visit := func(l *lsm.DB, postingLists bool) {
 		err := l.View(func(v *lsm.View) error {
-			for level := 0; level <= v.MaxLevel(); level++ {
-				for _, fm := range v.Level(level) {
+			for _, s := range v.Strata() {
+				for _, fm := range s.Tables {
 					tables[fm.Table().FormatVersion()]++
 					if !postingLists {
 						continue

@@ -40,7 +40,7 @@ func refCollect(db *DB, attr, lo, hi string, k int, point bool) ([]Entry, int, e
 		}
 	case point && db.opts.Index == IndexLazy:
 		err = idx.View(func(v *lsm.View) error {
-			strata := &lazyStrata{v: v, value: []byte(lo), strata: strataOf(v)}
+			strata := &lazyStrata{value: []byte(lo), strata: v.Strata()}
 			for !r.full() {
 				frag, ok, err := strata.next()
 				if err != nil || !ok {

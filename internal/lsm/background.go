@@ -123,6 +123,12 @@ func (db *DB) pipelineErrLocked() error {
 	return nil
 }
 
+// LevelDB's level-0 write-control triggers, in files, for background mode.
+const (
+	l0SlowdownTrigger = 8
+	l0StopTrigger     = 12
+)
+
 // throttleLocked admits a write. It fails once the pipeline stopped
 // serving, and in background mode applies LevelDB-style write control: a
 // single ~1ms delay per write once L0 reaches the slowdown trigger, and a
@@ -137,7 +143,7 @@ func (db *DB) throttleLocked(tr *metrics.Trace) error {
 	defer tr.Since(metrics.PhaseThrottle, t0)
 	bg := db.bg
 	stalled := false
-	for len(db.v.levels[0]) >= db.opts.L0StopTrigger && db.pipelineErrLocked() == nil {
+	for len(db.v.levels[0]) >= l0StopTrigger && db.pipelineErrLocked() == nil {
 		if !bg.stopEngaged {
 			bg.stopEngaged = true
 			db.emit(metrics.Event{Type: metrics.EventStopOn, Level: 0,
@@ -149,7 +155,7 @@ func (db *DB) throttleLocked(tr *metrics.Trace) error {
 		db.cond.Wait()
 		bg.stallTime += time.Since(t0)
 	}
-	if bg.stopEngaged && len(db.v.levels[0]) < db.opts.L0StopTrigger {
+	if bg.stopEngaged && len(db.v.levels[0]) < l0StopTrigger {
 		bg.stopEngaged = false
 		db.emit(metrics.Event{Type: metrics.EventStopOff, Level: 0,
 			Detail: fmt.Sprintf("l0_files=%d", len(db.v.levels[0]))})
@@ -157,7 +163,7 @@ func (db *DB) throttleLocked(tr *metrics.Trace) error {
 	if err := db.pipelineErrLocked(); err != nil {
 		return err
 	}
-	if !stalled && len(db.v.levels[0]) >= db.opts.L0SlowdownTrigger {
+	if !stalled && len(db.v.levels[0]) >= l0SlowdownTrigger {
 		if !bg.slowdownEngaged {
 			bg.slowdownEngaged = true
 			db.emit(metrics.Event{Type: metrics.EventSlowdownOn, Level: 0,
@@ -169,7 +175,7 @@ func (db *DB) throttleLocked(tr *metrics.Trace) error {
 		db.mu.Lock()
 		return db.pipelineErrLocked()
 	}
-	if bg.slowdownEngaged && len(db.v.levels[0]) < db.opts.L0SlowdownTrigger {
+	if bg.slowdownEngaged && len(db.v.levels[0]) < l0SlowdownTrigger {
 		bg.slowdownEngaged = false
 		db.emit(metrics.Event{Type: metrics.EventSlowdownOff, Level: 0,
 			Detail: fmt.Sprintf("l0_files=%d", len(db.v.levels[0]))})

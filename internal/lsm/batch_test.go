@@ -161,9 +161,7 @@ func TestBatchTriggersFlush(t *testing.T) {
 	if err := db.Apply(&b); err != nil {
 		t.Fatal(err)
 	}
-	var nL0 int
-	db.View(func(v *View) error { nL0 = len(v.L0()) + len(v.Level(1)); return nil })
-	if nL0 == 0 {
+	if levels := levelsOf(db); len(levels[0])+len(levels[1]) == 0 {
 		t.Fatal("large batch did not flush")
 	}
 	for i := 0; i < 400; i++ {

@@ -166,7 +166,7 @@ func (db *DB) pickL0Locked() *compactionJob {
 			hi = l
 		}
 	}
-	next := db.v.overlappingFiles(1, lo, hi)
+	next := overlappingFiles(db.v.levels[1], lo, hi)
 	return &compactionJob{level: 0, inputs: inputs, next: next, base: db.v}
 }
 
@@ -187,7 +187,7 @@ func (db *DB) pickLevelLocked(l int) *compactionJob {
 		}
 	}
 	db.compactPtr[l] = append([]byte(nil), ikey.UserKey(pick.Largest)...)
-	next := db.v.overlappingFiles(l+1, ikey.UserKey(pick.Smallest), ikey.UserKey(pick.Largest))
+	next := overlappingFiles(db.v.levels[l+1], ikey.UserKey(pick.Smallest), ikey.UserKey(pick.Largest))
 	return &compactionJob{level: l, inputs: []*FileMeta{pick}, next: next, base: db.v}
 }
 
@@ -368,7 +368,7 @@ func (db *DB) CompactRange(lo, hi []byte) error {
 			if err := db.awaitIdleLocked(); err != nil {
 				return err
 			}
-			overlapping := db.v.overlappingFiles(l, lo, hi)
+			overlapping := overlappingFiles(db.v.levels[l], lo, hi)
 			if len(overlapping) == 0 {
 				break
 			}
@@ -378,7 +378,7 @@ func (db *DB) CompactRange(lo, hi []byte) error {
 				break
 			}
 			pick := overlapping[0]
-			next := db.v.overlappingFiles(l+1, ikey.UserKey(pick.Smallest), ikey.UserKey(pick.Largest))
+			next := overlappingFiles(db.v.levels[l+1], ikey.UserKey(pick.Smallest), ikey.UserKey(pick.Largest))
 			job := &compactionJob{level: l, inputs: []*FileMeta{pick}, next: next, base: db.v}
 			if err := db.compactLocked(job); err != nil {
 				return err

@@ -65,23 +65,16 @@ func TestMergerDropsDeletedKeyAtBottom(t *testing.T) {
 	}
 	// No physical trace may remain.
 	found := false
-	db.View(func(v *View) error {
-		for l := 0; l <= v.MaxLevel(); l++ {
-			files := v.Level(l)
-			if l == 0 {
-				files = v.L0()
-			}
-			for _, fm := range files {
-				it := fm.Table().NewIterator(false)
-				for it.Next() {
-					if string(ikey.UserKey(it.Key())) == "victim" {
-						found = true
-					}
+	for _, files := range levelsOf(db) {
+		for _, fm := range files {
+			it := fm.Table().NewIterator(false)
+			for it.Next() {
+				if string(ikey.UserKey(it.Key())) == "victim" {
+					found = true
 				}
 			}
 		}
-		return nil
-	})
+	}
 	if found {
 		t.Fatal("victim record still on disk after full compaction")
 	}
@@ -96,19 +89,13 @@ func TestCompactionPointerRotates(t *testing.T) {
 	for i := 0; i < 8000; i++ {
 		mustPut(t, db, fmt.Sprintf("key%07d", (i*2654435761)%1000000), fmt.Sprintf("val%040d", i))
 	}
-	var l2 int
-	db.View(func(v *View) error { l2 = len(v.Level(2)); return nil })
-	if l2 == 0 {
+	files := levelsOf(db)[2]
+	if len(files) == 0 {
 		t.Fatal("no level-2 files: rotation never pushed data down")
 	}
 	// Level 2 should cover a broad key range, not one corner.
-	var lo, hi string
-	db.View(func(v *View) error {
-		files := v.Level(2)
-		lo = string(ikey.UserKey(files[0].Smallest))
-		hi = string(ikey.UserKey(files[len(files)-1].Largest))
-		return nil
-	})
+	lo := string(ikey.UserKey(files[0].Smallest))
+	hi := string(ikey.UserKey(files[len(files)-1].Largest))
 	if lo >= "key0500000" || hi <= "key0500000" {
 		t.Fatalf("level-2 range [%s, %s] suspiciously narrow", lo, hi)
 	}
@@ -122,19 +109,17 @@ func TestLevelSizesRespectBudgets(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		mustPut(t, db, fmt.Sprintf("key%07d", i), fmt.Sprintf("val%032d", i))
 	}
-	db.View(func(v *View) error {
-		for l := 1; l < v.MaxLevel(); l++ {
-			var bytes int64
-			for _, fm := range v.Level(l) {
-				bytes += fm.Size
-			}
-			budget := db.maxBytesForLevel(l) + maxTableBytes
-			if bytes > budget {
-				t.Errorf("level %d holds %d bytes, budget %d", l, bytes, budget)
-			}
+	levels := levelsOf(db)
+	for l := 1; l < len(levels)-1; l++ {
+		var bytes int64
+		for _, fm := range levels[l] {
+			bytes += fm.Size
 		}
-		return nil
-	})
+		budget := db.maxBytesForLevel(l) + maxTableBytes
+		if bytes > budget {
+			t.Errorf("level %d holds %d bytes, budget %d", l, bytes, budget)
+		}
+	}
 }
 
 // TestUpdateHeavyChurnKeepsNewestVisible hammers a small key space so
@@ -163,21 +148,19 @@ func TestCompactRangePushesDataDown(t *testing.T) {
 	if err := db.CompactRange(nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	db.View(func(v *View) error {
-		if len(v.L0()) != 0 {
-			t.Errorf("L0 not empty after CompactRange: %d files", len(v.L0()))
+	levels := levelsOf(db)
+	if len(levels[0]) != 0 {
+		t.Errorf("L0 not empty after CompactRange: %d files", len(levels[0]))
+	}
+	// Everything above the deepest level within the range must be
+	// clear (full-range compaction → single resting level, except the
+	// level right above may briefly hold nothing anyway).
+	deepest := deepestNonEmpty(db)
+	for l := 1; l < deepest; l++ {
+		if len(levels[l]) != 0 {
+			t.Errorf("level %d still holds %d files", l, len(levels[l]))
 		}
-		deepest := v.DeepestNonEmpty()
-		// Everything above the deepest level within the range must be
-		// clear (full-range compaction → single resting level, except the
-		// level right above may briefly hold nothing anyway).
-		for l := 1; l < deepest; l++ {
-			if len(v.Level(l)) != 0 {
-				t.Errorf("level %d still holds %d files", l, len(v.Level(l)))
-			}
-		}
-		return nil
-	})
+	}
 	for i := 0; i < 2000; i++ {
 		if v, ok := mustGet(t, db, fmt.Sprintf("key%05d", i)); !ok || v != fmt.Sprintf("val%032d", i) {
 			t.Fatalf("key%05d lost by CompactRange", i)

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"leveldbpp/internal/ikey"
 	"leveldbpp/internal/metrics"
 )
 
@@ -101,7 +102,8 @@ func TestBackgroundBasic(t *testing.T) {
 
 // TestBackgroundFrozenMemtableVisible checks the read paths while a
 // frozen MemTable is parked behind the blocked flusher: Get and Scan must
-// see its records, and newer live-MemTable versions must shadow it.
+// see its records, newer live-MemTable versions must shadow it, and
+// View.Strata must list it second, after the live MemTable.
 func TestBackgroundFrozenMemtableVisible(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(dir, bgOpts())
@@ -150,6 +152,50 @@ func TestBackgroundFrozenMemtableVisible(t *testing.T) {
 	}
 	if got["key-00000"] != "newer" {
 		t.Fatalf("scan saw %q for overwritten key", got["key-00000"])
+	}
+	lastSeq := db.LastSeq()
+	err = db.View(func(v *View) error {
+		strata := v.Strata()
+		if len(strata) < 2 || !strata[0].IsMem() || strata[0].Frozen || !strata[1].IsMem() || !strata[1].Frozen {
+			t.Fatalf("strata do not start [live, frozen]: %+v", strata)
+		}
+		for _, s := range strata[2:] {
+			if s.IsMem() || s.Frozen {
+				t.Fatalf("MemTable stratum after the frozen one: %+v", s)
+			}
+		}
+		// Each MemTable's MaxSeq is the highest seq it holds; the live one
+		// holds the newest write, and every frozen seq is older than every
+		// live one.
+		minSeq := [2]uint64{^uint64(0), ^uint64(0)}
+		for i, s := range strata[:2] {
+			var maxSeq uint64
+			it := s.MemIter()
+			for it.SeekToFirst(); it.Valid(); it.Next() {
+				seq := ikey.Seq(it.Key())
+				maxSeq = max(maxSeq, seq)
+				minSeq[i] = min(minSeq[i], seq)
+			}
+			if s.MaxSeq() != maxSeq {
+				t.Fatalf("stratum %d MaxSeq = %d, holds up to %d", i, s.MaxSeq(), maxSeq)
+			}
+		}
+		if strata[0].MaxSeq() != lastSeq {
+			t.Fatalf("live MaxSeq = %d, LastSeq = %d", strata[0].MaxSeq(), lastSeq)
+		}
+		if strata[1].MaxSeq() >= minSeq[0] {
+			t.Fatalf("frozen MaxSeq %d not below live seqs (min %d)", strata[1].MaxSeq(), minSeq[0])
+		}
+		if val, _, deleted, ok := strata[0].MemGet([]byte("key-00000")); !ok || deleted || string(val) != "newer" {
+			t.Fatalf("live MemGet(key-00000) = %q %v %v, want newer", val, deleted, ok)
+		}
+		if val, _, deleted, ok := strata[1].MemGet([]byte("key-00000")); !ok || deleted || string(val) != "value-00000" {
+			t.Fatalf("frozen MemGet(key-00000) = %q %v %v, want value-00000", val, deleted, ok)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	close(block)
 	db.mu.Lock()

@@ -294,15 +294,10 @@ func (db *DB) Put(key, value []byte) error {
 	return err
 }
 
-// PutWithSeq is Put returning the assigned sequence number, which
+// PutWithSeqTraced is Put returning the assigned sequence number, which
 // secondary-index layers stamp into posting-list entries so top-K
-// ordering follows primary-table insertion time.
-func (db *DB) PutWithSeq(key, value []byte) (uint64, error) {
-	return db.write(ikey.KindSet, key, value, nil)
-}
-
-// PutWithSeqTraced is PutWithSeq recording write-path phase timings
-// (throttle, wal, mem_insert, rotate) into tr. tr may be nil.
+// ordering follows primary-table insertion time. It records write-path
+// phase timings (throttle, wal, mem_insert, rotate) into tr; tr may be nil.
 func (db *DB) PutWithSeqTraced(key, value []byte, tr *metrics.Trace) (uint64, error) {
 	return db.write(ikey.KindSet, key, value, tr)
 }
@@ -313,12 +308,8 @@ func (db *DB) Delete(key []byte) error {
 	return err
 }
 
-// DeleteWithSeq is Delete returning the assigned sequence number.
-func (db *DB) DeleteWithSeq(key []byte) (uint64, error) {
-	return db.write(ikey.KindDelete, key, nil, nil)
-}
-
-// DeleteWithSeqTraced is DeleteWithSeq with write-path phase tracing.
+// DeleteWithSeqTraced is Delete returning the assigned sequence number,
+// with write-path phase tracing.
 func (db *DB) DeleteWithSeqTraced(key []byte, tr *metrics.Trace) (uint64, error) {
 	return db.write(ikey.KindDelete, key, nil, tr)
 }
@@ -397,7 +388,7 @@ func (db *DB) getLocked(key []byte, tr *metrics.Trace) ([]byte, bool, error) {
 	tr.Since(metrics.PhaseL0Probe, t0)
 	t0 = tr.Now()
 	for l := 1; l < len(db.v.levels); l++ {
-		fm := db.v.findFile(l, key)
+		fm := findFile(db.v.levels[l], key)
 		if fm == nil {
 			continue
 		}
@@ -478,7 +469,7 @@ func (db *DB) Health() error {
 	if db.bg.err != nil {
 		return db.bg.err
 	}
-	if db.opts.BackgroundCompaction && len(db.v.levels[0]) >= db.opts.L0StopTrigger {
+	if db.opts.BackgroundCompaction && len(db.v.levels[0]) >= l0StopTrigger {
 		return ErrStalled
 	}
 	return nil
@@ -594,15 +585,11 @@ func (db *DB) LastSeq() uint64 {
 
 // --- read views ---------------------------------------------------------
 
-// View is a read-locked snapshot of the tree handed to index algorithms.
-// The paper's secondary lookups proceed stratum by stratum, newest data
-// first: MemTable, then each level-0 file (each flush is its own
-// time-ordered run), then levels 1, 2, … .
+// View is a read-locked snapshot of the tree handed to index algorithms:
+// its strata, newest first, and point reads over the same state.
 type View struct {
 	db     *DB
-	mem    *memTable
-	imm    *memTable // frozen MemTable awaiting its flush, or nil
-	levels [][]*FileMeta
+	strata []Stratum
 }
 
 // View runs fn with a stable view of the database. fn must not call
@@ -614,128 +601,105 @@ func (db *DB) View(fn func(*View) error) error {
 	if db.closed {
 		return ErrClosed
 	}
-	return fn(&View{db: db, mem: db.mem, imm: db.imm, levels: db.v.levels})
+	return fn(&View{db: db, strata: db.strataLocked()})
 }
 
-// Get performs a standard newest-wins point read inside the view.
-func (v *View) Get(key []byte) ([]byte, bool, error) { return v.db.getLocked(key, nil) }
-
-// GetTraced is Get with read-path phase tracing (tr may be nil).
+// GetTraced performs a standard newest-wins point read inside the view,
+// with read-path phase tracing (tr may be nil).
 func (v *View) GetTraced(key []byte, tr *metrics.Trace) ([]byte, bool, error) {
 	return v.db.getLocked(key, tr)
 }
 
-// MemGet returns the newest MemTable record for key.
-func (v *View) MemGet(key []byte) (value []byte, seq uint64, deleted bool, ok bool) {
-	val, seq, kind, ok := v.mem.get(key)
+// Strata returns the view's time-ordered strata, newest first: the live
+// MemTable, the frozen MemTable while its flush is pending, each level-0
+// table (each flush is its own run), then each non-empty deeper level.
+// The paper's secondary lookups walk the tree in this order.
+func (v *View) Strata() []Stratum { return v.strata }
+
+// Stratum is one time-ordered component of a View: a MemTable, one
+// level-0 table or a whole deeper level. Any version of a key it holds is
+// newer than every version of that key in the strata after it.
+type Stratum struct {
+	Level  int         // LSM level of a table stratum; 0 for a MemTable
+	Tables []*FileMeta // the level-0 table, or the level's files sorted by key; nil for a MemTable
+	Frozen bool        // a frozen MemTable whose flush is pending
+	mem    *memTable
+}
+
+// strataLocked decomposes the current tree into a View's strata.
+func (db *DB) strataLocked() []Stratum {
+	l0 := db.v.levels[0]
+	out := make([]Stratum, 0, 1+len(l0)+len(db.v.levels))
+	out = append(out, Stratum{mem: db.mem})
+	if db.imm != nil {
+		out = append(out, Stratum{Frozen: true, mem: db.imm})
+	}
+	for i := range l0 {
+		out = append(out, Stratum{Tables: l0[i : i+1 : i+1]})
+	}
+	for l := 1; l < len(db.v.levels); l++ {
+		if files := db.v.levels[l]; len(files) > 0 {
+			out = append(out, Stratum{Level: l, Tables: files})
+		}
+	}
+	return out
+}
+
+// IsMem reports whether the stratum is a MemTable, live or frozen.
+func (s Stratum) IsMem() bool { return s.mem != nil }
+
+// MemGet returns a MemTable stratum's newest record for key.
+func (s Stratum) MemGet(key []byte) (value []byte, seq uint64, deleted bool, ok bool) {
+	val, seq, kind, ok := s.mem.get(key)
 	return val, seq, kind == ikey.KindDelete, ok
 }
 
-// MemIter iterates the MemTable in internal-key order.
-func (v *View) MemIter() *skiplist.Iterator { return v.mem.iter() }
+// MemIter iterates a MemTable stratum in internal-key order.
+func (s Stratum) MemIter() *skiplist.Iterator { return s.mem.iter() }
 
-// MemSecTree returns the MemTable-side secondary B-tree for attr (nil when
-// the attribute is not embedded-indexed).
-func (v *View) MemSecTree(attr string) *btree.Tree { return v.mem.secTree(attr) }
+// MemSecTree returns a MemTable stratum's secondary B-tree for attr (nil
+// when the attribute is not embedded-indexed).
+func (s Stratum) MemSecTree(attr string) *btree.Tree { return s.mem.secTree(attr) }
 
-// MemMaxSeq returns the highest sequence number in the MemTable (0 when
-// empty) — the upper bound lookup algorithms use for stratum pruning.
-func (v *View) MemMaxSeq() uint64 { return v.mem.maxSeq }
-
-// HasImm reports whether a frozen MemTable stratum exists (its flush job
-// is pending or running). It sits between the MemTable and level 0 in
-// newest-first order.
-func (v *View) HasImm() bool { return v.imm != nil }
-
-// ImmGet returns the newest frozen-MemTable record for key.
-func (v *View) ImmGet(key []byte) (value []byte, seq uint64, deleted bool, ok bool) {
-	if v.imm == nil {
-		return nil, 0, false, false
+// MaxSeq returns the highest sequence number in the stratum (0 for an
+// empty MemTable), the bound a top-K lookup stops on.
+func (s Stratum) MaxSeq() uint64 {
+	if s.mem != nil {
+		return s.mem.maxSeq
 	}
-	val, seq, kind, ok := v.imm.get(key)
-	return val, seq, kind == ikey.KindDelete, ok
-}
-
-// ImmIter iterates the frozen MemTable in internal-key order (nil when
-// there is none).
-func (v *View) ImmIter() *skiplist.Iterator {
-	if v.imm == nil {
-		return nil
+	var m uint64
+	for _, fm := range s.Tables {
+		m = max(m, fm.tbl.MaxSeq())
 	}
-	return v.imm.iter()
+	return m
 }
 
-// ImmSecTree returns the frozen MemTable's secondary B-tree for attr.
-func (v *View) ImmSecTree(attr string) *btree.Tree {
-	if v.imm == nil {
-		return nil
+// FindFile returns the table of a table stratum that may hold key: a
+// level-0 stratum's one table, probed whatever its key range as Get
+// probes it, or the file of a deeper level whose range covers key, or nil.
+func (s Stratum) FindFile(key []byte) *FileMeta {
+	if s.Level == 0 {
+		return s.Tables[0]
 	}
-	return v.imm.secTree(attr)
+	return findFile(s.Tables, key)
 }
 
-// ImmMaxSeq returns the highest sequence number in the frozen MemTable
-// (0 when there is none).
-func (v *View) ImmMaxSeq() uint64 {
-	if v.imm == nil {
-		return 0
+// Overlapping returns the tables of a table stratum that a scan of the
+// user keys [loUser, hiUser] visits: a level-0 stratum's one table, or the
+// files of a deeper level intersecting the range.
+func (s Stratum) Overlapping(loUser, hiUser []byte) []*FileMeta {
+	if s.Level == 0 {
+		return s.Tables
 	}
-	return v.imm.maxSeq
+	return overlappingFiles(s.Tables, loUser, hiUser)
 }
 
-// L0 returns the level-0 files, newest first.
-func (v *View) L0() []*FileMeta { return v.levels[0] }
-
-// Level returns the files of level l (l ≥ 1), sorted by key, disjoint.
-func (v *View) Level(l int) []*FileMeta { return v.levels[l] }
-
-// MaxLevel returns the deepest configured level index.
-func (v *View) MaxLevel() int { return len(v.levels) - 1 }
-
-// DeepestNonEmpty returns the index of the deepest level holding data
-// (0 when only L0/MemTable hold data).
-func (v *View) DeepestNonEmpty() int {
-	for l := len(v.levels) - 1; l >= 0; l-- {
-		if len(v.levels[l]) > 0 {
-			return l
-		}
-	}
-	return 0
-}
-
-// FindLevelFile returns the single file in level l that may contain key,
-// or nil. For l == 0 use L0 and probe each file.
-func (v *View) FindLevelFile(l int, key []byte) *FileMeta {
-	return (&version{levels: v.levels}).findFile(l, key)
-}
-
-// OverlappingFiles returns files in level l intersecting [loUser, hiUser].
-func (v *View) OverlappingFiles(l int, loUser, hiUser []byte) []*FileMeta {
-	return (&version{levels: v.levels}).overlappingFiles(l, loUser, hiUser)
-}
-
-// NumStrata reports how many time-ordered strata the view has: the
-// MemTable, the frozen MemTable if present, each L0 file, and each deeper
-// level (paper's "levels"; our L0 decomposition preserves the
-// one-run-per-stratum property the lookup algorithms rely on).
-func (v *View) NumStrata() int {
-	n := 1 + len(v.levels[0])
-	if v.imm != nil {
-		n++
-	}
-	for l := 1; l < len(v.levels); l++ {
-		if len(v.levels[l]) > 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// NumStrata is the DB-scoped variant of View.NumStrata: the live stratum
-// count of the tree, the cost model's "L" for stand-alone index lookups.
+// NumStrata is the live stratum count of the tree, len(View.Strata()): the
+// cost model's "L" for stand-alone index lookups.
 func (db *DB) NumStrata() int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return (&View{mem: db.mem, imm: db.imm, levels: db.v.levels}).NumStrata()
+	return len(db.strataLocked())
 }
 
 // OverlappingBlockCount sums, across every SSTable, the data blocks whose

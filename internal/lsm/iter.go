@@ -70,59 +70,32 @@ func (db *DB) ScanTraced(lo, hiExcl []byte, tr *metrics.Trace, fn func(key, valu
 	if db.closed {
 		return ErrClosed
 	}
-	return scanView(&View{db: db, mem: db.mem, imm: db.imm, levels: db.v.levels}, lo, hiExcl, tr, fn)
+	return scanStrata(db.strataLocked(), lo, hiExcl, tr, fn)
 }
 
-// Scan is the View-scoped variant of DB.Scan.
-func (v *View) Scan(lo, hiExcl []byte, fn func(key, value []byte, seq uint64) bool) error {
-	return scanView(v, lo, hiExcl, nil, fn)
-}
-
-// ScanTraced is the View-scoped variant of DB.ScanTraced.
-func (v *View) ScanTraced(lo, hiExcl []byte, tr *metrics.Trace, fn func(key, value []byte, seq uint64) bool) error {
-	return scanView(v, lo, hiExcl, tr, fn)
-}
-
-func scanView(v *View, lo, hiExcl []byte, tr *metrics.Trace, fn func(key, value []byte, seq uint64) bool) error {
+func scanStrata(strata []Stratum, lo, hiExcl []byte, tr *metrics.Trace, fn func(key, value []byte, seq uint64) bool) error {
 	seekKey := ikey.SeekKey(lo)
 
 	var h scanHeap
-	add := func(it entryIter) {
-		heap.Push(&h, &scanSource{it: it})
-	}
-
-	mi := v.mem.iter()
-	mi.SeekGE(seekKey)
-	if mi.Valid() {
-		add(&memIterAdapter{it: mi, started: true})
-	}
-	if v.imm != nil { // frozen MemTable stratum (background mode)
-		ii := v.imm.iter()
-		ii.SeekGE(seekKey)
-		if ii.Valid() {
-			add(&memIterAdapter{it: ii, started: true})
-		}
-	}
-	seekTable := func(fm *FileMeta) error {
-		it := fm.tbl.NewIteratorTraced(false, tr)
-		if it.SeekGE(seekKey) {
-			add(&tableIterAdapter{it: it, positioned: true})
-		}
-		return it.Err()
-	}
-	for _, fm := range v.levels[0] {
-		if fm.overlapsUser(lo, nil) {
-			if err := seekTable(fm); err != nil {
-				return err
+	for _, s := range strata {
+		if s.IsMem() {
+			mi := s.MemIter()
+			mi.SeekGE(seekKey)
+			if mi.Valid() {
+				heap.Push(&h, &scanSource{it: &memIterAdapter{it: mi, started: true}})
 			}
+			continue
 		}
-	}
-	for l := 1; l < len(v.levels); l++ {
-		for _, fm := range v.levels[l] {
-			if fm.overlapsUser(lo, nil) {
-				if err := seekTable(fm); err != nil {
-					return err
-				}
+		for _, fm := range s.Tables {
+			if !fm.overlapsUser(lo, nil) {
+				continue
+			}
+			it := fm.tbl.NewIteratorTraced(false, tr)
+			if it.SeekGE(seekKey) {
+				heap.Push(&h, &scanSource{it: &tableIterAdapter{it: it, positioned: true}})
+			}
+			if err := it.Err(); err != nil {
+				return err
 			}
 		}
 	}

@@ -51,6 +51,21 @@ func activeWAL(db *DB) string {
 	return db.memWALs[len(db.memWALs)-1]
 }
 
+// levelsOf returns db's levels, L0 newest first. Versions are installed by
+// copy, so the slices stay unchanged after db.mu is released.
+func levelsOf(db *DB) [][]*FileMeta {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return db.v.levels
+}
+
+// deepestNonEmpty returns the deepest level holding a table, or 0.
+func deepestNonEmpty(db *DB) int {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return db.deepestNonEmptyLocked()
+}
+
 func mustGet(t testing.TB, db *DB, k string) (string, bool) {
 	t.Helper()
 	v, ok, err := db.Get([]byte(k))
@@ -99,9 +114,7 @@ func TestFlushAndReadFromSSTable(t *testing.T) {
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	var nL0 int
-	db.View(func(v *View) error { nL0 = len(v.L0()); return nil })
-	if nL0 == 0 {
+	if nL0 := len(levelsOf(db)[0]); nL0 == 0 {
 		t.Fatal("no L0 files after flush")
 	}
 	for i := 0; i < 100; i++ {
@@ -123,9 +136,7 @@ func TestCompactionPreservesData(t *testing.T) {
 		mustPut(t, db, k, v)
 	}
 	// Compactions must have run.
-	deepest := 0
-	db.View(func(v *View) error { deepest = v.DeepestNonEmpty(); return nil })
-	if deepest < 1 {
+	if deepest := deepestNonEmpty(db); deepest < 1 {
 		t.Fatalf("expected multi-level tree, deepest=%d", deepest)
 	}
 	for k, v := range want {
@@ -282,9 +293,7 @@ func TestCompactionMerger(t *testing.T) {
 	db.Flush()
 	mustPut(t, db, "frag", "four")
 	db.Flush() // 4 L0 files → triggers L0 compaction with merger
-	var nL0 int
-	db.View(func(v *View) error { nL0 = len(v.L0()); return nil })
-	if nL0 != 0 {
+	if nL0 := len(levelsOf(db)[0]); nL0 != 0 {
 		t.Fatalf("L0 not compacted: %d files", nL0)
 	}
 	if v, _ := mustGet(t, db, "frag"); v != "one|two|three|four" {
@@ -309,23 +318,16 @@ func TestTombstoneDroppedAtBaseLevel(t *testing.T) {
 	}
 	// Scan all tables for any "victim" record.
 	found := false
-	db.View(func(v *View) error {
-		scan := func(fms []*FileMeta) {
-			for _, fm := range fms {
-				it := fm.Table().NewIterator(false)
-				for it.Next() {
-					if string(ikey.UserKey(it.Key())) == "victim" {
-						found = true
-					}
+	for _, fms := range levelsOf(db) {
+		for _, fm := range fms {
+			it := fm.Table().NewIterator(false)
+			for it.Next() {
+				if string(ikey.UserKey(it.Key())) == "victim" {
+					found = true
 				}
 			}
 		}
-		scan(v.L0())
-		for l := 1; l <= v.MaxLevel(); l++ {
-			scan(v.Level(l))
-		}
-		return nil
-	})
+	}
 	if found {
 		t.Fatal("victim record (or tombstone) still present after full compaction")
 	}
@@ -337,19 +339,17 @@ func TestLevelShapeInvariants(t *testing.T) {
 	for i := 0; i < 6000; i++ {
 		mustPut(t, db, fmt.Sprintf("key%07d", rng.Intn(100000)), fmt.Sprintf("val%032d", i))
 	}
-	db.View(func(v *View) error {
-		for l := 1; l <= v.MaxLevel(); l++ {
-			files := v.Level(l)
-			for i := 1; i < len(files); i++ {
-				// Sorted and disjoint.
-				if bytes.Compare(ikey.UserKey(files[i-1].Largest), ikey.UserKey(files[i].Smallest)) >= 0 {
-					t.Errorf("level %d files overlap: %q vs %q",
-						l, ikey.UserKey(files[i-1].Largest), ikey.UserKey(files[i].Smallest))
-				}
+	levels := levelsOf(db)
+	for l := 1; l < len(levels); l++ {
+		files := levels[l]
+		for i := 1; i < len(files); i++ {
+			// Sorted and disjoint.
+			if bytes.Compare(ikey.UserKey(files[i-1].Largest), ikey.UserKey(files[i].Smallest)) >= 0 {
+				t.Errorf("level %d files overlap: %q vs %q",
+					l, ikey.UserKey(files[i-1].Largest), ikey.UserKey(files[i].Smallest))
 			}
 		}
-		return nil
-	})
+	}
 }
 
 func TestRandomOpsMatchReferenceMap(t *testing.T) {
@@ -430,37 +430,31 @@ func TestEmbeddedAttrsSurviveFlushAndCompaction(t *testing.T) {
 	}
 	db.Flush()
 	// Every table at every level must carry the embedded structures.
-	db.View(func(v *View) error {
-		check := func(fms []*FileMeta, lvl string) {
-			for _, fm := range fms {
-				if !fm.Table().HasAttr("user") {
-					t.Errorf("%s table %d lacks embedded attr", lvl, fm.Num)
+	for l, fms := range levelsOf(db) {
+		lvl := fmt.Sprintf("L%d", l)
+		for _, fm := range fms {
+			if !fm.Table().HasAttr("user") {
+				t.Errorf("%s table %d lacks embedded attr", lvl, fm.Num)
+			}
+			for i := 0; i < fm.Table().NumBlocks(); i++ {
+				if lo, hi, ok := fm.Table().BlockZone("user", i); !ok || len(lo) != 4 || len(hi) != 4 || lo > hi || hi > "u039" {
+					t.Errorf("%s table %d block %d: zone [%q, %q] ok=%v", lvl, fm.Num, i, lo, hi, ok)
 				}
-				for i := 0; i < fm.Table().NumBlocks(); i++ {
-					if lo, hi, ok := fm.Table().BlockZone("user", i); !ok || len(lo) != 4 || len(hi) != 4 || lo > hi || hi > "u039" {
-						t.Errorf("%s table %d block %d: zone [%q, %q] ok=%v", lvl, fm.Num, i, lo, hi, ok)
-					}
-				}
-				if c := fm.Table().SecondaryCandidates("user", "u007"); len(c) == 0 {
-					// u007 occurs every 40 entries; any table with ≥40
-					// sequential entries must contain it.
-					if fm.Table().EntryCount() > 80 {
-						t.Errorf("%s table %d: no candidates for frequent user", lvl, fm.Num)
-					}
+			}
+			if c := fm.Table().SecondaryCandidates("user", "u007"); len(c) == 0 {
+				// u007 occurs every 40 entries; any table with ≥40
+				// sequential entries must contain it.
+				if fm.Table().EntryCount() > 80 {
+					t.Errorf("%s table %d: no candidates for frequent user", lvl, fm.Num)
 				}
 			}
 		}
-		check(v.L0(), "L0")
-		for l := 1; l <= v.MaxLevel(); l++ {
-			check(v.Level(l), fmt.Sprintf("L%d", l))
-		}
-		return nil
-	})
+	}
 	// MemTable B-tree must cover unflushed entries.
 	mustPut(t, db, "t999999", `{"user":"u999","text":"fresh"}`)
 	mustPut(t, db, "t999998", `{"user":"u000","text":"overwrites the extractor's buffer"}`)
 	db.View(func(v *View) error {
-		tree := v.MemSecTree("user")
+		tree := v.Strata()[0].MemSecTree("user")
 		if tree == nil {
 			t.Fatal("no memtable secondary tree")
 		}
@@ -481,17 +475,26 @@ func TestViewStrata(t *testing.T) {
 	db.Flush()
 	mustPut(t, db, "c", "3")
 	db.View(func(v *View) error {
-		if len(v.L0()) != 2 {
-			t.Fatalf("L0 files = %d", len(v.L0()))
+		strata := v.Strata()
+		if len(strata) != 3 { // mem + 2 L0 files
+			t.Fatalf("strata = %d", len(strata))
+		}
+		if n := db.NumStrata(); n != len(strata) {
+			t.Fatalf("NumStrata = %d, strata = %d", n, len(strata))
+		}
+		if !strata[0].IsMem() || strata[0].Frozen || strata[1].IsMem() || strata[2].IsMem() {
+			t.Fatalf("strata kinds: %+v", strata)
+		}
+		for _, s := range strata[1:] {
+			if s.Level != 0 || len(s.Tables) != 1 {
+				t.Fatalf("L0 stratum: level %d, %d tables", s.Level, len(s.Tables))
+			}
 		}
 		// Newest first: the "b" file must precede the "a" file.
-		if string(ikey.UserKey(v.L0()[0].Smallest)) != "b" {
-			t.Fatalf("L0 not newest-first: %q", ikey.UserKey(v.L0()[0].Smallest))
+		if got := string(ikey.UserKey(strata[1].Tables[0].Smallest)); got != "b" {
+			t.Fatalf("L0 not newest-first: %q", got)
 		}
-		if v.NumStrata() != 3 { // mem + 2 L0 files
-			t.Fatalf("NumStrata = %d", v.NumStrata())
-		}
-		if _, _, _, ok := v.MemGet([]byte("c")); !ok {
+		if _, _, _, ok := strata[0].MemGet([]byte("c")); !ok {
 			t.Fatal("memtable miss in view")
 		}
 		return nil

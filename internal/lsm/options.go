@@ -113,17 +113,8 @@ type Options struct {
 	// configuration, deterministic with exact I/O attribution (DESIGN.md
 	// §5.1). On, a flusher goroutine and a compaction runner goroutine run
 	// the same jobs, and the writer only swaps in a fresh MemTable + WAL
-	// segment.
+	// segment; writers are delayed from 8 level-0 files and blocked from 12.
 	BackgroundCompaction bool
-	// L0SlowdownTrigger is the level-0 file count at which background-mode
-	// writers are delayed ~1ms per write so compaction can keep up.
-	// Default 8. Ignored in deterministic mode, whose writers compact L0
-	// themselves.
-	L0SlowdownTrigger int
-	// L0StopTrigger is the level-0 file count at which background-mode
-	// writers block until compaction brings L0 back under the limit.
-	// Default 12. Ignored in deterministic mode.
-	L0StopTrigger int
 	// BlockCacheBytes enables an LRU block cache of the given capacity.
 	// 0 disables caching — the paper's configuration ("No block cache
 	// was used"), keeping measured block I/O purely algorithmic.
@@ -169,15 +160,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if opts.MaxLevels <= 1 {
 		opts.MaxLevels = 7
-	}
-	if opts.L0SlowdownTrigger <= 0 {
-		opts.L0SlowdownTrigger = 8
-	}
-	if opts.L0StopTrigger <= 0 {
-		opts.L0StopTrigger = 12
-	}
-	if opts.L0StopTrigger <= opts.L0SlowdownTrigger {
-		opts.L0StopTrigger = opts.L0SlowdownTrigger + 4
 	}
 	if opts.Stats == nil {
 		opts.Stats = &metrics.IOStats{}

@@ -161,10 +161,10 @@ func TestViewScanConsistentWithDBScan(t *testing.T) {
 	var a, b []string
 	db.Scan(nil, nil, func(k, _ []byte, _ uint64) bool { a = append(a, string(k)); return true })
 	db.View(func(v *View) error {
-		return v.Scan(nil, nil, func(k, _ []byte, _ uint64) bool { b = append(b, string(k)); return true })
+		return scanStrata(v.Strata(), nil, nil, nil, func(k, _ []byte, _ uint64) bool { b = append(b, string(k)); return true })
 	})
 	if fmt.Sprint(a) != fmt.Sprint(b) {
-		t.Fatal("View.Scan differs from DB.Scan")
+		t.Fatal("a scan of View.Strata differs from DB.Scan")
 	}
 }
 
@@ -183,43 +183,41 @@ func TestViewHelpers(t *testing.T) {
 		t.Fatal("empty DebugString")
 	}
 	db.View(func(v *View) error {
-		if _, ok, err := v.Get([]byte("key00042")); err != nil || !ok {
-			t.Fatalf("View.Get: %v %v", ok, err)
+		if _, ok, err := v.GetTraced([]byte("key00042"), nil); err != nil || !ok {
+			t.Fatalf("View.GetTraced: %v %v", ok, err)
 		}
-		deepest := v.DeepestNonEmpty()
-		if deepest < 1 {
-			t.Fatalf("deepest = %d", deepest)
+		strata := v.Strata()
+		deepest := strata[len(strata)-1]
+		if deepest.Level < 1 {
+			t.Fatalf("deepest = %d", deepest.Level)
 		}
-		if fm := v.FindLevelFile(deepest, []byte("key00042")); fm == nil {
+		if fm := deepest.FindFile([]byte("key00042")); fm == nil {
 			// The key may live at another level; probe each.
 			found := false
-			for l := 1; l <= v.MaxLevel(); l++ {
-				if v.FindLevelFile(l, []byte("key00042")) != nil {
-					found = true
+			for _, s := range strata {
+				if s.IsMem() {
+					continue
 				}
-			}
-			for _, f := range v.L0() {
-				if f.Table().MayContainPrimary([]byte("key00042")) {
-					found = true
-				}
+				fm := s.FindFile([]byte("key00042"))
+				found = found || fm != nil && (s.Level > 0 || fm.Table().MayContainPrimary([]byte("key00042")))
 			}
 			if !found {
-				t.Fatal("FindLevelFile found nothing at any level")
+				t.Fatal("FindFile found nothing at any level")
 			}
 		}
-		if files := v.OverlappingFiles(deepest, []byte("key00000"), []byte("key99999")); len(files) == 0 {
-			t.Fatal("OverlappingFiles empty on full range")
+		if files := deepest.Overlapping([]byte("key00000"), []byte("key99999")); len(files) == 0 {
+			t.Fatal("Overlapping empty on full range")
 		}
-		it := v.MemIter()
+		it := strata[0].MemIter()
 		it.SeekToFirst() // memtable may be empty after flush; just exercise
 		return nil
 	})
-	seq1, err := db.PutWithSeq([]byte("pws"), []byte("v"))
+	seq1, err := db.PutWithSeqTraced([]byte("pws"), []byte("v"), nil)
 	if err != nil || seq1 == 0 {
-		t.Fatalf("PutWithSeq: %d %v", seq1, err)
+		t.Fatalf("PutWithSeqTraced: %d %v", seq1, err)
 	}
-	seq2, err := db.DeleteWithSeq([]byte("pws"))
+	seq2, err := db.DeleteWithSeqTraced([]byte("pws"), nil)
 	if err != nil || seq2 != seq1+1 {
-		t.Fatalf("DeleteWithSeq: %d %v", seq2, err)
+		t.Fatalf("DeleteWithSeqTraced: %d %v", seq2, err)
 	}
 }

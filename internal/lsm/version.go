@@ -73,11 +73,11 @@ func (v *version) levelBytes(level int) int64 {
 	return n
 }
 
-// overlappingFiles returns the files in level whose user-key range
-// intersects [loUser, hiUser].
-func (v *version) overlappingFiles(level int, loUser, hiUser []byte) []*FileMeta {
+// overlappingFiles returns the files whose user-key range intersects
+// [loUser, hiUser].
+func overlappingFiles(files []*FileMeta, loUser, hiUser []byte) []*FileMeta {
 	var out []*FileMeta
-	for _, f := range v.levels[level] {
+	for _, f := range files {
 		if f.overlapsUser(loUser, hiUser) {
 			out = append(out, f)
 		}
@@ -85,10 +85,9 @@ func (v *version) overlappingFiles(level int, loUser, hiUser []byte) []*FileMeta
 	return out
 }
 
-// findFile binary-searches a sorted (level ≥ 1) level for the single file
-// that may contain userKey.
-func (v *version) findFile(level int, userKey []byte) *FileMeta {
-	files := v.levels[level]
+// findFile binary-searches the files of a sorted (level ≥ 1) level for the
+// single file that may contain userKey.
+func findFile(files []*FileMeta, userKey []byte) *FileMeta {
 	i := sort.Search(len(files), func(i int) bool {
 		return bytes.Compare(ikey.UserKey(files[i].Largest), userKey) >= 0
 	})

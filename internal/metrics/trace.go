@@ -12,7 +12,7 @@ import (
 // time divides across named phases — MemTable probe, frozen-MemTable probe,
 // per-level SSTable probes, block loads vs. cache hits, posting-list
 // merging, candidate validation, and the write-path stages. Completed
-// traces land in a bounded ring (the "recent slow ops" buffer served at
+// traces land in a bounded ring of the most recent ones (served at
 // /trace/slow) and in cumulative per-op/per-phase aggregates that lsmbench
 // renders as a phase-time breakdown table.
 //
@@ -353,9 +353,8 @@ func (tr *Trace) SetDetail(s string) {
 }
 
 // Finish completes the trace: its total and phase times fold into the
-// tracer's aggregates, it is recorded in the slow-op ring if it crossed
-// the threshold, and the object returns to the pool. The trace must not be
-// used afterwards.
+// tracer's aggregates, it is recorded in the recent-trace ring, and the
+// object returns to the pool. The trace must not be used afterwards.
 func (tr *Trace) Finish() {
 	if tr == nil || tr.tracer == nil {
 		return
@@ -492,7 +491,6 @@ type Tracer struct {
 	rateBits atomic.Uint64 // math.Float64bits of the configured rate
 	period   atomic.Uint64 // sample every period-th op; 0 = disabled
 	ctr      atomic.Uint64
-	slowNS   atomic.Int64 // ring admission threshold; 0 = record all sampled
 
 	pool sync.Pool
 
@@ -506,12 +504,12 @@ type Tracer struct {
 	aggTotal [NumOps]int64            // guarded by mu
 }
 
-// DefaultTraceRing is the slow-op ring capacity when 0 is requested.
+// DefaultTraceRing is the recent-trace ring capacity when 0 is requested.
 const DefaultTraceRing = 128
 
 // NewTracer returns a tracer sampling at rate (0 disables tracing, 1
 // traces every operation, 0.01 every hundredth) keeping the ringCap most
-// recent slow traces (0 = DefaultTraceRing).
+// recent traces (0 = DefaultTraceRing).
 func NewTracer(rate float64, ringCap int) *Tracer {
 	if ringCap <= 0 {
 		ringCap = DefaultTraceRing
@@ -545,10 +543,6 @@ func (t *Tracer) Rate() float64 {
 	return math.Float64frombits(t.rateBits.Load())
 }
 
-// SetSlowThreshold restricts the slow-op ring to traces at least d long
-// (0 admits every sampled trace).
-func (t *Tracer) SetSlowThreshold(d time.Duration) { t.slowNS.Store(int64(d)) }
-
 // Start begins a trace for op, or returns nil when the operation is not
 // sampled (including on a nil tracer). The caller must Finish it.
 func (t *Tracer) Start(op Op) *Trace {
@@ -570,20 +564,16 @@ func (t *Tracer) Start(op Op) *Trace {
 func (t *Tracer) finish(tr *Trace) {
 	total := int64(time.Since(tr.start))
 	rec := tr.record(total)
-
-	slow := total >= t.slowNS.Load()
 	t.mu.Lock()
 	t.aggCount[tr.op]++
 	t.aggTotal[tr.op] += total
 	for p := Phase(0); p < NumPhases; p++ {
 		t.aggNS[tr.op][p] += tr.ns[p]
 	}
-	if slow {
-		t.ring[t.pos] = rec
-		t.pos = (t.pos + 1) % len(t.ring)
-		if t.n < len(t.ring) {
-			t.n++
-		}
+	t.ring[t.pos] = rec
+	t.pos = (t.pos + 1) % len(t.ring)
+	if t.n < len(t.ring) {
+		t.n++
 	}
 	t.mu.Unlock()
 
@@ -591,7 +581,7 @@ func (t *Tracer) finish(tr *Trace) {
 	t.pool.Put(tr)
 }
 
-// Slow returns the recorded slow traces, most recent last.
+// Slow returns the recorded traces, most recent last.
 func (t *Tracer) Slow() []TraceRecord {
 	if t == nil {
 		return nil
@@ -646,7 +636,7 @@ func (t *Tracer) Breakdown() []OpBreakdown {
 
 // ResetBreakdown zeroes the cumulative aggregates (lsmbench calls it
 // between experiments so each table covers one experiment only). The
-// slow-op ring is left intact.
+// recent-trace ring is left intact.
 func (t *Tracer) ResetBreakdown() {
 	if t == nil {
 		return
