@@ -21,9 +21,12 @@ lint:
 # analyzers reason about: the commit-queue, compaction merge stream
 # and flush/compaction pipeline tests in internal/lsm (the background
 # runner, a failed writer canceling its merge goroutine, and writer-run
-# jobs racing Flush and CompactRange in deterministic mode), concurrent core
-# writers (every write takes the commit queue) and the concurrent
-# workload profiler in internal/explain. Dynamic confirmation that the
+# jobs racing Flush and CompactRange in deterministic mode, and the sorted
+# batch read behind chunked validation over a parked frozen MemTable),
+# concurrent core writers (every write takes the commit queue), LOOKUP and
+# RANGELOOKUP readers validating chunks of candidates while a
+# background-mode writer flushes and compacts under them, and the
+# concurrent workload profiler in internal/explain. Dynamic confirmation that the
 # statically blessed lock order holds under contention. It is also the
 # goroutine-leak check: the background tests bound Close (closeWithin),
 # so a runner that never exits fails them with a goroutine dump. The
@@ -31,8 +34,8 @@ lint:
 # deflater and block decoder pools.
 lint-race:
 	$(GO) test -race -run 'TestConcurrentBuildAndRead' ./internal/sstable/
-	$(GO) test -race -run 'TestGroupCommit|TestCommit|TestUncontendedCommit|TestCompactionWriterFailureCancels|TestBackground|TestDeterministicConcurrentDrains' ./internal/lsm/
-	$(GO) test -race -run 'TestGroupCommitConcurrentCore' ./internal/core/
+	$(GO) test -race -run 'TestGroupCommit|TestCommit|TestUncontendedCommit|TestCompactionWriterFailureCancels|TestBackground|TestDeterministicConcurrentDrains|TestGetSortedMatchesGet' ./internal/lsm/
+	$(GO) test -race -run 'TestGroupCommitConcurrentCore|TestConcurrentChunkedValidation' ./internal/core/
 	$(GO) test -race -run 'TestProfilerConcurrent|TestWorkloadSnapshot' ./internal/explain/
 
 test: build

@@ -3,8 +3,94 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 )
+
+// TestConcurrentChunkedValidation runs LOOKUP and RANGELOOKUP readers,
+// whose validation reads each chunk of candidates under one primary read
+// lock, while a background-mode writer updates and deletes documents and
+// its flushes and compactions replace the tables under them. Every answer
+// must be well formed: at most K entries, newest first, no key twice, and
+// every document carrying a value in the queried range.
+func TestConcurrentChunkedValidation(t *testing.T) {
+	for _, kind := range []IndexKind{IndexEager, IndexLazy, IndexComposite} {
+		t.Run(kind.String(), func(t *testing.T) {
+			opts := smallOptions(kind)
+			opts.BackgroundCompaction = true
+			db, err := Open(t.TempDir(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			const users, writes = 8, 600
+			check := func(what, attr, lo, hi string, k int, out []Entry, err error) bool {
+				if err != nil {
+					t.Errorf("%s: %v", what, err)
+					return false
+				}
+				seen := map[string]bool{}
+				for i, e := range out {
+					if seen[e.Key] || i > 0 && e.Seq >= out[i-1].Seq || !attrInRange(e.Value, attr, lo, hi) {
+						t.Errorf("%s: entry %d %s (seq %d) repeated, out of order or stale: %s", what, i, e.Key, e.Seq, e.Value)
+						return false
+					}
+					seen[e.Key] = true
+				}
+				if k > 0 && len(out) > k {
+					t.Errorf("%s: %d results, K = %d", what, len(out), k)
+					return false
+				}
+				return true
+			}
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			for r := 0; r < 2; r++ {
+				wg.Add(1)
+				go func(r int) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(int64(r)))
+					for ok := true; ok; {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						user := fmt.Sprintf("u%02d", rng.Intn(users))
+						k := []int{1, 10, 0}[rng.Intn(3)]
+						out, err := db.Lookup("UserID", user, k)
+						ok = check("lookup "+user, "UserID", user, user, k, out, err)
+						lo := fmt.Sprintf("%010d", rng.Intn(writes))
+						hi := fmt.Sprintf("%010d", rng.Intn(writes))
+						if lo > hi {
+							lo, hi = hi, lo
+						}
+						out, err = db.RangeLookup("CreationTime", lo, hi, k)
+						ok = ok && check("rangelookup ["+lo+", "+hi+"]", "CreationTime", lo, hi, k, out, err)
+					}
+				}(r)
+			}
+			rng := rand.New(rand.NewSource(int64(kind)))
+			for i := 0; i < writes; i++ {
+				var err error
+				switch r := rng.Intn(10); {
+				case r == 0 && i > 0:
+					err = db.Delete(fmt.Sprintf("t%05d", rng.Intn(i)))
+				case r < 3 && i > 0:
+					err = db.Put(fmt.Sprintf("t%05d", rng.Intn(i)), tweetDoc(fmt.Sprintf("u%02d", rng.Intn(users)), i, "updated"))
+				default:
+					err = db.Put(fmt.Sprintf("t%05d", i), tweetDoc(fmt.Sprintf("u%02d", rng.Intn(users)), i, "fresh"))
+				}
+				if err != nil {
+					t.Error(err)
+					break
+				}
+			}
+			close(stop)
+			wg.Wait()
+		})
+	}
+}
 
 // TestConcurrentModeEquivalence runs the same randomized workload through
 // a deterministic-mode DB and a background-mode DB for every index kind,

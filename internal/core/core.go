@@ -285,7 +285,7 @@ func (db *DB) Get(key string) ([]byte, bool, error) {
 	db.ops.Observe(metrics.OpGet, time.Since(t0))
 	db.profiler.RecordOp(metrics.OpGet)
 	if io.PointGets > 0 && err == nil {
-		db.recordModelRatio(metrics.OpGet, "", "", "", 1, io)
+		db.recordModelRatio(metrics.OpGet, "", "", "", nil, io)
 	}
 	return value, ok, err
 }
@@ -434,7 +434,7 @@ func (db *DB) Lookup(attr, value string, k int) ([]Entry, error) {
 	db.ops.Observe(metrics.OpLookup, time.Since(t0))
 	db.profiler.RecordQuery(metrics.OpLookup, k, len(out))
 	if io.BlockAccesses() > 0 && err == nil {
-		db.recordModelRatio(metrics.OpLookup, attr, value, value, len(out), io)
+		db.recordModelRatio(metrics.OpLookup, attr, value, value, out, io)
 	}
 	return out, err
 }
@@ -477,7 +477,7 @@ func (db *DB) RangeLookup(attr, lo, hi string, k int) ([]Entry, error) {
 	db.ops.Observe(metrics.OpRangeLookup, time.Since(t0))
 	db.profiler.RecordQuery(metrics.OpRangeLookup, k, len(out))
 	if io.BlockAccesses() > 0 && err == nil {
-		db.recordModelRatio(metrics.OpRangeLookup, attr, lo, hi, len(out), io)
+		db.recordModelRatio(metrics.OpRangeLookup, attr, lo, hi, out, io)
 	}
 	return out, err
 }

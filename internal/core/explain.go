@@ -29,7 +29,7 @@ func (db *DB) ExplainGet(key string) ([]byte, bool, *explain.Report, error) {
 	if ok {
 		results = 1
 	}
-	rep := db.buildReport(tr, metrics.OpGet, "", "", "", 0, results)
+	rep := db.buildReport(tr, metrics.OpGet, "", "", "", 0, results, nil)
 	db.profiler.RecordOp(metrics.OpGet)
 	db.profiler.RecordRatio(metrics.OpGet, rep.Ratio)
 	return value, ok, rep, nil
@@ -47,7 +47,7 @@ func (db *DB) ExplainLookup(attr, value string, k int) ([]Entry, *explain.Report
 	if err != nil {
 		return nil, nil, err
 	}
-	rep := db.buildReport(tr, metrics.OpLookup, attr, value, value, k, len(out))
+	rep := db.buildReport(tr, metrics.OpLookup, attr, value, value, k, len(out), out)
 	db.profiler.RecordQuery(metrics.OpLookup, k, len(out))
 	db.profiler.RecordRatio(metrics.OpLookup, rep.Ratio)
 	return out, rep, nil
@@ -69,7 +69,7 @@ func (db *DB) ExplainRangeLookup(attr, lo, hi string, k int) ([]Entry, *explain.
 	if err != nil {
 		return nil, nil, err
 	}
-	rep := db.buildReport(tr, metrics.OpRangeLookup, attr, lo, hi, k, len(out))
+	rep := db.buildReport(tr, metrics.OpRangeLookup, attr, lo, hi, k, len(out), out)
 	db.profiler.RecordQuery(metrics.OpRangeLookup, k, len(out))
 	db.profiler.RecordRatio(metrics.OpRangeLookup, rep.Ratio)
 	return out, rep, nil
@@ -114,11 +114,12 @@ func (db *DB) planName(op metrics.Op) string {
 
 // buildReport assembles the Report for a finished (but not Finished)
 // detached trace: phase timings and counters from the trace, prediction
-// and Params from the live cost model.
-func (db *DB) buildReport(tr *metrics.Trace, op metrics.Op, attr, lo, hi string, k, results int) *explain.Report {
+// and Params from the live cost model. out is a LOOKUP's or RANGELOOKUP's
+// answer.
+func (db *DB) buildReport(tr *metrics.Trace, op metrics.Op, attr, lo, hi string, k, results int, out []Entry) *explain.Report {
 	rec := tr.Record()
 	io := tr.Counters()
-	p, predicted, formula := db.predict(op, attr, lo, hi, results, io)
+	p, predicted, formula := db.predict(op, attr, lo, hi, out, io)
 	rep := &explain.Report{
 		Op:          op.String(),
 		Index:       db.opts.Index.String(),
@@ -140,10 +141,15 @@ func (db *DB) buildReport(tr *metrics.Trace, op metrics.Op, attr, lo, hi string,
 // predict evaluates the cost model for op with live Params: per-level
 // block counts from the table that op actually reads, L from its current
 // stratum count, M from index metadata overlapping the queried range, and
-// K' = the result count the operation matched. The Embedded bounds take K
-// from the trace counters instead (see below). The returned formula
-// string names the Table 3/5 bound used.
-func (db *DB) predict(op metrics.Op, attr, lo, hi string, results int, io metrics.Counters) (costmodel.Params, float64, string) {
+// K' = the results out the operation matched. Table 5 charges one primary
+// block per K' validation, the bound when no two results share a block;
+// validation reads each primary block once per chunk, so the stand-alone
+// bounds charge B(K'), the distinct primary blocks the result keys map to
+// (validationBlocks). The Embedded bounds take K from the trace counters
+// instead (see below). The returned formula string names the Table 3/5
+// bound used.
+func (db *DB) predict(op metrics.Op, attr, lo, hi string, out []Entry, io metrics.Counters) (costmodel.Params, float64, string) {
+	results := len(out)
 	p := db.modelParams(attr)
 	totalBlocks := 0
 	for _, b := range p.LevelBlocks {
@@ -168,11 +174,11 @@ func (db *DB) predict(op metrics.Op, attr, lo, hi string, results int, io metric
 			return p, costmodel.EmbeddedLookupIO(p, kBlocks, epsilonBlocks),
 				"(K+eps) + f_p*sum(b_i) (Table 3 LOOKUP)"
 		case IndexEager:
-			return p, costmodel.EagerLookupIO(p, results), "K' + 1 (Table 5 LOOKUP)"
+			return p, costmodel.EagerLookupIO(p, db.validationBlocks(out)), "B(K') + 1 (Table 5 LOOKUP)"
 		case IndexLazy:
-			return p, costmodel.LazyLookupIO(p, results), "K' + L (Table 5 LOOKUP)"
+			return p, costmodel.LazyLookupIO(p, db.validationBlocks(out)), "B(K') + L (Table 5 LOOKUP)"
 		case IndexComposite:
-			return p, costmodel.CompositeLookupIO(p, results), "K' + L (Table 5 LOOKUP)"
+			return p, costmodel.CompositeLookupIO(p, db.validationBlocks(out)), "B(K') + L (Table 5 LOOKUP)"
 		default:
 			return p, float64(totalBlocks), "B (full scan)"
 		}
@@ -191,11 +197,11 @@ func (db *DB) predict(op metrics.Op, attr, lo, hi string, results int, io metric
 				"K+eps if time-correlated else B (Table 3 RANGELOOKUP)"
 		case IndexEager, IndexLazy:
 			p.RangeBlocks = db.indexes[attr].OverlappingBlockCount([]byte(lo), upperBoundExclusive(hi))
-			return p, float64(results + p.RangeBlocks), "K' + M (Table 5 RANGELOOKUP)"
+			return p, float64(db.validationBlocks(out) + p.RangeBlocks), "B(K') + M (Table 5 RANGELOOKUP)"
 		case IndexComposite:
 			p.RangeBlocks = db.indexes[attr].OverlappingBlockCount(
 				compositeKey(lo, ""), append([]byte(hi), compositeSep+1))
-			return p, float64(results + p.RangeBlocks), "K' + M (Table 5 RANGELOOKUP)"
+			return p, float64(db.validationBlocks(out) + p.RangeBlocks), "B(K') + M (Table 5 RANGELOOKUP)"
 		default:
 			return p, float64(totalBlocks), "B (full scan)"
 		}
@@ -234,15 +240,25 @@ func (db *DB) modelParams(attr string) costmodel.Params {
 	return p
 }
 
+// validationBlocks is B(K'): the distinct primary data blocks the keys of
+// out map to, from metadata only (lsm.DB.DistinctBlocks).
+func (db *DB) validationBlocks(out []Entry) int {
+	keys := make([][]byte, len(out))
+	for i := range out {
+		keys[i] = []byte(out[i].Key)
+	}
+	return db.primary.DistinctBlocks(keys)
+}
+
 // recordModelRatio feeds one sampled operation's observed/predicted ratio
 // into the profiler's drift tracker. Called only for sampled traces (the
 // counters were read before Finish), so the Params derivation is off the
-// common path.
-func (db *DB) recordModelRatio(op metrics.Op, attr, lo, hi string, results int, io metrics.Counters) {
+// common path. out is a LOOKUP's or RANGELOOKUP's answer.
+func (db *DB) recordModelRatio(op metrics.Op, attr, lo, hi string, out []Entry, io metrics.Counters) {
 	if db.profiler == nil {
 		return
 	}
-	_, predicted, _ := db.predict(op, attr, lo, hi, results, io)
+	_, predicted, _ := db.predict(op, attr, lo, hi, out, io)
 	if predicted > 0 {
 		db.profiler.RecordRatio(op, float64(io.BlockAccesses())/predicted)
 	}

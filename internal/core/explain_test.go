@@ -117,7 +117,23 @@ func TestExplainGoldenLookup(t *testing.T) {
 			if rep.Plan == "" || rep.Index != kind.String() {
 				t.Errorf("bad plan/index labels: %+v", rep)
 			}
+			checkStandAloneRatio(t, kind, rep.Ratio)
 		})
+	}
+}
+
+// checkStandAloneRatio holds a stand-alone kind's observed/predicted ratio
+// to [0.5, 2.0]. The model charges the distinct primary blocks of the
+// results, which chunked validation reads once each; charging one block
+// per result would put the ratio below the drift tracker's floor.
+func checkStandAloneRatio(t *testing.T, kind IndexKind, ratio float64) {
+	t.Helper()
+	if kind != IndexEager && kind != IndexLazy && kind != IndexComposite {
+		return
+	}
+	t.Logf("observed/predicted = %.2f", ratio)
+	if ratio < 0.5 || ratio > 2.0 {
+		t.Errorf("observed/predicted = %.2f, want [0.5, 2.0]", ratio)
 	}
 }
 
@@ -148,6 +164,7 @@ func TestExplainGoldenRangeLookup(t *testing.T) {
 			if rep.PredictedIO <= 0 {
 				t.Errorf("missing prediction: %+v", rep)
 			}
+			checkStandAloneRatio(t, kind, rep.Ratio)
 		})
 	}
 }

@@ -31,34 +31,65 @@ type query struct {
 	tr           *metrics.Trace
 }
 
-// collect runs q over src, one candidate and one validation at a time.
-// The first occurrence of a primary key decides it, and a deletion marker
-// only marks its key seen: any later version of the document wrote a
-// newer index entry. The stream is newest first, so the top K are its
-// first K valid candidates and the loop stops there. A primary key becomes
-// a string only once it is valid.
+// maxChunk bounds a chunk of candidates when K does not.
+const maxChunk = 64
+
+// chunk is the fixed-size scratch of one batch of undecided candidates:
+// their primary keys and seqs in stream order, the permutation that sorts
+// them by key, and what validation found for each.
+type chunk struct {
+	n      int
+	keys   [maxChunk][]byte
+	seqs   [maxChunk]uint64
+	order  [maxChunk]uint8
+	sorted [maxChunk][]byte // keys in key order
+	docs   [maxChunk][]byte
+	valid  [maxChunk]bool
+}
+
+// collect runs q over src one chunk of candidates at a time. The first
+// occurrence of a primary key decides it, and a deletion marker only marks
+// its key seen: any later version of the document wrote a newer index
+// entry. A chunk holds the next undecided candidates, no more than the
+// results still missing (and maxChunk), so it never reaches past the K-th
+// valid one. The stream is newest first, so the top K are its first K
+// valid candidates and the loop stops there. A primary key becomes a
+// string only once it is valid.
 //
 //lsm:hotpath
 func (db *DB) collect(src candidateSource, q *query) ([]Entry, error) {
 	var seen postings.KeySet
 	seen.Reset()
+	var c chunk
 	var out []Entry
 	var err error
+	more := true
 	mark := q.tr.Now()
-	for err == nil && (q.k <= 0 || len(out) < q.k) {
-		key, seq, del, ok := src.next()
-		if !ok {
+	for more && err == nil && (q.k <= 0 || len(out) < q.k) {
+		size := maxChunk
+		if q.k > 0 {
+			size = min(size, q.k-len(out))
+		}
+		for c.n = 0; c.n < size; {
+			key, seq, del, ok := src.next()
+			if !ok {
+				more = false
+				break
+			}
+			if seen.Insert(key) && !del {
+				c.keys[c.n], c.seqs[c.n] = seen.Last(), seq
+				c.n++
+			}
+		}
+		if c.n == 0 {
 			break
 		}
-		if !seen.Insert(key) || del {
-			continue
-		}
 		q.tr.Since(q.phase, mark)
-		pk := seen.Last()
-		var doc []byte
-		var valid bool
-		if doc, valid, err = db.validate(pk, q.attr, q.lo, q.hi, q.tr); valid {
-			out = append(out, Entry{Key: string(pk), Value: doc, Seq: seq}) //lsm:allocok the result
+		err = db.validate(&c, q)
+		for i := 0; i < c.n && err == nil; i++ {
+			if c.valid[i] {
+				out = append(out, Entry{Key: string(c.keys[i]), Value: c.docs[i], Seq: c.seqs[i]}) //lsm:allocok the result
+			}
 		}
 		mark = q.tr.Now()
 	}
@@ -72,27 +103,40 @@ func (db *DB) collect(src candidateSource, q *query) ([]Entry, error) {
 	return out, nil
 }
 
-// validate fetches the current record for primary key pk and reports
-// whether its attr still lies in [lo, hi] — the staleness check every
+// validate fetches the current record of every candidate in c and marks
+// those whose attr still lies in [lo, hi] — the staleness check every
 // stand-alone lookup performs on each candidate (paper §4: "We make sure
 // val(A_i) = a ... as there could be invalid keys ... caused by updates").
-// Its whole cost is booked to the validate phase; the nested GET
-// contributes I/O counters only (IOOnly), so its own probe phases cannot
-// double-count inside the validate window. tr may be nil.
+// The keys are read in primary-key order through one batch read, so
+// candidates that share a primary block share its read. Its whole cost is
+// booked to the validate phase; the nested GETs contribute I/O counters
+// only (IOOnly), so their own probe phases cannot double-count inside the
+// validate window.
 //
 //lsm:hotpath
-func (db *DB) validate(pk []byte, attr, lo, hi string, tr *metrics.Trace) ([]byte, bool, error) {
-	t0 := tr.Now()
-	tr.Count(metrics.CtrValidations, 1)
-	tr.IOOnlyBegin()
-	value, ok, err := db.primary.GetTraced(pk, tr)
-	tr.IOOnlyEnd()
-	valid := err == nil && ok && attrInRange(value, attr, lo, hi)
-	tr.Since(metrics.PhaseValidate, t0)
-	if !valid {
-		return nil, false, err
+func (db *DB) validate(c *chunk, q *query) error {
+	t0 := q.tr.Now()
+	q.tr.Count(metrics.CtrValidations, int64(c.n))
+	// Insertion sort: a chunk is at most maxChunk long.
+	for i := 0; i < c.n; i++ {
+		j := i
+		for ; j > 0 && bytes.Compare(c.keys[c.order[j-1]], c.keys[i]) > 0; j-- {
+			c.order[j] = c.order[j-1]
+		}
+		c.order[j] = uint8(i)
 	}
-	return value, true, nil
+	for i := 0; i < c.n; i++ {
+		c.sorted[i] = c.keys[c.order[i]]
+	}
+	q.tr.IOOnlyBegin()
+	err := db.primary.GetSortedTraced(c.sorted[:c.n], q.tr, func(i int, value []byte, ok bool) {
+		j := c.order[i]
+		c.valid[j] = ok && attrInRange(value, q.attr, q.lo, q.hi)
+		c.docs[j] = value
+	})
+	q.tr.IOOnlyEnd()
+	q.tr.Since(metrics.PhaseValidate, t0)
+	return err
 }
 
 // fragmentHeap is the posting kinds' source: a max-heap of cursors on

@@ -124,17 +124,19 @@ func (r *refRanker) rank(lists []postings.List) {
 }
 
 // checkCollect runs one LOOKUP (point) or RANGELOOKUP through collect
-// and through refCollect at K = 1, 10 and unbounded: the answers must be
-// identical, collect may validate no more than the oracle, and — unless
-// the query takes the out-of-order fallback, which decodes the whole
-// chain — both must read the same index blocks.
+// and through refCollect at K = 1, 10 and unbounded: the answers and the
+// validation counts must be identical, collect may access no more primary
+// blocks than the oracle's one GET per candidate, and — unless the query
+// takes the out-of-order fallback, which decodes the whole chain — both
+// must read the same index blocks.
 func checkCollect(t *testing.T, db *DB, attr, lo, hi string, point, fallback bool) {
 	t.Helper()
+	primaryBlocks := func(s Stats) int64 { return s.Primary.BlockReads + s.Primary.CacheHits }
 	for _, k := range []int{1, 10, 0} {
 		what := fmt.Sprintf("%s [%s, %s] k=%d", attr, lo, hi, k)
-		b0 := db.Stats().Index.BlockReads
+		s0 := db.Stats()
 		want, refValidations, werr := refCollect(db, attr, lo, hi, k, point)
-		b1 := db.Stats().Index.BlockReads
+		s1 := db.Stats()
 		var got []Entry
 		var err error
 		tr := metrics.StartDetached(metrics.OpRangeLookup)
@@ -143,19 +145,57 @@ func checkCollect(t *testing.T, db *DB, attr, lo, hi string, point, fallback boo
 		} else {
 			got, err = db.rangeLookupTraced(attr, lo, hi, k, tr)
 		}
-		b2 := db.Stats().Index.BlockReads
+		s2 := db.Stats()
 		if (err == nil) != (werr == nil) {
 			t.Fatalf("%s: err %v, reference err %v", what, err, werr)
 		}
 		if len(got) != len(want) || len(want) > 0 && !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s:\n got %v\nwant %v", what, keysOf(got), keysOf(want))
 		}
-		if v := int(tr.Counters().Validations); v > refValidations {
+		if v := int(tr.Counters().Validations); v != refValidations {
 			t.Fatalf("%s: %d validations, reference %d", what, v, refValidations)
 		}
-		if !fallback && b2-b1 != b1-b0 {
-			t.Fatalf("%s: index block reads %d, reference %d", what, b2-b1, b1-b0)
+		if got, ref := primaryBlocks(s2)-primaryBlocks(s1), primaryBlocks(s1)-primaryBlocks(s0); got > ref {
+			t.Fatalf("%s: primary block accesses %d, reference %d", what, got, ref)
 		}
+		if got, ref := s2.Index.BlockReads-s1.Index.BlockReads, s1.Index.BlockReads-s0.Index.BlockReads; !fallback && got != ref {
+			t.Fatalf("%s: index block reads %d, reference %d", what, got, ref)
+		}
+	}
+}
+
+// TestValidationSharesBlocks: on a compacted tree, a CreationTime
+// RANGELOOKUP whose top 10 are consecutive documents in one primary block
+// validates all ten with exactly one primary block read.
+func TestValidationSharesBlocks(t *testing.T) {
+	for _, kind := range []IndexKind{IndexEager, IndexLazy, IndexComposite} {
+		t.Run(kind.String(), func(t *testing.T) {
+			db := openGolden(t, kind)
+			// Find ten consecutive documents that one primary block holds.
+			for first := 0; first+10 <= 1500; first += 10 {
+				keys := make([][]byte, 10)
+				for i := range keys {
+					keys[i] = []byte(fmt.Sprintf("t%05d", first+i))
+				}
+				if db.primary.DistinctBlocks(keys) != 1 {
+					continue
+				}
+				before := db.Stats().Primary
+				out, err := db.RangeLookup("CreationTime", fmt.Sprintf("%010d", first), fmt.Sprintf("%010d", first+9), 10)
+				if err != nil {
+					t.Fatal(err)
+				}
+				after := db.Stats().Primary
+				if len(out) != 10 || out[0].Key != string(keys[9]) || out[9].Key != string(keys[0]) {
+					t.Fatalf("top 10 = %v, want %s … %s", keysOf(out), keys[9], keys[0])
+				}
+				if n := after.BlockReads - before.BlockReads; n != 1 {
+					t.Fatalf("validating %s … %s read %d primary blocks, want 1", keys[0], keys[9], n)
+				}
+				return
+			}
+			t.Fatal("no ten consecutive documents share a primary block")
+		})
 	}
 }
 

@@ -149,7 +149,9 @@ func rangeNote(timeCorrelated bool) string {
 }
 
 // EagerLookupIO and friends are the Table 5 LOOKUP I/O totals
-// (K' + 1 / K' + L) used in EXPERIMENTS.md comparisons.
+// (K' + 1 / K' + L) used in EXPERIMENTS.md comparisons. kMatched is the
+// validation reads: K' itself is the bound with no two results sharing a
+// primary block, and EXPLAIN passes the distinct blocks they map to.
 func EagerLookupIO(p Params, kMatched int) float64 { return float64(kMatched) + 1 }
 
 // LazyLookupIO is K' + L.

@@ -342,8 +342,50 @@ func (db *DB) GetTraced(key []byte, tr *metrics.Trace) ([]byte, bool, error) {
 	return db.getLocked(key, tr)
 }
 
-//lsm:hotpath
+// GetSortedTraced is GetTraced over keys, which must be distinct and in
+// ascending order, under one read lock: fn receives each key's index and
+// what GetTraced would return for it, in key order, and the first read
+// error ends the batch. Each table stratum (an L0 table, a deeper level)
+// keeps one scratch across the batch, and sorted keys visit its blocks in
+// ascending order, so keys that share a data block read, inflate and count
+// it once. Values alias immutable memory, as GetTraced's do.
+func (db *DB) GetSortedTraced(keys [][]byte, tr *metrics.Trace, fn func(i int, value []byte, ok bool)) error {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	if db.closed {
+		return ErrClosed
+	}
+	scs := make([]sstable.GetScratch, len(db.v.levels[0])+len(db.v.levels)-1)
+	for i, key := range keys {
+		value, ok, err := db.walkLocked(key, tr, scs)
+		if err != nil {
+			return err
+		}
+		fn(i, value, ok)
+	}
+	return nil
+}
+
+// getLocked is one GET: a single scratch serves every table it probes.
 func (db *DB) getLocked(key []byte, tr *metrics.Trace) ([]byte, bool, error) {
+	var sc [1]sstable.GetScratch
+	return db.walkLocked(key, tr, sc[:])
+}
+
+// scratchAt returns the scratch of table stratum i (L0 table j is stratum
+// j, level l is stratum len(L0)+l-1), or scs' only one, set to trace tr.
+func scratchAt(scs []sstable.GetScratch, i int, tr *metrics.Trace) *sstable.GetScratch {
+	sc := &scs[min(i, len(scs)-1)]
+	sc.Trace = tr
+	return sc
+}
+
+// walkLocked returns key's newest version, reading the MemTable, the
+// frozen MemTable, the L0 tables newest first, then the one file per
+// deeper level whose range covers key, with the scratches of scratchAt.
+//
+//lsm:hotpath
+func (db *DB) walkLocked(key []byte, tr *metrics.Trace, scs []sstable.GetScratch) ([]byte, bool, error) {
 	t0 := tr.Now()
 	if value, _, kind, ok := db.mem.get(key); ok {
 		tr.Since(metrics.PhaseMemProbe, t0)
@@ -364,15 +406,13 @@ func (db *DB) getLocked(key []byte, tr *metrics.Trace) ([]byte, bool, error) {
 			return value, true, nil
 		}
 	}
-	// One scratch serves every table probed by this GET; the returned
-	// value aliases immutable block contents (like the MemTable paths
-	// alias arena memory), so no per-hit copies are made.
-	var sc sstable.GetScratch
-	sc.Trace = tr
+	// The returned value aliases immutable block contents (like the
+	// MemTable paths alias arena memory), so no per-hit copies are made.
+	l0 := db.v.levels[0]
 	t0 = tr.Now()
-	for _, fm := range db.v.levels[0] { // newest first
+	for j, fm := range l0 { // newest first
 		m := tr.BlockMark()
-		ik, val, ok, err := fm.tbl.GetWith(&sc, key)
+		ik, val, ok, err := fm.tbl.GetWith(scratchAt(scs, j, tr), key)
 		tr.CountLevelSince(0, m)
 		if err != nil {
 			return nil, false, err
@@ -393,7 +433,7 @@ func (db *DB) getLocked(key []byte, tr *metrics.Trace) ([]byte, bool, error) {
 			continue
 		}
 		m := tr.BlockMark()
-		ik, val, ok, err := fm.tbl.GetWith(&sc, key)
+		ik, val, ok, err := fm.tbl.GetWith(scratchAt(scs, len(l0)+l-1, tr), key)
 		tr.CountLevelSince(l, m)
 		if err != nil {
 			return nil, false, err
@@ -716,6 +756,40 @@ func (db *DB) OverlappingBlockCount(loUser, hiExcl []byte) int {
 		}
 	}
 	return n
+}
+
+// DistinctBlocks counts the distinct data blocks that a GetSortedTraced of
+// keys would read if no bloom filter gave a false positive — metadata
+// only, no I/O. A key a MemTable holds needs no block; any other needs the
+// first block admitting it in the newest table whose key range and primary
+// bloom filter admit it. It is the validation term of the cost model's
+// stand-alone LOOKUP/RANGELOOKUP predictions.
+func (db *DB) DistinctBlocks(keys [][]byte) int {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	type block struct {
+		table uint64
+		i     int
+	}
+	seen := make(map[block]bool, len(keys))
+	strata := db.strataLocked()
+	for _, key := range keys {
+		for _, s := range strata {
+			if s.IsMem() {
+				if _, _, _, ok := s.MemGet(key); ok {
+					break
+				}
+				continue
+			}
+			if fm := s.FindFile(key); fm != nil {
+				if i, ok := fm.tbl.PrimaryBlock(key); ok {
+					seen[block{fm.tbl.ID(), i}] = true
+					break
+				}
+			}
+		}
+	}
+	return len(seen)
 }
 
 // DebugString renders the tree shape — entries and bytes per level —

@@ -323,15 +323,31 @@ func (t *Table) MayContainPrimary(userKey []byte) bool {
 //
 //lsm:hotpath
 func (t *Table) MayContainPrimaryTraced(userKey []byte, tr *metrics.Trace) bool {
+	return t.primaryBlock(userKey, tr) >= 0
+}
+
+// PrimaryBlock returns the first data block whose key span and primary
+// bloom filter admit userKey — the block a point read of userKey loads
+// first — from in-memory metadata only. ok is false when no block does.
+func (t *Table) PrimaryBlock(userKey []byte) (block int, ok bool) {
+	block = t.primaryBlock(userKey, nil)
+	return block, block >= 0
+}
+
+// primaryBlock is PrimaryBlock returning -1 for none, counting each bloom
+// filter consulted (and each that excluded a block) on tr.
+//
+//lsm:hotpath
+func (t *Table) primaryBlock(userKey []byte, tr *metrics.Trace) int {
 	lo, hi := t.candidateBlocks(userKey)
 	for i := lo; i < hi; i++ {
 		tr.Count(metrics.CtrBloomProbes, 1)
 		if t.blocks[i].primaryBloom.MayContain(userKey) {
-			return true
+			return i
 		}
 		tr.Count(metrics.CtrBloomNegatives, 1)
 	}
-	return false
+	return -1
 }
 
 // OverlappingBlockCount returns how many data blocks overlap the user-key
@@ -368,12 +384,20 @@ func (t *Table) initBlockIter(it *BlockIter, raw []byte) error {
 }
 
 // GetScratch carries the reusable buffers of the point-read path: the
-// block iterator (whose key buffer survives across blocks and calls) and
-// the seek-key buffer. A zero value is ready to use; reusing one scratch
-// across a sequence of Gets makes the steady state allocation-free.
+// block iterator (whose key buffer survives across blocks and calls), the
+// seek-key buffer and the last block read through it. A zero value is
+// ready to use; reusing one scratch across a sequence of Gets makes the
+// steady state allocation-free, and Gets in ascending key order read,
+// inflate and count each block of a table at most once. A scratch must not
+// outlive the read lock of the tables it was used on.
 type GetScratch struct {
 	bi   BlockIter
 	seek []byte
+	// The block read last: its table's ID (0, which no table has, before
+	// the first read), its index and its immutable contents.
+	blkTable uint64
+	blkIdx   int
+	blk      []byte
 	// Trace, when non-nil, receives block-load vs. cache-hit sub-phase
 	// timings for every block fetched through this scratch.
 	Trace *metrics.Trace
@@ -390,7 +414,8 @@ func (t *Table) Get(userKey []byte) (internalKey, value []byte, ok bool, err err
 // GetWith is Get with caller-provided scratch buffers. The returned
 // internal key aliases sc and is valid only until sc's next use; the
 // returned value aliases the (immutable) block contents and remains valid
-// while the table is open. Neither may be modified.
+// while the table is open. Neither may be modified. A block this table
+// read last through sc is reused, not read again (and not counted again).
 //
 // On v2 tables the in-block search is a restart-array binary search that
 // decodes at most one restart interval; v1 tables fall back to the seed's
@@ -412,9 +437,12 @@ func (t *Table) GetWith(sc *GetScratch, userKey []byte) (internalKey, value []by
 			tr.Count(metrics.CtrBloomNegatives, 1)
 			continue
 		}
-		raw, err := t.readBlockT(i, false, tr)
-		if err != nil {
-			return nil, nil, false, err
+		raw := sc.blk
+		if sc.blkTable != t.id || sc.blkIdx != i {
+			if raw, err = t.readBlockT(i, false, tr); err != nil {
+				return nil, nil, false, err
+			}
+			sc.blkTable, sc.blkIdx, sc.blk = t.id, i, raw
 		}
 		it := &sc.bi
 		if err := t.initBlockIter(it, raw); err != nil {
