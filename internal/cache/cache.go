@@ -48,9 +48,6 @@ type shard struct {
 	used     int64                 // guarded by mu
 	lru      *list.List            // guarded by mu; front = most recent; values are *entry
 	items    map[Key]*list.Element // guarded by mu
-
-	hits   int64 // guarded by mu
-	misses int64 // guarded by mu
 }
 
 type entry struct {
@@ -79,16 +76,15 @@ func New(capacity int64) *Cache {
 }
 
 // Get returns the cached block and true on a hit, promoting the entry.
+// The caller counts hits and misses (metrics.IOStats).
 func (c *Cache) Get(k Key) ([]byte, bool) {
 	s := &c.shards[shardOf(k)]
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	el, ok := s.items[k]
 	if !ok {
-		s.misses++
 		return nil, false
 	}
-	s.hits++
 	s.lru.MoveToFront(el)
 	return el.Value.(*entry).data, true
 }
@@ -144,17 +140,16 @@ func (c *Cache) EvictTable(table uint64) {
 	}
 }
 
-// Stats returns hit/miss counters and current usage summed over shards.
-func (c *Cache) Stats() (hits, misses, usedBytes int64) {
+// Used returns the bytes of block data held, summed over shards.
+func (c *Cache) Used() int64 {
+	var used int64
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		hits += s.hits
-		misses += s.misses
-		usedBytes += s.used
+		used += s.used
 		s.mu.Unlock()
 	}
-	return hits, misses, usedBytes
+	return used
 }
 
 // Len returns the number of cached blocks across all shards.

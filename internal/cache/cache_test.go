@@ -32,9 +32,8 @@ func TestGetPut(t *testing.T) {
 	if !ok || string(v) != "hello" {
 		t.Fatalf("Get = %q %v", v, ok)
 	}
-	hits, misses, used := c.Stats()
-	if hits != 1 || misses != 1 || used != 5 {
-		t.Fatalf("stats = %d %d %d", hits, misses, used)
+	if used := c.Used(); used != 5 {
+		t.Fatalf("used = %d, want 5", used)
 	}
 }
 
@@ -102,7 +101,7 @@ func TestPutRefreshAdjustsUsage(t *testing.T) {
 	c := New(1000 * numShards)
 	c.Put(Key{1, 0}, blk(100))
 	c.Put(Key{1, 0}, blk(300))
-	if _, _, used := c.Stats(); used != 300 {
+	if used := c.Used(); used != 300 {
 		t.Fatalf("used = %d, want 300", used)
 	}
 }
@@ -124,7 +123,7 @@ func TestEvictTable(t *testing.T) {
 	if _, ok := c.Get(Key{Table: 1, Block: 3}); !ok {
 		t.Fatal("unrelated table evicted")
 	}
-	if _, _, used := c.Stats(); used != 100 {
+	if used := c.Used(); used != 100 {
 		t.Fatalf("used = %d", used)
 	}
 }

@@ -541,40 +541,9 @@ type Stats struct {
 func (db *DB) Stats() Stats {
 	s := Stats{Primary: db.primary.Stats().Snapshot()}
 	for _, idx := range db.indexes {
-		is := idx.Stats().Snapshot()
-		s.Index.BlockReads += is.BlockReads
-		s.Index.BlockReadBytes += is.BlockReadBytes
-		s.Index.BlockWrites += is.BlockWrites
-		s.Index.BlockWriteBytes += is.BlockWriteBytes
-		s.Index.CompactionReads += is.CompactionReads
-		s.Index.CompactionReadBytes += is.CompactionReadBytes
-		s.Index.CompactionWrites += is.CompactionWrites
-		s.Index.CompactionWriteBytes += is.CompactionWriteBytes
-		s.Index.CacheHits += is.CacheHits
-		s.Index.CacheMisses += is.CacheMisses
-		s.Index.PointGets += is.PointGets
-		s.Index.EntriesDecoded += is.EntriesDecoded
-		s.Index.BlockSeeks += is.BlockSeeks
-		s.Index.PostingsBytesDecoded += is.PostingsBytesDecoded
-		s.Index.PostingsEntriesDecoded += is.PostingsEntriesDecoded
-		s.Index.FragmentsMerged += is.FragmentsMerged
+		s.Index = s.Index.Add(idx.Stats().Snapshot())
 	}
 	return s
-}
-
-// CommitStats returns the commit-path counters of the primary table and
-// (summed) of all index tables: commits, records, WAL write groups and
-// fsyncs, from which fsyncs-per-op and mean group size derive.
-func (db *DB) CommitStats() (primary, index lsm.CommitStats) {
-	primary = db.primary.CommitStats()
-	for _, idx := range db.indexes {
-		is := idx.CommitStats()
-		index.Commits += is.Commits
-		index.Records += is.Records
-		index.Groups += is.Groups
-		index.Fsyncs += is.Fsyncs
-	}
-	return primary, index
 }
 
 // CompactAll drives a full manual compaction of the primary table and
@@ -601,22 +570,6 @@ func (db *DB) GroupSizeHists() map[string]*metrics.Histogram {
 		out["index-"+attr] = idx.GroupSizeHist()
 	}
 	return out
-}
-
-// BackgroundStats returns the flush/compaction pipeline counters of the
-// primary table and (summed) of all index tables (see
-// lsm.BackgroundStats), including the L0 write-stall time.
-func (db *DB) BackgroundStats() (primary, index lsm.BackgroundStats) {
-	primary = db.primary.BackgroundStats()
-	for _, idx := range db.indexes {
-		is := idx.BackgroundStats()
-		index.Flushes += is.Flushes
-		index.Compactions += is.Compactions
-		index.Slowdowns += is.Slowdowns
-		index.ThrottleWaits += is.ThrottleWaits
-		index.StallSeconds += is.StallSeconds
-	}
-	return primary, index
 }
 
 // DiskUsage reports on-disk bytes of the primary table and of all index
@@ -813,17 +766,18 @@ func (db *DB) LevelShapes() map[string][]lsm.LevelInfo {
 // PL_S·22(L−1) vs 22(L−1).
 func (db *DB) WriteAmplification() (primary float64, index map[string]float64) {
 	index = map[string]float64{}
+	// One snapshot gives the bytes written and the ingest denominator, so a
+	// background flush cannot land between the two reads.
 	ps := db.primary.Stats().Snapshot()
-	primaryIngest := float64(ps.BlockWriteBytes) // lower bound when 0 ingest info
-	primary = db.primary.WriteAmplification()
-	// Recover the true ingest denominator from the primary's WAMF.
-	if primary > 0 {
-		primaryIngest = float64(ps.BlockWriteBytes+ps.CompactionWriteBytes) / primary
+	primary = ps.WriteAmplification()
+	primaryIngest := ps.IngestBytes
+	if primary == 0 {
+		primaryIngest = ps.BlockWriteBytes // lower bound when 0 ingest info
 	}
 	for attr, idx := range db.indexes {
 		is := idx.Stats().Snapshot()
 		if primaryIngest > 0 {
-			index[attr] = float64(is.BlockWriteBytes+is.CompactionWriteBytes) / primaryIngest
+			index[attr] = float64(is.BlockWriteBytes+is.CompactionWriteBytes) / float64(primaryIngest)
 		}
 	}
 	return primary, index

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -495,4 +496,78 @@ func TestWAMFOrderingEagerVsLazy(t *testing.T) {
 		t.Errorf("Eager index WAMF (%.2f) must far exceed Lazy (%.2f)", eager, lazy)
 	}
 	t.Logf("measured index-table WAMF: eager=%.1f lazy=%.1f ratio=%.1f", eager, lazy, eager/lazy)
+}
+
+// TestWriteAmplificationOneSnapshot checks WriteAmplification, which reads
+// the ingest bytes and the bytes written from one primary snapshot,
+// against the older derivation that recovered the ingest denominator by
+// dividing the bytes written by the primary's separately read WAMF. On a
+// quiescent DB the two agree: exactly before the first flush, and to the
+// last bits of the recovered denominator after a flush and a compaction.
+func TestWriteAmplificationOneSnapshot(t *testing.T) {
+	derived := func(db *DB) (float64, map[string]float64) {
+		ps := db.primary.Stats().Snapshot()
+		written := float64(ps.BlockWriteBytes + ps.CompactionWriteBytes)
+		primary, ingest := 0.0, float64(ps.BlockWriteBytes)
+		if ps.IngestBytes > 0 {
+			primary = written / float64(ps.IngestBytes)
+		}
+		if primary > 0 {
+			ingest = written / primary
+		}
+		index := map[string]float64{}
+		for attr, idx := range db.indexes {
+			if is := idx.Stats().Snapshot(); ingest > 0 {
+				index[attr] = float64(is.BlockWriteBytes+is.CompactionWriteBytes) / ingest
+			}
+		}
+		return primary, index
+	}
+	for _, kind := range []IndexKind{IndexEager, IndexLazy} {
+		t.Run(kind.String(), func(t *testing.T) {
+			db := openKind(t, kind)
+			var user int64
+			put := func(from, to int) {
+				for i := from; i < to; i++ {
+					key, doc := fmt.Sprintf("t%05d", i), tweetDoc(fmt.Sprintf("u%02d", i%25), i, "wamf tweet")
+					if err := db.Put(key, doc); err != nil {
+						t.Fatal(err)
+					}
+					user += int64(len(key) + len(doc))
+				}
+			}
+			put(0, 20) // stays in the MemTable
+			if got := db.Stats().Primary.IngestBytes; got != user {
+				t.Fatalf("primary IngestBytes = %d, want %d", got, user)
+			}
+			primary, index := db.WriteAmplification()
+			if primary != 0 || len(index) != 0 {
+				t.Fatalf("before the first flush: WriteAmplification = %v %v, want 0 and none", primary, index)
+			}
+
+			put(20, 1500)
+			if err := db.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.CompactAll(); err != nil {
+				t.Fatal(err)
+			}
+			if db.Stats().Primary.CompactionWriteBytes == 0 {
+				t.Fatal("no primary compaction ran")
+			}
+			primary, index = db.WriteAmplification()
+			wantPrimary, wantIndex := derived(db)
+			if primary != wantPrimary || primary <= 0 {
+				t.Fatalf("primary WAMF = %v, want %v", primary, wantPrimary)
+			}
+			if len(index) != len(wantIndex) {
+				t.Fatalf("index WAMF = %v, want %v", index, wantIndex)
+			}
+			for attr, want := range wantIndex {
+				if got := index[attr]; got <= 0 || math.Abs(got-want) > 1e-12*want {
+					t.Fatalf("index WAMF[%s] = %v, want %v", attr, got, want)
+				}
+			}
+		})
+	}
 }

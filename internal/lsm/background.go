@@ -33,42 +33,10 @@ type background struct {
 	// db.mu, never the reverse.
 	compactionMu sync.Mutex
 
-	flushes       int64         // guarded by db.mu; flush jobs completed
-	compactions   int64         // guarded by db.mu; compaction jobs completed
-	slowdowns     int64         // guarded by db.mu; writes delayed ~1ms by the L0 slowdown trigger
-	throttleWaits int64         // guarded by db.mu; writes fully stalled by the L0 stop trigger
-	stallTime     time.Duration // guarded by db.mu; wall time those writes spent stalled
-
 	// Throttle state for edge-triggered event emission: engage/release
 	// events fire on transitions, not per delayed write.
 	stopEngaged     bool // guarded by db.mu
 	slowdownEngaged bool // guarded by db.mu
-}
-
-// BackgroundStats reports the pipeline's progress counters. Flushes and
-// Compactions count jobs in both modes; Slowdowns, ThrottleWaits and
-// StallSeconds stay zero in deterministic mode, which never throttles
-// writers. StallSeconds is the cumulative wall time writers spent blocked
-// on the L0 stop trigger.
-type BackgroundStats struct {
-	Flushes       int64
-	Compactions   int64
-	Slowdowns     int64
-	ThrottleWaits int64
-	StallSeconds  float64
-}
-
-// BackgroundStats returns the pipeline counters.
-func (db *DB) BackgroundStats() BackgroundStats {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return BackgroundStats{
-		Flushes:       db.bg.flushes,
-		Compactions:   db.bg.compactions,
-		Slowdowns:     db.bg.slowdowns,
-		ThrottleWaits: db.bg.throttleWaits,
-		StallSeconds:  db.bg.stallTime.Seconds(),
-	}
 }
 
 // startBackground launches the flusher and the compaction runner.
@@ -149,11 +117,10 @@ func (db *DB) throttleLocked(tr *metrics.Trace) error {
 			db.emit(metrics.Event{Type: metrics.EventStopOn, Level: 0,
 				Detail: fmt.Sprintf("l0_files=%d", len(db.v.levels[0]))})
 		}
-		bg.throttleWaits++
 		stalled = true
 		t0 := time.Now()
 		db.cond.Wait()
-		bg.stallTime += time.Since(t0)
+		db.opts.Stats.StallNanos.Add(int64(time.Since(t0)))
 	}
 	if bg.stopEngaged && len(db.v.levels[0]) < l0StopTrigger {
 		bg.stopEngaged = false
@@ -169,7 +136,6 @@ func (db *DB) throttleLocked(tr *metrics.Trace) error {
 			db.emit(metrics.Event{Type: metrics.EventSlowdownOn, Level: 0,
 				Detail: fmt.Sprintf("l0_files=%d", len(db.v.levels[0]))})
 		}
-		bg.slowdowns++
 		db.mu.Unlock()
 		time.Sleep(time.Millisecond)
 		db.mu.Lock()
@@ -311,7 +277,6 @@ func (db *DB) flushImmLocked() error {
 	// records at or below the manifest floor).
 	db.imm = nil
 	db.immWALs = nil
-	db.bg.flushes++
 	db.emit(metrics.Event{Type: metrics.EventFlushDone, Level: 0, Outputs: 1,
 		Entries: fm.tbl.EntryCount(), Bytes: fm.Size,
 		DurationUS: time.Since(t0).Microseconds()})

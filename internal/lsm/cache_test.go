@@ -31,9 +31,8 @@ func TestBlockCacheServesRepeatReads(t *testing.T) {
 	if d.CacheHits == 0 {
 		t.Fatal("second read did not register a cache hit")
 	}
-	hits, misses, used := db.BlockCacheStats()
-	if hits == 0 || misses == 0 || used == 0 {
-		t.Fatalf("cache stats = %d %d %d", hits, misses, used)
+	if post.CacheHits == 0 || post.CacheMisses == 0 || db.blockCache.Used() == 0 {
+		t.Fatalf("cache counters = %+v, used %d", post, db.blockCache.Used())
 	}
 }
 
@@ -49,8 +48,8 @@ func TestBlockCacheDisabledByDefault(t *testing.T) {
 	if s.CacheHits != 0 || s.CacheMisses != 0 {
 		t.Fatalf("cache active without configuration: %+v", s)
 	}
-	if h, m, u := db.BlockCacheStats(); h != 0 || m != 0 || u != 0 {
-		t.Fatal("BlockCacheStats nonzero without cache")
+	if db.blockCache != nil {
+		t.Fatal("block cache built without configuration")
 	}
 }
 

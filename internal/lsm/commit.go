@@ -15,7 +15,6 @@ package lsm
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"leveldbpp/internal/ikey"
 	"leveldbpp/internal/metrics"
@@ -124,59 +123,6 @@ func (q *commitQueue) handoffLocked() *pendingCommit {
 	next := q.pending[0]
 	q.pending = q.pending[1:]
 	return next
-}
-
-// commitStats counts logical commit activity. Atomics: read freely.
-type commitStats struct {
-	commits atomic.Int64 // logical commits acknowledged
-	records atomic.Int64 // records across all commits
-	groups  atomic.Int64 // WAL write passes (one per group)
-	fsyncs  atomic.Int64 // fsyncs issued by the commit path
-}
-
-// CommitStats is a point-in-time snapshot of commit-path counters.
-type CommitStats struct {
-	Commits int64 // logical commits acknowledged
-	Records int64 // records across all commits
-	Groups  int64 // WAL write passes (groups)
-	Fsyncs  int64 // fsyncs issued
-}
-
-// FsyncsPerCommit returns fsyncs divided by commits (0 before any
-// commit) — the amortization group commit buys under SyncGrouped.
-func (s CommitStats) FsyncsPerCommit() float64 {
-	if s.Commits == 0 {
-		return 0
-	}
-	return float64(s.Fsyncs) / float64(s.Commits)
-}
-
-// MeanGroupSize returns commits divided by groups (0 before any group).
-func (s CommitStats) MeanGroupSize() float64 {
-	if s.Groups == 0 {
-		return 0
-	}
-	return float64(s.Commits) / float64(s.Groups)
-}
-
-// Sub returns s - o field-wise, for interval measurements.
-func (s CommitStats) Sub(o CommitStats) CommitStats {
-	return CommitStats{
-		Commits: s.Commits - o.Commits,
-		Records: s.Records - o.Records,
-		Groups:  s.Groups - o.Groups,
-		Fsyncs:  s.Fsyncs - o.Fsyncs,
-	}
-}
-
-// CommitStats returns the DB's commit-path counters.
-func (db *DB) CommitStats() CommitStats {
-	return CommitStats{
-		Commits: db.cstats.commits.Load(),
-		Records: db.cstats.records.Load(),
-		Groups:  db.cstats.groups.Load(),
-		Fsyncs:  db.cstats.fsyncs.Load(),
-	}
 }
 
 // GroupSizeHist returns the histogram of commits per WAL write pass.
@@ -303,6 +249,7 @@ func (db *DB) commitGroupLocked(group []*pendingCommit) error {
 	tr.Since(metrics.PhaseWAL, t0)
 
 	db.mu.Lock()
+	var ingested int64 // post-merge key+value bytes, counted once per group
 	if werr == nil {
 		t0 = tr.Now()
 		for _, pc := range group {
@@ -313,7 +260,7 @@ func (db *DB) commitGroupLocked(group []*pendingCommit) error {
 					value = append([]byte(nil), value...)
 				}
 				db.mem.add(r.Seq, ikey.Kind(r.Kind), key, value, db.opts.Extract)
-				db.ingestBytes += int64(len(r.Key) + len(r.Value))
+				ingested += int64(len(r.Key) + len(r.Value))
 			}
 		}
 		tr.Since(metrics.PhaseMemInsert, t0)
@@ -329,9 +276,11 @@ func (db *DB) commitGroupLocked(group []*pendingCommit) error {
 		rerr = db.rotateMemLocked()
 		tr.Since(metrics.PhaseRotate, t0)
 	}
-	db.cstats.groups.Add(1)
-	db.cstats.commits.Add(int64(len(group)))
-	db.cstats.records.Add(int64(total))
+	st := db.opts.Stats
+	st.CommitGroups.Add(1)
+	st.Commits.Add(int64(len(group)))
+	st.CommitRecords.Add(int64(total))
+	st.IngestBytes.Add(ingested)
 	db.groupSize.Observe(float64(len(group)))
 	return rerr
 }
@@ -386,7 +335,7 @@ func (db *DB) syncWALLocked(members int, tr *metrics.Trace) error {
 		if err != nil {
 			return err
 		}
-		db.cstats.fsyncs.Add(1)
+		db.opts.Stats.WALFsyncs.Add(1)
 	case wal.SyncAlways:
 		t0 := tr.Now()
 		for i := 0; i < members; i++ {
@@ -396,7 +345,7 @@ func (db *DB) syncWALLocked(members int, tr *metrics.Trace) error {
 			}
 		}
 		tr.Since(metrics.PhaseWALSync, t0)
-		db.cstats.fsyncs.Add(int64(members))
+		db.opts.Stats.WALFsyncs.Add(int64(members))
 	default: // SyncOff
 		if err := db.log.Flush(); err != nil {
 			return err

@@ -29,7 +29,7 @@ func BenchmarkIngestGroupCommit(b *testing.B) {
 			WriteMerge:    wm,
 		}
 		db, _ := openTestDB(b, opts)
-		before := db.CommitStats()
+		before := db.Stats().Snapshot()
 		b.ResetTimer()
 		var wg sync.WaitGroup
 		for w := 0; w < writers; w++ {
@@ -50,10 +50,10 @@ func BenchmarkIngestGroupCommit(b *testing.B) {
 		}
 		wg.Wait()
 		b.StopTimer()
-		d := db.CommitStats().Sub(before)
+		d := db.Stats().Snapshot().Sub(before)
 		if d.Commits > 0 {
-			b.ReportMetric(float64(d.Fsyncs)/float64(d.Commits), "fsyncs/op")
-			b.ReportMetric(d.MeanGroupSize(), "commits/group")
+			b.ReportMetric(d.FsyncsPerCommit(), "fsyncs/op")
+			b.ReportMetric(float64(d.Commits)/float64(d.CommitGroups), "commits/group")
 		}
 	}
 	b.Run("writers=1/sync=grouped", func(b *testing.B) { run(b, 1, wal.SyncGrouped, nil) })

@@ -166,12 +166,12 @@ func TestGroupCommitConcurrentStress(t *testing.T) {
 		}
 	}
 	check(db)
-	cs := db.CommitStats()
+	cs := db.Stats().Snapshot()
 	if cs.Commits != writers*perWriter {
-		t.Errorf("CommitStats.Commits = %d, want %d", cs.Commits, writers*perWriter)
+		t.Errorf("Commits = %d, want %d", cs.Commits, writers*perWriter)
 	}
-	if cs.Groups > cs.Commits || cs.Groups == 0 {
-		t.Errorf("CommitStats.Groups = %d (commits %d)", cs.Groups, cs.Commits)
+	if cs.CommitGroups > cs.Commits || cs.CommitGroups == 0 {
+		t.Errorf("CommitGroups = %d (commits %d)", cs.CommitGroups, cs.Commits)
 	}
 	closeWithin(t, db)
 
@@ -258,15 +258,15 @@ func TestGroupCommitLeaderHandoff(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	cs := db.CommitStats()
+	cs := db.Stats().Snapshot()
 	if cs.Commits != writers*200 {
 		t.Fatalf("Commits = %d, want %d", cs.Commits, writers*200)
 	}
-	if hist := db.GroupSizeHist(); hist.Count() != cs.Groups {
-		t.Fatalf("group-size histogram has %d observations, want %d groups", hist.Count(), cs.Groups)
+	if hist := db.GroupSizeHist(); hist.Count() != cs.CommitGroups {
+		t.Fatalf("group-size histogram has %d observations, want %d groups", hist.Count(), cs.CommitGroups)
 	}
-	if cs.Fsyncs != 0 {
-		t.Fatalf("Fsyncs = %d under SyncOff, want 0", cs.Fsyncs)
+	if cs.WALFsyncs != 0 {
+		t.Fatalf("WALFsyncs = %d under SyncOff, want 0", cs.WALFsyncs)
 	}
 }
 

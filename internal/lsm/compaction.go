@@ -197,8 +197,7 @@ func (db *DB) pickLevelLocked(l int) *compactionJob {
 // pair and wakes waiters. Caller holds db.mu, which is released across
 // the merge.
 func (db *DB) compactLocked(job *compactionJob) error {
-	bg := db.bg
-	bg.jobs++
+	db.bg.jobs++
 	db.compactingLevels[job.level] = true
 	db.compactingLevels[job.level+1] = true
 	db.emitCompactionStart(job)
@@ -211,7 +210,7 @@ func (db *DB) compactLocked(job *compactionJob) error {
 	if err == nil {
 		err = db.installCompactionLocked(job, outputs)
 	}
-	bg.jobs--
+	db.bg.jobs--
 	db.compactingLevels[job.level] = false
 	db.compactingLevels[job.level+1] = false
 	db.cond.Broadcast() // wake throttled writers, drains and the runner
@@ -220,7 +219,6 @@ func (db *DB) compactLocked(job *compactionJob) error {
 		return err
 	}
 	db.emitCompactionDone(job, outputs, t0)
-	bg.compactions++
 	return nil
 }
 

@@ -60,7 +60,10 @@ func closeWithin(t *testing.T, db *DB) {
 // mode-independent.
 func TestBackgroundBasic(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(dir, bgOpts())
+	log := metrics.NewEventLog(0)
+	o := bgOpts()
+	o.Events = log
+	db, err := Open(dir, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,9 +74,8 @@ func TestBackgroundBasic(t *testing.T) {
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	st := db.BackgroundStats()
-	if st.Flushes == 0 {
-		t.Fatalf("no background flushes ran: %+v", st)
+	if n := log.Counts()[metrics.EventFlushDone]; n == 0 {
+		t.Fatal("no background flushes ran")
 	}
 	for i := 0; i < n; i += 97 {
 		k := fmt.Sprintf("key-%05d", i)
@@ -492,7 +494,10 @@ func checkNoPipelineGoroutines(t *testing.T) {
 // Flush returns no MemTable is frozen, no job is in flight and the tree
 // is in shape, and no pipeline goroutine ever starts.
 func TestDeterministicModeContract(t *testing.T) {
-	db, _ := openTestDB(t, smallOpts())
+	log := metrics.NewEventLog(0)
+	o := smallOpts()
+	o.Events = log
+	db, _ := openTestDB(t, o)
 	for i := 0; i < 3000; i++ {
 		mustPut(t, db, fmt.Sprintf("key-%05d", i%1100), fmt.Sprintf("value-%05d", i))
 		checkSettled(t, db, "Put")
@@ -503,9 +508,11 @@ func TestDeterministicModeContract(t *testing.T) {
 			checkSettled(t, db, "Flush")
 		}
 	}
-	st := db.BackgroundStats()
-	if st.Flushes == 0 || st.Compactions == 0 || st.Slowdowns != 0 || st.ThrottleWaits != 0 {
-		t.Fatalf("deterministic BackgroundStats = %+v; want flushes and compactions, no throttling", st)
+	c := log.Counts()
+	if c[metrics.EventFlushDone] == 0 || c[metrics.EventCompactionDone] == 0 ||
+		c[metrics.EventSlowdownOn] != 0 || c[metrics.EventStopOn] != 0 || db.Stats().StallNanos.Load() != 0 {
+		t.Fatalf("deterministic events = %v, stall %d ns; want flushes and compactions, no throttling",
+			c, db.Stats().StallNanos.Load())
 	}
 	checkNoPipelineGoroutines(t)
 }
@@ -522,6 +529,7 @@ type drainAudit struct {
 	frozen      int          // guarded by mu; MemTables frozen, not yet flushing
 	freezes     int          // guarded by mu
 	flushes     int          // guarded by mu
+	flushed     int          // guarded by mu; flush jobs completed
 	overlapping int          // guarded by mu; job starts while another job ran
 }
 
@@ -538,6 +546,8 @@ func (a *drainAudit) Emit(e metrics.Event) {
 		}
 		a.frozen--
 		a.flushes++
+	case metrics.EventFlushDone:
+		a.flushed++
 	case metrics.EventCompactionStart:
 		if a.busy[e.Level] || a.busy[e.Level+1] {
 			a.t.Errorf("compaction L%d→L%d started while a job held one of its levels", e.Level, e.Level+1)
@@ -613,14 +623,14 @@ func TestDeterministicConcurrentDrains(t *testing.T) {
 	checkNoPipelineGoroutines(t)
 
 	audit.mu.Lock()
-	freezes, flushes, frozen := audit.freezes, audit.flushes, audit.frozen
+	freezes, flushes, flushed, frozen := audit.freezes, audit.flushes, audit.flushed, audit.frozen
 	t.Logf("%d freezes, %d job starts overlapped another job", freezes, audit.overlapping)
 	audit.mu.Unlock()
 	if freezes == 0 || flushes != freezes || frozen != 0 {
 		t.Fatalf("%d MemTables frozen, %d flushes started, %d left frozen", freezes, flushes, frozen)
 	}
-	if st := db.BackgroundStats(); st.Flushes != int64(freezes) {
-		t.Fatalf("BackgroundStats.Flushes = %d, want %d (one per frozen MemTable)", st.Flushes, freezes)
+	if flushed != freezes {
+		t.Fatalf("%d flushes done, want %d (one per frozen MemTable)", flushed, freezes)
 	}
 	for w := 0; w < writers; w++ {
 		for i := 0; i < perW; i++ {

@@ -77,8 +77,7 @@ type DB struct {
 	flushedSeq       uint64   // guarded by mu; highest seq durable in SSTables (manifest LastSeq)
 	compactPtr       [][]byte // guarded by mu; per-level round-robin compaction cursor (user key)
 	blockCache       *cache.Cache
-	ingestBytes      int64 // guarded by mu; user key+value bytes accepted, for WAMF
-	closed           bool  // guarded by mu
+	closed           bool // guarded by mu
 
 	// commitsInFlight counts leader passes between sequence assignment
 	// (under mu) and MemTable insertion (back under mu). A freeze and
@@ -86,7 +85,6 @@ type DB struct {
 	// MemTables.
 	commitsInFlight int // guarded by mu
 	commitQ         commitQueue
-	cstats          commitStats
 	groupSize       *metrics.Histogram // commits per WAL write pass
 
 	// nextFileNum is atomic so a compaction can allocate output numbers
@@ -587,33 +585,6 @@ func (db *DB) FilterMemoryUsage() int {
 		}
 	}
 	return n
-}
-
-// BlockCacheStats returns cache hits, misses and used bytes; zeros when
-// no cache is configured.
-func (db *DB) BlockCacheStats() (hits, misses, used int64) {
-	if db.blockCache == nil {
-		return 0, 0, 0
-	}
-	return db.blockCache.Stats()
-}
-
-// WriteAmplification returns the measured physical write amplification:
-// SSTable bytes written (flushes + compactions) divided by user bytes
-// ingested. Note two deviations from the paper's logical WAMF (Table 5):
-// block compression can push the ratio below 1, and for index tables
-// written via read-modify-write the denominator counts the rewritten
-// value, not the logical record — use core.WriteAmplification for the
-// paper's per-user-byte comparison. Returns 0 before any ingest.
-func (db *DB) WriteAmplification() float64 {
-	db.mu.RLock()
-	ingested := db.ingestBytes
-	db.mu.RUnlock()
-	if ingested == 0 {
-		return 0
-	}
-	s := db.opts.Stats.Snapshot()
-	return float64(s.BlockWriteBytes+s.CompactionWriteBytes) / float64(ingested)
 }
 
 // LastSeq returns the most recently assigned sequence number.

@@ -554,14 +554,18 @@ func BenchmarkGetFromDisk(b *testing.B) {
 
 func TestWriteAmplificationMeasured(t *testing.T) {
 	db, _ := openTestDB(t, smallOpts())
-	if db.WriteAmplification() != 0 {
+	if db.Stats().Snapshot().WriteAmplification() != 0 {
 		t.Fatal("WAMF nonzero before ingest")
 	}
 	for i := 0; i < 8000; i++ {
 		mustPut(t, db, fmt.Sprintf("key%07d", i), fmt.Sprintf("val%048d", i))
 	}
 	db.Flush()
-	wamf := db.WriteAmplification()
+	sn := db.Stats().Snapshot()
+	if want := int64(8000 * (10 + 51)); sn.IngestBytes != want {
+		t.Fatalf("IngestBytes = %d, want %d", sn.IngestBytes, want)
+	}
+	wamf := sn.WriteAmplification()
 	// Data spans multiple levels, so each byte is rewritten a few times;
 	// compression can pull the physical ratio below 1, but multi-level
 	// churn must still leave a clearly positive factor.
@@ -576,7 +580,7 @@ func TestWriteAmplificationMeasured(t *testing.T) {
 		mustPut(t, db2, fmt.Sprintf("key%07d", i), fmt.Sprintf("val%048d", i))
 	}
 	db2.Flush()
-	if db2.WriteAmplification() <= wamf {
-		t.Fatalf("uncompressed WAMF (%.2f) should exceed compressed (%.2f)", db2.WriteAmplification(), wamf)
+	if wamf2 := db2.Stats().Snapshot().WriteAmplification(); wamf2 <= wamf {
+		t.Fatalf("uncompressed WAMF (%.2f) should exceed compressed (%.2f)", wamf2, wamf)
 	}
 }

@@ -8,14 +8,18 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
-// IOStats counts logical disk-block I/O. The engine increments these at
-// every block boundary, so experiments measure algorithmic I/O exactly,
-// independent of OS caching (see DESIGN.md §3).
+// IOStats is one table's counter set. The engine counts logical
+// disk-block I/O at every block boundary, so experiments measure
+// algorithmic I/O exactly, independent of OS caching (see DESIGN.md §3);
+// the commit path adds its counts once per commit group. Every field has
+// a Snapshot field of the same name and one IOCounters row.
 type IOStats struct {
 	BlockReads           atomic.Int64 // data/index block reads on the read path
 	BlockReadBytes       atomic.Int64
@@ -36,6 +40,14 @@ type IOStats struct {
 	PostingsBytesDecoded   atomic.Int64 // encoded posting-list bytes consumed
 	PostingsEntriesDecoded atomic.Int64 // posting entries materialized or cursor-stepped
 	FragmentsMerged        atomic.Int64 // posting-list fragments fed into merges
+
+	// Write-path counters (DESIGN.md §5.5).
+	Commits       atomic.Int64 // logical commits acknowledged
+	CommitRecords atomic.Int64 // records across all commits
+	CommitGroups  atomic.Int64 // WAL write passes (a lone writer is a group of one)
+	WALFsyncs     atomic.Int64 // fsyncs issued by the commit path
+	IngestBytes   atomic.Int64 // user key+value bytes committed: the WAMF denominator
+	StallNanos    atomic.Int64 // wall time writers spent stalled on the L0 stop trigger
 }
 
 // Snapshot is a point-in-time copy of IOStats.
@@ -48,41 +60,129 @@ type Snapshot struct {
 	PointGets, EntriesDecoded, BlockSeeks  int64
 
 	PostingsBytesDecoded, PostingsEntriesDecoded, FragmentsMerged int64
+
+	Commits, CommitRecords, CommitGroups, WALFsyncs int64
+	IngestBytes, StallNanos                         int64
+}
+
+// IOCounter declares one per-table counter: its field, named alike in
+// IOStats and Snapshot, and the /metrics counter family it is exported as
+// with a table="primary"|"index" label.
+type IOCounter struct {
+	Field, Name, Help string
+	Nanos             bool // the field counts nanoseconds, exported as seconds
+
+	io, sn int // the field's index in IOStats and in Snapshot
+}
+
+// IOCounters is the one declaration of every IOStats counter. Snapshot,
+// Sub, Add and the /metrics export walk it; /stats serves Snapshot's
+// fields, which are the rows' fields.
+var IOCounters = []IOCounter{
+	{Field: "BlockReads", Name: "lsmpp_block_reads_total", Help: "Data/index block reads on the read path."},
+	{Field: "BlockReadBytes", Name: "lsmpp_block_read_bytes_total", Help: "Bytes of blocks read on the read path."},
+	{Field: "BlockWrites", Name: "lsmpp_block_writes_total", Help: "Block writes from memtable flushes."},
+	{Field: "BlockWriteBytes", Name: "lsmpp_block_write_bytes_total", Help: "Bytes of blocks written by flushes."},
+	{Field: "CompactionReads", Name: "lsmpp_compaction_reads_total", Help: "Block reads performed by compactions."},
+	{Field: "CompactionReadBytes", Name: "lsmpp_compaction_read_bytes_total", Help: "Bytes read by compactions."},
+	{Field: "CompactionWrites", Name: "lsmpp_compaction_writes_total", Help: "Block writes performed by compactions."},
+	{Field: "CompactionWriteBytes", Name: "lsmpp_compaction_write_bytes_total", Help: "Bytes written by compactions."},
+	{Field: "CacheHits", Name: "lsmpp_block_cache_hits_total", Help: "Block reads served from the block cache."},
+	{Field: "CacheMisses", Name: "lsmpp_block_cache_misses_total", Help: "Block reads that missed the block cache."},
+	{Field: "PointGets", Name: "lsmpp_point_gets_total", Help: "SSTable point reads (Table.Get calls)."},
+	{Field: "EntriesDecoded", Name: "lsmpp_entries_decoded_total", Help: "Block entries decoded on the point-read path."},
+	{Field: "BlockSeeks", Name: "lsmpp_block_seeks_total", Help: "In-block restart-array binary searches."},
+	{Field: "PostingsBytesDecoded", Name: "lsmpp_postings_bytes_decoded_total", Help: "Encoded posting-list bytes consumed by index paths."},
+	{Field: "PostingsEntriesDecoded", Name: "lsmpp_postings_entries_decoded_total", Help: "Posting entries decoded by index paths."},
+	{Field: "FragmentsMerged", Name: "lsmpp_postings_fragments_merged_total", Help: "Posting-list fragments fed into merges."},
+	{Field: "Commits", Name: "lsmpp_commits_total", Help: "Logical commits acknowledged by the write path."},
+	{Field: "CommitRecords", Name: "lsmpp_commit_records_total", Help: "Records written across all commits."},
+	{Field: "CommitGroups", Name: "lsmpp_commit_groups_total", Help: "WAL write passes (commit groups; a lone writer is a group of 1)."},
+	{Field: "WALFsyncs", Name: "lsmpp_wal_fsyncs_total", Help: "fsyncs issued by the commit path."},
+	{Field: "IngestBytes", Name: "lsmpp_ingest_bytes_total", Help: "User key+value bytes committed (the write-amplification denominator)."},
+	{Field: "StallNanos", Name: "lsmpp_compaction_stall_seconds_total", Help: "Cumulative time writers spent stalled on the L0 stop trigger.", Nanos: true},
+}
+
+func init() {
+	io, sn := reflect.TypeFor[IOStats](), reflect.TypeFor[Snapshot]()
+	for i := range IOCounters {
+		c := &IOCounters[i]
+		f, ok := io.FieldByName(c.Field)
+		g, ok2 := sn.FieldByName(c.Field)
+		if !ok || !ok2 {
+			panic("metrics: IOCounters row " + c.Field + " has no IOStats or Snapshot field")
+		}
+		c.io, c.sn = f.Index[0], g.Index[0]
+	}
+}
+
+// Value returns the counter's value in sn, in its exported unit.
+func (c IOCounter) Value(sn Snapshot) float64 {
+	v := reflect.ValueOf(sn).Field(c.sn).Int()
+	if c.Nanos {
+		return time.Duration(v).Seconds()
+	}
+	return float64(v)
+}
+
+// Snapshot returns a consistent-enough copy for reporting (fields are read
+// individually; exactness across fields is not required by any experiment).
+func (s *IOStats) Snapshot() Snapshot {
+	var sn Snapshot
+	src, dst := reflect.ValueOf(s).Elem(), reflect.ValueOf(&sn).Elem()
+	for _, c := range IOCounters {
+		dst.Field(c.sn).SetInt(src.Field(c.io).Addr().Interface().(*atomic.Int64).Load())
+	}
+	return sn
+}
+
+// Sub returns sn - other, counter by counter, for interval measurements.
+func (sn Snapshot) Sub(other Snapshot) Snapshot { return sn.plus(other, -1) }
+
+// Add returns sn + other, counter by counter: the counts of two tables
+// taken together.
+func (sn Snapshot) Add(other Snapshot) Snapshot { return sn.plus(other, 1) }
+
+func (sn Snapshot) plus(other Snapshot, sign int64) Snapshot {
+	dst, src := reflect.ValueOf(&sn).Elem(), reflect.ValueOf(other)
+	for _, c := range IOCounters {
+		f := dst.Field(c.sn)
+		f.SetInt(f.Int() + sign*src.Field(c.sn).Int())
+	}
+	return sn
+}
+
+// ratio returns a/b, or 0 when b is 0.
+func ratio(a, b int64) float64 {
+	if b == 0 {
+		return 0
+	}
+	return float64(a) / float64(b)
 }
 
 // EntriesDecodedPerGet returns the mean number of block entries decoded
 // per point read — the cost the restart-point block format (DESIGN.md
 // §5.2) cuts from a half-block linear scan to at most one restart
 // interval. 0 when no point reads were recorded.
-func (sn Snapshot) EntriesDecodedPerGet() float64 {
-	if sn.PointGets == 0 {
-		return 0
-	}
-	return float64(sn.EntriesDecoded) / float64(sn.PointGets)
-}
+func (sn Snapshot) EntriesDecodedPerGet() float64 { return ratio(sn.EntriesDecoded, sn.PointGets) }
 
-// Snapshot returns a consistent-enough copy for reporting (fields are read
-// individually; exactness across fields is not required by any experiment).
-func (s *IOStats) Snapshot() Snapshot {
-	return Snapshot{
-		BlockReads:           s.BlockReads.Load(),
-		BlockReadBytes:       s.BlockReadBytes.Load(),
-		BlockWrites:          s.BlockWrites.Load(),
-		BlockWriteBytes:      s.BlockWriteBytes.Load(),
-		CompactionReads:      s.CompactionReads.Load(),
-		CompactionReadBytes:  s.CompactionReadBytes.Load(),
-		CompactionWrites:     s.CompactionWrites.Load(),
-		CompactionWriteBytes: s.CompactionWriteBytes.Load(),
-		CacheHits:            s.CacheHits.Load(),
-		CacheMisses:          s.CacheMisses.Load(),
-		PointGets:            s.PointGets.Load(),
-		EntriesDecoded:       s.EntriesDecoded.Load(),
-		BlockSeeks:           s.BlockSeeks.Load(),
+// CacheHitRatio returns the fraction of block reads served from the block
+// cache, 0 when no block was read.
+func (sn Snapshot) CacheHitRatio() float64 { return ratio(sn.CacheHits, sn.CacheHits+sn.CacheMisses) }
 
-		PostingsBytesDecoded:   s.PostingsBytesDecoded.Load(),
-		PostingsEntriesDecoded: s.PostingsEntriesDecoded.Load(),
-		FragmentsMerged:        s.FragmentsMerged.Load(),
-	}
+// FsyncsPerCommit returns fsyncs divided by commits (0 before any commit),
+// the amortization group commit buys under SyncGrouped.
+func (sn Snapshot) FsyncsPerCommit() float64 { return ratio(sn.WALFsyncs, sn.Commits) }
+
+// WriteAmplification returns the measured physical write amplification:
+// SSTable bytes written (flushes + compactions) divided by user bytes
+// ingested; 0 before any ingest. It deviates from the paper's logical
+// WAMF (Table 5) in two ways: block compression can push it below 1, and
+// for an index table written by read-modify-write the denominator counts
+// the rewritten value, not the logical record. core.DB.WriteAmplification
+// gives the paper's per-user-byte comparison.
+func (sn Snapshot) WriteAmplification() float64 {
+	return ratio(sn.BlockWriteBytes+sn.CompactionWriteBytes, sn.IngestBytes)
 }
 
 // TotalIO returns all block operations (reads + writes, foreground and
@@ -93,29 +193,6 @@ func (sn Snapshot) TotalIO() int64 {
 
 // CompactionIO returns compaction-attributed block operations.
 func (sn Snapshot) CompactionIO() int64 { return sn.CompactionReads + sn.CompactionWrites }
-
-// Sub returns sn - other, field-wise, for interval measurements.
-func (sn Snapshot) Sub(other Snapshot) Snapshot {
-	return Snapshot{
-		BlockReads:           sn.BlockReads - other.BlockReads,
-		BlockReadBytes:       sn.BlockReadBytes - other.BlockReadBytes,
-		BlockWrites:          sn.BlockWrites - other.BlockWrites,
-		BlockWriteBytes:      sn.BlockWriteBytes - other.BlockWriteBytes,
-		CompactionReads:      sn.CompactionReads - other.CompactionReads,
-		CompactionReadBytes:  sn.CompactionReadBytes - other.CompactionReadBytes,
-		CompactionWrites:     sn.CompactionWrites - other.CompactionWrites,
-		CompactionWriteBytes: sn.CompactionWriteBytes - other.CompactionWriteBytes,
-		CacheHits:            sn.CacheHits - other.CacheHits,
-		CacheMisses:          sn.CacheMisses - other.CacheMisses,
-		PointGets:            sn.PointGets - other.PointGets,
-		EntriesDecoded:       sn.EntriesDecoded - other.EntriesDecoded,
-		BlockSeeks:           sn.BlockSeeks - other.BlockSeeks,
-
-		PostingsBytesDecoded:   sn.PostingsBytesDecoded - other.PostingsBytesDecoded,
-		PostingsEntriesDecoded: sn.PostingsEntriesDecoded - other.PostingsEntriesDecoded,
-		FragmentsMerged:        sn.FragmentsMerged - other.FragmentsMerged,
-	}
-}
 
 // Histogram collects latency (or any scalar) samples and reports the
 // five-number summary used in the paper's box plots. It keeps every sample

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"leveldbpp/internal/core"
+	"leveldbpp/internal/metrics"
 )
 
 // newTracedServer opens a server over a fully-traced DB so /trace/slow has
@@ -230,20 +231,25 @@ func TestStatsCommitAndPostings(t *testing.T) {
 	if err := json.Unmarshal(body, &stats); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"commit_primary", "commit_index", "postings"} {
+	for _, key := range []string{"primary_io", "index_io", "postings"} {
 		if _, ok := stats[key]; !ok {
 			t.Fatalf("/stats missing %q: %s", key, body)
 		}
 	}
-	var commit struct {
-		Commits int64 `json:"commits"`
-		Records int64 `json:"records"`
+	// The commit counters sit in each table's I/O counters.
+	for _, key := range []string{"commit_primary", "commit_index"} {
+		if _, ok := stats[key]; ok {
+			t.Fatalf("/stats still serves %q: %s", key, body)
+		}
 	}
-	if err := json.Unmarshal(stats["commit_primary"], &commit); err != nil {
-		t.Fatal(err)
-	}
-	if commit.Commits <= 0 || commit.Records <= 0 {
-		t.Fatalf("commit_primary = %s", stats["commit_primary"])
+	for _, key := range []string{"primary_io", "index_io"} {
+		var io metrics.Snapshot
+		if err := json.Unmarshal(stats[key], &io); err != nil {
+			t.Fatal(err)
+		}
+		if io.Commits <= 0 || io.CommitRecords <= 0 || io.CommitGroups <= 0 || io.IngestBytes <= 0 {
+			t.Fatalf("%s = %s", key, stats[key])
+		}
 	}
 	var post map[string]int64
 	if err := json.Unmarshal(stats["postings"], &post); err != nil {

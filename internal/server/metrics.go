@@ -16,43 +16,17 @@ import (
 	"leveldbpp/internal/metrics"
 )
 
-// ioCounters maps IOStats snapshot fields to exported counter series.
-var ioCounters = []struct {
+// tableGauges are the per-table ratios derived from the IOStats counters.
+var tableGauges = []struct {
 	name, help string
-	get        func(sn metrics.Snapshot) int64
+	get        func(metrics.Snapshot) float64
 }{
-	{"lsmpp_block_reads_total", "Data/index block reads on the read path.",
-		func(sn metrics.Snapshot) int64 { return sn.BlockReads }},
-	{"lsmpp_block_read_bytes_total", "Bytes of blocks read on the read path.",
-		func(sn metrics.Snapshot) int64 { return sn.BlockReadBytes }},
-	{"lsmpp_block_writes_total", "Block writes from memtable flushes.",
-		func(sn metrics.Snapshot) int64 { return sn.BlockWrites }},
-	{"lsmpp_block_write_bytes_total", "Bytes of blocks written by flushes.",
-		func(sn metrics.Snapshot) int64 { return sn.BlockWriteBytes }},
-	{"lsmpp_compaction_reads_total", "Block reads performed by compactions.",
-		func(sn metrics.Snapshot) int64 { return sn.CompactionReads }},
-	{"lsmpp_compaction_read_bytes_total", "Bytes read by compactions.",
-		func(sn metrics.Snapshot) int64 { return sn.CompactionReadBytes }},
-	{"lsmpp_compaction_writes_total", "Block writes performed by compactions.",
-		func(sn metrics.Snapshot) int64 { return sn.CompactionWrites }},
-	{"lsmpp_compaction_write_bytes_total", "Bytes written by compactions.",
-		func(sn metrics.Snapshot) int64 { return sn.CompactionWriteBytes }},
-	{"lsmpp_block_cache_hits_total", "Block reads served from the block cache.",
-		func(sn metrics.Snapshot) int64 { return sn.CacheHits }},
-	{"lsmpp_block_cache_misses_total", "Block reads that missed the block cache.",
-		func(sn metrics.Snapshot) int64 { return sn.CacheMisses }},
-	{"lsmpp_point_gets_total", "SSTable point reads (Table.Get calls).",
-		func(sn metrics.Snapshot) int64 { return sn.PointGets }},
-	{"lsmpp_entries_decoded_total", "Block entries decoded on the point-read path.",
-		func(sn metrics.Snapshot) int64 { return sn.EntriesDecoded }},
-	{"lsmpp_block_seeks_total", "In-block restart-array binary searches.",
-		func(sn metrics.Snapshot) int64 { return sn.BlockSeeks }},
-	{"lsmpp_postings_bytes_decoded_total", "Encoded posting-list bytes consumed by index paths.",
-		func(sn metrics.Snapshot) int64 { return sn.PostingsBytesDecoded }},
-	{"lsmpp_postings_entries_decoded_total", "Posting entries decoded by index paths.",
-		func(sn metrics.Snapshot) int64 { return sn.PostingsEntriesDecoded }},
-	{"lsmpp_postings_fragments_merged_total", "Posting-list fragments fed into merges.",
-		func(sn metrics.Snapshot) int64 { return sn.FragmentsMerged }},
+	{"lsmpp_block_cache_hit_ratio", "Fraction of block reads served from cache (0 when no reads).",
+		metrics.Snapshot.CacheHitRatio},
+	{"lsmpp_entries_decoded_per_get", "Mean block entries decoded per point read.",
+		metrics.Snapshot.EntriesDecodedPerGet},
+	{"lsmpp_fsyncs_per_commit", "fsyncs divided by commits (0 when no commits).",
+		metrics.Snapshot.FsyncsPerCommit},
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -68,80 +42,27 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 func (s *Server) writeMetrics(w io.Writer) {
 	st := s.db.Stats()
 	tables := []struct {
-		label string
-		sn    metrics.Snapshot
-	}{{"primary", st.Primary}, {"index", st.Index}}
-
-	for _, c := range ioCounters {
-		metrics.WriteMetricHeader(w, c.name, c.help, "counter")
-		for _, t := range tables {
-			metrics.WriteSample(w, c.name,
-				metrics.Labels(map[string]string{"table": t.label}), float64(c.get(t.sn)))
-		}
-	}
-
-	metrics.WriteMetricHeader(w, "lsmpp_block_cache_hit_ratio",
-		"Fraction of block reads served from cache (0 when no reads).", "gauge")
-	for _, t := range tables {
-		ratio := 0.0
-		if total := t.sn.CacheHits + t.sn.CacheMisses; total > 0 {
-			ratio = float64(t.sn.CacheHits) / float64(total)
-		}
-		metrics.WriteSample(w, "lsmpp_block_cache_hit_ratio",
-			metrics.Labels(map[string]string{"table": t.label}), ratio)
-	}
-
-	metrics.WriteMetricHeader(w, "lsmpp_entries_decoded_per_get",
-		"Mean block entries decoded per point read.", "gauge")
-	for _, t := range tables {
-		metrics.WriteSample(w, "lsmpp_entries_decoded_per_get",
-			metrics.Labels(map[string]string{"table": t.label}), t.sn.EntriesDecodedPerGet())
-	}
-
-	// Commit-path counters (DESIGN.md §5.5): logical commits, records,
-	// WAL write groups, and fsyncs, per table, plus the derived
-	// fsyncs-per-commit amortization gauge.
-	primCS, idxCS := s.db.CommitStats()
-	commitTables := []struct {
-		label string
-		cs    lsm.CommitStats
-	}{{"primary", primCS}, {"index", idxCS}}
-	commitCounters := []struct {
-		name, help string
-		get        func(cs lsm.CommitStats) int64
+		labels string
+		sn     metrics.Snapshot
 	}{
-		{"lsmpp_commits_total", "Logical commits acknowledged by the write path.",
-			func(cs lsm.CommitStats) int64 { return cs.Commits }},
-		{"lsmpp_commit_records_total", "Records written across all commits.",
-			func(cs lsm.CommitStats) int64 { return cs.Records }},
-		{"lsmpp_commit_groups_total", "WAL write passes (commit groups; a lone writer is a group of 1).",
-			func(cs lsm.CommitStats) int64 { return cs.Groups }},
-		{"lsmpp_wal_fsyncs_total", "fsyncs issued by the commit path.",
-			func(cs lsm.CommitStats) int64 { return cs.Fsyncs }},
-	}
-	for _, c := range commitCounters {
-		metrics.WriteMetricHeader(w, c.name, c.help, "counter")
-		for _, t := range commitTables {
-			metrics.WriteSample(w, c.name,
-				metrics.Labels(map[string]string{"table": t.label}), float64(c.get(t.cs)))
-		}
-	}
-	metrics.WriteMetricHeader(w, "lsmpp_fsyncs_per_commit",
-		"fsyncs divided by commits (0 when no commits).", "gauge")
-	for _, t := range commitTables {
-		metrics.WriteSample(w, "lsmpp_fsyncs_per_commit",
-			metrics.Labels(map[string]string{"table": t.label}), t.cs.FsyncsPerCommit())
+		{metrics.Labels(map[string]string{"table": "primary"}), st.Primary},
+		{metrics.Labels(map[string]string{"table": "index"}), st.Index},
 	}
 
-	// Cumulative writer stall time under the L0 stop trigger, from the
-	// flush/compaction pipeline counters.
-	primBG, idxBG := s.db.BackgroundStats()
-	metrics.WriteMetricHeader(w, "lsmpp_compaction_stall_seconds_total",
-		"Cumulative time writers spent stalled on the L0 stop trigger.", "counter")
-	metrics.WriteSample(w, "lsmpp_compaction_stall_seconds_total",
-		metrics.Labels(map[string]string{"table": "primary"}), primBG.StallSeconds)
-	metrics.WriteSample(w, "lsmpp_compaction_stall_seconds_total",
-		metrics.Labels(map[string]string{"table": "index"}), idxBG.StallSeconds)
+	// Every IOStats counter (DESIGN.md §5.3), then the ratios derived
+	// from them.
+	for _, c := range metrics.IOCounters {
+		metrics.WriteMetricHeader(w, c.Name, c.Help, "counter")
+		for _, t := range tables {
+			metrics.WriteSample(w, c.Name, t.labels, c.Value(t.sn))
+		}
+	}
+	for _, g := range tableGauges {
+		metrics.WriteMetricHeader(w, g.name, g.help, "gauge")
+		for _, t := range tables {
+			metrics.WriteSample(w, g.name, t.labels, g.get(t.sn))
+		}
+	}
 
 	// Commits-per-WAL-write histogram, one series set per table name
 	// (sorted for a deterministic exposition).

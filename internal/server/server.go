@@ -466,7 +466,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	st := s.db.Stats()
 	pWAMF, idxWAMF := s.db.WriteAmplification()
-	commitPrimary, commitIndex := s.db.CommitStats()
+	both := st.Primary.Add(st.Index)
 	s.writeJSON(w, http.StatusOK, map[string]interface{}{
 		"index_kind":          s.db.Kind().String(),
 		"disk_primary_bytes":  prim,
@@ -476,12 +476,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"index_io":            st.Index,
 		"primary_wamf":        pWAMF,
 		"index_wamf_per_attr": idxWAMF,
-		"commit_primary":      commitPrimary,
-		"commit_index":        commitIndex,
 		"postings": map[string]int64{
-			"bytes_decoded":    st.Primary.PostingsBytesDecoded + st.Index.PostingsBytesDecoded,
-			"entries_decoded":  st.Primary.PostingsEntriesDecoded + st.Index.PostingsEntriesDecoded,
-			"fragments_merged": st.Primary.FragmentsMerged + st.Index.FragmentsMerged,
+			"bytes_decoded":    both.PostingsBytesDecoded,
+			"entries_decoded":  both.PostingsEntriesDecoded,
+			"fragments_merged": both.FragmentsMerged,
 		},
 		"last_sequence_number": s.db.LastSeq(),
 		"encode_errors":        s.encodeErrors.Load(),

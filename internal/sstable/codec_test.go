@@ -359,7 +359,7 @@ func TestBlocksAreExactSize(t *testing.T) {
 						raw, _ := tbl.readBlock(i, false)
 						charged += int64(cap(raw))
 					}
-					if _, _, used := bc.Stats(); used != charged {
+					if used := bc.Used(); used != charged {
 						t.Fatalf("cache charges %d bytes for blocks holding %d", used, charged)
 					}
 				}
