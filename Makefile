@@ -26,8 +26,9 @@ lint:
 # concurrent core writers (every write takes the commit queue), LOOKUP and
 # RANGELOOKUP readers validating chunks of candidates while a
 # background-mode writer flushes and compacts under them, the
-# concurrent workload profiler in internal/explain, and /metrics and
-# /stats scrapes reading the per-table counters while background-mode
+# concurrent workload profiler in internal/explain, the lock-free /metrics
+# bucket histogram taking observations while it is rendered, and /metrics
+# and /stats scrapes reading the per-table counters while background-mode
 # writers commit, flush and compact. Dynamic confirmation that the
 # statically blessed lock order holds under contention. It is also the
 # goroutine-leak check: the background tests bound Close (closeWithin),
@@ -39,6 +40,7 @@ lint-race:
 	$(GO) test -race -run 'TestGroupCommit|TestCommit|TestUncontendedCommit|TestCompactionWriterFailureCancels|TestBackground|TestDeterministicConcurrentDrains|TestGetSortedMatchesGet' ./internal/lsm/
 	$(GO) test -race -run 'TestGroupCommitConcurrentCore|TestConcurrentChunkedValidation' ./internal/core/
 	$(GO) test -race -run 'TestProfilerConcurrent|TestWorkloadSnapshot' ./internal/explain/
+	$(GO) test -race -run 'TestHistogramRaceMixedReadersWriters|TestBucketCountingCumulative|TestBucketHistogramObserveAllocs' ./internal/metrics/
 	$(GO) test -race -run 'TestScrapeDuringBackgroundWrites' ./internal/server/
 
 test: build

@@ -21,6 +21,13 @@ func openLazy(t *testing.T) *core.DB {
 	return db
 }
 
+// lookup profiles one LOOKUP that requested k results and matched 40,
+// counted in OpStats like a served one.
+func lookup(db *core.DB, k int) {
+	db.OpStats().Observe(metrics.OpLookup, 0)
+	db.Profiler().RecordQuery(k, 40)
+}
+
 func flips(db *core.DB) int {
 	n := 0
 	for _, e := range db.EventLog().Events() {
@@ -63,7 +70,7 @@ func TestMonitorFlipOnce(t *testing.T) {
 	// Unbounded analytics-style lookups: Figure 2 recommends Composite,
 	// mismatching the configured Lazy kind.
 	for i := 0; i < 2*minOpsForAdvice; i++ {
-		db.Profiler().RecordQuery(metrics.OpLookup, 0, 40)
+		lookup(db, 0)
 	}
 	res := m.Evaluate()
 	if !res.Sufficient || res.Match {
@@ -100,14 +107,14 @@ func TestMonitorRearmsAfterMatch(t *testing.T) {
 	// Mismatch (Composite), then flood with bounded top-10 queries until
 	// the median K is positive again and Lazy matches.
 	for i := 0; i < 2*minOpsForAdvice; i++ {
-		db.Profiler().RecordQuery(metrics.OpLookup, 0, 40)
+		lookup(db, 0)
 	}
 	m.Check()
 	if flips(db) != 1 {
 		t.Fatalf("flip events = %d, want 1", flips(db))
 	}
 	for i := 0; i < 10*minOpsForAdvice; i++ {
-		db.Profiler().RecordQuery(metrics.OpLookup, 10, 40)
+		lookup(db, 10)
 	}
 	res := m.Check()
 	if !res.Match {

@@ -152,6 +152,10 @@ type DB struct {
 	opts    Options
 	primary *lsm.DB
 	indexes map[string]*lsm.DB // stand-alone index tables by attribute
+	// tables lists every table in a fixed order: the primary, then the
+	// index tables in Options.Attrs order. Every per-table loop walks it,
+	// so listings and first errors do not depend on map order.
+	tables []table
 
 	// writeMu serializes Put/Delete so that primary-table and index-table
 	// write orders agree — Composite entries rank candidates by
@@ -175,12 +179,20 @@ type DB struct {
 	ops    *metrics.OpStats
 	events *metrics.EventLog
 
-	// profiler aggregates the live op mix, top-K/matched distributions,
-	// attribute time correlation and model-drift ratios (DESIGN.md §5.7).
+	// profiler aggregates top-K/matched distributions, attribute time
+	// correlation and model-drift ratios, and reads the op mix from ops
+	// (DESIGN.md §5.7).
 	profiler *explain.WorkloadProfiler
 	// putCount drives the every-Nth sampling of PUT attribute values into
 	// the profiler's time-correlation estimator.
 	putCount atomic.Int64
+}
+
+// table is one of the DB's LSM tables.
+type table struct {
+	name string // "primary" or "index-<attr>": its directory and report key
+	attr string // the indexed attribute; "" for the primary
+	db   *lsm.DB
 }
 
 // ErrUnknownAttr is returned by lookups on attributes that were not
@@ -236,9 +248,11 @@ func Open(dir string, opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
+	ops := metrics.NewOpStats()
 	db := &DB{opts: opts, primary: primary,
-		tracer: tracer, ops: metrics.NewOpStats(), events: events,
-		profiler: explain.NewWorkloadProfiler(events)}
+		tables: []table{{name: "primary", db: primary}},
+		tracer: tracer, ops: ops, events: events,
+		profiler: explain.NewWorkloadProfiler(ops, events)}
 
 	switch opts.Index {
 	case IndexEager, IndexLazy, IndexComposite:
@@ -257,13 +271,11 @@ func Open(dir string, opts Options) (*DB, error) {
 			}
 			idx, err := lsm.Open(filepath.Join(dir, "index-"+attr), &idxOpts)
 			if err != nil {
-				_ = primary.Close()
-				for _, other := range db.indexes {
-					_ = other.Close()
-				}
+				_ = db.Close()
 				return nil, err
 			}
 			db.indexes[attr] = idx
+			db.tables = append(db.tables, table{name: "index-" + attr, attr: attr, db: idx})
 		}
 	}
 	return db, nil
@@ -283,7 +295,6 @@ func (db *DB) Get(key string) ([]byte, bool, error) {
 	}
 	tr.Finish()
 	db.ops.Observe(metrics.OpGet, time.Since(t0))
-	db.profiler.RecordOp(metrics.OpGet)
 	if io.PointGets > 0 && err == nil {
 		db.recordModelRatio(metrics.OpGet, "", "", "", nil, io)
 	}
@@ -300,7 +311,6 @@ func (db *DB) Put(key string, value []byte) error {
 	err := db.putTraced(key, value, slots, tr)
 	tr.Finish()
 	db.ops.Observe(metrics.OpPut, time.Since(t0))
-	db.profiler.RecordOp(metrics.OpPut)
 	// Sample every 16th PUT's attribute values into the time-correlation
 	// estimator — it needs consecutive-pair counts, not every write. The
 	// stand-alone kinds have scanned the document already.
@@ -374,7 +384,6 @@ func (db *DB) Delete(key string) error {
 	err := db.deleteTraced(key, tr)
 	tr.Finish()
 	db.ops.Observe(metrics.OpDelete, time.Since(t0))
-	db.profiler.RecordOp(metrics.OpDelete)
 	return err
 }
 
@@ -432,7 +441,7 @@ func (db *DB) Lookup(attr, value string, k int) ([]Entry, error) {
 	}
 	tr.Finish()
 	db.ops.Observe(metrics.OpLookup, time.Since(t0))
-	db.profiler.RecordQuery(metrics.OpLookup, k, len(out))
+	db.profiler.RecordQuery(k, len(out))
 	if io.BlockAccesses() > 0 && err == nil {
 		db.recordModelRatio(metrics.OpLookup, attr, value, value, out, io)
 	}
@@ -475,7 +484,7 @@ func (db *DB) RangeLookup(attr, lo, hi string, k int) ([]Entry, error) {
 	}
 	tr.Finish()
 	db.ops.Observe(metrics.OpRangeLookup, time.Since(t0))
-	db.profiler.RecordQuery(metrics.OpRangeLookup, k, len(out))
+	db.profiler.RecordQuery(k, len(out))
 	if io.BlockAccesses() > 0 && err == nil {
 		db.recordModelRatio(metrics.OpRangeLookup, attr, lo, hi, out, io)
 	}
@@ -508,11 +517,8 @@ func (db *DB) indexed(attr string) bool {
 
 // Flush forces all MemTables (primary and index tables) to disk.
 func (db *DB) Flush() error {
-	if err := db.primary.Flush(); err != nil {
-		return err
-	}
-	for _, idx := range db.indexes {
-		if err := idx.Flush(); err != nil {
+	for _, t := range db.tables {
+		if err := t.db.Flush(); err != nil {
 			return err
 		}
 	}
@@ -521,9 +527,9 @@ func (db *DB) Flush() error {
 
 // Close releases all resources.
 func (db *DB) Close() error {
-	err := db.primary.Close()
-	for _, idx := range db.indexes {
-		if e := idx.Close(); e != nil && err == nil {
+	var err error
+	for _, t := range db.tables {
+		if e := t.db.Close(); e != nil && err == nil {
 			err = e
 		}
 	}
@@ -540,8 +546,8 @@ type Stats struct {
 // Stats returns a snapshot of I/O counters.
 func (db *DB) Stats() Stats {
 	s := Stats{Primary: db.primary.Stats().Snapshot()}
-	for _, idx := range db.indexes {
-		s.Index = s.Index.Add(idx.Stats().Snapshot())
+	for _, t := range db.tables[1:] {
+		s.Index = s.Index.Add(t.db.Stats().Snapshot())
 	}
 	return s
 }
@@ -551,12 +557,9 @@ func (db *DB) Stats() Stats {
 // surfacing any mid-merge failure (the event log carries it as a
 // compaction_error event).
 func (db *DB) CompactAll() error {
-	if err := db.primary.CompactRange(nil, nil); err != nil {
-		return fmt.Errorf("core: compact primary: %w", err)
-	}
-	for attr, idx := range db.indexes {
-		if err := idx.CompactRange(nil, nil); err != nil {
-			return fmt.Errorf("core: compact index-%s: %w", attr, err)
+	for _, t := range db.tables {
+		if err := t.db.CompactRange(nil, nil); err != nil {
+			return fmt.Errorf("core: compact %s: %w", t.name, err)
 		}
 	}
 	return nil
@@ -564,10 +567,10 @@ func (db *DB) CompactAll() error {
 
 // GroupSizeHists returns the commits-per-WAL-write histogram of every
 // table, keyed like LevelShapes ("primary", "index-<attr>").
-func (db *DB) GroupSizeHists() map[string]*metrics.Histogram {
-	out := map[string]*metrics.Histogram{"primary": db.primary.GroupSizeHist()}
-	for attr, idx := range db.indexes {
-		out["index-"+attr] = idx.GroupSizeHist()
+func (db *DB) GroupSizeHists() map[string]*metrics.BucketHistogram {
+	out := make(map[string]*metrics.BucketHistogram, len(db.tables))
+	for _, t := range db.tables {
+		out[t.name] = t.db.GroupSizeHist()
 	}
 	return out
 }
@@ -579,8 +582,8 @@ func (db *DB) DiskUsage() (primary, index int64, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	for _, idx := range db.indexes {
-		n, err := idx.DiskUsage()
+	for _, t := range db.tables[1:] {
+		n, err := t.db.DiskUsage()
 		if err != nil {
 			return 0, 0, err
 		}
@@ -592,9 +595,9 @@ func (db *DB) DiskUsage() (primary, index int64, err error) {
 // FilterMemoryUsage reports memory-resident filter and zone-map bytes
 // (Embedded index overhead accounting).
 func (db *DB) FilterMemoryUsage() int {
-	n := db.primary.FilterMemoryUsage()
-	for _, idx := range db.indexes {
-		n += idx.FilterMemoryUsage()
+	n := 0
+	for _, t := range db.tables {
+		n += t.db.FilterMemoryUsage()
 	}
 	return n
 }
@@ -682,18 +685,13 @@ func (m *lazyCompactionMerger) mergeSalvage(values [][]byte, bottom bool) ([]byt
 // scan, ordering, and level-shape checks (see lsm.Verify). The returned
 // map is keyed by table name ("primary" or "index-<attr>").
 func (db *DB) Verify() (map[string]lsm.VerifyReport, error) {
-	out := map[string]lsm.VerifyReport{}
-	rep, err := db.primary.Verify()
-	if err != nil {
-		return nil, err
-	}
-	out["primary"] = rep
-	for attr, idx := range db.indexes {
-		rep, err := idx.Verify()
+	out := make(map[string]lsm.VerifyReport, len(db.tables))
+	for _, t := range db.tables {
+		rep, err := t.db.Verify()
 		if err != nil {
 			return nil, err
 		}
-		out["index-"+attr] = rep
+		out[t.name] = rep
 	}
 	return out, nil
 }
@@ -701,9 +699,9 @@ func (db *DB) Verify() (map[string]lsm.VerifyReport, error) {
 // DebugString renders the level shape of the primary table and each
 // index table.
 func (db *DB) DebugString() string {
-	s := "primary:\n" + indent(db.primary.DebugString())
-	for attr, idx := range db.indexes {
-		s += "index-" + attr + ":\n" + indent(idx.DebugString())
+	s := ""
+	for _, t := range db.tables {
+		s += t.name + ":\n" + indent(t.db.DebugString())
 	}
 	return s
 }
@@ -737,11 +735,8 @@ func (db *DB) Profiler() *explain.WorkloadProfiler { return db.profiler }
 // and every index table (lsm.ErrClosed, lsm.ErrStalled, or a sticky
 // background-pipeline error), or nil when all tables serve normally.
 func (db *DB) Health() error {
-	if err := db.primary.Health(); err != nil {
-		return err
-	}
-	for _, idx := range db.indexes {
-		if err := idx.Health(); err != nil {
+	for _, t := range db.tables {
+		if err := t.db.Health(); err != nil {
 			return err
 		}
 	}
@@ -751,9 +746,9 @@ func (db *DB) Health() error {
 // LevelShapes returns the per-level shape of every table, keyed by table
 // name ("primary", "index-<attr>") — the tree gauges served at /metrics.
 func (db *DB) LevelShapes() map[string][]lsm.LevelInfo {
-	out := map[string][]lsm.LevelInfo{"primary": db.primary.LevelShape()}
-	for attr, idx := range db.indexes {
-		out["index-"+attr] = idx.LevelShape()
+	out := make(map[string][]lsm.LevelInfo, len(db.tables))
+	for _, t := range db.tables {
+		out[t.name] = t.db.LevelShape()
 	}
 	return out
 }
@@ -774,10 +769,10 @@ func (db *DB) WriteAmplification() (primary float64, index map[string]float64) {
 	if primary == 0 {
 		primaryIngest = ps.BlockWriteBytes // lower bound when 0 ingest info
 	}
-	for attr, idx := range db.indexes {
-		is := idx.Stats().Snapshot()
+	for _, t := range db.tables[1:] {
+		is := t.db.Stats().Snapshot()
 		if primaryIngest > 0 {
-			index[attr] = float64(is.BlockWriteBytes+is.CompactionWriteBytes) / float64(primaryIngest)
+			index[t.attr] = float64(is.BlockWriteBytes+is.CompactionWriteBytes) / float64(primaryIngest)
 		}
 	}
 	return primary, index
@@ -789,11 +784,8 @@ func (db *DB) WriteAmplification() (primary float64, index map[string]float64) {
 func (db *DB) Checkpoint(destDir string) error {
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
-	if err := db.primary.Checkpoint(filepath.Join(destDir, "primary")); err != nil {
-		return err
-	}
-	for attr, idx := range db.indexes {
-		if err := idx.Checkpoint(filepath.Join(destDir, "index-"+attr)); err != nil {
+	for _, t := range db.tables {
+		if err := t.db.Checkpoint(filepath.Join(destDir, t.name)); err != nil {
 			return err
 		}
 	}
@@ -814,8 +806,8 @@ func (db *DB) CompactRange(lo, hi string) error {
 	if err := db.primary.CompactRange(loB, hiB); err != nil {
 		return err
 	}
-	for _, idx := range db.indexes {
-		if err := idx.CompactRange(nil, nil); err != nil {
+	for _, t := range db.tables[1:] {
+		if err := t.db.CompactRange(nil, nil); err != nil {
 			return err
 		}
 	}

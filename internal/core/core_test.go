@@ -571,3 +571,25 @@ func TestWriteAmplificationOneSnapshot(t *testing.T) {
 		})
 	}
 }
+
+// TestDebugStringTableOrder: the debug listing walks the tables in one
+// fixed order, the primary and then the index tables in Options.Attrs
+// order, so it reads the same on every call.
+func TestDebugStringTableOrder(t *testing.T) {
+	db := openKind(t, IndexLazy)
+	for i := 0; i < 200; i++ {
+		if err := db.Put(fmt.Sprintf("k%03d", i), tweetDoc(fmt.Sprintf("u%d", i%7), i, "x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first := db.DebugString()
+	p, u, c := strings.Index(first, "primary:"), strings.Index(first, "index-UserID:"), strings.Index(first, "index-CreationTime:")
+	if !(p == 0 && p < u && u < c) {
+		t.Fatalf("tables out of order:\n%s", first)
+	}
+	for i := 0; i < 20; i++ {
+		if got := db.DebugString(); got != first {
+			t.Fatalf("call %d:\n%s\ndiffers from the first:\n%s", i+2, got, first)
+		}
+	}
+}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"time"
+
 	"leveldbpp/internal/costmodel"
 	"leveldbpp/internal/explain"
 	"leveldbpp/internal/metrics"
@@ -19,6 +21,7 @@ const epsilonBlocks = 2
 
 // ExplainGet runs GET under a detached trace and reports it.
 func (db *DB) ExplainGet(key string) ([]byte, bool, *explain.Report, error) {
+	t0 := time.Now()
 	tr := metrics.StartDetached(metrics.OpGet)
 	tr.SetDetail("key=" + key)
 	value, ok, err := db.primary.GetTraced([]byte(key), tr)
@@ -30,7 +33,7 @@ func (db *DB) ExplainGet(key string) ([]byte, bool, *explain.Report, error) {
 		results = 1
 	}
 	rep := db.buildReport(tr, metrics.OpGet, "", "", "", 0, results, nil)
-	db.profiler.RecordOp(metrics.OpGet)
+	db.ops.Observe(metrics.OpGet, time.Since(t0))
 	db.profiler.RecordRatio(metrics.OpGet, rep.Ratio)
 	return value, ok, rep, nil
 }
@@ -41,6 +44,7 @@ func (db *DB) ExplainLookup(attr, value string, k int) ([]Entry, *explain.Report
 	if !db.indexed(attr) {
 		return nil, nil, ErrUnknownAttr
 	}
+	t0 := time.Now()
 	tr := metrics.StartDetached(metrics.OpLookup)
 	tr.SetDetail(attr + "=" + value + " plan=" + db.planName(metrics.OpLookup))
 	out, err := db.lookupTraced(attr, value, k, tr)
@@ -48,7 +52,8 @@ func (db *DB) ExplainLookup(attr, value string, k int) ([]Entry, *explain.Report
 		return nil, nil, err
 	}
 	rep := db.buildReport(tr, metrics.OpLookup, attr, value, value, k, len(out), out)
-	db.profiler.RecordQuery(metrics.OpLookup, k, len(out))
+	db.ops.Observe(metrics.OpLookup, time.Since(t0))
+	db.profiler.RecordQuery(k, len(out))
 	db.profiler.RecordRatio(metrics.OpLookup, rep.Ratio)
 	return out, rep, nil
 }
@@ -63,6 +68,7 @@ func (db *DB) ExplainRangeLookup(attr, lo, hi string, k int) ([]Entry, *explain.
 		return nil, &explain.Report{Op: metrics.OpRangeLookup.String(),
 			Index: db.opts.Index.String(), Plan: db.planName(metrics.OpRangeLookup)}, nil
 	}
+	t0 := time.Now()
 	tr := metrics.StartDetached(metrics.OpRangeLookup)
 	tr.SetDetail(attr + "=[" + lo + "," + hi + "] plan=" + db.planName(metrics.OpRangeLookup))
 	out, err := db.rangeLookupTraced(attr, lo, hi, k, tr)
@@ -70,7 +76,8 @@ func (db *DB) ExplainRangeLookup(attr, lo, hi string, k int) ([]Entry, *explain.
 		return nil, nil, err
 	}
 	rep := db.buildReport(tr, metrics.OpRangeLookup, attr, lo, hi, k, len(out), out)
-	db.profiler.RecordQuery(metrics.OpRangeLookup, k, len(out))
+	db.ops.Observe(metrics.OpRangeLookup, time.Since(t0))
+	db.profiler.RecordQuery(k, len(out))
 	db.profiler.RecordRatio(metrics.OpRangeLookup, rep.Ratio)
 	return out, rep, nil
 }

@@ -26,19 +26,20 @@ const (
 )
 
 // WorkloadProfiler aggregates the live operation stream into a rolling
-// workload snapshot: operation mix, top-K request distribution, matched
+// workload snapshot: operation mix (read from the DB's OpStats, which
+// counts every operation once), top-K request distribution, matched
 // result-set sizes, per-attribute time correlation of ingested values, and
 // per-op observed/predicted cost ratios (the model-drift tracker). All
 // methods are safe for concurrent use; the hot recording paths are a few
 // atomic adds or one short mutex hold.
 type WorkloadProfiler struct {
+	ops    *metrics.OpStats  // the operation counts
 	events *metrics.EventLog // drift events sink; may be nil
 
-	ops       [metrics.NumOps]atomic.Int64
 	unbounded atomic.Int64 // secondary queries with no K bound
 
 	topK    *metrics.Histogram // requested K of bounded secondary queries
-	matched *metrics.Histogram // result-set sizes of secondary queries
+	matched atomic.Int64       // result-set sizes of secondary queries, summed
 
 	mu      sync.Mutex
 	attrs   map[string]*attrCorr        // guarded by mu
@@ -46,42 +47,33 @@ type WorkloadProfiler struct {
 	drifted [metrics.NumOps]bool        // guarded by mu
 }
 
-// NewWorkloadProfiler returns a profiler emitting drift events to events
-// (which may be nil for a silent profiler).
-func NewWorkloadProfiler(events *metrics.EventLog) *WorkloadProfiler {
+// NewWorkloadProfiler returns a profiler whose op mix is ops's counts,
+// emitting drift events to events (which may be nil for a silent
+// profiler).
+func NewWorkloadProfiler(ops *metrics.OpStats, events *metrics.EventLog) *WorkloadProfiler {
 	return &WorkloadProfiler{
-		events:  events,
-		topK:    metrics.NewHistogram(0),
-		matched: metrics.NewHistogram(0),
-		attrs:   map[string]*attrCorr{},
+		ops:    ops,
+		events: events,
+		topK:   metrics.NewHistogram(0),
+		attrs:  map[string]*attrCorr{},
 	}
 }
 
-// RecordOp counts one operation (writes, gets, scans). Nil-safe.
+// RecordQuery records one secondary-index query's requested K
+// (0 = unbounded) and the number of results it matched; the query itself
+// is counted by OpStats. Nil-safe.
 //
 //lsm:hotpath
-func (p *WorkloadProfiler) RecordOp(op metrics.Op) {
+func (p *WorkloadProfiler) RecordQuery(k, matched int) {
 	if p == nil {
 		return
 	}
-	p.ops[op].Add(1)
-}
-
-// RecordQuery counts one secondary-index query with its requested K
-// (0 = unbounded) and the number of results it matched. Nil-safe.
-//
-//lsm:hotpath
-func (p *WorkloadProfiler) RecordQuery(op metrics.Op, k, matched int) {
-	if p == nil {
-		return
-	}
-	p.ops[op].Add(1)
 	if k > 0 {
 		p.topK.Observe(float64(k))
 	} else {
 		p.unbounded.Add(1)
 	}
-	p.matched.Observe(float64(matched))
+	p.matched.Add(int64(matched))
 }
 
 // RecordAttrValue feeds one ingested secondary-attribute value into the
@@ -178,7 +170,7 @@ func (p *WorkloadProfiler) Snapshot() Workload {
 	w.Ops = map[string]int64{}
 	var writes, secondary int64
 	for op := metrics.Op(0); op < metrics.NumOps; op++ {
-		n := p.ops[op].Load()
+		n := p.ops.Hist(op).Count()
 		if n == 0 {
 			continue
 		}
@@ -197,17 +189,15 @@ func (p *WorkloadProfiler) Snapshot() Workload {
 	}
 	bounded := p.topK.Count()
 	unbounded := p.unbounded.Load()
-	if bounded+unbounded > 0 {
-		w.UnboundedFraction = float64(unbounded) / float64(bounded+unbounded)
+	if queries := bounded + unbounded; queries > 0 {
+		w.UnboundedFraction = float64(unbounded) / float64(queries)
+		w.MeanMatched = float64(p.matched.Load()) / float64(queries)
 	}
 	// TypicalTopK is the median requested K — unless most secondary
 	// queries are unbounded, in which case the workload has no meaningful
 	// top-K and the advisor's "small-K favours Lazy" rule must not apply.
 	if bounded > unbounded && bounded > 0 {
 		w.TypicalTopK = int(p.topK.Quantile(0.5))
-	}
-	if p.matched.Count() > 0 {
-		w.MeanMatched = p.matched.Mean()
 	}
 
 	p.mu.Lock()

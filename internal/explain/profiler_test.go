@@ -4,23 +4,27 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"leveldbpp/internal/metrics"
 )
 
 func TestWorkloadSnapshot(t *testing.T) {
-	p := NewWorkloadProfiler(nil)
+	ops := metrics.NewOpStats()
+	p := NewWorkloadProfiler(ops, nil)
 	for i := 0; i < 60; i++ {
-		p.RecordOp(metrics.OpPut)
+		ops.Observe(metrics.OpPut, time.Microsecond)
 	}
 	for i := 0; i < 20; i++ {
-		p.RecordOp(metrics.OpGet)
+		ops.Observe(metrics.OpGet, time.Microsecond)
 	}
 	for i := 0; i < 15; i++ {
-		p.RecordQuery(metrics.OpLookup, 10, 25)
+		ops.Observe(metrics.OpLookup, time.Microsecond)
+		p.RecordQuery(10, 25)
 	}
 	for i := 0; i < 5; i++ {
-		p.RecordQuery(metrics.OpRangeLookup, 0, 100) // unbounded
+		ops.Observe(metrics.OpRangeLookup, time.Microsecond)
+		p.RecordQuery(0, 100) // unbounded
 	}
 	w := p.Snapshot()
 	if w.TotalOps != 100 {
@@ -38,24 +42,24 @@ func TestWorkloadSnapshot(t *testing.T) {
 	if w.UnboundedFraction != 0.25 {
 		t.Errorf("UnboundedFraction = %g, want 0.25", w.UnboundedFraction)
 	}
-	if w.MeanMatched <= 0 {
-		t.Errorf("MeanMatched = %g", w.MeanMatched)
+	if w.MeanMatched != 43.75 { // (15·25 + 5·100) / 20
+		t.Errorf("MeanMatched = %g, want 43.75", w.MeanMatched)
 	}
 }
 
 func TestTypicalTopKUnboundedMajority(t *testing.T) {
-	p := NewWorkloadProfiler(nil)
+	p := NewWorkloadProfiler(metrics.NewOpStats(), nil)
 	for i := 0; i < 10; i++ {
-		p.RecordQuery(metrics.OpLookup, 0, 50)
+		p.RecordQuery(0, 50)
 	}
-	p.RecordQuery(metrics.OpLookup, 5, 50)
+	p.RecordQuery(5, 50)
 	if w := p.Snapshot(); w.TypicalTopK != 0 {
 		t.Fatalf("TypicalTopK = %d for an unbounded-majority workload, want 0", w.TypicalTopK)
 	}
 }
 
 func TestTimeCorrelated(t *testing.T) {
-	p := NewWorkloadProfiler(nil)
+	p := NewWorkloadProfiler(metrics.NewOpStats(), nil)
 	// Below corrMinSamples: never correlated, however clean the order.
 	for i := 0; i < corrMinSamples/2; i++ {
 		p.RecordAttrValue("CreationTime", fmt.Sprintf("%010d", i))
@@ -90,7 +94,7 @@ func TestTimeCorrelated(t *testing.T) {
 // excursion fires again.
 func TestModelDriftEvent(t *testing.T) {
 	events := metrics.NewEventLog(64)
-	p := NewWorkloadProfiler(events)
+	p := NewWorkloadProfiler(metrics.NewOpStats(), events)
 
 	drifts := func() int {
 		n := 0
@@ -135,7 +139,7 @@ func TestModelDriftEvent(t *testing.T) {
 }
 
 func TestRecordRatioIgnoresNonPositive(t *testing.T) {
-	p := NewWorkloadProfiler(nil)
+	p := NewWorkloadProfiler(metrics.NewOpStats(), nil)
 	p.RecordRatio(metrics.OpLookup, 0)
 	p.RecordRatio(metrics.OpLookup, -3)
 	if w := p.Snapshot(); len(w.Ratios) != 0 {
@@ -145,8 +149,7 @@ func TestRecordRatioIgnoresNonPositive(t *testing.T) {
 
 func TestNilProfilerSafe(t *testing.T) {
 	var p *WorkloadProfiler
-	p.RecordOp(metrics.OpPut)
-	p.RecordQuery(metrics.OpLookup, 10, 5)
+	p.RecordQuery(10, 5)
 	p.RecordAttrValue("a", "v")
 	p.RecordRatio(metrics.OpLookup, 1)
 	if p.TimeCorrelated("a") {
@@ -157,10 +160,12 @@ func TestNilProfilerSafe(t *testing.T) {
 	}
 }
 
-// TestProfilerConcurrent hammers every recording path alongside Snapshot
-// readers; run under -race this is the profiler's thread-safety gate.
+// TestProfilerConcurrent hammers every recording path, and the OpStats
+// the op mix is read from, alongside Snapshot readers; run under -race
+// this is the profiler's thread-safety gate.
 func TestProfilerConcurrent(t *testing.T) {
-	p := NewWorkloadProfiler(metrics.NewEventLog(16))
+	ops := metrics.NewOpStats()
+	p := NewWorkloadProfiler(ops, metrics.NewEventLog(16))
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -169,9 +174,10 @@ func TestProfilerConcurrent(t *testing.T) {
 			for i := 0; i < 2000; i++ {
 				switch i % 5 {
 				case 0:
-					p.RecordOp(metrics.OpPut)
+					ops.Observe(metrics.OpPut, time.Microsecond)
 				case 1:
-					p.RecordQuery(metrics.OpLookup, i%20, i%50)
+					ops.Observe(metrics.OpLookup, time.Microsecond)
+					p.RecordQuery(i%20, i%50)
 				case 2:
 					p.RecordAttrValue("CreationTime", fmt.Sprintf("%010d", i))
 				case 3:
@@ -184,7 +190,7 @@ func TestProfilerConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if w := p.Snapshot(); w.TotalOps == 0 {
-		t.Fatal("no operations recorded")
+	if w := p.Snapshot(); w.TotalOps != 8*2*400 {
+		t.Fatalf("TotalOps = %d, want %d", w.TotalOps, 8*2*400)
 	}
 }

@@ -126,7 +126,7 @@ func (q *commitQueue) handoffLocked() *pendingCommit {
 }
 
 // GroupSizeHist returns the histogram of commits per WAL write pass.
-func (db *DB) GroupSizeHist() *metrics.Histogram { return db.groupSize }
+func (db *DB) GroupSizeHist() *metrics.BucketHistogram { return db.groupSize }
 
 // commit routes pc — a pooled pendingCommit whose records (not yet
 // sequenced), noCopy and tr the caller filled in — through the queue,

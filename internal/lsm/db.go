@@ -31,9 +31,9 @@ var ErrStalled = errors.New("lsm: write stall: level-0 at stop trigger")
 // only while holding locks strictly earlier in some chain; the order is
 // the transitive closure of all chains. core's writeMu is the outermost
 // (it serializes primary+index write pairs above this package), then the
-// compaction interlock, then db.mu, then the WAL lock; cache shards and
-// metrics histograms are leaves taken under db.mu. The commit queue has
-// no lock of its own: db.mu guards it.
+// compaction interlock, then db.mu, then the WAL lock; cache shards are
+// leaves taken under db.mu. The commit queue has no lock of its own: db.mu
+// guards it, and the group-size histogram is lock-free.
 //
 // The tracer's ring mutex is a leaf below db.mu. A compaction job is
 // entered with db.mu held and drops it only for the merge, which the
@@ -42,7 +42,6 @@ var ErrStalled = errors.New("lsm: write stall: level-0 at stop trigger")
 //
 //lsm:lockorder core.DB.writeMu < lsm.background.compactionMu < lsm.DB.mu < lsm.DB.logMu
 //lsm:lockorder lsm.DB.mu < cache.shard.mu
-//lsm:lockorder lsm.DB.mu < metrics.Histogram.mu
 //lsm:lockorder lsm.DB.mu < metrics.Tracer.mu
 
 // DB is a single-node LSM key-value store. Writes are serialized. The
@@ -85,7 +84,7 @@ type DB struct {
 	// MemTables.
 	commitsInFlight int // guarded by mu
 	commitQ         commitQueue
-	groupSize       *metrics.Histogram // commits per WAL write pass
+	groupSize       *metrics.BucketHistogram // commits per WAL write pass
 
 	// nextFileNum is atomic so a compaction can allocate output numbers
 	// while rolling tables without holding db.mu.
@@ -124,7 +123,7 @@ func Open(dir string, o *Options) (*DB, error) {
 	db.cond = sync.NewCond(&db.mu)
 	db.commitQ.maxWaiters = maxGroupWaiters
 	db.nextFileNum.Store(1)
-	db.groupSize = metrics.NewHistogramBuckets(0, metrics.ExpBuckets(1, 2, 9))
+	db.groupSize = metrics.NewBucketHistogram(metrics.ExpBuckets(1, 2, 9))
 	if opts.BlockCacheBytes > 0 {
 		db.blockCache = cache.New(opts.BlockCacheBytes)
 	}

@@ -3,8 +3,10 @@ package metrics
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"time"
 )
 
@@ -29,51 +31,49 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 // for a cache-hit GET and a compaction-stalled PUT alike.
 var DefLatencyBuckets = ExpBuckets(1e-6, 2, 24)
 
-// NewHistogramBuckets is NewHistogram with Prometheus bucket counting
-// enabled over the given sorted upper bounds.
-//
-//lsm:locked — the histogram is unpublished until this returns.
-func NewHistogramBuckets(capSamples int, bounds []float64) *Histogram {
-	h := NewHistogram(capSamples)
-	h.bounds = append([]float64(nil), bounds...)
+// BucketHistogram is the /metrics histogram: a count per bucket, a total
+// count and a sum, all atomic. It keeps no samples and takes no lock, so
+// an operation or a commit leader under lsm.DB.mu records into it without
+// waiting on a scrape. Box plots, which need samples, use Histogram.
+type BucketHistogram struct {
+	bounds  []float64      // sorted upper bounds; immutable
+	buckets []atomic.Int64 // buckets[i] counts bounds[i-1] < v <= bounds[i]
+	count   atomic.Int64
+	sum     atomic.Uint64 // math.Float64bits of the running sum
+}
+
+// NewBucketHistogram returns a histogram over the given upper bounds.
+func NewBucketHistogram(bounds []float64) *BucketHistogram {
+	h := &BucketHistogram{bounds: append([]float64(nil), bounds...)}
 	sort.Float64s(h.bounds)
-	h.buckets = make([]int64, len(h.bounds))
+	h.buckets = make([]atomic.Int64, len(h.bounds))
 	return h
 }
 
-// Buckets returns the bucket upper bounds and the cumulative count of
-// observations at or below each bound. Both slices are copies; nil when
-// the histogram was built without buckets.
-func (h *Histogram) Buckets() (bounds []float64, cumulative []int64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.bounds == nil {
-		return nil, nil
+// Observe records one value. The total count is bumped before the bucket,
+// and WritePrometheus reads the buckets before the count, so a concurrent
+// scrape never sees a bucket above +Inf.
+//
+//lsm:hotpath
+func (h *BucketHistogram) Observe(v float64) {
+	h.count.Add(1)
+	// v above every bound is counted only by the count (the +Inf bucket).
+	if i := sort.SearchFloat64s(h.bounds, v); i < len(h.buckets) {
+		h.buckets[i].Add(1)
 	}
-	bounds = append([]float64(nil), h.bounds...)
-	cumulative = make([]int64, len(h.buckets))
-	var running int64
-	for i, c := range h.buckets {
-		running += c
-		cumulative[i] = running
+	for {
+		old := h.sum.Load()
+		if h.sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
+			return
+		}
 	}
-	return bounds, cumulative
 }
+
+// Count returns the number of observations.
+func (h *BucketHistogram) Count() int64 { return h.count.Load() }
 
 // Sum returns the sum of all observations.
-func (h *Histogram) Sum() float64 { h.mu.Lock(); defer h.mu.Unlock(); return h.sum }
-
-// observeBucketLocked increments the bucket for v. Caller holds h.mu.
-func (h *Histogram) observeBucketLocked(v float64) {
-	if h.bounds == nil {
-		return
-	}
-	i := sort.SearchFloat64s(h.bounds, v)
-	if i < len(h.buckets) {
-		h.buckets[i]++
-	}
-	// v above every bound is counted only by _count (the +Inf bucket).
-}
+func (h *BucketHistogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
 // promEscape escapes a label value per the Prometheus text format.
 func promEscape(s string) string {
@@ -117,35 +117,37 @@ func WriteSample(w io.Writer, name, labels string, v float64) {
 // WritePrometheus renders the histogram as a Prometheus histogram named
 // name with the given extra labels. The caller emits the HELP/TYPE header
 // once per name (several label sets may share it).
-func (h *Histogram) WritePrometheus(w io.Writer, name string, labels map[string]string) {
-	bounds, cum := h.Buckets()
+func (h *BucketHistogram) WritePrometheus(w io.Writer, name string, labels map[string]string) {
 	base := make(map[string]string, len(labels)+1)
 	for k, v := range labels {
 		base[k] = v
 	}
-	for i, b := range bounds {
+	var cum int64
+	for i, b := range h.bounds {
+		cum += h.buckets[i].Load()
 		base["le"] = fmt.Sprintf("%g", b)
-		WriteSample(w, name+"_bucket", Labels(base), float64(cum[i]))
+		WriteSample(w, name+"_bucket", Labels(base), float64(cum))
 	}
+	count := h.Count()
 	base["le"] = "+Inf"
-	WriteSample(w, name+"_bucket", Labels(base), float64(h.Count()))
+	WriteSample(w, name+"_bucket", Labels(base), float64(count))
 	delete(base, "le")
 	WriteSample(w, name+"_sum", Labels(base), h.Sum())
-	WriteSample(w, name+"_count", Labels(base), float64(h.Count()))
+	WriteSample(w, name+"_count", Labels(base), float64(count))
 }
 
 // OpStats records one latency histogram per operation kind, in seconds
 // with DefLatencyBuckets — the per-operation histograms served at
 // /metrics as lsmpp_op_latency_seconds{op="..."}.
 type OpStats struct {
-	hist [NumOps]*Histogram
+	hist [NumOps]*BucketHistogram
 }
 
 // NewOpStats returns a ready OpStats.
 func NewOpStats() *OpStats {
 	s := &OpStats{}
 	for i := range s.hist {
-		s.hist[i] = NewHistogramBuckets(0, DefLatencyBuckets)
+		s.hist[i] = NewBucketHistogram(DefLatencyBuckets)
 	}
 	return s
 }
@@ -159,7 +161,7 @@ func (s *OpStats) Observe(op Op, d time.Duration) {
 }
 
 // Hist returns the histogram for op.
-func (s *OpStats) Hist(op Op) *Histogram {
+func (s *OpStats) Hist(op Op) *BucketHistogram {
 	if s == nil {
 		return nil
 	}

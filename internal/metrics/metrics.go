@@ -6,7 +6,6 @@ package metrics
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -197,22 +196,16 @@ func (sn Snapshot) CompactionIO() int64 { return sn.CompactionReads + sn.Compact
 // Histogram collects latency (or any scalar) samples and reports the
 // five-number summary used in the paper's box plots. It keeps every sample
 // up to a cap, then switches to uniform reservoir sampling, preserving
-// unbiased quantile estimates for arbitrarily long runs.
+// unbiased quantile estimates for arbitrarily long runs. The /metrics
+// histograms, which need no samples, are BucketHistograms.
 type Histogram struct {
 	mu      sync.Mutex
 	samples []float64 // guarded by mu
 	sorted  bool      // guarded by mu
 	count   int64     // guarded by mu
 	sum     float64   // guarded by mu
-	min     float64   // guarded by mu
-	max     float64   // guarded by mu
 	cap     int
 	rnd     *rand.Rand // guarded by mu
-	// bounds/buckets enable Prometheus bucket export (histogram_export.go);
-	// nil unless built with NewHistogramBuckets. bounds is immutable after
-	// construction.
-	bounds  []float64
-	buckets []int64 // guarded by mu
 }
 
 // NewHistogram returns a histogram retaining at most capSamples raw values
@@ -221,7 +214,7 @@ func NewHistogram(capSamples int) *Histogram {
 	if capSamples <= 0 {
 		capSamples = 100000
 	}
-	return &Histogram{cap: capSamples, min: math.Inf(1), max: math.Inf(-1), rnd: rand.New(rand.NewSource(1))}
+	return &Histogram{cap: capSamples, rnd: rand.New(rand.NewSource(1))}
 }
 
 // Observe records one sample.
@@ -230,18 +223,11 @@ func (h *Histogram) Observe(v float64) {
 	defer h.mu.Unlock()
 	h.count++
 	h.sum += v
-	if v < h.min {
-		h.min = v
-	}
-	if v > h.max {
-		h.max = v
-	}
 	if len(h.samples) < h.cap {
 		h.samples = append(h.samples, v)
 	} else if j := h.rnd.Int63n(h.count); j < int64(h.cap) {
 		h.samples[j] = v
 	}
-	h.observeBucketLocked(v)
 	h.sorted = false
 }
 
@@ -258,10 +244,6 @@ func (h *Histogram) Mean() float64 {
 	}
 	return h.sum / float64(h.count)
 }
-
-// Min and Max return observed extremes over the full stream.
-func (h *Histogram) Min() float64 { h.mu.Lock(); defer h.mu.Unlock(); return h.min }
-func (h *Histogram) Max() float64 { h.mu.Lock(); defer h.mu.Unlock(); return h.max }
 
 // Quantile returns the q-quantile (0 <= q <= 1) estimated from retained
 // samples using linear interpolation.

@@ -4,62 +4,107 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"io"
+	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
-// TestHistogramRaceMixedReadersWriters hammers one bucketed histogram with
+// TestHistogramRaceMixedReadersWriters hammers one bucket histogram with
 // concurrent writers and every reader the exporter uses; run under -race
-// (make ci does) this proves the /metrics render path can share a live
-// histogram with the operation hot path.
+// (make lint-race does) this proves the /metrics render path can share a
+// live histogram with the operation hot path, and the final counts show
+// that no observation was lost.
 func TestHistogramRaceMixedReadersWriters(t *testing.T) {
-	h := NewHistogramBuckets(1000, DefLatencyBuckets)
+	h := NewBucketHistogram(DefLatencyBuckets)
+	const writers, perWriter = 4, 5000
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 5000; i++ {
-				h.Observe(float64(i%100) * 1e-6)
-			}
-		}(g)
-	}
-	for g := 0; g < 4; g++ {
+	for g := 0; g < writers; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				h.Observe(float64(i%100) * 1e-6)
+			}
+		}()
+	}
+	var readers sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				h.Quantile(0.99)
-				h.Mean()
-				h.Buckets()
-				h.BoxPlot()
-				h.WritePrometheus(io.Discard, "x", map[string]string{"op": "get"})
+				// Scrape order: buckets, then count. Every cumulative bucket
+				// must stay within the +Inf bucket.
+				var buf bytes.Buffer
+				h.WritePrometheus(&buf, "x", map[string]string{"op": "get"})
+				if last, inf := bucketValue(t, buf.String(), "0.000128"), bucketValue(t, buf.String(), "+Inf"); last > inf {
+					t.Errorf("bucket le=0.000128 = %v above +Inf = %v", last, inf)
+				}
+				h.Count()
+				h.Sum()
 			}
 		}()
 	}
-	// Once the writers are done, release the readers.
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	for h.Count() < 20000 {
-		time.Sleep(time.Millisecond)
-	}
+	wg.Wait()
 	close(stop)
-	<-done
-	if h.Count() != 20000 {
-		t.Fatalf("Count = %d", h.Count())
+	readers.Wait()
+
+	if h.Count() != writers*perWriter {
+		t.Fatalf("Count = %d, want %d", h.Count(), writers*perWriter)
 	}
-	_, cum := h.Buckets()
-	if cum[len(cum)-1] > h.Count() {
-		t.Fatalf("cumulative buckets exceed count: %d > %d", cum[len(cum)-1], h.Count())
+	// Each writer observes 0..99 µs fifty times; bucket le=2^j µs holds the
+	// values in (2^(j-1), 2^j] µs, and le=1µs holds 0 and 1.
+	var buf bytes.Buffer
+	h.WritePrometheus(&buf, "x", nil)
+	for _, c := range []struct {
+		le   string
+		want float64
+	}{{"1e-06", 2}, {"2e-06", 3}, {"4e-06", 5}, {"6.4e-05", 65}, {"0.000128", 100}, {"+Inf", 100}} {
+		if got := bucketValue(t, buf.String(), c.le); got != c.want*writers*perWriter/100 {
+			t.Errorf("bucket le=%s = %v, want %v", c.le, got, c.want*writers*perWriter/100)
+		}
+	}
+	// The sum of 0..99 µs, 200 times over; float addition order varies
+	// with the interleaving, so compare to a tolerance.
+	if want := 4950e-6 * writers * perWriter / 100; math.Abs(h.Sum()-want) > 1e-9 {
+		t.Fatalf("Sum = %v, want %v", h.Sum(), want)
+	}
+}
+
+// bucketValue returns the value of the x_bucket sample with label le in
+// an exposition.
+func bucketValue(t *testing.T, exp, le string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(exp, "\n") {
+		if !strings.HasPrefix(line, "x_bucket{") || !strings.Contains(line, `le="`+le+`"`) {
+			continue
+		}
+		v, err := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	t.Fatalf("no bucket le=%s in\n%s", le, exp)
+	return 0
+}
+
+// TestBucketHistogramObserveAllocs: recording a value allocates nothing,
+// so OpStats and the commit leader's group-size histogram add no garbage
+// per operation.
+func TestBucketHistogramObserveAllocs(t *testing.T) {
+	h := NewBucketHistogram(DefLatencyBuckets)
+	if n := testing.AllocsPerRun(1000, func() { h.Observe(3e-5) }); n != 0 {
+		t.Fatalf("Observe allocates %v times, want 0", n)
 	}
 }
 
@@ -76,14 +121,14 @@ func TestEntriesDecodedPerGetZeroGets(t *testing.T) {
 
 func TestQuantileEdgeCases(t *testing.T) {
 	// Empty: every quantile and the bucket export degrade to zeros.
-	h := NewHistogramBuckets(10, []float64{1, 2})
+	h := NewHistogram(10)
 	for _, q := range []float64{0, 0.5, 1} {
 		if v := h.Quantile(q); v != 0 {
 			t.Fatalf("empty Quantile(%v) = %f", q, v)
 		}
 	}
 	var buf bytes.Buffer
-	h.WritePrometheus(&buf, "m", nil)
+	NewBucketHistogram([]float64{1, 2}).WritePrometheus(&buf, "m", nil)
 	if !strings.Contains(buf.String(), `m_bucket{le="+Inf"} 0`) {
 		t.Fatalf("empty histogram export:\n%s", buf.String())
 	}
@@ -102,22 +147,26 @@ func TestQuantileEdgeCases(t *testing.T) {
 }
 
 func TestBucketCountingCumulative(t *testing.T) {
-	h := NewHistogramBuckets(0, []float64{1, 10, 100})
-	for _, v := range []float64{0.5, 0.5, 5, 50, 500} {
+	h := NewBucketHistogram([]float64{100, 1, 10}) // sorted on construction
+	for _, v := range []float64{0.5, 0.5, 1, 5, 50, 500} {
 		h.Observe(v)
 	}
-	bounds, cum := h.Buckets()
-	if len(bounds) != 3 {
-		t.Fatalf("bounds = %v", bounds)
+	var buf bytes.Buffer
+	h.WritePrometheus(&buf, "m", map[string]string{"table": "primary"})
+	// ≤1: three (a bound is inclusive), ≤10: four, ≤100: five; 500 only
+	// in +Inf.
+	want := `m_bucket{le="1",table="primary"} 3
+m_bucket{le="10",table="primary"} 4
+m_bucket{le="100",table="primary"} 5
+m_bucket{le="+Inf",table="primary"} 6
+m_sum{table="primary"} 557
+m_count{table="primary"} 6
+`
+	if buf.String() != want {
+		t.Fatalf("export:\n%s\nwant:\n%s", buf.String(), want)
 	}
-	want := []int64{2, 3, 4} // ≤1: two, ≤10: three, ≤100: four; 500 only in +Inf
-	for i := range want {
-		if cum[i] != want[i] {
-			t.Fatalf("cum[%d] = %d, want %d", i, cum[i], want[i])
-		}
-	}
-	if h.Count() != 5 {
-		t.Fatalf("count = %d", h.Count())
+	if h.Count() != 6 || h.Sum() != 557 {
+		t.Fatalf("Count, Sum = %d, %v", h.Count(), h.Sum())
 	}
 }
 

@@ -466,21 +466,15 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	st := s.db.Stats()
 	pWAMF, idxWAMF := s.db.WriteAmplification()
-	both := st.Primary.Add(st.Index)
 	s.writeJSON(w, http.StatusOK, map[string]interface{}{
-		"index_kind":          s.db.Kind().String(),
-		"disk_primary_bytes":  prim,
-		"disk_index_bytes":    idx,
-		"filter_memory_bytes": s.db.FilterMemoryUsage(),
-		"primary_io":          st.Primary,
-		"index_io":            st.Index,
-		"primary_wamf":        pWAMF,
-		"index_wamf_per_attr": idxWAMF,
-		"postings": map[string]int64{
-			"bytes_decoded":    both.PostingsBytesDecoded,
-			"entries_decoded":  both.PostingsEntriesDecoded,
-			"fragments_merged": both.FragmentsMerged,
-		},
+		"index_kind":           s.db.Kind().String(),
+		"disk_primary_bytes":   prim,
+		"disk_index_bytes":     idx,
+		"filter_memory_bytes":  s.db.FilterMemoryUsage(),
+		"primary_io":           st.Primary,
+		"index_io":             st.Index,
+		"primary_wamf":         pWAMF,
+		"index_wamf_per_attr":  idxWAMF,
 		"last_sequence_number": s.db.LastSeq(),
 		"encode_errors":        s.encodeErrors.Load(),
 	})
