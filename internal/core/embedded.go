@@ -52,6 +52,8 @@ func (db *DB) embeddedScan(attr, lo, hi string, k int, useFilters bool, tr *metr
 		if db.opts.DisableGetLite {
 			seen = map[string]bool{}
 		}
+		// One block iterator, and its buffers, for every candidate block.
+		var blk sstable.BlockIter
 
 		// Phase attribution is per stratum: MemTable strata to
 		// mem_probe/imm_probe, SSTable strata — including the interleaved
@@ -75,7 +77,7 @@ func (db *DB) embeddedScan(attr, lo, hi string, k int, useFilters bool, tr *metr
 					if heap.Full() && fm.Table().MaxSeq() <= heap.MinSeq() {
 						continue // nothing here can improve the heap
 					}
-					if err := db.embeddedScanTable(v, strata, si, fm, attr, lo, hi, useFilters, seen, heap, tr); err != nil {
+					if err := db.embeddedScanTable(v, strata, si, fm, attr, lo, hi, useFilters, seen, &blk, heap, tr); err != nil {
 						tr.Since(metrics.PhaseIndexProbe, t0)
 						return err
 					}
@@ -157,15 +159,16 @@ func (db *DB) embeddedScanMem(strata []lsm.Stratum, si int, attr, lo, hi string,
 	return err
 }
 
-// embeddedScanTable reads the candidate blocks of one table and adds to
-// heap every live entry whose attr lies in [lo, hi], whose sequence number
-// is worth the top-K and which passes the validity check against the
-// strata above. The attribute is tested where it lies in the block; key
-// and value are copied only for an entry that is added.
+// embeddedScanTable reads the candidate blocks of one table through it and
+// adds to heap every live entry whose attr lies in [lo, hi], whose
+// sequence number is worth the top-K and which passes the validity check
+// against the strata above. The attribute is tested where it lies in the
+// block; key and value are copied only for an entry that is added, as the
+// next block may be loaded over them.
 //
 //lsm:hotpath
 func (db *DB) embeddedScanTable(v *lsm.View, strata []lsm.Stratum, si int, fm *lsm.FileMeta,
-	attr, lo, hi string, useFilters bool, seen map[string]bool, heap *topK, tr *metrics.Trace) error {
+	attr, lo, hi string, useFilters bool, seen map[string]bool, it *sstable.BlockIter, heap *topK, tr *metrics.Trace) error {
 
 	tbl := fm.Table()
 	var candidates []int
@@ -190,7 +193,7 @@ func (db *DB) embeddedScanTable(v *lsm.View, strata []lsm.Stratum, si int, fm *l
 
 	for _, bi := range candidates {
 		m := tr.BlockMark()
-		it, err := tbl.BlockIteratorTraced(bi, false, tr)
+		err := tbl.LoadBlock(it, bi, tr)
 		tr.CountLevelSince(strata[si].Level, m)
 		if err != nil {
 			return err

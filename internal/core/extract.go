@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math/bits"
 	"unicode/utf16"
 	"unicode/utf8"
 	"unsafe"
@@ -297,6 +299,18 @@ const (
 //lsm:hotpath
 func scanString(doc []byte, i int) (end int, flags uint8) {
 	for i++; i < len(doc); i++ {
+		// Skip ordinary bytes eight at a time, stopping at the first
+		// that is not.
+		for i+8 <= len(doc) {
+			if m := strSpecial(binary.LittleEndian.Uint64(doc[i:])); m != 0 {
+				i += bits.TrailingZeros64(m) >> 3
+				break
+			}
+			i += 8
+		}
+		if i == len(doc) {
+			break
+		}
 		c := doc[i]
 		if strOrdinary[c] {
 			continue
@@ -337,6 +351,20 @@ var strOrdinary = func() (t [256]bool) {
 	}
 	return t
 }()
+
+// strSpecial tests w, eight string bytes read little-endian, for a byte
+// strOrdinary does not mark. The result is zero if there is none; else
+// its lowest set bit is the top bit of the first such byte. Each test is
+// the borrow of a bytewise subtraction: x-0x01 borrows through a zero
+// byte (a quote or backslash, after the XOR), w-0x20 through a byte below
+// 0x20; a byte from 0x80 up has its own top bit. A borrow carries only
+// into later bytes, so it may flag bytes after the first but none before.
+func strSpecial(w uint64) uint64 {
+	const ones, tops = 0x0101010101010101, 0x8080808080808080
+	q := w ^ ones*'"'
+	b := w ^ ones*'\\'
+	return ((q-ones)&^q | (b-ones)&^b | (w - ones*0x20) | w) & tops
+}
 
 func isHex(c byte) bool {
 	return '0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F'

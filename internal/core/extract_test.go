@@ -134,6 +134,68 @@ func FuzzExtractAttrs(f *testing.F) {
 	})
 }
 
+// refScanString is scanString's byte loop as it was before the word skip:
+// the oracle of TestScanStringWords.
+func refScanString(doc []byte, i int) (end int, flags uint8) {
+	for i++; i < len(doc); i++ {
+		c := doc[i]
+		if strOrdinary[c] {
+			continue
+		}
+		switch {
+		case c == '"':
+			return i + 1, flags
+		case c == '\\':
+			flags |= strEscape
+			i++
+			if i >= len(doc) {
+				return -1, 0
+			}
+			switch doc[i] {
+			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
+			case 'u':
+				if i+4 >= len(doc) || !isHex(doc[i+1]) || !isHex(doc[i+2]) || !isHex(doc[i+3]) || !isHex(doc[i+4]) {
+					return -1, 0
+				}
+				i += 4
+			default:
+				return -1, 0
+			}
+		case c < 0x20:
+			return -1, 0
+		default:
+			flags |= strHigh
+		}
+	}
+	return -1, 0
+}
+
+// TestScanStringWords holds the eight-byte skip of scanString to the byte
+// loop: every special byte or escape at every offset 0-15 of strings of
+// 0-24 ordinary bytes, unterminated, closed, or closed and followed by
+// more of the document. The verdict, end index and flags must agree.
+func TestScanStringWords(t *testing.T) {
+	specials := []string{
+		"", `"`, `\`, `\\`, `\"`, `\n`, `\/`, `\u00e9`, `\u00`, `\x`,
+		"\x00", "\x1f", " ", "~", "\x7f", "\x80", "\xc3\xa9", "\xff",
+	}
+	const fill = "abcdefghijklmnopqrstuvwxyz"
+	for n := 0; n <= 24; n++ {
+		for off := 0; off <= 15 && off <= n; off++ {
+			for _, sp := range specials {
+				for _, tail := range []string{"", `"`, `","k":"value"}`} {
+					doc := []byte(`"` + fill[:off] + sp + fill[off:n] + tail)
+					end, flags := scanString(doc, 0)
+					wantEnd, wantFlags := refScanString(doc, 0)
+					if end != wantEnd || flags != wantFlags {
+						t.Fatalf("scanString(%q) = %d, %b; byte loop: %d, %b", doc, end, flags, wantEnd, wantFlags)
+					}
+				}
+			}
+		}
+	}
+}
+
 var benchTweet = tweetDoc("u0001234", 1234567, "lorem ipsum dolor sit amet, consectetur adipiscing elit, sed do eiusmod tempor")
 
 // TestExtractAllocations gates what the scanner is for: a document whose

@@ -208,8 +208,10 @@ func ownedCopy(p []byte) []byte {
 // binary-searches the restart array instead of decoding from the start.
 // An iterator may be re-initialised over successive blocks; its key
 // buffer is retained across resets so steady-state iteration and point
-// reads allocate nothing.
+// reads allocate nothing. Table.LoadBlock and a compaction Iterator also
+// decode each block into the iterator's own buf.
 type BlockIter struct {
+	buf         blockBuf
 	data        []byte // entry stream only (restart trailer stripped)
 	restarts    []byte // 4 bytes per restart offset, big-endian
 	numRestarts int

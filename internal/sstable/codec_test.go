@@ -740,4 +740,34 @@ func BenchmarkDecodeBlock(b *testing.B) {
 			}
 		})
 	}
+	// The same table's 4 KiB blocks all round, one per op: the whole
+	// inflate, and the dynamic-Huffman header (code lengths and table
+	// builds) alone. Their difference is the symbol loop.
+	blocks := compressedBlocks(b, 4096, len(entries))
+	b.Run("block=4096/every-block", func(b *testing.B) {
+		inf := new(inflater)
+		var dst []byte
+		var err error
+		b.ReportAllocs()
+		for n := 0; n < b.N; n++ {
+			if dst, err = inf.inflate(dst[:0], blocks[n%len(blocks)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		benchSink = dst
+	})
+	b.Run("block=4096/every-block/header", func(b *testing.B) {
+		inf := new(inflater)
+		b.ReportAllocs()
+		for n := 0; n < b.N; n++ {
+			src := blocks[n%len(blocks)]
+			bb, nb, pos, _ := refill(src, 0, 0, 0)
+			if bb>>1&3 != 2 {
+				b.Fatalf("block %d is not dynamic-Huffman", n%len(blocks))
+			}
+			if _, _, _, ok := inf.readTables(src, bb>>3, nb-3, pos); !ok {
+				b.Fatalf("block %d: bad header", n%len(blocks))
+			}
+		}
+	})
 }

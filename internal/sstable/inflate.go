@@ -14,6 +14,12 @@ import (
 // output slice itself. It accepts exactly the streams compress/flate's
 // reader accepts and decodes them to the same bytes (FuzzInflate holds it
 // to that).
+//
+// While at least eight input bytes and fastRoom bytes of output remain,
+// each turn of the symbol loop refills the bit buffer with one unchecked
+// 8-byte load and writes up to three literals, or two and a copy, by
+// index into the output's capacity. The last input bytes, and an output
+// that has run out of room, take the checked refill and grow the output.
 
 // Table geometry. Each Huffman code is decoded with one lookup in a root
 // table indexed by the next rootBits input bits, plus one lookup in a
@@ -109,26 +115,31 @@ func init() {
 			lens[i] = 8
 		}
 	}
-	buildDecodeTable(fixedLit[:], litRootBits, lens[:], litSyms[:])
+	buildDecodeTable(fixedLit[:], litRootBits, lens[:], lengthCounts(lens[:]), litSyms[:])
 	var dlens [maxDistCodes + 2]uint8
 	for i := range dlens {
 		dlens[i] = 5
 	}
-	buildDecodeTable(fixedDist[:], distRootBits, dlens[:], distSyms[:])
+	buildDecodeTable(fixedDist[:], distRootBits, dlens[:], lengthCounts(dlens[:]), distSyms[:])
 }
 
-// buildDecodeTable fills table with the canonical Huffman code of
-// lengths, each symbol s decoding to syms[s] plus its length. It reports
-// false for the codes compress/flate rejects: over- or under-subscribed
-// ones, except a single code of length 1. An empty code is accepted, as
-// there, and every lookup in it fails.
-//
-//lsm:hotpath
-func buildDecodeTable(table []uint32, rootBits uint, lengths []uint8, syms []uint32) bool {
-	var count [16]int
+// lengthCounts returns how many of lengths are 0, 1, … 15.
+func lengthCounts(lengths []uint8) (count [16]int) {
 	for _, l := range lengths {
 		count[l]++
 	}
+	return count
+}
+
+// buildDecodeTable fills table with the canonical Huffman code of
+// lengths, each symbol s decoding to syms[s] plus its length; count[l]
+// says how many of lengths are l (count[0] is ignored). It reports false
+// for the codes compress/flate rejects: over- or under-subscribed ones,
+// except a single code of length 1. An empty code is accepted, as there,
+// and every lookup in it fails.
+//
+//lsm:hotpath
+func buildDecodeTable(table []uint32, rootBits uint, lengths []uint8, count [16]int, syms []uint32) bool {
 	count[0] = 0
 	maxLen := uint(15)
 	for maxLen > 0 && count[maxLen] == 0 {
@@ -152,7 +163,8 @@ func buildDecodeTable(table []uint32, rootBits uint, lengths []uint8, syms []uin
 		}
 		clear(table[:1<<rootBits]) // the one code leaves half the slots unused
 	}
-	// Symbols in canonical order: by length, then by symbol.
+	// Symbols in canonical order: by length, then by symbol. Afterwards
+	// the codes of length l are sorted[offs[l-1]:offs[l]].
 	var sorted [maxLitCodes + 2]uint16
 	for s, l := range lengths {
 		if l != 0 {
@@ -161,38 +173,53 @@ func buildDecodeTable(table []uint32, rootBits uint, lengths []uint8, syms []uin
 		}
 	}
 
+	// The root table by doubling. A code of length l belongs in every
+	// slot whose low l bits are the code reversed: table[:1<<l] has one
+	// such slot, and copying that prefix forward before each longer
+	// length repeats it in all the others. Slots the codes leave open
+	// are the prefixes of longer codes, which the links below overwrite;
+	// only the one-code case leaves some empty, and it cleared them.
+	k := 0
+	for l := uint(1); l <= rootBits; l++ {
+		if l > 1 {
+			copy(table[1<<(l-1):1<<l], table[:1<<(l-1)])
+		}
+		if l > maxLen {
+			continue
+		}
+		for ; k < offs[l]; k++ {
+			s := sorted[k]
+			table[bits.Reverse16(uint16(next[l]))>>(16-l)] = syms[s] | uint32(l)
+			next[l]++
+		}
+	}
+
 	mask := 1<<rootBits - 1
 	prefix, sub, end := -1, 0, 1<<rootBits
 	subBits := uint(0)
-	for _, s := range sorted[:n] {
+	for _, s := range sorted[k:n] {
 		l := uint(lengths[s])
 		rev := int(bits.Reverse16(uint16(next[l])) >> (16 - l))
 		next[l]++
 		e := syms[s] | uint32(l)
-		if l <= rootBits {
-			for j := rev; j <= mask; j += 1 << l {
-				table[j] = e
-			}
-		} else {
-			if rev&mask != prefix {
-				// A new subtable, as wide as the longest code under this
-				// root prefix. The codes are in canonical order, so the
-				// still-unplaced codes no longer than root+subBits fill it
-				// exactly at that width and leave it short at any less.
-				prefix = rev & mask
-				subBits = l - rootBits
-				for left := 1 << subBits; subBits+rootBits < maxLen; left <<= 1 {
-					if left -= count[subBits+rootBits]; left <= 0 {
-						break
-					}
-					subBits++
+		if rev&mask != prefix {
+			// A new subtable, as wide as the longest code under this
+			// root prefix. The codes are in canonical order, so the
+			// still-unplaced codes no longer than root+subBits fill it
+			// exactly at that width and leave it short at any less.
+			prefix = rev & mask
+			subBits = l - rootBits
+			for left := 1 << subBits; subBits+rootBits < maxLen; left <<= 1 {
+				if left -= count[subBits+rootBits]; left <= 0 {
+					break
 				}
-				sub, end = end, end+1<<subBits
-				table[prefix] = entry(kindLink, uint32(sub), uint32(subBits))
+				subBits++
 			}
-			for j := rev >> rootBits; j < 1<<subBits; j += 1 << (l - rootBits) {
-				table[sub+j] = e
-			}
+			sub, end = end, end+1<<subBits
+			table[prefix] = entry(kindLink, uint32(sub), uint32(subBits))
+		}
+		for j := rev >> rootBits; j < 1<<subBits; j += 1 << (l - rootBits) {
+			table[sub+j] = e
 		}
 		count[l]--
 	}
@@ -245,9 +272,15 @@ func failure(src []byte, pos int, nb uint) error {
 	return errInflateCorrupt
 }
 
+// fastRoom is the most output one fast turn of the symbol loop writes:
+// two literals, then the longest copy and the up to 7 bytes its last
+// 8-byte store writes past the copy's end.
+const fastRoom = 2 + 258 + 7
+
 // inflate appends the decoding of the complete DEFLATE stream src to dst.
 // Bytes after the final block are ignored. On error the partial output is
-// returned with it, so a caller can keep the grown buffer.
+// returned with it, so a caller can keep the grown buffer. Bytes of dst's
+// spare capacity past the returned length may be overwritten.
 //
 //lsm:hotpath
 func (f *inflater) inflate(dst, src []byte) ([]byte, error) {
@@ -257,11 +290,14 @@ func (f *inflater) inflate(dst, src []byte) ([]byte, error) {
 		pos int    // next byte of src to load, counting zeros loaded past its end
 		ok  bool
 	)
-	base := len(dst)
+	// The output is written by index: dst[:n] is decoded, dst[n:] is
+	// capacity still to fill.
+	base, n := len(dst), len(dst)
+	dst = dst[:cap(dst)]
 	for final := false; !final; {
 		if nb < 48 {
 			if bb, nb, pos, ok = refill(src, bb, nb, pos); !ok {
-				return dst, io.ErrUnexpectedEOF
+				return dst[:n], io.ErrUnexpectedEOF
 			}
 		}
 		final = bb&1 == 1
@@ -274,58 +310,88 @@ func (f *inflater) inflate(dst, src []byte) ([]byte, error) {
 		case 0: // stored: skip to a byte boundary, then LEN, NLEN and LEN bytes
 			p := pos - int(nb>>3)
 			if p+4 > len(src) {
-				return dst, io.ErrUnexpectedEOF
+				return dst[:n], io.ErrUnexpectedEOF
 			}
-			n := int(binary.LittleEndian.Uint16(src[p:]))
-			if uint16(n) != ^binary.LittleEndian.Uint16(src[p+2:]) {
-				return dst, errInflateCorrupt
+			ln := int(binary.LittleEndian.Uint16(src[p:]))
+			if uint16(ln) != ^binary.LittleEndian.Uint16(src[p+2:]) {
+				return dst[:n], errInflateCorrupt
 			}
 			p += 4
-			if p+n > len(src) {
-				return dst, io.ErrUnexpectedEOF
+			if p+ln > len(src) {
+				return dst[:n], io.ErrUnexpectedEOF
 			}
-			dst = append(dst, src[p:p+n]...)
-			bb, nb, pos = 0, 0, p+n
+			dst = append(dst[:n], src[p:p+ln]...)
+			n = len(dst)
+			dst = dst[:cap(dst)]
+			bb, nb, pos = 0, 0, p+ln
 			continue
 		case 1:
 			lt, dt = &fixedLit, &fixedDist
 		case 2:
 			if bb, nb, pos, ok = f.readTables(src, bb, nb, pos); !ok {
-				return dst, failure(src, pos, nb)
+				return dst[:n], failure(src, pos, nb)
 			}
 			lt, dt = &f.lit, &f.dist
 		default:
-			return dst, errInflateCorrupt
+			return dst[:n], errInflateCorrupt
 		}
 
 		// A literal/length code takes at most 15 bits; what may follow it,
 		// its extra bits and a distance code with its own, at most 5+15+13.
 		for {
-			if nb < 15 {
-				if bb, nb, pos, ok = refill(src, bb, nb, pos); !ok {
-					return dst, io.ErrUnexpectedEOF
+			var e uint32
+			if pos+8 <= len(src) && len(dst)-n >= fastRoom {
+				// Fast turn: the load leaves at least 56 bits, room for
+				// three codes, and the output has room for what they
+				// write. The first two are written here if literals.
+				bb |= binary.LittleEndian.Uint64(src[pos:]) << nb
+				pos += int(63-nb) >> 3
+				nb |= 56
+				e = litCode(lt, bb)
+				bb >>= e & 15
+				nb -= uint(e & 15)
+				if e>>kindShift&15 == kindLiteral {
+					dst[n] = byte(e >> valueShift)
+					n++
+					e = litCode(lt, bb)
+					bb >>= e & 15
+					nb -= uint(e & 15)
+					if e>>kindShift&15 == kindLiteral {
+						dst[n] = byte(e >> valueShift)
+						n++
+						e = litCode(lt, bb)
+						bb >>= e & 15
+						nb -= uint(e & 15)
+					}
 				}
+			} else {
+				if nb < 15 {
+					if bb, nb, pos, ok = refill(src, bb, nb, pos); !ok {
+						return dst[:n], io.ErrUnexpectedEOF
+					}
+				}
+				e = litCode(lt, bb)
+				bb >>= e & 15
+				nb -= uint(e & 15)
 			}
-			e := lt[bb&(1<<litRootBits-1)]
-			if e>>kindShift&15 == kindLink {
-				e = lt[e>>valueShift+uint32(bb>>litRootBits)&(1<<(e>>4&15)-1)]
-			}
-			bb >>= e & 15
-			nb -= uint(e & 15)
 			kind := e >> kindShift & 15
 			if kind == kindLiteral {
-				dst = append(dst, byte(e>>valueShift))
+				if n == len(dst) {
+					dst = growOutput(dst, n, len(src)-pos)
+				}
+				dst[n] = byte(e >> valueShift)
+				n++
 				continue
 			}
 			if kind != kindCopy {
 				if kind == kindEnd {
 					break
 				}
-				return dst, failure(src, pos, nb)
+				return dst[:n], failure(src, pos, nb)
 			}
 			if nb < 33 {
 				if bb, nb, pos, ok = refill(src, bb, nb, pos); !ok {
-					return dst, io.ErrUnexpectedEOF
+					return dst[:n], io.ErrUnexpectedEOF
 				}
 			}
 			extra := uint(e >> 4 & 15)
@@ -340,40 +406,78 @@ func (f *inflater) inflate(dst, src []byte) ([]byte, error) {
 			bb >>= e & 15
 			nb -= uint(e & 15)
 			if e>>kindShift&15 != kindCopy {
-				return dst, failure(src, pos, nb)
+				return dst[:n], failure(src, pos, nb)
 			}
 			extra = uint(e >> 4 & 15)
 			dist := int(e>>valueShift) + int(bb&(1<<extra-1))
 			bb >>= extra
 			nb -= extra
-			n := len(dst)
 			if dist > n-base {
-				return dst, failure(src, pos, nb)
+				return dst[:n], failure(src, pos, nb)
 			}
-			start := n - dist
-			if dist >= length {
-				dst = append(dst, dst[start:start+length]...)
-				continue
+			if len(dst)-n < length+7 {
+				dst = growOutput(dst, n, len(src)-pos)
 			}
-			// Overlapping: the source is periodic with period dist, so
-			// each copy may take everything written so far, doubling.
-			for length > 0 {
-				c := min(length, len(dst)-start)
-				dst = append(dst, dst[start:start+c]...)
-				length -= c
-			}
+			copyMatch(dst, n, dist, length)
+			n += length
 		}
 	}
 	if overread(src, pos, nb) {
-		return dst, io.ErrUnexpectedEOF
+		return dst[:n], io.ErrUnexpectedEOF
 	}
-	return dst, nil
+	return dst[:n], nil
+}
+
+// litCode returns the entry of the literal/length code at the bottom of
+// bb, following a root entry's link into its subtable.
+//
+//lsm:hotpath
+func litCode(lt *[litTableSize]uint32, bb uint64) uint32 {
+	e := lt[bb&(1<<litRootBits-1)]
+	if e>>kindShift&15 == kindLink {
+		e = lt[e>>valueShift+uint32(bb>>litRootBits)&(1<<(e>>4&15)-1)]
+	}
+	return e
+}
+
+// copyMatch writes the length bytes that start dist bytes before dst[n]
+// at dst[n:], which must have room for length+7 bytes. Eight bytes at a
+// time when the source runs at least that far ahead, as each load then
+// reads only bytes already written; a closer, overlapping source byte by
+// byte, repeating its period. The 8-byte stores may write up to 7 bytes
+// past the copy.
+//
+//lsm:hotpath
+func copyMatch(dst []byte, n, dist, length int) {
+	s := n - dist
+	if dist >= 8 {
+		for i := 0; i < length; i += 8 {
+			binary.LittleEndian.PutUint64(dst[n+i:], binary.LittleEndian.Uint64(dst[s+i:]))
+		}
+		return
+	}
+	for i := 0; i < length; i++ {
+		dst[n+i] = dst[s+i]
+	}
+}
+
+// growOutput returns dst, of which n bytes are decoded, moved to a
+// larger buffer at its full capacity. The room past n is at least
+// fastRoom, and twice the unread input: a first guess at what is left to
+// decode, so that a block inflated into an empty buffer grows it once or
+// twice rather than at every doubling.
+//
+//lsm:hotpath
+func growOutput(dst []byte, n, unread int) []byte {
+	dst = append(dst[:n], make([]byte, fastRoom+2*max(unread, 0))...)
+	return dst[:cap(dst)]
 }
 
 // readTables reads a dynamic block's header (RFC 1951 §3.2.7) and builds
 // f.lit and f.dist from it, with compress/flate's limits: at most 286
 // literal/length and 30 distance codes, no repeat of a previous length at
 // position 0, no repeat running past the end, and complete codes only.
+// It counts each code's lengths as it decodes them, for the table builds.
 func (f *inflater) readTables(src []byte, bb uint64, nb uint, pos int) (uint64, uint, int, bool) {
 	nlit := int(bb&31) + 257
 	ndist := int(bb>>5&31) + 1
@@ -384,6 +488,7 @@ func (f *inflater) readTables(src []byte, bb uint64, nb uint, pos int) (uint64, 
 		return bb, nb, pos, false
 	}
 	var clens [19]uint8
+	var count [16]int
 	ok := true
 	for _, s := range clenOrder[:nclen] {
 		if nb < 3 {
@@ -392,12 +497,15 @@ func (f *inflater) readTables(src []byte, bb uint64, nb uint, pos int) (uint64, 
 			}
 		}
 		clens[s] = uint8(bb & 7)
+		count[bb&7]++
 		bb >>= 3
 		nb -= 3
 	}
-	if !buildDecodeTable(f.clen[:], clenRootBits, clens[:], clenSyms[:]) {
+	if !buildDecodeTable(f.clen[:], clenRootBits, clens[:], count, clenSyms[:]) {
 		return bb, nb, pos, false
 	}
+	// counts[0] for the literal/length code, counts[1] for the distances.
+	var counts [2][16]int
 	lens := f.lens[:nlit+ndist]
 	for i := 0; i < len(lens); {
 		if nb < 16 {
@@ -410,7 +518,13 @@ func (f *inflater) readTables(src []byte, bb uint64, nb uint, pos int) (uint64, 
 		nb -= uint(e & 15)
 		kind := e >> kindShift & 15
 		if kind == kindLiteral {
-			lens[i] = uint8(e >> valueShift)
+			l := uint8(e >> valueShift)
+			lens[i] = l
+			if i < nlit {
+				counts[0][l&15]++
+			} else {
+				counts[1][l&15]++
+			}
 			i++
 			continue
 		}
@@ -421,18 +535,24 @@ func (f *inflater) readTables(src []byte, bb uint64, nb uint, pos int) (uint64, 
 		rep := int(e>>valueShift) + int(bb&(1<<extra-1))
 		bb >>= extra
 		nb -= extra
-		if i+rep > len(lens) {
+		end := i + rep
+		if end > len(lens) {
 			return bb, nb, pos, false
 		}
 		v := uint8(0)
 		if kind == kindCopy {
 			v = lens[i-1]
 		}
-		for end := i + rep; i < end; i++ {
+		// A run may cross from the literal/length lengths into the
+		// distance lengths.
+		inLit := max(min(end, nlit)-i, 0)
+		counts[0][v&15] += inLit
+		counts[1][v&15] += rep - inLit
+		for ; i < end; i++ {
 			lens[i] = v
 		}
 	}
-	ok = buildDecodeTable(f.lit[:], litRootBits, lens[:nlit], litSyms[:]) &&
-		buildDecodeTable(f.dist[:], distRootBits, lens[nlit:], distSyms[:])
+	ok = buildDecodeTable(f.lit[:], litRootBits, lens[:nlit], counts[0], litSyms[:]) &&
+		buildDecodeTable(f.dist[:], distRootBits, lens[nlit:], counts[1], distSyms[:])
 	return bb, nb, pos, ok
 }

@@ -225,22 +225,25 @@ func (t *Table) Largest() []byte {
 // readBlock fetches, verifies and decompresses block i, attributing I/O to
 // foreground reads or compaction according to the flag.
 func (t *Table) readBlock(i int, compaction bool) ([]byte, error) {
-	return t.readBlockT(i, compaction, nil)
+	return t.readBlockT(i, compaction, nil, nil)
 }
 
 // readBlockT is readBlock with optional trace attribution: a cache-served
 // fetch is timed as PhaseCacheHit, a disk read as PhaseBlockLoad (both
-// sub-phases, nested inside whatever probe phase is running). The block it
-// returns is immutable and, on a miss, an exact-size copy that only the
-// caller and the cache reference.
+// sub-phases, nested inside whatever probe phase is running). A block the
+// cache serves or takes is immutable and, on a miss, an exact-size copy
+// that only the caller and the cache reference. Any other block is
+// decoded into buf when buf is non-nil, and is then valid only until
+// buf's next use; with a nil buf it is an exact-size copy too.
 //
 //lsm:hotpath
-func (t *Table) readBlockT(i int, compaction bool, tr *metrics.Trace) ([]byte, error) {
+func (t *Table) readBlockT(i int, compaction bool, buf *blockBuf, tr *metrics.Trace) ([]byte, error) {
 	t0 := tr.Now()
 	// Foreground reads may be served from the block cache; compaction
 	// reads bypass it (LevelDB's rule) so compactions neither pollute nor
 	// benefit from it.
-	if t.cache != nil && !compaction {
+	cached := t.cache != nil && !compaction
+	if cached {
 		if raw, ok := t.cache.Get(cache.Key{Table: t.id, Block: i}); ok {
 			if t.stats != nil {
 				t.stats.CacheHits.Add(1)
@@ -254,8 +257,11 @@ func (t *Table) readBlockT(i int, compaction bool, tr *metrics.Trace) ([]byte, e
 		}
 	}
 	d := blockDecoders.Get().(*blockDecoder)
-	raw, err := t.fetchBlock(d, &d.buf, i, compaction)
-	if err == nil {
+	if cached || buf == nil {
+		buf = &d.buf
+	}
+	raw, err := t.fetchBlock(d, buf, i, compaction)
+	if err == nil && buf == &d.buf {
 		raw = ownedCopy(raw)
 	}
 	blockDecoders.Put(d)
@@ -264,7 +270,7 @@ func (t *Table) readBlockT(i int, compaction bool, tr *metrics.Trace) ([]byte, e
 	}
 	if !compaction {
 		tr.Count(metrics.CtrBlockReads, 1)
-		if t.cache != nil {
+		if cached {
 			t.cache.Put(cache.Key{Table: t.id, Block: i}, raw)
 		}
 	}
@@ -439,7 +445,7 @@ func (t *Table) GetWith(sc *GetScratch, userKey []byte) (internalKey, value []by
 		}
 		raw := sc.blk
 		if sc.blkTable != t.id || sc.blkIdx != i {
-			if raw, err = t.readBlockT(i, false, tr); err != nil {
+			if raw, err = t.readBlockT(i, false, nil, tr); err != nil {
 				return nil, nil, false, err
 			}
 			sc.blkTable, sc.blkIdx, sc.blk = t.id, i, raw
@@ -598,8 +604,7 @@ type Iterator struct {
 	compaction bool
 	blockIdx   int
 	bi         *BlockIter // nil when unpositioned / between blocks
-	biStore    BlockIter  // backing store: key buffer reused across blocks
-	buf        blockBuf   // compaction only: holds the current block
+	biStore    BlockIter  // backing store: key buffer (and, for compaction, block) reused across blocks
 	tr         *metrics.Trace
 	err        error
 }
@@ -618,31 +623,26 @@ func (t *Table) NewIteratorTraced(compaction bool, tr *metrics.Trace) *Iterator 
 	return &Iterator{t: t, compaction: compaction, blockIdx: -1, tr: tr}
 }
 
-// BlockIterator reads block i and returns an iterator over just that
-// block — the Embedded secondary lookup path, which visits only
-// bloom/zone-map-positive blocks.
-func (t *Table) BlockIterator(i int, compaction bool) (*BlockIter, error) {
-	return t.BlockIteratorTraced(i, compaction, nil)
-}
-
-// BlockIteratorTraced is BlockIterator with the block fetch attributed to
-// the trace's block-load / cache-hit sub-phases.
-func (t *Table) BlockIteratorTraced(i int, compaction bool, tr *metrics.Trace) (*BlockIter, error) {
-	raw, err := t.readBlockT(i, compaction, tr)
+// LoadBlock reads block i into it, positioned before the block's first
+// entry — the Embedded secondary lookup path, which visits only
+// bloom/zone-map-positive blocks, one iterator for all of them. The fetch
+// is attributed to the trace's block-load / cache-hit sub-phases. Without
+// a block cache the block is decoded into the iterator's own buffers, so
+// the keys and values it yields are valid only until its next LoadBlock.
+//
+//lsm:hotpath
+func (t *Table) LoadBlock(it *BlockIter, i int, tr *metrics.Trace) error {
+	raw, err := t.readBlockT(i, false, &it.buf, tr)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	bi := new(BlockIter)
-	if err := t.initBlockIter(bi, raw); err != nil {
-		return nil, err
-	}
-	return bi, nil
+	return t.initBlockIter(it, raw)
 }
 
 // loadBlock positions the iterator at the start of block i. A compaction
 // iterator never touches the cache and hands out keys and values only
 // until its next call, so it decodes every block into the same buffers;
-// any other goes through readBlockT for a block it may share.
+// any other reads a block it may share.
 //
 //lsm:hotpath
 func (it *Iterator) loadBlock(i int) bool {
@@ -650,17 +650,11 @@ func (it *Iterator) loadBlock(i int) bool {
 		it.bi = nil
 		return false
 	}
-	var raw []byte
-	var err error
+	var buf *blockBuf
 	if it.compaction {
-		t0 := it.tr.Now()
-		d := blockDecoders.Get().(*blockDecoder)
-		raw, err = it.t.fetchBlock(d, &it.buf, i, true)
-		blockDecoders.Put(d)
-		it.tr.Since(metrics.PhaseBlockLoad, t0)
-	} else {
-		raw, err = it.t.readBlockT(i, false, it.tr)
+		buf = &it.biStore.buf
 	}
+	raw, err := it.t.readBlockT(i, it.compaction, buf, it.tr)
 	if err != nil {
 		it.err = err
 		it.bi = nil

@@ -182,9 +182,9 @@ func TestSecondaryCandidatesFindAllMatches(t *testing.T) {
 		t.Fatal("no candidate blocks")
 	}
 	found := 0
+	var bit BlockIter
 	for _, bi := range cands {
-		bit, err := tbl.BlockIterator(bi, false)
-		if err != nil {
+		if err := tbl.LoadBlock(&bit, bi, nil); err != nil {
 			t.Fatal(err)
 		}
 		for bit.Next() {
