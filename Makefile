@@ -79,9 +79,10 @@ verify: vet lint build bench-test
 # the sstable block round-trip, the block deflater against
 # compress/flate's BestSpeed writer, the block inflater against
 # compress/flate's reader, the posting-list codec, the attribute scanner
-# against its json.Unmarshal oracle and the newest-first candidate stream
-# against decode-all + stable sort (all seeded from testdata/fuzz
-# corpora). The experiments package alone runs ~18
+# against its json.Unmarshal oracle, the newest-first candidate stream
+# against decode-all + stable sort and Composite's seq-bounded candidate
+# stream against a merged scan of the whole index table (all seeded from
+# testdata/fuzz corpora). The experiments package alone runs ~18
 # minutes under the race detector on a small box, so the per-package
 # timeout (a hang guard, not a budget) is raised above go test's 10m
 # default. Performance is gated by the end-to-end benchmark (make bench),
@@ -94,6 +95,7 @@ ci: vet lint lint-race build bench-test
 	$(GO) test -fuzz=FuzzPostingsRoundTrip -fuzztime=10s ./internal/postings/
 	$(GO) test -fuzz=FuzzExtractAttrs -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzNewestFirstStream -fuzztime=10s -fuzzminimizetime=1s ./internal/core/
+	$(GO) test -fuzz=FuzzCompositeStream -fuzztime=10s -fuzzminimizetime=1s ./internal/core/
 
 # Regenerate the paper's evaluation at the default reduced scale.
 experiments:

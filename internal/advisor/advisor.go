@@ -69,7 +69,7 @@ func Recommend(p Profile) Recommendation {
 		return Recommendation{
 			Index: core.IndexLazy,
 			Rationale: fmt.Sprintf("top-%d queries: Lazy stops at the first level boundary "+
-				"holding K results, beating Composite's full-tree prefix scans "+
+				"holding K results, reading fewer index blocks than Composite's prefix scans "+
 				"(paper §4.3, Figure 10a)", p.TypicalTopK),
 		}
 	}

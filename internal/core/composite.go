@@ -1,6 +1,11 @@
 package core
 
 import (
+	"bytes"
+	"cmp"
+	"slices"
+
+	"leveldbpp/internal/ikey"
 	"leveldbpp/internal/lsm"
 	"leveldbpp/internal/metrics"
 )
@@ -8,11 +13,12 @@ import (
 // The Composite index (paper §4.2) stores, per indexed attribute, a
 // stand-alone LSM table whose keys are the concatenation
 // (secondary key ∥ 0x00 ∥ primary key) and whose values are empty.
-// LOOKUP is a prefix range scan; because composite keys are ordered by
-// key, not by time, and compaction moves arbitrary key ranges down, the
-// scan must traverse every level before the top-K can be decided —
-// the paper's explanation for why Composite loses to Lazy at small K but
-// wins when K is unbounded (no posting-list CPU cost).
+// LOOKUP is a prefix range scan. Composite keys are ordered by key, not by
+// time, so the paper's scan traverses every level before the top-K can be
+// decided. But an entry's seq is its candidate's seq, so a table's MaxSeq
+// bounds what it holds: compositeSource opens tables newest-MaxSeq first
+// and stops at the K-th valid candidate; only an unbounded K reads every
+// level, where Composite beats Lazy by skipping posting-list decoding.
 
 func compositeKey[T string | []byte](attrValue T, primaryKey string) []byte {
 	k := make([]byte, 0, len(attrValue)+1+len(primaryKey))
@@ -32,33 +38,124 @@ func compositeWrite(idx *lsm.DB, attrValue []byte, key string, del bool) error {
 	return idx.Put(compositeKey(attrValue, key), nil)
 }
 
-// compositeLookup is Algorithm 4: a prefix scan over the index table for
-// attrValue ∥ 0x00. The merged scan inherently visits all levels (unlike
-// Lazy there is no per-level early exit); candidates are then validated
-// newest-first against the data table.
-func (db *DB) compositeLookup(attr, value string, k int, tr *metrics.Trace) ([]Entry, error) {
-	return db.compositeRangeLookup(attr, value, value, k, tr)
+// compositeLookup is Algorithms 4 (lo = hi) and 7: the prefix scan of
+// every composite key whose secondary component lies in [lo, hi], run
+// inside the view so that the tables the source opens stay live.
+func (db *DB) compositeLookup(attr, lo, hi string, k int, tr *metrics.Trace) ([]Entry, error) {
+	idx := db.indexes[attr]
+	var out []Entry
+	err := idx.View(func(v *lsm.View) error {
+		var err error
+		out, err = db.collect(newCompositeSource(v, lo, hi, tr),
+			&query{attr: attr, lo: lo, hi: hi, k: k, idx: idx, phase: metrics.PhaseIndexProbe, tr: tr})
+		return err
+	})
+	return out, err
 }
 
-// compositeRangeLookup is Algorithm 7: the prefix scan widens to every
-// composite key whose secondary component lies in [lo, hi]; their primary
-// keys go into a compositeHeap that collect drains newest first.
-func (db *DB) compositeRangeLookup(attr, lo, hi string, k int, tr *metrics.Trace) ([]Entry, error) {
-	idx := db.indexes[attr]
-	var src compositeHeap
-	t0 := tr.Now()
-	err := idx.ScanTraced(compositeKey(lo, ""), append([]byte(hi), compositeSep+1), tr, func(key, _ []byte, seq uint64) bool {
-		if src.add(key, lo, hi, seq) {
-			tr.Count(metrics.CtrPostingEntries, 1)
-		}
-		return true
-	})
-	tr.Since(metrics.PhaseIndexProbe, t0)
-	if err != nil {
-		return nil, err
-	}
-	t0 = tr.Now()
-	heapify(src.h, newerComposite)
-	tr.Since(metrics.PhasePostingMerge, t0)
-	return db.collect(&src, &query{attr: attr, lo: lo, hi: hi, k: k, idx: idx, phase: metrics.PhasePostingMerge, tr: tr})
+// compositeSource is Composite's candidate source. Its units are the
+// view's MemTables and the tables overlapping the query's key range. A
+// unit is opened — its in-range entries, tombstones included, queued on a
+// max-heap by seq — once the top is older than the unit's MaxSeq, so the
+// top is the newest entry of the whole view. A popped tombstone hides only
+// its own composite key's older versions: primary keys first occur in the
+// order of a merged scan of the view ranked by seq.
+type compositeSource struct {
+	lo, hi        string
+	loKey, hiExcl []byte
+	tr            *metrics.Trace
+	units         []lsm.Stratum // MemTables and one-table strata not yet opened, MaxSeq descending
+	arena         []byte
+	h             []compositeCand
+	dead          map[string]struct{} // composite keys whose newest version is a tombstone
+	err           error
 }
+
+// compositeCand is a queued composite key arena[start:end] and its
+// primary key arena[pk:end].
+type compositeCand struct {
+	start, pk, end int
+	seq            uint64
+	del            bool
+}
+
+func newCompositeSource(v *lsm.View, lo, hi string, tr *metrics.Trace) *compositeSource {
+	s := &compositeSource{lo: lo, hi: hi, loKey: compositeKey(lo, ""), hiExcl: append([]byte(hi), compositeSep+1), tr: tr}
+	for _, st := range v.Strata() {
+		if st.IsMem() {
+			s.units = append(s.units, st)
+		}
+		for i, fm := range st.Tables {
+			if fm.Overlaps(s.loKey, s.hiExcl) {
+				s.units = append(s.units, lsm.Stratum{Level: st.Level, Tables: st.Tables[i : i+1 : i+1]})
+			}
+		}
+	}
+	slices.SortStableFunc(s.units, func(a, b lsm.Stratum) int { return cmp.Compare(b.MaxSeq(), a.MaxSeq()) })
+	return s
+}
+
+// open queues the in-range entries of the next unit.
+func (s *compositeSource) open() {
+	u, seek := s.units[0], ikey.SeekKey(s.loKey)
+	s.units = s.units[1:]
+	if u.IsMem() {
+		it := u.MemIter()
+		for it.SeekGE(seek); it.Valid() && s.add(it.Key()); it.Next() {
+		}
+		return
+	}
+	it := u.Tables[0].Table().NewIteratorTraced(false, s.tr)
+	for ok := it.SeekGE(seek); ok && s.add(it.Key()); ok = it.Next() {
+	}
+	s.err = it.Err()
+}
+
+// add queues the entry with internal key ik if its attribute value lies
+// in [lo, hi]. It reports false once ik is past the range.
+func (s *compositeSource) add(ik []byte) bool {
+	ck := ikey.UserKey(ik)
+	if bytes.Compare(ck, s.hiExcl) >= 0 {
+		return false
+	}
+	i := bytes.IndexByte(ck, compositeSep)
+	if i < 0 || string(ck[:i]) < s.lo || string(ck[:i]) > s.hi {
+		return true
+	}
+	start := len(s.arena)
+	s.arena = append(s.arena, ck...)
+	s.h = append(s.h, compositeCand{start: start, pk: start + i + 1, end: len(s.arena), seq: ikey.Seq(ik), del: ikey.KindOf(ik) == ikey.KindDelete})
+	siftUp(s.h, len(s.h)-1, newerComposite)
+	s.tr.Count(metrics.CtrPostingEntries, 1)
+	return true
+}
+
+func newerComposite(a, b compositeCand) bool { return a.seq > b.seq }
+
+//lsm:hotpath
+func (s *compositeSource) next() ([]byte, uint64, bool, bool) {
+	for {
+		for len(s.units) > 0 && s.err == nil && (len(s.h) == 0 || s.units[0].MaxSeq() > s.h[0].seq) {
+			s.open()
+		}
+		if s.err != nil || len(s.h) == 0 {
+			return nil, 0, false, false
+		}
+		top := s.h[0]
+		last := len(s.h) - 1
+		s.h[0] = s.h[last]
+		s.h = s.h[:last]
+		siftDown(s.h, 0, newerComposite)
+		ck := s.arena[top.start:top.end]
+		if top.del {
+			if s.dead == nil {
+				s.dead = map[string]struct{}{}
+			}
+			s.dead[string(ck)] = struct{}{}
+		} else if _, hidden := s.dead[string(ck)]; !hidden {
+			return s.arena[top.pk:top.end], top.seq, false, true
+		}
+	}
+}
+
+func (s *compositeSource) finish(*query) error { return s.err }

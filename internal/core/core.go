@@ -457,7 +457,7 @@ func (db *DB) lookupTraced(attr, value string, k int, tr *metrics.Trace) ([]Entr
 	case IndexLazy:
 		return db.lazyLookup(attr, value, k, tr)
 	case IndexComposite:
-		return db.compositeLookup(attr, value, k, tr)
+		return db.compositeLookup(attr, value, value, k, tr)
 	default:
 		return db.scanLookup(attr, value, value, k, tr)
 	}
@@ -500,7 +500,7 @@ func (db *DB) rangeLookupTraced(attr, lo, hi string, k int, tr *metrics.Trace) (
 	case IndexLazy:
 		return db.lazyRangeLookup(attr, lo, hi, k, tr)
 	case IndexComposite:
-		return db.compositeRangeLookup(attr, lo, hi, k, tr)
+		return db.compositeLookup(attr, lo, hi, k, tr)
 	default:
 		return db.scanLookup(attr, lo, hi, k, tr)
 	}

@@ -1,30 +1,16 @@
 package core
 
-import (
-	"container/heap"
-	"sort"
-)
+import "sort"
 
 // topK is the min-heap of Algorithm 1: it retains the K entries with the
 // highest sequence numbers (most recent insertions). K <= 0 means
 // unbounded (the paper's "no limit on top-k").
 type topK struct {
 	k int
-	h entryHeap
+	h []Entry // min-heap by seq
 }
 
-type entryHeap []Entry
-
-func (h entryHeap) Len() int            { return len(h) }
-func (h entryHeap) Less(i, j int) bool  { return h[i].Seq < h[j].Seq } // min-heap by seq
-func (h entryHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *entryHeap) Push(x interface{}) { *h = append(*h, x.(Entry)) }
-func (h *entryHeap) Pop() interface{} {
-	old := *h
-	x := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return x
-}
+func olderEntry(a, b Entry) bool { return a.Seq < b.Seq }
 
 func newTopK(k int) *topK { return &topK{k: k} }
 
@@ -51,17 +37,12 @@ func (t *topK) Worth(seq uint64) bool {
 // Add offers an entry; it is kept if the heap has room or the entry is
 // newer than the current minimum.
 func (t *topK) Add(e Entry) {
-	if t.k <= 0 {
-		heap.Push(&t.h, e)
-		return
-	}
-	if len(t.h) < t.k {
-		heap.Push(&t.h, e)
-		return
-	}
-	if e.Seq > t.h[0].Seq {
+	if t.k <= 0 || len(t.h) < t.k {
+		t.h = append(t.h, e)
+		siftUp(t.h, len(t.h)-1, olderEntry)
+	} else if e.Seq > t.h[0].Seq {
 		t.h[0] = e
-		heap.Fix(&t.h, 0)
+		siftDown(t.h, 0, olderEntry)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 
 // candidateSource feeds collect, the one loop behind every Eager, Lazy and
 // Composite LOOKUP and RANGELOOKUP (DESIGN.md §5.11): a fragmentHeap of
-// posting cursors, or a compositeHeap of scanned composite keys. It yields
+// posting cursors, or a compositeSource of composite keys. It yields
 // the query's candidates newest first — the order a stable sort by seq
 // descending of every decoded entry gives. key aliases source memory and
 // is valid until the next call.
@@ -274,55 +274,23 @@ func (s *fragmentHeap) finish(q *query) error {
 	return s.err
 }
 
-// compositeHeap is Composite's source: the (primary key, seq) of every
-// composite key the prefix scan visits, the keys copied into one arena and
-// the pairs heapified by seq in O(n); the loop pops only what validation
-// consumes.
-type compositeHeap struct {
-	arena []byte
-	h     []compositeCand
-}
-
-type compositeCand struct {
-	start, end int
-	seq        uint64
-}
-
-// add records the composite key ck (attribute value ∥ 0x00 ∥ primary key)
-// if its attribute value lies in [lo, hi].
-func (s *compositeHeap) add(ck []byte, lo, hi string, seq uint64) bool {
-	i := bytes.IndexByte(ck, compositeSep)
-	if i < 0 || string(ck[:i]) < lo || string(ck[:i]) > hi {
-		return false
-	}
-	start := len(s.arena)
-	s.arena = append(s.arena, ck[i+1:]...)
-	s.h = append(s.h, compositeCand{start: start, end: len(s.arena), seq: seq})
-	return true
-}
-
-func newerComposite(a, b compositeCand) bool { return a.seq > b.seq }
-
-//lsm:hotpath
-func (s *compositeHeap) next() ([]byte, uint64, bool, bool) {
-	if len(s.h) == 0 {
-		return nil, 0, false, false
-	}
-	top := s.h[0]
-	last := len(s.h) - 1
-	s.h[0] = s.h[last]
-	s.h = s.h[:last]
-	siftDown(s.h, 0, newerComposite)
-	return s.arena[top.start:top.end], top.seq, false, true
-}
-
-func (s *compositeHeap) finish(*query) error { return nil }
-
 // heapify orders h into a heap whose root is the element no other is
 // before, in O(len(h)).
 func heapify[T any](h []T, before func(a, b T) bool) {
 	for i := len(h)/2 - 1; i >= 0; i-- {
 		siftDown(h, i, before)
+	}
+}
+
+// siftUp moves h[i] up to its place in the heap h.
+func siftUp[T any](h []T, i int, before func(a, b T) bool) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !before(h[i], h[p]) {
+			return
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
 	}
 }
 

@@ -128,7 +128,8 @@ func (r *refRanker) rank(lists []postings.List) {
 // validation counts must be identical, collect may access no more primary
 // blocks than the oracle's one GET per candidate, and — unless the query
 // takes the out-of-order fallback, which decodes the whole chain — both
-// must read the same index blocks.
+// must read the same index blocks. Composite, whose oracle scans every
+// stratum, may read fewer.
 func checkCollect(t *testing.T, db *DB, attr, lo, hi string, point, fallback bool) {
 	t.Helper()
 	primaryBlocks := func(s Stats) int64 { return s.Primary.BlockReads + s.Primary.CacheHits }
@@ -158,7 +159,7 @@ func checkCollect(t *testing.T, db *DB, attr, lo, hi string, point, fallback boo
 		if got, ref := primaryBlocks(s2)-primaryBlocks(s1), primaryBlocks(s1)-primaryBlocks(s0); got > ref {
 			t.Fatalf("%s: primary block accesses %d, reference %d", what, got, ref)
 		}
-		if got, ref := s2.Index.BlockReads-s1.Index.BlockReads, s1.Index.BlockReads-s0.Index.BlockReads; !fallback && got != ref {
+		if got, ref := s2.Index.BlockReads-s1.Index.BlockReads, s1.Index.BlockReads-s0.Index.BlockReads; !fallback && (got > ref || got != ref && db.opts.Index != IndexComposite) {
 			t.Fatalf("%s: index block reads %d, reference %d", what, got, ref)
 		}
 	}

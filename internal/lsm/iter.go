@@ -10,41 +10,42 @@ import (
 	"leveldbpp/internal/sstable"
 )
 
-// entryIter is the common shape of MemTable and SSTable iterators used by
-// the merged scan.
-type entryIter interface {
-	Next() bool
-	Key() []byte // internal key
-	Value() []byte
-	Err() error
+// scanCursor is one source of the merged scan, positioned on an entry: a
+// MemTable's skip-list iterator or a table's iterator.
+type scanCursor struct {
+	mem *skiplist.Iterator
+	tbl *sstable.Iterator
 }
 
-// memIterAdapter turns a positioned skiplist iterator into an entryIter.
-type memIterAdapter struct {
-	it      *skiplist.Iterator
-	started bool
-}
-
-func (a *memIterAdapter) Next() bool {
-	if !a.started {
-		a.started = true
-	} else if a.it.Valid() {
-		a.it.Next()
+func (c scanCursor) key() []byte {
+	if c.mem != nil {
+		return c.mem.Key()
 	}
-	return a.it.Valid()
+	return c.tbl.Key()
 }
-func (a *memIterAdapter) Key() []byte   { return a.it.Key() }
-func (a *memIterAdapter) Value() []byte { return a.it.Value() }
-func (a *memIterAdapter) Err() error    { return nil }
 
-type scanSource struct{ it entryIter }
+func (c scanCursor) value() []byte {
+	if c.mem != nil {
+		return c.mem.Value()
+	}
+	return c.tbl.Value()
+}
 
-type scanHeap []*scanSource
+// next moves to the following entry and reports whether there is one.
+func (c scanCursor) next() bool {
+	if c.mem != nil {
+		c.mem.Next()
+		return c.mem.Valid()
+	}
+	return c.tbl.Next()
+}
+
+type scanHeap []scanCursor
 
 func (h scanHeap) Len() int            { return len(h) }
-func (h scanHeap) Less(i, j int) bool  { return ikey.Compare(h[i].it.Key(), h[j].it.Key()) < 0 }
+func (h scanHeap) Less(i, j int) bool  { return ikey.Compare(h[i].key(), h[j].key()) < 0 }
 func (h scanHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *scanHeap) Push(x interface{}) { *h = append(*h, x.(*scanSource)) }
+func (h *scanHeap) Push(x interface{}) { *h = append(*h, x.(scanCursor)) }
 func (h *scanHeap) Pop() interface{} {
 	old := *h
 	x := old[len(old)-1]
@@ -82,17 +83,17 @@ func scanStrata(strata []Stratum, lo, hiExcl []byte, tr *metrics.Trace, fn func(
 			mi := s.MemIter()
 			mi.SeekGE(seekKey)
 			if mi.Valid() {
-				heap.Push(&h, &scanSource{it: &memIterAdapter{it: mi, started: true}})
+				heap.Push(&h, scanCursor{mem: mi})
 			}
 			continue
 		}
 		for _, fm := range s.Tables {
-			if !fm.overlapsUser(lo, nil) {
+			if !fm.Overlaps(lo, hiExcl) {
 				continue
 			}
 			it := fm.tbl.NewIteratorTraced(false, tr)
 			if it.SeekGE(seekKey) {
-				heap.Push(&h, &scanSource{it: &tableIterAdapter{it: it, positioned: true}})
+				heap.Push(&h, scanCursor{tbl: it})
 			}
 			if err := it.Err(); err != nil {
 				return err
@@ -102,8 +103,7 @@ func scanStrata(strata []Stratum, lo, hiExcl []byte, tr *metrics.Trace, fn func(
 
 	var curUser []byte
 	for h.Len() > 0 {
-		src := h[0]
-		ik, val := src.it.Key(), src.it.Value()
+		ik, val := h[0].key(), h[0].value()
 		uk := ikey.UserKey(ik)
 		if hiExcl != nil && bytes.Compare(uk, hiExcl) >= 0 {
 			return nil
@@ -117,32 +117,11 @@ func scanStrata(strata []Stratum, lo, hiExcl []byte, tr *metrics.Trace, fn func(
 				}
 			}
 		}
-		if src.it.Next() {
+		if h[0].next() {
 			heap.Fix(&h, 0)
-		} else {
-			if err := src.it.Err(); err != nil {
-				return err
-			}
-			heap.Pop(&h)
+		} else if c := heap.Pop(&h).(scanCursor); c.tbl != nil && c.tbl.Err() != nil {
+			return c.tbl.Err()
 		}
 	}
 	return nil
 }
-
-// tableIterAdapter bridges sstable.Iterator (whose SeekGE positions on the
-// first entry) to the Next-first entryIter protocol.
-type tableIterAdapter struct {
-	it         *sstable.Iterator
-	positioned bool
-}
-
-func (a *tableIterAdapter) Next() bool {
-	if a.positioned {
-		a.positioned = false
-		return true
-	}
-	return a.it.Next()
-}
-func (a *tableIterAdapter) Key() []byte   { return a.it.Key() }
-func (a *tableIterAdapter) Value() []byte { return a.it.Value() }
-func (a *tableIterAdapter) Err() error    { return a.it.Err() }

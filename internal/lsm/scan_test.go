@@ -1,10 +1,13 @@
 package lsm
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
+
+	"leveldbpp/internal/ikey"
 )
 
 // collectScan runs a merged scan and returns the visited keys and values.
@@ -46,6 +49,55 @@ func TestScanMergedAcrossStrata(t *testing.T) {
 	}
 	if vals[0] != "new-a" {
 		t.Fatalf("newest version not returned: %q", vals[0])
+	}
+}
+
+// TestScanReadsOnlyOverlappingTables: on a level of several tables, a
+// Scan of one table's last key reads exactly the blocks that iterating the
+// tables overlapping [lo, hiExcl) directly reads — none from a table that
+// starts at or past hiExcl.
+func TestScanReadsOnlyOverlappingTables(t *testing.T) {
+	db, _ := openTestDB(t, bigJobOpts())
+	loadBigJob(t, db)
+	if err := db.CompactRange(nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	levels := levelsOf(db)
+	files := levels[deepestNonEmpty(db)]
+	if len(files) < 2 {
+		t.Fatalf("%d tables at the deepest level, want several", len(files))
+	}
+	blockReads := func(read func()) int64 {
+		before := db.Stats().Snapshot()
+		read()
+		return db.Stats().Snapshot().Sub(before).BlockReads
+	}
+	for i, fm := range files {
+		lo := bytes.Clone(ikey.UserKey(fm.Largest))
+		hiExcl := append(bytes.Clone(lo), 0)
+		direct := blockReads(func() {
+			for _, level := range levels {
+				for _, f := range level {
+					if !f.Overlaps(lo, hiExcl) {
+						continue
+					}
+					it := f.Table().NewIterator(false)
+					for ok := it.SeekGE(ikey.SeekKey(lo)); ok && bytes.Compare(ikey.UserKey(it.Key()), hiExcl) < 0; ok = it.Next() {
+					}
+					if err := it.Err(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		})
+		var keys []string
+		scan := blockReads(func() { keys, _ = collectScan(t, db, string(lo), string(hiExcl)) })
+		if len(keys) != 1 || keys[0] != string(lo) {
+			t.Fatalf("table %d: scan of [%s, %q) = %v", i, lo, hiExcl, keys)
+		}
+		if direct == 0 || scan != direct {
+			t.Errorf("table %d of %d: scan read %d blocks, the overlapping tables %d", i, len(files), scan, direct)
+		}
 	}
 }
 

@@ -40,6 +40,13 @@ func (fm *FileMeta) overlapsUser(loUser, hiUser []byte) bool {
 	return true
 }
 
+// Overlaps reports whether the table's user keys intersect [lo, hiExcl);
+// a nil bound is unbounded.
+func (fm *FileMeta) Overlaps(lo, hiExcl []byte) bool {
+	return (hiExcl == nil || bytes.Compare(ikey.UserKey(fm.Smallest), hiExcl) < 0) &&
+		(lo == nil || bytes.Compare(ikey.UserKey(fm.Largest), lo) >= 0)
+}
+
 // version is the current shape of the tree: levels[0] holds overlapping
 // files ordered newest-first; deeper levels hold disjoint files sorted by
 // smallest key.
