@@ -19,22 +19,24 @@ lint:
 
 # Race-detector smoke over the packages the lockorder and lockguard
 # analyzers reason about: the commit-queue, compaction merge stream
-# and flush/compaction pipeline tests in internal/lsm (the background
-# runner, a failed writer canceling its merge goroutine, and writer-run
-# jobs racing Flush and CompactRange in deterministic mode, and the sorted
-# batch read behind chunked validation over a parked frozen MemTable),
-# concurrent core writers (every write takes the commit queue), LOOKUP and
-# RANGELOOKUP readers validating chunks of candidates while a
-# background-mode writer flushes and compacts under them, the
-# concurrent workload profiler in internal/explain, the lock-free /metrics
-# bucket histogram taking observations while it is rendered, and /metrics
-# and /stats scrapes reading the per-table counters while background-mode
-# writers commit, flush and compact. Dynamic confirmation that the
-# statically blessed lock order holds under contention. It is also the
-# goroutine-leak check: the background tests bound Close (closeWithin),
-# so a runner that never exits fails them with a goroutine dump. The
-# sstable test runs concurrent table builds and reads over the shared
-# deflater and block decoder pools.
+# and flush/compaction pipeline tests in internal/lsm (TestBackground*:
+# concurrent writers running flush and compaction jobs beside readers,
+# CompactRange, Checkpoint, Close and a parked flush job; a failed writer
+# canceling its merge goroutine; writer-run jobs racing Flush and two
+# CompactRange callers; and the sorted batch read behind chunked
+# validation over a parked frozen MemTable), concurrent core writers
+# (every write takes the commit queue), LOOKUP and RANGELOOKUP readers
+# validating chunks of candidates while a writer flushes and compacts
+# under them, the concurrent workload profiler in internal/explain, the
+# lock-free /metrics bucket histogram taking observations while it is
+# rendered, and /metrics and /stats scrapes reading the per-table
+# counters while concurrent writers commit, flush and compact. Dynamic
+# confirmation that the statically blessed lock order holds under
+# contention. It is also the goroutine-leak check: the TestBackground*
+# tests bound Close (closeWithin), so a job that never ends fails them
+# with a goroutine dump, and the drain tests fail if a merge goroutine
+# outlives its job. The sstable test runs concurrent table builds and
+# reads over the shared deflater and block decoder pools.
 lint-race:
 	$(GO) test -race -run 'TestConcurrentBuildAndRead' ./internal/sstable/
 	$(GO) test -race -run 'TestGroupCommit|TestCommit|TestUncontendedCommit|TestCompactionWriterFailureCancels|TestBackground|TestDeterministicConcurrentDrains|TestGetSortedMatchesGet' ./internal/lsm/

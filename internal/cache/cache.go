@@ -9,7 +9,7 @@
 //
 // The cache is partitioned into numShards independent LRU shards selected
 // by key hash (LevelDB's ShardedLRUCache), so concurrent readers — the
-// background write pipeline and parallel lookups — contend on a shard
+// writers' compaction jobs and parallel lookups — contend on a shard
 // mutex rather than one global lock. Each shard owns an equal slice of
 // the byte budget; eviction is per shard.
 package cache

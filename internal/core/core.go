@@ -111,11 +111,6 @@ type Options struct {
 	// BlockCacheBytes enables an LRU block cache on the primary and
 	// index tables (0 = off, the paper's configuration).
 	BlockCacheBytes int64
-	// BackgroundCompaction runs the flush and compaction jobs of the
-	// primary table and every index table on background goroutines
-	// instead of the writer (see lsm.Options.BackgroundCompaction). Off
-	// by default so the paper's experiments stay deterministic.
-	BackgroundCompaction bool
 
 	// DisableGetLite makes the Embedded index validate candidates with
 	// full GETs instead of the metadata-only GetLite probe (ablation;
@@ -222,19 +217,18 @@ func Open(dir string, opts Options) (*DB, error) {
 	// One engine configuration for every table; each table gets a copy
 	// with its own event sink, and only the primary embeds attributes.
 	base := lsm.Options{
-		MemTableBytes:        opts.MemTableBytes,
-		BlockSize:            opts.BlockSize,
-		BitsPerKey:           opts.BitsPerKey,
-		SecondaryBitsPerKey:  opts.SecondaryBitsPerKey,
-		DisableCompression:   opts.DisableCompression,
-		L0CompactionTrigger:  opts.L0CompactionTrigger,
-		BaseLevelBytes:       opts.BaseLevelBytes,
-		LevelMultiplier:      opts.LevelMultiplier,
-		MaxLevels:            opts.MaxLevels,
-		SyncMode:             opts.SyncMode,
-		BlockCacheBytes:      opts.BlockCacheBytes,
-		BackgroundCompaction: opts.BackgroundCompaction,
-		Tracer:               tracer,
+		MemTableBytes:       opts.MemTableBytes,
+		BlockSize:           opts.BlockSize,
+		BitsPerKey:          opts.BitsPerKey,
+		SecondaryBitsPerKey: opts.SecondaryBitsPerKey,
+		DisableCompression:  opts.DisableCompression,
+		L0CompactionTrigger: opts.L0CompactionTrigger,
+		BaseLevelBytes:      opts.BaseLevelBytes,
+		LevelMultiplier:     opts.LevelMultiplier,
+		MaxLevels:           opts.MaxLevels,
+		SyncMode:            opts.SyncMode,
+		BlockCacheBytes:     opts.BlockCacheBytes,
+		Tracer:              tracer,
 	}
 	primaryOpts := base
 	primaryOpts.Events = events.Named("primary")
@@ -732,8 +726,8 @@ func (db *DB) EventLog() *metrics.EventLog { return db.events }
 func (db *DB) Profiler() *explain.WorkloadProfiler { return db.profiler }
 
 // Health reports the first unhealthy condition across the primary table
-// and every index table (lsm.ErrClosed, lsm.ErrStalled, or a sticky
-// background-pipeline error), or nil when all tables serve normally.
+// and every index table (lsm.ErrClosed, or a table's sticky flush error),
+// or nil when all tables serve normally.
 func (db *DB) Health() error {
 	for _, t := range db.tables {
 		if err := t.db.Health(); err != nil {
@@ -762,7 +756,7 @@ func (db *DB) LevelShapes() map[string][]lsm.LevelInfo {
 func (db *DB) WriteAmplification() (primary float64, index map[string]float64) {
 	index = map[string]float64{}
 	// One snapshot gives the bytes written and the ingest denominator, so a
-	// background flush cannot land between the two reads.
+	// concurrent writer's flush cannot land between the two reads.
 	ps := db.primary.Stats().Snapshot()
 	primary = ps.WriteAmplification()
 	primaryIngest := ps.IngestBytes

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -78,6 +79,15 @@ func ioStats(st Stats) (out struct{ Primary, Index ioSnapshot }) {
 	return out
 }
 
+// renderStats renders st as %+v did while Snapshot still ended with the
+// L0 write-stall counter, StallNanos, which only the removed background
+// mode ever moved from 0: the stats digests stay the parent commit's.
+func renderStats(st Stats) string {
+	return ingestBytes.ReplaceAllString(fmt.Sprintf("%+v", st), "$0 StallNanos:0")
+}
+
+var ingestBytes = regexp.MustCompile(`IngestBytes:\d+`)
+
 func digest(s string) string {
 	sum := sha256.Sum256([]byte(s))
 	return hex.EncodeToString(sum[:])
@@ -128,7 +138,7 @@ func TestGroupCommitEquivalence(t *testing.T) {
 			if io := ioStats(st); digest(fmt.Sprintf("%+v", io)) != want.io {
 				t.Errorf("I/O counters differ from the parent commit's: %+v", io)
 			}
-			if got := digest(fmt.Sprintf("%+v", st)); got != want.stats {
+			if got := digest(renderStats(st)); got != want.stats {
 				t.Errorf("counters differ (digest %s): %+v", got, st)
 			}
 			primary, index, err := db.DiskUsage()
@@ -175,7 +185,6 @@ func TestGroupCommitConcurrentCore(t *testing.T) {
 			dir := t.TempDir()
 			opts := smallOptions(kind)
 			opts.MemTableBytes = 1 << 20
-			opts.BackgroundCompaction = true
 			db, err := Open(dir, opts)
 			if err != nil {
 				t.Fatal(err)

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"sort"
+	"sync"
 
 	"leveldbpp/internal/lsm"
 	"leveldbpp/internal/metrics"
@@ -47,6 +48,13 @@ type chunk struct {
 	valid  [maxChunk]bool
 }
 
+// chunkPool holds zeroed chunks for collect. A chunk is over 5 KiB. On
+// collect's stack its cost depended on the caller's stack depth: on a
+// 2-core Xeon box, a caller frame 16 bytes smaller made Composite
+// RANGELOOKUP about 30 % slower. From the pool its address does not
+// depend on the caller.
+var chunkPool = sync.Pool{New: func() any { return new(chunk) }}
+
 // collect runs q over src one chunk of candidates at a time. The first
 // occurrence of a primary key decides it, and a deletion marker only marks
 // its key seen: any later version of the document wrote a newer index
@@ -60,7 +68,11 @@ type chunk struct {
 func (db *DB) collect(src candidateSource, q *query) ([]Entry, error) {
 	var seen postings.KeySet
 	seen.Reset()
-	var c chunk
+	c := chunkPool.Get().(*chunk)
+	defer func() {
+		*c = chunk{} // drop the references to keys and documents
+		chunkPool.Put(c)
+	}()
 	var out []Entry
 	var err error
 	more := true
@@ -85,7 +97,7 @@ func (db *DB) collect(src candidateSource, q *query) ([]Entry, error) {
 			break
 		}
 		q.tr.Since(q.phase, mark)
-		err = db.validate(&c, q)
+		err = db.validate(c, q)
 		for i := 0; i < c.n && err == nil; i++ {
 			if c.valid[i] {
 				out = append(out, Entry{Key: string(c.keys[i]), Value: c.docs[i], Seq: c.seqs[i]}) //lsm:allocok the result

@@ -59,8 +59,8 @@ func isMutexRecv(pkg *Pkg, sel *ast.SelectorExpr) bool {
 //     early-exit unlock paths ("if closed { mu.Unlock(); return }") do
 //     not leak into the fallthrough path;
 //   - a branch body that falls through keeps its effects, so conditional
-//     acquisitions with deferred unlocks ("if bg != nil {
-//     compactionMu.Lock(); defer Unlock }") stay held afterwards.
+//     acquisitions with deferred unlocks ("if c != nil {
+//     c.mu.Lock(); defer Unlock }") stay held afterwards.
 //
 // switch cases and select arms are alternatives, so each is scanned from
 // the same entry snapshot and restored. Deferred Unlock is ignored (the

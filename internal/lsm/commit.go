@@ -203,7 +203,7 @@ func (db *DB) leadGroupLocked(seed *pendingCommit, yield bool) {
 // which is released across the WAL write and held again on return.
 func (db *DB) commitGroupLocked(group []*pendingCommit) error {
 	tr := group[0].tr // the leader's own trace; followers only see commit_wait
-	if err := db.throttleLocked(tr); err != nil {
+	if err := db.pipelineErrLocked(); err != nil {
 		return err
 	}
 	// One contiguous sequence range for the whole group, and one shared

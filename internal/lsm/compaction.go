@@ -97,24 +97,6 @@ func (db *DB) levelBusyLocked(l int) bool {
 	return db.compactingLevels[l] || db.compactingLevels[l+1]
 }
 
-// compactionLevelLocked returns the level the next compaction runs out
-// of, considering only unreserved level pairs: 0 once L0 reaches its
-// trigger, else the shallowest over-budget level; -1 when none needs a
-// compaction. Unlike pickCompactionLocked it is side-effect free (no
-// compaction pointer advance), so the runner evaluates it in its wait
-// loop.
-func (db *DB) compactionLevelLocked() int {
-	if len(db.v.levels[0]) >= db.opts.L0CompactionTrigger && !db.levelBusyLocked(0) {
-		return 0
-	}
-	for l := 1; l < db.opts.MaxLevels-1; l++ {
-		if db.v.levelBytes(l) > db.maxBytesForLevel(l) && !db.levelBusyLocked(l) {
-			return l
-		}
-	}
-	return -1
-}
-
 // compactionJob is one picked compaction: inputs from level, overlapping
 // files from level+1, and the pick-time version for tombstone base
 // checks.
@@ -134,19 +116,20 @@ type compactionJob struct {
 }
 
 // pickCompactionLocked chooses the next compaction among unreserved level
-// pairs: L0 first (merge all of L0 with overlapping L1), then the
-// shallowest over-budget level, one file round-robin (LevelDB's
-// compaction pointer, paper §4.2). Returns nil when no unreserved pair
-// needs a compaction.
+// pairs: L0 first once it reaches its trigger (merge all of L0 with
+// overlapping L1), then the shallowest over-budget level, one file
+// round-robin (LevelDB's compaction pointer, paper §4.2). Returns nil
+// when no unreserved pair needs a compaction.
 func (db *DB) pickCompactionLocked() *compactionJob {
-	switch l := db.compactionLevelLocked(); l {
-	case -1:
-		return nil
-	case 0:
+	if len(db.v.levels[0]) >= db.opts.L0CompactionTrigger && !db.levelBusyLocked(0) {
 		return db.pickL0Locked()
-	default:
-		return db.pickLevelLocked(l)
 	}
+	for l := 1; l < db.opts.MaxLevels-1; l++ {
+		if db.v.levelBytes(l) > db.maxBytesForLevel(l) && !db.levelBusyLocked(l) {
+			return db.pickLevelLocked(l)
+		}
+	}
+	return nil
 }
 
 // pickL0Locked builds the job that merges every level-0 file with the
@@ -191,11 +174,10 @@ func (db *DB) pickLevelLocked(l int) *compactionJob {
 	return &compactionJob{level: l, inputs: []*FileMeta{pick}, next: next, base: db.v}
 }
 
-// compactLocked is the pipeline's compaction job, run by the background
-// runner, by the deterministic drain and by CompactRange: it reserves the
-// job's level pair, merges off-lock, installs the outputs, releases the
-// pair and wakes waiters. Caller holds db.mu, which is released across
-// the merge.
+// compactLocked is the pipeline's compaction job, run by the writer's
+// drain and by CompactRange: it reserves the job's level pair, merges
+// off-lock, installs the outputs, releases the pair and wakes waiters.
+// Caller holds db.mu, which is released across the merge.
 func (db *DB) compactLocked(job *compactionJob) error {
 	db.bg.jobs++
 	db.compactingLevels[job.level] = true
@@ -213,7 +195,7 @@ func (db *DB) compactLocked(job *compactionJob) error {
 	db.bg.jobs--
 	db.compactingLevels[job.level] = false
 	db.compactingLevels[job.level+1] = false
-	db.cond.Broadcast() // wake throttled writers, drains and the runner
+	db.cond.Broadcast() // wake Flush, CompactRange and Close waiting on the pipeline
 	if err != nil {
 		db.emitCompactionError(job, err)
 		return err
@@ -223,8 +205,8 @@ func (db *DB) compactLocked(job *compactionJob) error {
 }
 
 // compactToShapeLocked runs compaction jobs on the calling goroutine until
-// no unreserved level pair needs one: the deterministic drain, and
-// CompactRange's tail in both modes. Caller holds db.mu.
+// no unreserved level pair needs one: the writer's drain, and
+// CompactRange's tail. Caller holds db.mu.
 func (db *DB) compactToShapeLocked() error {
 	for db.pipelineErrLocked() == nil {
 		job := db.pickCompactionLocked()
@@ -342,12 +324,10 @@ func sortFilesBySmallest(files []*FileMeta) {
 // it — LevelDB's manual compaction. Useful for tests, space reclamation
 // after bulk deletes, and read-optimizing a cold dataset. It flushes the
 // MemTable first, then runs each compaction job on the caller once no
-// other job is in flight; the background runner picks no new jobs for its
-// duration.
+// other job is in flight. Writers and other CompactRange calls may run
+// jobs on other level pairs while a job drops db.mu for its merge; the
+// level-pair reservation keeps their file sets disjoint.
 func (db *DB) CompactRange(lo, hi []byte) error {
-	// Lock order: compactionMu before db.mu (see background).
-	db.bg.compactionMu.Lock()
-	defer db.bg.compactionMu.Unlock()
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if err := db.freezeMemLocked(true); err != nil {

@@ -22,33 +22,27 @@ import (
 // ErrClosed is returned by operations on a closed DB.
 var ErrClosed = errors.New("lsm: database is closed")
 
-// ErrStalled is returned by Health while the background-mode L0 write-stop
-// throttle is engaged: writes block until compaction drains level 0.
-var ErrStalled = errors.New("lsm: write stall: level-0 at stop trigger")
-
 // The engine-wide blessed lock order, enforced whole-program by
 // lsmlint's lockorder analyzer (DESIGN.md §5.8). A lock may be acquired
 // only while holding locks strictly earlier in some chain; the order is
 // the transitive closure of all chains. core's writeMu is the outermost
-// (it serializes primary+index write pairs above this package), then the
-// compaction interlock, then db.mu, then the WAL lock; cache shards are
-// leaves taken under db.mu. The commit queue has no lock of its own: db.mu
-// guards it, and the group-size histogram is lock-free.
+// (it serializes primary+index write pairs above this package), then
+// db.mu, then the WAL lock; cache shards are leaves taken under db.mu.
+// The commit queue has no lock of its own: db.mu guards it, and the
+// group-size histogram is lock-free.
 //
 // The tracer's ring mutex is a leaf below db.mu. A compaction job is
 // entered with db.mu held and drops it only for the merge, which the
 // analyzer does not see, so it counts the job's OpCompact trace as taken
 // under db.mu; the ring mutex is never held while taking db.mu.
 //
-//lsm:lockorder core.DB.writeMu < lsm.background.compactionMu < lsm.DB.mu < lsm.DB.logMu
+//lsm:lockorder core.DB.writeMu < lsm.DB.mu < lsm.DB.logMu
 //lsm:lockorder lsm.DB.mu < cache.shard.mu
 //lsm:lockorder lsm.DB.mu < metrics.Tracer.mu
 
 // DB is a single-node LSM key-value store. Writes are serialized. The
 // flush and compaction jobs of one pipeline (background.go) keep the tree
-// in shape; by default the writing goroutine runs them (see package doc),
-// and with Options.BackgroundCompaction dedicated goroutines do and the
-// writer only swaps MemTables.
+// in shape, and the writing goroutine runs them (see package doc).
 type DB struct {
 	dir  string
 	opts Options
@@ -59,7 +53,7 @@ type DB struct {
 	imm  *memTable  // guarded by mu; frozen MemTable awaiting its flush job
 	// logMu guards the WAL writer pointer and all WAL I/O, so a commit
 	// leader appends and fsyncs without holding db.mu.
-	// Lock order: db.mu (either mode) before logMu, never the reverse;
+	// Lock order: db.mu before logMu, never the reverse;
 	// no goroutine acquires db.mu while holding logMu.
 	logMu   sync.Mutex
 	log     *wal.Writer // guarded by logMu
@@ -90,7 +84,7 @@ type DB struct {
 	// while rolling tables without holding db.mu.
 	nextFileNum atomic.Uint64
 
-	bg *background // the flush/compaction pipeline; goroutines only in background mode
+	bg *background // the flush/compaction pipeline
 
 	// testBlockFlush, when non-nil, is received from by the flush job
 	// before it builds a table — lets crash tests freeze a DB with an
@@ -186,9 +180,6 @@ func Open(dir string, o *Options) (*DB, error) {
 	}
 	db.memWALs = append(db.memWALs, seg)
 	db.removeOrphanTables()
-	if opts.BackgroundCompaction {
-		db.startBackground()
-	}
 	db.emit(metrics.Event{
 		Type:    metrics.EventOpen,
 		Entries: db.mem.list.Len(),
@@ -294,7 +285,7 @@ func (db *DB) Put(key, value []byte) error {
 // PutWithSeqTraced is Put returning the assigned sequence number, which
 // secondary-index layers stamp into posting-list entries so top-K
 // ordering follows primary-table insertion time. It records write-path
-// phase timings (throttle, wal, mem_insert, rotate) into tr; tr may be nil.
+// phase timings (wal, mem_insert, rotate) into tr; tr may be nil.
 func (db *DB) PutWithSeqTraced(key, value []byte, tr *metrics.Trace) (uint64, error) {
 	return db.write(ikey.KindSet, key, value, tr)
 }
@@ -449,9 +440,8 @@ func (db *DB) walkLocked(key []byte, tr *metrics.Trace, scs []sstable.GetScratch
 
 // Flush forces the MemTable to level 0 and blocks until the pipeline is
 // idle: the frozen MemTable flushed, no compaction in flight, the tree
-// shape within budget. In deterministic mode the caller runs the flush
-// and the compactions itself. Useful in tests and at the end of bulk
-// loads.
+// shape within budget. The caller runs the flush and the compactions
+// itself. Useful in tests and at the end of bulk loads.
 func (db *DB) Flush() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -462,12 +452,17 @@ func (db *DB) Flush() error {
 }
 
 // Close flushes nothing (the WAL preserves the MemTable) and releases file
-// handles. It first drains the in-flight flush and compaction jobs and
-// stops the background goroutines, if any.
+// handles. It first refuses new work and waits for the flush and
+// compaction jobs that writers are running; writers arriving during the
+// drain receive ErrClosed.
 func (db *DB) Close() error {
-	db.stopBackground()
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	db.bg.closing = true
+	db.cond.Broadcast()
+	for (db.imm != nil || db.bg.jobs > 0) && db.bg.err == nil {
+		db.cond.Wait()
+	}
 	if db.closed {
 		return nil
 	}
@@ -494,22 +489,15 @@ func (db *DB) Close() error {
 }
 
 // Health reports whether the DB is serving normally: ErrClosed after
-// Close, the pipeline's sticky error if a flush or background compaction
-// failed, ErrStalled while the background-mode L0 write-stop throttle is
-// engaged, nil otherwise. Served by the HTTP layer at /healthz.
+// Close, the pipeline's sticky error if a flush failed, nil otherwise.
+// Served by the HTTP layer at /healthz.
 func (db *DB) Health() error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	if db.closed {
 		return ErrClosed
 	}
-	if db.bg.err != nil {
-		return db.bg.err
-	}
-	if db.opts.BackgroundCompaction && len(db.v.levels[0]) >= l0StopTrigger {
-		return ErrStalled
-	}
-	return nil
+	return db.bg.err
 }
 
 // LevelInfo describes one populated level for monitoring exports.

@@ -19,23 +19,21 @@ func firstIndex(evs []metrics.Event, typ metrics.EventType) int {
 	return -1
 }
 
-// TestBackgroundEventOrdering drives the background pipeline until flushes
-// and compactions have run, then checks that the event log tells the
-// lifecycle story in causal order: a MemTable freeze precedes the flush it
-// feeds, the flush completes before any compaction of its output starts,
-// and start/done pairs balance once the pipeline drains at Close.
+// TestBackgroundEventOrdering has concurrent writers drive the pipeline
+// until flushes and compactions have run, then checks that the event log
+// tells the lifecycle story in causal order: a MemTable freeze precedes
+// the flush it feeds, the flush completes before any compaction of its
+// output starts, and start/done pairs balance once Close drains the jobs.
 func TestBackgroundEventOrdering(t *testing.T) {
 	log := metrics.NewEventLog(4096)
-	o := bgOpts()
+	o := smallOpts()
 	o.Events = log
 	dir := t.TempDir()
 	db, err := Open(dir, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 4000; i++ {
-		mustPut(t, db, fmt.Sprintf("key-%05d", i), fmt.Sprintf("value-%05d", i))
-	}
+	writeConcurrently(t, db, 4, 1000)
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -95,10 +93,10 @@ func TestBackgroundEventOrdering(t *testing.T) {
 	}
 }
 
-// TestInlineModeEvents checks that deterministic mode, whose writer runs
-// the pipeline's flush and compaction jobs, emits the same vocabulary as
-// background mode, and that a JSONL sink attached behind the ring
-// receives every event as one JSON line.
+// TestInlineModeEvents checks that a lone writer, which runs the
+// pipeline's flush and compaction jobs, emits flush, compaction, open and
+// close events, and that a JSONL sink attached behind the ring receives
+// every event as one JSON line.
 func TestInlineModeEvents(t *testing.T) {
 	var buf bytes.Buffer
 	jsonl := metrics.NewJSONLSink(&buf)

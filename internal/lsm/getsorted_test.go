@@ -55,11 +55,11 @@ func blocksTouched(t *testing.T, db *DB, key []byte) []tableBlock {
 	return out
 }
 
-// buildMixedTree opens a background-mode DB in dir over a tree with two
-// deeper levels, level-0 tables, a frozen MemTable whose flush is parked
-// and a live MemTable, with tombstones at every depth. It returns the DB
-// and the key space (some keys never written). The caller releases the
-// parked flush through the returned func before closing.
+// buildMixedTree opens a DB over a tree with two deeper levels, level-0
+// tables, a frozen MemTable whose flush is parked and a live MemTable,
+// with tombstones at every depth. It returns the DB and the key space
+// (some keys never written). The caller releases the parked flush through
+// the returned func before closing.
 func buildMixedTree(t *testing.T, seed int64, cacheBytes int64) (*DB, [][]byte, func()) {
 	t.Helper()
 	dir := t.TempDir()
@@ -81,22 +81,22 @@ func buildMixedTree(t *testing.T, seed int64, cacheBytes int64) (*DB, [][]byte, 
 		}
 	}
 
-	det, err := Open(dir, opts)
+	db, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	write(det, 6000)
-	if err := det.CompactRange(nil, nil); err != nil {
+	write(db, 6000)
+	if err := db.CompactRange(nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	write(det, 3000)
-	for len(levelsOf(det)[0]) == 0 {
-		write(det, 150)
-		if err := det.Flush(); err != nil {
+	write(db, 3000)
+	for len(levelsOf(db)[0]) == 0 {
+		write(db, 150)
+		if err := db.Flush(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	levels := levelsOf(det)
+	levels := levelsOf(db)
 	deep := 0
 	for _, files := range levels[1:] {
 		if len(files) > 0 {
@@ -106,38 +106,21 @@ func buildMixedTree(t *testing.T, seed int64, cacheBytes int64) (*DB, [][]byte, 
 	if len(levels[0]) == 0 || deep < 2 {
 		t.Fatalf("tree has %d L0 tables and %d deeper levels, want ≥1 and ≥2", len(levels[0]), deep)
 	}
-	if err := det.Close(); err != nil {
-		t.Fatal(err)
-	}
 
-	opts.BackgroundCompaction = true
-	db, err := Open(dir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	block := make(chan struct{})
-	db.mu.Lock()
-	db.testBlockFlush = block
-	db.mu.Unlock()
-	for frozen := false; !frozen; {
-		write(db, 20)
-		db.mu.RLock()
-		frozen = db.imm != nil
-		db.mu.RUnlock()
-	}
+	// Neither batch fills a MemTable, so only the parked Flush freezes.
+	write(db, 60)
+	release := parkFlush(t, db)
 	write(db, 60) // the live MemTable shadows some frozen keys
-	release := func() {
-		close(block)
-		db.mu.Lock()
-		db.testBlockFlush = nil
-		db.mu.Unlock()
-	}
 
 	space := make([][]byte, keys)
 	for i := range space {
 		space[i] = []byte(key(i))
 	}
-	return db, space, release
+	return db, space, func() {
+		if err := release(); err != nil {
+			t.Error(err)
+		}
+	}
 }
 
 // TestGetSortedMatchesGet holds GetSortedTraced to per-key GetTraced on

@@ -283,13 +283,13 @@ func TestCompactionErrorEvent(t *testing.T) {
 	}
 }
 
-// TestBackgroundCompactionStress is the race-detector workout for the
-// compaction runner and the merge goroutine: concurrent writers and
-// readers run against a background-mode DB, with a manual CompactRange in
+// TestBackgroundCompactionStress is the race-detector workout for
+// writer-run compaction jobs and their merge goroutines: concurrent
+// writers and readers run against one DB, with a manual CompactRange in
 // the middle. Wired into `make lint-race`.
 func TestBackgroundCompactionStress(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(dir, bgOpts())
+	db, err := Open(dir, smallOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,8 +386,8 @@ func TestBackgroundCompactionStress(t *testing.T) {
 	}
 	closeWithin(t, db)
 
-	// Reopen in deterministic mode: the on-disk state the background
-	// jobs left behind must be mode-independent.
+	// Reopen: the on-disk state the concurrent jobs left behind must
+	// verify.
 	re, err := Open(dir, smallOpts())
 	if err != nil {
 		t.Fatal(err)

@@ -4,16 +4,15 @@
 // tombstone deletes, and exact logical block I/O accounting.
 //
 // The engine is deliberately single-writer. Flushes and compactions are
-// the jobs of one pipeline (background.go), and by default the writer
-// that fills a MemTable runs them before its write returns: the paper
-// picked LevelDB because a single-threaded store isolates and explains
-// index costs, and writer-run jobs additionally make every experiment
-// deterministic. Options.BackgroundCompaction hands the same jobs to
-// background goroutines instead. Like LevelDB's writer queue,
-// every Put, Delete and Apply commits through one leader-based queue
-// (commit.go); a lone writer is a group of one, and concurrent writers
-// share a WAL write and, under wal.SyncGrouped, an fsync. Reads are
-// guarded by an RWMutex and may run concurrently with each other.
+// the jobs of one pipeline (background.go), and the writer that fills a
+// MemTable runs them before its write returns: the paper picked LevelDB
+// because a single-threaded store isolates and explains index costs, and
+// writer-run jobs additionally make every experiment deterministic. Like
+// LevelDB's writer queue, every Put, Delete and Apply commits through one
+// leader-based queue (commit.go); a lone writer is a group of one, and
+// concurrent writers share a WAL write and, under wal.SyncGrouped, an
+// fsync. Reads are guarded by an RWMutex and may run concurrently with
+// each other.
 package lsm
 
 import (
@@ -106,15 +105,6 @@ type Options struct {
 	// fsync per logical commit), or grouped (one fsync per commit group —
 	// concurrent committers share it).
 	SyncMode wal.SyncMode
-	// BackgroundCompaction decides who runs the pipeline's flush and
-	// compaction jobs. Off (the default), the writer that fills the
-	// MemTable runs them before its write returns, and Flush and
-	// CompactRange run them on the caller — the paper's single-threaded
-	// configuration, deterministic with exact I/O attribution (DESIGN.md
-	// §5.1). On, a flusher goroutine and a compaction runner goroutine run
-	// the same jobs, and the writer only swaps in a fresh MemTable + WAL
-	// segment; writers are delayed from 8 level-0 files and blocked from 12.
-	BackgroundCompaction bool
 	// BlockCacheBytes enables an LRU block cache of the given capacity.
 	// 0 disables caching — the paper's configuration ("No block cache
 	// was used"), keeping measured block I/O purely algorithmic.
@@ -126,9 +116,9 @@ type Options struct {
 	// foreground ops traced by the layers above. Nil disables.
 	Tracer *metrics.Tracer
 	// Events, when set, receives structured lifecycle events (MemTable
-	// freezes, flush and compaction start/done, throttle transitions, WAL
-	// rotations — see metrics.EventType). Nil disables event emission.
-	// Sinks are called with db.mu held and must not block on this DB.
+	// freezes, flush and compaction start/done, WAL rotations — see
+	// metrics.EventType). Nil disables event emission. Sinks are called
+	// with db.mu held and must not block on this DB.
 	Events metrics.EventSink
 }
 

@@ -10,12 +10,11 @@ import (
 )
 
 // Structured event log (DESIGN.md §5.3). Engine lifecycle transitions —
-// MemTable freezes, flushes, compactions, write-throttle engage/release,
-// WAL rotations — are emitted as typed Events through a pluggable
-// EventSink, so that a latency spike in the paper's box plots can be
-// attributed to the background work that caused it. The default sink is a
-// bounded in-memory ring (EventLog) served at /events; a JSONLSink can be
-// attached for durable capture.
+// MemTable freezes, flushes, compactions, WAL rotations — are emitted as
+// typed Events through a pluggable EventSink, so that a latency spike in
+// the paper's box plots can be attributed to the flush or compaction that
+// caused it. The default sink is a bounded in-memory ring (EventLog)
+// served at /events; a JSONLSink can be attached for durable capture.
 
 // EventType names one lifecycle transition.
 type EventType string
@@ -30,10 +29,6 @@ const (
 	EventCompactionStart EventType = "compaction_start"
 	EventCompactionDone  EventType = "compaction_done"
 	EventCompactionError EventType = "compaction_error"
-	EventSlowdownOn      EventType = "throttle_slowdown_engage"
-	EventSlowdownOff     EventType = "throttle_slowdown_release"
-	EventStopOn          EventType = "throttle_stop_engage"
-	EventStopOff         EventType = "throttle_stop_release"
 	EventWALRotate       EventType = "wal_rotate"
 	// Model/advisor observability (DESIGN.md §5.7): emitted by the
 	// workload profiler when the observed/predicted cost ratio leaves the

@@ -11,7 +11,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // IOStats is one table's counter set. The engine counts logical
@@ -46,7 +45,6 @@ type IOStats struct {
 	CommitGroups  atomic.Int64 // WAL write passes (a lone writer is a group of one)
 	WALFsyncs     atomic.Int64 // fsyncs issued by the commit path
 	IngestBytes   atomic.Int64 // user key+value bytes committed: the WAMF denominator
-	StallNanos    atomic.Int64 // wall time writers spent stalled on the L0 stop trigger
 }
 
 // Snapshot is a point-in-time copy of IOStats.
@@ -60,8 +58,7 @@ type Snapshot struct {
 
 	PostingsBytesDecoded, PostingsEntriesDecoded, FragmentsMerged int64
 
-	Commits, CommitRecords, CommitGroups, WALFsyncs int64
-	IngestBytes, StallNanos                         int64
+	Commits, CommitRecords, CommitGroups, WALFsyncs, IngestBytes int64
 }
 
 // IOCounter declares one per-table counter: its field, named alike in
@@ -69,7 +66,6 @@ type Snapshot struct {
 // with a table="primary"|"index" label.
 type IOCounter struct {
 	Field, Name, Help string
-	Nanos             bool // the field counts nanoseconds, exported as seconds
 
 	io, sn int // the field's index in IOStats and in Snapshot
 }
@@ -99,7 +95,6 @@ var IOCounters = []IOCounter{
 	{Field: "CommitGroups", Name: "lsmpp_commit_groups_total", Help: "WAL write passes (commit groups; a lone writer is a group of 1)."},
 	{Field: "WALFsyncs", Name: "lsmpp_wal_fsyncs_total", Help: "fsyncs issued by the commit path."},
 	{Field: "IngestBytes", Name: "lsmpp_ingest_bytes_total", Help: "User key+value bytes committed (the write-amplification denominator)."},
-	{Field: "StallNanos", Name: "lsmpp_compaction_stall_seconds_total", Help: "Cumulative time writers spent stalled on the L0 stop trigger.", Nanos: true},
 }
 
 func init() {
@@ -115,13 +110,9 @@ func init() {
 	}
 }
 
-// Value returns the counter's value in sn, in its exported unit.
+// Value returns the counter's value in sn.
 func (c IOCounter) Value(sn Snapshot) float64 {
-	v := reflect.ValueOf(sn).Field(c.sn).Int()
-	if c.Nanos {
-		return time.Duration(v).Seconds()
-	}
-	return float64(v)
+	return float64(reflect.ValueOf(sn).Field(c.sn).Int())
 }
 
 // Snapshot returns a consistent-enough copy for reporting (fields are read

@@ -70,8 +70,7 @@ type Phase uint8
 // The phase taxonomy (DESIGN.md §5.3).
 const (
 	// Write-path top-level phases.
-	PhaseThrottle    Phase = iota // L0 slowdown/stop wait before a write is accepted
-	PhaseCommitWait               // follower wait in the group-commit queue
+	PhaseCommitWait  Phase = iota // follower wait in the group-commit queue
 	PhaseWAL                      // WAL append (+ fsync; see the wal_sync sub-phase)
 	PhaseMergeProbe               // write-merge (Lazy coalescing) read of the prior fragment
 	PhaseMemInsert                // MemTable insert
@@ -104,8 +103,6 @@ const (
 // String returns the phase's wire name.
 func (p Phase) String() string {
 	switch p {
-	case PhaseThrottle:
-		return "throttle"
 	case PhaseCommitWait:
 		return "commit_wait"
 	case PhaseWAL:

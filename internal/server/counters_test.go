@@ -60,18 +60,17 @@ func TestEveryCounterDeclared(t *testing.T) {
 }
 
 // TestScrapeDuringBackgroundWrites scrapes /metrics and /stats in a loop
-// while background-mode writers commit and the flush and compaction
-// runners work under them: the counters they read are atomics, so a
-// scrape takes no engine lock for them. The commit counters never go
+// while concurrent writers commit and run the flushes and compactions
+// their writes trigger: the counters they read are atomics, so a scrape
+// takes no engine lock for them. The commit counters never go
 // backwards between scrapes and end at the number of writes. Wired into
 // `make lint-race`.
 func TestScrapeDuringBackgroundWrites(t *testing.T) {
 	db, err := core.Open(t.TempDir(), core.Options{
-		Index:                core.IndexLazy,
-		Attrs:                []string{"UserID", "CreationTime"},
-		MemTableBytes:        8 << 10,
-		L0CompactionTrigger:  2,
-		BackgroundCompaction: true,
+		Index:               core.IndexLazy,
+		Attrs:               []string{"UserID", "CreationTime"},
+		MemTableBytes:       8 << 10,
+		L0CompactionTrigger: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -140,6 +139,6 @@ func TestScrapeDuringBackgroundWrites(t *testing.T) {
 	}
 	counts := db.EventLog().Counts()
 	if counts[metrics.EventFlushDone] == 0 || counts[metrics.EventCompactionDone] == 0 {
-		t.Fatalf("no background flush or compaction ran: %v", counts)
+		t.Fatalf("no flush or compaction ran: %v", counts)
 	}
 }

@@ -120,8 +120,8 @@ func (s *Server) writeMetrics(w io.Writer) {
 		}
 	}
 
-	// Lifecycle event counts by type (flushes, compactions, throttle
-	// transitions, ...), straight from the shared event log.
+	// Lifecycle event counts by type (flushes, compactions, WAL
+	// rotations, ...), straight from the shared event log.
 	counts := s.db.EventLog().Counts()
 	types := make([]string, 0, len(counts))
 	for t := range counts {

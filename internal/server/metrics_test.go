@@ -246,8 +246,9 @@ func TestMetricsPrometheusRoundTrip(t *testing.T) {
 }
 
 // TestMetricsCompactionSeries checks the compaction series /metrics
-// serves: the L0 write-stall counter for both tables, and none of the
-// retired sub-compaction partition and worker series.
+// serves: the compaction write counter for both tables, and none of the
+// retired sub-compaction partition and worker series or the L0
+// write-stall counter.
 func TestMetricsCompactionSeries(t *testing.T) {
 	ts, _ := newTestServer(t)
 	for i := 0; i < 200; i++ {
@@ -258,12 +259,13 @@ func TestMetricsCompactionSeries(t *testing.T) {
 	_, body := do(t, http.MethodGet, ts.URL+"/metrics", "")
 	samples := parsePrometheus(t, body)
 	for _, table := range []string{"primary", "index"} {
-		ss := find(samples, "lsmpp_compaction_stall_seconds_total", map[string]string{"table": table})
+		ss := find(samples, "lsmpp_compaction_write_bytes_total", map[string]string{"table": table})
 		if len(ss) != 1 || ss[0].value < 0 {
-			t.Fatalf("lsmpp_compaction_stall_seconds_total{table=%q}: %v", table, ss)
+			t.Fatalf("lsmpp_compaction_write_bytes_total{table=%q}: %v", table, ss)
 		}
 	}
-	for _, gone := range []string{"lsmpp_compaction_subcompactions_total", "lsmpp_compaction_workers_busy"} {
+	for _, gone := range []string{"lsmpp_compaction_subcompactions_total", "lsmpp_compaction_workers_busy",
+		"lsmpp_compaction_stall_seconds_total"} {
 		if bytes.Contains(body, []byte(gone)) {
 			t.Errorf("/metrics still serves %s", gone)
 		}

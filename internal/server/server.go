@@ -19,7 +19,7 @@
 //	POST   /compact                           full manual compaction
 //	GET    /check                             full consistency audit
 //	GET    /debug                             level-shape dump
-//	GET    /healthz                           liveness (503 when stalled/closed)
+//	GET    /healthz                           liveness (503 when closed or a flush failed)
 //	GET    /metrics                           Prometheus text format
 //	GET    /events                            lifecycle event log (JSON)
 //	GET    /trace/slow?op=O&limit=N           recent slow traces + breakdown
