@@ -98,6 +98,7 @@ ci: vet lint lint-race build bench-test
 	$(GO) test -fuzz=FuzzExtractAttrs -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzNewestFirstStream -fuzztime=10s -fuzzminimizetime=1s ./internal/core/
 	$(GO) test -fuzz=FuzzCompositeStream -fuzztime=10s -fuzzminimizetime=1s ./internal/core/
+	$(GO) test -fuzz=FuzzEmbeddedTopK -fuzztime=10s -fuzzminimizetime=1s ./internal/core/
 
 # Regenerate the paper's evaluation at the default reduced scale.
 experiments:

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	lsmdump file.sst              # summary: entries, blocks, key range, attrs
-//	lsmdump -blocks file.sst      # per-block key ranges and secondary zone maps
+//	lsmdump -blocks file.sst      # per-block key ranges, max seqs and secondary zone maps
 //	lsmdump -entries file.sst     # every entry (key@seq:kind → value)
 //	lsmdump -verify file.sst      # full checksum scan
 package main
@@ -68,7 +68,11 @@ func main() {
 		fmt.Println("\nblocks:")
 		for i := 0; i < tbl.NumBlocks(); i++ {
 			first, last := tbl.BlockRange(i)
-			fmt.Printf("  block %4d: %s .. %s\n", i, ikey.String(first), ikey.String(last))
+			maxSeq := "table max"
+			if tbl.HasBlockMaxSeqs() {
+				maxSeq = fmt.Sprint(tbl.BlockMaxSeq(i))
+			}
+			fmt.Printf("  block %4d: %s .. %s  max seq %s\n", i, ikey.String(first), ikey.String(last), maxSeq)
 			for _, a := range attrs {
 				if min, max, ok := tbl.BlockZone(a, i); ok {
 					fmt.Printf("    %-14s zone [%q, %q]\n", a, min, max)

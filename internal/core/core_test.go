@@ -383,12 +383,34 @@ func TestEmbeddedAblationsSameResults(t *testing.T) {
 	}
 	defer noZone.Close()
 
+	m := newModel()
 	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 2000; i++ {
-		key := fmt.Sprintf("t%05d", i)
-		doc := tweetDoc(fmt.Sprintf("u%02d", rng.Intn(20)), i, "ablation test tweet")
+	put := func(key string, i int) {
+		user := fmt.Sprintf("u%02d", rng.Intn(20))
+		doc := tweetDoc(user, i, "ablation test tweet")
 		for _, db := range []*DB{base, noLite, noZone} {
 			if err := db.Put(key, doc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m.put(key, user, i)
+	}
+	for i := 0; i < 2000; i++ {
+		put(fmt.Sprintf("t%05d", i), i)
+	}
+	// Re-put old keys under a fresh random UserID, flushing after all but
+	// the last round, so older versions of a document — under its old
+	// UserID or the same one — sit in deeper strata than its newest, the
+	// MemTable included.
+	for round := 0; round < 4; round++ {
+		for j := 0; j < 150; j++ {
+			put(fmt.Sprintf("t%05d", rng.Intn(2000)), 2000+150*round+j)
+		}
+		if round == 3 {
+			break
+		}
+		for _, db := range []*DB{base, noLite, noZone} {
+			if err := db.Flush(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -399,6 +421,9 @@ func TestEmbeddedAblationsSameResults(t *testing.T) {
 			want, err := base.Lookup("UserID", user, k)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if !sameKeys(keysOf(want), m.lookup("UserID", user, user, k)) {
+				t.Fatalf("base k=%d user=%s: %v want %v", k, user, keysOf(want), m.lookup("UserID", user, user, k))
 			}
 			for name, db := range map[string]*DB{"noGetLite": noLite, "noFileZone": noZone} {
 				got, err := db.Lookup("UserID", user, k)

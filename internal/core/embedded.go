@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"cmp"
+	"slices"
 
 	"leveldbpp/internal/btree"
 	"leveldbpp/internal/ikey"
@@ -20,10 +21,12 @@ import (
 // Strata) — MemTable, frozen MemTable, each level-0 file, then each
 // deeper level — reading only the data
 // blocks whose filters pass, keeping a top-K min-heap by sequence number
-// (Algorithms 5 and 8). Candidate validity ("is this still the newest
-// version of the record?") is checked with GetLite: a metadata-only probe
-// of the strata above the candidate, touching disk only to confirm bloom
-// positives.
+// (Algorithms 5 and 8). Within a table the candidate blocks are read
+// newest first by their recorded max seq, and a full heap stops the table
+// at the first block too old to improve it. Candidate validity ("is this
+// still the newest version of the record?") is checked with GetLite: a
+// metadata-only probe of the strata above the candidate, touching disk
+// only to confirm bloom positives.
 
 func (db *DB) embeddedLookup(attr, value string, k int, tr *metrics.Trace) ([]Entry, error) {
 	return db.embeddedScan(attr, value, value, k, true, tr)
@@ -45,8 +48,9 @@ func (db *DB) embeddedScan(attr, lo, hi string, k int, useFilters bool, tr *metr
 		strata := v.Strata()
 		heap := newTopK(k)
 		// seen guards against double-reporting a primary key on the
-		// full-GET validation path (ablation); the GetLite path cannot
-		// report duplicates because older versions are invalidated by the
+		// full-GET validation path (ablation): it holds every key already
+		// reported, from a MemTable too. The GetLite path cannot report
+		// duplicates because older versions are invalidated by the
 		// stratum holding the newer one.
 		var seen map[string]bool
 		if db.opts.DisableGetLite {
@@ -62,7 +66,7 @@ func (db *DB) embeddedScan(attr, lo, hi string, k int, useFilters bool, tr *metr
 		for si, s := range strata {
 			if s.IsMem() {
 				t0 := tr.Now()
-				err := db.embeddedScanMem(strata, si, attr, lo, hi, heap, useFilters, tr)
+				err := db.embeddedScanMem(strata, si, attr, lo, hi, heap, useFilters, seen, tr)
 				phase := metrics.PhaseMemProbe
 				if s.Frozen {
 					phase = metrics.PhaseImmProbe
@@ -84,17 +88,6 @@ func (db *DB) embeddedScan(attr, lo, hi string, k int, useFilters bool, tr *metr
 				}
 				tr.Since(metrics.PhaseIndexProbe, t0)
 			}
-			// Paper: scan to the end of a level before deciding; stop once
-			// no remaining stratum can hold a newer match.
-			if heap.Full() {
-				remainingMax := uint64(0)
-				for _, r := range strata[si+1:] {
-					remainingMax = max(remainingMax, r.MaxSeq())
-				}
-				if remainingMax <= heap.MinSeq() {
-					break
-				}
-			}
 		}
 		// Ordering the heap belongs to the phase that filled it: with the
 		// per-record test cheap, sorting a few hundred unbounded-K results
@@ -111,14 +104,20 @@ func (db *DB) embeddedScan(attr, lo, hi string, k int, useFilters bool, tr *metr
 // (the live MemTable or the frozen one): through the secondary B-tree when
 // the Embedded index is active, by direct scan for NoIndex. A candidate
 // must be its key's newest version in the stratum and shadowed by no
-// stratum above.
-func (db *DB) embeddedScanMem(strata []lsm.Stratum, si int, attr, lo, hi string, heap *topK, useFilters bool, tr *metrics.Trace) error {
+// stratum above. A key added is marked in seen when seen is non-nil.
+func (db *DB) embeddedScanMem(strata []lsm.Stratum, si int, attr, lo, hi string, heap *topK, useFilters bool, seen map[string]bool, tr *metrics.Trace) error {
 	s := strata[si]
 	var err error
 	visible := func(pk []byte) bool {
 		hidden, serr := shadowed(strata[:si], pk, tr)
 		err = cmp.Or(err, serr)
 		return !hidden && serr == nil
+	}
+	add := func(e Entry) {
+		heap.Add(e)
+		if seen != nil {
+			seen[e.Key] = true
+		}
 	}
 	if useFilters {
 		tree := s.MemSecTree(attr)
@@ -135,7 +134,7 @@ func (db *DB) embeddedScanMem(strata []lsm.Stratum, si int, attr, lo, hi string,
 					continue // superseded within this MemTable
 				}
 				if visible(p.Key) {
-					heap.Add(Entry{Key: string(p.Key), Value: append([]byte(nil), val...), Seq: seq})
+					add(Entry{Key: string(p.Key), Value: append([]byte(nil), val...), Seq: seq})
 				}
 			}
 			return err == nil
@@ -153,7 +152,7 @@ func (db *DB) embeddedScanMem(strata []lsm.Stratum, si int, attr, lo, hi string,
 			continue
 		}
 		if visible(uk) && attrInRange(it.Value(), attr, lo, hi) {
-			heap.Add(Entry{Key: string(uk), Value: append([]byte(nil), it.Value()...), Seq: ikey.Seq(ik)})
+			add(Entry{Key: string(uk), Value: append([]byte(nil), it.Value()...), Seq: ikey.Seq(ik)})
 		}
 	}
 	return err
@@ -162,9 +161,12 @@ func (db *DB) embeddedScanMem(strata []lsm.Stratum, si int, attr, lo, hi string,
 // embeddedScanTable reads the candidate blocks of one table through it and
 // adds to heap every live entry whose attr lies in [lo, hi], whose
 // sequence number is worth the top-K and which passes the validity check
-// against the strata above. The attribute is tested where it lies in the
-// block; key and value are copied only for an entry that is added, as the
-// next block may be loaded over them.
+// against the strata above. With K > 0 it reads them in descending block
+// max seq and stops at the first one no newer than a full heap's minimum;
+// a table without the column bounds every block by its MaxSeq. The
+// attribute is tested where it lies in the block; key and value are
+// copied only for an entry that is added, as the next block may be loaded
+// over them.
 //
 //lsm:hotpath
 func (db *DB) embeddedScanTable(v *lsm.View, strata []lsm.Stratum, si int, fm *lsm.FileMeta,
@@ -191,7 +193,14 @@ func (db *DB) embeddedScanTable(v *lsm.View, strata []lsm.Stratum, si int, fm *l
 		}
 	}
 
-	for _, bi := range candidates {
+	if heap.k > 0 && tbl.HasBlockMaxSeqs() {
+		slices.SortFunc(candidates, func(a, b int) int { return cmp.Compare(tbl.BlockMaxSeq(b), tbl.BlockMaxSeq(a)) })
+	}
+	for i, bi := range candidates {
+		if heap.Full() && tbl.BlockMaxSeq(bi) <= heap.MinSeq() {
+			tr.Count(metrics.CtrSeqPrunes, int64(len(candidates)-i))
+			break
+		}
 		m := tr.BlockMark()
 		err := tbl.LoadBlock(it, bi, tr)
 		tr.CountLevelSince(strata[si].Level, m)

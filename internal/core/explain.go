@@ -156,7 +156,6 @@ func (db *DB) buildReport(tr *metrics.Trace, op metrics.Op, attr, lo, hi string,
 // instead (see below). The returned formula string names the Table 3/5
 // bound used.
 func (db *DB) predict(op metrics.Op, attr, lo, hi string, out []Entry, io metrics.Counters) (costmodel.Params, float64, string) {
-	results := len(out)
 	p := db.modelParams(attr)
 	totalBlocks := 0
 	for _, b := range p.LevelBlocks {
@@ -171,15 +170,15 @@ func (db *DB) predict(op metrics.Op, attr, lo, hi string, out []Entry, io metric
 			// Table 3's K counts the blocks that hold the value — under a
 			// Zipfian attribute that is far above the top-K result cap. The
 			// engine keeps no per-value block statistics, so K comes from
-			// the trace: candidate blocks minus secondary-bloom false
-			// positives. The model's own contribution — the f_p·Σb_i
-			// false-positive term — is what the ratio then validates.
-			kBlocks := int(io.CandidateBlocks - io.BloomFalsePositives)
-			if kBlocks < results {
-				kBlocks = results
-			}
-			return p, costmodel.EmbeddedLookupIO(p, kBlocks, epsilonBlocks),
-				"(K+eps) + f_p*sum(b_i) (Table 3 LOOKUP)"
+			// the trace: candidate blocks the seq bound left eligible,
+			// minus secondary-bloom false positives. It may be below the
+			// result count, as newest-first reads find several results in
+			// one block. The model's own contribution — ε and the f_p·Σb_i
+			// false-positive term — is what the ratio then validates; both
+			// apply only to the share of blocks the bound left eligible.
+			kBlocks := int(io.CandidateBlocks - io.SeqPrunes - io.BloomFalsePositives)
+			return p, float64(kBlocks) + eligibleShare(io)*costmodel.EmbeddedLookupIO(p, 0, epsilonBlocks),
+				"K + q*(eps + f_p*sum(b_i)) (Table 3 LOOKUP, q = seq-eligible share)"
 		case IndexEager:
 			return p, costmodel.EagerLookupIO(p, db.validationBlocks(out)), "B(K') + 1 (Table 5 LOOKUP)"
 		case IndexLazy:
@@ -195,13 +194,14 @@ func (db *DB) predict(op metrics.Op, attr, lo, hi string, out []Entry, io metric
 			p.RangeBlocks = db.primary.OverlappingBlockCount(nil, nil)
 			corr := db.profiler.TimeCorrelated(attr)
 			// As for LOOKUP, K is the matched-block count from the trace
-			// (candidates surviving the zone-map prune), not the result cap.
-			kBlocks := int(io.CandidateBlocks)
-			if kBlocks < results {
-				kBlocks = results
+			// (candidates surviving the zone-map prune and the seq bound),
+			// not the result cap, and ε and B shrink to the eligible share.
+			kBlocks := int(io.CandidateBlocks - io.SeqPrunes)
+			bound := eligibleShare(io) * costmodel.EmbeddedRangeLookupIO(p, 0, epsilonBlocks, corr, totalBlocks)
+			if corr {
+				bound += float64(kBlocks)
 			}
-			return p, costmodel.EmbeddedRangeLookupIO(p, kBlocks, epsilonBlocks, corr, totalBlocks),
-				"K+eps if time-correlated else B (Table 3 RANGELOOKUP)"
+			return p, bound, "K + q*eps if time-correlated else q*B (Table 3 RANGELOOKUP, q = seq-eligible share)"
 		case IndexEager, IndexLazy:
 			p.RangeBlocks = db.indexes[attr].OverlappingBlockCount([]byte(lo), upperBoundExclusive(hi))
 			return p, float64(db.validationBlocks(out) + p.RangeBlocks), "B(K') + M (Table 5 RANGELOOKUP)"
@@ -215,6 +215,15 @@ func (db *DB) predict(op metrics.Op, attr, lo, hi string, out []Entry, io metric
 	default:
 		return p, 0, ""
 	}
+}
+
+// eligibleShare is q, the share of an Embedded query's candidate blocks
+// that the seq bound left eligible to read: 1 when it pruned none.
+func eligibleShare(io metrics.Counters) float64 {
+	if io.CandidateBlocks == 0 {
+		return 1
+	}
+	return float64(io.CandidateBlocks-io.SeqPrunes) / float64(io.CandidateBlocks)
 }
 
 // modelParams derives live cost-model Params from the geometry of the

@@ -165,6 +165,7 @@ const (
 	CtrBloomNegatives                     // bloom filters that excluded a block
 	CtrBloomFalsePositives                // blocks read on a bloom pass that held no match
 	CtrZoneMapPrunes                      // blocks excluded by zone maps (incl. whole-file zones)
+	CtrSeqPrunes                          // candidate blocks left unread: too old for a full top-K
 	CtrCandidateBlocks                    // blocks that survived zone+bloom filtering
 	CtrPointGets                          // SSTable point reads issued
 	CtrEntriesDecoded                     // block entries decoded during point reads
@@ -189,6 +190,8 @@ func (c Counter) String() string {
 		return "bloom_false_positives"
 	case CtrZoneMapPrunes:
 		return "zone_map_prunes"
+	case CtrSeqPrunes:
+		return "seq_prunes"
 	case CtrCandidateBlocks:
 		return "candidate_blocks"
 	case CtrPointGets:
@@ -367,6 +370,7 @@ type Counters struct {
 	BloomNegatives      int64   `json:"bloom_negatives"`
 	BloomFalsePositives int64   `json:"bloom_false_positives"`
 	ZoneMapPrunes       int64   `json:"zone_map_prunes"`
+	SeqPrunes           int64   `json:"seq_prunes"`
 	CandidateBlocks     int64   `json:"candidate_blocks"`
 	PointGets           int64   `json:"point_gets"`
 	EntriesDecoded      int64   `json:"entries_decoded"`
@@ -395,6 +399,7 @@ func (tr *Trace) Counters() Counters {
 		BloomNegatives:      tr.ctrs[CtrBloomNegatives],
 		BloomFalsePositives: tr.ctrs[CtrBloomFalsePositives],
 		ZoneMapPrunes:       tr.ctrs[CtrZoneMapPrunes],
+		SeqPrunes:           tr.ctrs[CtrSeqPrunes],
 		CandidateBlocks:     tr.ctrs[CtrCandidateBlocks],
 		PointGets:           tr.ctrs[CtrPointGets],
 		EntriesDecoded:      tr.ctrs[CtrEntriesDecoded],

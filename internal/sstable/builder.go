@@ -181,6 +181,8 @@ type Builder struct {
 	offset     uint64
 	entryCount int
 	maxSeq     uint64
+	blockSeq   uint64   // max seq of the pending block
+	blockSeqs  []uint64 // max seq of each block; kept only with attrs
 	err        error
 }
 
@@ -236,9 +238,9 @@ func (b *Builder) Add(internalKey, value []byte, attrs []AttrValue) error {
 		}
 	}
 	b.entryCount++
-	if s := ikey.Seq(internalKey); s > b.maxSeq {
-		b.maxSeq = s
-	}
+	s := ikey.Seq(internalKey)
+	b.maxSeq = max(b.maxSeq, s)
+	b.blockSeq = max(b.blockSeq, s)
 
 	if b.block.sizeEstimate() >= b.opts.BlockSize {
 		return b.flushBlock()
@@ -280,6 +282,10 @@ func (b *Builder) flushBlock() error {
 	}
 	b.blocks = append(b.blocks, bm)
 	b.offset += uint64(len(phys))
+	if len(b.attrs) > 0 {
+		b.blockSeqs = append(b.blockSeqs, b.blockSeq)
+	}
+	b.blockSeq = 0
 
 	for i := range b.attrs {
 		a := &b.attrs[i]
@@ -314,9 +320,13 @@ const (
 	footerLenV2 = 25
 	tableMagic  = 0x4c534d2b2b474f21 // "LSM++GO!"
 	tableMagic2 = 0x4c534d2b2b474f32 // "LSM++GO2"
-	metaVersion = 1
-	formatV1    = 1
-	formatV2    = 2
+	// metaVersion2 appends each block's max seq to the version-1 meta
+	// section. Only a table with secondary attributes carries it, so
+	// other tables still write metaVersion.
+	metaVersion  = 1
+	metaVersion2 = 2
+	formatV1     = 1
+	formatV2     = 2
 )
 
 // Finish flushes the pending block, writes the meta section and footer,
@@ -389,7 +399,11 @@ func (m *metaWriter) putBool(v bool) {
 
 func (b *Builder) encodeMeta() []byte {
 	var m metaWriter
-	m.putUvarint(metaVersion)
+	if b.blockSeqs != nil {
+		m.putUvarint(metaVersion2)
+	} else {
+		m.putUvarint(metaVersion)
+	}
 	m.putUvarint(uint64(len(b.blocks)))
 	for _, bm := range b.blocks {
 		m.putUvarint(bm.offset)
@@ -415,6 +429,9 @@ func (b *Builder) encodeMeta() []byte {
 	}
 	m.putUvarint(uint64(b.entryCount))
 	m.putUvarint(b.maxSeq)
+	for _, s := range b.blockSeqs {
+		m.putUvarint(b.maxSeq - s)
+	}
 	crc := crc32.Checksum(m.buf, crcTable)
 	m.buf = binary.BigEndian.AppendUint32(m.buf, crc)
 	return m.buf

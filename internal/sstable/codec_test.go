@@ -168,6 +168,7 @@ func refTableBytes(entries []tableEntry, opts Options, interval int) []byte {
 	}
 	var userKeys [][]byte
 	var first, last []byte
+	var blockSeq uint64
 	flush := func() {
 		phys := bb.finish(opts.Compression)
 		out.Write(phys)
@@ -177,6 +178,12 @@ func refTableBytes(entries []tableEntry, opts Options, interval int) []byte {
 			primaryBloom: bloom.Build(userKeys, opts.BitsPerKey),
 		})
 		ref.offset += uint64(len(phys))
+		// Only the table Builder writes today records each block's max
+		// seq; the v1 and restart-4 tables are those of older builders.
+		if interval == restartInterval && len(opts.SecondaryAttrs) > 0 {
+			ref.blockSeqs = append(ref.blockSeqs, blockSeq)
+		}
+		blockSeq = 0
 		for name, m := range metas {
 			z := *zones[name]
 			m.blocks = append(m.blocks, secBlockMeta{filter: bloom.Build(values[name], opts.SecondaryBitsPerKey), zone: z})
@@ -203,9 +210,8 @@ func refTableBytes(entries []tableEntry, opts Options, interval int) []byte {
 			}
 		}
 		ref.entryCount++
-		if s := ikey.Seq(e.ik); s > ref.maxSeq {
-			ref.maxSeq = s
-		}
+		ref.maxSeq = max(ref.maxSeq, ikey.Seq(e.ik))
+		blockSeq = max(blockSeq, ikey.Seq(e.ik))
 		if bb.sizeEstimate() >= opts.BlockSize {
 			flush()
 		}
@@ -248,11 +254,13 @@ var codecCases = []struct {
 	opts     Options
 	interval int // the block restart interval; <= 0 writes v1
 	// sha256 of the seed-1, 1500-entry table as the parent commit's
-	// builder (a flate.NewWriter per block) wrote it.
+	// builder (a flate.NewWriter per block) wrote it. The two v2 tables
+	// with attributes are pinned with the block max-seq column (meta
+	// version 2), which changed their meta sections and nothing else.
 	parentSHA string
 }{
-	{"v2-flate-attrs", Options{BlockSize: 1024, Compression: FlateCompression, SecondaryAttrs: []string{"UserID", "CreationTime"}}, restartInterval, "adb92fece34b9252db5174a21c8730c9d8bbd378c90c94d1ff3a3c04e7cb7609"},
-	{"v2-none-attrs", Options{BlockSize: 1024, Compression: NoCompression, SecondaryAttrs: []string{"CreationTime", "UserID"}}, restartInterval, "3ac17be5dca660276a6936a8a8a833be8b5cc7cc714e5528c815513db88efef1"},
+	{"v2-flate-attrs", Options{BlockSize: 1024, Compression: FlateCompression, SecondaryAttrs: []string{"UserID", "CreationTime"}}, restartInterval, "e247a7d776be6de44f4978c00fb622242d0f8d053d93e57663bf16ee1548ac95"},
+	{"v2-none-attrs", Options{BlockSize: 1024, Compression: NoCompression, SecondaryAttrs: []string{"CreationTime", "UserID"}}, restartInterval, "e22aa15c0841160e0f29770e2d8a35817b6ac28aeee57546ba85aa2554b95429"},
 	{"v1-flate", Options{BlockSize: 4096, Compression: FlateCompression, SecondaryAttrs: []string{"UserID"}}, 0, "f468af00eb69962d7a5030e20db4dea9e0454f0035deda6c3a09bbca2afd805a"},
 	{"v1-none", Options{BlockSize: 4096, Compression: NoCompression}, 0, "edb5c3e82793bf62469c27101f53f986f80e5e5e977d0b80077364cb9848b99c"},
 	{"v2-flate-restart4", Options{BlockSize: 512, Compression: FlateCompression, SecondaryBitsPerKey: 6, SecondaryAttrs: []string{"UserID", "UserID"}}, 4, "8c4eb3c3f372223e1fa50a7cc9c88ca701e1f02cb6aba3e4723edb4d3d6d6818"},
@@ -284,6 +292,62 @@ func TestTableBytesMatchReference(t *testing.T) {
 					}
 				}
 				checkTableContents(t, got, entries)
+			}
+		})
+	}
+}
+
+// TestBlockMaxSeqColumn: a table with attributes records each block's max
+// seq, which need not be its last entry's, and reads it back; a table
+// without attributes, and any table whose meta section predates the
+// column, answers the table's MaxSeq for every block.
+func TestBlockMaxSeqColumn(t *testing.T) {
+	entries := codecEntries(3, 1200)
+	rng := rand.New(rand.NewSource(3))
+	for i, seq := range rng.Perm(len(entries)) {
+		entries[i].ik = ikey.Make(ikey.UserKey(entries[i].ik), uint64(seq+1), ikey.KindSet)
+	}
+	attrs := Options{BlockSize: 1024, Compression: FlateCompression, SecondaryAttrs: []string{"UserID", "CreationTime"}}
+	for _, c := range []struct {
+		name   string
+		data   []byte
+		column bool
+	}{
+		{"v2-attrs", buildTableBytes(t, entries, attrs), true},
+		{"v2-no-attrs", buildTableBytes(t, entries, Options{BlockSize: 1024}), false},
+		{"v1-attrs", refTableBytes(entries, attrs, 0), false},
+		{"restart4-attrs", refTableBytes(entries, attrs, 4), false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tbl, err := OpenTable(bytes.NewReader(c.data), int64(len(c.data)), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tbl.HasBlockMaxSeqs() != c.column {
+				t.Fatalf("HasBlockMaxSeqs() = %v, want %v", !c.column, c.column)
+			}
+			var it BlockIter
+			midBlock := false
+			for i := 0; i < tbl.NumBlocks(); i++ {
+				if err := tbl.LoadBlock(&it, i, nil); err != nil {
+					t.Fatal(err)
+				}
+				var blockMax, last uint64
+				for it.Next() {
+					last = ikey.Seq(it.Key())
+					blockMax = max(blockMax, last)
+				}
+				want := tbl.MaxSeq()
+				if c.column {
+					want = blockMax
+				}
+				if got := tbl.BlockMaxSeq(i); got != want {
+					t.Fatalf("block %d: BlockMaxSeq = %d, want %d", i, got, want)
+				}
+				midBlock = midBlock || blockMax != last
+			}
+			if !midBlock {
+				t.Fatal("every block's newest entry is its last: the column is not tested")
 			}
 		})
 	}

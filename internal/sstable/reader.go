@@ -31,6 +31,7 @@ type Table struct {
 	attrs      map[string]*secAttrMeta
 	entryCount int
 	maxSeq     uint64
+	blockSeqs  []uint64 // max seq of each block; nil in a version-1 meta
 	stats      *metrics.IOStats
 	cache      *cache.Cache
 }
@@ -162,8 +163,9 @@ func (t *Table) decodeMeta(meta []byte) error {
 		return fmt.Errorf("sstable: meta checksum mismatch")
 	}
 	m := &metaReader{buf: body}
-	if v := m.uvarint(); v != metaVersion {
-		return fmt.Errorf("sstable: unsupported meta version %d", v)
+	version := m.uvarint()
+	if version != metaVersion && version != metaVersion2 {
+		return fmt.Errorf("sstable: unsupported meta version %d", version)
 	}
 	nBlocks := m.uvarint()
 	t.blocks = make([]blockMeta, nBlocks)
@@ -193,6 +195,12 @@ func (t *Table) decodeMeta(meta []byte) error {
 	}
 	t.entryCount = int(m.uvarint())
 	t.maxSeq = m.uvarint()
+	if version == metaVersion2 {
+		t.blockSeqs = make([]uint64, nBlocks)
+		for i := range t.blockSeqs {
+			t.blockSeqs[i] = t.maxSeq - m.uvarint()
+		}
+	}
 	return m.err
 }
 
@@ -205,6 +213,20 @@ func (t *Table) EntryCount() int { return t.entryCount }
 // MaxSeq returns the highest sequence number stored in the table, used to
 // prune strata that cannot improve a full top-K heap.
 func (t *Table) MaxSeq() uint64 { return t.maxSeq }
+
+// HasBlockMaxSeqs reports whether the table records each block's max seq
+// (meta version 2, written for tables with secondary attributes).
+func (t *Table) HasBlockMaxSeqs() bool { return t.blockSeqs != nil }
+
+// BlockMaxSeq returns the highest sequence number stored in block i: no
+// entry of the block is newer. A table without the column answers MaxSeq
+// for every block, which bounds nothing the table bound does not.
+func (t *Table) BlockMaxSeq(i int) uint64 {
+	if t.blockSeqs == nil {
+		return t.maxSeq
+	}
+	return t.blockSeqs[i]
+}
 
 // Smallest returns the smallest internal key (nil for an empty table).
 func (t *Table) Smallest() []byte {
