@@ -82,9 +82,11 @@ verify: vet lint build bench-test
 # compress/flate's BestSpeed writer, the block inflater against
 # compress/flate's reader, the posting-list codec, the attribute scanner
 # against its json.Unmarshal oracle, the newest-first candidate stream
-# against decode-all + stable sort and Composite's seq-bounded candidate
-# stream against a merged scan of the whole index table (all seeded from
-# testdata/fuzz corpora). The experiments package alone runs ~18
+# against decode-all + stable sort, Composite's seq-bounded candidate
+# stream against a merged scan of the whole index table, and Embedded's
+# and the posting kinds' (Lazy, Eager) seq-bounded top-K reads against a
+# model, the latter also from a database written before index records
+# carried the primary's seq (all seeded from testdata/fuzz corpora). The experiments package alone runs ~18
 # minutes under the race detector on a small box, so the per-package
 # timeout (a hang guard, not a budget) is raised above go test's 10m
 # default. Performance is gated by the end-to-end benchmark (make bench),
@@ -99,6 +101,7 @@ ci: vet lint lint-race build bench-test
 	$(GO) test -fuzz=FuzzNewestFirstStream -fuzztime=10s -fuzzminimizetime=1s ./internal/core/
 	$(GO) test -fuzz=FuzzCompositeStream -fuzztime=10s -fuzzminimizetime=1s ./internal/core/
 	$(GO) test -fuzz=FuzzEmbeddedTopK -fuzztime=10s -fuzzminimizetime=1s ./internal/core/
+	$(GO) test -fuzz=FuzzPostingRangeTopK -fuzztime=10s -fuzzminimizetime=1s ./internal/core/
 
 # Regenerate the paper's evaluation at the default reduced scale.
 experiments:

@@ -6,8 +6,11 @@ import (
 
 // Batch collects Put/Delete operations that commit atomically on the
 // primary table (one WAL frame). Secondary index maintenance runs per
-// operation after the primary commit, in batch order — the same
-// primary-first consistency the paper's single-op writes have.
+// operation in batch order, each index record at its operation's seq, and
+// orders itself as single writes do: the index records of the puts before
+// the batch's first delete are committed before the primary batch, the
+// rest after it (an index table takes seqs in increasing order, and a
+// deletion marker must follow its tombstone).
 type Batch struct {
 	ops []batchOp
 }
@@ -80,28 +83,45 @@ func (db *DB) Apply(b *Batch) error {
 			pb.PutNoCopy([]byte(op.key), op.value)
 		}
 	}
-	firstSeq, err := db.primary.ApplyWithSeq(&pb)
-	if err != nil {
-		return err
+	if db.indexes == nil {
+		return db.primary.ApplyAt(&pb, 0)
 	}
 
-	if db.indexes == nil {
-		return nil
-	}
+	firstSeq := db.primary.LastSeq() + 1
 	var buf [4]attrSlot
 	slots := attrSlots(&buf, len(db.opts.Attrs))
-	for i, op := range b.ops {
-		doc := op.value
-		if op.del {
-			if doc = oldDocs[i]; doc == nil {
-				continue // nothing was indexed for this key
+	// indexOps maintains the indexes for ops[from:to].
+	indexOps := func(from, to int) error {
+		for i := from; i < to; i++ {
+			op := b.ops[i]
+			doc := op.value
+			if op.del {
+				if doc = oldDocs[i]; doc == nil {
+					continue // nothing was indexed for this key
+				}
+			}
+			if err := db.indexWrite(op.key, doc, slots, firstSeq+uint64(i), op.del); err != nil {
+				return err
 			}
 		}
-		if err := db.indexWrite(op.key, doc, slots, firstSeq+uint64(i), op.del); err != nil {
-			return err
-		}
+		return nil
 	}
-	return nil
+	before := 0
+	for before < len(b.ops) && !b.ops[before].del {
+		before++
+	}
+	err := indexOps(0, before)
+	if err == nil {
+		if db.testBetweenWrites != nil {
+			db.testBetweenWrites()
+		}
+		err = db.primary.ApplyAt(&pb, firstSeq)
+	}
+	if err != nil {
+		db.primary.AdvanceSeq(firstSeq + uint64(len(b.ops)) - 1) // an index table may hold these seqs already
+		return err
+	}
+	return indexOps(before, len(b.ops))
 }
 
 // Scan iterates the primary table over [lo, hi] (inclusive; empty hi

@@ -15,7 +15,8 @@ import (
 // (secondary key ∥ 0x00 ∥ primary key) and whose values are empty.
 // LOOKUP is a prefix range scan. Composite keys are ordered by key, not by
 // time, so the paper's scan traverses every level before the top-K can be
-// decided. But an entry's seq is its candidate's seq, so a table's MaxSeq
+// decided. But an entry's seq is its candidate's seq (the primary record's,
+// for an entry written since index records carry it), so a table's MaxSeq
 // bounds what it holds: compositeSource opens tables newest-MaxSeq first
 // and stops at the K-th valid candidate; only an unbounded K reads every
 // level, where Composite beats Lazy by skipping posting-list decoding.
@@ -28,14 +29,15 @@ func compositeKey[T string | []byte](attrValue T, primaryKey string) []byte {
 	return k
 }
 
-// compositeWrite inserts the composite key, or with del writes a
-// tombstone for it (paper: "a DEL operation inserts the composite key
-// with a deletion marker in index table").
-func compositeWrite(idx *lsm.DB, attrValue []byte, key string, del bool) error {
+// compositeWrite inserts the composite key at seq, the seq of the primary
+// record it indexes, or with del writes a tombstone for it (paper: "a DEL
+// operation inserts the composite key with a deletion marker in index
+// table").
+func compositeWrite(idx *lsm.DB, attrValue []byte, key string, seq uint64, del bool) error {
 	if del {
-		return idx.Delete(compositeKey(attrValue, key))
+		return idx.DeleteAt(compositeKey(attrValue, key), seq)
 	}
-	return idx.Put(compositeKey(attrValue, key), nil)
+	return idx.PutAt(compositeKey(attrValue, key), nil, seq, nil)
 }
 
 // compositeLookup is Algorithms 4 (lo = hi) and 7: the prefix scan of
@@ -64,7 +66,7 @@ type compositeSource struct {
 	lo, hi        string
 	loKey, hiExcl []byte
 	tr            *metrics.Trace
-	units         []lsm.Stratum // MemTables and one-table strata not yet opened, MaxSeq descending
+	units         []seqUnit // not yet opened
 	arena         []byte
 	h             []compositeCand
 	dead          map[string]struct{} // composite keys whose newest version is a tombstone
@@ -81,18 +83,35 @@ type compositeCand struct {
 
 func newCompositeSource(v *lsm.View, lo, hi string, tr *metrics.Trace) *compositeSource {
 	s := &compositeSource{lo: lo, hi: hi, loKey: compositeKey(lo, ""), hiExcl: append([]byte(hi), compositeSep+1), tr: tr}
+	s.units = seqUnits(v, s.loKey, s.hiExcl, 0)
+	return s
+}
+
+// seqUnit is one unit of a seq-bounded source: a MemTable, or one table
+// as a one-table stratum, with a bound on the seq of every candidate it
+// holds.
+type seqUnit struct {
+	lsm.Stratum
+	bound uint64
+}
+
+// seqUnits lists the view's MemTables and the tables whose user keys
+// intersect [lo, hiExcl), bounded by max(MaxSeq, floor) and sorted by
+// bound, highest first (ties in stratum order).
+func seqUnits(v *lsm.View, lo, hiExcl []byte, floor uint64) []seqUnit {
+	var units []seqUnit
 	for _, st := range v.Strata() {
 		if st.IsMem() {
-			s.units = append(s.units, st)
+			units = append(units, seqUnit{st, max(st.MaxSeq(), floor)})
 		}
 		for i, fm := range st.Tables {
-			if fm.Overlaps(s.loKey, s.hiExcl) {
-				s.units = append(s.units, lsm.Stratum{Level: st.Level, Tables: st.Tables[i : i+1 : i+1]})
+			if fm.Overlaps(lo, hiExcl) {
+				units = append(units, seqUnit{lsm.Stratum{Level: st.Level, Tables: st.Tables[i : i+1 : i+1]}, max(fm.Table().MaxSeq(), floor)})
 			}
 		}
 	}
-	slices.SortStableFunc(s.units, func(a, b lsm.Stratum) int { return cmp.Compare(b.MaxSeq(), a.MaxSeq()) })
-	return s
+	slices.SortStableFunc(units, func(a, b seqUnit) int { return cmp.Compare(b.bound, a.bound) })
+	return units
 }
 
 // open queues the in-range entries of the next unit.
@@ -135,7 +154,7 @@ func newerComposite(a, b compositeCand) bool { return a.seq > b.seq }
 //lsm:hotpath
 func (s *compositeSource) next() ([]byte, uint64, bool, bool) {
 	for {
-		for len(s.units) > 0 && s.err == nil && (len(s.h) == 0 || s.units[0].MaxSeq() > s.h[0].seq) {
+		for len(s.units) > 0 && s.err == nil && (len(s.h) == 0 || s.units[0].bound > s.h[0].seq) {
 			s.open()
 		}
 		if s.err != nil || len(s.h) == 0 {

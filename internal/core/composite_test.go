@@ -157,9 +157,9 @@ func FuzzCompositeStream(f *testing.F) {
 			value, pk := compositeStreamValues[op>>3&3], fmt.Sprintf("p%d", op>>5)
 			switch op & 7 {
 			case 0, 1, 2, 3:
-				err = compositeWrite(idx, []byte(value), pk, false)
+				err = compositeWrite(idx, []byte(value), pk, 0, false)
 			case 4, 5:
-				err = compositeWrite(idx, []byte(value), pk, true)
+				err = compositeWrite(idx, []byte(value), pk, 0, true)
 			case 6:
 				err = idx.Flush()
 			case 7:
@@ -237,4 +237,12 @@ func TestCompositeStreamInterleavedTables(t *testing.T) {
 		t.Fatalf("no level holds several tables (%v)", err)
 	}
 	checkCompositeStream(t, idx)
+}
+
+// heapify orders h into a heap whose root is the element no other is
+// before, in O(len(h)).
+func heapify[T any](h []T, before func(a, b T) bool) {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i, before)
+	}
 }

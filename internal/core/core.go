@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -152,14 +153,26 @@ type DB struct {
 	// so listings and first errors do not depend on map order.
 	tables []table
 
-	// writeMu serializes Put/Delete so that primary-table and index-table
-	// write orders agree — Composite entries rank candidates by
-	// index-table sequence number, which must follow primary insertion
-	// order (paper §4.2). Only taken for stand-alone index kinds
-	// (indexes != nil): None and Embedded have no second table to keep
-	// in step, so their concurrent writers flow straight into the
+	// writeMu serializes Put/Delete/Apply so that the primary's next seq
+	// can be reserved: a write's index records are committed at the seq
+	// its primary record then takes, and every index table's records
+	// follow primary insertion order. Only taken for stand-alone index
+	// kinds (indexes != nil): None and Embedded have no second table to
+	// keep in step, so their concurrent writers flow straight into the
 	// engine's commit queue and can actually form groups.
 	writeMu sync.Mutex
+
+	// seqFloor bounds the postings of index records written before index
+	// records carried their primary record's seq: it is the primary's
+	// LastSeq when this engine first opened the database (0 for one it
+	// created), persisted in seqFloorFile. A posting RANGELOOKUP bounds a
+	// table by max(MaxSeq, seqFloor), which stays sound for tables that
+	// hold such records.
+	seqFloor uint64
+
+	// testBetweenWrites, when set, runs under writeMu after a write's
+	// index records are committed and before its primary record is.
+	testBetweenWrites func()
 
 	// postBuf is the posting-list encode scratch shared by the Eager RMW
 	// and Lazy fragment write paths; guarded by writeMu (always held on
@@ -270,9 +283,50 @@ func Open(dir string, opts Options) (*DB, error) {
 			}
 			db.indexes[attr] = idx
 			db.tables = append(db.tables, table{name: "index-" + attr, attr: attr, db: idx})
+			// A crash between a write's index records and its primary
+			// record leaves seqs the primary never took: never reuse them.
+			primary.AdvanceSeq(idx.LastSeq())
+		}
+		if db.seqFloor, err = loadSeqFloor(dir, primary.LastSeq()); err != nil {
+			_ = db.Close()
+			return nil, err
 		}
 	}
 	return db, nil
+}
+
+// seqFloorFile names the file in a database's directory that holds
+// DB.seqFloor.
+const seqFloorFile = "SEQFLOOR"
+
+// loadSeqFloor returns the seq floor persisted in dir or, on the first
+// open by this engine, persists and returns last.
+func loadSeqFloor(dir string, last uint64) (uint64, error) {
+	path := filepath.Join(dir, seqFloorFile)
+	data, err := os.ReadFile(path)
+	if err == nil {
+		floor, err := strconv.ParseUint(strings.TrimSpace(string(data)), 10, 64)
+		if err != nil {
+			return 0, fmt.Errorf("core: %s: %w", seqFloorFile, err)
+		}
+		return floor, nil
+	}
+	if !errors.Is(err, os.ErrNotExist) {
+		return 0, fmt.Errorf("core: %s: %w", seqFloorFile, err)
+	}
+	return last, writeSeqFloor(dir, last)
+}
+
+// writeSeqFloor persists floor in dir, atomically.
+func writeSeqFloor(dir string, floor uint64) error {
+	path := filepath.Join(dir, seqFloorFile)
+	if err := os.WriteFile(path+".tmp", []byte(strconv.FormatUint(floor, 10)+"\n"), 0o644); err != nil {
+		return fmt.Errorf("core: %s: %w", seqFloorFile, err)
+	}
+	if err := os.Rename(path+".tmp", path); err != nil {
+		return fmt.Errorf("core: %s: %w", seqFloorFile, err)
+	}
+	return nil
 }
 
 // Kind returns the database's index kind.
@@ -322,19 +376,29 @@ func (db *DB) Put(key string, value []byte) error {
 }
 
 // putTraced writes the document and, for the stand-alone kinds, its index
-// entries, leaving the document's attribute values in slots.
+// entries, leaving the document's attribute values in slots. The index
+// entries go first, at the seq the document then takes: a posting whose
+// document is not visible yet is validated away, while a visible document
+// is never missing its posting.
 func (db *DB) putTraced(key string, value []byte, slots []attrSlot, tr *metrics.Trace) error {
-	if db.indexes != nil {
-		db.writeMu.Lock()
-		defer db.writeMu.Unlock()
+	if db.indexes == nil {
+		return db.primary.PutAt([]byte(key), value, 0, tr)
 	}
-	seq, err := db.primary.PutWithSeqTraced([]byte(key), value, tr)
-	if err != nil || db.indexes == nil {
-		return err
-	}
+	db.writeMu.Lock()
+	defer db.writeMu.Unlock()
+	seq := db.primary.LastSeq() + 1
 	tI := tr.Now()
-	err = db.indexWrite(key, value, slots, seq, false)
+	err := db.indexWrite(key, value, slots, seq, false)
 	tr.Since(metrics.PhaseIndexUpdate, tI)
+	if err == nil {
+		if db.testBetweenWrites != nil {
+			db.testBetweenWrites()
+		}
+		err = db.primary.PutAt([]byte(key), value, seq, tr)
+	}
+	if err != nil {
+		db.primary.AdvanceSeq(seq) // an index table may hold seq already
+	}
 	return err
 }
 
@@ -344,6 +408,9 @@ func (db *DB) putTraced(key string, value []byte, slots []attrSlot, tr *metrics.
 // attribute's table, or with del marks it deleted there. The values go
 // into the index keys as they are; the engine copies a key before keeping
 // it.
+//
+// Every index record is committed at seq, the seq of the primary record
+// it indexes.
 //
 //lsm:locked — writeMu is held by putTraced, deleteTraced and Apply.
 func (db *DB) indexWrite(key string, doc []byte, slots []attrSlot, seq uint64, del bool) error {
@@ -360,7 +427,7 @@ func (db *DB) indexWrite(key string, doc []byte, slots []attrSlot, seq uint64, d
 		case IndexLazy:
 			err = db.lazyAppend(idx, sl.val, key, seq, del)
 		case IndexComposite:
-			err = compositeWrite(idx, sl.val, key, del)
+			err = compositeWrite(idx, sl.val, key, seq, del)
 		}
 		if err != nil {
 			return err
@@ -371,7 +438,8 @@ func (db *DB) indexWrite(key string, doc []byte, slots []attrSlot, seq uint64, d
 
 // Delete removes the document under key (Table 1: DEL). For stand-alone
 // indexes the old document is read first so its posting entries can be
-// marked deleted.
+// marked deleted — after the tombstone, so that a document still visible
+// is never hidden by its deletion marker.
 func (db *DB) Delete(key string) error {
 	t0 := time.Now()
 	tr := db.tracer.Start(metrics.OpDelete)
@@ -489,10 +557,8 @@ func (db *DB) rangeLookupTraced(attr, lo, hi string, k int, tr *metrics.Trace) (
 	switch db.opts.Index {
 	case IndexEmbedded:
 		return db.embeddedRangeLookup(attr, lo, hi, k, tr)
-	case IndexEager:
-		return db.eagerRangeLookup(attr, lo, hi, k, tr)
-	case IndexLazy:
-		return db.lazyRangeLookup(attr, lo, hi, k, tr)
+	case IndexEager, IndexLazy:
+		return db.postingRangeLookup(attr, lo, hi, k, tr)
 	case IndexComposite:
 		return db.compositeLookup(attr, lo, hi, k, tr)
 	default:
@@ -782,6 +848,9 @@ func (db *DB) Checkpoint(destDir string) error {
 		if err := t.db.Checkpoint(filepath.Join(destDir, t.name)); err != nil {
 			return err
 		}
+	}
+	if db.indexes != nil {
+		return writeSeqFloor(destDir, db.seqFloor)
 	}
 	return nil
 }

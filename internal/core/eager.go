@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-
 	"leveldbpp/internal/lsm"
 	"leveldbpp/internal/metrics"
 	"leveldbpp/internal/postings"
@@ -17,9 +15,9 @@ import (
 
 // eagerUpdate is the read-modify-write: fetch the current list, prepend
 // the new posting, drop the superseded entry for the same primary key,
-// and write the list back. The stored list is already newest-first, so
-// AppendAdd streams the update — no re-sort, and no intermediate []Entry
-// — into the DB's scratch buffer.
+// and write the list back at seq, the new posting's. The stored list is
+// already newest-first, so AppendAdd streams the update — no re-sort, and
+// no intermediate []Entry — into the DB's scratch buffer.
 //
 //lsm:locked — writeMu is held by indexWrite's callers.
 func (db *DB) eagerUpdate(idx *lsm.DB, attrValue []byte, key string, seq uint64, del bool) error {
@@ -34,7 +32,7 @@ func (db *DB) eagerUpdate(idx *lsm.DB, attrValue []byte, key string, seq uint64,
 	st := idx.Stats()
 	st.PostingsBytesDecoded.Add(int64(len(cur)))
 	st.PostingsEntriesDecoded.Add(decoded)
-	err = idx.Put(attrValue, out)
+	err = idx.PutAt(attrValue, out, seq, nil)
 	db.postBuf = out[:0]
 	return err
 }
@@ -56,27 +54,13 @@ func (db *DB) eagerLookup(attr, value string, k int, tr *metrics.Trace) ([]Entry
 	if err != nil || !found {
 		return nil, err
 	}
-	return db.collectFragments([][]byte{list}, idx, attr, value, value, k, tr)
-}
-
-// eagerRangeLookup (paper §4.1.1 RANGELOOKUP) range-scans the index table
-// over [lo, hi]; each matching attribute value contributes its newest
-// posting list, and a heap of cursors over the lists yields the candidates
-// newest first across values. A list that does not decode fails the
-// query, as it does for LOOKUP.
-func (db *DB) eagerRangeLookup(attr, lo, hi string, k int, tr *metrics.Trace) ([]Entry, error) {
-	idx := db.indexes[attr]
-	var lists [][]byte
-	t0 := tr.Now()
-	err := idx.ScanTraced([]byte(lo), upperBoundExclusive(hi), tr, func(_, value []byte, _ uint64) bool {
-		lists = append(lists, bytes.Clone(value))
-		return true
-	})
-	tr.Since(metrics.PhaseIndexProbe, t0)
+	t0 = tr.Now()
+	src, err := newFragmentHeap([][]byte{list}, tr)
+	tr.Since(metrics.PhasePostingMerge, t0)
 	if err != nil {
 		return nil, err
 	}
-	return db.collectFragments(lists, idx, attr, lo, hi, k, tr)
+	return db.collect(src, &query{attr: attr, lo: value, hi: value, k: k, idx: idx, phase: metrics.PhasePostingMerge, tr: tr})
 }
 
 // upperBoundExclusive converts an inclusive string upper bound into the

@@ -37,21 +37,26 @@ var commitGoldens = map[IndexKind]commitGolden{
 		"5a8f0c56d39d20ff964f55350e04852ced87781bee63124c049aa2b163ab0105",
 		"80683bc0729fdfa24a3dfdfaaea89c0a6c2f75542fdd2ab37d80b4a450fffc05",
 		"b01c9cd2e71d1767a48488b5ae0a1609390ccc065c61b228d49869f9e82ff48f"},
-	IndexEager: {"6c7d6d736a27ca213c40acee31faa61998d507400d5753d212fb69da5bd8599a",
-		"0ccb5b19ab57864559ebad31553c89bad4b74321cc78aba0db7af4c9e0255c21", 9715, 9223,
+	// The stand-alone kinds' index records carry their primary record's
+	// seq. The workload deletes absent keys, so those seqs run ahead of
+	// the index-local ones the parent wrote: the index tables' bytes (I/O
+	// digests, index disk usage) moved, and Composite's results now rank
+	// by the primary's seqs, as every other kind's do.
+	IndexEager: {"0723123a172a238f0b422516d0f89ba68f432380165719efba3971aef960a702",
+		"0be9987b7167f248c3bb3ce94cdcbdaa56ba724bad141db6d33e4d665750ffe7", 9715, 9216,
 		"5a8f0c56d39d20ff964f55350e04852ced87781bee63124c049aa2b163ab0105",
 		"80683bc0729fdfa24a3dfdfaaea89c0a6c2f75542fdd2ab37d80b4a450fffc05",
 		"b01c9cd2e71d1767a48488b5ae0a1609390ccc065c61b228d49869f9e82ff48f"},
-	IndexLazy: {"87f9dc445dbdc870202dd8f4372e086fa799c8b982b40ffbaa739ea506dd9d8e",
-		"9743c78f4cf378ab3c46e5165f4087723a4a815e52de4cf545b41c76f3aa6dff", 9715, 6472,
+	IndexLazy: {"da0cc2f15388b6b3252e97b128882301a0d9f941ca6b1f18c949bac087919c5a",
+		"c97330c9ee766a3d3cdf624b0debe0bf2cb1f669880abb0a5bf2bd538a9f682f", 9715, 6464,
 		"5a8f0c56d39d20ff964f55350e04852ced87781bee63124c049aa2b163ab0105",
 		"80683bc0729fdfa24a3dfdfaaea89c0a6c2f75542fdd2ab37d80b4a450fffc05",
 		"b01c9cd2e71d1767a48488b5ae0a1609390ccc065c61b228d49869f9e82ff48f"},
-	IndexComposite: {"6de198bbcdab85b30590e727009ccc226f416ecec2d47e11ea61b45c3631c6b0",
-		"1a697fb49104b2de794be79178ac7de508e840fd7672693af2c339ac61e142b3", 9715, 7468,
+	IndexComposite: {"f49dfc30e351aaa7cbc28936cdecfa0ab051821a209bb1aa206bbb025ff38da8",
+		"83fcef33715ad530f0fd4f11721854f62dd0643ba146c3732932a79b54791d2d", 9715, 7480,
 		"5a8f0c56d39d20ff964f55350e04852ced87781bee63124c049aa2b163ab0105",
-		"8880d92b65d3f149244167f16031e998a0b338b07054d175e3ce119c6ca5e889",
-		"ef24aa6c7ca4a45ad99466ecfab62eed5af61d790ae0e48e6ed7ad8f18aa6ce5"},
+		"80683bc0729fdfa24a3dfdfaaea89c0a6c2f75542fdd2ab37d80b4a450fffc05",
+		"b01c9cd2e71d1767a48488b5ae0a1609390ccc065c61b228d49869f9e82ff48f"},
 }
 
 // ioSnapshot is metrics.Snapshot's sixteen I/O counters in order, so %+v

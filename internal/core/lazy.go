@@ -20,15 +20,16 @@ import (
 // deeper down are strictly older for the same secondary key.
 
 // lazyAppend is the blind write: a one-entry fragment for key under
-// attrValue, or with del a deletion marker (paper: "DEL operation
-// similarly issues a PUT(a_i del, [k]) ... used during merge in compaction
-// to remove the deleted entry"). The fragment is built in the shared
-// scratch; the engine copies the value before Put returns.
+// attrValue at seq, the seq of the primary record it indexes, or with del
+// a deletion marker (paper: "DEL operation similarly issues a PUT(a_i
+// del, [k]) ... used during merge in compaction to remove the deleted
+// entry"). The fragment is built in the shared scratch; the engine copies
+// the value before Put returns.
 //
 //lsm:locked — writeMu is held by indexWrite's callers.
 func (db *DB) lazyAppend(idx *lsm.DB, attrValue []byte, key string, seq uint64, del bool) error {
 	db.postBuf = postings.AppendSingle(db.postBuf[:0], key, seq, del)
-	return idx.Put(attrValue, db.postBuf)
+	return idx.PutAt(attrValue, db.postBuf, seq, nil)
 }
 
 // lazyStrata fetches the fragments stored for one secondary key, newest
@@ -72,6 +73,18 @@ func (s *lazyStrata) next() ([]byte, bool, error) {
 	return nil, false, nil
 }
 
+// due is fragmentFeed's: a stratum is newer than every deeper one, so the
+// chain's next fragment is needed only once the heap runs dry.
+func (s *lazyStrata) due(_ uint64, empty bool) bool { return empty }
+
+func (s *lazyStrata) fetch(dst [][]byte) ([][]byte, bool, error) {
+	frag, ok, err := s.next()
+	if ok {
+		dst = append(dst, frag)
+	}
+	return dst, ok, err
+}
+
 // lazyLookup is Algorithm 3: walk the index table level by level (each
 // holds at most one fragment), validating candidates against the data
 // table until K are valid. The walk runs inside the view, so the fragments
@@ -82,76 +95,91 @@ func (db *DB) lazyLookup(attr, value string, k int, tr *metrics.Trace) ([]Entry,
 	err := idx.View(func(v *lsm.View) error {
 		strata := &lazyStrata{value: []byte(value), tr: tr, sc: sstable.GetScratch{Trace: tr}, strata: v.Strata()}
 		var err error
-		out, err = db.collect(&fragmentHeap{fetch: strata.next, tr: tr},
+		out, err = db.collect(&fragmentHeap{feed: strata, tr: tr},
 			&query{attr: attr, lo: value, hi: value, k: k, idx: idx, phase: metrics.PhaseIndexProbe, tr: tr})
 		return err
 	})
 	return out, err
 }
 
-// lazyRangeLookup is Algorithm 6: for a range of secondary keys, fragments
-// for *different* keys are not time-ordered across levels, so every level
-// must be visited (paper §4.1.2); the fragments of every key in range feed
-// one heap of cursors, validated newest-first.
-func (db *DB) lazyRangeLookup(attr, lo, hi string, k int, tr *metrics.Trace) ([]Entry, error) {
+// postingRangeLookup is the posting kinds' RANGELOOKUP: Lazy's Algorithm
+// 6 and Eager's range scan (paper §4.1.1). Fragments of different
+// secondary keys are not time-ordered across levels, so the paper visits
+// every level. But every index record is written at the seq of the
+// primary record it indexes, so a table's MaxSeq bounds the postings it
+// holds: postingUnits opens tables newest-bound first and the query stops
+// at the K-th valid result. The walk runs inside the view, so the
+// fragments it queues stay valid.
+func (db *DB) postingRangeLookup(attr, lo, hi string, k int, tr *metrics.Trace) ([]Entry, error) {
 	idx := db.indexes[attr]
-	t0 := tr.Now()
-	frags, err := lazyRangeFragments(idx, lo, hi, tr)
-	tr.Since(metrics.PhaseIndexProbe, t0)
-	if err != nil {
-		return nil, err
-	}
-	return db.collectFragments(frags, idx, attr, lo, hi, k, tr)
+	var out []Entry
+	err := idx.View(func(v *lsm.View) error {
+		units := &postingUnits{lo: []byte(lo), hiExcl: upperBoundExclusive(hi), tr: tr}
+		units.units = seqUnits(v, units.lo, units.hiExcl, db.seqFloor)
+		var err error
+		out, err = db.collect(&fragmentHeap{feed: units, tr: tr},
+			&query{attr: attr, lo: lo, hi: hi, k: k, idx: idx, phase: metrics.PhaseIndexProbe, tr: tr})
+		return err
+	})
+	return out, err
 }
 
-// lazyRangeFragments gathers, from every stratum of the index table, the
-// fragment of each secondary key in [lo, hi] that the stratum holds.
-func lazyRangeFragments(idx *lsm.DB, lo, hi string, tr *metrics.Trace) ([][]byte, error) {
-	var frags [][]byte
-	err := idx.View(func(v *lsm.View) error {
-		loB, hiExcl := []byte(lo), upperBoundExclusive(hi)
+// postingUnits feeds a posting RANGELOOKUP one unit at a time: the
+// fragment of every secondary key in [lo, hiExcl) that a MemTable or a
+// table holds (a Lazy fragment or an Eager list). A fragment written at
+// seq s holds postings with seqs at or below s, and a compaction-merged
+// value keeps its newest input's seq, so a unit's bound — MaxSeq, raised
+// to the database's seq floor — bounds every posting in it. A unit is due
+// once the heap's top is older than its bound. Eager's older lists of a
+// key add only entries that the key's newest list holds at the same or a
+// newer seq, so they never change a primary key's first occurrence.
+type postingUnits struct {
+	lo, hiExcl []byte
+	tr         *metrics.Trace
+	units      []seqUnit // not yet opened
+}
 
-		// A MemTable holds every version of a key, newest first; its values
-		// alias arena memory that is never reused, so the newest fragment
-		// stays valid past the iteration. A table holds one version per key,
-		// and its iterator reuses value bytes across Next, so fragments are
-		// copied.
-		seek := ikey.SeekKey(loB)
-		for _, s := range v.Strata() {
-			if s.IsMem() {
-				var prevUser []byte
-				it := s.MemIter()
-				for it.SeekGE(seek); it.Valid(); it.Next() {
-					ik := it.Key()
-					uk := ikey.UserKey(ik)
-					if bytes.Compare(uk, hiExcl) >= 0 {
-						break
-					}
-					newest := prevUser == nil || !bytes.Equal(prevUser, uk)
-					prevUser = append(prevUser[:0], uk...)
-					if newest && ikey.KindOf(ik) != ikey.KindDelete {
-						frags = append(frags, it.Value()) //lsm:aliasok
-					}
-				}
-				continue
+func (u *postingUnits) due(top uint64, empty bool) bool {
+	return len(u.units) > 0 && (empty || u.units[0].bound > top)
+}
+
+// fetch appends the next unit's in-range fragments to dst. A MemTable
+// holds every version of a key, newest first; its values alias arena
+// memory that is never reused, so the newest fragment stays valid past
+// the iteration. A table holds one version per key, and its iterator
+// reuses value bytes across Next, so fragments are copied.
+func (u *postingUnits) fetch(dst [][]byte) ([][]byte, bool, error) {
+	if len(u.units) == 0 {
+		return dst, false, nil
+	}
+	st, seek := u.units[0], ikey.SeekKey(u.lo)
+	u.units = u.units[1:]
+	if st.IsMem() {
+		var prevUser []byte
+		it := st.MemIter()
+		for it.SeekGE(seek); it.Valid(); it.Next() {
+			ik := it.Key()
+			uk := ikey.UserKey(ik)
+			if bytes.Compare(uk, u.hiExcl) >= 0 {
+				break
 			}
-			for _, fm := range s.Overlapping(loB, []byte(hi)) {
-				ti := fm.Table().NewIteratorTraced(false, tr)
-				for ok := ti.SeekGE(seek); ok; ok = ti.Next() {
-					ik := ti.Key()
-					if bytes.Compare(ikey.UserKey(ik), hiExcl) >= 0 {
-						break
-					}
-					if ikey.KindOf(ik) != ikey.KindDelete {
-						frags = append(frags, bytes.Clone(ti.Value()))
-					}
-				}
-				if err := ti.Err(); err != nil {
-					return err
-				}
+			newest := prevUser == nil || !bytes.Equal(prevUser, uk)
+			prevUser = append(prevUser[:0], uk...)
+			if newest && ikey.KindOf(ik) != ikey.KindDelete {
+				dst = append(dst, it.Value()) //lsm:aliasok
 			}
 		}
-		return nil
-	})
-	return frags, err
+		return dst, true, nil
+	}
+	ti := st.Tables[0].Table().NewIteratorTraced(false, u.tr)
+	for ok := ti.SeekGE(seek); ok; ok = ti.Next() {
+		ik := ti.Key()
+		if bytes.Compare(ikey.UserKey(ik), u.hiExcl) >= 0 {
+			break
+		}
+		if ikey.KindOf(ik) != ikey.KindDelete {
+			dst = append(dst, bytes.Clone(ti.Value()))
+		}
+	}
+	return dst, true, ti.Err()
 }

@@ -142,7 +142,13 @@ func seedAnswers(t *testing.T, db *DB) string {
 // copySeedFormat copies kind's fixture into a fresh directory.
 func copySeedFormat(t *testing.T, kind IndexKind) string {
 	t.Helper()
-	src, dst := filepath.Join(seedFormatDir, kind.String()), t.TempDir()
+	return copyFixture(t, filepath.Join(seedFormatDir, kind.String()))
+}
+
+// copyFixture copies the database directory src into a fresh directory.
+func copyFixture(t *testing.T, src string) string {
+	t.Helper()
+	dst := t.TempDir()
 	err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err

@@ -152,46 +152,67 @@ func (db *DB) validate(c *chunk, q *query) error {
 }
 
 // fragmentHeap is the posting kinds' source: a max-heap of cursors on
-// posting-list fragments by current seq, ties to the earlier fragment (the
-// newer stratum). Fragments are newest first within themselves, so the
-// heap yields the global order while decoding only what is consumed.
-// RANGELOOKUP builds it over every fragment or list in range. Point LOOKUP
-// gives it fetch instead, one stratum's fragment at a time: a stratum is
-// newer than every deeper one, so one cursor is queued at a time and the
-// levels below the K-th valid result are never probed. Every fragment is
-// primed (pre-walked) before use, so a corrupt one fails the query; one
-// out of newest-first order sends it and every fragment not yet consumed
-// to decodeAll.
+// posting-list fragments by current seq, ties to the earlier fragment.
+// Fragments are newest first within themselves, so the heap yields the
+// global order while decoding only what is consumed. Its feed queues
+// fragments only when they may be needed: point LOOKUP's chain one stratum
+// at a time once the heap runs dry, RANGELOOKUP's units once the top is
+// older than their bound. Every fragment is primed (pre-walked) before
+// use, so a corrupt one fails the query; one out of newest-first order
+// sends it and every fragment not yet consumed to decodeAll.
 type fragmentHeap struct {
-	fetch  func() (frag []byte, ok bool, err error)
+	feed   fragmentFeed // nil once drained
 	tr     *metrics.Trace
 	curs   []postings.Cursor
-	h      []int32 // heap of indices into curs
-	handed bool    // the top's current entry was handed out
+	h      []int32  // heap of indices into curs
+	frags  [][]byte // fetch scratch
+	handed bool     // the top's current entry was handed out
 	err    error
 }
 
-// newFragmentHeap is the RANGELOOKUP source over frags, which must stay
-// unchanged while it is in use.
+// fragmentFeed hands a fragmentHeap the fragments it has not queued yet,
+// a group at a time: a stratum's fragment of one secondary key (point
+// LOOKUP's lazyStrata) or a unit's in-range fragments (postingUnits).
+type fragmentFeed interface {
+	// due reports whether the next group may hold an entry newer than top,
+	// the seq of the heap's top entry, or, when empty, whether the heap
+	// needs the next group at all.
+	due(top uint64, empty bool) bool
+	// fetch appends the next group's fragments to dst; ok is false once
+	// the feed is exhausted.
+	fetch(dst [][]byte) (frags [][]byte, ok bool, err error)
+}
+
+// newFragmentHeap is the source over the fragments of one fetch — Eager
+// LOOKUP's list — which must stay unchanged while it is in use.
 func newFragmentHeap(frags [][]byte, tr *metrics.Trace) (*fragmentHeap, error) {
 	s := &fragmentHeap{tr: tr, curs: make([]postings.Cursor, 0, len(frags))}
-	sorted := true
-	for _, frag := range frags {
-		ok, err := s.add(frag)
-		if err != nil {
-			return nil, err
-		}
-		sorted = sorted && ok
+	sorted, err := s.queue(frags)
+	if err != nil {
+		return nil, err
 	}
 	if !sorted {
 		s.decodeAll()
 	}
-	heapify(s.h, s.before)
 	return s, nil
 }
 
-// add primes a cursor on frag and, unless frag is empty, queues it on its
-// first entry (the caller restores the heap order).
+// queue primes a cursor on every fragment and, unless it is empty, pushes
+// it on its first entry. sorted is false if one is out of order.
+func (s *fragmentHeap) queue(frags [][]byte) (sorted bool, err error) {
+	sorted = true
+	for _, frag := range frags {
+		ok, err := s.add(frag)
+		if err != nil {
+			return false, err
+		}
+		sorted = sorted && ok
+	}
+	return sorted, nil
+}
+
+// add primes a cursor on frag and, unless frag is empty, pushes it on its
+// first entry.
 func (s *fragmentHeap) add(frag []byte) (sorted bool, err error) {
 	s.curs = append(s.curs, postings.Cursor{})
 	c := &s.curs[len(s.curs)-1]
@@ -200,29 +221,31 @@ func (s *fragmentHeap) add(frag []byte) (sorted bool, err error) {
 	s.tr.Since(metrics.PhasePostingsDecode, t0)
 	if err == nil && c.Next() {
 		s.h = append(s.h, int32(len(s.curs)-1))
+		siftUp(s.h, len(s.h)-1, s.before)
 	}
 	return sorted, err
 }
 
-// pull opens the chain's next fragment. One that is out of order brings
-// the rest of the chain with it, and the heap falls back to sorting.
+// pull queues the feed's next group. One out of order brings the rest of
+// the feed with it, and the heap falls back to sorting.
 func (s *fragmentHeap) pull() {
-	frag, ok, err := s.fetch()
+	frags, ok, err := s.feed.fetch(s.frags[:0])
+	sorted := true
 	if err == nil && ok {
-		var sorted bool
-		if sorted, err = s.add(frag); err == nil && sorted {
-			return
-		}
-		for err == nil && ok {
-			if frag, ok, err = s.fetch(); err == nil && ok {
-				_, err = s.add(frag)
-			}
-		}
-		if err == nil {
-			s.decodeAll()
+		sorted, err = s.queue(frags)
+	}
+	for err == nil && ok && !sorted {
+		if frags, ok, err = s.feed.fetch(frags[:0]); err == nil && ok {
+			_, err = s.queue(frags)
 		}
 	}
-	s.err, s.fetch = err, nil
+	s.frags = frags
+	if err == nil && !sorted {
+		s.decodeAll()
+	}
+	if err != nil || !ok {
+		s.err, s.feed = err, nil
+	}
 }
 
 // decodeAll is the out-of-order fallback: it replaces the queued cursors
@@ -239,6 +262,14 @@ func (s *fragmentHeap) decodeAll() {
 	sort.SliceStable(all, func(i, j int) bool { return all[i].Seq > all[j].Seq })
 	s.h = s.h[:0]
 	_, _ = s.add(postings.AppendList(nil, all)) // a fresh v2 list: in order, well-formed
+}
+
+// topSeq is the seq of the top's current entry, 0 for an empty heap.
+func (s *fragmentHeap) topSeq() uint64 {
+	if len(s.h) == 0 {
+		return 0
+	}
+	return s.curs[s.h[0]].Seq()
 }
 
 func (s *fragmentHeap) before(a, b int32) bool {
@@ -259,7 +290,7 @@ func (s *fragmentHeap) next() ([]byte, uint64, bool, bool) {
 		}
 		siftDown(s.h, 0, s.before)
 	}
-	if len(s.h) == 0 && s.fetch != nil {
+	for s.feed != nil && s.feed.due(s.topSeq(), len(s.h) == 0) {
 		s.pull()
 	}
 	if s.err != nil || len(s.h) == 0 {
@@ -284,14 +315,6 @@ func (s *fragmentHeap) finish(q *query) error {
 	st.PostingsEntriesDecoded.Add(entries)
 	st.FragmentsMerged.Add(frags)
 	return s.err
-}
-
-// heapify orders h into a heap whose root is the element no other is
-// before, in O(len(h)).
-func heapify[T any](h []T, before func(a, b T) bool) {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDown(h, i, before)
-	}
 }
 
 // siftUp moves h[i] up to its place in the heap h.
@@ -324,16 +347,4 @@ func siftDown[T any](h []T, i int, before func(a, b T) bool) {
 		h[i], h[c] = h[c], h[i]
 		i = c
 	}
-}
-
-// collectFragments runs a posting kind's RANGELOOKUP over the fragments
-// its scan gathered.
-func (db *DB) collectFragments(frags [][]byte, idx *lsm.DB, attr, lo, hi string, k int, tr *metrics.Trace) ([]Entry, error) {
-	t0 := tr.Now()
-	src, err := newFragmentHeap(frags, tr)
-	tr.Since(metrics.PhasePostingMerge, t0)
-	if err != nil {
-		return nil, err
-	}
-	return db.collect(src, &query{attr: attr, lo: lo, hi: hi, k: k, idx: idx, phase: metrics.PhasePostingMerge, tr: tr})
 }

@@ -55,19 +55,21 @@ func (b *Batch) Reset() { b.records = b.records[:0] }
 // earlier ones on the same key (they receive higher sequence numbers).
 // The MemTable flush check runs once, after the whole batch.
 func (db *DB) Apply(b *Batch) error {
-	_, err := db.ApplyWithSeq(b)
-	return err
+	return db.ApplyAt(b, 0)
 }
 
-// ApplyWithSeq is Apply returning the sequence number assigned to the
-// batch's first operation (operation i gets firstSeq+i).
-func (db *DB) ApplyWithSeq(b *Batch) (uint64, error) {
+// ApplyAt is Apply with the batch's first operation at sequence number
+// seq, under PutAt's rule (operation i gets seq+i); seq 0 takes the next
+// one.
+func (db *DB) ApplyAt(b *Batch, seq uint64) error {
 	if b.Len() == 0 {
-		return 0, nil
+		return nil
 	}
 	// The batch owns its record buffers (Put copies at enqueue; PutNoCopy
 	// transfers ownership), so the MemTable retains them.
 	pc := pendingPool.Get().(*pendingCommit)
 	pc.records, pc.noCopy = b.records, true
-	return db.commit(pc)
+	b.records[0].Seq = seq
+	_, err := db.commit(pc)
+	return err
 }

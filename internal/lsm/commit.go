@@ -129,7 +129,8 @@ func (q *commitQueue) handoffLocked() *pendingCommit {
 func (db *DB) GroupSizeHist() *metrics.BucketHistogram { return db.groupSize }
 
 // commit routes pc — a pooled pendingCommit whose records (not yet
-// sequenced), noCopy and tr the caller filled in — through the queue,
+// sequenced, unless the first carries the seq to commit at), noCopy and
+// tr the caller filled in — through the queue,
 // blocks until it is durable per SyncMode, and returns pc to the pool.
 // It returns the sequence number assigned to the first record. When
 // noCopy is set the MemTable retains the record buffers directly; the
@@ -184,7 +185,9 @@ func (db *DB) leadGroupLocked(seed *pendingCommit, yield bool) {
 	// Wake the members before handing off: the next leader reuses the
 	// group's backing array.
 	for _, pc := range group {
-		pc.err = err
+		if pc.err == nil {
+			pc.err = err
+		}
 		if pc.done != nil {
 			close(pc.done) // pc may be recycled from here on
 		}
@@ -221,6 +224,16 @@ func (db *DB) commitGroupLocked(group []*pendingCommit) error {
 	}
 	t0 := tr.Now()
 	for _, pc := range group {
+		// A member whose first record carries a seq (PutAt, ApplyAt)
+		// starts there, or fails alone if that seq is not above lastSeq.
+		if seq := pc.records[0].Seq; seq != 0 {
+			if seq <= db.lastSeq {
+				total -= len(pc.records)
+				pc.err, pc.records = ErrSeqNotAbove, nil
+				continue
+			}
+			db.lastSeq = seq - 1
+		}
 		pc.firstSeq = db.lastSeq + 1
 		db.assignSeqsLocked(pc.records, pending)
 	}
@@ -241,7 +254,17 @@ func (db *DB) commitGroupLocked(group []*pendingCommit) error {
 			records = append(records, pc.records...)
 		}
 	}
-	werr := db.log.AppendBatch(records)
+	// A batch frame carries consecutive seqs, so a member that skipped
+	// seqs starts a new frame.
+	var werr error
+	for len(records) > 0 && werr == nil {
+		n := 1
+		for n < len(records) && records[n].Seq == records[n-1].Seq+1 {
+			n++
+		}
+		werr = db.log.AppendBatch(records[:n])
+		records = records[n:]
+	}
 	if werr == nil {
 		werr = db.syncWALLocked(len(group), tr)
 	}
@@ -285,7 +308,8 @@ func (db *DB) commitGroupLocked(group []*pendingCommit) error {
 	return rerr
 }
 
-// assignSeqsLocked stamps consecutive sequence numbers onto records and,
+// assignSeqsLocked stamps consecutive sequence numbers above lastSeq onto
+// records and,
 // when a WriteMerger is configured, rewrites each set's value with the
 // merge of the newest prior value — an earlier record this commit pass
 // (via pending, which spans a whole commit group and is nil when the

@@ -327,3 +327,86 @@ func TestUncontendedCommitAllocations(t *testing.T) {
 		}
 	}
 }
+
+// TestCommitAtSeq commits records at caller-given seqs: a PutAt, ApplyAt
+// or DeleteAt skips the seqs between LastSeq and its own, one at or below
+// LastSeq fails alone, and a group whose members skipped seqs replays
+// every record at its seq. The group is built by hand, so its members are
+// one leader pass: a preset member, an assigned one, one refused, and a
+// preset batch.
+func TestCommitAtSeq(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir, groupOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.PutAt([]byte("a"), []byte("a10"), 10, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Put([]byte("b"), []byte("b11")); err != nil {
+		t.Fatal(err)
+	}
+	var b Batch
+	b.Put([]byte("c"), []byte("c20"))
+	b.Put([]byte("d"), []byte("d21"))
+	if err := db.ApplyAt(&b, 20); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.DeleteAt([]byte("a"), 21); !errors.Is(err, ErrSeqNotAbove) {
+		t.Fatalf("DeleteAt(21) after LastSeq 21: %v, want %v", err, ErrSeqNotAbove)
+	}
+	// member commits key at preset (0: the next seq), valued key∥want.
+	member := func(key string, preset, want uint64) *pendingCommit {
+		pc := &pendingCommit{}
+		pc.one[0] = wal.Record{Kind: 1, Key: []byte(key), Value: []byte(fmt.Sprintf("%s%d", key, want)), Seq: preset}
+		pc.records = pc.one[:]
+		return pc
+	}
+	batch := &pendingCommit{records: []wal.Record{
+		{Kind: 1, Key: []byte("h"), Value: []byte("h40"), Seq: 40},
+		{Kind: 0, Key: []byte("c")},
+	}}
+	group := []*pendingCommit{member("e", 30, 30), member("f", 0, 31), member("g", 25, 0), batch}
+	db.mu.Lock()
+	err = db.commitGroupLocked(group)
+	db.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []uint64{30, 31, 0, 40} {
+		if pc := group[i]; pc.err == nil && pc.firstSeq != want || (pc.err != nil) != (want == 0) {
+			t.Errorf("member %d: firstSeq %d, err %v; want seq %d", i, pc.firstSeq, pc.err, want)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db, err = Open(dir, groupOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if got := db.LastSeq(); got != 41 {
+		t.Fatalf("LastSeq after replay = %d, want 41", got)
+	}
+	want := map[string]uint64{"a": 10, "b": 11, "d": 21, "e": 30, "f": 31, "h": 40}
+	got := map[string]uint64{}
+	if err := db.Scan(nil, nil, func(k, v []byte, seq uint64) bool {
+		got[string(k)] = seq
+		if string(v) != fmt.Sprintf("%s%d", k, seq) {
+			t.Errorf("%s@%d = %q", k, seq, v)
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("replayed seqs %v, want %v", got, want)
+	}
+	db.AdvanceSeq(50)
+	db.AdvanceSeq(45)
+	if err := db.Put([]byte("i"), nil); err != nil || db.LastSeq() != 51 {
+		t.Fatalf("Put after AdvanceSeq(50): LastSeq %d, %v", db.LastSeq(), err)
+	}
+}

@@ -278,35 +278,60 @@ func (db *DB) openTable(fr fileRecord) (*FileMeta, error) {
 // already holds a live value for key, the merger combines them first
 // (Lazy-index fragment coalescing; memory-only, no disk I/O).
 func (db *DB) Put(key, value []byte) error {
-	_, err := db.write(ikey.KindSet, key, value, nil)
+	_, err := db.write(ikey.KindSet, key, value, 0, nil)
 	return err
 }
 
-// PutWithSeqTraced is Put returning the assigned sequence number, which
-// secondary-index layers stamp into posting-list entries so top-K
-// ordering follows primary-table insertion time. It records write-path
-// phase timings (wal, mem_insert, rotate) into tr; tr may be nil.
-func (db *DB) PutWithSeqTraced(key, value []byte, tr *metrics.Trace) (uint64, error) {
-	return db.write(ikey.KindSet, key, value, tr)
+// PutAt is Put at sequence number seq, which must be above LastSeq;
+// otherwise nothing is written and the error is ErrSeqNotAbove. Seqs
+// between LastSeq and seq are skipped; seq 0 takes the next one. A secondary index writes its
+// records at the seq of the primary record they index, and the primary
+// its record at a seq reserved before the index writes. It records
+// write-path phase timings (wal, mem_insert, rotate) into tr; tr may be
+// nil.
+func (db *DB) PutAt(key, value []byte, seq uint64, tr *metrics.Trace) error {
+	_, err := db.write(ikey.KindSet, key, value, seq, tr)
+	return err
 }
 
 // Delete writes a tombstone for key.
 func (db *DB) Delete(key []byte) error {
-	_, err := db.write(ikey.KindDelete, key, nil, nil)
+	_, err := db.write(ikey.KindDelete, key, nil, 0, nil)
+	return err
+}
+
+// DeleteAt is Delete at sequence number seq, under PutAt's rule.
+func (db *DB) DeleteAt(key []byte, seq uint64) error {
+	_, err := db.write(ikey.KindDelete, key, nil, seq, nil)
 	return err
 }
 
 // DeleteWithSeqTraced is Delete returning the assigned sequence number,
 // with write-path phase tracing.
 func (db *DB) DeleteWithSeqTraced(key []byte, tr *metrics.Trace) (uint64, error) {
-	return db.write(ikey.KindDelete, key, nil, tr)
+	return db.write(ikey.KindDelete, key, nil, 0, tr)
 }
 
-// write commits one record. The MemTable keeps copies of key and value:
-// callers may reuse their buffers.
-func (db *DB) write(kind ikey.Kind, key, value []byte, tr *metrics.Trace) (uint64, error) {
+// ErrSeqNotAbove fails a commit at a caller-given sequence number that is
+// not above LastSeq.
+var ErrSeqNotAbove = errors.New("lsm: sequence number not above LastSeq")
+
+// AdvanceSeq raises LastSeq to seq if it is lower, so no later commit is
+// assigned a seq at or below it. A database whose index tables may hold
+// records at seqs its primary never committed (a crash between the two
+// writes) raises the primary's LastSeq over them at open.
+func (db *DB) AdvanceSeq(seq uint64) {
+	db.mu.Lock()
+	db.lastSeq = max(db.lastSeq, seq)
+	db.mu.Unlock()
+}
+
+// write commits one record, at seq or, when seq is 0, at the next one.
+// The MemTable keeps copies of key and value: callers may reuse their
+// buffers.
+func (db *DB) write(kind ikey.Kind, key, value []byte, seq uint64, tr *metrics.Trace) (uint64, error) {
 	pc := pendingPool.Get().(*pendingCommit)
-	pc.one[0] = wal.Record{Kind: byte(kind), Key: key, Value: value}
+	pc.one[0] = wal.Record{Kind: byte(kind), Key: key, Value: value, Seq: seq}
 	pc.records = pc.one[:]
 	pc.tr = tr
 	return db.commit(pc)

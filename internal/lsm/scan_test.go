@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -264,9 +265,15 @@ func TestViewHelpers(t *testing.T) {
 		it.SeekToFirst() // memtable may be empty after flush; just exercise
 		return nil
 	})
-	seq1, err := db.PutWithSeqTraced([]byte("pws"), []byte("v"), nil)
-	if err != nil || seq1 == 0 {
-		t.Fatalf("PutWithSeqTraced: %d %v", seq1, err)
+	seq1 := db.LastSeq() + 5
+	if err := db.PutAt([]byte("pws"), []byte("v"), seq1, nil); err != nil || db.LastSeq() != seq1 {
+		t.Fatalf("PutAt(%d): LastSeq %d, %v", seq1, db.LastSeq(), err)
+	}
+	if err := db.PutAt([]byte("pws"), []byte("w"), seq1, nil); !errors.Is(err, ErrSeqNotAbove) {
+		t.Fatalf("PutAt at LastSeq: %v, want %v", err, ErrSeqNotAbove)
+	}
+	if v, ok, err := db.Get([]byte("pws")); err != nil || !ok || string(v) != "v" {
+		t.Fatalf("after a refused PutAt: %q %v %v", v, ok, err)
 	}
 	seq2, err := db.DeleteWithSeqTraced([]byte("pws"), nil)
 	if err != nil || seq2 != seq1+1 {
