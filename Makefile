@@ -86,7 +86,10 @@ verify: vet lint build bench-test
 # stream against a merged scan of the whole index table, and Embedded's
 # and the posting kinds' (Lazy, Eager) seq-bounded top-K reads against a
 # model, the latter also from a database written before index records
-# carried the primary's seq (all seeded from testdata/fuzz corpora). The experiments package alone runs ~18
+# carried the primary's seq (all seeded from testdata/fuzz corpora). The
+# posting kinds' seeds whose Lazy index MemTable holds many blind
+# versions of a key, with no flush or a reopen (WAL replay) before it,
+# also run by name, so a filter typo cannot skip them. The experiments package alone runs ~18
 # minutes under the race detector on a small box, so the per-package
 # timeout (a hang guard, not a budget) is raised above go test's 10m
 # default. Performance is gated by the end-to-end benchmark (make bench),
@@ -102,6 +105,7 @@ ci: vet lint lint-race build bench-test
 	$(GO) test -fuzz=FuzzCompositeStream -fuzztime=10s -fuzzminimizetime=1s ./internal/core/
 	$(GO) test -fuzz=FuzzEmbeddedTopK -fuzztime=10s -fuzzminimizetime=1s ./internal/core/
 	$(GO) test -fuzz=FuzzPostingRangeTopK -fuzztime=10s -fuzzminimizetime=1s ./internal/core/
+	$(GO) test -count=1 -v -run 'FuzzPostingRangeTopK/seed-(versions|reopen|fixture-versions)-' ./internal/core/ | grep -c -- '--- PASS: FuzzPostingRangeTopK/seed-' | grep -qx 5
 
 # Regenerate the paper's evaluation at the default reduced scale.
 experiments:

@@ -268,13 +268,12 @@ func Open(dir string, opts Options) (*DB, error) {
 			idxOpts := base
 			idxOpts.Events = events.Named("index-" + attr)
 			if opts.Index == IndexLazy {
-				// The mergers run inside the engine (write path and
+				// The merger runs inside the engine (flush and
 				// compaction), so the index table's IOStats is created here
-				// and injected into both the engine and the mergers.
+				// and injected into both the engine and the merger.
 				st := &metrics.IOStats{}
 				idxOpts.Stats = st
-				idxOpts.WriteMerge = newLazyWriteMerger(st)
-				idxOpts.Merge = &lazyCompactionMerger{st: st}
+				idxOpts.Merge = &lazyMerger{st: st}
 			}
 			idx, err := lsm.Open(filepath.Join(dir, "index-"+attr), &idxOpts)
 			if err != nil {
@@ -662,44 +661,21 @@ func (db *DB) FilterMemoryUsage() int {
 	return n
 }
 
-// newLazyWriteMerger returns the WriteMerger that coalesces posting
-// fragments inside the MemTable so each level holds at most one fragment
-// per secondary key. The streaming merge reuses one scratch across calls
-// (the engine serializes write-merges per table; the mutex makes the
-// closure safe regardless), but the output is always freshly allocated:
-// the group-commit leader retains merged values across the rest of its
-// batch, so a reused buffer would corrupt earlier records.
-func newLazyWriteMerger(st *metrics.IOStats) lsm.WriteMerger {
-	var mu sync.Mutex
-	var sc postings.MergeScratch
-	return func(existing, incoming []byte) []byte {
-		mu.Lock()
-		defer mu.Unlock()
-		out, err := sc.Merge(nil, [][]byte{incoming, existing}, false)
-		if err != nil {
-			// Never drop data on decode problems; newest fragment wins.
-			return incoming
-		}
-		st.PostingsBytesDecoded.Add(sc.BytesDecoded())
-		st.PostingsEntriesDecoded.Add(sc.EntriesDecoded())
-		st.FragmentsMerged.Add(sc.FragmentsMerged())
-		return out
-	}
-}
-
-// lazyCompactionMerger merges fragments scattered across levels during
-// index-table compaction (paper §4.1.2: "During merge compaction, we
-// merge these fragmented lists"). The engine merges only through a
-// per-job fork (ForkMerger), so one goroutine uses a merger's scratch,
-// and the output buffer is reused across calls: the engine copies a
-// merged value before the next Merge runs.
-type lazyCompactionMerger struct {
+// lazyMerger merges a secondary key's posting fragments: at flush, the
+// one-entry fragments its blind PUTs left in the MemTable, and during
+// index-table compaction, the fragments scattered across levels (paper
+// §4.1.2: "During merge compaction, we merge these fragmented lists").
+// The engine merges only through a per-job fork (ForkMerger), so one
+// goroutine uses a merger's scratch, and the output buffer is reused
+// across calls: the engine copies a merged value before the next Merge
+// runs.
+type lazyMerger struct {
 	st  *metrics.IOStats
 	sc  postings.MergeScratch
 	buf []byte
 }
 
-func (m *lazyCompactionMerger) Merge(_ []byte, values [][]byte, bottom bool) ([]byte, bool) {
+func (m *lazyMerger) Merge(_ []byte, values [][]byte, bottom bool) ([]byte, bool) {
 	out, err := m.sc.Merge(m.buf[:0], values, bottom)
 	if err != nil {
 		return m.mergeSalvage(values, bottom)
@@ -714,18 +690,18 @@ func (m *lazyCompactionMerger) Merge(_ []byte, values [][]byte, bottom bool) ([]
 	return out, true
 }
 
-// ForkMerger implements lsm.MergerForker: each compaction job gets a
+// ForkMerger implements lsm.MergerForker: each flush or compaction job gets a
 // private MergeScratch and output buffer, dropped when the job ends, while
 // the shared IOStats keeps aggregating decode counters (its fields are
 // atomic).
-func (m *lazyCompactionMerger) ForkMerger() lsm.Merger {
-	return &lazyCompactionMerger{st: m.st}
+func (m *lazyMerger) ForkMerger() lsm.Merger {
+	return &lazyMerger{st: m.st}
 }
 
 // mergeSalvage preserves the seed behaviour when a fragment is corrupt:
 // skip the undecodable fragments and merge the rest, rather than failing
 // the whole compaction.
-func (m *lazyCompactionMerger) mergeSalvage(values [][]byte, bottom bool) ([]byte, bool) {
+func (m *lazyMerger) mergeSalvage(values [][]byte, bottom bool) ([]byte, bool) {
 	frags := make([]postings.List, 0, len(values))
 	for _, v := range values {
 		l, err := postings.Decode(v)

@@ -47,8 +47,12 @@ var commitGoldens = map[IndexKind]commitGolden{
 		"5a8f0c56d39d20ff964f55350e04852ced87781bee63124c049aa2b163ab0105",
 		"80683bc0729fdfa24a3dfdfaaea89c0a6c2f75542fdd2ab37d80b4a450fffc05",
 		"b01c9cd2e71d1767a48488b5ae0a1609390ccc065c61b228d49869f9e82ff48f"},
-	IndexLazy: {"da0cc2f15388b6b3252e97b128882301a0d9f941ca6b1f18c949bac087919c5a",
-		"c97330c9ee766a3d3cdf624b0debe0bf2cb1f669880abb0a5bf2bd538a9f682f", 9715, 6464,
+	// Lazy index PUTs are blind: the MemTable fills with one-entry
+	// fragments rather than re-merged lists, so its index tables flush at
+	// other points, and the flush, not the write, decodes and merges the
+	// postings.
+	IndexLazy: {"b76e5e088c0dc7f47e79fe0f2db2b9a50bb5b9efba7bd0ad930aa661d9c608a7",
+		"d623f0dfcb6f636eba3b695991fe3d8df1510c7aa252960a549b43e553d01dcc", 9715, 6612,
 		"5a8f0c56d39d20ff964f55350e04852ced87781bee63124c049aa2b163ab0105",
 		"80683bc0729fdfa24a3dfdfaaea89c0a6c2f75542fdd2ab37d80b4a450fffc05",
 		"b01c9cd2e71d1767a48488b5ae0a1609390ccc065c61b228d49869f9e82ff48f"},

@@ -1,0 +1,91 @@
+package core
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"sort"
+	"testing"
+)
+
+// lazyFlushPin is the SHA-256 of every index table that
+// TestLazyFlushMatchesWriteMerge's Flush writes. The values were taken
+// from the engine that merged each Lazy index PUT into the key's
+// MemTable fragment at write time; flush-time coalescing must write the
+// same bytes.
+var lazyFlushPin = map[string]string{
+	"index-CreationTime/000001.sst": "7ce28b4351b47234caeb316916d7ab06bbf82ac66ea60ed4d4a830da46764103",
+	"index-UserID/000001.sst":       "e4f6a3344da093dc52de827deb5c3f960795ed3c2bf98b00c186147a7f466f6d",
+}
+
+// TestLazyFlushMatchesWriteMerge runs a Lazy workload of puts, re-puts
+// that move documents between attribute values, deletes (of present and
+// absent keys) and batches, all inside one MemTable, then flushes and
+// pins every index table byte for byte.
+func TestLazyFlushMatchesWriteMerge(t *testing.T) {
+	opts := smallOptions(IndexLazy)
+	opts.MemTableBytes = 64 << 20
+	dir := t.TempDir()
+	db, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	rng := rand.New(rand.NewSource(39))
+	for i := 0; i < 3000; i++ {
+		key := fmt.Sprintf("t%04d", rng.Intn(900))
+		switch {
+		case i%17 == 0:
+			err = db.Delete(key)
+		case i%41 == 0:
+			var b Batch
+			b.Put(key, tweetDoc(fmt.Sprintf("u%02d", rng.Intn(12)), rng.Intn(400), "batched"))
+			b.Delete(fmt.Sprintf("t%04d", rng.Intn(900)))
+			b.Put(fmt.Sprintf("b%04d", i), tweetDoc("u00", rng.Intn(400), "batched"))
+			err = db.Apply(&b)
+		default:
+			err = db.Put(key, tweetDoc(fmt.Sprintf("u%02d", rng.Intn(12)), rng.Intn(400), "text"))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tables, _ := filepath.Glob(filepath.Join(dir, "index-*", "*.sst")); len(tables) > 0 {
+		t.Fatalf("the workload flushed an index MemTable early: %v", tables)
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	tables, err := filepath.Glob(filepath.Join(dir, "index-*", "*.sst"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]string{}
+	for _, p := range tables {
+		raw, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := sha256.Sum256(raw)
+		rel, _ := filepath.Rel(dir, p)
+		got[filepath.ToSlash(rel)] = hex.EncodeToString(s[:])
+	}
+	var names []string
+	for name := range got {
+		names = append(names, name)
+	}
+	for name := range lazyFlushPin {
+		if _, ok := got[name]; !ok {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		if got[name] != lazyFlushPin[name] {
+			t.Errorf("%s: sha256 %q, pinned %q", name, got[name], lazyFlushPin[name])
+		}
+	}
+}

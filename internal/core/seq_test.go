@@ -358,7 +358,7 @@ func TestPostingStreamInterleavedTables(t *testing.T) {
 	st := &metrics.IOStats{}
 	idx, err := lsm.Open(t.TempDir(), &lsm.Options{MemTableBytes: 256 << 10, DisableCompression: true,
 		BaseLevelBytes: 1 << 20, LevelMultiplier: 4, L0CompactionTrigger: 2,
-		Stats: st, WriteMerge: newLazyWriteMerger(st), Merge: &lazyCompactionMerger{st: st}})
+		Stats: st, Merge: &lazyMerger{st: st}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +402,7 @@ func TestPostingStreamInterleavedTables(t *testing.T) {
 		sort.SliceStable(want, func(i, j int) bool { return want[i].seq > want[j].seq })
 		var got []streamed
 		err = idx.View(func(v *lsm.View) error {
-			units := &postingUnits{lo: []byte(r[0]), hiExcl: upperBoundExclusive(r[1])}
+			units := &postingUnits{lo: []byte(r[0]), hiExcl: upperBoundExclusive(r[1]), chains: true}
 			units.units = seqUnits(v, units.lo, units.hiExcl, 0)
 			h := &fragmentHeap{feed: units}
 			for key, seq, del, ok := h.next(); ok; key, seq, del, ok = h.next() {

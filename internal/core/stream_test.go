@@ -13,12 +13,14 @@ import (
 	"leveldbpp/internal/lsm"
 	"leveldbpp/internal/metrics"
 	"leveldbpp/internal/postings"
+	"leveldbpp/internal/sstable"
 )
 
 // refCollect is the retired materialise→sort→validate pipeline, kept as
 // the oracle for collect. It gathers what the per-kind paths gathered,
 // through the same index reads — Lazy point LOOKUP stratum by stratum,
-// stopping at the first stratum boundary with K results — decodes every
+// every MemTable version of the key included, stopping at the first
+// stratum boundary with K results — decodes every
 // candidate, ranks them with the reference postings.Merge (newest entry per
 // primary key, highest seq first) and validates newest first until K are
 // valid; a deletion marker only marks its key decided. It also returns the
@@ -41,13 +43,15 @@ func refCollect(db *DB, attr, lo, hi string, k int, point bool) ([]Entry, int, e
 		}
 	case point && db.opts.Index == IndexLazy:
 		err = idx.View(func(v *lsm.View) error {
-			strata := &lazyStrata{value: []byte(lo), strata: v.Strata()}
-			for !r.full() {
-				frag, ok, err := strata.next()
-				if err != nil || !ok {
-					return err
+			for _, st := range v.Strata() {
+				if r.full() {
+					return nil
 				}
-				if err := r.rankEncoded([][]byte{frag}); err != nil {
+				frags, dead, err := refStratumFragments(st, []byte(lo))
+				if err == nil {
+					err = r.rankEncoded(frags)
+				}
+				if err != nil || dead {
 					return err
 				}
 			}
@@ -80,9 +84,39 @@ func refCollect(db *DB, attr, lo, hi string, k int, point bool) ([]Entry, int, e
 	return r.out, r.validations, nil
 }
 
+// refStratumFragments is what one stratum holds for the secondary key
+// value, newest first: in a MemTable every version above the key's newest
+// tombstone, in a table its one record. dead reports a tombstone, which
+// hides every older fragment of the key.
+func refStratumFragments(st lsm.Stratum, value []byte) (frags [][]byte, dead bool, err error) {
+	if st.IsMem() {
+		it := st.MemIter()
+		for it.SeekGE(ikey.SeekKey(value)); it.Valid() && bytes.Equal(ikey.UserKey(it.Key()), value); it.Next() {
+			if ikey.KindOf(it.Key()) == ikey.KindDelete {
+				return frags, true, nil
+			}
+			frags = append(frags, it.Value()) //lsm:aliasok
+		}
+		return frags, false, nil
+	}
+	fm := st.FindFile(value)
+	if fm == nil {
+		return nil, false, nil
+	}
+	ik, data, ok, err := fm.Table().GetWith(&sstable.GetScratch{}, value)
+	if err != nil || !ok {
+		return nil, false, err
+	}
+	if ikey.KindOf(ik) == ikey.KindDelete {
+		return nil, true, nil
+	}
+	return [][]byte{bytes.Clone(data)}, false, nil
+}
+
 // lazyRangeFragments is the retired Lazy RANGELOOKUP gather: from every
-// stratum of the index table, the fragment of each secondary key in
-// [lo, hi] that the stratum holds.
+// stratum of the index table, the fragments of each secondary key in
+// [lo, hi] that the stratum holds — in a MemTable, every version above
+// the key's newest tombstone.
 func lazyRangeFragments(idx *lsm.DB, lo, hi string) ([][]byte, error) {
 	var frags [][]byte
 	err := idx.View(func(v *lsm.View) error {
@@ -91,6 +125,7 @@ func lazyRangeFragments(idx *lsm.DB, lo, hi string) ([][]byte, error) {
 		for _, s := range v.Strata() {
 			if s.IsMem() {
 				var prevUser []byte
+				dead := false // the key's versions from here down are tombstoned
 				it := s.MemIter()
 				for it.SeekGE(seek); it.Valid(); it.Next() {
 					ik := it.Key()
@@ -98,9 +133,11 @@ func lazyRangeFragments(idx *lsm.DB, lo, hi string) ([][]byte, error) {
 					if bytes.Compare(uk, hiExcl) >= 0 {
 						break
 					}
-					newest := prevUser == nil || !bytes.Equal(prevUser, uk)
+					if prevUser == nil || !bytes.Equal(prevUser, uk) {
+						dead = false
+					}
 					prevUser = append(prevUser[:0], uk...)
-					if newest && ikey.KindOf(ik) != ikey.KindDelete {
+					if dead = dead || ikey.KindOf(ik) == ikey.KindDelete; !dead {
 						frags = append(frags, it.Value()) //lsm:aliasok
 					}
 				}
@@ -311,7 +348,10 @@ func TestCollectMatchesReference(t *testing.T) {
 
 // TestCollectUnsortedFragmentFallback hand-writes a v2 fragment whose
 // entries break newest-first order: the chain and the cursor heap must
-// both take the decode-all fallback and answer as the oracle does.
+// both take the decode-all fallback and answer as the oracle does. In a
+// Lazy MemTable the fragment is a version of its key, first the newest
+// one, then one in the middle of the key's chain of versions, which the
+// cursor reaches only after the newer version ends.
 func TestCollectUnsortedFragmentFallback(t *testing.T) {
 	for _, kind := range []IndexKind{IndexEager, IndexLazy} {
 		t.Run(kind.String(), func(t *testing.T) {
@@ -333,25 +373,77 @@ func TestCollectUnsortedFragmentFallback(t *testing.T) {
 			if err != nil || len(all) != 6 {
 				t.Fatalf("lookup hw = %v, %v", keysOf(all), err)
 			}
+			put := func(list postings.List) {
+				t.Helper()
+				if err := db.indexes["UserID"].Put([]byte("hw"), postings.AppendList(nil, list)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			check := func(newest string) {
+				t.Helper()
+				checkCollect(t, db, "UserID", "hw", "hw", true, true)
+				checkCollect(t, db, "UserID", "h", "u1", false, true)
+				got, err := db.Lookup("UserID", "hw", 1)
+				if err != nil || len(got) != 1 || got[0].Key != newest {
+					t.Fatalf("top-1 = %v, %v; want %s", keysOf(got), err, newest)
+				}
+			}
+			if kind == IndexLazy {
+				put(postings.List{{Key: all[5].Key, Seq: all[5].Seq}}) // an older version below it
+			}
 			// The same six postings (real keys and seqs), oldest in the middle.
 			var list postings.List
 			for _, i := range []int{3, 1, 5, 0, 4, 2} {
 				list = append(list, postings.Entry{Key: all[i].Key, Seq: all[i].Seq})
 			}
-			frag := postings.AppendList(nil, list)
-			if sorted, err := new(postings.Cursor).Prime(frag); err != nil || sorted {
+			if sorted, err := new(postings.Cursor).Prime(postings.AppendList(nil, list)); err != nil || sorted {
 				t.Fatalf("hand-written fragment: sorted=%v err=%v", sorted, err)
 			}
-			if err := db.indexes["UserID"].Put([]byte("hw"), frag); err != nil {
-				t.Fatal(err)
-			}
-			checkCollect(t, db, "UserID", "hw", "hw", true, true)
-			checkCollect(t, db, "UserID", "h", "u1", false, true)
-			got, err := db.Lookup("UserID", "hw", 1)
-			if err != nil || len(got) != 1 || got[0].Key != all[0].Key {
-				t.Fatalf("top-1 = %v, %v; want %s", keysOf(got), err, all[0].Key)
+			put(list)
+			check(all[0].Key)
+			if kind == IndexLazy {
+				// A newer document: its blind fragment is the key's newest
+				// version, newer than every posting of the unsorted one.
+				// The hand-written versions took index seqs the primary
+				// has not reached.
+				db.primary.AdvanceSeq(db.indexes["UserID"].LastSeq())
+				if err := db.Put("h6", tweetDoc("hw", 106, "x")); err != nil {
+					t.Fatal(err)
+				}
+				check("h6")
 			}
 		})
+	}
+}
+
+// TestLazyChainStopsAtTombstone writes a tombstone for a secondary key
+// between its MemTable versions: LOOKUP and RANGELOOKUP must read the
+// versions above it only, though the documents below it are still valid.
+func TestLazyChainStopsAtTombstone(t *testing.T) {
+	db := openKind(t, IndexLazy)
+	for i, key := range []string{"a", "b"} {
+		if err := db.Put(key, tweetDoc("hw", i, "x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	idx := db.indexes["UserID"]
+	if err := idx.Delete([]byte("hw")); err != nil {
+		t.Fatal(err)
+	}
+	db.primary.AdvanceSeq(idx.LastSeq()) // the tombstone took an index seq
+	if err := db.Put("c", tweetDoc("hw", 2, "x")); err != nil {
+		t.Fatal(err)
+	}
+	checkCollect(t, db, "UserID", "hw", "hw", true, false)
+	checkCollect(t, db, "UserID", "h", "i", false, false)
+	for _, point := range []bool{true, false} {
+		got, err := db.Lookup("UserID", "hw", 0)
+		if !point {
+			got, err = db.RangeLookup("UserID", "h", "i", 0)
+		}
+		if err != nil || !sameKeys(keysOf(got), []string{"c"}) {
+			t.Fatalf("point=%v: %v, %v; want [c]", point, keysOf(got), err)
+		}
 	}
 }
 

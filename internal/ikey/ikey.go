@@ -52,6 +52,17 @@ func AppendSeek(dst, userKey []byte) []byte {
 	return binary.BigEndian.AppendUint64(dst, MaxSeq<<8|uint64(KindSet))
 }
 
+// AppendSeekPast appends to dst the internal key that sorts after every
+// record of userKey (sequence numbers start at 1) and before every record
+// of a greater user key, and returns the extended slice: the target of a
+// forward scan that skips userKey's remaining versions.
+//
+//lsm:hotpath
+func AppendSeekPast(dst, userKey []byte) []byte {
+	dst = append(dst, userKey...)
+	return binary.BigEndian.AppendUint64(dst, 0)
+}
+
 // Valid reports whether ik is long enough to carry the 8-byte trailer;
 // the accessors below panic on anything shorter, so untrusted inputs
 // must be checked first.

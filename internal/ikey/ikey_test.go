@@ -63,6 +63,22 @@ func TestSeekKeySortsFirst(t *testing.T) {
 	}
 }
 
+func TestSeekPastSortsBetweenKeys(t *testing.T) {
+	past := AppendSeekPast([]byte("junk"), []byte("k"))[len("junk"):]
+	for _, seq := range []uint64{1, 1000, MaxSeq} {
+		for _, kind := range []Kind{KindDelete, KindSet} {
+			if ik := Make([]byte("k"), seq, kind); Compare(past, ik) <= 0 {
+				t.Fatalf("AppendSeekPast must sort after %s", String(ik))
+			}
+			for _, next := range []string{"k\x00", "ka", "l"} {
+				if ik := Make([]byte(next), seq, kind); Compare(past, ik) >= 0 {
+					t.Fatalf("AppendSeekPast must sort before %s", String(ik))
+				}
+			}
+		}
+	}
+}
+
 func TestSortOrdering(t *testing.T) {
 	keys := [][]byte{
 		Make([]byte("a"), 3, KindSet),

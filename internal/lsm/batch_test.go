@@ -106,49 +106,70 @@ func TestBatchCrashAtomicity(t *testing.T) {
 	}
 }
 
-func TestBatchWriteMergeIntraBatch(t *testing.T) {
+// TestBatchVersionsCoalesceAtFlush puts several versions of a key in one
+// batch: each is its own MemTable record, and the flush coalesces them
+// with the version committed before the batch.
+func TestBatchVersionsCoalesceAtFlush(t *testing.T) {
 	opts := smallOpts()
-	opts.WriteMerge = func(existing, incoming []byte) []byte {
-		return append(append([]byte(nil), existing...), incoming...)
-	}
+	opts.Merge = concatMerger{}
 	db, _ := openTestDB(t, opts)
-	mustPut(t, db, "list", "a") // pre-existing memtable value
+	mustPut(t, db, "list", "a") // committed before the batch
 	var b Batch
 	b.Put([]byte("list"), []byte("b"))
 	b.Put([]byte("list"), []byte("c"))
 	if err := db.Apply(&b); err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := mustGet(t, db, "list"); v != "abc" {
-		t.Fatalf("merged batch value = %q, want abc", v)
+	if v, _ := mustGet(t, db, "list"); v != "c" {
+		t.Fatalf("MemTable value = %q, want the newest version c", v)
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := mustGet(t, db, "list"); v != "a|b|c" {
+		t.Fatalf("flushed value = %q, want a|b|c", v)
 	}
 }
 
-func TestBatchWriteMergeSurvivesReplay(t *testing.T) {
+// TestBatchVersionsSurviveReplay logs several versions of a key and
+// reopens before any flush: the WAL holds each version as written, so
+// replay rebuilds every one of them and the flush after it coalesces
+// them.
+func TestBatchVersionsSurviveReplay(t *testing.T) {
 	dir := t.TempDir()
 	opts := smallOpts()
 	opts.MemTableBytes = 1 << 30
-	opts.WriteMerge = func(existing, incoming []byte) []byte {
-		return append(append([]byte(nil), existing...), incoming...)
-	}
+	opts.Merge = concatMerger{}
 	db, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	mustPut(t, db, "list", "w")
 	var b Batch
 	b.Put([]byte("list"), []byte("x"))
 	b.Put([]byte("list"), []byte("y"))
-	db.Apply(&b)
-	db.Close()
+	if err := db.Apply(&b); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
 	db2, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	// The WAL stores post-merge values, so replay must reproduce "xy"
-	// without re-running the merger.
-	if v, _ := mustGet(t, db2, "list"); v != "xy" {
-		t.Fatalf("after replay = %q, want xy", v)
+	if v, _ := mustGet(t, db2, "list"); v != "y" {
+		t.Fatalf("after replay = %q, want the newest version y", v)
+	}
+	if n := db2.mem.list.Len(); n != 3 {
+		t.Fatalf("replayed MemTable holds %d records, want 3", n)
+	}
+	if err := db2.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := mustGet(t, db2, "list"); v != "w|x|y" {
+		t.Fatalf("flushed after replay = %q, want w|x|y", v)
 	}
 }
 

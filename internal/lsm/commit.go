@@ -200,29 +200,21 @@ func (db *DB) leadGroupLocked(seed *pendingCommit, yield bool) {
 }
 
 // commitGroupLocked performs the leader pass over group: sequence
-// assignment and write-merge under db.mu, WAL batch append + sync under
-// logMu only, MemTable inserts and counter updates back under db.mu.
-// The returned error is shared by every member. Caller holds db.mu,
-// which is released across the WAL write and held again on return.
+// assignment under db.mu, WAL batch append + sync under logMu only,
+// MemTable inserts and counter updates back under db.mu. The returned
+// error is shared by every member. Caller holds db.mu, which is released
+// across the WAL write and held again on return.
 func (db *DB) commitGroupLocked(group []*pendingCommit) error {
 	tr := group[0].tr // the leader's own trace; followers only see commit_wait
 	if err := db.pipelineErrLocked(); err != nil {
 		return err
 	}
-	// One contiguous sequence range for the whole group, and one shared
-	// write-merge scope: a member's Put coalesces against earlier members
-	// in this group exactly as it would against earlier serial commits,
-	// so the WAL records (post-merge values) replay identically. A single
-	// record has no earlier member to coalesce against.
+	// One contiguous sequence range for the whole group, unless a member
+	// presets its seq.
 	total := 0
 	for _, pc := range group {
 		total += len(pc.records)
 	}
-	var pending map[string][]byte
-	if db.opts.WriteMerge != nil && total > 1 {
-		pending = make(map[string][]byte, total)
-	}
-	t0 := tr.Now()
 	for _, pc := range group {
 		// A member whose first record carries a seq (PutAt, ApplyAt)
 		// starts there, or fails alone if that seq is not above lastSeq.
@@ -235,17 +227,17 @@ func (db *DB) commitGroupLocked(group []*pendingCommit) error {
 			db.lastSeq = seq - 1
 		}
 		pc.firstSeq = db.lastSeq + 1
-		db.assignSeqsLocked(pc.records, pending)
-	}
-	if db.opts.WriteMerge != nil {
-		tr.Since(metrics.PhaseMergeProbe, t0)
+		for i := range pc.records {
+			db.lastSeq++
+			pc.records[i].Seq = db.lastSeq
+		}
 	}
 	// Gate freezes until the inserts land: immSeq may not advance over
 	// sequences that are not yet in a MemTable.
 	db.commitsInFlight++
 	db.mu.Unlock()
 
-	t0 = tr.Now()
+	t0 := tr.Now()
 	db.logMu.Lock()
 	records := group[0].records
 	if len(group) > 1 {
@@ -272,7 +264,7 @@ func (db *DB) commitGroupLocked(group []*pendingCommit) error {
 	tr.Since(metrics.PhaseWAL, t0)
 
 	db.mu.Lock()
-	var ingested int64 // post-merge key+value bytes, counted once per group
+	var ingested int64 // key+value bytes, counted once per group
 	if werr == nil {
 		t0 = tr.Now()
 		for _, pc := range group {
@@ -306,44 +298,6 @@ func (db *DB) commitGroupLocked(group []*pendingCommit) error {
 	st.IngestBytes.Add(ingested)
 	db.groupSize.Observe(float64(len(group)))
 	return rerr
-}
-
-// assignSeqsLocked stamps consecutive sequence numbers above lastSeq onto
-// records and,
-// when a WriteMerger is configured, rewrites each set's value with the
-// merge of the newest prior value — an earlier record this commit pass
-// (via pending, which spans a whole commit group and is nil when the
-// group holds a single record) or the MemTable's current value.
-// WriteMerge must run before logging: the WAL stores post-merge values
-// so replay reconstructs the MemTable without re-merging. Caller holds
-// db.mu.
-func (db *DB) assignSeqsLocked(records []wal.Record, pending map[string][]byte) {
-	for i := range records {
-		r := &records[i]
-		db.lastSeq++
-		r.Seq = db.lastSeq
-		if db.opts.WriteMerge == nil {
-			continue
-		}
-		if r.Kind != byte(ikey.KindSet) {
-			if pending != nil {
-				delete(pending, string(r.Key))
-			}
-			continue
-		}
-		existing, merged := pending[string(r.Key)], false
-		if existing != nil {
-			merged = true
-		} else if v, _, kind, ok := db.mem.get(r.Key); ok && kind == ikey.KindSet {
-			existing, merged = v, true
-		}
-		if merged {
-			r.Value = db.opts.WriteMerge(existing, r.Value)
-		}
-		if pending != nil {
-			pending[string(r.Key)] = r.Value
-		}
-	}
 }
 
 // syncWALLocked makes the group's WAL frames durable per SyncMode: a

@@ -184,18 +184,14 @@ func TestGroupCommitConcurrentStress(t *testing.T) {
 }
 
 // TestGroupCommitWALEquivalence runs a single-writer workload — puts,
-// deletes, batches, write-merge coalescing — and pins the active WAL
+// re-puts of the same keys, deletes, batches — and pins the active WAL
 // segment to the bytes the engine wrote on its inline (pre-queue) commit
 // path into the single legacy WAL file. A group of one must still produce
 // exactly the seed frames, so replay (and every replay-derived invariant)
-// is unchanged.
+// is unchanged. Puts are blind, so a Merger leaves the log alone.
 func TestGroupCommitWALEquivalence(t *testing.T) {
-	const parentSHA = "4be7bb1b94718fff69d0115c08cf7b35be846371da9a12e110da19025af90681"
-	merger := func(existing, incoming []byte) []byte {
-		out := append(append([]byte(nil), existing...), ';')
-		return append(out, incoming...)
-	}
-	db, err := Open(t.TempDir(), &Options{MemTableBytes: 64 << 20, WriteMerge: merger})
+	const parentSHA = "1c678f3c7d28dafc6253690989074968810c3f282e4dbb52bc99df44f2b30ddf"
+	db, err := Open(t.TempDir(), &Options{MemTableBytes: 64 << 20, Merge: concatMerger{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,10 +268,10 @@ func TestGroupCommitLeaderHandoff(t *testing.T) {
 
 // TestUncontendedCommitAllocations holds a lone writer's commit — a
 // group of one through the queue — to the allocations the parent
-// commit's inline write path made per Put, Delete and Apply, with and
-// without a WriteMerge. The queue's own bookkeeping (pendingCommit,
-// wakeup channels, group slice, write-merge scope) must cost nothing
-// when no other writer is queued.
+// commit's inline write path made per Put, Delete and Apply. The queue's
+// own bookkeeping (pendingCommit, wakeup channels, group slice) must cost
+// nothing when no other writer is queued. A Merger runs only at flush and
+// compaction, so it cannot change these counts.
 func TestUncontendedCommitAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
@@ -285,20 +281,17 @@ func TestUncontendedCommitAllocations(t *testing.T) {
 	for i := range keys {
 		keys[i] = []byte(fmt.Sprintf("key-%03d", i))
 	}
-	// The inline path's counts at the parent commit. Apply of one record
-	// with a WriteMerge made 6 there: it built a merge scope the queue now
-	// skips for a single record.
+	// The inline path's counts at the parent commit.
 	for _, c := range []struct {
 		merge                       bool
 		put, del, apply1, applyPair float64
 	}{
 		{merge: false, put: 6, del: 5, apply1: 4, applyPair: 7},
-		{merge: true, put: 7, del: 5, apply1: 6, applyPair: 10},
+		{merge: true, put: 6, del: 5, apply1: 4, applyPair: 7},
 	} {
 		opts := &Options{MemTableBytes: 1 << 30}
 		if c.merge {
-			// Returns incoming, so every count is the engine's own.
-			opts.WriteMerge = func(_, incoming []byte) []byte { return incoming }
+			opts.Merge = concatMerger{}
 		}
 		db, _ := openTestDB(t, opts)
 		i := 0

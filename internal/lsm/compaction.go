@@ -33,6 +33,14 @@ func (db *DB) maxBytesForLevel(l int) int64 {
 // buildMemTable writes mem's contents to a new SSTable and opens it. It
 // takes no locks and touches no mutable DB state, so the flush job runs
 // it off-lock on a frozen MemTable.
+//
+// The engine has no snapshots, so one resolved record per user key
+// survives the flush. Without a Merger that is the newest version, which
+// also guarantees one entry per user key per table (the Embedded
+// lookup's validity check relies on it). With one, the key's versions are
+// resolved as a compaction into a non-base level resolves them
+// (resolveGroup with bottom false): the Lazy index's blind fragments
+// coalesce here, once per flush.
 func (db *DB) buildMemTable(mem *memTable, fileNum uint64) (*FileMeta, error) {
 	path := tablePath(db.dir, fileNum)
 	f, err := os.Create(path)
@@ -40,35 +48,56 @@ func (db *DB) buildMemTable(mem *memTable, fileNum uint64) (*FileMeta, error) {
 		return nil, fmt.Errorf("lsm: create sstable: %w", err)
 	}
 	builder := sstable.NewBuilder(f, db.opts.tableOptions(false))
-	it := mem.iter()
-	var prevUser []byte
+	merger := db.opts.Merge
+	if forker, ok := merger.(MergerForker); ok {
+		merger = forker.ForkMerger()
+	}
 	var attrs []sstable.AttrValue
-	for it.SeekToFirst(); it.Valid(); it.Next() {
-		ik, val := it.Key(), it.Value()
-		uk := ikey.UserKey(ik)
-		// The engine has no snapshots, so only the newest version of each
-		// user key needs to survive the flush (entries arrive newest
-		// first). This also guarantees one entry per user key per table,
-		// which the Embedded lookup's validity check relies on.
-		if prevUser != nil && bytes.Equal(prevUser, uk) {
-			continue
-		}
-		prevUser = append(prevUser[:0], uk...)
+	add := func(ik, val []byte) error {
 		attrs = attrs[:0]
 		if db.opts.Extract != nil && ikey.KindOf(ik) == ikey.KindSet {
-			attrs = db.opts.Extract(attrs, uk, val)
+			attrs = db.opts.Extract(attrs, ikey.UserKey(ik), val)
 		}
-		if err := builder.Add(ik, val, attrs); err != nil {
-			_ = f.Close()
-			return nil, err
-		}
+		return builder.Add(ik, val, attrs)
 	}
-	size, err := builder.Finish()
+	// One group, reused for every key: the builder copies what it keeps,
+	// and a Merger reads its values only during the call. The MemTable's
+	// keys and values are arena memory that is never reused, so the group
+	// holds them without copying.
+	var g keyGroup
+	resolve := func() error {
+		if len(g.ikeys) == 0 {
+			return nil
+		}
+		return resolveGroup(merger, false, &g, add)
+	}
+	it := mem.iter()
+	for it.SeekToFirst(); it.Valid() && err == nil; it.Next() {
+		ik := it.Key()
+		uk := ikey.UserKey(ik)
+		if len(g.ikeys) > 0 && bytes.Equal(g.key, uk) {
+			if merger == nil {
+				continue // entries arrive newest first
+			}
+		} else {
+			err = resolve()
+			g.key, g.ikeys, g.values, g.kinds = uk, g.ikeys[:0], g.values[:0], g.kinds[:0] //lsm:aliasok arena memory, never reused
+		}
+		g.ikeys = append(g.ikeys, ik)           //lsm:aliasok arena memory, never reused
+		g.values = append(g.values, it.Value()) //lsm:aliasok arena memory, never reused
+		g.kinds = append(g.kinds, ikey.KindOf(ik))
+	}
+	if err == nil {
+		err = resolve()
+	}
+	var size int64
+	if err == nil {
+		size, err = builder.Finish()
+	}
+	if err == nil {
+		err = f.Sync()
+	}
 	if err != nil {
-		_ = f.Close()
-		return nil, err
-	}
-	if err := f.Sync(); err != nil {
 		_ = f.Close()
 		return nil, err
 	}

@@ -274,9 +274,8 @@ func (db *DB) openTable(fr fileRecord) (*FileMeta, error) {
 	return fm, nil
 }
 
-// Put writes key → value. If a WriteMerger is configured and the MemTable
-// already holds a live value for key, the merger combines them first
-// (Lazy-index fragment coalescing; memory-only, no disk I/O).
+// Put writes key → value. The write is blind: with a Merger configured,
+// the key's MemTable versions are combined at flush, not here.
 func (db *DB) Put(key, value []byte) error {
 	_, err := db.write(ikey.KindSet, key, value, 0, nil)
 	return err

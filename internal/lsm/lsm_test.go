@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"reflect"
 	"testing"
 	"unsafe"
 
@@ -245,23 +246,49 @@ func TestRecoveryWithTornWAL(t *testing.T) {
 	}
 }
 
-func TestWriteMerge(t *testing.T) {
+// TestFlushCoalescesVersions holds the flush to the compaction's value
+// resolution: every Put is blind, so the MemTable keeps each version and
+// a read sees the newest, and the flush hands the key's versions to the
+// Merger once. A tombstone among them survives the flush under the
+// merged value, as it survives a compaction into a non-base level.
+func TestFlushCoalescesVersions(t *testing.T) {
 	opts := smallOpts()
-	opts.WriteMerge = func(existing, incoming []byte) []byte {
-		return append(append([]byte(nil), existing...), incoming...)
-	}
+	opts.Merge = concatMerger{}
 	db, _ := openTestDB(t, opts)
 	mustPut(t, db, "list", "a")
 	mustPut(t, db, "list", "b")
 	mustPut(t, db, "list", "c")
-	if v, _ := mustGet(t, db, "list"); v != "abc" {
-		t.Fatalf("write-merged value = %q, want abc", v)
+	mustPut(t, db, "gone", "x")
+	if err := db.Delete([]byte("gone")); err != nil {
+		t.Fatal(err)
 	}
-	// After a flush the memtable is empty → no merge with disk values.
-	db.Flush()
+	mustPut(t, db, "gone", "y")
+	mustPut(t, db, "gone", "z")
+	if v, _ := mustGet(t, db, "list"); v != "c" {
+		t.Fatalf("MemTable value = %q, want the newest version c", v)
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := mustGet(t, db, "list"); v != "a|b|c" {
+		t.Fatalf("flushed value = %q, want a|b|c", v)
+	}
+	if v, _ := mustGet(t, db, "gone"); v != "y|z" {
+		t.Fatalf("flushed value = %q, want y|z (the tombstone hides x)", v)
+	}
+	var kinds []ikey.Kind
+	it := levelsOf(db)[0][0].tbl.NewIterator(false)
+	for ok := it.SeekGE(ikey.SeekKey([]byte("gone"))); ok && string(ikey.UserKey(it.Key())) == "gone"; ok = it.Next() {
+		kinds = append(kinds, ikey.KindOf(it.Key()))
+	}
+	if !reflect.DeepEqual(kinds, []ikey.Kind{ikey.KindSet, ikey.KindDelete}) {
+		t.Fatalf("flushed table holds kinds %v for gone, want the merged value, then the tombstone", kinds)
+	}
+	// A fresh MemTable holds only what came after the flush; fragments of
+	// different strata merge at compaction.
 	mustPut(t, db, "list", "d")
 	if v, _ := mustGet(t, db, "list"); v != "d" {
-		t.Fatalf("fresh memtable value = %q, want d (fragments merge at compaction)", v)
+		t.Fatalf("fresh MemTable value = %q, want d", v)
 	}
 }
 

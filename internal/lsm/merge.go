@@ -113,11 +113,11 @@ func mergeGroups(all []*FileMeta, fn func(g *keyGroup) error) error {
 	return flush()
 }
 
-// resolveGroup applies the compaction value-resolution policy to one
-// user-key group and emits the surviving records in output order: the
-// Merger hook (Lazy posting-list coalescing) when configured, otherwise
-// newest-wins with LevelDB tombstone rules. bottom reports that no level
-// deeper than the compaction's target can hold the key.
+// resolveGroup applies the flush and compaction value-resolution policy
+// to one user-key group and emits the surviving records in output order:
+// the Merger hook (Lazy posting-list coalescing) when configured,
+// otherwise newest-wins with LevelDB tombstone rules. bottom reports that
+// no level deeper than the output's can hold the key (never at flush).
 func resolveGroup(merger Merger, bottom bool, g *keyGroup, emit func(ik, value []byte) error) error {
 	if merger != nil {
 		// Collect live values down to (not past) the newest tombstone.

@@ -21,36 +21,32 @@ import (
 	"leveldbpp/internal/wal"
 )
 
-// Merger combines multiple values of the same user key during compaction.
-// The Lazy secondary index uses it to merge posting-list fragments
-// scattered across levels (paper §4.1.2); the default (nil) behaviour
-// keeps only the newest value.
+// Merger combines multiple values of the same user key during flush and
+// compaction. The Lazy secondary index uses it to merge the posting-list
+// fragments its blind PUTs leave in the MemTable and across levels (paper
+// §4.1.2); the default (nil) behaviour keeps only the newest value.
 type Merger interface {
-	// Merge receives every value observed for userKey in this compaction,
-	// ordered newest to oldest. bottom reports that no deeper level can
-	// contain this key, allowing deletion markers to be dropped.
-	// Returning keep=false elides the key from the output entirely.
+	// Merge receives every value observed for userKey in this flush or
+	// compaction, ordered newest to oldest. bottom reports that no deeper
+	// level can contain this key, allowing deletion markers to be dropped
+	// (never at flush). Returning keep=false elides the key from the
+	// output entirely.
 	Merge(userKey []byte, values [][]byte, bottom bool) (merged []byte, keep bool)
 }
 
 // MergerForker is optionally implemented by Mergers that carry per-call
-// scratch state. The engine calls ForkMerger once per compaction job and
-// merges through the fork only, so each job has a private scratch that
-// is dropped when the job ends. A Merger that does not implement it is
-// shared by every job, and jobs on disjoint level pairs may run at once,
-// so it must be safe for concurrent use.
+// scratch state. The engine calls ForkMerger once per flush or
+// compaction job and merges through the fork only, so each job has a
+// private scratch that is dropped when the job ends. A Merger that does
+// not implement it is shared by every job, and a flush and jobs on
+// disjoint level pairs may run at once, so it must be safe for
+// concurrent use.
 type MergerForker interface {
 	Merger
 	// ForkMerger returns a Merger with private mutable state; shared
 	// counters may be retained (they must be concurrency-safe).
 	ForkMerger() Merger
 }
-
-// WriteMerger combines an incoming value with the value already present in
-// the MemTable for the same key. The Lazy index uses it so that at most
-// one posting-list fragment per key exists per level, at zero disk-I/O
-// cost (DESIGN.md §5).
-type WriteMerger func(existing, incoming []byte) []byte
 
 // AttrExtractor appends the indexed secondary attribute values of an
 // entry to dst and returns the extended slice; it is invoked for every
@@ -94,11 +90,9 @@ type Options struct {
 	// Extract provides attribute values at table-build time; required
 	// when SecondaryAttrs is non-empty.
 	Extract AttrExtractor
-	// Merge, when set, merges multi-version values during compaction.
+	// Merge, when set, merges multi-version values during flush and
+	// compaction.
 	Merge Merger
-	// WriteMerge, when set, merges an incoming Put with the MemTable's
-	// current value for the key.
-	WriteMerge WriteMerger
 	// SyncMode selects WAL durability per commit: off (never fsync; the
 	// zero value, and the paper's configuration — its throughput
 	// experiments run LevelDB in its default async mode), always (one

