@@ -1,14 +1,19 @@
 package core
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
 	"testing"
+
+	"leveldbpp/internal/metrics"
+	"leveldbpp/internal/postings"
 )
 
 // lazyFlushPin is the SHA-256 of every index table that
@@ -86,6 +91,59 @@ func TestLazyFlushMatchesWriteMerge(t *testing.T) {
 	for _, name := range names {
 		if got[name] != lazyFlushPin[name] {
 			t.Errorf("%s: sha256 %q, pinned %q", name, got[name], lazyFlushPin[name])
+		}
+	}
+}
+
+// TestLazyMergeSalvage runs lazyMerger.Merge over fragment sets that hold
+// an out-of-order fragment (seqs rise inside it; every seq is distinct),
+// in either format and beside an undecodable one: the merge must write
+// the reference postings.Merge of the fragments that decode, keep the key
+// exactly when an entry survives, and book the entries and bytes it
+// decoded and every fragment it was handed.
+func TestLazyMergeSalvage(t *testing.T) {
+	v1 := func(l postings.List) []byte {
+		b, err := json.Marshal(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	rising := postings.List{{Key: "a", Seq: 3}, {Key: "b", Seq: 9}, {Key: "c", Seq: 5, Del: true}}
+	older := postings.List{{Key: "b", Seq: 4}, {Key: "d", Seq: 2}}
+	dead := postings.List{{Key: "a", Seq: 6, Del: true}, {Key: "e", Seq: 8, Del: true}}
+	truncated := append(postings.AppendList(nil, postings.List{{Key: "z", Seq: 99}}), 0x80)
+	for name, values := range map[string][][]byte{
+		"v2":           {postings.AppendList(nil, rising), postings.AppendList(nil, older)},
+		"v1-and-v2":    {postings.AppendList(nil, older), v1(rising)},
+		"all-deleted":  {postings.AppendList(nil, dead)},
+		"with-corrupt": {postings.AppendList(nil, rising), truncated, v1(older)},
+		"dead-on-top":  {postings.AppendList(nil, dead), postings.AppendList(nil, rising), nil},
+	} {
+		for _, bottom := range []bool{false, true} {
+			var decoded []postings.List
+			var entries, nbytes int64
+			for _, v := range values {
+				if l, err := postings.Decode(v); err == nil {
+					decoded = append(decoded, l)
+					entries += int64(len(l))
+					nbytes += int64(len(v))
+				}
+			}
+			merged := postings.Merge(decoded, bottom)
+			var want []byte
+			if len(merged) > 0 {
+				want = postings.AppendList(nil, merged)
+			}
+			st := &metrics.IOStats{}
+			got, keep := (&lazyMerger{st: st}).Merge(nil, values, bottom)
+			if !bytes.Equal(got, want) || keep != (len(merged) > 0) {
+				t.Fatalf("%s bottom=%v: %x keep=%v, want %x keep=%v", name, bottom, got, keep, want, len(merged) > 0)
+			}
+			if e, b, f := st.PostingsEntriesDecoded.Load(), st.PostingsBytesDecoded.Load(), st.FragmentsMerged.Load(); e != entries || b != nbytes || f != int64(len(values)) {
+				t.Fatalf("%s bottom=%v: booked %d entries, %d bytes, %d fragments; want %d, %d, %d",
+					name, bottom, e, b, f, entries, nbytes, len(values))
+			}
 		}
 	}
 }
