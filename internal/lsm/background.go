@@ -139,12 +139,21 @@ func (db *DB) flushImmLocked() error {
 		<-hook
 	}
 	fm, err := db.buildMemTable(imm, fileNum)
+	// A Merger can elide every key of the MemTable; the empty table it
+	// leaves has no key range and is not installed.
+	empty := err == nil && fm.tbl.EntryCount() == 0
+	if empty {
+		_ = fm.f.Close()
+		_ = os.Remove(tablePath(db.dir, fm.Num))
+	}
 	db.mu.Lock()
 	if err == nil {
 		// Newest first in level 0; install by copy so concurrent readers
 		// holding the old version keep a stable view.
 		nv := db.v.clone()
-		nv.levels[0] = append([]*FileMeta{fm}, nv.levels[0]...)
+		if !empty {
+			nv.levels[0] = append([]*FileMeta{fm}, nv.levels[0]...)
+		}
 		db.v = nv
 		db.flushedSeq = immSeq
 		err = saveManifest(db.dir, db.v.toManifest(db.nextFileNum.Load(), db.flushedSeq))

@@ -307,6 +307,40 @@ func (concatMerger) Merge(_ []byte, values [][]byte, _ bool) ([]byte, bool) {
 	return out, true
 }
 
+// elideMerger elides every key it merges.
+type elideMerger struct{}
+
+func (elideMerger) Merge([]byte, [][]byte, bool) ([]byte, bool) { return nil, false }
+
+// TestFlushElidedMemTable flushes a MemTable whose every key the Merger
+// elides: no table is installed, and a full compaction over the tables
+// flushed before it still runs.
+func TestFlushElidedMemTable(t *testing.T) {
+	opts := smallOpts()
+	opts.Merge = concatMerger{}
+	db, _ := openTestDB(t, opts)
+	mustPut(t, db, "kept", "one")
+	db.Flush()
+	db.opts.Merge = elideMerger{}
+	mustPut(t, db, "gone", "two")
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(levelsOf(db)[0]); n != 1 {
+		t.Fatalf("%d level-0 tables, want the first flush's only", n)
+	}
+	db.opts.Merge = concatMerger{}
+	if err := db.CompactRange(nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := mustGet(t, db, "kept"); !ok || v != "one" {
+		t.Fatalf("kept = %q, %v", v, ok)
+	}
+	if _, ok := mustGet(t, db, "gone"); ok {
+		t.Fatal("elided key still readable")
+	}
+}
+
 func TestCompactionMerger(t *testing.T) {
 	opts := smallOpts()
 	opts.Merge = concatMerger{}
