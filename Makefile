@@ -71,9 +71,10 @@ bench-test:
 	cd bench && $(GO) test ./...
 
 # Fast correctness gate for the read-path packages: static checks plus a
-# race-detector pass over the sstable block format and the lsm engine.
+# race-detector pass over the sstable block format, the posting-list
+# codec and the lsm engine.
 verify: vet lint build bench-test
-	$(GO) test -race ./internal/sstable/... ./internal/lsm/...
+	$(GO) test -race ./internal/sstable/... ./internal/postings/... ./internal/lsm/...
 
 # The full pre-merge gate: static checks (go vet + lsmlint), the
 # benchmark module's own tests, a
@@ -82,7 +83,8 @@ verify: vet lint build bench-test
 # compress/flate's BestSpeed writer, the block inflater against
 # compress/flate's reader, the posting-list codec, the attribute scanner
 # against its json.Unmarshal oracle, the newest-first candidate stream
-# against decode-all + stable sort, Composite's seq-bounded candidate
+# against decode-all + stable sort (and its rejection of out-of-order
+# fragments), Composite's seq-bounded candidate
 # stream against a merged scan of the whole index table, and Embedded's
 # and the posting kinds' (Lazy, Eager) seq-bounded top-K reads against a
 # model, the latter also from a database written before index records

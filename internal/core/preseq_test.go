@@ -185,14 +185,14 @@ func TestPreSeqFixture(t *testing.T) {
 				}
 			}
 			for _, q := range preseqQueries {
-				checkCollect(t, db, q.attr, q.lo, q.hi, q.lo == q.hi, false)
+				checkCollect(t, db, q.attr, q.lo, q.hi, q.lo == q.hi)
 			}
 			if err := db.CompactAll(); err != nil {
 				t.Fatal(err)
 			}
 			reopen()
 			for _, q := range preseqQueries {
-				checkCollect(t, db, q.attr, q.lo, q.hi, q.lo == q.hi, false)
+				checkCollect(t, db, q.attr, q.lo, q.hi, q.lo == q.hi)
 			}
 		})
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"sort"
 	"sync"
 
 	"leveldbpp/internal/ikey"
@@ -163,9 +162,8 @@ func (db *DB) validate(c *chunk, q *query) error {
 // fragments only when they may be needed: point LOOKUP's chain one stratum
 // at a time once the heap runs dry, RANGELOOKUP's units once the top is
 // older than their bound. Every fragment is primed (pre-walked) before
-// use, so a corrupt one fails the query; one out of newest-first order
-// sends it, the rest of its chain and every fragment not yet consumed to
-// decodeAll.
+// use, so an ill-formed one, corrupt or out of newest-first order, fails
+// the query with postings.ErrCorrupt.
 type fragmentHeap struct {
 	feed   fragmentFeed // nil once drained
 	tr     *metrics.Trace
@@ -238,10 +236,10 @@ type fragmentFeed interface {
 var heapPool = sync.Pool{New: func() any { return new(fragmentHeap) }}
 
 // maxPooledCursors bounds the cursor array a finished heap keeps. A
-// pooled heap holds its arrays, 176 B per cursor plus each cursor's key
-// buffer, until the GC empties the pool; past 1024 cursors (~180 KiB) a
-// rare RANGELOOKUP over thousands of fragments drops its heap instead of
-// pinning that much memory in every P's pool slot.
+// pooled heap holds its arrays, 144 B per cursor, until the GC empties
+// the pool; past 1024 cursors (~150 KiB) a rare RANGELOOKUP over
+// thousands of fragments drops its heap instead of pinning that much
+// memory in every P's pool slot.
 const maxPooledCursors = 1024
 
 // newFeedHeap is a pooled source over feed; finish returns it to the
@@ -268,133 +266,68 @@ func (s *fragmentHeap) release() {
 // LOOKUP's list — which must stay unchanged while it is in use.
 func newFragmentHeap(frags [][]byte, tr *metrics.Trace) (*fragmentHeap, error) {
 	s := newFeedHeap(nil, tr)
-	sorted := true
 	for _, frag := range frags {
-		ok, err := s.add(fragment{data: frag})
-		if err != nil {
+		if err := s.add(fragment{data: frag}); err != nil {
 			return nil, err
 		}
-		sorted = sorted && ok
 	}
-	if !sorted {
-		s.decodeAll()
-	}
-	return s, s.err
-}
-
-// queue adds every fragment. sorted is false if one is out of order.
-func (s *fragmentHeap) queue(frags []fragment) (sorted bool, err error) {
-	sorted = true
-	for _, f := range frags {
-		ok, err := s.add(f)
-		if err != nil {
-			return false, err
-		}
-		sorted = sorted && ok
-	}
-	return sorted, nil
+	return s, nil
 }
 
 // add primes a cursor on f and, unless f and its chain are empty, pushes
 // it on its first entry.
-func (s *fragmentHeap) add(f fragment) (sorted bool, err error) {
+func (s *fragmentHeap) add(f fragment) error {
 	s.curs = append(s.curs, cursor{chain: f.chain})
 	c := &s.curs[len(s.curs)-1]
-	if sorted, err = s.prime(c, f.data); err != nil {
-		return false, err
+	if err := s.prime(c, f.data); err != nil {
+		return err
 	}
-	ok, chainSorted, err := s.advance(c)
+	ok, err := s.advance(c)
 	if err == nil && ok {
 		s.h = append(s.h, int32(len(s.curs)-1))
 		siftUp(s.h, len(s.h)-1, s.before)
 	}
-	return sorted && chainSorted, err
+	return err
 }
 
 // prime points c at data, booking the decode work of the fragment it
 // leaves.
-func (s *fragmentHeap) prime(c *cursor, data []byte) (sorted bool, err error) {
+func (s *fragmentHeap) prime(c *cursor, data []byte) error {
 	s.entries += c.EntriesDecoded()
 	s.nbytes += c.BytesDecoded()
 	s.primed++
 	t0 := s.tr.Now()
-	sorted, err = c.Prime(data)
+	err := c.Prime(data)
 	s.tr.Since(metrics.PhasePostingsDecode, t0)
-	return sorted, err
+	return err
 }
 
 // advance moves c to its next entry, moving on to the chain's older
 // versions as each one ends; ok is false once c and its chain are
-// exhausted. sorted is false if a version it primed is out of order.
-func (s *fragmentHeap) advance(c *cursor) (ok, sorted bool, err error) {
-	sorted = true
+// exhausted.
+func (s *fragmentHeap) advance(c *cursor) (ok bool, err error) {
 	for !c.Next() {
 		data, more := c.chain.older()
 		if !more {
-			return false, sorted, nil
+			return false, nil
 		}
-		ok, err := s.prime(c, data)
-		if err != nil {
-			return false, false, err
+		if err := s.prime(c, data); err != nil {
+			return false, err
 		}
-		sorted = sorted && ok
 	}
-	return true, sorted, nil
+	return true, nil
 }
 
-// pull queues the feed's next group. One out of order sends the heap to
-// its fallback.
+// pull queues the feed's next group.
 func (s *fragmentHeap) pull() {
 	frags, ok, err := s.feed.fetch(s.frags[:0])
 	s.frags = frags
-	sorted := true
-	if err == nil && ok {
-		sorted, err = s.queue(frags)
+	for i := 0; err == nil && ok && i < len(frags); i++ {
+		err = s.add(frags[i])
 	}
 	if err != nil || !ok {
 		s.err, s.feed = err, nil
-	} else if !sorted {
-		s.fallback()
 	}
-}
-
-// fallback is the out-of-order path: it queues the rest of the feed and
-// sorts every entry not yet consumed.
-func (s *fragmentHeap) fallback() {
-	for s.feed != nil {
-		frags, ok, err := s.feed.fetch(s.frags[:0])
-		s.frags = frags
-		if err == nil && ok {
-			_, err = s.queue(frags)
-		}
-		if err != nil || !ok {
-			s.err, s.feed = err, nil
-		}
-	}
-	if s.err == nil {
-		s.decodeAll()
-	}
-}
-
-// decodeAll replaces the queued cursors, chains included, with one on
-// their entries stably sorted by seq descending, which is
-// postings.Merge's order with a deterministic tie order.
-func (s *fragmentHeap) decodeAll() {
-	var all postings.List
-	for _, ci := range s.h {
-		c := &s.curs[ci]
-		for ok := true; ok; {
-			all = append(all, postings.Entry{Key: string(c.Key()), Seq: c.Seq(), Del: c.Del()})
-			var err error
-			if ok, _, err = s.advance(c); err != nil {
-				s.err = err
-				return
-			}
-		}
-	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].Seq > all[j].Seq })
-	s.h = s.h[:0]
-	_, _ = s.add(fragment{data: postings.AppendList(nil, all)}) // a fresh v2 list: in order, well-formed
 }
 
 // topSeq is the seq of the top's current entry, 0 for an empty heap.
@@ -416,7 +349,7 @@ func (s *fragmentHeap) next() ([]byte, uint64, bool, bool) {
 	// valid until this call.
 	if s.handed {
 		s.handed = false
-		ok, sorted, err := s.advance(&s.curs[s.h[0]])
+		ok, err := s.advance(&s.curs[s.h[0]])
 		if err != nil {
 			s.err, s.feed = err, nil
 			return nil, 0, false, false
@@ -427,9 +360,6 @@ func (s *fragmentHeap) next() ([]byte, uint64, bool, bool) {
 			s.h = s.h[:last]
 		}
 		siftDown(s.h, 0, s.before)
-		if !sorted {
-			s.fallback()
-		}
 	}
 	for s.feed != nil && s.feed.due(s.topSeq(), len(s.h) == 0) {
 		s.pull()

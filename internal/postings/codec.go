@@ -14,7 +14,8 @@ import (
 // starts at 0) with zig-zag varints, so the newest-first invariant — each
 // next entry older by a handful of sequence numbers — costs one or two
 // bytes per entry instead of a JSON object. Deltas use wrap-around uint64
-// arithmetic, so arbitrary (even unsorted) lists round-trip exactly.
+// arithmetic, so Decode round-trips any seq sequence exactly; but a list
+// whose seqs rise is not well-formed, and Cursor.Prime rejects it.
 // There is no count header: a Cursor iterates until the buffer is
 // exhausted, which is what lets AppendSingle emit a fragment and
 // MergeStreams append entries without knowing the total up front.
@@ -24,9 +25,10 @@ import (
 // distinguishes the formats.
 const MagicV2 = 0x02
 
-// ErrCorrupt reports a structurally invalid v2 posting list: a truncated
-// varint, or a key length running past the buffer.
-var ErrCorrupt = errors.New("postings: corrupt v2 posting list")
+// ErrCorrupt reports an ill-formed posting list: a truncated varint, a
+// key length running past the buffer, or (found by Cursor.Prime and the
+// merges) a sequence number that rises, breaking newest-first order.
+var ErrCorrupt = errors.New("postings: corrupt posting list")
 
 // appendEntry appends one v2 entry to dst and returns the extended buffer
 // and the entry's sequence number (the caller's next prevSeq).
@@ -90,7 +92,8 @@ func decodeV2(data []byte) (List, error) {
 // input, Key returns a sub-slice of the encoded buffer and Next performs
 // no heap allocation, so a LOOKUP that stops after K entries never
 // decodes — or pays for — the tail of the list. For v1 input, Reset
-// decodes the JSON up front (the seed cost) and Next replays it.
+// decodes the JSON once (the seed cost) and re-encodes it as v2 into a
+// buffer the cursor owns, which Next then reads like any v2 list.
 //
 // A Cursor may be reused across lists via Reset; its internal buffers are
 // retained. The encoded buffer must stay immutable while the cursor reads
@@ -99,10 +102,7 @@ func decodeV2(data []byte) (List, error) {
 type Cursor struct {
 	rest []byte // unread v2 bytes
 	prev uint64 // previous entry's seq (delta base)
-
-	list   List // decoded v1 entries (nil for v2 input)
-	idx    int  // next v1 entry
-	keyBuf []byte
+	v1   []byte // v2 re-encoding of a v1 list
 
 	key []byte
 	seq uint64
@@ -113,87 +113,62 @@ type Cursor struct {
 	bytes   int64
 }
 
-// Reset points the cursor at a new encoded list. For v1 input the JSON is
-// decoded immediately and its cost (allocations, full-list scan) is paid
-// here; a decode failure is returned and also latched into Err.
+// Reset points the cursor at a new encoded list. A v1 list is decoded
+// and re-encoded here; a decode failure is returned and also latched
+// into Err.
 func (c *Cursor) Reset(data []byte) error {
-	c.rest = nil
-	c.prev = 0
-	c.list = nil
-	c.idx = 0
-	c.key = nil
-	c.seq = 0
-	c.del = false
-	c.err = nil
-	c.entries = 0
-	c.bytes = 0
+	*c = Cursor{v1: c.v1[:0]}
 	if len(data) == 0 {
 		return nil
 	}
-	if data[0] == MagicV2 {
-		c.rest = data[1:]
-		c.bytes = 1
-		return nil
+	if data[0] != MagicV2 {
+		l, err := Decode(data)
+		if err != nil {
+			c.err = err
+			return err
+		}
+		c.v1 = AppendList(c.v1, l)
+		data = c.v1
 	}
-	l, err := Decode(data)
-	if err != nil {
-		c.err = err
-		return err
-	}
-	c.list = l
-	c.bytes = int64(len(data))
-	c.entries = int64(len(l)) // JSON decodes all-or-nothing
-	if l == nil {
-		c.list = List{} // non-nil sentinel: v1 mode with zero entries
-	}
+	c.rest = data[1:]
+	c.bytes = 1
 	return nil
 }
 
-// Prime is Reset plus a pre-walk of the whole list: it fails on a
-// structurally corrupt list before the caller consumes any entry, and
-// reports whether the entries are newest first (sequence numbers never
-// increase), the order streaming merges rely on. The v2 walk reads the
-// bytes without decoding entries, so it allocates nothing and leaves the
-// cursor and its decode counters as Reset left them.
+// Prime is Reset plus a pre-walk of the whole list: it fails with
+// ErrCorrupt on a list that is structurally corrupt or whose sequence
+// numbers rise anywhere (a well-formed list is newest first, the order
+// every reader relies on) before the caller consumes any entry. The walk
+// reads the bytes without decoding entries, so it allocates nothing and
+// leaves the cursor and its decode counters as Reset left them.
 //
 //lsm:hotpath
-func (c *Cursor) Prime(data []byte) (sorted bool, err error) {
+func (c *Cursor) Prime(data []byte) error {
 	if err := c.Reset(data); err != nil {
-		return false, err
-	}
-	sorted = true
-	if c.list != nil {
-		// v1: the entries are already materialized; check order on them
-		// rather than re-decoding the JSON.
-		for i := 1; i < len(c.list); i++ {
-			if c.list[i].Seq > c.list[i-1].Seq {
-				sorted = false
-			}
-		}
-		return sorted, nil
+		return err
 	}
 	var prev uint64
 	for rest, first := c.rest, true; len(rest) > 0; first = false {
 		u, n := binary.Uvarint(rest)
 		if n <= 0 {
-			return false, ErrCorrupt
+			return ErrCorrupt
 		}
 		d, m := binary.Varint(rest[n:])
 		if m <= 0 {
-			return false, ErrCorrupt
+			return ErrCorrupt
 		}
 		rest = rest[n+m:]
 		if u>>1 > uint64(len(rest)) {
-			return false, ErrCorrupt
+			return ErrCorrupt
 		}
 		rest = rest[u>>1:]
 		seq := prev + uint64(d)
 		if !first && seq > prev {
-			sorted = false
+			return ErrCorrupt
 		}
 		prev = seq
 	}
-	return sorted, nil
+	return nil
 }
 
 // Next advances to the next entry, reporting false at the end of the list
@@ -201,20 +176,7 @@ func (c *Cursor) Prime(data []byte) (sorted bool, err error) {
 //
 //lsm:hotpath
 func (c *Cursor) Next() bool {
-	if c.err != nil {
-		return false
-	}
-	if c.list != nil {
-		if c.idx >= len(c.list) {
-			return false
-		}
-		e := &c.list[c.idx]
-		c.idx++
-		c.keyBuf = append(c.keyBuf[:0], e.Key...)
-		c.key, c.seq, c.del = c.keyBuf, e.Seq, e.Del
-		return true
-	}
-	if len(c.rest) == 0 {
+	if c.err != nil || len(c.rest) == 0 {
 		return false
 	}
 	u, n := binary.Uvarint(c.rest)
@@ -244,8 +206,8 @@ func (c *Cursor) Next() bool {
 	return true
 }
 
-// Key returns the current entry's primary key. For v2 input it aliases
-// the encoded buffer; copy to retain.
+// Key returns the current entry's primary key. It aliases the encoded
+// buffer (for v1 input, the cursor's re-encoding); copy to retain.
 func (c *Cursor) Key() []byte { return c.key }
 
 // Seq returns the current entry's sequence number.
@@ -257,12 +219,11 @@ func (c *Cursor) Del() bool { return c.del }
 // Err returns the corruption error that ended iteration, if any.
 func (c *Cursor) Err() error { return c.err }
 
-// EntriesDecoded returns the number of entries materialized since Reset:
-// for v2 input, the consumed prefix only; for v1 input, the whole list
-// (JSON decodes all-or-nothing at Reset).
+// EntriesDecoded returns the number of entries consumed since Reset, so
+// early termination is visible here. A v1 list is charged like the v2
+// list it was re-encoded as.
 func (c *Cursor) EntriesDecoded() int64 { return c.entries }
 
-// BytesDecoded returns the encoded bytes consumed since Reset. v1 input
-// charges the whole buffer at Reset (JSON decodes all-or-nothing); v2
-// input is charged per entry, so early termination is visible here.
+// BytesDecoded returns the v2 bytes consumed since Reset (for v1 input,
+// of its re-encoding), charged per entry like EntriesDecoded.
 func (c *Cursor) BytesDecoded() int64 { return c.bytes }

@@ -2,6 +2,7 @@ package postings
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/parser"
@@ -107,6 +108,11 @@ func TestCursorV1Fallback(t *testing.T) {
 	if err := c.Reset(refEncodeV1(l)); err != nil {
 		t.Fatal(err)
 	}
+	// A v1 list is charged like the v2 list it is re-encoded as: per
+	// entry consumed, not all at Reset.
+	if c.EntriesDecoded() != 0 || c.BytesDecoded() != 1 {
+		t.Fatalf("v1 counters at Reset = %d entries, %d bytes", c.EntriesDecoded(), c.BytesDecoded())
+	}
 	var got List
 	for c.Next() {
 		got = append(got, Entry{Key: string(c.Key()), Seq: c.Seq(), Del: c.Del()})
@@ -114,8 +120,8 @@ func TestCursorV1Fallback(t *testing.T) {
 	if c.Err() != nil || !reflect.DeepEqual(got, l) {
 		t.Fatalf("v1 cursor = %+v, %v", got, c.Err())
 	}
-	if c.EntriesDecoded() != int64(len(l)) || c.BytesDecoded() == 0 {
-		t.Fatalf("v1 counters = %d entries, %d bytes", c.EntriesDecoded(), c.BytesDecoded())
+	if v2 := AppendList(nil, l); c.EntriesDecoded() != int64(len(l)) || c.BytesDecoded() != int64(len(v2)) {
+		t.Fatalf("v1 counters = %d entries, %d bytes; want %d, %d", c.EntriesDecoded(), c.BytesDecoded(), len(l), len(v2))
 	}
 	// The same cursor must be reusable for v2 input afterwards.
 	if err := c.Reset(AppendList(nil, l)); err != nil {
@@ -298,8 +304,7 @@ func mergeBoth(t testing.TB, frags [][]byte, drop bool) (merged, linear []byte) 
 		t.Fatal(err)
 	}
 	var s MergeScratch
-	sorted, err := s.primeCursors(frags)
-	if err != nil || !sorted {
+	if err := s.primeCursors(frags); err != nil {
 		t.Fatalf("fragments not newest first (%v)", err)
 	}
 	s.seen.Reset()
@@ -349,13 +354,27 @@ func TestMergeManyFragmentsMatchesMerge(t *testing.T) {
 	}
 }
 
+// TestMergeStreamsUnsortedFallback merges the input that once took the
+// decode-all fallback, a fragment whose seqs rise: the merge must fail
+// with ErrCorrupt, in either format and wherever the fragment sits, and
+// the same fragments in newest-first order must merge as the reference
+// Merge does.
 func TestMergeStreamsUnsortedFallback(t *testing.T) {
-	// A fragment violating the newest-first invariant must still merge
-	// with the exact semantics of the reference Merge.
 	unsorted := List{{Key: "a", Seq: 1}, {Key: "b", Seq: 9}, {Key: "a", Seq: 5}}
 	other := List{{Key: "b", Seq: 3}, {Key: "c", Seq: 2}}
-	want := canonical(Merge([]List{unsorted, other}, false))
-	out, err := mergeStreams(nil, [][]byte{AppendList(nil, unsorted), AppendList(nil, other)}, false)
+	for _, fm := range encoders {
+		for _, frags := range [][][]byte{
+			{fm.encode(unsorted), AppendList(nil, other)},
+			{AppendList(nil, other), fm.encode(unsorted)},
+		} {
+			if _, err := mergeStreams(nil, frags, false); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s: merge err = %v, want %v", fm.name, err, ErrCorrupt)
+			}
+		}
+	}
+	sorted := List{unsorted[1], unsorted[2], unsorted[0]}
+	want := canonical(Merge([]List{sorted, other}, false))
+	out, err := mergeStreams(nil, [][]byte{AppendList(nil, sorted), AppendList(nil, other)}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +383,7 @@ func TestMergeStreamsUnsortedFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(canonical(got), want) {
-		t.Fatalf("fallback merge = %+v want %+v", got, want)
+		t.Fatalf("merge = %+v want %+v", got, want)
 	}
 }
 

@@ -2,6 +2,7 @@ package postings
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -11,7 +12,7 @@ import (
 // each byte contributes one entry whose key is drawn from a small
 // printable alphabet (JSON-safe, so v1 and v2 can represent the same
 // list), with sequence numbers descending-by-default but occasionally
-// jumping to exercise the unsorted fallback.
+// jumping up, which makes the list ill-formed for the streaming merge.
 func listFromFuzz(data []byte) List {
 	var l List
 	seq := uint64(len(data)) * 7
@@ -85,8 +86,10 @@ func FuzzPostingsRoundTrip(f *testing.F) {
 			}
 		}
 
-		// Streaming merge over any fragment mix must match the reference
-		// Merge up to its unstable equal-seq ordering.
+		// Streaming merge over any fragment mix must fail with ErrCorrupt
+		// exactly when a fragment is out of newest-first order, and
+		// otherwise match the reference Merge up to its unstable equal-seq
+		// ordering.
 		frags := splitFuzz(l, data)
 		for _, drop := range []bool{false, true} {
 			want := canonical(Merge(frags, drop))
@@ -95,6 +98,12 @@ func FuzzPostingsRoundTrip(f *testing.F) {
 				enc = append(enc, encoders[1-i%2].encode(frag)) // v2, v1, v2, ...
 			}
 			out, err := mergeStreams(nil, enc, drop)
+			if !newestFirst(frags) {
+				if !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("drop=%v: MergeStreams err = %v on out-of-order fragments, want %v", drop, err, ErrCorrupt)
+				}
+				continue
+			}
 			if err != nil {
 				t.Fatalf("MergeStreams: %v", err)
 			}
@@ -105,16 +114,13 @@ func FuzzPostingsRoundTrip(f *testing.F) {
 			if !reflect.DeepEqual(canonical(got), want) {
 				t.Fatalf("drop=%v: MergeStreams = %+v want %+v", drop, got, want)
 			}
-			// The heap of cursors gives the linear max-scan's bytes on
-			// newest-first fragments.
-			if newestFirst(frags) {
-				var v2 [][]byte
-				for _, frag := range frags {
-					v2 = append(v2, AppendList(nil, frag))
-				}
-				if heap, linear := mergeBoth(t, v2, drop); !bytes.Equal(heap, linear) {
-					t.Fatalf("drop=%v: heap merge %x, linear scan %x", drop, heap, linear)
-				}
+			// The heap of cursors gives the linear max-scan's bytes.
+			var v2 [][]byte
+			for _, frag := range frags {
+				v2 = append(v2, AppendList(nil, frag))
+			}
+			if heap, linear := mergeBoth(t, v2, drop); !bytes.Equal(heap, linear) {
+				t.Fatalf("drop=%v: heap merge %x, linear scan %x", drop, heap, linear)
 			}
 		}
 
@@ -167,7 +173,7 @@ func FuzzPostingsGarbage(f *testing.F) {
 			t.Fatalf("Cursor yielded %d entries, Decode %d", n, len(l))
 		}
 
-		if _, merr := mergeStreams(nil, [][]byte{data, data}, false); (merr == nil) != (err == nil) {
+		if _, merr := mergeStreams(nil, [][]byte{data, data}, false); (merr == nil) != (err == nil && newestFirst([]List{l})) {
 			t.Fatalf("Decode err=%v but MergeStreams err=%v", err, merr)
 		}
 		if _, _, aerr := AppendAdd(nil, data, "k", 1, false); (aerr == nil) != (err == nil) {

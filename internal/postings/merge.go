@@ -12,24 +12,19 @@ import (
 // []Entry materialization per fragment on every call is exactly the
 // ingestion overhead the paper attributes to the stand-alone indexes.
 // MergeScratch performs the k-way merge directly from the encoded bytes:
-// fragments are newest-first within themselves (the write path's
-// invariant), so walking all cursors in globally descending sequence
-// order makes the first occurrence of each key the winner, and the output
-// streams into a reused buffer without an intermediate slice. Fragments
-// that violate the invariant (hand-written or corrupted v1 lists) are
-// detected by a validation pre-pass and merged through the reference
-// map-based Merge instead, so the result is always equivalent.
+// a well-formed fragment is newest first within itself, so walking all
+// cursors in globally descending sequence order makes the first
+// occurrence of each key the winner, and the output streams into a
+// reused buffer without an intermediate slice. A fragment that breaks
+// that order is corrupt and fails the merge, as a truncated one does.
 
 // MergeScratch holds the reusable state of streaming merges: cursors,
-// the per-key dedup set, and the fallback decode buffers. The zero value
-// is ready to use; a scratch is not safe for concurrent use.
+// their heap and the per-key dedup set. The zero value is ready to use;
+// a scratch is not safe for concurrent use.
 type MergeScratch struct {
 	cursors []Cursor
 	heap    []int32 // mergeHeap's indices into cursors
 	seen    KeySet
-
-	// Fallback buffer for unsorted fragments.
-	frags []List
 
 	entries int64
 	bytes   int64
@@ -54,8 +49,9 @@ func (s *MergeScratch) EntriesEmitted() int64 { return s.emitted }
 // encoded list appended to dst (pass a reused buffer sliced to [:0]): per
 // primary key only the newest entry survives; dropDeleted removes
 // surviving deletion markers (bottom-level compaction). The output is
-// v2-encoded, ordered newest first. Any structurally corrupt fragment
-// fails the whole merge.
+// v2-encoded, ordered newest first. Any ill-formed fragment, corrupt or
+// out of newest-first order, fails the whole merge with ErrCorrupt (or
+// the v1 decode error).
 func (s *MergeScratch) Merge(dst []byte, fragments [][]byte, dropDeleted bool) ([]byte, error) {
 	dst = append(dst, MagicV2)
 	prev := uint64(0)
@@ -73,14 +69,9 @@ func (s *MergeScratch) Merge(dst []byte, fragments [][]byte, dropDeleted bool) (
 // fragment's encoded bytes and is only valid during the call.
 func (s *MergeScratch) MergeFunc(fragments [][]byte, dropDeleted bool, emit func(key []byte, seq uint64, del bool)) error {
 	s.entries, s.bytes, s.merged, s.emitted = 0, 0, int64(len(fragments)), 0
-	sorted, err := s.primeCursors(fragments)
-	if err != nil {
+	if err := s.primeCursors(fragments); err != nil {
 		return err
 	}
-	if !sorted {
-		return s.mergeFallback(fragments, dropDeleted, emit)
-	}
-
 	s.seen.Reset()
 	return s.mergeHeap(dropDeleted, emit)
 }
@@ -160,12 +151,9 @@ func (s *MergeScratch) siftDown(h []int32, i int) {
 }
 
 // primeCursors validates every fragment (well-formed, newest-first) and
-// positions s.cursors on each fragment's first entry. It reports whether
-// all fragments honour the newest-first invariant; corruption is an
-// error either way.
-func (s *MergeScratch) primeCursors(fragments [][]byte) (sorted bool, err error) {
+// positions s.cursors on each fragment's first entry.
+func (s *MergeScratch) primeCursors(fragments [][]byte) error {
 	s.cursors = s.cursors[:0]
-	sorted = true
 	for _, frag := range fragments {
 		if len(s.cursors) == cap(s.cursors) {
 			s.cursors = append(s.cursors, Cursor{})
@@ -173,35 +161,12 @@ func (s *MergeScratch) primeCursors(fragments [][]byte) (sorted bool, err error)
 			s.cursors = s.cursors[:len(s.cursors)+1]
 		}
 		c := &s.cursors[len(s.cursors)-1]
-		ok, err := c.Prime(frag)
-		if err != nil {
-			return false, err
+		if err := c.Prime(frag); err != nil {
+			return err
 		}
-		sorted = sorted && ok
 		if !c.Next() {
 			s.cursors = s.cursors[:len(s.cursors)-1] // empty fragment
 		}
-	}
-	return sorted, nil
-}
-
-// mergeFallback handles fragments that violate the newest-first
-// invariant: decode everything and defer to the reference Merge, so the
-// outcome matches the v1 semantics exactly.
-func (s *MergeScratch) mergeFallback(fragments [][]byte, dropDeleted bool, emit func(key []byte, seq uint64, del bool)) error {
-	s.frags = s.frags[:0]
-	for _, frag := range fragments {
-		l, err := Decode(frag)
-		if err != nil {
-			return err
-		}
-		s.frags = append(s.frags, l)
-		s.entries += int64(len(l))
-		s.bytes += int64(len(frag))
-	}
-	for _, e := range Merge(s.frags, dropDeleted) {
-		s.emitted++
-		emit([]byte(e.Key), e.Seq, e.Del)
 	}
 	return nil
 }

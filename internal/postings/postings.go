@@ -16,6 +16,12 @@
 // v1/v2 fragments inside one merge — are always readable. Every writer
 // emits v2: v1 lists come only from databases written by the seed.
 //
+// In either format a well-formed list is newest first: its sequence
+// numbers never rise. Every writer, the seed's included, emits that
+// order, and the streaming readers (Cursor.Prime, MergeScratch) reject a
+// list that breaks it with ErrCorrupt, as they reject a truncated one.
+// Decode and the reference Merge take any order.
+//
 // Lazy-index deletions are represented as in the paper: "DEL ... maintains
 // a deletion marker which is used during merge in compaction to remove the
 // deleted entry."
