@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-race test race short bench bench-test verify experiments ci clean
+.PHONY: all build vet lint lint-race test race short bench bench-test verify experiments ci loc clean
 
 all: vet build test
 
@@ -112,6 +112,11 @@ ci: vet lint lint-race build bench-test
 # Regenerate the paper's evaluation at the default reduced scale.
 experiments:
 	$(GO) run ./cmd/lsmbench -exp all -scale 20000
+
+# Non-test Go line count, excluding the benchmark module and test
+# fixtures: the size measure ROADMAP.md tracks.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | xargs cat | wc -l
 
 clean:
 	$(GO) clean ./...

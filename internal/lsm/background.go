@@ -2,7 +2,6 @@ package lsm
 
 import (
 	"fmt"
-	"os"
 	"time"
 
 	"leveldbpp/internal/metrics"
@@ -121,12 +120,12 @@ func (db *DB) awaitIdleLocked() error {
 }
 
 // flushImmLocked is the pipeline's flush job: it builds the frozen
-// MemTable into a level-0 table off-lock, installs it by version copy,
-// writes the manifest, deletes the frozen MemTable's WAL files and wakes
-// waiters. Caller holds db.mu and owns the frozen MemTable's flush (see
-// freezeMemLocked); db.mu is released across the build. A failure is
-// sticky: the frozen MemTable stays in place and its WAL files preserve
-// it for recovery.
+// MemTable into a level-0 table off-lock, installs it with one version
+// edit that also advances the flushed floor and retires the frozen
+// MemTable's WAL files, and wakes waiters. Caller holds db.mu and owns the
+// frozen MemTable's flush (see freezeMemLocked); db.mu is released across
+// the build. A failure is sticky: the frozen MemTable stays in place and
+// its WAL files preserve it for recovery.
 func (db *DB) flushImmLocked() error {
 	imm, immSeq, immWALs := db.imm, db.immSeq, db.immWALs
 	fileNum := db.allocFileNum()
@@ -139,24 +138,16 @@ func (db *DB) flushImmLocked() error {
 		<-hook
 	}
 	fm, err := db.buildMemTable(imm, fileNum)
-	// A Merger can elide every key of the MemTable; the empty table it
-	// leaves has no key range and is not installed.
-	empty := err == nil && fm.tbl.EntryCount() == 0
-	if empty {
-		_ = fm.f.Close()
-		_ = os.Remove(tablePath(db.dir, fm.Num))
+	e := &versionEdit{level: 0, added: []*FileMeta{fm}, flushedSeq: immSeq, retiredWALs: immWALs}
+	if err == nil && fm.tbl.EntryCount() == 0 {
+		// A Merger can elide every key of the MemTable; the empty table
+		// it leaves has no key range and is not installed.
+		db.dropTable(fm)
+		e.added = nil
 	}
 	db.mu.Lock()
 	if err == nil {
-		// Newest first in level 0; install by copy so concurrent readers
-		// holding the old version keep a stable view.
-		nv := db.v.clone()
-		if !empty {
-			nv.levels[0] = append([]*FileMeta{fm}, nv.levels[0]...)
-		}
-		db.v = nv
-		db.flushedSeq = immSeq
-		err = saveManifest(db.dir, db.v.toManifest(db.nextFileNum.Load(), db.flushedSeq))
+		err = db.applyEditLocked(e)
 	}
 	if err != nil {
 		// Sticky: later writes and Flush return it; wake whoever waits.
@@ -166,17 +157,9 @@ func (db *DB) flushImmLocked() error {
 		db.cond.Broadcast()
 		return err
 	}
-	// The frozen MemTable is durable in the SSTable; its WAL files are no
-	// longer needed (a crash before this point replays them and skips
-	// records at or below the manifest floor).
 	db.imm = nil
 	db.immWALs = nil
-	db.emit(metrics.Event{Type: metrics.EventFlushDone, Level: 0, Outputs: 1,
-		Entries: fm.tbl.EntryCount(), Bytes: fm.Size,
-		DurationUS: time.Since(t0).Microseconds()})
-	for _, p := range immWALs {
-		_ = os.Remove(p)
-	}
+	db.emitDone(metrics.EventFlushDone, 0, 0, e.added, t0)
 	db.cond.Broadcast() // wake writers waiting for the imm slot, and drains
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"slices"
 	"time"
 
 	"leveldbpp/internal/ikey"
@@ -97,14 +98,17 @@ func (db *DB) buildMemTable(mem *memTable, fileNum uint64) (*FileMeta, error) {
 	if err == nil {
 		err = f.Sync()
 	}
+	if err == nil {
+		err = f.Close()
+	}
+	var fm *FileMeta
+	if err == nil {
+		fm, err = db.openTable(fileRecord{Num: fileNum, Size: size})
+	}
 	if err != nil {
-		_ = f.Close()
-		return nil, err
+		db.dropTable(&FileMeta{Num: fileNum, f: f})
 	}
-	if err := f.Close(); err != nil {
-		return nil, err
-	}
-	return db.openTable(fileRecord{Num: fileNum, Size: size})
+	return fm, err
 }
 
 // needsCompactionLocked reports whether any shape invariant is violated.
@@ -126,9 +130,9 @@ func (db *DB) levelBusyLocked(l int) bool {
 	return db.compactingLevels[l] || db.compactingLevels[l+1]
 }
 
-// compactionJob is one picked compaction: inputs from level, overlapping
-// files from level+1, and the pick-time version for tombstone base
-// checks.
+// compactionJob is one picked compaction: inputs (the picked files of
+// level, then the overlapping files of level+1, in merge order) and the
+// pick-time version for tombstone base checks.
 //
 // base stays valid until install although other jobs may run meanwhile:
 // a job at levels (l, l+1) only consults levels deeper than l+1, and every
@@ -140,8 +144,14 @@ func (db *DB) levelBusyLocked(l int) bool {
 type compactionJob struct {
 	level  int
 	inputs []*FileMeta
-	next   []*FileMeta
 	base   *version
+}
+
+// jobLocked builds the job that merges files, picked from level, with the
+// files of level+1 overlapping the user keys [lo, hi].
+func (db *DB) jobLocked(level int, files []*FileMeta, lo, hi []byte) *compactionJob {
+	inputs := slices.Concat(files, overlappingFiles(db.v.levels[level+1], lo, hi))
+	return &compactionJob{level: level, inputs: inputs, base: db.v}
 }
 
 // pickCompactionLocked chooses the next compaction among unreserved level
@@ -164,12 +174,12 @@ func (db *DB) pickCompactionLocked() *compactionJob {
 // pickL0Locked builds the job that merges every level-0 file with the
 // overlapping files of level 1.
 func (db *DB) pickL0Locked() *compactionJob {
-	inputs := append([]*FileMeta(nil), db.v.levels[0]...)
-	if len(inputs) == 0 {
+	files := db.v.levels[0]
+	if len(files) == 0 {
 		return nil
 	}
 	var lo, hi []byte
-	for _, fm := range inputs {
+	for _, fm := range files {
 		s, l := ikey.UserKey(fm.Smallest), ikey.UserKey(fm.Largest)
 		if lo == nil || bytes.Compare(s, lo) < 0 {
 			lo = s
@@ -178,8 +188,7 @@ func (db *DB) pickL0Locked() *compactionJob {
 			hi = l
 		}
 	}
-	next := overlappingFiles(db.v.levels[1], lo, hi)
-	return &compactionJob{level: 0, inputs: inputs, next: next, base: db.v}
+	return db.jobLocked(0, files, lo, hi)
 }
 
 // pickLevelLocked picks one file of level l round-robin and the
@@ -199,8 +208,7 @@ func (db *DB) pickLevelLocked(l int) *compactionJob {
 		}
 	}
 	db.compactPtr[l] = append([]byte(nil), ikey.UserKey(pick.Largest)...)
-	next := overlappingFiles(db.v.levels[l+1], ikey.UserKey(pick.Smallest), ikey.UserKey(pick.Largest))
-	return &compactionJob{level: l, inputs: []*FileMeta{pick}, next: next, base: db.v}
+	return db.jobLocked(l, []*FileMeta{pick}, ikey.UserKey(pick.Smallest), ikey.UserKey(pick.Largest))
 }
 
 // compactLocked is the pipeline's compaction job, run by the writer's
@@ -219,7 +227,10 @@ func (db *DB) compactLocked(job *compactionJob) error {
 	tr.Finish()
 	db.mu.Lock()
 	if err == nil {
-		err = db.installCompactionLocked(job, outputs)
+		// The edit applies to the current version, so L0 tables flushed
+		// while the merge ran off-lock survive it.
+		err = db.applyEditLocked(&versionEdit{level: job.level + 1,
+			added: outputs, deleted: job.inputs, flushedSeq: db.flushedSeq})
 	}
 	db.bg.jobs--
 	db.compactingLevels[job.level] = false
@@ -229,7 +240,7 @@ func (db *DB) compactLocked(job *compactionJob) error {
 		db.emitCompactionError(job, err)
 		return err
 	}
-	db.emitCompactionDone(job, outputs, t0)
+	db.emitDone(metrics.EventCompactionDone, job.level, len(job.inputs), outputs, t0)
 	return nil
 }
 
@@ -259,29 +270,23 @@ func (db *DB) emitCompactionStart(job *compactionJob) {
 	for _, fm := range job.inputs {
 		inBytes += fm.Size
 	}
-	for _, fm := range job.next {
-		inBytes += fm.Size
-	}
 	db.emit(metrics.Event{Type: metrics.EventCompactionStart, Level: job.level,
-		Inputs: len(job.inputs) + len(job.next), Bytes: inBytes})
+		Inputs: len(job.inputs), Bytes: inBytes})
 }
 
-// emitCompactionDone reports an installed job: output file count, bytes
-// and entries, plus wall-clock duration since t0.
-func (db *DB) emitCompactionDone(job *compactionJob, outputs []*FileMeta, t0 time.Time) {
+// emitDone reports an installed flush or compaction job: input file
+// count, output file count, bytes and entries, and duration since t0.
+func (db *DB) emitDone(typ metrics.EventType, level, inputs int, outputs []*FileMeta, t0 time.Time) {
 	if db.opts.Events == nil {
 		return
 	}
-	var outBytes int64
-	entries := 0
+	e := metrics.Event{Type: typ, Level: level, Inputs: inputs, Outputs: len(outputs),
+		DurationUS: time.Since(t0).Microseconds()}
 	for _, fm := range outputs {
-		outBytes += fm.Size
-		entries += fm.tbl.EntryCount()
+		e.Bytes += fm.Size
+		e.Entries += fm.tbl.EntryCount()
 	}
-	db.emit(metrics.Event{Type: metrics.EventCompactionDone, Level: job.level,
-		Inputs: len(job.inputs) + len(job.next), Outputs: len(outputs),
-		Bytes: outBytes, Entries: entries,
-		DurationUS: time.Since(t0).Microseconds()})
+	db.emit(e)
 }
 
 // emitCompactionError reports a failed job with its error.
@@ -290,62 +295,7 @@ func (db *DB) emitCompactionError(job *compactionJob, err error) {
 		return
 	}
 	db.emit(metrics.Event{Type: metrics.EventCompactionError, Level: job.level,
-		Inputs: len(job.inputs) + len(job.next), Detail: err.Error()})
-}
-
-// installCompactionLocked swaps in a version with the job's inputs
-// replaced by its outputs, persists the manifest, and removes the input
-// files. It filters dead files against the *current* version, so L0
-// tables flushed while the merge ran off-lock survive. Caller holds
-// db.mu; readers hold RLock for their whole operation, so nothing reads
-// the inputs once the exclusive section completes.
-func (db *DB) installCompactionLocked(job *compactionJob, outputs []*FileMeta) error {
-	target := job.level + 1
-	all := append(append([]*FileMeta(nil), job.inputs...), job.next...)
-	dead := map[uint64]bool{}
-	for _, fm := range all {
-		dead[fm.Num] = true
-	}
-	nv := db.v.clone()
-	var keepL []*FileMeta
-	for _, fm := range nv.levels[job.level] {
-		if !dead[fm.Num] {
-			keepL = append(keepL, fm)
-		}
-	}
-	nv.levels[job.level] = keepL
-	var keepT []*FileMeta
-	for _, fm := range nv.levels[target] {
-		if !dead[fm.Num] {
-			keepT = append(keepT, fm)
-		}
-	}
-	// Insert outputs sorted by smallest key (they are produced in order,
-	// and target-level survivors don't overlap them).
-	merged := append(keepT, outputs...)
-	sortFilesBySmallest(merged)
-	nv.levels[target] = merged
-	db.v = nv
-
-	if err := saveManifest(db.dir, db.v.toManifest(db.nextFileNum.Load(), db.flushedSeq)); err != nil {
-		return err
-	}
-	for _, fm := range all {
-		if db.blockCache != nil {
-			db.blockCache.EvictTable(fm.tbl.ID())
-		}
-		_ = fm.f.Close()
-		_ = os.Remove(tablePath(db.dir, fm.Num))
-	}
-	return nil
-}
-
-func sortFilesBySmallest(files []*FileMeta) {
-	for i := 1; i < len(files); i++ {
-		for j := i; j > 0 && ikey.Compare(files[j].Smallest, files[j-1].Smallest) < 0; j-- {
-			files[j], files[j-1] = files[j-1], files[j]
-		}
-	}
+		Inputs: len(job.inputs), Detail: err.Error()})
 }
 
 // CompactRange forces the user-key range [lo, hi] (nil = unbounded) down
@@ -385,8 +335,7 @@ func (db *DB) CompactRange(lo, hi []byte) error {
 				break
 			}
 			pick := overlapping[0]
-			next := overlappingFiles(db.v.levels[l+1], ikey.UserKey(pick.Smallest), ikey.UserKey(pick.Largest))
-			job := &compactionJob{level: l, inputs: []*FileMeta{pick}, next: next, base: db.v}
+			job := db.jobLocked(l, []*FileMeta{pick}, ikey.UserKey(pick.Smallest), ikey.UserKey(pick.Largest))
 			if err := db.compactLocked(job); err != nil {
 				return err
 			}

@@ -229,9 +229,9 @@ func nextWALSeq(segments []string) uint64 {
 	return maxN
 }
 
-// removeOrphanTables deletes .sst files not referenced by the manifest —
-// the residue of a crash between installing a compaction's new version
-// and deleting its inputs. Safe at open: nothing references them.
+// removeOrphanTables deletes .sst files not referenced by the manifest,
+// which only a crash leaves: a version edit's added tables before its
+// manifest write, its deleted ones after it. Safe at open.
 //
 //lsm:locked — called only from Open, before the DB is shared.
 func (db *DB) removeOrphanTables() {

@@ -11,6 +11,7 @@ import (
 	"unsafe"
 
 	"leveldbpp/internal/ikey"
+	"leveldbpp/internal/metrics"
 	"leveldbpp/internal/sstable"
 )
 
@@ -313,14 +314,18 @@ type elideMerger struct{}
 func (elideMerger) Merge([]byte, [][]byte, bool) ([]byte, bool) { return nil, false }
 
 // TestFlushElidedMemTable flushes a MemTable whose every key the Merger
-// elides: no table is installed, and a full compaction over the tables
-// flushed before it still runs.
+// elides: no table is installed, its flush_done event reports no output,
+// and a full compaction over the tables flushed before it still runs.
 func TestFlushElidedMemTable(t *testing.T) {
+	log := metrics.NewEventLog(64)
 	opts := smallOpts()
 	opts.Merge = concatMerger{}
+	opts.Events = log
 	db, _ := openTestDB(t, opts)
 	mustPut(t, db, "kept", "one")
-	db.Flush()
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	db.opts.Merge = elideMerger{}
 	mustPut(t, db, "gone", "two")
 	if err := db.Flush(); err != nil {
@@ -328,6 +333,21 @@ func TestFlushElidedMemTable(t *testing.T) {
 	}
 	if n := len(levelsOf(db)[0]); n != 1 {
 		t.Fatalf("%d level-0 tables, want the first flush's only", n)
+	}
+	var done []metrics.Event
+	for _, e := range log.Events() {
+		if e.Type == metrics.EventFlushDone {
+			done = append(done, e)
+		}
+	}
+	if len(done) != 2 {
+		t.Fatalf("%d flush_done events, want 2", len(done))
+	}
+	if kept := levelsOf(db)[0][0]; done[0].Outputs != 1 || done[0].Entries != 1 || done[0].Bytes != kept.Size {
+		t.Fatalf("first flush_done %+v, want 1 output of 1 entry and %d bytes", done[0], kept.Size)
+	}
+	if e := done[1]; e.Outputs != 0 || e.Entries != 0 || e.Bytes != 0 {
+		t.Fatalf("elided flush_done %+v, want no output, entries or bytes", e)
 	}
 	db.opts.Merge = concatMerger{}
 	if err := db.CompactRange(nil, nil); err != nil {

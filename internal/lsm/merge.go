@@ -257,19 +257,15 @@ func (w *compactionWriter) finish() ([]*FileMeta, error) {
 	return w.outputs, nil
 }
 
-// abort closes the open output and removes every file produced so far —
-// the failure path, where nothing references the outputs yet. (A crash
+// abort drops the open output and every table produced so far — the
+// failure path, where nothing references the outputs yet. (A crash
 // leaves the same residue, cleaned by removeOrphanTables at next Open.)
 func (w *compactionWriter) abort() {
 	if w.file != nil {
-		_ = w.file.Close()
-		_ = os.Remove(tablePath(w.db.dir, w.num))
+		w.db.dropTable(&FileMeta{Num: w.num, f: w.file})
 		w.file, w.builder = nil, nil
 	}
-	for _, fm := range w.outputs {
-		_ = fm.f.Close()
-		_ = os.Remove(tablePath(w.db.dir, fm.Num))
-	}
+	w.db.dropTable(w.outputs...)
 	w.outputs = nil
 }
 
@@ -317,16 +313,14 @@ func mergeStream(all []*FileMeta, target int, base *version, merger Merger,
 	return err
 }
 
-// mergeCompaction merges job.inputs (from job.level) and job.next (from
-// job.level+1) into new tables for job.level+1 and returns them. It reads
-// only the job and immutable DB state, so the compaction job runs it
-// without holding db.mu: input tables are immutable files, and job.base
-// stays valid (see compactionJob). A merge goroutine with the job's own
+// mergeCompaction merges job.inputs into new tables for job.level+1 and
+// returns them. It reads only the job and immutable DB state, so the
+// compaction job runs it without holding db.mu: input tables are
+// immutable files, and job.base stays valid (see compactionJob). A merge goroutine with the job's own
 // Merger fork produces the resolved stream, and this goroutine writes it.
 // If the writer fails it closes quit, drains the stream and returns its
 // own error; if the merge fails, its error is returned as it is.
 func (db *DB) mergeCompaction(job *compactionJob, tr *metrics.Trace) ([]*FileMeta, error) {
-	all := append(append([]*FileMeta(nil), job.inputs...), job.next...)
 	merger := db.opts.Merge
 	if forker, ok := merger.(MergerForker); ok {
 		merger = forker.ForkMerger()
@@ -340,7 +334,7 @@ func (db *DB) mergeCompaction(job *compactionJob, tr *metrics.Trace) ([]*FileMet
 	var merr error // written before out closes
 	go func() {
 		defer close(out)
-		merr = mergeStream(all, job.level+1, job.base, merger, out, quit)
+		merr = mergeStream(job.inputs, job.level+1, job.base, merger, out, quit)
 	}()
 
 	w := db.newCompactionWriter(tr)

@@ -1,7 +1,6 @@
 package lsm
 
 import (
-	"bytes"
 	"fmt"
 
 	"leveldbpp/internal/ikey"
@@ -26,9 +25,9 @@ func (r *VerifyReport) problemf(format string, args ...interface{}) {
 // Verify audits the whole store under a read lock: every data block of
 // every SSTable is read and checksum-verified, entry order is checked
 // against the internal-key comparator, table key ranges are checked
-// against the manifest, and level shape invariants (sorted, disjoint
-// above level 0) are enforced. It reads every block, so it costs a full
-// scan.
+// against the manifest, and the level-shape invariants of version.check
+// (no empty table; sorted and disjoint above level 0) are enforced. It
+// reads every block, so it costs a full scan.
 func (db *DB) Verify() (VerifyReport, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -38,22 +37,13 @@ func (db *DB) Verify() (VerifyReport, error) {
 	}
 
 	for l, files := range db.v.levels {
-		for i, fm := range files {
+		for _, fm := range files {
 			rep.Tables++
 			rep.Blocks += fm.tbl.NumBlocks()
-			if err := db.verifyTable(&rep, l, fm); err != nil {
-				return rep, err
-			}
-			// Level shape: sorted and disjoint for l >= 1.
-			if l >= 1 && i > 0 {
-				prev := files[i-1]
-				if bytes.Compare(ikey.UserKey(prev.Largest), ikey.UserKey(fm.Smallest)) >= 0 {
-					rep.problemf("level %d: tables %06d and %06d overlap (%q >= %q)",
-						l, prev.Num, fm.Num, ikey.UserKey(prev.Largest), ikey.UserKey(fm.Smallest))
-				}
-			}
+			db.verifyTable(&rep, l, fm)
 		}
 	}
+	rep.Problems = append(rep.Problems, db.v.check()...)
 
 	// MemTable ordering (the skip list enforces it; verify anyway).
 	it := db.mem.iter()
@@ -68,7 +58,7 @@ func (db *DB) Verify() (VerifyReport, error) {
 	return rep, nil
 }
 
-func (db *DB) verifyTable(rep *VerifyReport, level int, fm *FileMeta) error {
+func (db *DB) verifyTable(rep *VerifyReport, level int, fm *FileMeta) {
 	it := fm.tbl.NewIterator(false)
 	var prev []byte
 	var first, last []byte
@@ -87,7 +77,7 @@ func (db *DB) verifyTable(rep *VerifyReport, level int, fm *FileMeta) error {
 	}
 	if err := it.Err(); err != nil {
 		rep.problemf("table %06d (L%d): %v", fm.Num, level, err)
-		return nil // corruption recorded; keep auditing other tables
+		return // corruption recorded; keep auditing other tables
 	}
 	if n != fm.tbl.EntryCount() {
 		rep.problemf("table %06d (L%d): iterated %d entries, meta says %d", fm.Num, level, n, fm.tbl.EntryCount())
@@ -102,5 +92,4 @@ func (db *DB) verifyTable(rep *VerifyReport, level int, fm *FileMeta) error {
 				fm.Num, level, ikey.String(last), ikey.String(fm.Largest))
 		}
 	}
-	return nil
 }

@@ -77,6 +77,41 @@ func TestVerifyDetectsBitRot(t *testing.T) {
 	}
 }
 
+// TestVerifyReportsShapeProblems installs, past applyEditLocked's check,
+// an overlapping pair in level 1 and an empty table in level 2: Verify
+// must report each once.
+func TestVerifyReportsShapeProblems(t *testing.T) {
+	db, _ := openTestDB(t, smallOpts())
+	a, b, empty := buildTable(t, db, "a", "m"), buildTable(t, db, "k", "z"), buildTable(t, db)
+	db.mu.Lock()
+	db.v = newVersion(len(db.v.levels))
+	db.v.levels[1] = []*FileMeta{a, b}
+	db.v.levels[2] = []*FileMeta{empty}
+	db.mu.Unlock()
+	rep, err := db.Verify()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		fmt.Sprintf("level 2: table %06d is empty", empty.Num),
+		fmt.Sprintf("level 1: tables %06d and %06d overlap", a.Num, b.Num),
+	}
+	if len(rep.Problems) != len(want) {
+		t.Fatalf("problems %q, want one each of %q", rep.Problems, want)
+	}
+	for _, w := range want {
+		n := 0
+		for _, p := range rep.Problems {
+			if strings.HasPrefix(p, w) {
+				n++
+			}
+		}
+		if n != 1 {
+			t.Fatalf("problems %q: %d start with %q, want 1", rep.Problems, n, w)
+		}
+	}
+}
+
 func TestVerifyEmptyStore(t *testing.T) {
 	db, _ := openTestDB(t, smallOpts())
 	rep, err := db.Verify()

@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 
 	"leveldbpp/internal/ikey"
 	"leveldbpp/internal/sstable"
@@ -58,17 +60,63 @@ func newVersion(maxLevels int) *version {
 	return &version{levels: make([][]*FileMeta, maxLevels)}
 }
 
-// clone returns a version whose level slices are fresh copies, so edits
-// install by copy: a reader (or an off-lock compaction) holding the old
-// version keeps a stable view while the writer swaps in the clone.
-func (v *version) clone() *version {
-	nv := &version{levels: make([][]*FileMeta, len(v.levels))}
+// versionEdit is one change to the tree, built by a flush or a compaction
+// and installed by applyEditLocked: the tables added to level, the tables
+// deleted from any level, the new flushed floor (the manifest's LastSeq)
+// and the WAL segments that floor retires (a crash before the manifest
+// write replays them above the old floor).
+type versionEdit struct {
+	level       int
+	added       []*FileMeta
+	deleted     []*FileMeta
+	flushedSeq  uint64
+	retiredWALs []string
+}
+
+// apply returns the version after e, in fresh level slices: a reader (or
+// an off-lock compaction) holding v keeps a stable view. e's tables go in
+// front of level 0 (newest first) or sorted by smallest key into a deeper
+// level. The result must pass check.
+func (v *version) apply(e *versionEdit) (*version, error) {
+	nv := newVersion(len(v.levels))
 	for l, files := range v.levels {
-		if len(files) > 0 {
-			nv.levels[l] = append([]*FileMeta(nil), files...)
+		var keep []*FileMeta
+		if l == e.level {
+			keep = append(keep, e.added...)
+		}
+		for _, fm := range files {
+			if !slices.Contains(e.deleted, fm) {
+				keep = append(keep, fm)
+			}
+		}
+		if l == e.level && l > 0 {
+			slices.SortFunc(keep, func(a, b *FileMeta) int { return ikey.Compare(a.Smallest, b.Smallest) })
+		}
+		nv.levels[l] = keep
+	}
+	if problems := nv.check(); len(problems) > 0 {
+		return nil, fmt.Errorf("lsm: version edit refused: %s", strings.Join(problems, "; "))
+	}
+	return nv, nil
+}
+
+// check states the level-shape invariants and returns one message per
+// violation: no table is empty, and in every level ≥ 1 each table starts
+// after the one before it ends (sorted and disjoint).
+func (v *version) check() []string {
+	var problems []string
+	for l, files := range v.levels {
+		for i, fm := range files {
+			if fm.tbl.EntryCount() == 0 {
+				problems = append(problems, fmt.Sprintf("level %d: table %06d is empty", l, fm.Num))
+			}
+			if l > 0 && i > 0 && bytes.Compare(ikey.UserKey(files[i-1].Largest), ikey.UserKey(fm.Smallest)) >= 0 {
+				problems = append(problems, fmt.Sprintf("level %d: tables %06d and %06d overlap (%q >= %q)",
+					l, files[i-1].Num, fm.Num, ikey.UserKey(files[i-1].Largest), ikey.UserKey(fm.Smallest)))
+			}
 		}
 	}
-	return nv
+	return problems
 }
 
 // levelBytes sums file sizes in a level.
@@ -117,10 +165,46 @@ func (v *version) isBaseLevelForKey(level int, userKey []byte) bool {
 	return true
 }
 
+// applyEditLocked is the one way the tree changes: it builds the version
+// after e and writes its manifest, and only then swaps it in, advances the
+// flushed floor, drops e's deleted tables and removes its retired WAL
+// segments (readers hold RLock throughout, so none still reads them). A
+// refused edit or failed manifest write only drops e's added tables.
+// Caller holds db.mu.
+func (db *DB) applyEditLocked(e *versionEdit) error {
+	nv, err := db.v.apply(e)
+	if err == nil {
+		err = saveManifest(db.dir, nv.toManifest(db.nextFileNum.Load(), e.flushedSeq))
+	}
+	if err != nil {
+		db.dropTable(e.added...)
+		return err
+	}
+	db.v, db.flushedSeq = nv, e.flushedSeq
+	db.dropTable(e.deleted...)
+	for _, p := range e.retiredWALs {
+		_ = os.Remove(p)
+	}
+	return nil
+}
+
+// dropTable retires tables that no installed version references: it
+// evicts each one's cached blocks, closes it and unlinks its file. A table
+// still being written has a file but no table handle yet.
+func (db *DB) dropTable(fms ...*FileMeta) {
+	for _, fm := range fms {
+		if db.blockCache != nil && fm.tbl != nil {
+			db.blockCache.EvictTable(fm.tbl.ID())
+		}
+		_ = fm.f.Close()
+		_ = os.Remove(tablePath(db.dir, fm.Num))
+	}
+}
+
 // --- manifest persistence ---------------------------------------------
 
-// manifest is the JSON-serialized durable tree state. It is rewritten
-// atomically (temp file + rename) after every flush or compaction.
+// manifest is the JSON-serialized tree state. applyEditLocked rewrites it
+// whole (temp file + rename, neither fsynced) before each swap of db.v.
 type manifest struct {
 	NextFileNum uint64         `json:"next_file_num"`
 	LastSeq     uint64         `json:"last_seq"`
