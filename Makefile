@@ -21,8 +21,9 @@ lint:
 # analyzers reason about: the commit-queue, compaction merge stream
 # and flush/compaction pipeline tests in internal/lsm (TestBackground*:
 # concurrent writers running flush and compaction jobs beside readers,
-# CompactRange, Checkpoint, Close and a parked flush job; a failed writer
-# canceling its merge goroutine; writer-run jobs racing Flush and two
+# CompactRange, Checkpoint, Close and a parked flush job; a failed
+# compaction writer canceling its merge goroutine, which only compactions
+# start (a flush merges on its caller); writer-run jobs racing Flush and two
 # CompactRange callers; and the sorted batch read behind chunked
 # validation over a parked frozen MemTable), concurrent core writers
 # (every write takes the commit queue), LOOKUP and RANGELOOKUP readers
@@ -113,10 +114,11 @@ ci: vet lint lint-race build bench-test
 experiments:
 	$(GO) run ./cmd/lsmbench -exp all -scale 20000
 
-# Non-test Go line count, excluding the benchmark module and test
-# fixtures: the size measure ROADMAP.md tracks.
+# Non-test Go line count, excluding the benchmark module, test fixtures
+# and the transient files a running bench/run.sh build leaves in
+# .bench_build: the size measure ROADMAP.md tracks.
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | xargs cat | wc -l
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' ! -path '*/testdata/*' | xargs cat | wc -l
 
 clean:
 	$(GO) clean ./...

@@ -12,9 +12,9 @@ import (
 // pipeline has one flush job (flushImmLocked) and one compaction job
 // (compactLocked), and no goroutine of its own: the writer that fills a
 // MemTable runs both before its write returns, and Flush and CompactRange
-// run them on the caller. A job drops db.mu for its table build or merge,
-// so concurrent writers may run disjoint jobs at once. All fields are
-// guarded by db.mu; db.cond is broadcast whenever any of them changes.
+// run them on the caller. A job drops db.mu for its merge, so concurrent
+// writers may run disjoint jobs at once. All fields are guarded by db.mu;
+// db.cond is broadcast whenever any of them changes.
 type background struct {
 	closing bool  // guarded by db.mu; Close in progress: drain, accept no new work
 	jobs    int   // guarded by db.mu; compaction jobs in flight
@@ -119,16 +119,16 @@ func (db *DB) awaitIdleLocked() error {
 	return db.pipelineErrLocked()
 }
 
-// flushImmLocked is the pipeline's flush job: it builds the frozen
+// flushImmLocked is the pipeline's flush job: it merges the frozen
 // MemTable into a level-0 table off-lock, installs it with one version
 // edit that also advances the flushed floor and retires the frozen
-// MemTable's WAL files, and wakes waiters. Caller holds db.mu and owns the
-// frozen MemTable's flush (see freezeMemLocked); db.mu is released across
-// the build. A failure is sticky: the frozen MemTable stays in place and
-// its WAL files preserve it for recovery.
+// MemTable's WAL files, and wakes waiters. A flush whose every key a
+// Merger elided writes no table and installs none. Caller holds db.mu and
+// owns the frozen MemTable's flush (see freezeMemLocked); db.mu is
+// released across the merge. A failure is sticky: the frozen MemTable
+// stays in place and its WAL files preserve it for recovery.
 func (db *DB) flushImmLocked() error {
 	imm, immSeq, immWALs := db.imm, db.immSeq, db.immWALs
-	fileNum := db.allocFileNum()
 	hook := db.testBlockFlush
 	db.emit(metrics.Event{Type: metrics.EventFlushStart, Level: 0,
 		Entries: imm.list.Len(), Bytes: imm.approximateBytes()})
@@ -137,17 +137,10 @@ func (db *DB) flushImmLocked() error {
 	if hook != nil {
 		<-hook
 	}
-	fm, err := db.buildMemTable(imm, fileNum)
-	e := &versionEdit{level: 0, added: []*FileMeta{fm}, flushedSeq: immSeq, retiredWALs: immWALs}
-	if err == nil && fm.tbl.EntryCount() == 0 {
-		// A Merger can elide every key of the MemTable; the empty table
-		// it leaves has no key range and is not installed.
-		db.dropTable(fm)
-		e.added = nil
-	}
+	added, err := db.mergeFlush(imm)
 	db.mu.Lock()
 	if err == nil {
-		err = db.applyEditLocked(e)
+		err = db.applyEditLocked(&versionEdit{level: 0, added: added, flushedSeq: immSeq, retiredWALs: immWALs})
 	}
 	if err != nil {
 		// Sticky: later writes and Flush return it; wake whoever waits.
@@ -159,7 +152,7 @@ func (db *DB) flushImmLocked() error {
 	}
 	db.imm = nil
 	db.immWALs = nil
-	db.emitDone(metrics.EventFlushDone, 0, 0, e.added, t0)
+	db.emitDone(metrics.EventFlushDone, 0, 0, added, t0)
 	db.cond.Broadcast() // wake writers waiting for the imm slot, and drains
 	return nil
 }

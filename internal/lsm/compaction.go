@@ -2,21 +2,18 @@ package lsm
 
 import (
 	"bytes"
-	"fmt"
-	"os"
 	"slices"
 	"time"
 
 	"leveldbpp/internal/ikey"
 	"leveldbpp/internal/metrics"
-	"leveldbpp/internal/sstable"
 )
 
 // maxTableBytes is the target SSTable size (LevelDB's 2 MB).
 const maxTableBytes = 2 << 20
 
-// allocFileNum hands out the next SSTable file number. Atomic so a
-// compaction can allocate output numbers off-lock.
+// allocFileNum hands out the next SSTable file number. Atomic so a flush
+// or compaction can allocate output numbers off-lock.
 func (db *DB) allocFileNum() uint64 {
 	return db.nextFileNum.Add(1) - 1
 }
@@ -29,86 +26,6 @@ func (db *DB) maxBytesForLevel(l int) int64 {
 		n *= int64(db.opts.LevelMultiplier)
 	}
 	return n
-}
-
-// buildMemTable writes mem's contents to a new SSTable and opens it. It
-// takes no locks and touches no mutable DB state, so the flush job runs
-// it off-lock on a frozen MemTable.
-//
-// The engine has no snapshots, so one resolved record per user key
-// survives the flush. Without a Merger that is the newest version, which
-// also guarantees one entry per user key per table (the Embedded
-// lookup's validity check relies on it). With one, the key's versions are
-// resolved as a compaction into a non-base level resolves them
-// (resolveGroup with bottom false): the Lazy index's blind fragments
-// coalesce here, once per flush.
-func (db *DB) buildMemTable(mem *memTable, fileNum uint64) (*FileMeta, error) {
-	path := tablePath(db.dir, fileNum)
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, fmt.Errorf("lsm: create sstable: %w", err)
-	}
-	builder := sstable.NewBuilder(f, db.opts.tableOptions(false))
-	merger := db.opts.Merge
-	if forker, ok := merger.(MergerForker); ok {
-		merger = forker.ForkMerger()
-	}
-	var attrs []sstable.AttrValue
-	add := func(ik, val []byte) error {
-		attrs = attrs[:0]
-		if db.opts.Extract != nil && ikey.KindOf(ik) == ikey.KindSet {
-			attrs = db.opts.Extract(attrs, ikey.UserKey(ik), val)
-		}
-		return builder.Add(ik, val, attrs)
-	}
-	// One group, reused for every key: the builder copies what it keeps,
-	// and a Merger reads its values only during the call. The MemTable's
-	// keys and values are arena memory that is never reused, so the group
-	// holds them without copying.
-	var g keyGroup
-	resolve := func() error {
-		if len(g.ikeys) == 0 {
-			return nil
-		}
-		return resolveGroup(merger, false, &g, add)
-	}
-	it := mem.iter()
-	for it.SeekToFirst(); it.Valid() && err == nil; it.Next() {
-		ik := it.Key()
-		uk := ikey.UserKey(ik)
-		if len(g.ikeys) > 0 && bytes.Equal(g.key, uk) {
-			if merger == nil {
-				continue // entries arrive newest first
-			}
-		} else {
-			err = resolve()
-			g.key, g.ikeys, g.values, g.kinds = uk, g.ikeys[:0], g.values[:0], g.kinds[:0] //lsm:aliasok arena memory, never reused
-		}
-		g.ikeys = append(g.ikeys, ik)           //lsm:aliasok arena memory, never reused
-		g.values = append(g.values, it.Value()) //lsm:aliasok arena memory, never reused
-		g.kinds = append(g.kinds, ikey.KindOf(ik))
-	}
-	if err == nil {
-		err = resolve()
-	}
-	var size int64
-	if err == nil {
-		size, err = builder.Finish()
-	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if err == nil {
-		err = f.Close()
-	}
-	var fm *FileMeta
-	if err == nil {
-		fm, err = db.openTable(fileRecord{Num: fileNum, Size: size})
-	}
-	if err != nil {
-		db.dropTable(&FileMeta{Num: fileNum, f: f})
-	}
-	return fm, err
 }
 
 // needsCompactionLocked reports whether any shape invariant is violated.

@@ -91,16 +91,17 @@ type DB struct {
 	// unflushed immutable MemTable outstanding.
 	testBlockFlush chan struct{}
 
-	// testCompactRoll, when non-nil, runs after a compaction finishes each
-	// output table, while nothing references it yet — lets crash tests
-	// snapshot a directory with outputs that no version edit has
-	// installed, and a non-nil return fails the compaction's writer there.
-	// Set before the compaction starts.
+	// testCompactRoll, when non-nil, runs after a flush or compaction
+	// finishes each output table, while nothing references it yet — lets
+	// crash tests snapshot a directory with outputs that no version edit
+	// has installed, and a non-nil return fails the job's writer there.
+	// Set before the job starts.
 	testCompactRoll func() error
 }
 
-// Open creates or recovers a DB in dir.
-func Open(dir string, o *Options) (*DB, error) {
+// Open creates or recovers a DB in dir. If it fails, it closes every
+// table it opened and unlinks none.
+func Open(dir string, o *Options) (_ *DB, err error) {
 	opts := o.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("lsm: create dir: %w", err)
@@ -122,6 +123,15 @@ func Open(dir string, o *Options) (*DB, error) {
 		db.blockCache = cache.New(opts.BlockCacheBytes)
 	}
 
+	defer func() {
+		if err != nil {
+			for _, level := range db.v.levels {
+				for _, fm := range level {
+					_ = fm.f.Close()
+				}
+			}
+		}
+	}()
 	m, found, err := loadManifest(dir)
 	if err != nil {
 		return nil, err

@@ -313,26 +313,90 @@ type elideMerger struct{}
 
 func (elideMerger) Merge([]byte, [][]byte, bool) ([]byte, bool) { return nil, false }
 
+// TestOpenFailureClosesTables corrupts the table its MANIFEST lists last,
+// so Open fails after opening every other one: repeated failed Opens must
+// leave none of those tables' files open.
+func TestOpenFailureClosesTables(t *testing.T) {
+	const fdDir = "/proc/self/fd"
+	if _, err := os.ReadDir(fdDir); err != nil {
+		t.Skipf("cannot count open files: %v", err)
+	}
+	openFiles := func() int {
+		entries, err := os.ReadDir(fdDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(entries)
+	}
+	opts := smallOpts()
+	opts.L0CompactionTrigger = 100
+	db, dir := openTestDB(t, opts)
+	for i := 0; i < 5; i++ {
+		mustPut(t, db, fmt.Sprintf("key-%d", i), "v")
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	m, _, err := loadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Levels[0]) != 5 {
+		t.Fatalf("manifest lists %d level-0 tables, want 5", len(m.Levels[0]))
+	}
+	last := m.Levels[0][4].Num
+	if err := os.WriteFile(tablePath(dir, last), []byte("not a table"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	before := openFiles()
+	for i := 0; i < 20; i++ {
+		if db, err := Open(dir, opts); err == nil {
+			db.Close()
+			t.Fatal("Open succeeded over a corrupt table")
+		}
+	}
+	if after := openFiles(); after > before {
+		t.Fatalf("20 failed Opens left %d more files open (%d → %d)", after-before, before, after)
+	}
+}
+
 // TestFlushElidedMemTable flushes a MemTable whose every key the Merger
-// elides: no table is installed, its flush_done event reports no output,
-// and a full compaction over the tables flushed before it still runs.
+// elides: no table is written or installed, no file number is consumed,
+// its flush_done event reports no output, and a full compaction over the
+// tables flushed before it still runs.
 func TestFlushElidedMemTable(t *testing.T) {
 	log := metrics.NewEventLog(64)
 	opts := smallOpts()
 	opts.Merge = concatMerger{}
 	opts.Events = log
-	db, _ := openTestDB(t, opts)
+	db, dir := openTestDB(t, opts)
 	mustPut(t, db, "kept", "one")
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	db.opts.Merge = elideMerger{}
 	mustPut(t, db, "gone", "two")
+	tables, nextNum := tableFiles(t, dir), db.nextFileNum.Load()
+	db.testCompactRoll = func() error {
+		t.Error("the elided flush wrote a table")
+		return nil
+	}
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	db.testCompactRoll = nil
 	if n := len(levelsOf(db)[0]); n != 1 {
 		t.Fatalf("%d level-0 tables, want the first flush's only", n)
+	}
+	if after := tableFiles(t, dir); !reflect.DeepEqual(after, tables) {
+		t.Fatalf("tables after the elided flush = %v, want %v", after, tables)
+	}
+	if n := db.nextFileNum.Load(); n != nextNum {
+		t.Fatalf("the elided flush consumed file numbers %d..%d", nextNum, n-1)
 	}
 	var done []metrics.Event
 	for _, e := range log.Events() {

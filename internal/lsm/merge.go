@@ -1,11 +1,14 @@
 package lsm
 
-// The compaction merge (DESIGN.md §5.9): one stream per job. A merge
-// goroutine runs the k-way merge and value resolution over the job's
-// whole input span and hands the surviving entries, in key order, to the
-// job's goroutine, which writes them into rolling output tables. The two
-// overlap; neither splits the span, so every output table rolls at the
-// same entry as in a single-threaded merge.
+// The one merge path (DESIGN.md §5.9). Every merge runs a mergeHeap of
+// cursors over MemTable and table iterators. Scan reads each user key's
+// newest version off the heap; a flush or a compaction groups each key's
+// versions (mergeGroups), resolves them (resolveGroup) and writes the
+// survivors through a compactionWriter. A compaction runs its merge on a
+// merge goroutine that hands the resolved entries to the job's goroutine,
+// which writes them into rolling output tables; the two overlap. A flush
+// merges and writes on its caller. Neither splits its span, so every
+// output table rolls at the same entry as in a single-threaded merge.
 
 import (
 	"bytes"
@@ -16,6 +19,7 @@ import (
 
 	"leveldbpp/internal/ikey"
 	"leveldbpp/internal/metrics"
+	"leveldbpp/internal/skiplist"
 	"leveldbpp/internal/sstable"
 )
 
@@ -29,88 +33,138 @@ const compactionBatch = 64
 var errMergeCanceled = errors.New("lsm: compaction merge canceled")
 
 // compactionEntry is one resolved record on its way from the merge
-// goroutine to the writer. Both slices are owned by the entry.
+// goroutine to the writer. Both slices are owned by the entry's batch.
 type compactionEntry struct {
 	ik    []byte
 	value []byte
 }
 
-// mergeHeap orders the input iterators of a compaction by their current
-// internal key.
-type mergeHeap []*sstable.Iterator
+// cursor is one input of a merge, positioned on an entry: a MemTable's
+// skip-list iterator or a table's iterator.
+type cursor struct {
+	mem *skiplist.Iterator
+	tbl *sstable.Iterator
+}
+
+func (c cursor) key() []byte {
+	if c.mem != nil {
+		return c.mem.Key()
+	}
+	return c.tbl.Key()
+}
+
+func (c cursor) value() []byte {
+	if c.mem != nil {
+		return c.mem.Value()
+	}
+	return c.tbl.Value()
+}
+
+// next moves to the following entry and reports whether there is one.
+func (c cursor) next() bool {
+	if c.mem != nil {
+		c.mem.Next()
+		return c.mem.Valid()
+	}
+	return c.tbl.Next()
+}
+
+// err is a table cursor's read error; a MemTable cursor has none.
+func (c cursor) err() error {
+	if c.tbl != nil {
+		return c.tbl.Err()
+	}
+	return nil
+}
+
+// mergeHeap orders a merge's cursors by their current internal key: its
+// top is the next entry of the merged stream.
+type mergeHeap []cursor
 
 func (h mergeHeap) Len() int            { return len(h) }
-func (h mergeHeap) Less(i, j int) bool  { return ikey.Compare(h[i].Key(), h[j].Key()) < 0 }
+func (h mergeHeap) Less(i, j int) bool  { return ikey.Compare(h[i].key(), h[j].key()) < 0 }
 func (h mergeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *mergeHeap) Push(x interface{}) { *h = append(*h, x.(*sstable.Iterator)) }
+func (h *mergeHeap) Push(x interface{}) { *h = append(*h, x.(cursor)) }
 func (h *mergeHeap) Pop() interface{} {
 	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
 	return x
 }
 
-// keyGroup collects every version of one user key observed by the k-way
-// merge, newest first (internal-key order). A fresh group is allocated
-// per key so downstream stages may retain it.
-type keyGroup struct {
-	key    []byte // user key
-	ikeys  [][]byte
-	values [][]byte
-	kinds  []ikey.Kind
+// pushMem adds a MemTable iterator unless it is exhausted.
+func (h *mergeHeap) pushMem(it *skiplist.Iterator) {
+	if it.Valid() {
+		heap.Push(h, cursor{mem: it})
+	}
 }
 
-// mergeGroups runs the k-way merge of the tables and invokes fn once per
-// user key with that key's version group. An error from fn aborts the
-// merge and is returned unwrapped.
-func mergeGroups(all []*FileMeta, fn func(g *keyGroup) error) error {
-	var h mergeHeap
-	for _, fm := range all {
-		it := fm.tbl.NewIterator(true)
-		if !it.Next() {
-			if err := it.Err(); err != nil {
-				return err
-			}
-			continue
-		}
-		heap.Push(&h, it)
+// pushTable adds a table iterator if positioned reports that it is on an
+// entry, and otherwise returns the iterator's error.
+func (h *mergeHeap) pushTable(it *sstable.Iterator, positioned bool) error {
+	if !positioned {
+		return it.Err()
 	}
+	heap.Push(h, cursor{tbl: it})
+	return nil
+}
 
-	var g *keyGroup
-	flush := func() error {
-		if g == nil {
-			return nil
-		}
-		err := fn(g)
-		g = nil
-		return err
+// next advances the top cursor, dropping it once it is exhausted, and
+// returns its read error.
+func (h *mergeHeap) next() error {
+	if (*h)[0].next() {
+		heap.Fix(h, 0)
+		return nil
 	}
-	for h.Len() > 0 {
-		it := h[0]
-		ik, val := it.Key(), it.Value()
-		uk := ikey.UserKey(ik)
-		if g == nil || !bytes.Equal(g.key, uk) {
-			if err := flush(); err != nil {
-				return err
-			}
-			g = &keyGroup{key: append([]byte(nil), uk...)}
-		}
-		// Copy: iterator Key/Value alias block buffers reused on Next.
-		g.ikeys = append(g.ikeys, append([]byte(nil), ik...))
-		g.values = append(g.values, append([]byte(nil), val...))
-		g.kinds = append(g.kinds, ikey.KindOf(ik))
+	return heap.Pop(h).(cursor).err()
+}
 
-		if it.Next() {
-			heap.Fix(&h, 0)
-		} else {
-			if err := it.Err(); err != nil {
+// arena is a byte buffer that hands out copies. A copy is a view of the
+// buffer that later copies never overwrite; truncating the arena to
+// length 0 invalidates every copy.
+type arena []byte
+
+func (a *arena) copy(b []byte) []byte {
+	n := len(*a)
+	*a = append(*a, b...)
+	return (*a)[n:len(*a):len(*a)]
+}
+
+// keyGroup holds every version of one user key that a merge met, newest
+// first (internal-key order). mergeGroups reuses one group for every key
+// and copies each version into its arena, so a group is valid only during
+// the call it is passed to.
+type keyGroup struct {
+	key    []byte // user key, a view of ikeys[0]
+	ikeys  [][]byte
+	values [][]byte
+	buf    arena
+}
+
+// mergeGroups drains h and invokes fn once per user key with that key's
+// version group. An error from fn aborts the merge and is returned
+// unwrapped.
+func mergeGroups(h mergeHeap, fn func(g *keyGroup) error) error {
+	var g keyGroup
+	for len(h) > 0 {
+		ik := h[0].key()
+		if len(g.ikeys) > 0 && !bytes.Equal(g.key, ikey.UserKey(ik)) {
+			if err := fn(&g); err != nil {
 				return err
 			}
-			heap.Pop(&h)
+			g.ikeys, g.values, g.buf = g.ikeys[:0], g.values[:0], g.buf[:0]
+		}
+		g.ikeys = append(g.ikeys, g.buf.copy(ik))
+		g.values = append(g.values, g.buf.copy(h[0].value()))
+		g.key = ikey.UserKey(g.ikeys[0])
+		if err := h.next(); err != nil {
+			return err
 		}
 	}
-	return flush()
+	if len(g.ikeys) == 0 {
+		return nil
+	}
+	return fn(&g)
 }
 
 // resolveGroup applies the flush and compaction value-resolution policy
@@ -119,25 +173,17 @@ func mergeGroups(all []*FileMeta, fn func(g *keyGroup) error) error {
 // otherwise newest-wins with LevelDB tombstone rules. bottom reports that
 // no level deeper than the output's can hold the key (never at flush).
 func resolveGroup(merger Merger, bottom bool, g *keyGroup, emit func(ik, value []byte) error) error {
-	if merger != nil {
-		// Collect live values down to (not past) the newest tombstone.
-		var live [][]byte
-		tombstoneAt := -1
-		for i, k := range g.kinds {
-			if k == ikey.KindDelete {
-				tombstoneAt = i
-				break
-			}
-			live = append(live, g.values[i])
+	// The versions newer than the newest tombstone are live.
+	live := len(g.ikeys)
+	for i, ik := range g.ikeys {
+		if ikey.KindOf(ik) == ikey.KindDelete {
+			live = i
+			break
 		}
-		if len(live) == 0 {
-			// Newest record is a tombstone.
-			if tombstoneAt >= 0 && !bottom {
-				return emit(g.ikeys[0], nil)
-			}
-			return nil
-		}
-		merged, keep := merger.Merge(g.key, live, bottom && tombstoneAt < 0)
+	}
+	tombstone := live < len(g.ikeys)
+	if merger != nil && live > 0 {
+		merged, keep := merger.Merge(g.key, g.values[:live], bottom && !tombstone)
 		if keep {
 			if err := emit(g.ikeys[0], merged); err != nil {
 				return err
@@ -146,14 +192,14 @@ func resolveGroup(merger Merger, bottom bool, g *keyGroup, emit func(ik, value [
 		// A tombstone under the merged fragments must survive (unless
 		// this is the base level) — it still shadows older fragments in
 		// deeper levels.
-		if tombstoneAt >= 0 && !bottom {
-			return emit(g.ikeys[tombstoneAt], nil)
+		if tombstone && !bottom {
+			return emit(g.ikeys[live], nil)
 		}
 		return nil
 	}
 
-	// Default: newest version wins.
-	if g.kinds[0] == ikey.KindDelete {
+	// Newest version wins.
+	if live == 0 {
 		if bottom {
 			return nil // tombstone has nothing left to shadow
 		}
@@ -162,11 +208,23 @@ func resolveGroup(merger Merger, bottom bool, g *keyGroup, emit func(ik, value [
 	return emit(g.ikeys[0], g.values[0])
 }
 
-// compactionWriter rolls resolved entries into target-size output tables.
-// Only the job's goroutine uses it, in key order.
+// forkMerger returns the Merger one flush or compaction job merges
+// through: a fork of the configured one when it supports forking.
+func (db *DB) forkMerger() Merger {
+	if forker, ok := db.opts.Merge.(MergerForker); ok {
+		return forker.ForkMerger()
+	}
+	return db.opts.Merge
+}
+
+// compactionWriter writes resolved entries, in key order, into output
+// tables that it opens on its first entry. A compaction's writer rolls
+// target-size tables; a flush's writes one level-0 table with flush I/O
+// accounting. Only the job's goroutine uses it.
 type compactionWriter struct {
 	db      *DB
 	tr      *metrics.Trace
+	flush   bool
 	outputs []*FileMeta
 	file    *os.File
 	builder *sstable.Builder
@@ -175,12 +233,12 @@ type compactionWriter struct {
 	writeNS int64               // accumulated wall time inside add/flush (compact_write)
 }
 
-func (db *DB) newCompactionWriter(tr *metrics.Trace) *compactionWriter {
-	return &compactionWriter{db: db, tr: tr}
+func (db *DB) newCompactionWriter(tr *metrics.Trace, flush bool) *compactionWriter {
+	return &compactionWriter{db: db, tr: tr, flush: flush}
 }
 
-// add appends one resolved entry, opening an output table on demand and
-// rolling it once it reaches the target size.
+// add appends one resolved entry, opening an output table on demand and,
+// in a compaction, rolling it once it reaches the target size.
 func (w *compactionWriter) add(ik, value []byte) error {
 	t0 := w.tr.Now()
 	defer w.since(t0)
@@ -191,7 +249,7 @@ func (w *compactionWriter) add(ik, value []byte) error {
 			return err
 		}
 		w.file = f
-		w.builder = sstable.NewBuilder(f, w.db.opts.tableOptions(true))
+		w.builder = sstable.NewBuilder(f, w.db.opts.tableOptions(!w.flush))
 	}
 	w.attrs = w.attrs[:0]
 	if w.db.opts.Extract != nil && ikey.KindOf(ik) == ikey.KindSet {
@@ -200,7 +258,7 @@ func (w *compactionWriter) add(ik, value []byte) error {
 	if err := w.builder.Add(ik, value, w.attrs); err != nil {
 		return err
 	}
-	if w.builder.EstimatedSize() >= maxTableBytes {
+	if !w.flush && w.builder.EstimatedSize() >= maxTableBytes {
 		return w.roll()
 	}
 	return nil
@@ -246,27 +304,25 @@ func (w *compactionWriter) roll() error {
 	return nil
 }
 
-// finish flushes the trailing output table and returns every table
-// produced.
-func (w *compactionWriter) finish() ([]*FileMeta, error) {
-	t0 := w.tr.Now()
-	defer w.since(t0)
-	if err := w.roll(); err != nil {
-		return nil, err
+// finish ends the job's writes: unless the job failed with err, it rolls
+// the trailing output table and returns every table produced. On any
+// failure it drops the open output and every table produced so far,
+// which nothing references yet (a crash leaves the same residue, cleaned
+// by removeOrphanTables at next Open), and returns the error.
+func (w *compactionWriter) finish(err error) ([]*FileMeta, error) {
+	if err == nil {
+		t0 := w.tr.Now()
+		err = w.roll()
+		w.since(t0)
 	}
-	return w.outputs, nil
-}
-
-// abort drops the open output and every table produced so far — the
-// failure path, where nothing references the outputs yet. (A crash
-// leaves the same residue, cleaned by removeOrphanTables at next Open.)
-func (w *compactionWriter) abort() {
+	if err == nil {
+		return w.outputs, nil
+	}
 	if w.file != nil {
 		w.db.dropTable(&FileMeta{Num: w.num, f: w.file})
-		w.file, w.builder = nil, nil
 	}
 	w.db.dropTable(w.outputs...)
-	w.outputs = nil
+	return nil, err
 }
 
 func (w *compactionWriter) since(t0 time.Time) {
@@ -275,32 +331,59 @@ func (w *compactionWriter) since(t0 time.Time) {
 	}
 }
 
-// mergeStream is the merge goroutine of a job: it merges the tables in
-// all, resolves each user key's versions for the target level and sends
-// the surviving entries to out in key order, compactionBatch per send. It
-// returns errMergeCanceled as soon as quit closes.
+// mergeFlush writes the frozen MemTable mem into one level-0 table and
+// returns it, or no table when a Merger elided every key. It takes no
+// locks and touches no mutable DB state, so the flush job runs it off-lock.
+//
+// The engine has no snapshots, so one resolved record per user key
+// survives the flush. Without a Merger that is the newest version, which
+// also guarantees one entry per user key per table (the Embedded lookup's
+// validity check relies on it). With one, the key's versions are resolved
+// as a compaction into a non-base level resolves them (bottom false): the
+// Lazy index's blind fragments coalesce here, once per flush.
+func (db *DB) mergeFlush(mem *memTable) ([]*FileMeta, error) {
+	var h mergeHeap
+	it := mem.iter()
+	it.SeekToFirst()
+	h.pushMem(it)
+	merger := db.forkMerger()
+	w := db.newCompactionWriter(nil, true)
+	return w.finish(mergeGroups(h, func(g *keyGroup) error {
+		return resolveGroup(merger, false, g, w.add)
+	}))
+}
+
+// mergeStream is the merge goroutine of a compaction: it merges the
+// tables in all, resolves each user key's versions for the target level
+// and sends the surviving entries to out in key order, compactionBatch per
+// send. It returns errMergeCanceled as soon as quit closes.
 func mergeStream(all []*FileMeta, target int, base *version, merger Merger,
 	out chan<- []compactionEntry, quit <-chan struct{}) error {
+	var h mergeHeap
+	for _, fm := range all {
+		it := fm.tbl.NewIterator(true)
+		if err := h.pushTable(it, it.Next()); err != nil {
+			return err
+		}
+	}
 	batch := make([]compactionEntry, 0, compactionBatch)
+	var buf arena // the batch's keys and values
 	send := func() error {
 		select {
 		case out <- batch:
 			batch = make([]compactionEntry, 0, compactionBatch)
+			buf = make(arena, 0, len(buf))
 			return nil
 		case <-quit:
 			return errMergeCanceled
 		}
 	}
-	err := mergeGroups(all, func(g *keyGroup) error {
+	err := mergeGroups(h, func(g *keyGroup) error {
 		bottom := base.isBaseLevelForKey(target, g.key)
 		return resolveGroup(merger, bottom, g, func(ik, value []byte) error {
-			// ik is owned by the group; value may alias Merger-internal
-			// scratch reused by the next Merge call, so copy it before
-			// the entry crosses the channel.
-			if value != nil {
-				value = append([]byte(nil), value...)
-			}
-			batch = append(batch, compactionEntry{ik: ik, value: value})
+			// The next key reuses the group's arena and a Merger's
+			// scratch, so the entry crosses the channel with copies.
+			batch = append(batch, compactionEntry{ik: buf.copy(ik), value: buf.copy(value)})
 			if len(batch) < compactionBatch {
 				return nil
 			}
@@ -316,16 +399,13 @@ func mergeStream(all []*FileMeta, target int, base *version, merger Merger,
 // mergeCompaction merges job.inputs into new tables for job.level+1 and
 // returns them. It reads only the job and immutable DB state, so the
 // compaction job runs it without holding db.mu: input tables are
-// immutable files, and job.base stays valid (see compactionJob). A merge goroutine with the job's own
-// Merger fork produces the resolved stream, and this goroutine writes it.
-// If the writer fails it closes quit, drains the stream and returns its
-// own error; if the merge fails, its error is returned as it is.
+// immutable files, and job.base stays valid (see compactionJob). A merge
+// goroutine with the job's own Merger fork produces the resolved stream,
+// and this goroutine writes it. If the writer fails it closes quit, drains
+// the stream and returns its own error; if the merge fails, its error is
+// returned as it is.
 func (db *DB) mergeCompaction(job *compactionJob, tr *metrics.Trace) ([]*FileMeta, error) {
-	merger := db.opts.Merge
-	if forker, ok := merger.(MergerForker); ok {
-		merger = forker.ForkMerger()
-	}
-
+	merger := db.forkMerger()
 	t0 := time.Now()
 	// A few batches of slack let the merge run ahead while the writer
 	// finishes and fsyncs a table.
@@ -337,7 +417,7 @@ func (db *DB) mergeCompaction(job *compactionJob, tr *metrics.Trace) ([]*FileMet
 		merr = mergeStream(job.inputs, job.level+1, job.base, merger, out, quit)
 	}()
 
-	w := db.newCompactionWriter(tr)
+	w := db.newCompactionWriter(tr, false)
 	err := w.addAll(out)
 	if err != nil {
 		close(quit)
@@ -346,12 +426,8 @@ func (db *DB) mergeCompaction(job *compactionJob, tr *metrics.Trace) ([]*FileMet
 	} else {
 		err = merr // out is closed: the merge goroutine has returned
 	}
-	var outputs []*FileMeta
-	if err == nil {
-		outputs, err = w.finish()
-	}
+	outputs, err := w.finish(err)
 	if err != nil {
-		w.abort()
 		return nil, err
 	}
 	tr.Add(metrics.PhaseCompactWrite, time.Duration(w.writeNS))

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"leveldbpp/internal/ikey"
 	"leveldbpp/internal/metrics"
 )
 
@@ -233,6 +234,103 @@ func TestCompactionWriterFailureCancels(t *testing.T) {
 	if rep, err := db.Verify(); err != nil || len(rep.Problems) > 0 {
 		t.Fatalf("verify: %v %v", err, rep.Problems)
 	}
+}
+
+// TestMergeGroupsAllocations merges a MemTable of 3 000 versions of 1 000
+// keys: the one reused key group must keep mergeGroups' allocations
+// independent of the number of versions it copies. Only the heap's set-up
+// and the growth of the group's buffers allocate (17 times here).
+func TestMergeGroupsAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	mem := newMemTable(nil)
+	seq := uint64(0)
+	for v := 0; v < 3; v++ {
+		for k := 0; k < 1000; k++ {
+			seq++
+			mem.add(seq, ikey.KindSet, []byte(fmt.Sprintf("key-%04d", k)), []byte(fmt.Sprintf("value-%d-%d", k, v)), nil)
+		}
+	}
+	groups := 0
+	allocs := testing.AllocsPerRun(5, func() {
+		var h mergeHeap
+		it := mem.iter()
+		it.SeekToFirst()
+		h.pushMem(it)
+		groups = 0
+		if err := mergeGroups(h, func(g *keyGroup) error {
+			groups++
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if groups != 1000 {
+		t.Fatalf("mergeGroups formed %d groups, want 1000", groups)
+	}
+	if allocs > 40 {
+		t.Fatalf("mergeGroups made %.0f allocations for 3 000 versions, want at most 40", allocs)
+	}
+}
+
+// TestFlushWriterFailure fails a flush's writer when it rolls its level-0
+// table. Flush must return the writer's error, which stays sticky; the
+// table must be gone and no goroutine left; the frozen MemTable must keep
+// serving reads; and every acknowledged write must survive a reopen.
+func TestFlushWriterFailure(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir, bigJobOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	want := loadBigJob(t, db)
+	for i := 0; i < 300; i++ {
+		k, v := fmt.Sprintf("late-%04d", i), fmt.Sprintf("v%d", i)
+		mustPut(t, db, k, v)
+		want[k] = v
+	}
+	if err := db.Delete([]byte("key-00001")); err != nil {
+		t.Fatal(err)
+	}
+	delete(want, "key-00001")
+	before := tableFiles(t, dir)
+
+	errRoll := errors.New("injected flush roll failure")
+	db.testCompactRoll = func() error { return errRoll }
+	err = db.Flush()
+	db.testCompactRoll = nil
+	if err != errRoll {
+		t.Fatalf("Flush = %v, want the writer's error %v", err, errRoll)
+	}
+	if err := db.Flush(); err != errRoll {
+		t.Fatalf("second Flush = %v, want the sticky %v", err, errRoll)
+	}
+	if err := db.Put([]byte("refused"), []byte("x")); err != errRoll {
+		t.Fatalf("Put after the failed flush = %v, want the sticky %v", err, errRoll)
+	}
+	if after := tableFiles(t, dir); strings.Join(after, ",") != strings.Join(before, ",") {
+		t.Fatalf("tables after the failed flush = %v, want %v", after, before)
+	}
+	waitGoroutines(t, base)
+	db.mu.RLock()
+	frozen := db.imm != nil
+	db.mu.RUnlock()
+	if !frozen {
+		t.Fatal("the failed flush released its frozen MemTable")
+	}
+	checkContents(t, db, want, "after the failed flush")
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := Open(dir, bigJobOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	checkContents(t, re, want, "after reopen")
 }
 
 // TestCompactionErrorEvent injects a mid-merge read failure (an input

@@ -70,8 +70,8 @@ type Options struct {
 	// SecondaryBitsPerKey sizes embedded secondary bloom filters.
 	// Default: BitsPerKey.
 	SecondaryBitsPerKey int
-	// Compression selects the SSTable block codec. Default: flate
-	// (disable for paper Appendix C.2 runs).
+	// DisableCompression stores SSTable blocks uncompressed (paper
+	// Appendix C.2 runs). Default false: blocks are deflated.
 	DisableCompression bool
 	// L0CompactionTrigger is the number of level-0 files that forces an
 	// L0→L1 compaction. Default 4.

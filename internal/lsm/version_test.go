@@ -10,17 +10,33 @@ import (
 	"testing"
 
 	"leveldbpp/internal/ikey"
+	"leveldbpp/internal/sstable"
 )
 
-// buildTable writes keys (at seqs above LastSeq) into a new table that no
-// version references.
+// buildTable writes keys, which must be sorted, at seqs above LastSeq into
+// a new table that no version references. With no keys the table is
+// empty, which no flush or compaction writes.
 func buildTable(t *testing.T, db *DB, keys ...string) *FileMeta {
 	t.Helper()
-	mem := newMemTable(nil)
-	for i, k := range keys {
-		mem.add(db.LastSeq()+uint64(i)+1, ikey.KindSet, []byte(k), []byte("v"), nil)
+	num := db.allocFileNum()
+	f, err := os.Create(tablePath(db.dir, num))
+	if err != nil {
+		t.Fatal(err)
 	}
-	fm, err := db.buildMemTable(mem, db.allocFileNum())
+	b := sstable.NewBuilder(f, db.opts.tableOptions(false))
+	for i, k := range keys {
+		if err := b.Add(ikey.Make([]byte(k), db.LastSeq()+uint64(i)+1, ikey.KindSet), []byte("v"), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	size, err := b.Finish()
+	if err == nil {
+		err = f.Close()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	fm, err := db.openTable(fileRecord{Num: num, Size: size})
 	if err != nil {
 		t.Fatal(err)
 	}
