@@ -46,3 +46,45 @@ func TestWarmReadAllocations(t *testing.T) {
 		}
 	}
 }
+
+// TestWriteAllocations holds a PUT and a DEL, for every index kind, to
+// what they allocated while PUT, DEL and batches had a write path each.
+// The DEL deletes the document the PUT wrote, and repeats on the absent
+// key, as AllocsPerRun repeats it.
+func TestWriteAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops pending commits at random")
+	}
+	limits := map[IndexKind]struct{ put, del float64 }{
+		IndexNone:      {7, 6},
+		IndexEmbedded:  {7, 6},
+		IndexEager:     {21, 7},
+		IndexLazy:      {19, 7},
+		IndexComposite: {19, 7},
+	}
+	for _, kind := range allKinds {
+		t.Run(kind.String(), func(t *testing.T) {
+			db, err := Open(t.TempDir(), Options{Index: kind,
+				Attrs: []string{"UserID", "CreationTime"}, MemTableBytes: 1 << 30})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			doc := tweetDoc("u01", 42, "allocations")
+			put := testing.AllocsPerRun(100, func() {
+				if err := db.Put("t00042", doc); err != nil {
+					t.Fatal(err)
+				}
+			})
+			del := testing.AllocsPerRun(100, func() {
+				if err := db.Delete("t00042"); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("Put %.1f, Delete %.1f allocations", put, del)
+			if want := limits[kind]; put > want.put || del > want.del {
+				t.Errorf("Put %.1f, Delete %.1f allocations; want at most %.0f, %.0f", put, del, want.put, want.del)
+			}
+		})
+	}
+}
