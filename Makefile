@@ -26,7 +26,9 @@ lint:
 # start (a flush merges on its caller); writer-run jobs racing Flush and two
 # CompactRange callers; and the sorted batch read behind chunked
 # validation over a parked frozen MemTable), concurrent core writers
-# (every write takes the commit queue), LOOKUP and RANGELOOKUP readers
+# (every write takes the commit queue), the one core write path
+# (TestIndexBeforeData parks a PUT and a batch between their index and
+# primary commits while a reader runs), LOOKUP and RANGELOOKUP readers
 # validating chunks of candidates while a writer flushes and compacts
 # under them, the concurrent workload profiler in internal/explain, the
 # lock-free /metrics bucket histogram taking observations while it is
@@ -41,7 +43,7 @@ lint:
 lint-race:
 	$(GO) test -race -run 'TestConcurrentBuildAndRead' ./internal/sstable/
 	$(GO) test -race -run 'TestGroupCommit|TestCommit|TestUncontendedCommit|TestCompactionWriterFailureCancels|TestBackground|TestDeterministicConcurrentDrains|TestGetSortedMatchesGet' ./internal/lsm/
-	$(GO) test -race -run 'TestGroupCommitConcurrentCore|TestConcurrentChunkedValidation' ./internal/core/
+	$(GO) test -race -run 'TestGroupCommitConcurrentCore|TestConcurrentChunkedValidation|TestIndexBeforeData' ./internal/core/
 	$(GO) test -race -run 'TestProfilerConcurrent|TestWorkloadSnapshot' ./internal/explain/
 	$(GO) test -race -run 'TestHistogramRaceMixedReadersWriters|TestBucketCountingCumulative|TestBucketHistogramObserveAllocs' ./internal/metrics/
 	$(GO) test -race -run 'TestScrapeDuringBackgroundWrites' ./internal/server/

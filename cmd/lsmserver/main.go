@@ -46,7 +46,7 @@ func main() {
 		pprofOn   = flag.Bool("pprof", false, "expose Go profiling at /debug/pprof/")
 		traceRate = flag.Float64("trace-sample", 0, "fraction of operations to trace (0 disables, 1 traces all)")
 		eventsOut = flag.String("events-jsonl", "", "append lifecycle events as JSON lines to this file")
-		syncMode  = flag.String("sync-mode", "off", "WAL durability: off|always|grouped (grouped = one fsync per commit group)")
+		syncMode  = flag.String("sync-mode", "off", "WAL durability: off|grouped (grouped = one fsync per commit group; always is another spelling of it)")
 		advisorIv = flag.Duration("advisor-check", 0, "re-run the online index advisor at this interval (0 disables); flips land in the event log")
 	)
 	flag.Parse()

@@ -2,15 +2,12 @@ package core
 
 import (
 	"leveldbpp/internal/lsm"
+	"leveldbpp/internal/metrics"
 )
 
 // Batch collects Put/Delete operations that commit atomically on the
-// primary table (one WAL frame). Secondary index maintenance runs per
-// operation in batch order, each index record at its operation's seq, and
-// orders itself as single writes do: the index records of the puts before
-// the batch's first delete are committed before the primary batch, the
-// rest after it (an index table takes seqs in increasing order, and a
-// deletion marker must follow its tombstone).
+// primary table (one WAL frame), each operation's index records at its
+// seq (DB.write has the order).
 type Batch struct {
 	ops []batchOp
 }
@@ -18,7 +15,7 @@ type Batch struct {
 type batchOp struct {
 	del   bool
 	key   string
-	value []byte
+	value []byte // owned by the op: the engine may retain it
 }
 
 // Put queues key → value.
@@ -42,86 +39,124 @@ func (db *DB) Apply(b *Batch) error {
 	if b.Len() == 0 {
 		return nil
 	}
-	if db.indexes != nil {
-		db.writeMu.Lock()
-		defer db.writeMu.Unlock()
-	}
+	var buf [4]attrSlot
+	return db.write(b.ops, attrSlots(&buf, len(db.opts.Attrs)), nil)
+}
 
-	// Deletes need the old document to mark index entries; resolve each
-	// against earlier batch ops first, then the store.
-	oldDocs := make([][]byte, len(b.ops))
-	if db.indexes != nil {
-		written := map[string][]byte{}
-		for i, op := range b.ops {
-			if op.del {
-				if doc, ok := written[op.key]; ok {
-					oldDocs[i] = doc
-				} else {
-					v, found, err := db.primary.Get([]byte(op.key))
-					if err != nil {
-						return err
-					}
-					if found {
-						oldDocs[i] = v
-					}
-				}
-				delete(written, op.key)
-			} else {
-				written[op.key] = op.value
-			}
-		}
-	}
-
+// write commits ops — a batch, or a lone PUT or DEL — to the primary
+// table as one batch and maintains the stand-alone index tables, each
+// index record at its op's seq. A put's index records go before the
+// primary commit, so a visible document is never missing its posting
+// (one whose document is not visible yet is validated away); a delete's
+// go after it, so a document still visible is never hidden by its
+// deletion marker. An index table takes seqs in increasing order, so
+// only the puts before the first delete go first. slots is scan
+// scratch; it is left holding the last indexed document's values.
+func (db *DB) write(ops []batchOp, slots []attrSlot, tr *metrics.Trace) error {
 	var pb lsm.Batch
-	for _, op := range b.ops {
+	for _, op := range ops {
 		if op.del {
 			pb.Delete([]byte(op.key))
 		} else {
 			// Zero-copy handoff: the key conversion is a fresh allocation
-			// and op.value is owned by this batch (copied at enqueue) and
-			// never mutated after Apply, so the engine may retain both.
+			// and op.value is owned by the op, so the engine may retain
+			// both.
 			pb.PutNoCopy([]byte(op.key), op.value)
 		}
 	}
 	if db.indexes == nil {
-		return db.primary.ApplyAt(&pb, 0)
+		return db.primary.ApplyAt(&pb, 0, tr)
 	}
+	db.writeMu.Lock()
+	defer db.writeMu.Unlock()
 
-	firstSeq := db.primary.LastSeq() + 1
-	var buf [4]attrSlot
-	slots := attrSlots(&buf, len(db.opts.Attrs))
-	// indexOps maintains the indexes for ops[from:to].
-	indexOps := func(from, to int) error {
-		for i := from; i < to; i++ {
-			op := b.ops[i]
-			doc := op.value
-			if op.del {
-				if doc = oldDocs[i]; doc == nil {
-					continue // nothing was indexed for this key
-				}
+	// docs[i] is the document ops[i] indexes: a put's own, a delete's
+	// old one — the batch's put of the key since its last delete there,
+	// else the stored document (nil: nothing was indexed).
+	var one [1][]byte
+	docs := one[:]
+	var written map[string][]byte
+	if len(ops) > 1 {
+		docs, written = make([][]byte, len(ops)), map[string][]byte{}
+	}
+	tI := tr.Now()
+	for i, op := range ops {
+		if !op.del {
+			docs[i] = op.value
+			if written != nil {
+				written[op.key] = op.value
 			}
-			if err := db.indexWrite(op.key, doc, slots, firstSeq+uint64(i), op.del); err != nil {
+			continue
+		}
+		doc, ok := written[op.key]
+		if !ok {
+			v, found, err := db.primary.Get([]byte(op.key))
+			if err != nil {
 				return err
 			}
+			if found {
+				doc = v
+			}
 		}
-		return nil
+		delete(written, op.key)
+		docs[i] = doc
 	}
+	seq := db.primary.LastSeq() + 1
 	before := 0
-	for before < len(b.ops) && !b.ops[before].del {
+	for before < len(ops) && !ops[before].del {
 		before++
 	}
-	err := indexOps(0, before)
+	err := db.indexWrite(ops[:before], docs, slots, seq)
+	tr.Since(metrics.PhaseIndexUpdate, tI)
 	if err == nil {
 		if db.testBetweenWrites != nil {
 			db.testBetweenWrites()
 		}
-		err = db.primary.ApplyAt(&pb, firstSeq)
+		err = db.primary.ApplyAt(&pb, seq, tr)
 	}
 	if err != nil {
-		db.primary.AdvanceSeq(firstSeq + uint64(len(b.ops)) - 1) // an index table may hold these seqs already
+		db.primary.AdvanceSeq(seq + uint64(len(ops)) - 1) // an index table may hold these seqs already
 		return err
 	}
-	return indexOps(before, len(b.ops))
+	tI = tr.Now()
+	err = db.indexWrite(ops[before:], docs[before:], slots, seq+uint64(before))
+	tr.Since(metrics.PhaseIndexUpdate, tI)
+	return err
+}
+
+// indexWrite adds the index records of ops to the stand-alone index
+// tables, ops[i]'s at seq+i: for every indexed attribute docs[i]
+// carries, the (attribute value, key) pair goes to that attribute's
+// table, for a delete as a deletion marker. The values go into the index
+// keys as they are; the engine copies a key before keeping it.
+//
+//lsm:locked — writeMu is held by write.
+func (db *DB) indexWrite(ops []batchOp, docs [][]byte, slots []attrSlot, seq uint64) error {
+	for i, op := range ops {
+		if docs[i] == nil {
+			continue
+		}
+		scanAttrs(docs[i], db.opts.Attrs, slots)
+		for a, sl := range slots {
+			if sl.val == nil {
+				continue
+			}
+			idx := db.indexes[db.opts.Attrs[a]]
+			var err error
+			switch db.opts.Index {
+			case IndexEager:
+				err = db.eagerUpdate(idx, sl.val, op.key, seq+uint64(i), op.del)
+			case IndexLazy:
+				err = db.lazyAppend(idx, sl.val, op.key, seq+uint64(i), op.del)
+			case IndexComposite:
+				err = compositeWrite(idx, sl.val, op.key, seq+uint64(i), op.del)
+			}
+			if err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // Scan iterates the primary table over [lo, hi] (inclusive; empty hi

@@ -37,7 +37,7 @@ func compositeWrite(idx *lsm.DB, attrValue []byte, key string, seq uint64, del b
 	if del {
 		return idx.DeleteAt(compositeKey(attrValue, key), seq)
 	}
-	return idx.PutAt(compositeKey(attrValue, key), nil, seq, nil)
+	return idx.PutAt(compositeKey(attrValue, key), nil, seq)
 }
 
 // compositeLookup is Algorithms 4 (lo = hi) and 7: the prefix scan of

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -105,9 +106,9 @@ type Options struct {
 	BaseLevelBytes      int64
 	LevelMultiplier     int
 	MaxLevels           int
-	// SyncMode selects WAL durability per commit (off / always /
-	// grouped) on the primary table and every index table; the zero
-	// value is off. See lsm.Options.SyncMode.
+	// SyncMode selects WAL durability per commit (off / grouped) on the
+	// primary table and every index table; the zero value is off. See
+	// lsm.Options.SyncMode.
 	SyncMode wal.SyncMode
 	// BlockCacheBytes enables an LRU block cache on the primary and
 	// index tables (0 = off, the paper's configuration).
@@ -153,10 +154,10 @@ type DB struct {
 	// so listings and first errors do not depend on map order.
 	tables []table
 
-	// writeMu serializes Put/Delete/Apply so that the primary's next seq
-	// can be reserved: a write's index records are committed at the seq
-	// its primary record then takes, and every index table's records
-	// follow primary insertion order. Only taken for stand-alone index
+	// writeMu serializes write so that the primary's next seqs can be
+	// reserved: a write's index records are committed at the seqs its
+	// primary records then take, and every index table's records follow
+	// primary insertion order. Only taken for stand-alone index
 	// kinds (indexes != nil): None and Embedded have no second table to
 	// keep in step, so their concurrent writers flow straight into the
 	// engine's commit queue and can actually form groups.
@@ -170,8 +171,8 @@ type DB struct {
 	// hold such records.
 	seqFloor uint64
 
-	// testBetweenWrites, when set, runs under writeMu after a write's
-	// index records are committed and before its primary record is.
+	// testBetweenWrites, when set, runs in write after the index records
+	// that precede the primary commit are committed, and before it is.
 	testBetweenWrites func()
 
 	// postBuf is the posting-list encode scratch shared by the Eager RMW
@@ -215,6 +216,14 @@ const compositeSep = byte(0)
 // table lives in dir/primary; stand-alone index tables in
 // dir/index-<attr>.
 func Open(dir string, opts Options) (*DB, error) {
+	for i, a := range opts.Attrs {
+		if a == "" {
+			return nil, fmt.Errorf("core: attribute %q: empty name", a)
+		}
+		if slices.Contains(opts.Attrs[:i], a) {
+			return nil, fmt.Errorf("core: attribute %q: listed twice", a)
+		}
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("core: create dir: %w", err)
 	}
@@ -349,13 +358,15 @@ func (db *DB) Get(key string) ([]byte, bool, error) {
 }
 
 // Put writes (or overwrites) the document under key and maintains the
-// secondary indexes per the configured technique (Table 1: PUT).
+// secondary indexes per the configured technique (Table 1: PUT). It is a
+// batch of one.
 func (db *DB) Put(key string, value []byte) error {
 	t0 := time.Now()
 	tr := db.tracer.Start(metrics.OpPut)
 	var buf [4]attrSlot
 	slots := attrSlots(&buf, len(db.opts.Attrs))
-	err := db.putTraced(key, value, slots, tr)
+	ops := [1]batchOp{{key: key, value: append([]byte(nil), value...)}}
+	err := db.write(ops[:], slots, tr)
 	tr.Finish()
 	db.ops.Observe(metrics.OpPut, time.Since(t0))
 	// Sample every 16th PUT's attribute values into the time-correlation
@@ -374,113 +385,16 @@ func (db *DB) Put(key string, value []byte) error {
 	return err
 }
 
-// putTraced writes the document and, for the stand-alone kinds, its index
-// entries, leaving the document's attribute values in slots. The index
-// entries go first, at the seq the document then takes: a posting whose
-// document is not visible yet is validated away, while a visible document
-// is never missing its posting.
-func (db *DB) putTraced(key string, value []byte, slots []attrSlot, tr *metrics.Trace) error {
-	if db.indexes == nil {
-		return db.primary.PutAt([]byte(key), value, 0, tr)
-	}
-	db.writeMu.Lock()
-	defer db.writeMu.Unlock()
-	seq := db.primary.LastSeq() + 1
-	tI := tr.Now()
-	err := db.indexWrite(key, value, slots, seq, false)
-	tr.Since(metrics.PhaseIndexUpdate, tI)
-	if err == nil {
-		if db.testBetweenWrites != nil {
-			db.testBetweenWrites()
-		}
-		err = db.primary.PutAt([]byte(key), value, seq, tr)
-	}
-	if err != nil {
-		db.primary.AdvanceSeq(seq) // an index table may hold seq already
-	}
-	return err
-}
-
-// indexWrite maintains the stand-alone index tables for one write to the
-// primary table: it scans doc into slots, and for every indexed attribute
-// the document carries adds the (attribute value, key) pair to that
-// attribute's table, or with del marks it deleted there. The values go
-// into the index keys as they are; the engine copies a key before keeping
-// it.
-//
-// Every index record is committed at seq, the seq of the primary record
-// it indexes.
-//
-//lsm:locked — writeMu is held by putTraced, deleteTraced and Apply.
-func (db *DB) indexWrite(key string, doc []byte, slots []attrSlot, seq uint64, del bool) error {
-	scanAttrs(doc, db.opts.Attrs, slots)
-	for i, sl := range slots {
-		if sl.val == nil {
-			continue
-		}
-		idx := db.indexes[db.opts.Attrs[i]]
-		var err error
-		switch db.opts.Index {
-		case IndexEager:
-			err = db.eagerUpdate(idx, sl.val, key, seq, del)
-		case IndexLazy:
-			err = db.lazyAppend(idx, sl.val, key, seq, del)
-		case IndexComposite:
-			err = compositeWrite(idx, sl.val, key, seq, del)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Delete removes the document under key (Table 1: DEL). For stand-alone
-// indexes the old document is read first so its posting entries can be
-// marked deleted — after the tombstone, so that a document still visible
-// is never hidden by its deletion marker.
+// Delete removes the document under key (Table 1: DEL). It is a batch of
+// one.
 func (db *DB) Delete(key string) error {
 	t0 := time.Now()
 	tr := db.tracer.Start(metrics.OpDelete)
-	err := db.deleteTraced(key, tr)
+	var buf [4]attrSlot
+	ops := [1]batchOp{{del: true, key: key}}
+	err := db.write(ops[:], attrSlots(&buf, len(db.opts.Attrs)), tr)
 	tr.Finish()
 	db.ops.Observe(metrics.OpDelete, time.Since(t0))
-	return err
-}
-
-func (db *DB) deleteTraced(key string, tr *metrics.Trace) error {
-	if db.indexes != nil {
-		db.writeMu.Lock()
-		defer db.writeMu.Unlock()
-	}
-	var old []byte
-	if db.indexes != nil {
-		tI := tr.Now()
-		v, ok, err := db.primary.Get([]byte(key))
-		tr.Since(metrics.PhaseIndexUpdate, tI)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			// Nothing indexed for this key; the primary tombstone is all
-			// that is needed.
-			_, err := db.primary.DeleteWithSeqTraced([]byte(key), tr)
-			return err
-		}
-		old = v
-	}
-	seq, err := db.primary.DeleteWithSeqTraced([]byte(key), tr)
-	if err != nil {
-		return err
-	}
-	if db.indexes == nil {
-		return nil
-	}
-	var buf [4]attrSlot
-	slots := attrSlots(&buf, len(db.opts.Attrs))
-	tI := tr.Now()
-	err = db.indexWrite(key, old, slots, seq, true)
-	tr.Since(metrics.PhaseIndexUpdate, tI)
 	return err
 }
 
@@ -566,12 +480,7 @@ func (db *DB) rangeLookupTraced(attr, lo, hi string, k int, tr *metrics.Trace) (
 }
 
 func (db *DB) indexed(attr string) bool {
-	for _, a := range db.opts.Attrs {
-		if a == attr {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(db.opts.Attrs, attr)
 }
 
 // Flush forces all MemTables (primary and index tables) to disk.

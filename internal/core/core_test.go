@@ -1,9 +1,12 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -38,6 +41,30 @@ func TestParseIndexKind(t *testing.T) {
 	for _, bad := range []string{"btree", "", "IndexKind(5)"} {
 		if _, err := ParseIndexKind(bad); err == nil {
 			t.Errorf("ParseIndexKind(%q) accepted", bad)
+		}
+	}
+}
+
+// TestOpenRejectsBadAttrs opens every kind with an empty attribute name
+// and with one listed twice (two tables on one index directory): Open
+// fails, naming the attribute, before it creates anything.
+func TestOpenRejectsBadAttrs(t *testing.T) {
+	for _, kind := range allKinds {
+		for _, attrs := range [][]string{{""}, {"UserID", ""}, {"UserID", "UserID"}, {"UserID", "CreationTime", "UserID"}} {
+			dir := filepath.Join(t.TempDir(), "db")
+			opts := smallOptions(kind)
+			opts.Attrs = attrs
+			db, err := Open(dir, opts)
+			if err == nil {
+				db.Close()
+				t.Fatalf("%v: Open with Attrs %q succeeded", kind, attrs)
+			}
+			if name := attrs[len(attrs)-1]; !strings.Contains(err.Error(), fmt.Sprintf("%q", name)) {
+				t.Errorf("%v, Attrs %q: error %q does not name %q", kind, attrs, err, name)
+			}
+			if _, err := os.Stat(dir); !errors.Is(err, os.ErrNotExist) {
+				t.Errorf("%v, Attrs %q: the failed Open left %s (%v)", kind, attrs, dir, err)
+			}
 		}
 	}
 }

@@ -32,7 +32,7 @@ func (db *DB) eagerUpdate(idx *lsm.DB, attrValue []byte, key string, seq uint64,
 	st := idx.Stats()
 	st.PostingsBytesDecoded.Add(int64(len(cur)))
 	st.PostingsEntriesDecoded.Add(decoded)
-	err = idx.PutAt(attrValue, out, seq, nil)
+	err = idx.PutAt(attrValue, out, seq)
 	db.postBuf = out[:0]
 	return err
 }

@@ -30,7 +30,7 @@ import (
 //lsm:locked — writeMu is held by indexWrite's callers.
 func (db *DB) lazyAppend(idx *lsm.DB, attrValue []byte, key string, seq uint64, del bool) error {
 	db.postBuf = postings.AppendSingle(db.postBuf[:0], key, seq, del)
-	return idx.PutAt(attrValue, db.postBuf, seq, nil)
+	return idx.PutAt(attrValue, db.postBuf, seq)
 }
 
 // lazyStrata fetches the fragments stored for one secondary key, newest

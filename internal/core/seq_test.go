@@ -369,7 +369,7 @@ func TestPostingStreamInterleavedTables(t *testing.T) {
 	for seq := uint64(1); seq <= 20000 && err == nil; seq++ {
 		value := fmt.Sprintf("v%04d", rng.Intn(2000))
 		frag = postings.AppendSingle(frag[:0], fmt.Sprintf("k%04d%s", rng.Intn(3000), pad), seq, rng.Intn(10) == 0)
-		err = idx.PutAt([]byte(value), frag, seq, nil)
+		err = idx.PutAt([]byte(value), frag, seq)
 	}
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"leveldbpp/internal/ikey"
+	"leveldbpp/internal/metrics"
 	"leveldbpp/internal/wal"
 )
 
@@ -55,21 +56,21 @@ func (b *Batch) Reset() { b.records = b.records[:0] }
 // earlier ones on the same key (they receive higher sequence numbers).
 // The MemTable flush check runs once, after the whole batch.
 func (db *DB) Apply(b *Batch) error {
-	return db.ApplyAt(b, 0)
+	return db.ApplyAt(b, 0, nil)
 }
 
 // ApplyAt is Apply with the batch's first operation at sequence number
 // seq, under PutAt's rule (operation i gets seq+i); seq 0 takes the next
-// one.
-func (db *DB) ApplyAt(b *Batch, seq uint64) error {
+// one. It records the write-path phases (wal, mem_insert, rotate,
+// commit_wait) into tr, which may be nil.
+func (db *DB) ApplyAt(b *Batch, seq uint64, tr *metrics.Trace) error {
 	if b.Len() == 0 {
 		return nil
 	}
 	// The batch owns its record buffers (Put copies at enqueue; PutNoCopy
 	// transfers ownership), so the MemTable retains them.
 	pc := pendingPool.Get().(*pendingCommit)
-	pc.records, pc.noCopy = b.records, true
+	pc.records, pc.noCopy, pc.tr = b.records, true, tr
 	b.records[0].Seq = seq
-	_, err := db.commit(pc)
-	return err
+	return db.commit(pc)
 }

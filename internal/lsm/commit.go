@@ -39,8 +39,7 @@ type pendingCommit struct {
 	bytes   int64
 	tr      *metrics.Trace
 
-	firstSeq uint64 // set by the leader before done closes
-	err      error  // set by the leader before done closes
+	err error // set by the leader before done closes
 
 	// done wakes the waiter after its group committed (close-once). done
 	// and lead are made only when the commit queues behind an active
@@ -130,12 +129,11 @@ func (db *DB) GroupSizeHist() *metrics.BucketHistogram { return db.groupSize }
 
 // commit routes pc — a pooled pendingCommit whose records (not yet
 // sequenced, unless the first carries the seq to commit at), noCopy and
-// tr the caller filled in — through the queue,
-// blocks until it is durable per SyncMode, and returns pc to the pool.
-// It returns the sequence number assigned to the first record. When
-// noCopy is set the MemTable retains the record buffers directly; the
-// caller must never mutate them afterwards.
-func (db *DB) commit(pc *pendingCommit) (uint64, error) {
+// tr the caller filled in — through the queue, blocks until it is
+// durable per SyncMode, and returns pc to the pool. When noCopy is set
+// the MemTable retains the record buffers directly; the caller must
+// never mutate them afterwards.
+func (db *DB) commit(pc *pendingCommit) error {
 	for i := range pc.records {
 		pc.bytes += int64(len(pc.records[i].Key) + len(pc.records[i].Value))
 	}
@@ -154,13 +152,10 @@ func (db *DB) commit(pc *pendingCommit) (uint64, error) {
 			db.leadGroupLocked(pc, true)
 		}
 	}
-	seq, err := pc.firstSeq, pc.err
+	err := pc.err
 	*pc = pendingCommit{}
 	pendingPool.Put(pc)
-	if err != nil {
-		return 0, err
-	}
-	return seq, nil
+	return err
 }
 
 // leadGroupLocked runs one leader pass seeded by seed, publishes the
@@ -226,7 +221,6 @@ func (db *DB) commitGroupLocked(group []*pendingCommit) error {
 			}
 			db.lastSeq = seq - 1
 		}
-		pc.firstSeq = db.lastSeq + 1
 		for i := range pc.records {
 			db.lastSeq++
 			pc.records[i].Seq = db.lastSeq
@@ -258,7 +252,7 @@ func (db *DB) commitGroupLocked(group []*pendingCommit) error {
 		records = records[n:]
 	}
 	if werr == nil {
-		werr = db.syncWALLocked(len(group), tr)
+		werr = db.syncWALLocked(tr)
 	}
 	db.logMu.Unlock()
 	tr.Since(metrics.PhaseWAL, t0)
@@ -302,33 +296,18 @@ func (db *DB) commitGroupLocked(group []*pendingCommit) error {
 
 // syncWALLocked makes the group's WAL frames durable per SyncMode: a
 // buffer flush under SyncOff (acknowledged writes are always visible in
-// the file), one fsync per group under SyncGrouped, one per member under
-// SyncAlways (the seed-equivalent accounting). Caller holds logMu.
-func (db *DB) syncWALLocked(members int, tr *metrics.Trace) error {
-	switch db.opts.SyncMode {
-	case wal.SyncGrouped:
-		t0 := tr.Now()
-		err := db.log.Sync()
-		tr.Since(metrics.PhaseWALSync, t0)
-		if err != nil {
-			return err
-		}
-		db.opts.Stats.WALFsyncs.Add(1)
-	case wal.SyncAlways:
-		t0 := tr.Now()
-		for i := 0; i < members; i++ {
-			if err := db.log.Sync(); err != nil {
-				tr.Since(metrics.PhaseWALSync, t0)
-				return err
-			}
-		}
-		tr.Since(metrics.PhaseWALSync, t0)
-		db.opts.Stats.WALFsyncs.Add(int64(members))
-	default: // SyncOff
-		if err := db.log.Flush(); err != nil {
-			return err
-		}
+// the file), one fsync per group under SyncGrouped. Caller holds logMu.
+func (db *DB) syncWALLocked(tr *metrics.Trace) error {
+	if db.opts.SyncMode != wal.SyncGrouped {
+		return db.log.Flush()
 	}
+	t0 := tr.Now()
+	err := db.log.Sync()
+	tr.Since(metrics.PhaseWALSync, t0)
+	if err != nil {
+		return err
+	}
+	db.opts.Stats.WALFsyncs.Add(1)
 	return nil
 }
 

@@ -333,7 +333,7 @@ func TestCommitAtSeq(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.PutAt([]byte("a"), []byte("a10"), 10, nil); err != nil {
+	if err := db.PutAt([]byte("a"), []byte("a10"), 10); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Put([]byte("b"), []byte("b11")); err != nil {
@@ -342,7 +342,7 @@ func TestCommitAtSeq(t *testing.T) {
 	var b Batch
 	b.Put([]byte("c"), []byte("c20"))
 	b.Put([]byte("d"), []byte("d21"))
-	if err := db.ApplyAt(&b, 20); err != nil {
+	if err := db.ApplyAt(&b, 20, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.DeleteAt([]byte("a"), 21); !errors.Is(err, ErrSeqNotAbove) {
@@ -367,8 +367,11 @@ func TestCommitAtSeq(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, want := range []uint64{30, 31, 0, 40} {
-		if pc := group[i]; pc.err == nil && pc.firstSeq != want || (pc.err != nil) != (want == 0) {
-			t.Errorf("member %d: firstSeq %d, err %v; want seq %d", i, pc.firstSeq, pc.err, want)
+		pc := group[i]
+		if (pc.err != nil) != (want == 0) {
+			t.Errorf("member %d: err %v; want seq %d", i, pc.err, want)
+		} else if pc.err == nil && pc.records[0].Seq != want {
+			t.Errorf("member %d: first record at seq %d, want %d", i, pc.records[0].Seq, want)
 		}
 	}
 	if err := db.Close(); err != nil {

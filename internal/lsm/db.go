@@ -287,38 +287,26 @@ func (db *DB) openTable(fr fileRecord) (*FileMeta, error) {
 // Put writes key → value. The write is blind: with a Merger configured,
 // the key's MemTable versions are combined at flush, not here.
 func (db *DB) Put(key, value []byte) error {
-	_, err := db.write(ikey.KindSet, key, value, 0, nil)
-	return err
+	return db.write(ikey.KindSet, key, value, 0)
 }
 
 // PutAt is Put at sequence number seq, which must be above LastSeq;
 // otherwise nothing is written and the error is ErrSeqNotAbove. Seqs
-// between LastSeq and seq are skipped; seq 0 takes the next one. A secondary index writes its
-// records at the seq of the primary record they index, and the primary
-// its record at a seq reserved before the index writes. It records
-// write-path phase timings (wal, mem_insert, rotate) into tr; tr may be
-// nil.
-func (db *DB) PutAt(key, value []byte, seq uint64, tr *metrics.Trace) error {
-	_, err := db.write(ikey.KindSet, key, value, seq, tr)
-	return err
+// between LastSeq and seq are skipped; seq 0 takes the next one. A
+// secondary index writes its records at the seq of the primary record
+// they index.
+func (db *DB) PutAt(key, value []byte, seq uint64) error {
+	return db.write(ikey.KindSet, key, value, seq)
 }
 
 // Delete writes a tombstone for key.
 func (db *DB) Delete(key []byte) error {
-	_, err := db.write(ikey.KindDelete, key, nil, 0, nil)
-	return err
+	return db.write(ikey.KindDelete, key, nil, 0)
 }
 
 // DeleteAt is Delete at sequence number seq, under PutAt's rule.
 func (db *DB) DeleteAt(key []byte, seq uint64) error {
-	_, err := db.write(ikey.KindDelete, key, nil, seq, nil)
-	return err
-}
-
-// DeleteWithSeqTraced is Delete returning the assigned sequence number,
-// with write-path phase tracing.
-func (db *DB) DeleteWithSeqTraced(key []byte, tr *metrics.Trace) (uint64, error) {
-	return db.write(ikey.KindDelete, key, nil, 0, tr)
+	return db.write(ikey.KindDelete, key, nil, seq)
 }
 
 // ErrSeqNotAbove fails a commit at a caller-given sequence number that is
@@ -338,11 +326,10 @@ func (db *DB) AdvanceSeq(seq uint64) {
 // write commits one record, at seq or, when seq is 0, at the next one.
 // The MemTable keeps copies of key and value: callers may reuse their
 // buffers.
-func (db *DB) write(kind ikey.Kind, key, value []byte, seq uint64, tr *metrics.Trace) (uint64, error) {
+func (db *DB) write(kind ikey.Kind, key, value []byte, seq uint64) error {
 	pc := pendingPool.Get().(*pendingCommit)
 	pc.one[0] = wal.Record{Kind: byte(kind), Key: key, Value: value, Seq: seq}
 	pc.records = pc.one[:]
-	pc.tr = tr
 	return db.commit(pc)
 }
 

@@ -95,9 +95,8 @@ type Options struct {
 	Merge Merger
 	// SyncMode selects WAL durability per commit: off (never fsync; the
 	// zero value, and the paper's configuration — its throughput
-	// experiments run LevelDB in its default async mode), always (one
-	// fsync per logical commit), or grouped (one fsync per commit group —
-	// concurrent committers share it).
+	// experiments run LevelDB in its default async mode) or grouped (one
+	// fsync per commit group — concurrent committers share it).
 	SyncMode wal.SyncMode
 	// BlockCacheBytes enables an LRU block cache of the given capacity.
 	// 0 disables caching — the paper's configuration ("No block cache

@@ -266,17 +266,16 @@ func TestViewHelpers(t *testing.T) {
 		return nil
 	})
 	seq1 := db.LastSeq() + 5
-	if err := db.PutAt([]byte("pws"), []byte("v"), seq1, nil); err != nil || db.LastSeq() != seq1 {
+	if err := db.PutAt([]byte("pws"), []byte("v"), seq1); err != nil || db.LastSeq() != seq1 {
 		t.Fatalf("PutAt(%d): LastSeq %d, %v", seq1, db.LastSeq(), err)
 	}
-	if err := db.PutAt([]byte("pws"), []byte("w"), seq1, nil); !errors.Is(err, ErrSeqNotAbove) {
+	if err := db.PutAt([]byte("pws"), []byte("w"), seq1); !errors.Is(err, ErrSeqNotAbove) {
 		t.Fatalf("PutAt at LastSeq: %v, want %v", err, ErrSeqNotAbove)
 	}
 	if v, ok, err := db.Get([]byte("pws")); err != nil || !ok || string(v) != "v" {
 		t.Fatalf("after a refused PutAt: %q %v %v", v, ok, err)
 	}
-	seq2, err := db.DeleteWithSeqTraced([]byte("pws"), nil)
-	if err != nil || seq2 != seq1+1 {
-		t.Fatalf("DeleteWithSeqTraced: %d %v", seq2, err)
+	if err := db.Delete([]byte("pws")); err != nil || db.LastSeq() != seq1+1 {
+		t.Fatalf("Delete after PutAt(%d): LastSeq %d, %v", seq1, db.LastSeq(), err)
 	}
 }

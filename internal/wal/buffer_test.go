@@ -120,22 +120,21 @@ func TestFailAfterTearsBatch(t *testing.T) {
 
 func TestParseSyncMode(t *testing.T) {
 	for _, tc := range []struct {
-		in   string
-		want SyncMode
-		ok   bool
+		in, name string // name: the mode's String(), "" if the parse fails
+		want     SyncMode
 	}{
-		{"off", SyncOff, true},
-		{"always", SyncAlways, true},
-		{"grouped", SyncGrouped, true},
-		{"", SyncOff, false},
-		{"ALWAYS", SyncOff, false},
+		{"off", "off", SyncOff},
+		{"always", "grouped", SyncGrouped},
+		{"grouped", "grouped", SyncGrouped},
+		{"", "", SyncOff},
+		{"ALWAYS", "", SyncOff},
 	} {
 		got, err := ParseSyncMode(tc.in)
-		if (err == nil) != tc.ok || got != tc.want {
-			t.Errorf("ParseSyncMode(%q) = %v, %v; want %v, ok=%v", tc.in, got, err, tc.want, tc.ok)
+		if (err == nil) != (tc.name != "") || got != tc.want {
+			t.Errorf("ParseSyncMode(%q) = %v, %v; want %v, ok=%v", tc.in, got, err, tc.want, tc.name != "")
 		}
-		if tc.ok && got.String() != tc.in {
-			t.Errorf("SyncMode(%q).String() = %q", tc.in, got.String())
+		if tc.name != "" && got.String() != tc.name {
+			t.Errorf("ParseSyncMode(%q).String() = %q, want %q", tc.in, got.String(), tc.name)
 		}
 	}
 }

@@ -31,15 +31,10 @@ const (
 	// commit) but a machine crash can lose acknowledged writes. The
 	// paper's throughput configuration.
 	SyncOff SyncMode = iota
-	// SyncAlways fsyncs once per logical commit before it is
-	// acknowledged, even when a commit leader batched the WAL write —
-	// the seed-equivalent fsync accounting, kept as the ablation
-	// baseline for measuring what sync batching alone buys.
-	SyncAlways
-	// SyncGrouped fsyncs once per commit *group*: every member is still
-	// acknowledged only after an fsync covering its records, but
-	// concurrent committers share one. A lone writer is a group of one,
-	// so without concurrency this is identical to SyncAlways.
+	// SyncGrouped fsyncs once per commit group: every commit is
+	// acknowledged only after an fsync covering its records, and
+	// concurrent committers share one — LevelDB's sync=true, which
+	// syncs once per write group. A lone writer is a group of one.
 	SyncGrouped
 )
 
@@ -48,8 +43,6 @@ func (m SyncMode) String() string {
 	switch m {
 	case SyncOff:
 		return "off"
-	case SyncAlways:
-		return "always"
 	case SyncGrouped:
 		return "grouped"
 	default:
@@ -57,14 +50,13 @@ func (m SyncMode) String() string {
 	}
 }
 
-// ParseSyncMode parses a -sync-mode flag value.
+// ParseSyncMode parses a -sync-mode flag value; "always" is another
+// spelling of "grouped".
 func ParseSyncMode(s string) (SyncMode, error) {
 	switch s {
 	case "off":
 		return SyncOff, nil
-	case "always":
-		return SyncAlways, nil
-	case "grouped":
+	case "always", "grouped":
 		return SyncGrouped, nil
 	default:
 		return SyncOff, fmt.Errorf("wal: unknown sync mode %q (want off, always or grouped)", s)
