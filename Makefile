@@ -42,7 +42,7 @@ lint:
 # reads over the shared deflater and block decoder pools.
 lint-race:
 	$(GO) test -race -run 'TestConcurrentBuildAndRead' ./internal/sstable/
-	$(GO) test -race -run 'TestGroupCommit|TestCommit|TestUncontendedCommit|TestCompactionWriterFailureCancels|TestBackground|TestDeterministicConcurrentDrains|TestGetSortedMatchesGet' ./internal/lsm/
+	$(GO) test -race -run 'TestGroupCommit|TestCommit|TestUncontendedCommit|TestCompactionWriterFailureCancels|TestBackground|TestDeterministicConcurrentDrains|TestGetSortedMatchesGet|TestTrivialMoveConcurrentReads' ./internal/lsm/
 	$(GO) test -race -run 'TestGroupCommitConcurrentCore|TestConcurrentChunkedValidation|TestIndexBeforeData' ./internal/core/
 	$(GO) test -race -run 'TestProfilerConcurrent|TestWorkloadSnapshot' ./internal/explain/
 	$(GO) test -race -run 'TestHistogramRaceMixedReadersWriters|TestBucketCountingCumulative|TestBucketHistogramObserveAllocs' ./internal/metrics/

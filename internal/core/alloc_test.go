@@ -11,11 +11,16 @@ func TestWarmReadAllocations(t *testing.T) {
 		t.Skip("the race detector's sync.Pool drops decoders at random")
 	}
 	db := openGolden(t, IndexLazy)
+	embedded := openGolden(t, IndexEmbedded)
 	for _, c := range []struct {
 		name string
 		max  float64
 		run  func() error
 	}{
+		{"embedded lookup", 98, func() error { // the key-order level walk's count
+			_, err := embedded.Lookup("UserID", "u01", 10)
+			return err
+		}},
 		{"lookup", 88, func() error {
 			_, err := db.Lookup("UserID", "u01", 10)
 			return err

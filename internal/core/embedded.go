@@ -21,12 +21,13 @@ import (
 // Strata) — MemTable, frozen MemTable, each level-0 file, then each
 // deeper level — reading only the data
 // blocks whose filters pass, keeping a top-K min-heap by sequence number
-// (Algorithms 5 and 8). Within a table the candidate blocks are read
-// newest first by their recorded max seq, and a full heap stops the table
-// at the first block too old to improve it. Candidate validity ("is this
-// still the newest version of the record?") is checked with GetLite: a
-// metadata-only probe of the strata above the candidate, touching disk
-// only to confirm bloom positives.
+// (Algorithms 5 and 8). Within a level the tables are read newest first
+// by MaxSeq, and within a table the candidate blocks newest first by
+// their recorded max seq; a full heap stops the level at the first table,
+// and the table at the first block, too old to improve it. Candidate
+// validity ("is this still the newest version of the record?") is
+// checked with GetLite: a metadata-only probe of the strata above the
+// candidate, touching disk only to confirm bloom positives.
 
 func (db *DB) embeddedLookup(attr, value string, k int, tr *metrics.Trace) ([]Entry, error) {
 	return db.embeddedScan(attr, value, value, k, true, tr)
@@ -76,10 +77,14 @@ func (db *DB) embeddedScan(attr, lo, hi string, k int, useFilters bool, tr *metr
 					return err
 				}
 			} else {
+				// Newest table first: a level's tables are disjoint, so
+				// the order changes no answer, but the heap fills with
+				// the newest matches and the tables after the first one
+				// too old to improve it are skipped unread.
 				t0 := tr.Now()
-				for _, fm := range s.Tables {
+				for _, fm := range s.NewestFirst() {
 					if heap.Full() && fm.Table().MaxSeq() <= heap.MinSeq() {
-						continue // nothing here can improve the heap
+						break // nothing here or after can improve the heap
 					}
 					if err := db.embeddedScanTable(v, strata, si, fm, attr, lo, hi, useFilters, seen, &blk, heap, tr); err != nil {
 						tr.Since(metrics.PhaseIndexProbe, t0)

@@ -6,6 +6,7 @@ import (
 
 	"leveldbpp/internal/ikey"
 	"leveldbpp/internal/lsm"
+	"leveldbpp/internal/metrics"
 )
 
 // TestEmbeddedSeqBoundSkipsOldBlocks: tweets with rising keys fill
@@ -81,6 +82,69 @@ func TestEmbeddedSeqBoundSkipsOldBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("RANGELOOKUP", got, m.lookup("CreationTime", lo, hi, 10), rep.IO.BlockReads, rep.IO.CandidateBlocks, rep.IO.SeqPrunes)
+}
+
+// TestEmbeddedLevelWalkNewestFirst: rising tweet IDs flush into disjoint
+// tables that trivial moves carry, unmerged, into one level of eight
+// tables. Key order there is oldest first, so a walk in key order would
+// fill the top-K heap from the oldest table and then read a few blocks of
+// every later one. Walked newest first, a K=10 LOOKUP reads the blocks
+// that hold its 10 results, the blocks whose filters passed falsely, and
+// nothing else.
+func TestEmbeddedLevelWalkNewestFirst(t *testing.T) {
+	opts := smallOptions(IndexEmbedded)
+	opts.MemTableBytes = 1 << 20 // only Flush freezes
+	opts.L0CompactionTrigger = 4
+	opts.BaseLevelBytes = 1 << 20 // L1 keeps every table
+	db, err := Open(t.TempDir(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	m := newModel()
+	for i := 0; i < 1600; i++ {
+		key := fmt.Sprintf("t%05d", i)
+		user := fmt.Sprintf("u%02d", i%7)
+		if err := db.Put(key, tweetDoc(user, i, "tweet text goes here for padding")); err != nil {
+			t.Fatal(err)
+		}
+		m.put(key, user, i)
+		if i%200 == 199 {
+			if err := db.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	err = db.primary.View(func(v *lsm.View) error {
+		strata := v.Strata()
+		if len(strata) != 2 || strata[1].Level != 1 || len(strata[1].Tables) < 4 {
+			return fmt.Errorf("want the MemTable and one level of at least four tables, got %d strata", len(strata))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := db.EventLog().Counts()[metrics.EventTrivialMove]; n == 0 {
+		t.Fatal("no table was moved")
+	}
+
+	for _, user := range []string{"u01", "u04"} {
+		got, rep, err := db.ExplainLookup("UserID", user, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := m.lookup("UserID", user, user, 10); !sameKeys(keysOf(got), want) {
+			t.Fatalf("LOOKUP %s: %v\nwant %v", user, keysOf(got), want)
+		}
+		want := int64(db.validationBlocks(got)) + rep.IO.BloomFalsePositives
+		t.Logf("LOOKUP %s: %d block reads, %d result blocks, %d filter false positives, %d candidate blocks",
+			user, rep.IO.BlockReads, db.validationBlocks(got), rep.IO.BloomFalsePositives, rep.IO.CandidateBlocks)
+		if rep.IO.BlockReads != want {
+			t.Errorf("LOOKUP %s read %d blocks, want %d: the result blocks plus filter false positives",
+				user, rep.IO.BlockReads, want)
+		}
+	}
 }
 
 // FuzzEmbeddedTopK runs arbitrary fresh PUT / update / DEL / Flush /

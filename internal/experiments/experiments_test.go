@@ -210,13 +210,16 @@ func TestFig11ZoneMapsPruneTimeCorrelated(t *testing.T) {
 
 func TestFig12MixedWorkloadsRun(t *testing.T) {
 	c := testConfig(t)
-	// The v2 posting codec shrinks the Lazy index tables ~30%, and blind
-	// index PUTs, coalesced once per flush, flush each index MemTable
-	// less often, so the index-compaction assertion below needs a larger
-	// ingest than the JSON era did before the index tree spills past L0
-	// (5000 no longer reaches a compaction; 6000 does).
+	// 6000 ops fill four primary MemTables, one L0 compaction's worth.
 	c.Scale = 6000
-	rs, err := Fig12WriteHeavy(c)
+	// The write-heavy mix with a quarter of its puts turned into updates
+	// of earlier tweets. Fresh tweet IDs rise, so the flushed tables of
+	// Fig12WriteHeavy's mix are disjoint and its compaction moves them
+	// down unread; updates make the tables overlap, so the compaction
+	// merges and the curve below has compaction I/O to show.
+	mix := workload.WriteHeavy
+	mix.UpdateFrac = 0.25
+	rs, err := MixedWorkload(c, "write-heavy", mix, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,12 @@ import (
 // maxTableBytes is the target SSTable size (LevelDB's 2 MB).
 const maxTableBytes = 2 << 20
 
+// maxGrandparentOverlapBytes bounds a trivial move: tables moved into
+// level+1 that overlap more than this in level+2 would set up an expensive
+// next compaction there, so they are rewritten instead (LevelDB's
+// MaxGrandParentOverlapBytes, ten target tables).
+const maxGrandparentOverlapBytes = 10 * maxTableBytes
+
 // allocFileNum hands out the next SSTable file number. Atomic so a flush
 // or compaction can allocate output numbers off-lock.
 func (db *DB) allocFileNum() uint64 {
@@ -48,8 +54,9 @@ func (db *DB) levelBusyLocked(l int) bool {
 }
 
 // compactionJob is one picked compaction: inputs (the picked files of
-// level, then the overlapping files of level+1, in merge order) and the
-// pick-time version for tombstone base checks.
+// level, then the overlapping files of level+1, in merge order), how many
+// of them were picked from level, and the pick-time version for tombstone
+// base checks.
 //
 // base stays valid until install although other jobs may run meanwhile:
 // a job at levels (l, l+1) only consults levels deeper than l+1, and every
@@ -61,6 +68,7 @@ func (db *DB) levelBusyLocked(l int) bool {
 type compactionJob struct {
 	level  int
 	inputs []*FileMeta
+	picked int
 	base   *version
 }
 
@@ -68,7 +76,39 @@ type compactionJob struct {
 // files of level+1 overlapping the user keys [lo, hi].
 func (db *DB) jobLocked(level int, files []*FileMeta, lo, hi []byte) *compactionJob {
 	inputs := slices.Concat(files, overlappingFiles(db.v.levels[level+1], lo, hi))
-	return &compactionJob{level: level, inputs: inputs, base: db.v}
+	return &compactionJob{level: level, inputs: inputs, picked: len(files), base: db.v}
+}
+
+// trivialMoveLocked reports whether job can go to level+1 by a version
+// edit alone, as LevelDB's Compaction::IsTrivialMove: nothing in level+1
+// overlaps the picked files, they are pairwise disjoint (a whole level-0
+// set may qualify, not only one file), and the files of level+2 they
+// overlap total at most maxGrandparentOverlapBytes.
+func (db *DB) trivialMoveLocked(job *compactionJob) bool {
+	if len(job.inputs) != job.picked {
+		return false
+	}
+	in := slices.Clone(job.inputs)
+	slices.SortFunc(in, func(a, b *FileMeta) int { return ikey.Compare(a.Smallest, b.Smallest) })
+	for i := 1; i < len(in); i++ {
+		if bytes.Compare(ikey.UserKey(in[i-1].Largest), ikey.UserKey(in[i].Smallest)) >= 0 {
+			return false
+		}
+	}
+	if gp := job.level + 2; gp < len(db.v.levels) {
+		var overlap int64
+		for _, fm := range db.v.levels[gp] {
+			if slices.ContainsFunc(in, func(m *FileMeta) bool {
+				return fm.overlapsUser(ikey.UserKey(m.Smallest), ikey.UserKey(m.Largest))
+			}) {
+				overlap += fm.Size
+			}
+		}
+		if overlap > maxGrandparentOverlapBytes {
+			return false
+		}
+	}
+	return true
 }
 
 // pickCompactionLocked chooses the next compaction among unreserved level
@@ -161,16 +201,37 @@ func (db *DB) compactLocked(job *compactionJob) error {
 	return nil
 }
 
+// moveLocked is a trivial move: one version edit deletes job's inputs
+// from job.level and adds the same tables, unread and unwritten, to
+// job.level+1. Nothing runs off-lock, so no level pair is reserved and no
+// compaction is traced. Caller holds db.mu.
+func (db *DB) moveLocked(job *compactionJob) error {
+	err := db.applyEditLocked(&versionEdit{level: job.level + 1,
+		added: job.inputs, deleted: job.inputs, flushedSeq: db.flushedSeq})
+	if err != nil {
+		db.emitCompactionError(job, err)
+		return err
+	}
+	db.emit(metrics.Event{Type: metrics.EventTrivialMove, Level: job.level, Inputs: len(job.inputs)})
+	db.cond.Broadcast() // the tree changed: wake drains waiting on its shape
+	return nil
+}
+
 // compactToShapeLocked runs compaction jobs on the calling goroutine until
 // no unreserved level pair needs one: the writer's drain, and
-// CompactRange's tail. Caller holds db.mu.
+// CompactRange's tail. A job that qualifies is a trivial move; every
+// other job merges. Caller holds db.mu.
 func (db *DB) compactToShapeLocked() error {
 	for db.pipelineErrLocked() == nil {
 		job := db.pickCompactionLocked()
 		if job == nil {
 			return nil
 		}
-		if err := db.compactLocked(job); err != nil {
+		run := db.compactLocked
+		if db.trivialMoveLocked(job) {
+			run = db.moveLocked
+		}
+		if err := run(job); err != nil {
 			return err
 		}
 	}
@@ -220,9 +281,12 @@ func (db *DB) emitCompactionError(job *compactionJob, err error) {
 // it — LevelDB's manual compaction. Useful for tests, space reclamation
 // after bulk deletes, and read-optimizing a cold dataset. It flushes the
 // MemTable first, then runs each compaction job on the caller once no
-// other job is in flight. Writers and other CompactRange calls may run
-// jobs on other level pairs while a job drops db.mu for its merge; the
-// level-pair reservation keeps their file sets disjoint.
+// other job is in flight. Those jobs always merge, as LevelDB's manual
+// compaction does, so they drop the range's base-level tombstones; only
+// the tail that restores the tree's shape may move tables. Writers and
+// other CompactRange calls may run jobs on other level pairs while a job
+// drops db.mu for its merge; the level-pair reservation keeps their file
+// sets disjoint.
 func (db *DB) CompactRange(lo, hi []byte) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()

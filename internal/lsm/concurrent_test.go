@@ -654,7 +654,8 @@ func TestDeterministicModeContract(t *testing.T) {
 // drainAudit is an event sink that checks two pipeline invariants as the
 // events arrive (the engine emits them under db.mu, so they are ordered):
 // every frozen MemTable is flushed exactly once, and two in-flight
-// compaction jobs never share a level.
+// compaction jobs never share a level, nor does a trivial move share one
+// with an in-flight job.
 type drainAudit struct {
 	t *testing.T
 
@@ -693,6 +694,10 @@ func (a *drainAudit) Emit(e metrics.Event) {
 	case metrics.EventCompactionDone, metrics.EventCompactionError:
 		delete(a.busy, e.Level)
 		delete(a.busy, e.Level+1)
+	case metrics.EventTrivialMove:
+		if a.busy[e.Level] || a.busy[e.Level+1] {
+			a.t.Errorf("trivial move L%d→L%d while a job held one of its levels", e.Level, e.Level+1)
+		}
 	}
 }
 

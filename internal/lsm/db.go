@@ -152,6 +152,7 @@ func Open(dir string, o *Options) (_ *DB, err error) {
 				db.v.levels[l] = append(db.v.levels[l], fm)
 			}
 		}
+		db.v.sortNewest()
 	}
 
 	// Replay the WAL: records newer than the manifest's sequence were in
@@ -643,6 +644,7 @@ type Stratum struct {
 	Tables []*FileMeta // the level-0 table, or the level's files sorted by key; nil for a MemTable
 	Frozen bool        // a frozen MemTable whose flush is pending
 	mem    *memTable
+	newest []*FileMeta // a deeper level's files by descending MaxSeq
 }
 
 // strataLocked decomposes the current tree into a View's strata.
@@ -658,10 +660,22 @@ func (db *DB) strataLocked() []Stratum {
 	}
 	for l := 1; l < len(db.v.levels); l++ {
 		if files := db.v.levels[l]; len(files) > 0 {
-			out = append(out, Stratum{Level: l, Tables: files})
+			out = append(out, Stratum{Level: l, Tables: files, newest: db.v.newest[l]})
 		}
 	}
 	return out
+}
+
+// NewestFirst returns the stratum's tables by descending MaxSeq. A
+// level's tables are disjoint, so any order gives the same answers, but
+// a top-K scan that meets the newest entries first fills its heap with
+// them and can skip every table no newer than the heap's oldest entry.
+// The order is the version's own: no allocation per call.
+func (s Stratum) NewestFirst() []*FileMeta {
+	if s.newest == nil {
+		return s.Tables
+	}
+	return s.newest
 }
 
 // IsMem reports whether the stratum is a MemTable, live or frozen.

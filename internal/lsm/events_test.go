@@ -108,8 +108,9 @@ func TestInlineModeEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Shuffled keys, so that compactions merge rather than move.
 	for i := 0; i < 3000; i++ {
-		mustPut(t, db, fmt.Sprintf("key-%05d", i), fmt.Sprintf("value-%05d", i))
+		mustPut(t, db, shuffledKey("key-%05d", i, 3000), fmt.Sprintf("value-%05d", i))
 	}
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)

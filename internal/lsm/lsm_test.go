@@ -498,11 +498,22 @@ func TestLevelShapeInvariants(t *testing.T) {
 }
 
 func TestRandomOpsMatchReferenceMap(t *testing.T) {
-	db, _ := openTestDB(t, smallOpts())
+	opts := smallOpts()
+	opts.Events = metrics.NewEventLog(0)
+	db, _ := openTestDB(t, opts)
 	ref := map[string]string{}
 	rng := rand.New(rand.NewSource(99))
-	for i := 0; i < 8000; i++ {
+	// 8000 ops on random keys of key0000..key0799, then 6000 on rising
+	// keys above them, which the drain moves down the tree as whole
+	// tables; that phase also deletes keys it wrote a little earlier.
+	for i := 0; i < 14000; i++ {
 		k := fmt.Sprintf("key%04d", rng.Intn(800))
+		if i >= 8000 {
+			k = fmt.Sprintf("key%04d", i-7200)
+			if i%10 == 0 {
+				k = fmt.Sprintf("key%04d", i-7200-rng.Intn(50))
+			}
+		}
 		switch rng.Intn(10) {
 		case 0:
 			if err := db.Delete([]byte(k)); err != nil {
@@ -516,8 +527,9 @@ func TestRandomOpsMatchReferenceMap(t *testing.T) {
 		}
 		if i%1000 == 999 {
 			// Spot-check a sample.
+			keys := max(800, i-7200+1)
 			for j := 0; j < 50; j++ {
-				probe := fmt.Sprintf("key%04d", rng.Intn(800))
+				probe := fmt.Sprintf("key%04d", rng.Intn(keys))
 				got, ok := mustGet(t, db, probe)
 				wantV, wantOK := ref[probe]
 				if ok != wantOK || (ok && got != wantV) {
@@ -531,12 +543,24 @@ func TestRandomOpsMatchReferenceMap(t *testing.T) {
 			t.Fatalf("final: %s = %q/%v want %q", k, got, ok, v)
 		}
 	}
+	if n := opts.Events.(*metrics.EventLog).Counts()[metrics.EventTrivialMove]; n == 0 {
+		t.Fatal("the rising-key phase moved no table")
+	}
+}
+
+// shuffledKey returns the i-th key of a fixed permutation of
+// fmt.Sprintf(format, 0..n-1): 7919 is prime, so i ↦ 7919·i mod n
+// permutes 0..n-1 for every n it does not divide. Every flush of such an
+// ingest spans the whole key range, so its tables overlap and compactions
+// merge them rather than move them.
+func shuffledKey(format string, i, n int) string {
+	return fmt.Sprintf(format, i*7919%n)
 }
 
 func TestStatsCountIO(t *testing.T) {
 	db, _ := openTestDB(t, smallOpts())
 	for i := 0; i < 3000; i++ {
-		mustPut(t, db, fmt.Sprintf("key%06d", i), fmt.Sprintf("val%032d", i))
+		mustPut(t, db, shuffledKey("key%06d", i, 3000), fmt.Sprintf("val%032d", i))
 	}
 	s := db.Stats().Snapshot()
 	if s.BlockWrites == 0 {
@@ -546,7 +570,7 @@ func TestStatsCountIO(t *testing.T) {
 		t.Errorf("no compaction I/O recorded: %+v", s)
 	}
 	pre := db.Stats().Snapshot()
-	mustGet(t, db, "key000001") // old key: must be on disk
+	mustGet(t, db, shuffledKey("key%06d", 1, 3000)) // old key: must be on disk
 	post := db.Stats().Snapshot().Sub(pre)
 	if post.BlockReads == 0 {
 		t.Error("disk Get did not count a block read")
@@ -702,8 +726,10 @@ func TestWriteAmplificationMeasured(t *testing.T) {
 	if db.Stats().Snapshot().WriteAmplification() != 0 {
 		t.Fatal("WAMF nonzero before ingest")
 	}
+	// Shuffled keys: a sequential ingest would move tables down the tree
+	// rather than rewrite them.
 	for i := 0; i < 8000; i++ {
-		mustPut(t, db, fmt.Sprintf("key%07d", i), fmt.Sprintf("val%048d", i))
+		mustPut(t, db, shuffledKey("key%07d", i, 8000), fmt.Sprintf("val%048d", i))
 	}
 	db.Flush()
 	sn := db.Stats().Snapshot()
@@ -722,7 +748,7 @@ func TestWriteAmplificationMeasured(t *testing.T) {
 	opts2.DisableCompression = true
 	db2, _ := openTestDB(t, opts2)
 	for i := 0; i < 8000; i++ {
-		mustPut(t, db2, fmt.Sprintf("key%07d", i), fmt.Sprintf("val%048d", i))
+		mustPut(t, db2, shuffledKey("key%07d", i, 8000), fmt.Sprintf("val%048d", i))
 	}
 	db2.Flush()
 	if wamf2 := db2.Stats().Snapshot().WriteAmplification(); wamf2 <= wamf {

@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
@@ -51,13 +52,24 @@ func (fm *FileMeta) Overlaps(lo, hiExcl []byte) bool {
 
 // version is the current shape of the tree: levels[0] holds overlapping
 // files ordered newest-first; deeper levels hold disjoint files sorted by
-// smallest key.
+// smallest key. newest holds each deeper level's files again, by
+// descending table MaxSeq, for Stratum.NewestFirst.
 type version struct {
 	levels [][]*FileMeta
+	newest [][]*FileMeta
 }
 
 func newVersion(maxLevels int) *version {
-	return &version{levels: make([][]*FileMeta, maxLevels)}
+	return &version{levels: make([][]*FileMeta, maxLevels), newest: make([][]*FileMeta, maxLevels)}
+}
+
+// sortNewest fills newest from levels. A version is immutable once
+// installed, so the order is built once per edit, not per query.
+func (v *version) sortNewest() {
+	for l := 1; l < len(v.levels); l++ {
+		v.newest[l] = slices.Clone(v.levels[l])
+		slices.SortStableFunc(v.newest[l], func(a, b *FileMeta) int { return cmp.Compare(b.tbl.MaxSeq(), a.tbl.MaxSeq()) })
+	}
 }
 
 // versionEdit is one change to the tree, built by a flush or a compaction
@@ -97,6 +109,7 @@ func (v *version) apply(e *versionEdit) (*version, error) {
 	if problems := nv.check(); len(problems) > 0 {
 		return nil, fmt.Errorf("lsm: version edit refused: %s", strings.Join(problems, "; "))
 	}
+	nv.sortNewest()
 	return nv, nil
 }
 
@@ -169,7 +182,8 @@ func (v *version) isBaseLevelForKey(level int, userKey []byte) bool {
 // after e and writes its manifest, and only then swaps it in, advances the
 // flushed floor, drops e's deleted tables and removes its retired WAL
 // segments (readers hold RLock throughout, so none still reads them). A
-// refused edit or failed manifest write only drops e's added tables.
+// refused edit or failed manifest write only drops e's added tables. A
+// table both added and deleted (a trivial move) lives on in either case.
 // Caller holds db.mu.
 func (db *DB) applyEditLocked(e *versionEdit) error {
 	nv, err := db.v.apply(e)
@@ -177,15 +191,24 @@ func (db *DB) applyEditLocked(e *versionEdit) error {
 		err = saveManifest(db.dir, nv.toManifest(db.nextFileNum.Load(), e.flushedSeq))
 	}
 	if err != nil {
-		db.dropTable(e.added...)
+		db.dropTablesExcept(e.added, e.deleted)
 		return err
 	}
 	db.v, db.flushedSeq = nv, e.flushedSeq
-	db.dropTable(e.deleted...)
+	db.dropTablesExcept(e.deleted, e.added)
 	for _, p := range e.retiredWALs {
 		_ = os.Remove(p)
 	}
 	return nil
+}
+
+// dropTablesExcept drops the tables of fms that keep does not hold.
+func (db *DB) dropTablesExcept(fms, keep []*FileMeta) {
+	for _, fm := range fms {
+		if !slices.Contains(keep, fm) {
+			db.dropTable(fm)
+		}
+	}
 }
 
 // dropTable retires tables that no installed version references: it

@@ -30,6 +30,10 @@ const (
 	EventCompactionDone  EventType = "compaction_done"
 	EventCompactionError EventType = "compaction_error"
 	EventWALRotate       EventType = "wal_rotate"
+	// EventTrivialMove is a compaction that moved its input tables one
+	// level down by a version edit alone: Level is the source level,
+	// Inputs the file count, and no bytes were written.
+	EventTrivialMove EventType = "trivial_move"
 	// Model/advisor observability (DESIGN.md §5.7): emitted by the
 	// workload profiler when the observed/predicted cost ratio leaves the
 	// model's confidence band, and by the advisor monitor when the live
