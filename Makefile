@@ -84,10 +84,13 @@ verify: vet lint build bench-test
 # race-detector pass over every package, and 10-second fuzz smokes of
 # the sstable block round-trip, the block deflater against
 # compress/flate's BestSpeed writer, the block inflater against
-# compress/flate's reader, the posting-list codec, the attribute scanner
+# compress/flate's reader, the posting-list codec (round trip, and
+# Cursor.Prime's rejection of out-of-order lists), the attribute scanner
 # against its json.Unmarshal oracle, the newest-first candidate stream
 # against decode-all + stable sort (and its rejection of out-of-order
-# fragments), Composite's seq-bounded candidate
+# fragments) together with the Lazy flush/compaction merger, which
+# drains the same heap, against the reference postings.Merge and a
+# linear-scan oracle, Composite's seq-bounded candidate
 # stream against a merged scan of the whole index table, and Embedded's
 # and the posting kinds' (Lazy, Eager) seq-bounded top-K reads against a
 # model, the latter also from a database written before index records

@@ -282,7 +282,7 @@ func Open(dir string, opts Options) (*DB, error) {
 				// and injected into both the engine and the merger.
 				st := &metrics.IOStats{}
 				idxOpts.Stats = st
-				idxOpts.Merge = &lazyMerger{st: st}
+				idxOpts.NewMerger = func() lsm.Merger { return &lazyMerger{st: st} }
 			}
 			idx, err := lsm.Open(filepath.Join(dir, "index-"+attr), &idxOpts)
 			if err != nil {
@@ -574,37 +574,61 @@ func (db *DB) FilterMemoryUsage() int {
 // one-entry fragments its blind PUTs left in the MemTable, and during
 // index-table compaction, the fragments scattered across levels (paper
 // §4.1.2: "During merge compaction, we merge these fragmented lists").
-// The engine merges only through a per-job fork (ForkMerger), so one
-// goroutine uses a merger's scratch, and the output buffer is reused
-// across calls: the engine copies a merged value before the next Merge
-// runs.
+// It drains the fragmentHeap that LOOKUP reads. A job's merger is its
+// own (lsm.Options.NewMerger), so it keeps its heap, key set and buffer
+// across Merges without a lock; the engine copies a merged value before
+// the next Merge.
 type lazyMerger struct {
-	st  *metrics.IOStats
-	sc  postings.MergeScratch
-	buf []byte
+	st   *metrics.IOStats
+	heap fragmentHeap
+	seen postings.KeySet
+	buf  []byte
 }
 
+// Merge writes the newest entry per primary key of values, newest first,
+// dropping deletion markers when bottom, and books the decode work. It
+// elides the key when no entry survives, and salvages an ill-formed
+// fragment set (mergeSalvage).
 func (m *lazyMerger) Merge(_ []byte, values [][]byte, bottom bool) ([]byte, bool) {
-	out, err := m.sc.Merge(m.buf[:0], values, bottom)
+	out, err := m.merge(values, bottom)
 	if err != nil {
 		return m.mergeSalvage(values, bottom)
 	}
 	m.buf = out
-	m.st.PostingsBytesDecoded.Add(m.sc.BytesDecoded())
-	m.st.PostingsEntriesDecoded.Add(m.sc.EntriesDecoded())
-	m.st.FragmentsMerged.Add(m.sc.FragmentsMerged())
-	if m.sc.EntriesEmitted() == 0 {
+	var entries, nbytes int64
+	for i := range m.heap.curs {
+		// An empty list's magic byte is not decode work.
+		if c := &m.heap.curs[i]; c.EntriesDecoded() > 0 {
+			entries += c.EntriesDecoded()
+			nbytes += c.BytesDecoded()
+		}
+	}
+	m.st.PostingsBytesDecoded.Add(nbytes)
+	m.st.PostingsEntriesDecoded.Add(entries)
+	m.st.FragmentsMerged.Add(int64(len(values)))
+	if len(out) == 1 { // the magic byte alone: nothing survived
 		return nil, false
 	}
 	return out, true
 }
 
-// ForkMerger implements lsm.MergerForker: each flush or compaction job gets a
-// private MergeScratch and output buffer, dropped when the job ends, while
-// the shared IOStats keeps aggregating decode counters (its fields are
-// atomic).
-func (m *lazyMerger) ForkMerger() lsm.Merger {
-	return &lazyMerger{st: m.st}
+// merge drains the heap over values into m.buf in v2: the first entry of
+// each primary key wins, as in LOOKUP, and a winning deletion marker is
+// dropped when bottom.
+//
+//lsm:hotpath
+func (m *lazyMerger) merge(values [][]byte, bottom bool) ([]byte, error) {
+	if err := m.heap.load(values); err != nil {
+		return nil, err
+	}
+	m.seen.Reset()
+	out, prev := append(m.buf[:0], postings.MagicV2), uint64(0)
+	for key, seq, del, ok := m.heap.next(); ok; key, seq, del, ok = m.heap.next() {
+		if m.seen.Insert(key) && !(bottom && del) {
+			out, prev = postings.AppendEntry(out, prev, key, seq, del)
+		}
+	}
+	return out, m.heap.err
 }
 
 // mergeSalvage preserves the seed behaviour when a fragment is ill-formed

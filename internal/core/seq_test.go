@@ -358,7 +358,7 @@ func TestPostingStreamInterleavedTables(t *testing.T) {
 	st := &metrics.IOStats{}
 	idx, err := lsm.Open(t.TempDir(), &lsm.Options{MemTableBytes: 256 << 10, DisableCompression: true,
 		BaseLevelBytes: 1 << 20, LevelMultiplier: 4, L0CompactionTrigger: 2,
-		Stats: st, Merge: &lazyMerger{st: st}})
+		Stats: st, NewMerger: func() lsm.Merger { return &lazyMerger{st: st} }})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -152,18 +152,19 @@ func (db *DB) validate(c *chunk, q *query) error {
 	return err
 }
 
-// fragmentHeap is the posting kinds' source: a max-heap of cursors on
-// posting-list fragments by current seq, ties to the earlier fragment.
+// fragmentHeap is the one k-way merge of posting-list fragments: a
+// max-heap of cursors by current seq, ties to the earlier fragment.
 // Fragments are newest first within themselves, so the heap yields the
-// global order while decoding only what is consumed. A Lazy MemTable
-// holds a secondary key's versions newest first, each newer than the
-// next, so one cursor reads them all: when a version ends, the cursor
-// moves on to the key's next older version (its chain). Its feed queues
-// fragments only when they may be needed: point LOOKUP's chain one stratum
-// at a time once the heap runs dry, RANGELOOKUP's units once the top is
-// older than their bound. Every fragment is primed (pre-walked) before
+// global order while decoding only what is consumed. It is the posting
+// kinds' candidateSource, and lazyMerger drains it at flush and
+// compaction (load). A Lazy MemTable holds a secondary key's versions
+// newest first, each newer than the next, so one cursor reads them all:
+// when a version ends, the cursor moves on to the key's next older
+// version (its chain). Its feed queues fragments only when they may be
+// needed: point LOOKUP's chain one stratum at a time once the heap runs
+// dry, RANGELOOKUP's units once the top is older than their bound. Every fragment is primed (pre-walked) before
 // use, so an ill-formed one, corrupt or out of newest-first order, fails
-// the query with postings.ErrCorrupt.
+// the query or the merge with postings.ErrCorrupt.
 type fragmentHeap struct {
 	feed   fragmentFeed // nil once drained
 	tr     *metrics.Trace
@@ -285,9 +286,34 @@ func (s *fragmentHeap) add(f fragment) error {
 	ok, err := s.advance(c)
 	if err == nil && ok {
 		s.h = append(s.h, int32(len(s.curs)-1))
-		siftUp(s.h, len(s.h)-1, s.before)
+		s.up(len(s.h) - 1)
 	}
 	return err
+}
+
+// load makes s the heap over values, one key's fragments newest first,
+// keeping s's arrays and its cursors' v1 buffers from the last load. Every
+// fragment is known up front, so it builds the heap bottom-up.
+func (s *fragmentHeap) load(values [][]byte) error {
+	*s = fragmentHeap{curs: s.curs[:0], h: s.h[:0]}
+	for _, v := range values {
+		if len(s.curs) < cap(s.curs) {
+			s.curs = s.curs[:len(s.curs)+1]
+		} else {
+			s.curs = append(s.curs, cursor{})
+		}
+		c := &s.curs[len(s.curs)-1]
+		if err := c.Prime(v); err != nil {
+			return err
+		}
+		if c.Next() {
+			s.h = append(s.h, int32(len(s.curs)-1))
+		}
+	}
+	for i := len(s.h)/2 - 1; i >= 0; i-- {
+		s.down(i)
+	}
+	return nil
 }
 
 // prime points c at data, booking the decode work of the fragment it
@@ -307,6 +333,9 @@ func (s *fragmentHeap) prime(c *cursor, data []byte) error {
 // exhausted.
 func (s *fragmentHeap) advance(c *cursor) (ok bool, err error) {
 	for !c.Next() {
+		if !c.chain.it.Valid() { // no older version: spare the call
+			return false, nil
+		}
 		data, more := c.chain.older()
 		if !more {
 			return false, nil
@@ -338,9 +367,45 @@ func (s *fragmentHeap) topSeq() uint64 {
 	return s.curs[s.h[0]].Seq()
 }
 
+// before is the heap's order on cursor indices: the higher current seq
+// first, ties to the earlier fragment.
 func (s *fragmentHeap) before(a, b int32) bool {
 	sa, sb := s.curs[a].Seq(), s.curs[b].Seq()
 	return sa > sb || sa == sb && a < b
+}
+
+// up moves h[i] up to its place in the heap.
+func (s *fragmentHeap) up(i int) {
+	h := s.h
+	for i > 0 {
+		p := (i - 1) / 2
+		if !s.before(h[i], h[p]) {
+			return
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+}
+
+// down moves h[i] down to its place in the heap.
+//
+//lsm:hotpath
+func (s *fragmentHeap) down(i int) {
+	h := s.h
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if r := c + 1; r < len(h) && s.before(h[r], h[c]) {
+			c = r
+		}
+		if !s.before(h[c], h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 //lsm:hotpath
@@ -359,7 +424,7 @@ func (s *fragmentHeap) next() ([]byte, uint64, bool, bool) {
 			s.h[0] = s.h[last]
 			s.h = s.h[:last]
 		}
-		siftDown(s.h, 0, s.before)
+		s.down(0)
 	}
 	for s.feed != nil && s.feed.due(s.topSeq(), len(s.h) == 0) {
 		s.pull()

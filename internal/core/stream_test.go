@@ -596,11 +596,15 @@ func firstOccurrences(in []streamed) []streamed {
 // FuzzNewestFirstStream: on arbitrary fragment sets the cursor heap either
 // fails exactly when a fragment fails to decode or is out of newest-first
 // order, or yields the same first-occurrence sequence as decoding
-// everything and stably sorting it by seq descending. The seed corpus is
+// everything and stably sorting it by seq descending. lazyMerger drains
+// the same heap: on such a set it fails too, and otherwise, for both
+// values of bottom, writes the linear scan's bytes and the reference
+// postings.Merge's entries. The seed corpus is
 // testdata/fuzz/FuzzNewestFirstStream.
 func FuzzNewestFirstStream(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		frags := fuzzFragments(data)
+		var lists []postings.List
 		var all []streamed
 		var refErr error
 		for _, fr := range frags {
@@ -609,11 +613,19 @@ func FuzzNewestFirstStream(f *testing.F) {
 				refErr = err
 				break
 			}
+			lists = append(lists, l)
 			for i, e := range l {
 				if i > 0 && e.Seq > l[i-1].Seq {
 					refErr = postings.ErrCorrupt
 				}
 				all = append(all, streamed{e.Key, e.Seq, e.Del})
+			}
+		}
+		for _, bottom := range []bool{false, true} {
+			if refErr == nil {
+				checkMergeMatches(t, lists, frags, bottom)
+			} else if _, err := mergeFresh(frags, bottom); err == nil {
+				t.Fatalf("bottom=%v: merge accepted fragments the reference rejects (%v)", bottom, refErr)
 			}
 		}
 		h, err := newFragmentHeap(frags, nil)

@@ -111,7 +111,7 @@ func TestBatchCrashAtomicity(t *testing.T) {
 // with the version committed before the batch.
 func TestBatchVersionsCoalesceAtFlush(t *testing.T) {
 	opts := smallOpts()
-	opts.Merge = concatMerger{}
+	opts.NewMerger = newConcatMerger
 	db, _ := openTestDB(t, opts)
 	mustPut(t, db, "list", "a") // committed before the batch
 	var b Batch
@@ -139,7 +139,7 @@ func TestBatchVersionsSurviveReplay(t *testing.T) {
 	dir := t.TempDir()
 	opts := smallOpts()
 	opts.MemTableBytes = 1 << 30
-	opts.Merge = concatMerger{}
+	opts.NewMerger = newConcatMerger
 	db, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)

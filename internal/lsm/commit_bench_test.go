@@ -19,11 +19,11 @@ import (
 // share it can be.
 func BenchmarkIngestGroupCommit(b *testing.B) {
 	val := bytes.Repeat([]byte("v"), 550) // paper's average tweet size
-	run := func(b *testing.B, writers int, mode wal.SyncMode, merge Merger) {
+	run := func(b *testing.B, writers int, mode wal.SyncMode, newMerger func() Merger) {
 		opts := &Options{
 			MemTableBytes: 1 << 30, // keep flushes out of the measurement
 			SyncMode:      mode,
-			Merge:         merge,
+			NewMerger:     newMerger,
 		}
 		db, _ := openTestDB(b, opts)
 		before := db.Stats().Snapshot()
@@ -56,5 +56,5 @@ func BenchmarkIngestGroupCommit(b *testing.B) {
 	}
 	b.Run("writers=1/sync=grouped", func(b *testing.B) { run(b, 1, wal.SyncGrouped, nil) })
 	b.Run("writers=8/sync=grouped", func(b *testing.B) { run(b, 8, wal.SyncGrouped, nil) })
-	b.Run("writers=1/sync=off/merge", func(b *testing.B) { run(b, 1, wal.SyncOff, concatMerger{}) })
+	b.Run("writers=1/sync=off/merge", func(b *testing.B) { run(b, 1, wal.SyncOff, newConcatMerger) })
 }

@@ -191,7 +191,7 @@ func TestGroupCommitConcurrentStress(t *testing.T) {
 // is unchanged. Puts are blind, so a Merger leaves the log alone.
 func TestGroupCommitWALEquivalence(t *testing.T) {
 	const parentSHA = "1c678f3c7d28dafc6253690989074968810c3f282e4dbb52bc99df44f2b30ddf"
-	db, err := Open(t.TempDir(), &Options{MemTableBytes: 64 << 20, Merge: concatMerger{}})
+	db, err := Open(t.TempDir(), &Options{MemTableBytes: 64 << 20, NewMerger: newConcatMerger})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestUncontendedCommitAllocations(t *testing.T) {
 	} {
 		opts := &Options{MemTableBytes: 1 << 30}
 		if c.merge {
-			opts.Merge = concatMerger{}
+			opts.NewMerger = newConcatMerger
 		}
 		db, _ := openTestDB(t, opts)
 		i := 0

@@ -15,7 +15,7 @@ import (
 // merge (unless bottom-most) so the deep fragment stays shadowed.
 func TestMergerPreservesTombstoneShadowing(t *testing.T) {
 	opts := smallOpts()
-	opts.Merge = concatMerger{}
+	opts.NewMerger = newConcatMerger
 	opts.L0CompactionTrigger = 100 // manual control below
 	db, _ := openTestDB(t, opts)
 
@@ -50,7 +50,7 @@ func TestMergerPreservesTombstoneShadowing(t *testing.T) {
 // a tombstone disappears entirely once compaction reaches the base level.
 func TestMergerDropsDeletedKeyAtBottom(t *testing.T) {
 	opts := smallOpts()
-	opts.Merge = concatMerger{}
+	opts.NewMerger = newConcatMerger
 	db, _ := openTestDB(t, opts)
 	mustPut(t, db, "victim", "a")
 	db.Flush()

@@ -254,7 +254,7 @@ func TestRecoveryWithTornWAL(t *testing.T) {
 // merged value, as it survives a compaction into a non-base level.
 func TestFlushCoalescesVersions(t *testing.T) {
 	opts := smallOpts()
-	opts.Merge = concatMerger{}
+	opts.NewMerger = newConcatMerger
 	db, _ := openTestDB(t, opts)
 	mustPut(t, db, "list", "a")
 	mustPut(t, db, "list", "b")
@@ -293,23 +293,31 @@ func TestFlushCoalescesVersions(t *testing.T) {
 	}
 }
 
-// concatMerger joins all observed values oldest→newest with '|'.
-type concatMerger struct{}
+// concatMerger joins all observed values oldest→newest with '|'. It
+// writes every result into one reused buffer, as a Merger may: a job's
+// Merger is its own, and the engine copies each result before the next
+// call.
+type concatMerger struct{ buf []byte }
 
-func (concatMerger) Merge(_ []byte, values [][]byte, _ bool) ([]byte, bool) {
+func newConcatMerger() Merger { return &concatMerger{} }
+
+func (m *concatMerger) Merge(_ []byte, values [][]byte, _ bool) ([]byte, bool) {
 	// values arrive newest→oldest; concatenate oldest first.
-	var out []byte
+	out := m.buf[:0]
 	for i := len(values) - 1; i >= 0; i-- {
 		if len(out) > 0 {
 			out = append(out, '|')
 		}
 		out = append(out, values[i]...)
 	}
+	m.buf = out
 	return out, true
 }
 
 // elideMerger elides every key it merges.
 type elideMerger struct{}
+
+func newElideMerger() Merger { return elideMerger{} }
 
 func (elideMerger) Merge([]byte, [][]byte, bool) ([]byte, bool) { return nil, false }
 
@@ -371,14 +379,14 @@ func TestOpenFailureClosesTables(t *testing.T) {
 func TestFlushElidedMemTable(t *testing.T) {
 	log := metrics.NewEventLog(64)
 	opts := smallOpts()
-	opts.Merge = concatMerger{}
+	opts.NewMerger = newConcatMerger
 	opts.Events = log
 	db, dir := openTestDB(t, opts)
 	mustPut(t, db, "kept", "one")
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	db.opts.Merge = elideMerger{}
+	db.opts.NewMerger = newElideMerger
 	mustPut(t, db, "gone", "two")
 	tables, nextNum := tableFiles(t, dir), db.nextFileNum.Load()
 	db.testCompactRoll = func() error {
@@ -413,7 +421,7 @@ func TestFlushElidedMemTable(t *testing.T) {
 	if e := done[1]; e.Outputs != 0 || e.Entries != 0 || e.Bytes != 0 {
 		t.Fatalf("elided flush_done %+v, want no output, entries or bytes", e)
 	}
-	db.opts.Merge = concatMerger{}
+	db.opts.NewMerger = newConcatMerger
 	if err := db.CompactRange(nil, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +435,7 @@ func TestFlushElidedMemTable(t *testing.T) {
 
 func TestCompactionMerger(t *testing.T) {
 	opts := smallOpts()
-	opts.Merge = concatMerger{}
+	opts.NewMerger = newConcatMerger
 	db, _ := openTestDB(t, opts)
 	// Write fragments of the same key into separate L0 files.
 	mustPut(t, db, "frag", "one")

@@ -208,15 +208,6 @@ func resolveGroup(merger Merger, bottom bool, g *keyGroup, emit func(ik, value [
 	return emit(g.ikeys[0], g.values[0])
 }
 
-// forkMerger returns the Merger one flush or compaction job merges
-// through: a fork of the configured one when it supports forking.
-func (db *DB) forkMerger() Merger {
-	if forker, ok := db.opts.Merge.(MergerForker); ok {
-		return forker.ForkMerger()
-	}
-	return db.opts.Merge
-}
-
 // compactionWriter writes resolved entries, in key order, into output
 // tables that it opens on its first entry. A compaction's writer rolls
 // target-size tables; a flush's writes one level-0 table with flush I/O
@@ -346,7 +337,7 @@ func (db *DB) mergeFlush(mem *memTable) ([]*FileMeta, error) {
 	it := mem.iter()
 	it.SeekToFirst()
 	h.pushMem(it)
-	merger := db.forkMerger()
+	merger := db.opts.NewMerger()
 	w := db.newCompactionWriter(nil, true)
 	return w.finish(mergeGroups(h, func(g *keyGroup) error {
 		return resolveGroup(merger, false, g, w.add)
@@ -400,12 +391,12 @@ func mergeStream(all []*FileMeta, target int, base *version, merger Merger,
 // returns them. It reads only the job and immutable DB state, so the
 // compaction job runs it without holding db.mu: input tables are
 // immutable files, and job.base stays valid (see compactionJob). A merge
-// goroutine with the job's own Merger fork produces the resolved stream,
+// goroutine with the job's own Merger produces the resolved stream,
 // and this goroutine writes it. If the writer fails it closes quit, drains
 // the stream and returns its own error; if the merge fails, its error is
 // returned as it is.
 func (db *DB) mergeCompaction(job *compactionJob, tr *metrics.Trace) ([]*FileMeta, error) {
-	merger := db.forkMerger()
+	merger := db.opts.NewMerger()
 	t0 := time.Now()
 	// A few batches of slack let the merge run ahead while the writer
 	// finishes and fsyncs a table.

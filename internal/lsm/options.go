@@ -24,28 +24,15 @@ import (
 // Merger combines multiple values of the same user key during flush and
 // compaction. The Lazy secondary index uses it to merge the posting-list
 // fragments its blind PUTs leave in the MemTable and across levels (paper
-// §4.1.2); the default (nil) behaviour keeps only the newest value.
+// §4.1.2); without one (Options.NewMerger nil) the newest value wins.
 type Merger interface {
 	// Merge receives every value observed for userKey in this flush or
 	// compaction, ordered newest to oldest. bottom reports that no deeper
 	// level can contain this key, allowing deletion markers to be dropped
 	// (never at flush). Returning keep=false elides the key from the
-	// output entirely.
+	// output entirely. merged may alias the Merger's scratch: the engine
+	// copies it before the next call.
 	Merge(userKey []byte, values [][]byte, bottom bool) (merged []byte, keep bool)
-}
-
-// MergerForker is optionally implemented by Mergers that carry per-call
-// scratch state. The engine calls ForkMerger once per flush or
-// compaction job and merges through the fork only, so each job has a
-// private scratch that is dropped when the job ends. A Merger that does
-// not implement it is shared by every job, and a flush and jobs on
-// disjoint level pairs may run at once, so it must be safe for
-// concurrent use.
-type MergerForker interface {
-	Merger
-	// ForkMerger returns a Merger with private mutable state; shared
-	// counters may be retained (they must be concurrency-safe).
-	ForkMerger() Merger
 }
 
 // AttrExtractor appends the indexed secondary attribute values of an
@@ -90,9 +77,11 @@ type Options struct {
 	// Extract provides attribute values at table-build time; required
 	// when SecondaryAttrs is non-empty.
 	Extract AttrExtractor
-	// Merge, when set, merges multi-version values during flush and
-	// compaction.
-	Merge Merger
+	// NewMerger, when set, returns the Merger that merges multi-version
+	// values during flush and compaction. Each flush or compaction job
+	// calls it once and is the only user of the Merger it gets, so a
+	// Merger may keep scratch across Merge calls without locking.
+	NewMerger func() Merger
 	// SyncMode selects WAL durability per commit: off (never fsync; the
 	// zero value, and the paper's configuration — its throughput
 	// experiments run LevelDB in its default async mode) or grouped (one
@@ -146,6 +135,9 @@ func (o *Options) withDefaults() Options {
 	}
 	if opts.Stats == nil {
 		opts.Stats = &metrics.IOStats{}
+	}
+	if opts.NewMerger == nil {
+		opts.NewMerger = func() Merger { return nil }
 	}
 	return opts
 }

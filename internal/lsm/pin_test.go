@@ -62,7 +62,7 @@ var deterministicPin = map[string]string{
 // order, file numbering and merge resolution all show up in these bytes.
 func TestDeterministicModeFilesPinned(t *testing.T) {
 	opts := smallOpts()
-	opts.Merge = concatMerger{}
+	opts.NewMerger = newConcatMerger
 	dir := t.TempDir()
 	db, err := Open(dir, opts)
 	if err != nil {

@@ -17,8 +17,8 @@ import (
 // arithmetic, so Decode round-trips any seq sequence exactly; but a list
 // whose seqs rise is not well-formed, and Cursor.Prime rejects it.
 // There is no count header: a Cursor iterates until the buffer is
-// exhausted, which is what lets AppendSingle emit a fragment and
-// MergeStreams append entries without knowing the total up front.
+// exhausted, which is what lets AppendSingle emit a fragment and a merge
+// append entries (AppendEntry) without knowing the total up front.
 
 // MagicV2 is the first byte of every v2-encoded posting list. A v1 JSON
 // list always starts with '[' (0x5B), so a single-byte sniff
@@ -26,15 +26,17 @@ import (
 const MagicV2 = 0x02
 
 // ErrCorrupt reports an ill-formed posting list: a truncated varint, a
-// key length running past the buffer, or (found by Cursor.Prime and the
-// merges) a sequence number that rises, breaking newest-first order.
+// key length running past the buffer, or (found by Cursor.Prime) a
+// sequence number that rises, breaking newest-first order.
 var ErrCorrupt = errors.New("postings: corrupt posting list")
 
-// appendEntry appends one v2 entry to dst and returns the extended buffer
-// and the entry's sequence number (the caller's next prevSeq).
+// AppendEntry appends one v2 entry to dst and returns the extended buffer
+// and the entry's sequence number (the caller's next prevSeq). A list is
+// MagicV2 followed by its entries appended newest first, prevSeq starting
+// at 0; every writer of the package and the Lazy merger write through it.
 //
 //lsm:hotpath
-func appendEntry(dst []byte, prevSeq uint64, key []byte, seq uint64, del bool) ([]byte, uint64) {
+func AppendEntry[K string | []byte](dst []byte, prevSeq uint64, key K, seq uint64, del bool) ([]byte, uint64) {
 	u := uint64(len(key)) << 1
 	if del {
 		u |= 1
@@ -50,7 +52,7 @@ func AppendList(dst []byte, l List) []byte {
 	dst = append(dst, MagicV2)
 	prev := uint64(0)
 	for i := range l {
-		dst, prev = appendEntry(dst, prev, []byte(l[i].Key), l[i].Seq, l[i].Del)
+		dst, prev = AppendEntry(dst, prev, l[i].Key, l[i].Seq, l[i].Del)
 	}
 	return dst
 }
@@ -61,14 +63,8 @@ func AppendList(dst []byte, l List) []byte {
 //
 //lsm:hotpath
 func AppendSingle(dst []byte, key string, seq uint64, del bool) []byte {
-	dst = append(dst, MagicV2)
-	u := uint64(len(key)) << 1
-	if del {
-		u |= 1
-	}
-	dst = binary.AppendUvarint(dst, u)
-	dst = binary.AppendVarint(dst, int64(seq))
-	return append(dst, key...)
+	dst, _ = AppendEntry(append(dst, MagicV2), 0, key, seq, del)
+	return dst
 }
 
 // decodeV2 materializes a v2 list (Decode's slow path; hot readers use a
@@ -227,3 +223,29 @@ func (c *Cursor) EntriesDecoded() int64 { return c.entries }
 // BytesDecoded returns the v2 bytes consumed since Reset (for v1 input,
 // of its re-encoding), charged per entry like EntriesDecoded.
 func (c *Cursor) BytesDecoded() int64 { return c.bytes }
+
+// AppendAdd re-encodes existing (either format; nil for a missing list)
+// with a new posting for key prepended and any older entry for the same
+// primary key removed — the Eager index's read-modify-write — appending
+// the result to dst (pass a reused buffer sliced to [:0]) in v2. The
+// stored list is already newest-first, so the update is a streaming
+// prepend + dedup with no re-sort and, for v2 input with sufficient dst
+// capacity, no heap allocation. decoded reports the entries read from
+// existing (I/O accounting).
+func AppendAdd(dst []byte, existing []byte, key string, seq uint64, del bool) (out []byte, decoded int64, err error) {
+	var c Cursor
+	if err := c.Reset(existing); err != nil {
+		return nil, 0, err
+	}
+	dst, prev := AppendEntry(append(dst, MagicV2), 0, key, seq, del)
+	for c.Next() {
+		if string(c.Key()) == key {
+			continue
+		}
+		dst, prev = AppendEntry(dst, prev, c.Key(), c.Seq(), c.Del())
+	}
+	if err := c.Err(); err != nil {
+		return nil, 0, err
+	}
+	return dst, c.EntriesDecoded(), nil
+}

@@ -12,7 +12,7 @@ import (
 // each byte contributes one entry whose key is drawn from a small
 // printable alphabet (JSON-safe, so v1 and v2 can represent the same
 // list), with sequence numbers descending-by-default but occasionally
-// jumping up, which makes the list ill-formed for the streaming merge.
+// jumping up, which makes the list ill-formed: Cursor.Prime rejects it.
 func listFromFuzz(data []byte) List {
 	var l List
 	seq := uint64(len(data)) * 7
@@ -47,23 +47,6 @@ func newestFirst(frags []List) bool {
 	return true
 }
 
-// splitFuzz cuts the derived list into up to four fragments.
-func splitFuzz(l List, data []byte) []List {
-	if len(l) == 0 {
-		return nil
-	}
-	n := 1
-	if len(data) > 0 {
-		n = int(data[0]%4) + 1
-	}
-	var frags []List
-	for i := 0; i < n; i++ {
-		lo, hi := i*len(l)/n, (i+1)*len(l)/n
-		frags = append(frags, l[lo:hi])
-	}
-	return frags
-}
-
 func FuzzPostingsRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7})
@@ -86,41 +69,12 @@ func FuzzPostingsRoundTrip(f *testing.F) {
 			}
 		}
 
-		// Streaming merge over any fragment mix must fail with ErrCorrupt
-		// exactly when a fragment is out of newest-first order, and
-		// otherwise match the reference Merge up to its unstable equal-seq
-		// ordering.
-		frags := splitFuzz(l, data)
-		for _, drop := range []bool{false, true} {
-			want := canonical(Merge(frags, drop))
-			var enc [][]byte
-			for i, frag := range frags {
-				enc = append(enc, encoders[1-i%2].encode(frag)) // v2, v1, v2, ...
-			}
-			out, err := mergeStreams(nil, enc, drop)
-			if !newestFirst(frags) {
-				if !errors.Is(err, ErrCorrupt) {
-					t.Fatalf("drop=%v: MergeStreams err = %v on out-of-order fragments, want %v", drop, err, ErrCorrupt)
-				}
-				continue
-			}
-			if err != nil {
-				t.Fatalf("MergeStreams: %v", err)
-			}
-			got, err := Decode(out)
-			if err != nil {
-				t.Fatalf("decode merged: %v", err)
-			}
-			if !reflect.DeepEqual(canonical(got), want) {
-				t.Fatalf("drop=%v: MergeStreams = %+v want %+v", drop, got, want)
-			}
-			// The heap of cursors gives the linear max-scan's bytes.
-			var v2 [][]byte
-			for _, frag := range frags {
-				v2 = append(v2, AppendList(nil, frag))
-			}
-			if heap, linear := mergeBoth(t, v2, drop); !bytes.Equal(heap, linear) {
-				t.Fatalf("drop=%v: heap merge %x, linear scan %x", drop, heap, linear)
+		// Priming must fail with ErrCorrupt exactly when the list is out
+		// of newest-first order, in either encoding.
+		for _, fm := range encoders {
+			var c Cursor
+			if err := c.Prime(fm.encode(l)); (err == nil) != newestFirst([]List{l}) || err != nil && !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s Prime err = %v, newest first %v", fm.name, err, newestFirst([]List{l}))
 			}
 		}
 
@@ -173,8 +127,8 @@ func FuzzPostingsGarbage(f *testing.F) {
 			t.Fatalf("Cursor yielded %d entries, Decode %d", n, len(l))
 		}
 
-		if _, merr := mergeStreams(nil, [][]byte{data, data}, false); (merr == nil) != (err == nil && newestFirst([]List{l})) {
-			t.Fatalf("Decode err=%v but MergeStreams err=%v", err, merr)
+		if perr := c.Prime(data); (perr == nil) != (err == nil && newestFirst([]List{l})) {
+			t.Fatalf("Decode err=%v but Prime err=%v", err, perr)
 		}
 		if _, _, aerr := AppendAdd(nil, data, "k", 1, false); (aerr == nil) != (err == nil) {
 			t.Fatalf("Decode err=%v but AppendAdd err=%v", err, aerr)

@@ -16,11 +16,15 @@
 // v1/v2 fragments inside one merge — are always readable. Every writer
 // emits v2: v1 lists come only from databases written by the seed.
 //
+// The streaming k-way merge of encoded fragments, which flush, compaction
+// and LOOKUP share, is internal/core's fragmentHeap, built on this
+// package's Cursor, KeySet and AppendEntry.
+//
 // In either format a well-formed list is newest first: its sequence
 // numbers never rise. Every writer, the seed's included, emits that
-// order, and the streaming readers (Cursor.Prime, MergeScratch) reject a
-// list that breaks it with ErrCorrupt, as they reject a truncated one.
-// Decode and the reference Merge take any order.
+// order, and Cursor.Prime rejects a list that breaks it with ErrCorrupt,
+// as it rejects a truncated one. Decode and the reference Merge take any
+// order.
 //
 // Lazy-index deletions are represented as in the paper: "DEL ... maintains
 // a deletion marker which is used during merge in compaction to remove the
@@ -62,8 +66,8 @@ func Decode(data []byte) (List, error) {
 // Merge combines decoded fragments ordered newest-fragment-first into one
 // list: per primary key only the newest entry survives, and when
 // dropDeleted is true (bottom-level compaction) surviving deletion markers
-// are removed. The result is ordered newest first. MergeScratch.Merge
-// performs the same merge directly over encoded fragments.
+// are removed. The result is ordered newest first. It is the reference
+// for the streaming merge over encoded fragments in internal/core.
 func Merge(fragments []List, dropDeleted bool) List {
 	newest := map[string]Entry{}
 	for _, frag := range fragments {
