@@ -20,11 +20,13 @@ lint:
 # Race-detector smoke over the packages the lockorder and lockguard
 # analyzers reason about: the commit-queue, compaction merge stream
 # and flush/compaction pipeline tests in internal/lsm (TestBackground*:
-# concurrent writers running flush and compaction jobs beside readers,
-# CompactRange, Checkpoint, Close and a parked flush job; a failed
-# compaction writer canceling its merge goroutine, which only compactions
-# start (a flush merges on its caller); writer-run jobs racing Flush and two
-# CompactRange callers; and the sorted batch read behind chunked
+# concurrent writers whose freezes hand flush and compaction jobs to a
+# handoff goroutine, beside readers, Stats, CompactRange, Checkpoint,
+# Close and a parked handoff; Close waiting for a parked compaction on a
+# poisoned pipeline; a failed compaction writer canceling its merge
+# goroutine, which only compactions start (a flush merges on the
+# handoff's goroutine); handoffs racing Flush and two CompactRange
+# callers; and the sorted batch read behind chunked
 # validation over a parked frozen MemTable), concurrent core writers
 # (every write takes the commit queue), the one core write path
 # (TestIndexBeforeData parks a PUT and a batch between their index and
@@ -36,13 +38,13 @@ lint:
 # counters while concurrent writers commit, flush and compact. Dynamic
 # confirmation that the statically blessed lock order holds under
 # contention. It is also the goroutine-leak check: the TestBackground*
-# tests bound Close (closeWithin), so a job that never ends fails them
-# with a goroutine dump, and the drain tests fail if a merge goroutine
-# outlives its job. The sstable test runs concurrent table builds and
+# tests bound Close (closeWithin), so a handoff that never ends fails
+# them with a goroutine dump, and the drain tests fail if a handoff or
+# merge goroutine outlives its install. The sstable test runs concurrent table builds and
 # reads over the shared deflater and block decoder pools.
 lint-race:
 	$(GO) test -race -run 'TestConcurrentBuildAndRead' ./internal/sstable/
-	$(GO) test -race -run 'TestGroupCommit|TestCommit|TestUncontendedCommit|TestCompactionWriterFailureCancels|TestBackground|TestDeterministicConcurrentDrains|TestGetSortedMatchesGet|TestTrivialMoveConcurrentReads' ./internal/lsm/
+	$(GO) test -race -run 'TestGroupCommit|TestCommit|TestUncontendedCommit|TestCompactionWriterFailureCancels|TestBackground|TestCloseWaitsForJobsWhenPoisoned|TestDeterministicConcurrentDrains|TestGetSortedMatchesGet|TestTrivialMoveConcurrentReads' ./internal/lsm/
 	$(GO) test -race -run 'TestGroupCommitConcurrentCore|TestConcurrentChunkedValidation|TestIndexBeforeData' ./internal/core/
 	$(GO) test -race -run 'TestProfilerConcurrent|TestWorkloadSnapshot' ./internal/explain/
 	$(GO) test -race -run 'TestHistogramRaceMixedReadersWriters|TestBucketCountingCumulative|TestBucketHistogramObserveAllocs' ./internal/metrics/

@@ -29,7 +29,7 @@ func (db *DB) eagerUpdate(idx *lsm.DB, attrValue []byte, key string, seq uint64,
 	if err != nil {
 		return err
 	}
-	st := idx.Stats()
+	st := idx.Counters()
 	st.PostingsBytesDecoded.Add(int64(len(cur)))
 	st.PostingsEntriesDecoded.Add(decoded)
 	err = idx.PutAt(attrValue, out, seq)

@@ -1,0 +1,129 @@
+package core
+
+import (
+	"encoding/json"
+	"fmt"
+	"io/fs"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+// TestHandoffCrashImage copies a database while every table's last
+// handoff has finished — its flush and compaction outputs written — and
+// none is installed: the image a crash leaves between two freezes. Each
+// table's copy must hold tables its MANIFEST does not name, and the
+// reopened copy must answer every acknowledged write through Get and
+// LOOKUP, for every index kind.
+func TestHandoffCrashImage(t *testing.T) {
+	for _, kind := range allKinds {
+		t.Run(kind.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			db, err := Open(dir, smallOptions(kind))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			m := newModel()
+			rng := rand.New(rand.NewSource(7))
+			for i := 0; i < 900; i++ {
+				key := fmt.Sprintf("t%04d", rng.Intn(300))
+				if rng.Intn(8) == 0 {
+					err = db.Delete(key)
+					m.del(key)
+				} else {
+					user := fmt.Sprintf("u%02d", rng.Intn(9))
+					err = db.Put(key, tweetDoc(user, i, "crash"))
+					m.put(key, user, i)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			db.Stats() // waits for every table's handoff; installs none
+			crash := t.TempDir()
+			err = filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+				if err != nil {
+					return err
+				}
+				rel, _ := filepath.Rel(dir, path)
+				if d.IsDir() {
+					return os.MkdirAll(filepath.Join(crash, rel), 0o755)
+				}
+				data, err := os.ReadFile(path)
+				if err != nil {
+					return err
+				}
+				return os.WriteFile(filepath.Join(crash, rel), data, 0o644)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if orphans := unnamedTables(t, filepath.Join(crash, "primary")); orphans == 0 {
+				t.Fatal("the crash image holds no primary table outside its MANIFEST")
+			}
+
+			re, err := Open(crash, smallOptions(kind))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			if orphans := unnamedTables(t, filepath.Join(crash, "primary")); orphans != 0 {
+				t.Fatalf("%d primary tables outside the MANIFEST survived the reopen", orphans)
+			}
+			for i := 0; i < 300; i++ {
+				key := fmt.Sprintf("t%04d", i)
+				_, ok, err := re.Get(key)
+				if _, want := m.recs[key]; err != nil || ok != want {
+					t.Fatalf("Get(%s) = %v %v, want %v", key, ok, err, want)
+				}
+			}
+			for u := 0; u < 9; u++ {
+				user := fmt.Sprintf("u%02d", u)
+				got, err := re.Lookup("UserID", user, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := m.lookup("UserID", user, user, 0); !sameKeys(keysOf(got), want) {
+					t.Fatalf("Lookup(%s) = %v, want %v", user, keysOf(got), want)
+				}
+			}
+		})
+	}
+}
+
+// unnamedTables counts the table files of an engine directory that its
+// MANIFEST does not name.
+func unnamedTables(t *testing.T, dir string) int {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(dir, "MANIFEST"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m struct {
+		Levels [][]struct {
+			Num uint64 `json:"num"`
+		} `json:"levels"`
+	}
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	named := map[string]bool{}
+	for _, level := range m.Levels {
+		for _, f := range level {
+			named[fmt.Sprintf("%06d.sst", f.Num)] = true
+		}
+	}
+	tables, err := filepath.Glob(filepath.Join(dir, "*.sst"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, p := range tables {
+		if !named[filepath.Base(p)] {
+			n++
+		}
+	}
+	return n
+}

@@ -445,7 +445,7 @@ func (s *fragmentHeap) finish(q *query) error {
 	}
 	q.tr.Count(metrics.CtrPostingFragments, s.primed)
 	q.tr.Count(metrics.CtrPostingEntries, entries)
-	st := q.idx.Stats()
+	st := q.idx.Counters()
 	st.PostingsBytesDecoded.Add(nbytes)
 	st.PostingsEntriesDecoded.Add(entries)
 	st.FragmentsMerged.Add(s.primed)

@@ -182,6 +182,7 @@ func TestBatchTriggersFlush(t *testing.T) {
 	if err := db.Apply(&b); err != nil {
 		t.Fatal(err)
 	}
+	installPending(t, db) // the batch's rotation handed its flush off
 	if levels := levelsOf(db); len(levels[0])+len(levels[1]) == 0 {
 		t.Fatal("large batch did not flush")
 	}

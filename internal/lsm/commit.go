@@ -282,7 +282,7 @@ func (db *DB) commitGroupLocked(group []*pendingCommit) error {
 	var rerr error
 	if db.mem.approximateBytes() >= db.opts.MemTableBytes && !db.closed {
 		t0 = tr.Now()
-		rerr = db.rotateMemLocked()
+		_, rerr = db.freezeMemLocked(false, nil)
 		tr.Since(metrics.PhaseRotate, t0)
 	}
 	st := db.opts.Stats

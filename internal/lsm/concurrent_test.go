@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -594,59 +595,102 @@ func TestBackgroundCheckpoint(t *testing.T) {
 	}
 }
 
-// checkSettled fails unless the pipeline is idle: no frozen MemTable, no
-// compaction job in flight, every shape invariant satisfied.
+// checkSettled fails unless the pipeline is idle: no handoff pending, no
+// frozen MemTable, every shape invariant satisfied.
 func checkSettled(t *testing.T, db *DB, after string) {
 	t.Helper()
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	if db.imm != nil || db.bg.jobs != 0 || db.needsCompactionLocked() {
-		t.Fatalf("after %s: frozen=%v jobs=%d needsCompaction=%v",
-			after, db.imm != nil, db.bg.jobs, db.needsCompactionLocked())
+	if db.bg.pending != nil || db.imm != nil || db.compactionLevel(db.v) >= 0 {
+		t.Fatalf("after %s: pending=%v frozen=%v compaction level=%d",
+			after, db.bg.pending != nil, db.imm != nil, db.compactionLevel(db.v))
 	}
 }
 
-// checkNoMergeGoroutines fails if a compaction's merge goroutine (see
-// mergeCompaction) is still alive a few seconds after the call that ran
-// the job returned: a job must join its merge stream before it returns.
+// checkNoMergeGoroutines fails if a handoff's goroutine (see
+// freezeMemLocked) or a compaction's merge goroutine (see
+// mergeCompaction) is still alive a few seconds after the call that
+// installed the handoff returned: a handoff ends with its last job, and a
+// job joins its merge stream before it returns.
 func checkNoMergeGoroutines(t *testing.T) {
 	t.Helper()
-	const merge = "created by leveldbpp/internal/lsm.(*DB).mergeCompaction"
+	pipeline := []string{
+		"created by leveldbpp/internal/lsm.(*DB).freezeMemLocked",
+		"created by leveldbpp/internal/lsm.(*DB).mergeCompaction",
+	}
 	buf := make([]byte, 1<<20)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		stacks := string(buf[:runtime.Stack(buf, true)])
-		if !strings.Contains(stacks, merge) {
+		if !slices.ContainsFunc(pipeline, func(g string) bool { return strings.Contains(stacks, g) }) {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("a merge goroutine outlived its compaction job; goroutines:\n%s", stacks)
+			t.Fatalf("a pipeline goroutine outlived its handoff; goroutines:\n%s", stacks)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 }
 
-// TestDeterministicModeContract guards the pipeline's contract: the
-// writer runs the flush and compaction jobs itself, so whenever Put or
-// Flush returns no MemTable is frozen, no job is in flight, the tree is
-// in shape and no merge goroutine is left running.
+// TestDeterministicModeContract guards the pipeline's contract: every
+// version change happens at a freeze, Flush, CompactRange or Close; Put
+// returns with at most one handoff pending, and that handoff's goroutine
+// applies nothing when it finishes; Flush, CompactRange and Close return
+// with no handoff pending and no pipeline goroutine left.
 func TestDeterministicModeContract(t *testing.T) {
 	log := metrics.NewEventLog(0)
 	o := smallOpts()
 	o.Events = log
 	db, _ := openTestDB(t, o)
+	state := func() (*version, *handoff) {
+		db.mu.RLock()
+		defer db.mu.RUnlock()
+		return db.v, db.bg.pending
+	}
+	settled := func(after string) {
+		t.Helper()
+		checkSettled(t, db, after)
+		checkNoMergeGoroutines(t)
+	}
 	for i := 0; i < 3000; i++ {
+		v0, _ := state()
+		freezes := log.Counts()[metrics.EventMemFreeze]
 		mustPut(t, db, fmt.Sprintf("key-%05d", i%1100), fmt.Sprintf("value-%05d", i))
-		checkSettled(t, db, "Put")
+		froze := log.Counts()[metrics.EventMemFreeze] > freezes
+		v1, h := state()
+		if v1 != v0 && !froze {
+			t.Fatalf("Put %d changed the version without a freeze", i)
+		}
+		if froze && h == nil {
+			t.Fatalf("Put %d froze the MemTable and left no handoff pending", i)
+		}
+		if h != nil {
+			<-h.done
+			if v2, h2 := state(); v2 != v1 || h2 != h {
+				t.Fatalf("after Put %d the finished handoff changed the version (%v) or was installed (%v) without a freeze", i, v2 != v1, h2 != h)
+			}
+		}
 		if i%700 == 699 {
 			if err := db.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			checkSettled(t, db, "Flush")
+			settled("Flush")
 		}
 	}
-	if c := log.Counts(); c[metrics.EventFlushDone] == 0 || c[metrics.EventCompactionDone] == 0 {
-		t.Fatalf("events = %v, want flushes and compactions", c)
+	if c := log.Counts(); c[metrics.EventFlushDone] == 0 || c[metrics.EventCompactionDone] == 0 || c[metrics.EventTrivialMove] == 0 {
+		t.Fatalf("events = %v, want flushes, compactions and trivial moves", c)
+	}
+	mustPut(t, db, "last", "value")
+	if err := db.CompactRange(nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	settled("CompactRange")
+	mustPut(t, db, "after", "compact range")
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, h := state(); h != nil {
+		t.Fatal("Close left a handoff pending")
 	}
 	checkNoMergeGoroutines(t)
 }

@@ -31,18 +31,13 @@ var ErrClosed = errors.New("lsm: database is closed")
 // The commit queue has no lock of its own: db.mu guards it, and the
 // group-size histogram is lock-free.
 //
-// The tracer's ring mutex is a leaf below db.mu. A compaction job is
-// entered with db.mu held and drops it only for the merge, which the
-// analyzer does not see, so it counts the job's OpCompact trace as taken
-// under db.mu; the ring mutex is never held while taking db.mu.
-//
 //lsm:lockorder core.DB.writeMu < lsm.DB.mu < lsm.DB.logMu
 //lsm:lockorder lsm.DB.mu < cache.shard.mu
-//lsm:lockorder lsm.DB.mu < metrics.Tracer.mu
 
 // DB is a single-node LSM key-value store. Writes are serialized. The
 // flush and compaction jobs of one pipeline (background.go) keep the tree
-// in shape, and the writing goroutine runs them (see package doc).
+// in shape: a freeze hands them to a goroutine of their own, and the
+// writer installs what they staged at its next freeze (see package doc).
 type DB struct {
 	dir  string
 	opts Options
@@ -63,14 +58,11 @@ type DB struct {
 	walSeq  uint64      // guarded by mu; number of the active WAL segment
 	v       *version    // guarded by mu
 	lastSeq uint64      // guarded by mu
-	// compactingLevels marks levels that are input or output of an
-	// in-flight compaction job; jobs are only picked on unmarked level
-	// pairs, so concurrent jobs never share files.
-	compactingLevels []bool   // guarded by mu
-	flushedSeq       uint64   // guarded by mu; highest seq durable in SSTables (manifest LastSeq)
-	compactPtr       [][]byte // guarded by mu; per-level round-robin compaction cursor (user key)
-	blockCache       *cache.Cache
-	closed           bool // guarded by mu
+
+	flushedSeq uint64   // guarded by mu; highest seq durable in SSTables (manifest LastSeq)
+	compactPtr [][]byte // guarded by mu; per-level round-robin compaction cursor (user key)
+	blockCache *cache.Cache
+	closed     bool // guarded by mu
 
 	// commitsInFlight counts leader passes between sequence assignment
 	// (under mu) and MemTable insertion (back under mu). A freeze and
@@ -107,13 +99,12 @@ func Open(dir string, o *Options) (_ *DB, err error) {
 		return nil, fmt.Errorf("lsm: create dir: %w", err)
 	}
 	db := &DB{
-		dir:              dir,
-		opts:             opts,
-		mem:              newMemTable(opts.SecondaryAttrs),
-		v:                newVersion(opts.MaxLevels),
-		compactPtr:       make([][]byte, opts.MaxLevels),
-		compactingLevels: make([]bool, opts.MaxLevels),
-		bg:               &background{},
+		dir:        dir,
+		opts:       opts,
+		mem:        newMemTable(opts.SecondaryAttrs),
+		v:          newVersion(opts.MaxLevels),
+		compactPtr: make([][]byte, opts.MaxLevels),
+		bg:         &background{},
 	}
 	db.cond = sync.NewCond(&db.mu)
 	db.commitQ.maxWaiters = maxGroupWaiters
@@ -460,31 +451,30 @@ func (db *DB) walkLocked(key []byte, tr *metrics.Trace, scs []sstable.GetScratch
 	return nil, false, nil
 }
 
-// Flush forces the MemTable to level 0 and blocks until the pipeline is
-// idle: the frozen MemTable flushed, no compaction in flight, the tree
-// shape within budget. The caller runs the flush and the compactions
-// itself. Useful in tests and at the end of bulk loads.
+// Flush forces the MemTable to level 0 and returns once the tree is back
+// in shape: it installs the pending handoff, freezes the MemTable, hands
+// its flush and the drain to a handoff, and waits for that handoff and
+// installs it. Useful in tests and at the end of bulk loads.
 func (db *DB) Flush() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if err := db.freezeMemLocked(true); err != nil {
+	h, err := db.freezeMemLocked(true, nil)
+	if err != nil {
 		return err
 	}
-	return db.settleLocked()
+	return db.awaitLocked(h)
 }
 
 // Close flushes nothing (the WAL preserves the MemTable) and releases file
-// handles. It first refuses new work and waits for the flush and
-// compaction jobs that writers are running; writers arriving during the
-// drain receive ErrClosed.
+// handles. It first refuses new work, then waits for the pending
+// handoff's goroutine, whatever the pipeline's state, and installs it;
+// writers arriving meanwhile receive ErrClosed. It returns the first of
+// the handoff's failure and a file close error.
 func (db *DB) Close() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.bg.closing = true
-	db.cond.Broadcast()
-	for (db.imm != nil || db.bg.jobs > 0) && db.bg.err == nil {
-		db.cond.Wait()
-	}
+	firstErr := db.installPendingLocked()
 	if db.closed {
 		return nil
 	}
@@ -493,9 +483,8 @@ func (db *DB) Close() error {
 	// A commit leader may be mid-pass (off-mu WAL write); let it
 	// land its MemTable inserts before the log closes under it.
 	db.waitCommitsLocked()
-	var firstErr error
 	db.logMu.Lock()
-	if err := db.log.Close(); err != nil {
+	if err := db.log.Close(); err != nil && firstErr == nil {
 		firstErr = err
 	}
 	db.logMu.Unlock()
@@ -556,8 +545,24 @@ func (db *DB) LevelShape() []LevelInfo {
 	return out
 }
 
-// Stats returns the DB's I/O counters.
-func (db *DB) Stats() *metrics.IOStats { return db.opts.Stats }
+// Stats returns the DB's I/O counters once every flush and compaction
+// started before the call has finished: it waits for the pending
+// handoff's goroutine, without installing it, so a snapshot taken from
+// the result counts the work of every write before it.
+func (db *DB) Stats() *metrics.IOStats {
+	db.mu.RLock()
+	h := db.bg.pending
+	db.mu.RUnlock()
+	if h != nil {
+		<-h.done
+	}
+	return db.opts.Stats
+}
+
+// Counters returns the DB's I/O counters without waiting, for callers
+// that add to them (core books the posting decode work of its queries on
+// its index tables' counters).
+func (db *DB) Counters() *metrics.IOStats { return db.opts.Stats }
 
 // DiskUsage returns the on-disk size of all SSTables plus the WAL.
 func (db *DB) DiskUsage() (int64, error) {

@@ -90,6 +90,7 @@ func buildMixedTree(t *testing.T, seed int64, cacheBytes int64) (*DB, [][]byte, 
 		t.Fatal(err)
 	}
 	write(db, 3000)
+	installPending(t, db)
 	for len(levelsOf(db)[0]) == 0 {
 		write(db, 150)
 		if err := db.Flush(); err != nil {

@@ -1,0 +1,342 @@
+package lsm
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"runtime"
+	"slices"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+)
+
+// pending reports whether db has a handoff that is not installed yet.
+func pending(db *DB) bool {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return db.bg.pending != nil
+}
+
+// copyDir copies every file of dir into a fresh directory and returns it:
+// the image a crash would leave at that instant, provided nothing writes
+// to dir meanwhile.
+func copyDir(t *testing.T, dir string) string {
+	t.Helper()
+	dst := t.TempDir()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dst
+}
+
+// TestBackgroundHandoffCrashImage copies the directory while a handoff is
+// parked with its flush's table and its compaction's first table written
+// and neither installed, and the writer has moved on to the next
+// MemTable. Reopening the copy must delete both tables as orphans, replay
+// the frozen MemTable from its WAL segment and serve every acknowledged
+// write.
+func TestBackgroundHandoffCrashImage(t *testing.T) {
+	dir := t.TempDir()
+	o := smallOpts()
+	db, err := Open(dir, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeWithin(t, db)
+
+	want := map[string]string{}
+	i := 0
+	put := func() {
+		k, v := shuffledKey("key-%05d", i, 4000), fmt.Sprintf("value-%05d-%040d", i, i)
+		mustPut(t, db, k, v)
+		want[k] = v
+		i++
+	}
+	// Level 0 one table short of its trigger, so the next flush compacts.
+	for f := 0; f < o.L0CompactionTrigger-1; f++ {
+		for n := 0; n < 40; n++ {
+			put()
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(levelsOf(db)[0]); n != o.L0CompactionTrigger-1 {
+		t.Fatalf("%d level-0 tables, want %d", n, o.L0CompactionTrigger-1)
+	}
+
+	// Only the next handoff's goroutine rolls tables while it is armed.
+	parked, release := make(chan struct{}), make(chan struct{})
+	rolls := 0
+	db.testCompactRoll = func() error {
+		if rolls++; rolls == 2 {
+			close(parked)
+			<-release
+		}
+		return nil
+	}
+	for !pending(db) {
+		put()
+	}
+	select {
+	case <-parked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the handoff never rolled its compaction's first table")
+	}
+	for n := 0; n < 20; n++ { // into the live MemTable and its fresh segment
+		put()
+	}
+	db.mu.RLock() // no install while copying
+	frozenWALs := slices.Clone(db.immWALs)
+	crash := copyDir(t, dir)
+	db.mu.RUnlock()
+	close(release)
+
+	if orphans := orphanTables(t, crash); len(orphans) != 2 {
+		t.Fatalf("crash image holds unreferenced tables %v, want the flush's and the compaction's", orphans)
+	}
+	for _, p := range frozenWALs {
+		if _, err := os.Stat(filepath.Join(crash, filepath.Base(p))); err != nil {
+			t.Fatalf("crash image lacks the frozen MemTable's WAL segment: %v", err)
+		}
+	}
+	re, err := Open(crash, smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeWithin(t, re)
+	if orphans := orphanTables(t, crash); len(orphans) != 0 {
+		t.Fatalf("tables %v survived the reopen", orphans)
+	}
+	for k, v := range want {
+		if got, ok := mustGet(t, re, k); !ok || got != v {
+			t.Fatalf("after the crash, Get(%s) = %q %v, want %q", k, got, ok, v)
+		}
+	}
+}
+
+// TestCloseWaitsForJobsWhenPoisoned parks a CompactRange's compaction at
+// its first output table, then poisons the pipeline as a failed flush
+// does. Close must still wait for the compaction: once Close has
+// returned, nothing may write the MANIFEST or add or unlink a table.
+func TestCloseWaitsForJobsWhenPoisoned(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir, smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 120; i++ {
+		mustPut(t, db, shuffledKey("key-%05d", i, 120), fmt.Sprintf("value-%05d", i))
+		if i%40 == 39 {
+			if err := db.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	parked, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	db.testCompactRoll = func() error {
+		once.Do(func() {
+			close(parked)
+			<-release
+		})
+		return nil
+	}
+	compacted := make(chan error, 1)
+	go func() { compacted <- db.CompactRange(nil, nil) }()
+	select {
+	case <-parked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("CompactRange rolled no output table")
+	}
+	db.mu.Lock()
+	db.bg.err = errors.New("injected flush failure")
+	db.mu.Unlock()
+
+	// dirState is the MANIFEST and the table files on disk.
+	dirState := func() string {
+		m, err := os.ReadFile(manifestPath(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(m) + strings.Join(tableFiles(t, dir), ",")
+	}
+	closed := closeAsync(db)
+	select {
+	case <-closed:
+		t.Error("Close returned while a compaction was merging")
+		before := dirState()
+		close(release)
+		<-compacted
+		if dirState() != before {
+			t.Error("the compaction changed the directory after Close returned")
+		}
+		return
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
+	awaitClose(t, closed)
+	before := dirState()
+	<-compacted
+	if dirState() != before {
+		t.Error("the compaction changed the directory after Close returned")
+	}
+	checkNoMergeGoroutines(t)
+}
+
+// TestBackgroundHandoffRaces runs a writer, which keeps a handoff pending
+// from its first freeze on, against point, sorted and range readers,
+// Stats, Checkpoint, Flush and CompactRange, then closes the DB under the
+// writer. Each checkpoint must hold what was acknowledged before it, the
+// reopened directory every acknowledged write, and no pipeline goroutine
+// may outlive Close. Wired into `make lint-race`.
+func TestBackgroundHandoffRaces(t *testing.T) {
+	base := runtime.NumGoroutine()
+	dir := t.TempDir()
+	db, err := Open(dir, smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var acked atomic.Int64 // keys [0, acked) are acknowledged
+	key := func(i int) []byte { return []byte(writerKey(0, i)) }
+	wrote := make(chan struct{})
+	go func() {
+		defer close(wrote)
+		for i := 0; ; i++ {
+			if err := db.Put(key(i), []byte(writerValue(0, i))); err != nil {
+				if err != ErrClosed {
+					t.Error(err)
+				}
+				return
+			}
+			acked.Store(int64(i + 1))
+		}
+	}()
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	loop := func(fn func(i int) error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := fn(i); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	ackedKey := func(i int) (int, bool) {
+		n := int(acked.Load())
+		return i * 7919 % max(n, 1), n > 0
+	}
+	loop(func(i int) error {
+		k, ok := ackedKey(i)
+		if !ok {
+			return nil
+		}
+		if v, found := mustGet(t, db, string(key(k))); !found || v != writerValue(0, k) {
+			return fmt.Errorf("Get(%s) = %q %v", key(k), v, found)
+		}
+		return nil
+	})
+	loop(func(i int) error {
+		k, ok := ackedKey(i)
+		if !ok {
+			return nil
+		}
+		keys := [][]byte{key(k / 2), key(k)}
+		if k/2 == k {
+			keys = keys[1:]
+		}
+		return db.GetSortedTraced(keys, nil, func(j int, v []byte, found bool) {
+			if !found {
+				t.Errorf("GetSortedTraced missed %s", keys[j])
+			}
+		})
+	})
+	loop(func(i int) error {
+		n := 0
+		err := db.Scan(key(i%500), key(i%500+20), func(_, _ []byte, _ uint64) bool { n++; return true })
+		if err == nil && int64(i%500+20) <= acked.Load() && n != 20 {
+			err = fmt.Errorf("Scan from %s saw %d keys, want 20", key(i%500), n)
+		}
+		return err
+	})
+	loop(func(int) error {
+		db.Stats().Snapshot()
+		return nil
+	})
+	loop(func(int) error {
+		time.Sleep(3 * time.Millisecond)
+		return db.Flush()
+	})
+	loop(func(int) error {
+		time.Sleep(7 * time.Millisecond)
+		return db.CompactRange(key(100), key(900))
+	})
+	type checkpoint struct {
+		dir   string
+		acked int
+	}
+	var ckpts []checkpoint
+	for len(ckpts) < 4 {
+		time.Sleep(15 * time.Millisecond)
+		c := checkpoint{dir: filepath.Join(t.TempDir(), "ckpt"), acked: int(acked.Load())}
+		if err := db.Checkpoint(c.dir); err != nil {
+			t.Fatal(err)
+		}
+		ckpts = append(ckpts, c)
+	}
+	for acked.Load() < 3000 && !t.Failed() {
+		time.Sleep(time.Millisecond)
+	}
+	close(stop)
+	wg.Wait()
+	closeWithin(t, db) // the writer is still writing
+	<-wrote
+	checkNoMergeGoroutines(t)
+	waitGoroutines(t, base)
+
+	check := func(dir string, n int, what string) {
+		t.Helper()
+		re, err := Open(dir, smallOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer closeWithin(t, re)
+		for i := 0; i < n; i++ {
+			if v, ok, err := re.Get(key(i)); err != nil || !ok || !bytes.Equal(v, []byte(writerValue(0, i))) {
+				t.Fatalf("%s: Get(%s) = %q %v %v", what, key(i), v, ok, err)
+			}
+		}
+		if rep, err := re.Verify(); err != nil || !rep.OK() {
+			t.Fatalf("%s: verify: %v %v", what, err, rep.Problems)
+		}
+	}
+	for j, c := range ckpts {
+		check(c.dir, c.acked, fmt.Sprintf("checkpoint %d", j))
+	}
+	check(dir, int(acked.Load()), "reopen")
+}

@@ -7,6 +7,10 @@ import (
 	"math/rand"
 	"os"
 	"reflect"
+	"runtime"
+	"strconv"
+	"strings"
+	"sync"
 	"testing"
 	"unsafe"
 
@@ -46,6 +50,18 @@ func mustPut(t testing.TB, db *DB, k, v string) {
 	}
 }
 
+// installPending installs db's pending handoff, waiting for its goroutine
+// to finish, as the writer's next freeze would.
+func installPending(t testing.TB, db *DB) {
+	t.Helper()
+	db.mu.Lock()
+	err := db.installPendingLocked()
+	db.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // activeWAL returns the path of the WAL segment db appends to.
 func activeWAL(db *DB) string {
 	db.mu.RLock()
@@ -67,6 +83,9 @@ func deepestNonEmpty(db *DB) int {
 	defer db.mu.RUnlock()
 	return db.deepestNonEmptyLocked()
 }
+
+// deepestNonEmptyLocked is deepestNonEmpty with db.mu held.
+func (db *DB) deepestNonEmptyLocked() int { return db.v.deepestNonEmpty() }
 
 func mustGet(t testing.TB, db *DB, k string) (string, bool) {
 	t.Helper()
@@ -588,16 +607,23 @@ func TestStatsCountIO(t *testing.T) {
 func TestEmbeddedAttrsSurviveFlushAndCompaction(t *testing.T) {
 	opts := smallOpts()
 	opts.SecondaryAttrs = []string{"user"}
-	// The extractor hands out a view of a buffer its next call overwrites,
-	// as core's hands out views of block bytes: whatever the engine keeps
-	// of it — B-tree keys, bloom inputs, zone maps — must be a copy.
-	var scratch []byte
+	// The extractor hands out a view of a buffer its next call on the same
+	// goroutine overwrites, as core's hands out views of block bytes:
+	// whatever the engine keeps of it — B-tree keys, bloom inputs, zone
+	// maps — must be a copy. The writer and a handoff's goroutine call it
+	// at once, so each goroutine has a buffer of its own.
+	var mu sync.Mutex
+	scratches := map[string][]byte{}
 	opts.Extract = func(dst []sstable.AttrValue, _, value []byte) []sstable.AttrValue {
 		var doc map[string]string
 		if json.Unmarshal(value, &doc) != nil {
 			return dst
 		}
-		scratch = append(scratch[:0], doc["user"]...)
+		g := goroutineID()
+		mu.Lock()
+		scratch := append(scratches[g][:0], doc["user"]...)
+		scratches[g] = scratch
+		mu.Unlock()
 		return append(dst, sstable.AttrValue{Attr: "user", Value: unsafe.String(unsafe.SliceData(scratch), len(scratch))})
 	}
 	db, _ := openTestDB(t, opts)
@@ -762,4 +788,16 @@ func TestWriteAmplificationMeasured(t *testing.T) {
 	if wamf2 := db2.Stats().Snapshot().WriteAmplification(); wamf2 <= wamf {
 		t.Fatalf("uncompressed WAMF (%.2f) should exceed compressed (%.2f)", wamf2, wamf)
 	}
+}
+
+// goroutineID returns the calling goroutine's number, from the header of
+// its stack trace.
+func goroutineID() string {
+	var buf [64]byte
+	header := strings.TrimPrefix(string(buf[:runtime.Stack(buf[:], false)]), "goroutine ")
+	id, _, _ := strings.Cut(header, " ")
+	if _, err := strconv.ParseUint(id, 10, 64); err != nil {
+		panic("unexpected stack header " + header)
+	}
+	return id
 }

@@ -324,7 +324,8 @@ func (w *compactionWriter) since(t0 time.Time) {
 
 // mergeFlush writes the frozen MemTable mem into one level-0 table and
 // returns it, or no table when a Merger elided every key. It takes no
-// locks and touches no mutable DB state, so the flush job runs it off-lock.
+// locks and touches no mutable DB state, so a handoff's goroutine runs it
+// without db.mu.
 //
 // The engine has no snapshots, so one resolved record per user key
 // survives the flush. Without a Merger that is the newest version, which
@@ -388,9 +389,9 @@ func mergeStream(all []*FileMeta, target int, base *version, merger Merger,
 }
 
 // mergeCompaction merges job.inputs into new tables for job.level+1 and
-// returns them. It reads only the job and immutable DB state, so the
-// compaction job runs it without holding db.mu: input tables are
-// immutable files, and job.base stays valid (see compactionJob). A merge
+// returns them. It reads only the job and immutable DB state, so a
+// handoff's goroutine runs it without db.mu: input tables are immutable
+// files, and job.base is the staged version it was picked from. A merge
 // goroutine with the job's own Merger produces the resolved stream,
 // and this goroutine writes it. If the writer fails it closes quit, drains
 // the stream and returns its own error; if the merge fails, its error is

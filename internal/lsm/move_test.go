@@ -221,17 +221,17 @@ func TestTrivialMove(t *testing.T) {
 			overlap int64
 			move    bool
 		}{{maxGrandparentOverlapBytes, true}, {maxGrandparentOverlapBytes + 1, false}} {
-			db := &DB{v: newVersion(5)}
+			h := &handoff{v: newVersion(5)}
 			pick := fake(1, "k10", "k20", 1000)
-			db.v.levels[1] = []*FileMeta{pick}
-			db.v.levels[3] = []*FileMeta{
+			h.v.levels[1] = []*FileMeta{pick}
+			h.v.levels[3] = []*FileMeta{
 				fake(2, "k00", "k09", 50*maxTableBytes), // outside the pick: not counted
 				fake(3, "k09", "k12", tc.overlap-1),
 				fake(4, "k19", "k30", 1),
 				fake(5, "k31", "k40", 50*maxTableBytes),
 			}
-			job := db.jobLocked(1, []*FileMeta{pick}, ikey.UserKey(pick.Smallest), ikey.UserKey(pick.Largest))
-			if got := db.trivialMoveLocked(job); got != tc.move {
+			job := h.job(1, []*FileMeta{pick}, ikey.UserKey(pick.Smallest), ikey.UserKey(pick.Largest))
+			if got := h.trivialMove(job); got != tc.move {
 				t.Errorf("grandparent overlap %d bytes: move = %v, want %v", tc.overlap, got, tc.move)
 			}
 		}

@@ -4,10 +4,14 @@
 // tombstone deletes, and exact logical block I/O accounting.
 //
 // The engine is deliberately single-writer. Flushes and compactions are
-// the jobs of one pipeline (background.go), and the writer that fills a
-// MemTable runs them before its write returns: the paper picked LevelDB
-// because a single-threaded store isolates and explains index costs, and
-// writer-run jobs additionally make every experiment deterministic. Like
+// the jobs of one pipeline (background.go): the writer that fills a
+// MemTable freezes it and hands its flush, and the compactions after it,
+// to a goroutine of their own, as LevelDB's background thread takes its
+// imm_, and returns at once. That goroutine stages every version edit and
+// applies none; the writer installs them at its next freeze, so every
+// version change still happens at a fixed operation count and every
+// experiment stays deterministic: the paper picked LevelDB because a
+// single-threaded store isolates and explains index costs. Like
 // LevelDB's writer queue, every Put, Delete and Apply commits through one
 // leader-based queue (commit.go); a lone writer is a group of one, and
 // concurrent writers share a WAL write and, under wal.SyncGrouped, an
@@ -41,7 +45,8 @@ type Merger interface {
 // index structures. The Value strings it appends may be views of value's
 // bytes rather than copies: they hold only while value is unchanged, and
 // whoever keeps one past that copies it (btree.Tree.Add and
-// sstable.Builder.Add do).
+// sstable.Builder.Add do). The writer and a flush or compaction call it
+// at the same time, so it must be safe for concurrent use.
 type AttrExtractor func(dst []sstable.AttrValue, userKey, value []byte) []sstable.AttrValue
 
 // Options tunes a DB. The zero value is usable; defaults mirror LevelDB's
@@ -100,7 +105,10 @@ type Options struct {
 	// Events, when set, receives structured lifecycle events (MemTable
 	// freezes, flush and compaction start/done, WAL rotations — see
 	// metrics.EventType). Nil disables event emission. Sinks are called
-	// with db.mu held and must not block on this DB.
+	// with db.mu held and must not block on this DB. A flush's or
+	// compaction's events are emitted, in job order, when its version edit
+	// is installed: at the writer's next freeze, or in Flush, CompactRange
+	// or Close.
 	Events metrics.EventSink
 }
 

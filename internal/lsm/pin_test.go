@@ -114,6 +114,7 @@ func TestDeterministicModeFilesPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i%2000 == 0 {
+			installPending(t, db)
 			snapshot(fmt.Sprint(i))
 		}
 	}
