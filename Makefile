@@ -41,8 +41,11 @@ lint:
 # tests bound Close (closeWithin), so a handoff that never ends fails
 # them with a goroutine dump, and the drain tests fail if a handoff or
 # merge goroutine outlives its install. The sstable test runs concurrent table builds and
-# reads over the shared deflater and block decoder pools.
+# reads over the shared deflater and block decoder pools. The skiplist
+# package runs whole: its readers race inserts that add link and byte
+# pages to the MemTable arena, the check of its publication order.
 lint-race:
+	$(GO) test -race ./internal/skiplist/
 	$(GO) test -race -run 'TestConcurrentBuildAndRead' ./internal/sstable/
 	$(GO) test -race -run 'TestGroupCommit|TestCommit|TestUncontendedCommit|TestCompactionWriterFailureCancels|TestBackground|TestCloseWaitsForJobsWhenPoisoned|TestDeterministicConcurrentDrains|TestGetSortedMatchesGet|TestTrivialMoveConcurrentReads' ./internal/lsm/
 	$(GO) test -race -run 'TestGroupCommitConcurrentCore|TestConcurrentChunkedValidation|TestIndexBeforeData' ./internal/core/

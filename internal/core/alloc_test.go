@@ -53,7 +53,8 @@ func TestWarmReadAllocations(t *testing.T) {
 }
 
 // TestWriteAllocations holds a PUT and a DEL, for every index kind, to
-// what they allocated while PUT, DEL and batches had a write path each.
+// what they allocate now that each MemTable copies its records into its
+// arena, internal key included.
 // The DEL deletes the document the PUT wrote, and repeats on the absent
 // key, as AllocsPerRun repeats it.
 func TestWriteAllocations(t *testing.T) {
@@ -61,11 +62,11 @@ func TestWriteAllocations(t *testing.T) {
 		t.Skip("the race detector's sync.Pool drops pending commits at random")
 	}
 	limits := map[IndexKind]struct{ put, del float64 }{
-		IndexNone:      {7, 6},
-		IndexEmbedded:  {7, 6},
-		IndexEager:     {21, 7},
-		IndexLazy:      {19, 7},
-		IndexComposite: {19, 7},
+		IndexNone:      {3, 3},
+		IndexEmbedded:  {3, 3},
+		IndexEager:     {7, 4},
+		IndexLazy:      {5, 4},
+		IndexComposite: {7, 4},
 	}
 	for _, kind := range allKinds {
 		t.Run(kind.String(), func(t *testing.T) {

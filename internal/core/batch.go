@@ -15,7 +15,7 @@ type Batch struct {
 type batchOp struct {
 	del   bool
 	key   string
-	value []byte // owned by the op: the engine may retain it
+	value []byte // unchanged until the write returns
 }
 
 // Put queues key → value.
@@ -58,9 +58,8 @@ func (db *DB) write(ops []batchOp, slots []attrSlot, tr *metrics.Trace) error {
 		if op.del {
 			pb.Delete([]byte(op.key))
 		} else {
-			// Zero-copy handoff: the key conversion is a fresh allocation
-			// and op.value is owned by the op, so the engine may retain
-			// both.
+			// The primary table copies each record into its MemTable, so
+			// the batch only borrows op.value until ApplyAt returns.
 			pb.PutNoCopy([]byte(op.key), op.value)
 		}
 	}

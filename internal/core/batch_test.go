@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"sort"
+	"strings"
 	"testing"
 )
 
@@ -147,6 +149,86 @@ func TestCoreCheckpointAllKinds(t *testing.T) {
 			if _, ok, _ := snap.Get("t9999"); ok {
 				t.Fatal("post-checkpoint write leaked")
 			}
+		})
+	}
+}
+
+// TestPutBufferReusable writes every document from one buffer, which the
+// caller overwrites as soon as Put returns: with the next document, and
+// at the end with a document of another user. The MemTables hold copies,
+// so GET, LOOKUP and RANGELOOKUP answer from them for every kind, before
+// and after a Flush.
+func TestPutBufferReusable(t *testing.T) {
+	for _, kind := range allKinds {
+		t.Run(kind.String(), func(t *testing.T) {
+			db, err := Open(t.TempDir(), Options{Index: kind,
+				Attrs: []string{"UserID", "CreationTime"}, MemTableBytes: 1 << 20})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			var buf []byte
+			docs := map[string]string{}
+			for i := 0; i < 40; i++ {
+				key, doc := fmt.Sprintf("t%03d", i), tweetDoc(fmt.Sprintf("u%d", i%4), i, "text")
+				buf = append(buf[:0], doc...)
+				if err := db.Put(key, buf); err != nil {
+					t.Fatal(err)
+				}
+				docs[key] = string(doc)
+			}
+			copy(buf, tweetDoc("u9", 99, "text"))
+			// answer renders entries as sorted key=document lines.
+			answer := func(es []Entry) string {
+				var lines []string
+				for _, e := range es {
+					lines = append(lines, e.Key+"="+string(e.Value))
+				}
+				sort.Strings(lines)
+				return strings.Join(lines, "\n")
+			}
+			// want renders the documents of keys t{lo..hi} whose index
+			// is u modulo 4 (u < 0: every one).
+			want := func(lo, hi, u int) string {
+				var es []Entry
+				for i := lo; i <= hi; i++ {
+					if u < 0 || i%4 == u {
+						key := fmt.Sprintf("t%03d", i)
+						es = append(es, Entry{Key: key, Value: []byte(docs[key])})
+					}
+				}
+				return answer(es)
+			}
+			check := func(when string) {
+				t.Helper()
+				for key, doc := range docs {
+					got, ok, err := db.Get(key)
+					if err != nil || !ok || string(got) != doc {
+						t.Fatalf("%s: Get(%s) = %q, %v, %v; want %q", when, key, got, ok, err, doc)
+					}
+				}
+				for u := 0; u < 4; u++ {
+					got, err := db.Lookup("UserID", fmt.Sprintf("u%d", u), 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if answer(got) != want(0, 39, u) {
+						t.Fatalf("%s: LOOKUP u%d =\n%s\nwant\n%s", when, u, answer(got), want(0, 39, u))
+					}
+				}
+				got, err := db.RangeLookup("CreationTime", fmt.Sprintf("%010d", 10), fmt.Sprintf("%010d", 19), 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if answer(got) != want(10, 19, -1) {
+					t.Fatalf("%s: RANGELOOKUP =\n%s\nwant\n%s", when, answer(got), want(10, 19, -1))
+				}
+			}
+			check("in the MemTables")
+			if err := db.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			check("after Flush")
 		})
 	}
 }

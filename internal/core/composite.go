@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"cmp"
 	"slices"
+	"sync"
 
 	"leveldbpp/internal/ikey"
 	"leveldbpp/internal/lsm"
@@ -63,14 +64,14 @@ func (db *DB) compositeLookup(attr, lo, hi string, k int, tr *metrics.Trace) ([]
 // its own composite key's older versions: primary keys first occur in the
 // order of a merged scan of the view ranked by seq.
 type compositeSource struct {
-	lo, hi        string
-	loKey, hiExcl []byte
-	tr            *metrics.Trace
-	units         []seqUnit // not yet opened
-	arena         []byte
-	h             []compositeCand
-	dead          map[string]struct{} // composite keys whose newest version is a tombstone
-	err           error
+	lo, hi              string
+	loKey, hiExcl, seek []byte
+	tr                  *metrics.Trace
+	units               []seqUnit // not yet opened
+	arena               []byte
+	h                   []compositeCand
+	dead                map[string]struct{} // composite keys whose newest version is a tombstone
+	err                 error
 }
 
 // compositeCand is a queued composite key arena[start:end] and its
@@ -81,10 +82,43 @@ type compositeCand struct {
 	del            bool
 }
 
+// compositePool recycles compositeSources with their key buffers, arena,
+// heap and dead set, which a query would otherwise grow afresh while it
+// opens units.
+var compositePool = sync.Pool{New: func() any { return new(compositeSource) }}
+
+// maxPooledCands bounds what a finished source keeps: past 4096 queued
+// candidates (160 KiB of heap) or 256 KiB of arena, a rare unbounded
+// RANGELOOKUP drops its source instead of pinning that much memory in
+// every P's pool slot.
+const maxPooledCands = 4096
+
+// newCompositeSource is a pooled source over v; finish returns it to the
+// pool.
 func newCompositeSource(v *lsm.View, lo, hi string, tr *metrics.Trace) *compositeSource {
-	s := &compositeSource{lo: lo, hi: hi, loKey: compositeKey(lo, ""), hiExcl: append([]byte(hi), compositeSep+1), tr: tr}
+	s := compositePool.Get().(*compositeSource)
+	s.lo, s.hi, s.tr = lo, hi, tr
+	s.loKey = append(append(s.loKey[:0], lo...), compositeSep)
+	s.hiExcl = append(append(s.hiExcl[:0], hi...), compositeSep+1)
+	s.seek = ikey.AppendSeek(s.seek[:0], s.loKey)
 	s.units = seqUnits(v, s.loKey, s.hiExcl, 0)
 	return s
+}
+
+// release empties s, dropping its references to tables, and returns it to
+// the pool with its buffers.
+func (s *compositeSource) release() {
+	if cap(s.h) > maxPooledCands || cap(s.arena) > 64*maxPooledCands {
+		return
+	}
+	dead := s.dead
+	if len(dead) > maxPooledCands {
+		dead = nil
+	}
+	clear(dead)
+	*s = compositeSource{loKey: s.loKey[:0], hiExcl: s.hiExcl[:0], seek: s.seek[:0],
+		arena: s.arena[:0], h: s.h[:0], dead: dead}
+	compositePool.Put(s)
 }
 
 // seqUnit is one unit of a seq-bounded source: a MemTable, or one table
@@ -116,16 +150,16 @@ func seqUnits(v *lsm.View, lo, hiExcl []byte, floor uint64) []seqUnit {
 
 // open queues the in-range entries of the next unit.
 func (s *compositeSource) open() {
-	u, seek := s.units[0], ikey.SeekKey(s.loKey)
+	u := s.units[0]
 	s.units = s.units[1:]
 	if u.IsMem() {
 		it := u.MemIter()
-		for it.SeekGE(seek); it.Valid() && s.add(it.Key()); it.Next() {
+		for it.SeekGE(s.seek); it.Valid() && s.add(it.Key()); it.Next() {
 		}
 		return
 	}
 	it := u.Tables[0].Table().NewIteratorTraced(false, s.tr)
-	for ok := it.SeekGE(seek); ok && s.add(it.Key()); ok = it.Next() {
+	for ok := it.SeekGE(s.seek); ok && s.add(it.Key()); ok = it.Next() {
 	}
 	s.err = it.Err()
 }
@@ -177,4 +211,8 @@ func (s *compositeSource) next() ([]byte, uint64, bool, bool) {
 	}
 }
 
-func (s *compositeSource) finish(*query) error { return s.err }
+func (s *compositeSource) finish(*query) error {
+	err := s.err
+	s.release()
+	return err
+}

@@ -365,7 +365,7 @@ func (db *DB) Put(key string, value []byte) error {
 	tr := db.tracer.Start(metrics.OpPut)
 	var buf [4]attrSlot
 	slots := attrSlots(&buf, len(db.opts.Attrs))
-	ops := [1]batchOp{{key: key, value: append([]byte(nil), value...)}}
+	ops := [1]batchOp{{key: key, value: value}}
 	err := db.write(ops[:], slots, tr)
 	tr.Finish()
 	db.ops.Observe(metrics.OpPut, time.Since(t0))

@@ -32,10 +32,14 @@ const trailerLen = 8
 
 // Make encodes an internal key from its parts.
 func Make(userKey []byte, seq uint64, kind Kind) []byte {
-	ik := make([]byte, len(userKey)+trailerLen)
-	copy(ik, userKey)
-	binary.BigEndian.PutUint64(ik[len(userKey):], seq<<8|uint64(kind))
-	return ik
+	ik := make([]byte, 0, len(userKey)+trailerLen)
+	return AppendTrailer(append(ik, userKey...), seq, kind)
+}
+
+// AppendTrailer appends the 8-byte trailer that ends every internal key
+// of (seq, kind) to dst and returns the extended slice.
+func AppendTrailer(dst []byte, seq uint64, kind Kind) []byte {
+	return binary.BigEndian.AppendUint64(dst, seq<<8|uint64(kind))
 }
 
 // SeekKey returns the internal key that sorts before every record of

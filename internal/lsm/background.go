@@ -19,7 +19,7 @@ import (
 // guarded by db.mu.
 type background struct {
 	closing bool     // guarded by db.mu; Close in progress: accept no new work
-	err     error    // guarded by db.mu; sticky first flush failure; poisons writes
+	err     error    // guarded by db.mu; sticky first flush or WAL rotation failure; poisons writes
 	pending *handoff // guarded by db.mu; the handoff not installed yet
 }
 
@@ -118,10 +118,16 @@ func (db *DB) freezeMemLocked(force bool, manual *keyRange) (*handoff, error) {
 		seg := walSegmentPath(db.dir, db.walSeq)
 		db.logMu.Lock()
 		err := db.log.Close()
-		var log *wal.Writer
 		if err == nil {
-			log, err = wal.Create(seg)
-			db.log = log
+			db.log, err = wal.Create(seg)
+		}
+		if err != nil {
+			// No writer is left to append to: poison the pipeline, so
+			// every later commit returns err and Close skips the log.
+			db.log = nil
+			if db.bg.err == nil {
+				db.bg.err = err
+			}
 		}
 		db.logMu.Unlock()
 		if err != nil {

@@ -23,13 +23,12 @@ func (b *Batch) Put(key, value []byte) {
 	})
 }
 
-// PutNoCopy queues key → value without copying either buffer. The
-// MemTable will retain both directly (they also back the WAL frame), so
-// the caller must hand over ownership: neither slice may be mutated or
-// reused after this call, ever — the engine keeps them until the
-// MemTable flushes.
+// PutNoCopy queues key → value without copying either buffer: the batch
+// borrows them, so neither may change until ApplyAt returns. The WAL
+// frame and the MemTable's arena copy are made from them; afterwards the
+// caller may reuse both.
 //
-//lsm:aliasok — deliberate zero-copy handoff; see the contract above.
+//lsm:aliasok — the batch borrows the buffers; see the contract above.
 func (b *Batch) PutNoCopy(key, value []byte) {
 	b.records = append(b.records, wal.Record{
 		Kind:  byte(ikey.KindSet),
@@ -67,10 +66,8 @@ func (db *DB) ApplyAt(b *Batch, seq uint64, tr *metrics.Trace) error {
 	if b.Len() == 0 {
 		return nil
 	}
-	// The batch owns its record buffers (Put copies at enqueue; PutNoCopy
-	// transfers ownership), so the MemTable retains them.
 	pc := pendingPool.Get().(*pendingCommit)
-	pc.records, pc.noCopy, pc.tr = b.records, true, tr
+	pc.records, pc.tr = b.records, tr
 	b.records[0].Seq = seq
 	return db.commit(pc)
 }

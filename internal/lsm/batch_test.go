@@ -192,3 +192,54 @@ func TestBatchTriggersFlush(t *testing.T) {
 		}
 	}
 }
+
+// TestCallerBuffersReusable overwrites the key and value buffers of every
+// Put and PutNoCopy batch as soon as the write returns: the MemTable holds
+// copies, so Get and Scan must answer from them, before and after a Flush.
+func TestCallerBuffersReusable(t *testing.T) {
+	db, err := Open(t.TempDir(), smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	var key, value []byte
+	want := map[string]string{}
+	for i := 0; i < 60; i++ {
+		k, v := fmt.Sprintf("key-%03d", i), fmt.Sprintf("value-%03d-of-the-record", i)
+		key, value = append(key[:0], k...), append(value[:0], v...)
+		if i%2 == 0 {
+			err = db.Put(key, value)
+		} else {
+			var b Batch
+			b.PutNoCopy(key, value)
+			err = db.Apply(&b)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(key, "key-999")
+		copy(value, "clobbered")
+		want[k] = v
+	}
+	check := func(when string) {
+		t.Helper()
+		for k, v := range want {
+			got, ok, err := db.Get([]byte(k))
+			if err != nil || !ok || string(got) != v {
+				t.Fatalf("%s: Get(%s) = %q, %v, %v; want %q", when, k, got, ok, err, v)
+			}
+		}
+		checkContents(t, db, want, when)
+	}
+	db.mu.RLock()
+	inMem := !db.mem.empty()
+	db.mu.RUnlock()
+	if !inMem {
+		t.Fatal("the records left the MemTable before the first check")
+	}
+	check("in the MemTable")
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	check("after Flush")
+}

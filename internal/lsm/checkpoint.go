@@ -66,8 +66,10 @@ func (db *DB) Checkpoint(destDir string) error {
 	// the copied files.
 	db.logMu.Lock()
 	defer db.logMu.Unlock()
-	if err := db.log.Flush(); err != nil {
-		return fmt.Errorf("lsm: checkpoint flush WAL: %w", err)
+	if db.log != nil { // nil after a failed WAL rotation closed the last segment
+		if err := db.log.Flush(); err != nil {
+			return fmt.Errorf("lsm: checkpoint flush WAL: %w", err)
+		}
 	}
 	copied := map[string]bool{}
 	for _, p := range append(append([]string(nil), db.immWALs...), db.memWALs...) {

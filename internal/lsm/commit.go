@@ -35,7 +35,6 @@ const (
 type pendingCommit struct {
 	records []wal.Record  // a Batch's records, or one[:] for a Put/Delete
 	one     [1]wal.Record // backs records for a single-record commit
-	noCopy  bool          // MemTable may retain Key/Value without copying
 	bytes   int64
 	tr      *metrics.Trace
 
@@ -128,11 +127,10 @@ func (q *commitQueue) handoffLocked() *pendingCommit {
 func (db *DB) GroupSizeHist() *metrics.BucketHistogram { return db.groupSize }
 
 // commit routes pc — a pooled pendingCommit whose records (not yet
-// sequenced, unless the first carries the seq to commit at), noCopy and
-// tr the caller filled in — through the queue, blocks until it is
-// durable per SyncMode, and returns pc to the pool. When noCopy is set
-// the MemTable retains the record buffers directly; the caller must
-// never mutate them afterwards.
+// sequenced, unless the first carries the seq to commit at) and tr the
+// caller filled in — through the queue, blocks until it is durable per
+// SyncMode, and returns pc to the pool. The WAL and the MemTable copy
+// the record buffers, so the caller may reuse them once commit returns.
 func (db *DB) commit(pc *pendingCommit) error {
 	for i := range pc.records {
 		pc.bytes += int64(len(pc.records[i].Key) + len(pc.records[i].Value))
@@ -263,12 +261,7 @@ func (db *DB) commitGroupLocked(group []*pendingCommit) error {
 		t0 = tr.Now()
 		for _, pc := range group {
 			for _, r := range pc.records {
-				key, value := r.Key, r.Value
-				if !pc.noCopy {
-					key = append([]byte(nil), key...)
-					value = append([]byte(nil), value...)
-				}
-				db.mem.add(r.Seq, ikey.Kind(r.Kind), key, value, db.opts.Extract)
+				db.mem.add(r.Seq, ikey.Kind(r.Kind), r.Key, r.Value, db.opts.Extract)
 				ingested += int64(len(r.Key) + len(r.Value))
 			}
 		}

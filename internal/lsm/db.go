@@ -484,8 +484,10 @@ func (db *DB) Close() error {
 	// land its MemTable inserts before the log closes under it.
 	db.waitCommitsLocked()
 	db.logMu.Lock()
-	if err := db.log.Close(); err != nil && firstErr == nil {
-		firstErr = err
+	if db.log != nil { // nil after a failed WAL rotation
+		if err := db.log.Close(); err != nil && firstErr == nil {
+			firstErr = err
+		}
 	}
 	db.logMu.Unlock()
 	for _, level := range db.v.levels {
@@ -500,7 +502,8 @@ func (db *DB) Close() error {
 }
 
 // Health reports whether the DB is serving normally: ErrClosed after
-// Close, the pipeline's sticky error if a flush failed, nil otherwise.
+// Close, the pipeline's sticky error if a flush or a WAL rotation
+// failed, nil otherwise.
 // Served by the HTTP layer at /healthz.
 func (db *DB) Health() error {
 	db.mu.RLock()

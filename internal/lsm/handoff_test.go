@@ -340,3 +340,45 @@ func TestBackgroundHandoffRaces(t *testing.T) {
 	}
 	check(dir, int(acked.Load()), "reopen")
 }
+
+// TestWALRotationFailureSticky makes the next WAL segment's path a
+// directory, so the freeze that would open it fails. The commit that
+// filled the MemTable reports the failure; every later commit and Flush
+// must return it too (not append to a writer that is gone), reads keep
+// answering, and Close returns.
+func TestWALRotationFailureSticky(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir, smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustPut(t, db, "first", "value")
+	db.mu.RLock()
+	next := walSegmentPath(dir, db.walSeq+1)
+	db.mu.RUnlock()
+	if err := os.Mkdir(next, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var failed error
+	for i := 0; failed == nil; i++ {
+		if i == 10000 {
+			t.Fatal("no freeze opened the next WAL segment")
+		}
+		failed = db.Put([]byte(fmt.Sprintf("key-%05d", i)), bytes.Repeat([]byte("v"), 100))
+	}
+	for i := 0; i < 3; i++ {
+		if err := db.Put([]byte("after"), []byte("x")); !errors.Is(err, failed) {
+			t.Fatalf("Put after the failed rotation = %v, want the sticky %v", err, failed)
+		}
+	}
+	if err := db.Flush(); !errors.Is(err, failed) {
+		t.Fatalf("Flush after the failed rotation = %v, want the sticky %v", err, failed)
+	}
+	if err := db.Health(); !errors.Is(err, failed) {
+		t.Fatalf("Health = %v, want %v", err, failed)
+	}
+	if v, ok, err := db.Get([]byte("first")); err != nil || !ok || string(v) != "value" {
+		t.Fatalf("Get(first) = %q, %v, %v", v, ok, err)
+	}
+	closeWithin(t, db)
+}

@@ -31,10 +31,13 @@ func newMemTable(secondaryAttrs []string) *memTable {
 	return m
 }
 
-// add inserts a record and maintains the secondary B-trees.
+// add copies a record into the skip list's arena, its internal key
+// written there in place, and maintains the secondary B-trees over the
+// arena's copies: the caller may reuse userKey and value once add returns.
 func (m *memTable) add(seq uint64, kind ikey.Kind, userKey, value []byte, extract AttrExtractor) {
-	ik := ikey.Make(userKey, seq, kind)
-	m.list.Insert(ik, value)
+	var trailer [8]byte
+	ik, value := m.list.InsertParts(userKey, ikey.AppendTrailer(trailer[:0], seq, kind), value)
+	userKey = ikey.UserKey(ik)
 	if seq > m.maxSeq {
 		m.maxSeq = seq
 	}
