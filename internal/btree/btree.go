@@ -6,9 +6,11 @@
 // the secondary attribute(s)".
 //
 // Each tree key is a secondary attribute value; the associated value is an
-// ordered set of postings (primary key + sequence number). The tree is not
-// safe for concurrent mutation; the engine serializes writers and guards
-// readers with its memtable swap lock.
+// ordered set of postings (primary key + sequence number). Every node also
+// records the highest sequence number below it, so a top-K walk skips the
+// subtrees too old to matter (DescendRangeAbove). The tree is not safe for
+// concurrent mutation; the engine serializes writers and guards readers
+// with its memtable swap lock.
 package btree
 
 import (
@@ -33,6 +35,7 @@ type item struct {
 type node struct {
 	items    []item
 	children []*node // empty for leaves
+	maxSeq   uint64  // highest posting seq in the subtree
 }
 
 func (n *node) leaf() bool { return len(n.children) == 0 }
@@ -68,14 +71,24 @@ func (n *node) search(key string) (int, bool) {
 // goes on to change.
 func (t *Tree) Add(key string, p Posting) {
 	t.posts++
-	if existing := t.find(t.root, key); existing != nil {
-		existing.postings = append(existing.postings, p)
-		return
+	// The posting lands below every node on key's path, whether key is
+	// found there or inserted: a split recomputes the nodes it divides.
+	for n := t.root; ; {
+		n.maxSeq = max(n.maxSeq, p.Seq)
+		i, ok := n.search(key)
+		if ok {
+			n.items[i].postings = append(n.items[i].postings, p)
+			return
+		}
+		if n.leaf() {
+			break
+		}
+		n = n.children[i]
 	}
 	t.size++
 	if len(t.root.items) >= 2*degree-1 {
 		old := t.root
-		t.root = &node{children: []*node{old}}
+		t.root = &node{children: []*node{old}, maxSeq: old.maxSeq}
 		t.root.splitChild(0)
 	}
 	t.insertNonFull(t.root, item{key: strings.Clone(key), postings: []Posting{p}})
@@ -112,6 +125,7 @@ func (n *node) splitChild(i int) {
 		child.children = child.children[:degree]
 	}
 	child.items = child.items[:mid]
+	child.maxSeq, right.maxSeq = child.subtreeMax(), right.subtreeMax()
 
 	n.items = append(n.items, item{})
 	copy(n.items[i+1:], n.items[i:])
@@ -121,8 +135,22 @@ func (n *node) splitChild(i int) {
 	n.children[i+1] = right
 }
 
+// subtreeMax computes n's maxSeq from its items and children.
+func (n *node) subtreeMax() uint64 {
+	var m uint64
+	for _, it := range n.items {
+		m = max(m, it.postings[len(it.postings)-1].Seq)
+	}
+	for _, c := range n.children {
+		m = max(m, c.maxSeq)
+	}
+	return m
+}
+
 func (t *Tree) insertNonFull(n *node, it item) {
+	seq := it.postings[0].Seq
 	for {
+		n.maxSeq = max(n.maxSeq, seq)
 		i, ok := n.search(it.key)
 		if ok {
 			panic("btree: insertNonFull on existing key")
@@ -177,4 +205,42 @@ func (t *Tree) ascend(n *node, lo string, hi *string, fn func(string, []Posting)
 		return t.ascend(n.children[len(n.items)], lo, hi, fn)
 	}
 	return true
+}
+
+// DescendRangeAbove calls fn for every key in the inclusive range [lo, hi]
+// in descending order whose postings hold one with a sequence number above
+// floor, and skips every subtree whose postings are all at or below it. fn
+// returns the floor for the rest of the walk, which only rises: a top-K
+// selection raises it to the oldest posting it keeps once it is full, and
+// math.MaxUint64 ends the walk. Where keys rise with sequence numbers, as
+// creation times do, the newest keys come first and the walk costs about
+// K keys and a path per subtree skipped, whatever the range holds.
+func (t *Tree) DescendRangeAbove(lo, hi string, floor uint64, fn func(key string, postings []Posting) uint64) {
+	if hi < lo {
+		return
+	}
+	t.root.descend(lo, hi, &floor, fn)
+}
+
+func (n *node) descend(lo, hi string, floor *uint64, fn func(string, []Posting) uint64) {
+	if n.maxSeq <= *floor {
+		return
+	}
+	i := sort.Search(len(n.items), func(i int) bool { return n.items[i].key > hi })
+	for {
+		if !n.leaf() {
+			n.children[i].descend(lo, hi, floor, fn)
+		}
+		if i == 0 {
+			return
+		}
+		i--
+		it := &n.items[i]
+		if it.key < lo {
+			return
+		}
+		if ps := it.postings; ps[len(ps)-1].Seq > *floor {
+			*floor = max(*floor, fn(it.key, ps))
+		}
+	}
 }

@@ -166,6 +166,116 @@ func TestQuickMatchesReferenceMap(t *testing.T) {
 	}
 }
 
+// TestDescendRangeAboveMatchesReference holds the seq-pruned walk to a
+// plain one over a reference map: a few thousand random adds in rising
+// seq order, enough for splits three levels deep, then walks over random
+// ranges from random floors whose callback raises the floor at random,
+// must call fn on the same keys in the same order. Each node's recorded
+// maxSeq must also equal what its subtree holds.
+func TestDescendRangeAboveMatchesReference(t *testing.T) {
+	prop := func(seed int64, walks []uint32) bool {
+		rng := rand.New(rand.NewSource(seed))
+		tr := New()
+		ref := map[string]uint64{} // key → highest seq
+		adds := 1 + rng.Intn(6000)
+		for seq := 1; seq <= adds; seq++ {
+			k := fmt.Sprintf("k%04d", rng.Intn(4000))
+			tr.Add(k, Posting{Seq: uint64(seq)})
+			ref[k] = uint64(seq)
+			if seq%500 == 0 && !maxSeqsHold(tr.root) {
+				t.Logf("after %d adds a node's maxSeq is wrong", seq)
+				return false
+			}
+		}
+		if !maxSeqsHold(tr.root) {
+			t.Logf("after %d adds a node's maxSeq is wrong", adds)
+			return false
+		}
+		var keys []string
+		for k := range ref {
+			keys = append(keys, k)
+		}
+		sort.Sort(sort.Reverse(sort.StringSlice(keys)))
+		for _, w := range walks {
+			lo, hi := fmt.Sprintf("k%04d", w%4000), fmt.Sprintf("k%04d", w>>12%4000)
+			floor := uint64(w>>20) % uint64(adds+1)
+			raise := func(key string) uint64 { // a floor rise decided by key and walk
+				if h := uint64(len(key)+int(key[len(key)-1])+int(w)) % 4; h != 0 {
+					return floor + h
+				}
+				return 0
+			}
+			var want []string
+			for _, k := range keys {
+				if k >= lo && k <= hi && ref[k] > floor {
+					want = append(want, k)
+					floor = max(floor, raise(k))
+				}
+			}
+			floor = uint64(w>>20) % uint64(adds+1)
+			var got []string
+			tr.DescendRangeAbove(lo, hi, floor, func(k string, ps []Posting) uint64 {
+				got = append(got, k)
+				if ps[len(ps)-1].Seq != ref[k] {
+					t.Errorf("key %s: newest posting %d, want %d", k, ps[len(ps)-1].Seq, ref[k])
+				}
+				floor = max(floor, raise(k))
+				return floor
+			})
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Logf("[%s, %s] from %d: got %v, want %v", lo, hi, uint64(w>>20)%uint64(adds+1), got, want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// maxSeqsHold reports whether every node below n records its subtree's
+// highest posting seq.
+func maxSeqsHold(n *node) bool {
+	var m uint64
+	for _, it := range n.items {
+		for _, p := range it.postings {
+			m = max(m, p.Seq)
+		}
+	}
+	for _, c := range n.children {
+		if !maxSeqsHold(c) {
+			return false
+		}
+		m = max(m, c.maxSeq)
+	}
+	return n.maxSeq == m
+}
+
+// BenchmarkDescendRangeAbove walks a whole tree whose keys rise with
+// their seqs, as creation times do, stopping the selection at the tenth
+// newest posting: its cost should stay flat as the tree grows.
+func BenchmarkDescendRangeAbove(b *testing.B) {
+	for _, n := range []int{1000, 100000} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			tr := New()
+			for i := 1; i <= n; i++ {
+				tr.Add(fmt.Sprintf("t%06d", i), Posting{Seq: uint64(i)})
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				calls := 0
+				tr.DescendRangeAbove("", "t999999", 0, func(_ string, ps []Posting) uint64 {
+					if calls++; calls < 10 {
+						return 0
+					}
+					return ps[0].Seq
+				})
+			}
+		})
+	}
+}
+
 func BenchmarkAdd(b *testing.B) {
 	tr := New()
 	for i := 0; i < b.N; i++ {

@@ -1,11 +1,17 @@
 package core
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // TestWarmReadAllocations pins what warm reads on a settled Lazy tree
 // allocate to what they allocated when validation ran one primary GET per
 // candidate: a LOOKUP and a RANGELOOKUP at K = 10, and a primary-table GET
-// that hits a table. Chunked validation must not cost more.
+// that hits a table. Chunked validation must not cost more. The limits
+// fell by one allocation per MemTable probe when the probe stopped
+// building its seek key on the heap: every validity check and GET asks
+// the empty live MemTable first.
 func TestWarmReadAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops decoders at random")
@@ -17,19 +23,19 @@ func TestWarmReadAllocations(t *testing.T) {
 		max  float64
 		run  func() error
 	}{
-		{"embedded lookup", 98, func() error { // the key-order level walk's count
+		{"embedded lookup", 41, func() error {
 			_, err := embedded.Lookup("UserID", "u01", 10)
 			return err
 		}},
-		{"lookup", 88, func() error {
+		{"lookup", 40, func() error {
 			_, err := db.Lookup("UserID", "u01", 10)
 			return err
 		}},
-		{"rangelookup", 606, func() error {
+		{"rangelookup", 545, func() error {
 			_, err := db.RangeLookup("CreationTime", "0000000000", "0000000500", 10)
 			return err
 		}},
-		{"primary get", 5, func() error {
+		{"primary get", 4, func() error {
 			_, ok, err := db.primary.Get([]byte("t00042"))
 			if err == nil && !ok {
 				t.Fatal("t00042 not found")
@@ -48,6 +54,42 @@ func TestWarmReadAllocations(t *testing.T) {
 		t.Logf("%s: %.1f allocations", c.name, got)
 		if got > c.max {
 			t.Errorf("warm %s allocates %.1f, want at most %.0f", c.name, got, c.max)
+		}
+	}
+}
+
+// TestEmbeddedMemReadAllocations: a K=10 Embedded LOOKUP of one user and
+// RANGELOOKUP over every creation time, read from an unflushed MemTable,
+// allocate as much when it holds 4 000 postings per attribute as when it
+// holds 500. They try the newest postings first and stop at the first one
+// too old for the heap; trying every posting in range costs a key and a
+// value copy each.
+func TestEmbeddedMemReadAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops seek keys and selections at random")
+	}
+	var first [2]float64
+	for _, n := range []int{500, 4000} {
+		db := openMemTweets(t, n)
+		lo, hi := fmt.Sprintf("%010d", 0), fmt.Sprintf("%010d", n)
+		for i, run := range []func() ([]Entry, error){
+			func() ([]Entry, error) { return db.Lookup("UserID", "u01", 10) },
+			func() ([]Entry, error) { return db.RangeLookup("CreationTime", lo, hi, 10) },
+		} {
+			if got, err := run(); err != nil || len(got) != 10 {
+				t.Fatalf("%d postings, query %d: %d results (%v)", n, i, len(got), err)
+			}
+			allocs := testing.AllocsPerRun(50, func() {
+				if _, err := run(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("%d postings, query %d: %.1f allocations", n, i, allocs)
+			if first[i] == 0 {
+				first[i] = allocs
+			} else if allocs != first[i] {
+				t.Errorf("query %d allocates %.1f over %d postings, %.1f over 500", i, allocs, n, first[i])
+			}
 		}
 	}
 }

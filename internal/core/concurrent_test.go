@@ -10,11 +10,13 @@ import (
 // TestConcurrentChunkedValidation runs LOOKUP and RANGELOOKUP readers,
 // whose validation reads each chunk of candidates under one primary read
 // lock, while a writer updates and deletes documents and the flushes and
-// compactions it runs replace the tables under them. Every answer
-// must be well formed: at most K entries, newest first, no key twice, and
-// every document carrying a value in the queried range.
+// compactions it runs replace the tables under them. Embedded readers
+// walk the MemTable B-trees, and their per-node max seqs, that the writer
+// grows. Every answer must be well formed: at most K entries, newest
+// first, no key twice, and every document carrying a value in the queried
+// range.
 func TestConcurrentChunkedValidation(t *testing.T) {
-	for _, kind := range []IndexKind{IndexEager, IndexLazy, IndexComposite} {
+	for _, kind := range []IndexKind{IndexEager, IndexLazy, IndexComposite, IndexEmbedded} {
 		t.Run(kind.String(), func(t *testing.T) {
 			db, err := Open(t.TempDir(), smallOptions(kind))
 			if err != nil {

@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"cmp"
+	"math"
 	"slices"
+	"sync"
 
 	"leveldbpp/internal/btree"
 	"leveldbpp/internal/ikey"
@@ -110,42 +112,43 @@ func (db *DB) embeddedScan(attr, lo, hi string, k int, useFilters bool, tr *metr
 // the Embedded index is active, by direct scan for NoIndex. A candidate
 // must be its key's newest version in the stratum and shadowed by no
 // stratum above. A key added is marked in seen when seen is non-nil.
+//
+// Through the B-tree, candidates are tried newest first, so a full heap
+// ends the stratum at the first posting too old to enter it rather than
+// after a probe, a key and a value copy for every posting in range. A
+// value's posting list is in seq order, so a LOOKUP walks its one list
+// backwards; a RANGELOOKUP tries its postings K at a time (memRange).
 func (db *DB) embeddedScanMem(strata []lsm.Stratum, si int, attr, lo, hi string, heap *topK, useFilters bool, seen map[string]bool, tr *metrics.Trace) error {
 	s := strata[si]
-	var err error
-	visible := func(pk []byte) bool {
-		hidden, serr := shadowed(strata[:si], pk, tr)
-		err = cmp.Or(err, serr)
-		return !hidden && serr == nil
-	}
-	add := func(e Entry) {
-		heap.Add(e)
-		if seen != nil {
-			seen[e.Key] = true
-		}
-	}
 	if useFilters {
 		tree := s.MemSecTree(attr)
 		if tree == nil {
 			return nil
 		}
-		tree.AscendRange(lo, hi, func(_ string, ps []btree.Posting) bool {
-			for _, p := range ps {
-				if !heap.Worth(p.Seq) {
-					continue
-				}
-				val, seq, deleted, ok := s.MemGet(p.Key)
-				if !ok || deleted || seq != p.Seq {
-					continue // superseded within this MemTable
-				}
-				if visible(p.Key) {
-					add(Entry{Key: string(p.Key), Value: append([]byte(nil), val...), Seq: seq})
+		if lo == hi {
+			ps := tree.Get(lo)
+			for i := len(ps) - 1; i >= 0 && heap.Worth(ps[i].Seq); i-- {
+				if err := memCandidate(strata, si, ps[i], heap, seen, tr); err != nil {
+					return err
 				}
 			}
-			return err == nil
+			return nil
+		}
+		if heap.k > 0 {
+			return memRange(strata, si, tree, lo, hi, heap, seen, tr)
+		}
+		var err error
+		tree.AscendRange(lo, hi, func(_ string, ps []btree.Posting) bool {
+			for _, p := range ps {
+				if err = memCandidate(strata, si, p, heap, seen, tr); err != nil {
+					return false
+				}
+			}
+			return true
 		})
 		return err
 	}
+	var err error
 	it := s.MemIter()
 	var prevUser []byte
 	for it.SeekToFirst(); it.Valid() && err == nil; it.Next() {
@@ -156,11 +159,110 @@ func (db *DB) embeddedScanMem(strata []lsm.Stratum, si int, attr, lo, hi string,
 		if !newest || ikey.KindOf(ik) == ikey.KindDelete {
 			continue
 		}
-		if visible(uk) && attrInRange(it.Value(), attr, lo, hi) {
-			add(Entry{Key: string(uk), Value: append([]byte(nil), it.Value()...), Seq: ikey.Seq(ik)})
+		var hidden bool
+		hidden, err = shadowed(strata[:si], uk, tr)
+		if !hidden && err == nil && attrInRange(it.Value(), attr, lo, hi) {
+			e := Entry{Key: string(uk), Value: append([]byte(nil), it.Value()...), Seq: ikey.Seq(ik)}
+			heap.Add(e)
+			if seen != nil {
+				seen[e.Key] = true
+			}
 		}
 	}
 	return err
+}
+
+// memCandidate adds posting p of the MemTable stratum strata[si] to heap
+// if it is its key's newest version in the stratum and no stratum above
+// holds the key, marking the key in seen when seen is non-nil.
+func memCandidate(strata []lsm.Stratum, si int, p btree.Posting, heap *topK, seen map[string]bool, tr *metrics.Trace) error {
+	val, seq, deleted, ok := strata[si].MemGet(p.Key)
+	if !ok || deleted || seq != p.Seq {
+		return nil // superseded within this MemTable
+	}
+	hidden, err := shadowed(strata[:si], p.Key, tr)
+	if hidden || err != nil {
+		return err
+	}
+	e := Entry{Key: string(p.Key), Value: append([]byte(nil), val...), Seq: seq}
+	heap.Add(e)
+	if seen != nil {
+		seen[e.Key] = true
+	}
+	return nil
+}
+
+// memSelection is a MemTable RANGELOOKUP's scratch: the newest postings
+// not yet tried, at most K of them.
+type memSelection struct{ h []btree.Posting }
+
+var memSelections = sync.Pool{New: func() any { return new(memSelection) }}
+
+func olderPosting(a, b btree.Posting) bool { return a.Seq < b.Seq }
+
+// memRange tries a bounded heap's candidates among the postings in
+// [lo, hi] of a MemTable stratum's B-tree newest first, K at a time: it
+// selects the K newest postings below the last one tried that could
+// enter the heap, tries them newest first, and selects again only when
+// superseded or shadowed postings left the heap short of them. What it
+// adds is what trying every posting would add; the scratch is K postings.
+func memRange(strata []lsm.Stratum, si int, tree *btree.Tree, lo, hi string, heap *topK, seen map[string]bool, tr *metrics.Trace) error {
+	sel := memSelections.Get().(*memSelection)
+	defer func() {
+		clear(sel.h[:cap(sel.h)]) // the pool keeps no MemTable's keys alive
+		memSelections.Put(sel)
+	}()
+	below := uint64(math.MaxUint64) // every posting tried so far is at or above it
+	for {
+		sel.h = selectMemPostings(tree, lo, hi, below, heap, sel.h[:0])
+		slices.SortFunc(sel.h, func(a, b btree.Posting) int { return cmp.Compare(b.Seq, a.Seq) })
+		for _, p := range sel.h {
+			if !heap.Worth(p.Seq) {
+				return nil // every posting left is older still
+			}
+			if err := memCandidate(strata, si, p, heap, seen, tr); err != nil {
+				return err
+			}
+		}
+		if len(sel.h) < heap.k {
+			return nil // every posting that could enter was tried
+		}
+		if below = sel.h[len(sel.h)-1].Seq; !heap.Worth(below - 1) {
+			return nil // nothing older can enter
+		}
+	}
+}
+
+// selectMemPostings returns in sel, a min-heap by seq, the heap.k newest
+// postings in [lo, hi] below seq below that heap could take. The B-tree
+// walk skips every value and subtree without a posting newer than the
+// floor: the heap's minimum while it is full, then also the selection's
+// once it is full. A value's list is walked from its newest posting under
+// the bound back to the floor.
+//
+//lsm:hotpath
+func selectMemPostings(tree *btree.Tree, lo, hi string, below uint64, heap *topK, sel []btree.Posting) []btree.Posting {
+	var floor uint64
+	if heap.Full() {
+		floor = heap.MinSeq()
+	}
+	tree.DescendRangeAbove(lo, hi, floor, func(_ string, ps []btree.Posting) uint64 {
+		n, _ := slices.BinarySearchFunc(ps, below, func(p btree.Posting, seq uint64) int { return cmp.Compare(p.Seq, seq) })
+		for i := n - 1; i >= 0 && ps[i].Seq > floor; i-- {
+			if len(sel) < heap.k {
+				sel = append(sel, ps[i])
+				siftUp(sel, len(sel)-1, olderPosting)
+			} else {
+				sel[0] = ps[i]
+				siftDown(sel, 0, olderPosting)
+			}
+			if len(sel) == heap.k {
+				floor = max(floor, sel[0].Seq)
+			}
+		}
+		return floor
+	})
+	return sel
 }
 
 // embeddedScanTable reads the candidate blocks of one table through it and

@@ -1,6 +1,9 @@
 package core
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // topK is the min-heap of Algorithm 1: it retains the K entries with the
 // highest sequence numbers (most recent insertions). K <= 0 means
@@ -53,6 +56,6 @@ func (t *topK) Len() int { return len(t.h) }
 func (t *topK) Results() []Entry {
 	out := make([]Entry, len(t.h))
 	copy(out, t.h)
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq > out[j].Seq })
+	slices.SortFunc(out, func(a, b Entry) int { return cmp.Compare(b.Seq, a.Seq) })
 	return out
 }

@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"bytes"
+	"sync"
 
 	"leveldbpp/internal/btree"
 	"leveldbpp/internal/ikey"
@@ -51,11 +52,20 @@ func (m *memTable) add(seq uint64, kind ikey.Kind, userKey, value []byte, extrac
 	}
 }
 
+// seekKeys holds get's seek-key buffers. The skip list compares through
+// a func value, so a key handed to its search escapes: a buffer built per
+// probe would be one allocation per MemTable a GET or a validity check
+// asks.
+var seekKeys = sync.Pool{New: func() any { return new([]byte) }}
+
 // get returns the newest record for userKey: its value, sequence number
 // and kind.
 func (m *memTable) get(userKey []byte) (value []byte, seq uint64, kind ikey.Kind, ok bool) {
+	seek := seekKeys.Get().(*[]byte)
+	*seek = ikey.AppendSeek((*seek)[:0], userKey)
 	it := m.list.NewIterator()
-	it.SeekGE(ikey.SeekKey(userKey))
+	it.SeekGE(*seek) // the iterator keeps no reference to the key
+	seekKeys.Put(seek)
 	if !it.Valid() {
 		return nil, 0, 0, false
 	}
