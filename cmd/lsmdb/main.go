@@ -1,11 +1,19 @@
-// Command lsmdb is an interactive shell (and one-shot CLI) for a
-// LevelDB++ database, exposing the paper's full operation set (Table 1).
+// Command lsmdb is the command-line front door to a LevelDB++ database:
+// an interactive shell (and one-shot CLI) exposing the paper's full
+// operation set (Table 1), plus the data tools.
 //
 // Usage:
 //
-//	lsmdb -db /tmp/tweets -index lazy -attrs UserID,CreationTime [command...]
+//	lsmdb -db /tmp/tweets [-index lazy -attrs UserID,CreationTime] [command...]
+//	lsmdb gen -mode dataset -tweets 100000 | lsmdb load -db /tmp/tweets
+//	lsmdb gen -mode mixed -ratios read-heavy -ops 50000 | lsmdb load -db /tmp/tweets -replay
+//	lsmdb dump [-blocks] [-entries] [-verify] file.sst
 //
-// Commands (one-shot via arguments, or read line-by-line from stdin):
+// A database records its index kind and attributes when it is created,
+// so -index and -attrs (lazy on UserID,CreationTime by default) only
+// matter for a new one; given for an existing one, they must match.
+//
+// Shell commands (one-shot via arguments, or read line-by-line from stdin):
 //
 //	put <key> <json-document>
 //	get <key>
@@ -24,51 +32,58 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
+	"log"
 	"os"
 	"strconv"
 	"strings"
 
+	"leveldbpp/internal/cli"
 	"leveldbpp/internal/core"
 	"leveldbpp/internal/explain"
 )
+
+// subcommands are the data tools, each run with the arguments after its
+// name, the input it reads and the output it writes.
+var subcommands = map[string]func(args []string, in io.Reader, out io.Writer) error{
+	"gen":  gen,
+	"load": load,
+	"dump": dump,
+}
 
 // explainAll (-explain) routes every get/lookup/rangelookup through the
 // EXPLAIN path, printing the report after the results.
 var explainAll bool
 
 func main() {
-	var (
-		dir   = flag.String("db", "", "database directory (required)")
-		index = flag.String("index", "lazy", "index kind: none|embedded|eager|lazy|composite")
-		attrs = flag.String("attrs", "UserID,CreationTime", "comma-separated indexed attributes")
-	)
+	log.SetFlags(0)
+	log.SetPrefix("lsmdb: ")
+	if len(os.Args) > 1 {
+		if run, ok := subcommands[os.Args[1]]; ok {
+			if err := run(os.Args[2:], os.Stdin, os.Stdout); err != nil {
+				log.Fatal(err)
+			}
+			return
+		}
+	}
+	open := cli.DBFlags(flag.CommandLine)
 	flag.BoolVar(&explainAll, "explain", false,
 		"print an EXPLAIN report (plan, I/O, cost-model prediction) after every get/lookup/rangelookup")
 	flag.Parse()
-	if *dir == "" {
-		fatal(fmt.Errorf("-db is required"))
-	}
-	kind, err := core.ParseIndexKind(*index)
+	db, err := open(core.Options{})
 	if err != nil {
-		fatal(err)
-	}
-	db, err := core.Open(*dir, core.Options{
-		Index: kind,
-		Attrs: strings.Split(*attrs, ","),
-	})
-	if err != nil {
-		fatal(err)
+		log.Fatal(err)
 	}
 	defer db.Close()
 
 	if args := flag.Args(); len(args) > 0 {
 		if err := execute(db, args); err != nil {
-			fatal(err)
+			log.Fatal(err)
 		}
 		return
 	}
 
-	fmt.Printf("lsmdb (%s index on %s) — type 'help'\n", kind, *attrs)
+	fmt.Printf("lsmdb (%s index on %s) — type 'help'\n", db.Kind(), strings.Join(db.Attrs(), ","))
 	sc := bufio.NewScanner(os.Stdin)
 	for fmt.Print("> "); sc.Scan(); fmt.Print("> ") {
 		fields := strings.Fields(sc.Text())
@@ -95,68 +110,19 @@ func execute(db *core.DB, args []string) error {
 		if len(args) < 2 {
 			return fmt.Errorf("usage: explain <get|lookup|rangelookup> <args...>")
 		}
-		return executeExplain(db, args[1:])
+		return query(db, args[1:], true)
+	case "get", "lookup", "rangelookup":
+		return query(db, args, explainAll)
 	case "put":
 		if len(args) < 3 {
 			return fmt.Errorf("usage: put <key> <json-document>")
 		}
 		return db.Put(args[1], []byte(strings.Join(args[2:], " ")))
-	case "get":
-		if len(args) != 2 {
-			return fmt.Errorf("usage: get <key>")
-		}
-		if explainAll {
-			return executeExplain(db, args)
-		}
-		v, ok, err := db.Get(args[1])
-		if err != nil {
-			return err
-		}
-		if !ok {
-			fmt.Println("(not found)")
-			return nil
-		}
-		fmt.Println(string(v))
-		return nil
 	case "del":
 		if len(args) != 2 {
 			return fmt.Errorf("usage: del <key>")
 		}
 		return db.Delete(args[1])
-	case "lookup":
-		if len(args) < 3 {
-			return fmt.Errorf("usage: lookup <attr> <value> [topK]")
-		}
-		if explainAll {
-			return executeExplain(db, args)
-		}
-		k, err := optionalK(args, 3)
-		if err != nil {
-			return err
-		}
-		entries, err := db.Lookup(args[1], args[2], k)
-		if err != nil {
-			return err
-		}
-		printEntries(entries)
-		return nil
-	case "rangelookup":
-		if len(args) < 4 {
-			return fmt.Errorf("usage: rangelookup <attr> <lo> <hi> [topK]")
-		}
-		if explainAll {
-			return executeExplain(db, args)
-		}
-		k, err := optionalK(args, 4)
-		if err != nil {
-			return err
-		}
-		entries, err := db.RangeLookup(args[1], args[2], args[3], k)
-		if err != nil {
-			return err
-		}
-		printEntries(entries)
-		return nil
 	case "stats":
 		s := db.Stats()
 		prim, idx, err := db.DiskUsage()
@@ -211,55 +177,65 @@ func execute(db *core.DB, args []string) error {
 	}
 }
 
-// executeExplain runs one operation through the EXPLAIN path and prints
-// results followed by the indented-JSON report and its one-line summary.
-func executeExplain(db *core.DB, args []string) error {
+// query runs a get, lookup or rangelookup and prints its results; when
+// explained, through the EXPLAIN path, followed by the indented-JSON
+// report and its one-line summary.
+func query(db *core.DB, args []string, explained bool) error {
 	var rep *explain.Report
 	switch args[0] {
 	case "get":
 		if len(args) != 2 {
-			return fmt.Errorf("usage: explain get <key>")
+			return fmt.Errorf("usage: get <key>")
 		}
-		v, ok, r, err := db.ExplainGet(args[1])
+		var v []byte
+		var ok bool
+		var err error
+		if explained {
+			v, ok, rep, err = db.ExplainGet(args[1])
+		} else {
+			v, ok, err = db.Get(args[1])
+		}
 		if err != nil {
 			return err
 		}
 		if !ok {
-			fmt.Println("(not found)")
-		} else {
-			fmt.Println(string(v))
+			v = []byte("(not found)")
 		}
-		rep = r
-	case "lookup":
-		if len(args) < 3 {
-			return fmt.Errorf("usage: explain lookup <attr> <value> [topK]")
+		fmt.Println(string(v))
+	case "lookup", "rangelookup":
+		point := args[0] == "lookup"
+		n := 4 // the arguments before topK: the op, attr, lo and hi
+		if point {
+			n = 3 // lo = hi
 		}
-		k, err := optionalK(args, 3)
+		if len(args) < n {
+			return fmt.Errorf("usage: lookup <attr> <value> [topK] | rangelookup <attr> <lo> <hi> [topK]")
+		}
+		k, err := optionalK(args, n)
 		if err != nil {
 			return err
 		}
-		entries, r, err := db.ExplainLookup(args[1], args[2], k)
+		attr, lo, hi := args[1], args[2], args[n-1]
+		var entries []core.Entry
+		switch {
+		case explained && point:
+			entries, rep, err = db.ExplainLookup(attr, lo, k)
+		case explained:
+			entries, rep, err = db.ExplainRangeLookup(attr, lo, hi, k)
+		case point:
+			entries, err = db.Lookup(attr, lo, k)
+		default:
+			entries, err = db.RangeLookup(attr, lo, hi, k)
+		}
 		if err != nil {
 			return err
 		}
 		printEntries(entries)
-		rep = r
-	case "rangelookup":
-		if len(args) < 4 {
-			return fmt.Errorf("usage: explain rangelookup <attr> <lo> <hi> [topK]")
-		}
-		k, err := optionalK(args, 4)
-		if err != nil {
-			return err
-		}
-		entries, r, err := db.ExplainRangeLookup(args[1], args[2], args[3], k)
-		if err != nil {
-			return err
-		}
-		printEntries(entries)
-		rep = r
 	default:
 		return fmt.Errorf("explain: unknown operation %q (get|lookup|rangelookup)", args[0])
+	}
+	if rep == nil {
+		return nil
 	}
 	b, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -286,9 +262,4 @@ func printEntries(entries []core.Entry) {
 		fmt.Printf("%s\t%s\n", e.Key, e.Value)
 	}
 	fmt.Printf("(%d results)\n", len(entries))
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "lsmdb:", err)
-	os.Exit(1)
 }

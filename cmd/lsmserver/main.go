@@ -2,7 +2,9 @@
 //
 // Usage:
 //
-//	lsmserver -db /var/lib/tweets -index lazy -attrs UserID,CreationTime -addr :8080
+//	lsmserver -db /var/lib/tweets [-index lazy -attrs UserID,CreationTime] -addr :8080
+//
+// -index and -attrs only matter for a new database (lsmdb has the rules).
 //
 // Endpoints (see internal/server):
 //
@@ -20,7 +22,6 @@ package main
 
 import (
 	"flag"
-	"fmt"
 	"log"
 	"net/http"
 	"os"
@@ -29,6 +30,7 @@ import (
 	"syscall"
 	"time"
 
+	"leveldbpp/internal/cli"
 	"leveldbpp/internal/core"
 	"leveldbpp/internal/metrics"
 	"leveldbpp/internal/server"
@@ -36,10 +38,9 @@ import (
 )
 
 func main() {
+	log.SetPrefix("lsmserver: ")
+	open := cli.DBFlags(flag.CommandLine)
 	var (
-		dir       = flag.String("db", "", "database directory (required)")
-		index     = flag.String("index", "lazy", "index kind: none|embedded|eager|lazy|composite")
-		attrs     = flag.String("attrs", "UserID,CreationTime", "comma-separated indexed attributes")
 		addr      = flag.String("addr", ":8080", "listen address")
 		cache     = flag.Int64("cache-mb", 0, "block cache size in MiB (0 = off, the paper's config)")
 		metricsOn = flag.Bool("metrics", true, "expose Prometheus text format at GET /metrics")
@@ -50,19 +51,9 @@ func main() {
 		advisorIv = flag.Duration("advisor-check", 0, "re-run the online index advisor at this interval (0 disables); flips land in the event log")
 	)
 	flag.Parse()
-	if *dir == "" {
-		fmt.Fprintln(os.Stderr, "lsmserver: -db is required")
-		os.Exit(1)
-	}
-	kind, err := core.ParseIndexKind(*index)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "lsmserver:", err)
-		os.Exit(1)
-	}
 	sync, err := wal.ParseSyncMode(*syncMode)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "lsmserver:", err)
-		os.Exit(1)
+		log.Fatal(err)
 	}
 
 	// The JSONL sink (if any) attaches as a secondary event sink behind the
@@ -73,24 +64,20 @@ func main() {
 	if *eventsOut != "" {
 		f, err := os.OpenFile(*eventsOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "lsmserver:", err)
-			os.Exit(1)
+			log.Fatal(err)
 		}
 		jsonl = metrics.NewJSONLSink(f)
 		events = jsonl
 	}
 
-	db, err := core.Open(*dir, core.Options{
-		Index:           kind,
-		Attrs:           strings.Split(*attrs, ","),
+	db, err := open(core.Options{
 		BlockCacheBytes: *cache << 20,
 		TraceSampleRate: *traceRate,
 		Events:          events,
 		SyncMode:        sync,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "lsmserver:", err)
-		os.Exit(1)
+		log.Fatal(err)
 	}
 
 	handler := server.NewWith(db, server.Config{Metrics: *metricsOn, Pprof: *pprofOn})
@@ -117,8 +104,8 @@ func main() {
 		}
 	}()
 
-	log.Printf("lsmserver: %s index on %s, serving %s (metrics=%v pprof=%v trace-sample=%g)",
-		kind, *attrs, *addr, *metricsOn, *pprofOn, *traceRate)
+	log.Printf("%s index on %s, serving %s (metrics=%v pprof=%v trace-sample=%g)",
+		db.Kind(), strings.Join(db.Attrs(), ","), *addr, *metricsOn, *pprofOn, *traceRate)
 	err = srv.ListenAndServe()
 	if closeErr := db.Close(); closeErr != nil {
 		log.Println("close:", closeErr)

@@ -7,5 +7,5 @@
 //
 // See README.md for a quickstart, DESIGN.md for the system inventory, and
 // EXPERIMENTS.md for paper-vs-measured results. The library lives under
-// internal/core; runnable examples under examples/.
+// internal/core, with its checked examples in internal/core/example_test.go.
 package leveldbpp

@@ -21,6 +21,7 @@
 package core
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -166,7 +167,7 @@ type DB struct {
 	// seqFloor bounds the postings of index records written before index
 	// records carried their primary record's seq: it is the primary's
 	// LastSeq when this engine first opened the database (0 for one it
-	// created), persisted in seqFloorFile. A posting RANGELOOKUP bounds a
+	// created), persisted in descriptorFile. A posting RANGELOOKUP bounds a
 	// table by max(MaxSeq, seqFloor), which stays sound for tables that
 	// hold such records.
 	seqFloor uint64
@@ -214,7 +215,11 @@ const compositeSep = byte(0)
 
 // Open creates or reopens a LevelDB++ database rooted at dir. The primary
 // table lives in dir/primary; stand-alone index tables in
-// dir/index-<attr>.
+// dir/index-<attr>. A database records its index kind and attribute list
+// in dir/DESCRIPTOR when it is created, and opens only with the same
+// kind and the same attributes in the same order: any other Options
+// fail before anything is opened. A database without a descriptor
+// (written before databases recorded their index) records opts.
 func Open(dir string, opts Options) (*DB, error) {
 	for i, a := range opts.Attrs {
 		if a == "" {
@@ -223,6 +228,14 @@ func Open(dir string, opts Options) (*DB, error) {
 		if slices.Contains(opts.Attrs[:i], a) {
 			return nil, fmt.Errorf("core: attribute %q: listed twice", a)
 		}
+	}
+	desc, described, err := readDescriptor(dir)
+	if err != nil {
+		return nil, err
+	}
+	if described && (desc.Index != opts.Index.String() || !slices.Equal(desc.Attrs, opts.Attrs)) {
+		return nil, fmt.Errorf("core: %s holds a %s index on %q; opened as %v on %q",
+			dir, desc.Index, desc.Attrs, opts.Index, opts.Attrs)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("core: create dir: %w", err)
@@ -295,7 +308,10 @@ func Open(dir string, opts Options) (*DB, error) {
 			// record leaves seqs the primary never took: never reuse them.
 			primary.AdvanceSeq(idx.LastSeq())
 		}
-		if db.seqFloor, err = loadSeqFloor(dir, primary.LastSeq()); err != nil {
+	}
+	db.seqFloor = desc.SeqFloor
+	if !described {
+		if db.seqFloor, err = db.adoptDescriptor(dir); err != nil {
 			_ = db.Close()
 			return nil, err
 		}
@@ -303,42 +319,97 @@ func Open(dir string, opts Options) (*DB, error) {
 	return db, nil
 }
 
-// seqFloorFile names the file in a database's directory that holds
-// DB.seqFloor.
-const seqFloorFile = "SEQFLOOR"
+// descriptorFile names the file in a database's directory that records
+// what every later Open is checked against, the index kind and the
+// attribute list the database was created with, and DB.seqFloor.
+const descriptorFile = "DESCRIPTOR"
 
-// loadSeqFloor returns the seq floor persisted in dir or, on the first
-// open by this engine, persists and returns last.
-func loadSeqFloor(dir string, last uint64) (uint64, error) {
-	path := filepath.Join(dir, seqFloorFile)
-	data, err := os.ReadFile(path)
-	if err == nil {
-		floor, err := strconv.ParseUint(strings.TrimSpace(string(data)), 10, 64)
-		if err != nil {
-			return 0, fmt.Errorf("core: %s: %w", seqFloorFile, err)
-		}
-		return floor, nil
-	}
-	if !errors.Is(err, os.ErrNotExist) {
-		return 0, fmt.Errorf("core: %s: %w", seqFloorFile, err)
-	}
-	return last, writeSeqFloor(dir, last)
+// legacySeqFloorFile held DB.seqFloor before the descriptor did.
+const legacySeqFloorFile = "SEQFLOOR"
+
+// descriptor is the content of descriptorFile.
+type descriptor struct {
+	Index    string   `json:"index"` // IndexKind.String()
+	Attrs    []string `json:"attrs"`
+	SeqFloor uint64   `json:"seq_floor"`
 }
 
-// writeSeqFloor persists floor in dir, atomically.
-func writeSeqFloor(dir string, floor uint64) error {
-	path := filepath.Join(dir, seqFloorFile)
-	if err := os.WriteFile(path+".tmp", []byte(strconv.FormatUint(floor, 10)+"\n"), 0o644); err != nil {
-		return fmt.Errorf("core: %s: %w", seqFloorFile, err)
+// readDescriptor returns dir's descriptor, or ok false if it has none.
+func readDescriptor(dir string) (d descriptor, ok bool, err error) {
+	data, err := os.ReadFile(filepath.Join(dir, descriptorFile))
+	if errors.Is(err, os.ErrNotExist) {
+		return d, false, nil
 	}
-	if err := os.Rename(path+".tmp", path); err != nil {
-		return fmt.Errorf("core: %s: %w", seqFloorFile, err)
+	if err == nil {
+		err = json.Unmarshal(data, &d)
+	}
+	if err != nil {
+		return d, false, fmt.Errorf("core: %s: %w", descriptorFile, err)
+	}
+	return d, true, nil
+}
+
+// ReadDescriptor returns the index kind and the attributes the database
+// in dir was created with. ok is false when dir records none: it is new,
+// or it was written before databases recorded their index, and the next
+// Open records its Options.
+func ReadDescriptor(dir string) (kind IndexKind, attrs []string, ok bool, err error) {
+	d, ok, err := readDescriptor(dir)
+	if ok {
+		kind, err = ParseIndexKind(d.Index)
+	}
+	return kind, d.Attrs, ok, err
+}
+
+// adoptDescriptor records db's Options in dir, which has no descriptor,
+// and returns the seq floor it records: a SEQFLOOR file's number, which
+// it then removes, or else the primary's LastSeq for a stand-alone kind
+// (0 for a database this Open created) and 0 for the others.
+func (db *DB) adoptDescriptor(dir string) (uint64, error) {
+	d := descriptor{Index: db.opts.Index.String(), Attrs: db.opts.Attrs}
+	legacy := filepath.Join(dir, legacySeqFloorFile)
+	data, err := os.ReadFile(legacy)
+	switch {
+	case err == nil:
+		d.SeqFloor, err = strconv.ParseUint(strings.TrimSpace(string(data)), 10, 64)
+	case errors.Is(err, os.ErrNotExist):
+		err = nil
+		if db.indexes != nil {
+			d.SeqFloor = db.primary.LastSeq()
+		}
+	}
+	if err != nil {
+		return 0, fmt.Errorf("core: %s: %w", legacySeqFloorFile, err)
+	}
+	if err := writeDescriptor(dir, d); err != nil {
+		return 0, err
+	}
+	if err := os.Remove(legacy); err != nil && !errors.Is(err, os.ErrNotExist) {
+		return 0, fmt.Errorf("core: %s: %w", legacySeqFloorFile, err)
+	}
+	return d.SeqFloor, nil
+}
+
+// writeDescriptor persists d in dir, atomically.
+func writeDescriptor(dir string, d descriptor) error {
+	data, _ := json.Marshal(d) // strings and a number: cannot fail
+	path := filepath.Join(dir, descriptorFile)
+	err := os.WriteFile(path+".tmp", append(data, '\n'), 0o644)
+	if err == nil {
+		err = os.Rename(path+".tmp", path)
+	}
+	if err != nil {
+		return fmt.Errorf("core: %s: %w", descriptorFile, err)
 	}
 	return nil
 }
 
 // Kind returns the database's index kind.
 func (db *DB) Kind() IndexKind { return db.opts.Index }
+
+// Attrs returns a copy of the database's indexed attributes, in
+// Options.Attrs order.
+func (db *DB) Attrs() []string { return slices.Clone(db.opts.Attrs) }
 
 // Get retrieves the document stored under key (Table 1: GET).
 func (db *DB) Get(key string) ([]byte, bool, error) {
@@ -764,10 +835,7 @@ func (db *DB) Checkpoint(destDir string) error {
 			return err
 		}
 	}
-	if db.indexes != nil {
-		return writeSeqFloor(destDir, db.seqFloor)
-	}
-	return nil
+	return writeDescriptor(destDir, descriptor{Index: db.opts.Index.String(), Attrs: db.opts.Attrs, SeqFloor: db.seqFloor})
 }
 
 // CompactRange forces the user-key range [lo, hi] (empty strings =

@@ -14,7 +14,7 @@ import (
 
 // writePinGolden holds, per index kind, the SHA-256 of every file the
 // TestWritePathFilesPinned workload leaves: each table's .sst files,
-// MANIFEST and WAL segments, and the database's SEQFLOOR.
+// MANIFEST and WAL segments, and the database's DESCRIPTOR.
 const writePinGolden = "testdata/writepin.golden"
 
 // TestWritePathFilesPinned runs a fixed PUT / DEL / batch workload, with

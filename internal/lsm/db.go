@@ -689,10 +689,11 @@ func (s Stratum) NewestFirst() []*FileMeta {
 // IsMem reports whether the stratum is a MemTable, live or frozen.
 func (s Stratum) IsMem() bool { return s.mem != nil }
 
-// MemGet returns a MemTable stratum's newest record for key.
+// MemGet returns a MemTable stratum's newest record for key; deleted is
+// false when the MemTable holds no record for key (ok false).
 func (s Stratum) MemGet(key []byte) (value []byte, seq uint64, deleted bool, ok bool) {
 	val, seq, kind, ok := s.mem.get(key)
-	return val, seq, kind == ikey.KindDelete, ok
+	return val, seq, ok && kind == ikey.KindDelete, ok
 }
 
 // MemIter iterates a MemTable stratum in internal-key order.

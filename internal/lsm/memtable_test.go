@@ -36,7 +36,7 @@ func TestMemGetAllocationFree(t *testing.T) {
 		} {
 			key := []byte(c.key)
 			val, _, deleted, ok := mem.MemGet(key)
-			if string(val) != c.val || ok != c.present || ok && deleted != c.deleted {
+			if string(val) != c.val || ok != c.present || deleted != c.deleted {
 				t.Errorf("MemGet(%.10q…) = %q, deleted %v, ok %v", c.key, val, deleted, ok)
 			}
 			if n := testing.AllocsPerRun(100, func() { mem.MemGet(key) }); n != 0 {
