@@ -45,10 +45,17 @@ func (a ioTotals) sub(b ioTotals) ioTotals {
 // between the snapshots the golden comparison takes.
 func openGolden(t *testing.T, kind IndexKind) *DB {
 	t.Helper()
+	return openGoldenSampled(t, kind, 0)
+}
+
+// openGoldenSampled is openGolden with operation tracing at rate.
+func openGoldenSampled(t *testing.T, kind IndexKind, rate float64) *DB {
+	t.Helper()
 	db, err := Open(t.TempDir(), Options{
-		Index:         kind,
-		Attrs:         []string{"UserID", "CreationTime"},
-		MemTableBytes: 32 << 10,
+		Index:           kind,
+		Attrs:           []string{"UserID", "CreationTime"},
+		MemTableBytes:   32 << 10,
+		TraceSampleRate: rate,
 	})
 	if err != nil {
 		t.Fatal(err)
