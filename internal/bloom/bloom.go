@@ -105,9 +105,6 @@ func (f Filter) MayContain(key []byte) bool {
 	return true
 }
 
-// ApproximateSizeBytes returns the encoded size of the filter.
-func (f Filter) ApproximateSizeBytes() int { return len(f) }
-
 // Hash is a 64-bit FNV-1a-style hash with extra avalanche mixing, shared by
 // the filter builder and prober. It is exported so table readers can reuse
 // it for hash-sharded structures.

@@ -36,7 +36,7 @@ func TestWarmReadAllocations(t *testing.T) {
 			return err
 		}},
 		{"primary get", 4, func() error {
-			_, ok, err := db.primary.Get([]byte("t00042"))
+			_, ok, err := db.primary.Get([]byte("t00042"), nil)
 			if err == nil && !ok {
 				t.Fatal("t00042 not found")
 			}

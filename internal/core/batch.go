@@ -89,7 +89,7 @@ func (db *DB) write(ops []batchOp, slots []attrSlot, tr *metrics.Trace) error {
 		}
 		doc, ok := written[op.key]
 		if !ok {
-			v, found, err := db.primary.Get([]byte(op.key))
+			v, found, err := db.primary.Get([]byte(op.key), nil)
 			if err != nil {
 				return err
 			}
@@ -167,7 +167,7 @@ func (db *DB) Scan(lo, hi string, fn func(key string, value []byte) bool) error 
 	if hi != "" {
 		hiExcl = upperBoundExclusive(hi)
 	}
-	return db.primary.Scan([]byte(lo), hiExcl, func(k, v []byte, _ uint64) bool {
+	return db.primary.Scan([]byte(lo), hiExcl, nil, func(k, v []byte, _ uint64) bool {
 		return fn(string(k), v)
 	})
 }

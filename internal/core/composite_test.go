@@ -118,7 +118,7 @@ func (s *refCompositeHeap) next() ([]byte, uint64, bool) {
 // refCompositeStream is the stream the retired merged scan + heap yielded.
 func refCompositeStream(idx *lsm.DB, lo, hi string) ([]streamed, error) {
 	var src refCompositeHeap
-	err := idx.Scan(compositeKey(lo, ""), append([]byte(hi), compositeSep+1), func(key, _ []byte, seq uint64) bool {
+	err := idx.Scan(compositeKey(lo, ""), append([]byte(hi), compositeSep+1), nil, func(key, _ []byte, seq uint64) bool {
 		src.add(key, lo, hi, seq)
 		return true
 	})

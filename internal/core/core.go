@@ -413,19 +413,30 @@ func (db *DB) Attrs() []string { return slices.Clone(db.opts.Attrs) }
 
 // Get retrieves the document stored under key (Table 1: GET).
 func (db *DB) Get(key string) ([]byte, bool, error) {
-	t0 := time.Now()
-	tr := db.tracer.Start(metrics.OpGet)
-	value, ok, err := db.primary.GetTraced([]byte(key), tr)
-	var io metrics.Counters
-	if tr != nil && err == nil {
-		io = tr.Counters() // read before Finish returns tr to the pool
-	}
-	tr.Finish()
-	db.ops.Observe(metrics.OpGet, time.Since(t0))
-	if io.PointGets > 0 && err == nil {
-		db.recordModelRatio(metrics.OpGet, "", "", "", nil, io)
-	}
+	value, ok, _, err := db.get(key, false)
 	return value, ok, err
+}
+
+// ExplainGet is Get with its EXPLAIN report (DESIGN.md §5.7).
+func (db *DB) ExplainGet(key string) ([]byte, bool, *explain.Report, error) {
+	return db.get(key, true)
+}
+
+// get is GET and EXPLAIN GET: one point read of the primary table under
+// startRead's trace, ended by finishRead.
+func (db *DB) get(key string, explained bool) ([]byte, bool, *explain.Report, error) {
+	t0 := time.Now()
+	tr := db.startRead(metrics.OpGet, explained)
+	if tr != nil {
+		tr.SetDetail("key=" + key)
+	}
+	value, ok, err := db.primary.Get([]byte(key), tr)
+	results := 0
+	if ok {
+		results = 1
+	}
+	rep := db.finishRead(tr, t0, metrics.OpGet, "", "", "", 0, results, nil, explained, err)
+	return value, ok, rep, err
 }
 
 // Put writes (or overwrites) the document under key and maintains the
@@ -472,26 +483,61 @@ func (db *DB) Delete(key string) error {
 // Lookup returns the k most recent records whose attr equals value
 // (Table 1: LOOKUP). k <= 0 means no limit.
 func (db *DB) Lookup(attr, value string, k int) ([]Entry, error) {
+	out, _, err := db.runQuery(metrics.OpLookup, attr, value, value, k, false)
+	return out, err
+}
+
+// ExplainLookup is Lookup with its EXPLAIN report (DESIGN.md §5.7).
+func (db *DB) ExplainLookup(attr, value string, k int) ([]Entry, *explain.Report, error) {
+	return db.runQuery(metrics.OpLookup, attr, value, value, k, true)
+}
+
+// RangeLookup returns the k most recent records with lo <= val(attr) <= hi
+// (Table 1: RANGELOOKUP). k <= 0 means no limit.
+func (db *DB) RangeLookup(attr, lo, hi string, k int) ([]Entry, error) {
+	out, _, err := db.runQuery(metrics.OpRangeLookup, attr, lo, hi, k, false)
+	return out, err
+}
+
+// ExplainRangeLookup is RangeLookup with its EXPLAIN report (DESIGN.md
+// §5.7).
+func (db *DB) ExplainRangeLookup(attr, lo, hi string, k int) ([]Entry, *explain.Report, error) {
+	return db.runQuery(metrics.OpRangeLookup, attr, lo, hi, k, true)
+}
+
+// runQuery is LOOKUP (op OpLookup; lo and hi are the value) and RANGELOOKUP
+// over [lo, hi], plain or explained: one run of the configured index kind
+// under startRead's trace, recorded in the profiler and ended by
+// finishRead. An empty range (hi < lo) reads nothing; explained, it
+// reports only its plan.
+func (db *DB) runQuery(op metrics.Op, attr, lo, hi string, k int, explained bool) ([]Entry, *explain.Report, error) {
 	if !db.indexed(attr) {
-		return nil, ErrUnknownAttr
+		return nil, nil, ErrUnknownAttr
+	}
+	if hi < lo {
+		var rep *explain.Report
+		if explained {
+			rep = &explain.Report{Op: op.String(), Index: db.opts.Index.String(), Plan: db.planName(op)}
+		}
+		return nil, rep, nil
 	}
 	t0 := time.Now()
-	tr := db.tracer.Start(metrics.OpLookup)
-	if tr != nil {
-		tr.SetDetail(attr + "=" + value + " plan=" + db.planName(metrics.OpLookup))
+	tr := db.startRead(op, explained)
+	var out []Entry
+	var err error
+	if op == metrics.OpLookup {
+		if tr != nil {
+			tr.SetDetail(attr + "=" + lo + " plan=" + db.planName(op))
+		}
+		out, err = db.lookupTraced(attr, lo, k, tr)
+	} else {
+		if tr != nil {
+			tr.SetDetail(attr + "=[" + lo + "," + hi + "] plan=" + db.planName(op))
+		}
+		out, err = db.rangeLookupTraced(attr, lo, hi, k, tr)
 	}
-	out, err := db.lookupTraced(attr, value, k, tr)
-	var io metrics.Counters
-	if tr != nil && err == nil {
-		io = tr.Counters() // read before Finish returns tr to the pool
-	}
-	tr.Finish()
-	db.ops.Observe(metrics.OpLookup, time.Since(t0))
 	db.profiler.RecordQuery(k, len(out))
-	if io.BlockAccesses() > 0 && err == nil {
-		db.recordModelRatio(metrics.OpLookup, attr, value, value, out, io)
-	}
-	return out, err
+	return out, db.finishRead(tr, t0, op, attr, lo, hi, k, len(out), out, explained, err), err
 }
 
 func (db *DB) lookupTraced(attr, value string, k int, tr *metrics.Trace) ([]Entry, error) {
@@ -507,34 +553,6 @@ func (db *DB) lookupTraced(attr, value string, k int, tr *metrics.Trace) ([]Entr
 	default:
 		return db.scanLookup(attr, value, value, k, tr)
 	}
-}
-
-// RangeLookup returns the k most recent records with lo <= val(attr) <= hi
-// (Table 1: RANGELOOKUP). k <= 0 means no limit.
-func (db *DB) RangeLookup(attr, lo, hi string, k int) ([]Entry, error) {
-	if !db.indexed(attr) {
-		return nil, ErrUnknownAttr
-	}
-	if hi < lo {
-		return nil, nil
-	}
-	t0 := time.Now()
-	tr := db.tracer.Start(metrics.OpRangeLookup)
-	if tr != nil {
-		tr.SetDetail(attr + "=[" + lo + "," + hi + "] plan=" + db.planName(metrics.OpRangeLookup))
-	}
-	out, err := db.rangeLookupTraced(attr, lo, hi, k, tr)
-	var io metrics.Counters
-	if tr != nil && err == nil {
-		io = tr.Counters() // read before Finish returns tr to the pool
-	}
-	tr.Finish()
-	db.ops.Observe(metrics.OpRangeLookup, time.Since(t0))
-	db.profiler.RecordQuery(k, len(out))
-	if io.BlockAccesses() > 0 && err == nil {
-		db.recordModelRatio(metrics.OpRangeLookup, attr, lo, hi, out, io)
-	}
-	return out, err
 }
 
 func (db *DB) rangeLookupTraced(attr, lo, hi string, k int, tr *metrics.Trace) ([]Entry, error) {

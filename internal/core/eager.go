@@ -21,7 +21,7 @@ import (
 //
 //lsm:locked — writeMu is held by indexWrite's callers.
 func (db *DB) eagerUpdate(idx *lsm.DB, attrValue []byte, key string, seq uint64, del bool) error {
-	cur, _, err := idx.Get(attrValue)
+	cur, _, err := idx.Get(attrValue, nil)
 	if err != nil {
 		return err
 	}
@@ -48,7 +48,7 @@ func (db *DB) eagerLookup(attr, value string, k int, tr *metrics.Trace) ([]Entry
 	// must not tile inside this op's index_probe window; only its block
 	// counters carry through to the trace.
 	tr.IOOnlyBegin()
-	list, found, err := idx.GetTraced([]byte(value), tr)
+	list, found, err := idx.Get([]byte(value), tr)
 	tr.IOOnlyEnd()
 	tr.Since(metrics.PhaseIndexProbe, t0)
 	if err != nil || !found {

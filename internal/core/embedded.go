@@ -294,9 +294,9 @@ func (db *DB) embeddedScanTable(v *lsm.View, strata []lsm.Stratum, si int, fm *l
 			}
 		}
 		if lo == hi {
-			candidates = tbl.SecondaryCandidatesTraced(attr, lo, tr)
+			candidates = tbl.SecondaryCandidates(attr, lo, tr)
 		} else {
-			candidates = tbl.SecondaryRangeCandidatesTraced(attr, lo, hi, tr)
+			candidates = tbl.SecondaryRangeCandidates(attr, lo, hi, tr)
 		}
 	}
 
@@ -361,7 +361,7 @@ func (db *DB) candidateValid(v *lsm.View, strata []lsm.Stratum, si int, pk strin
 			return false, nil
 		}
 		tr.IOOnlyBegin()
-		value, ok, err := v.GetTraced([]byte(pk), tr)
+		value, ok, err := v.Get([]byte(pk), tr)
 		tr.IOOnlyEnd()
 		if err != nil || !ok {
 			return false, err
@@ -392,7 +392,7 @@ func shadowed(above []lsm.Stratum, pk []byte, tr *metrics.Trace) (bool, error) {
 		}
 		for _, fm := range s.Tables {
 			tbl := fm.Table()
-			if !tbl.MayContainPrimaryTraced(pk, tr) {
+			if _, ok := tbl.PrimaryBlock(pk, tr); !ok {
 				continue // pure in-memory rejection: the common case
 			}
 			m := tr.BlockMark()

@@ -8,78 +8,63 @@ import (
 	"leveldbpp/internal/metrics"
 )
 
-// EXPLAIN (DESIGN.md §5.7): each Explain* method runs the real operation
-// under a detached trace (always recorded, independent of the sampling
-// rate), then pairs the trace's exact I/O attribution with the cost
-// model's Table 3/5 prediction evaluated on live Params derived from the
-// current tree geometry. The observed/predicted ratio also feeds the
-// profiler's model-drift tracker, like any sampled operation's would.
+// EXPLAIN (DESIGN.md §5.7): a GET, LOOKUP or RANGELOOKUP runs one path
+// whether it is explained or not. Explained, it runs under a detached trace
+// (always recorded, independent of the sampling rate), and its report
+// pairs the trace's exact I/O attribution with the cost model's Table 3/5
+// prediction evaluated on live Params derived from the current tree
+// geometry. The observed/predicted ratio of every traced read, explained
+// or sampled, feeds the profiler's model-drift tracker.
 
 // epsilonBlocks is the model's ε — the "scan to the end of the level"
 // overshoot added to K in the Embedded bounds (paper §3.1).
 const epsilonBlocks = 2
 
-// ExplainGet runs GET under a detached trace and reports it.
-func (db *DB) ExplainGet(key string) ([]byte, bool, *explain.Report, error) {
-	t0 := time.Now()
-	tr := metrics.StartDetached(metrics.OpGet)
-	tr.SetDetail("key=" + key)
-	value, ok, err := db.primary.GetTraced([]byte(key), tr)
-	if err != nil {
-		return nil, false, nil, err
+// startRead begins a read's trace: a detached one when explained, else the
+// tracer's sample, nil when op is not sampled.
+func (db *DB) startRead(op metrics.Op, explained bool) *metrics.Trace {
+	if explained {
+		return metrics.StartDetached(op)
 	}
-	results := 0
-	if ok {
-		results = 1
-	}
-	rep := db.buildReport(tr, metrics.OpGet, "", "", "", 0, results, nil)
-	db.ops.Observe(metrics.OpGet, time.Since(t0))
-	db.profiler.RecordRatio(metrics.OpGet, rep.Ratio)
-	return value, ok, rep, nil
+	return db.tracer.Start(op)
 }
 
-// ExplainLookup runs LOOKUP(attr, value, k) under a detached trace and
-// reports it.
-func (db *DB) ExplainLookup(attr, value string, k int) ([]Entry, *explain.Report, error) {
-	if !db.indexed(attr) {
-		return nil, nil, ErrUnknownAttr
+// finishRead ends a read of op begun at t0 under tr (results entries; out
+// is a LOOKUP's or RANGELOOKUP's answer): it finishes tr and observes the
+// read's latency, then, for a traced read that succeeded, evaluates the
+// cost model once and feeds the observed/predicted ratio to the profiler.
+// It returns that report, always when explained. A sampled read that
+// accessed no block skips the prediction: its ratio is 0, which the
+// profiler drops.
+func (db *DB) finishRead(tr *metrics.Trace, t0 time.Time, op metrics.Op, attr, lo, hi string, k, results int, out []Entry, explained bool, err error) *explain.Report {
+	var rec metrics.TraceRecord
+	if explained {
+		rec = tr.Record()
 	}
-	t0 := time.Now()
-	tr := metrics.StartDetached(metrics.OpLookup)
-	tr.SetDetail(attr + "=" + value + " plan=" + db.planName(metrics.OpLookup))
-	out, err := db.lookupTraced(attr, value, k, tr)
-	if err != nil {
-		return nil, nil, err
+	io := tr.Counters() // read before Finish returns tr to the pool
+	tr.Finish()
+	db.ops.Observe(op, time.Since(t0))
+	if err != nil || !explained && io.BlockAccesses() == 0 {
+		return nil
 	}
-	rep := db.buildReport(tr, metrics.OpLookup, attr, value, value, k, len(out), out)
-	db.ops.Observe(metrics.OpLookup, time.Since(t0))
-	db.profiler.RecordQuery(k, len(out))
-	db.profiler.RecordRatio(metrics.OpLookup, rep.Ratio)
-	return out, rep, nil
-}
-
-// ExplainRangeLookup runs RANGELOOKUP(attr, lo, hi, k) under a detached
-// trace and reports it.
-func (db *DB) ExplainRangeLookup(attr, lo, hi string, k int) ([]Entry, *explain.Report, error) {
-	if !db.indexed(attr) {
-		return nil, nil, ErrUnknownAttr
+	p, predicted, formula := db.predict(op, attr, lo, hi, out, io)
+	rep := &explain.Report{
+		Op:          op.String(),
+		Index:       db.opts.Index.String(),
+		Plan:        db.planName(op),
+		Detail:      rec.Detail,
+		K:           k,
+		Results:     results,
+		TotalUS:     rec.TotalUS,
+		Phases:      rec.Phases,
+		IO:          io,
+		PredictedIO: predicted,
+		Formula:     formula,
+		Params:      p,
 	}
-	if hi < lo {
-		return nil, &explain.Report{Op: metrics.OpRangeLookup.String(),
-			Index: db.opts.Index.String(), Plan: db.planName(metrics.OpRangeLookup)}, nil
-	}
-	t0 := time.Now()
-	tr := metrics.StartDetached(metrics.OpRangeLookup)
-	tr.SetDetail(attr + "=[" + lo + "," + hi + "] plan=" + db.planName(metrics.OpRangeLookup))
-	out, err := db.rangeLookupTraced(attr, lo, hi, k, tr)
-	if err != nil {
-		return nil, nil, err
-	}
-	rep := db.buildReport(tr, metrics.OpRangeLookup, attr, lo, hi, k, len(out), out)
-	db.ops.Observe(metrics.OpRangeLookup, time.Since(t0))
-	db.profiler.RecordQuery(k, len(out))
-	db.profiler.RecordRatio(metrics.OpRangeLookup, rep.Ratio)
-	return out, rep, nil
+	rep.Fill()
+	db.profiler.RecordRatio(op, rep.Ratio)
+	return rep
 }
 
 // planName is the access-plan label EXPLAIN reports for op under the
@@ -117,32 +102,6 @@ func (db *DB) planName(op metrics.Op) string {
 	default:
 		return op.String()
 	}
-}
-
-// buildReport assembles the Report for a finished (but not Finished)
-// detached trace: phase timings and counters from the trace, prediction
-// and Params from the live cost model. out is a LOOKUP's or RANGELOOKUP's
-// answer.
-func (db *DB) buildReport(tr *metrics.Trace, op metrics.Op, attr, lo, hi string, k, results int, out []Entry) *explain.Report {
-	rec := tr.Record()
-	io := tr.Counters()
-	p, predicted, formula := db.predict(op, attr, lo, hi, out, io)
-	rep := &explain.Report{
-		Op:          op.String(),
-		Index:       db.opts.Index.String(),
-		Plan:        db.planName(op),
-		Detail:      rec.Detail,
-		K:           k,
-		Results:     results,
-		TotalUS:     rec.TotalUS,
-		Phases:      rec.Phases,
-		IO:          io,
-		PredictedIO: predicted,
-		Formula:     formula,
-		Params:      p,
-	}
-	rep.Fill()
-	return rep
 }
 
 // predict evaluates the cost model for op with live Params: per-level
@@ -264,18 +223,4 @@ func (db *DB) validationBlocks(out []Entry) int {
 		keys[i] = []byte(out[i].Key)
 	}
 	return db.primary.DistinctBlocks(keys)
-}
-
-// recordModelRatio feeds one sampled operation's observed/predicted ratio
-// into the profiler's drift tracker. Called only for sampled traces (the
-// counters were read before Finish), so the Params derivation is off the
-// common path. out is a LOOKUP's or RANGELOOKUP's answer.
-func (db *DB) recordModelRatio(op metrics.Op, attr, lo, hi string, out []Entry, io metrics.Counters) {
-	if db.profiler == nil {
-		return
-	}
-	_, predicted, _ := db.predict(op, attr, lo, hi, out, io)
-	if predicted > 0 {
-		db.profiler.RecordRatio(op, float64(io.BlockAccesses())/predicted)
-	}
 }

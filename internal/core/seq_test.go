@@ -291,7 +291,7 @@ func FuzzPostingRangeTopK(f *testing.F) {
 		}
 		defer func() { db.Close() }()
 		m := map[string]fuzzDoc{}
-		if err := db.primary.Scan(nil, nil, func(k, v []byte, seq uint64) bool {
+		if err := db.primary.Scan(nil, nil, nil, func(k, v []byte, seq uint64) bool {
 			m[string(k)] = fuzzDoc{bytes.Clone(v), seq}
 			return true
 		}); err != nil {

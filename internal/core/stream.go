@@ -142,7 +142,7 @@ func (db *DB) validate(c *chunk, q *query) error {
 		c.sorted[i] = c.keys[c.order[i]]
 	}
 	q.tr.IOOnlyBegin()
-	err := db.primary.GetSortedTraced(c.sorted[:c.n], q.tr, func(i int, value []byte, ok bool) {
+	err := db.primary.GetSorted(c.sorted[:c.n], q.tr, func(i int, value []byte, ok bool) {
 		j := c.order[i]
 		c.valid[j] = ok && attrInRange(value, q.attr, q.lo, q.hi)
 		c.docs[j] = value

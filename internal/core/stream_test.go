@@ -32,7 +32,7 @@ func refCollect(db *DB, attr, lo, hi string, k int, point bool) ([]Entry, int, e
 	switch {
 	case db.opts.Index == IndexComposite:
 		var list postings.List
-		err = idx.Scan(compositeKey(lo, ""), append([]byte(hi), compositeSep+1), func(ck, _ []byte, seq uint64) bool {
+		err = idx.Scan(compositeKey(lo, ""), append([]byte(hi), compositeSep+1), nil, func(ck, _ []byte, seq uint64) bool {
 			if i := bytes.IndexByte(ck, compositeSep); i >= 0 && string(ck[:i]) >= lo && string(ck[:i]) <= hi {
 				list = append(list, postings.Entry{Key: string(ck[i+1:]), Seq: seq})
 			}
@@ -60,7 +60,7 @@ func refCollect(db *DB, attr, lo, hi string, k int, point bool) ([]Entry, int, e
 	case point:
 		var list []byte
 		var found bool
-		if list, found, err = idx.Get([]byte(lo)); err == nil && found {
+		if list, found, err = idx.Get([]byte(lo), nil); err == nil && found {
 			err = r.rankEncoded([][]byte{list})
 		}
 	case db.opts.Index == IndexLazy:
@@ -70,7 +70,7 @@ func refCollect(db *DB, attr, lo, hi string, k int, point bool) ([]Entry, int, e
 		}
 	default:
 		var lists [][]byte
-		err = idx.Scan([]byte(lo), upperBoundExclusive(hi), func(_, v []byte, _ uint64) bool {
+		err = idx.Scan([]byte(lo), upperBoundExclusive(hi), nil, func(_, v []byte, _ uint64) bool {
 			lists = append(lists, bytes.Clone(v))
 			return true
 		})
@@ -201,7 +201,7 @@ func (r *refRanker) rank(lists []postings.List) {
 			continue
 		}
 		r.validations++
-		doc, ok, err := r.db.primary.Get([]byte(e.Key))
+		doc, ok, err := r.db.primary.Get([]byte(e.Key), nil)
 		if err == nil && ok && attrInRange(doc, r.attr, r.lo, r.hi) {
 			r.out = append(r.out, Entry{Key: e.Key, Value: doc, Seq: e.Seq})
 		}

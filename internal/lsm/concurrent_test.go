@@ -230,7 +230,7 @@ func TestBackgroundFrozenMemtableVisible(t *testing.T) {
 		t.Fatalf("Get(key-00001) = %q %v", v, ok)
 	}
 	got := map[string]string{}
-	err = db.Scan(nil, nil, func(k, v []byte, _ uint64) bool {
+	err = db.Scan(nil, nil, nil, func(k, v []byte, _ uint64) bool {
 		got[string(k)] = string(v)
 		return true
 	})
@@ -478,12 +478,12 @@ func TestBackgroundConcurrentStress(t *testing.T) {
 					return
 				default:
 				}
-				if _, _, err := db.Get([]byte(fmt.Sprintf("w%d-key-%05d", r, i%perW))); err != nil && err != ErrClosed {
+				if _, _, err := db.Get([]byte(fmt.Sprintf("w%d-key-%05d", r, i%perW)), nil); err != nil && err != ErrClosed {
 					t.Error(err)
 					return
 				}
 				if i%50 == 0 {
-					err := db.Scan([]byte("w0"), []byte("w1"), func(_, _ []byte, _ uint64) bool { return true })
+					err := db.Scan([]byte("w0"), []byte("w1"), nil, func(_, _ []byte, _ uint64) bool { return true })
 					if err != nil && err != ErrClosed {
 						t.Error(err)
 						return

@@ -326,15 +326,10 @@ func (db *DB) write(kind ikey.Kind, key, value []byte, seq uint64) error {
 }
 
 // Get returns the newest live value for key, reading the MemTable, then
-// level-0 files newest-first, then one file per deeper level.
-func (db *DB) Get(key []byte) ([]byte, bool, error) {
-	return db.GetTraced(key, nil)
-}
-
-// GetTraced is Get recording read-path phase timings (mem_probe,
-// imm_probe, l0_probe, level_probe, plus block_load/cache_hit sub-phases)
-// into tr. tr may be nil.
-func (db *DB) GetTraced(key []byte, tr *metrics.Trace) ([]byte, bool, error) {
+// level-0 files newest-first, then one file per deeper level. It records
+// read-path phase timings (mem_probe, imm_probe, l0_probe, level_probe,
+// plus block_load/cache_hit sub-phases) into tr, which may be nil.
+func (db *DB) Get(key []byte, tr *metrics.Trace) ([]byte, bool, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	if db.closed {
@@ -343,14 +338,14 @@ func (db *DB) GetTraced(key []byte, tr *metrics.Trace) ([]byte, bool, error) {
 	return db.getLocked(key, tr)
 }
 
-// GetSortedTraced is GetTraced over keys, which must be distinct and in
-// ascending order, under one read lock: fn receives each key's index and
-// what GetTraced would return for it, in key order, and the first read
-// error ends the batch. Each table stratum (an L0 table, a deeper level)
-// keeps one scratch across the batch, and sorted keys visit its blocks in
-// ascending order, so keys that share a data block read, inflate and count
-// it once. Values alias immutable memory, as GetTraced's do.
-func (db *DB) GetSortedTraced(keys [][]byte, tr *metrics.Trace, fn func(i int, value []byte, ok bool)) error {
+// GetSorted is Get over keys, which must be distinct and in ascending
+// order, under one read lock: fn receives each key's index and what Get
+// would return for it, in key order, and the first read error ends the
+// batch. Each table stratum (an L0 table, a deeper level) keeps one
+// scratch across the batch, and sorted keys visit its blocks in ascending
+// order, so keys that share a data block read, inflate and count it once.
+// Values alias immutable memory, as Get's do.
+func (db *DB) GetSorted(keys [][]byte, tr *metrics.Trace, fn func(i int, value []byte, ok bool)) error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	if db.closed {
@@ -632,9 +627,9 @@ func (db *DB) View(fn func(*View) error) error {
 	return fn(&View{db: db, strata: db.strataLocked()})
 }
 
-// GetTraced performs a standard newest-wins point read inside the view,
-// with read-path phase tracing (tr may be nil).
-func (v *View) GetTraced(key []byte, tr *metrics.Trace) ([]byte, bool, error) {
+// Get performs a standard newest-wins point read inside the view, with
+// read-path phase tracing (tr may be nil).
+func (v *View) Get(key []byte, tr *metrics.Trace) ([]byte, bool, error) {
 	return v.db.getLocked(key, tr)
 }
 
@@ -760,7 +755,7 @@ func (db *DB) OverlappingBlockCount(loUser, hiExcl []byte) int {
 	return n
 }
 
-// DistinctBlocks counts the distinct data blocks that a GetSortedTraced of
+// DistinctBlocks counts the distinct data blocks that a GetSorted of
 // keys would read if no bloom filter gave a false positive — metadata
 // only, no I/O. A key a MemTable holds needs no block; any other needs the
 // first block admitting it in the newest table whose key range and primary
@@ -784,7 +779,7 @@ func (db *DB) DistinctBlocks(keys [][]byte) int {
 				continue
 			}
 			if fm := s.FindFile(key); fm != nil {
-				if i, ok := fm.tbl.PrimaryBlock(key); ok {
+				if i, ok := fm.tbl.PrimaryBlock(key, nil); ok {
 					seen[block{fm.tbl.ID(), i}] = true
 					break
 				}

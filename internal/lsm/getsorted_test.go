@@ -41,7 +41,7 @@ func blocksTouched(t *testing.T, db *DB, key []byte) []tableBlock {
 		if fm == nil {
 			continue
 		}
-		i, ok := fm.tbl.PrimaryBlock(key)
+		i, ok := fm.tbl.PrimaryBlock(key, nil)
 		if !ok {
 			continue
 		}
@@ -124,7 +124,7 @@ func buildMixedTree(t *testing.T, seed int64, cacheBytes int64) (*DB, [][]byte, 
 	}
 }
 
-// TestGetSortedMatchesGet holds GetSortedTraced to per-key GetTraced on
+// TestGetSortedMatchesGet holds GetSorted to per-key Get on
 // random trees with a live and a frozen MemTable, level-0 tables, two
 // deeper levels and tombstones, with and without a block cache: every
 // sorted key set gets the same answers, and the batch accesses each
@@ -176,14 +176,14 @@ func checkGetSorted(t *testing.T, db *DB, keys [][]byte) {
 	needed := map[tableBlock]bool{}
 	for i, key := range keys {
 		tr := metrics.StartDetached(metrics.OpGet)
-		v, ok, err := db.GetTraced(key, tr)
+		v, ok, err := db.Get(key, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[i] = answer{v, ok}
 		touched := blocksTouched(t, db, key)
 		if got := tr.Counters().BlockAccesses(); got != int64(len(touched)) {
-			t.Fatalf("GetTraced(%s) accessed %d blocks, the walk over metadata %d", key, got, len(touched))
+			t.Fatalf("Get(%s) accessed %d blocks, the walk over metadata %d", key, got, len(touched))
 		}
 		for _, b := range touched {
 			needed[b] = true
@@ -191,13 +191,13 @@ func checkGetSorted(t *testing.T, db *DB, keys [][]byte) {
 	}
 	tr := metrics.StartDetached(metrics.OpLookup)
 	next := 0
-	err := db.GetSortedTraced(keys, tr, func(i int, value []byte, ok bool) {
+	err := db.GetSorted(keys, tr, func(i int, value []byte, ok bool) {
 		if i != next {
 			t.Fatalf("batch answered key %d, want %d", i, next)
 		}
 		next++
 		if ok != want[i].ok || !bytes.Equal(value, want[i].value) {
-			t.Fatalf("batch %s = %q %v, GetTraced %q %v", keys[i], value, ok, want[i].value, want[i].ok)
+			t.Fatalf("batch %s = %q %v, Get %q %v", keys[i], value, ok, want[i].value, want[i].ok)
 		}
 	})
 	if err != nil {

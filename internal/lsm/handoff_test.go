@@ -270,15 +270,15 @@ func TestBackgroundHandoffRaces(t *testing.T) {
 		if k/2 == k {
 			keys = keys[1:]
 		}
-		return db.GetSortedTraced(keys, nil, func(j int, v []byte, found bool) {
+		return db.GetSorted(keys, nil, func(j int, v []byte, found bool) {
 			if !found {
-				t.Errorf("GetSortedTraced missed %s", keys[j])
+				t.Errorf("GetSorted missed %s", keys[j])
 			}
 		})
 	})
 	loop(func(i int) error {
 		n := 0
-		err := db.Scan(key(i%500), key(i%500+20), func(_, _ []byte, _ uint64) bool { n++; return true })
+		err := db.Scan(key(i%500), key(i%500+20), nil, func(_, _ []byte, _ uint64) bool { n++; return true })
 		if err == nil && int64(i%500+20) <= acked.Load() && n != 20 {
 			err = fmt.Errorf("Scan from %s saw %d keys, want 20", key(i%500), n)
 		}
@@ -327,7 +327,7 @@ func TestBackgroundHandoffRaces(t *testing.T) {
 		}
 		defer closeWithin(t, re)
 		for i := 0; i < n; i++ {
-			if v, ok, err := re.Get(key(i)); err != nil || !ok || !bytes.Equal(v, []byte(writerValue(0, i))) {
+			if v, ok, err := re.Get(key(i), nil); err != nil || !ok || !bytes.Equal(v, []byte(writerValue(0, i))) {
 				t.Fatalf("%s: Get(%s) = %q %v %v", what, key(i), v, ok, err)
 			}
 		}
@@ -377,7 +377,7 @@ func TestWALRotationFailureSticky(t *testing.T) {
 	if err := db.Health(); !errors.Is(err, failed) {
 		t.Fatalf("Health = %v, want %v", err, failed)
 	}
-	if v, ok, err := db.Get([]byte("first")); err != nil || !ok || string(v) != "value" {
+	if v, ok, err := db.Get([]byte("first"), nil); err != nil || !ok || string(v) != "value" {
 		t.Fatalf("Get(first) = %q, %v, %v", v, ok, err)
 	}
 	closeWithin(t, db)

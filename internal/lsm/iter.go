@@ -11,15 +11,10 @@ import (
 // exactly one callback per live user key, tombstones suppressed, in
 // ascending user-key order. A nil hiExcl means unbounded; fn returning
 // false stops the scan. The callback receives the key's newest sequence
-// number (insertion-time ordering for top-K processing).
-func (db *DB) Scan(lo, hiExcl []byte, fn func(key, value []byte, seq uint64) bool) error {
-	return db.ScanTraced(lo, hiExcl, nil, fn)
-}
-
-// ScanTraced is Scan with every SSTable block fetch attributed to tr
-// (block-load/cache-hit sub-phases plus the per-op block counters). tr may
-// be nil.
-func (db *DB) ScanTraced(lo, hiExcl []byte, tr *metrics.Trace, fn func(key, value []byte, seq uint64) bool) error {
+// number (insertion-time ordering for top-K processing). Every SSTable
+// block fetch is attributed to tr (block-load/cache-hit sub-phases plus
+// the per-op block counters), which may be nil.
+func (db *DB) Scan(lo, hiExcl []byte, tr *metrics.Trace, fn func(key, value []byte, seq uint64) bool) error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	if db.closed {

@@ -89,7 +89,7 @@ func (db *DB) deepestNonEmptyLocked() int { return db.v.deepestNonEmpty() }
 
 func mustGet(t testing.TB, db *DB, k string) (string, bool) {
 	t.Helper()
-	v, ok, err := db.Get([]byte(k))
+	v, ok, err := db.Get([]byte(k), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -644,7 +644,7 @@ func TestEmbeddedAttrsSurviveFlushAndCompaction(t *testing.T) {
 					t.Errorf("%s table %d block %d: zone [%q, %q] ok=%v", lvl, fm.Num, i, lo, hi, ok)
 				}
 			}
-			if c := fm.Table().SecondaryCandidates("user", "u007"); len(c) == 0 {
+			if c := fm.Table().SecondaryCandidates("user", "u007", nil); len(c) == 0 {
 				// u007 occurs every 40 entries; any table with ≥40
 				// sequential entries must contain it.
 				if fm.Table().EntryCount() > 80 {
@@ -710,7 +710,7 @@ func TestClosedDBErrors(t *testing.T) {
 	if err := db.Put([]byte("k"), []byte("v")); err != ErrClosed {
 		t.Fatalf("Put after close: %v", err)
 	}
-	if _, _, err := db.Get([]byte("k")); err != ErrClosed {
+	if _, _, err := db.Get([]byte("k"), nil); err != ErrClosed {
 		t.Fatalf("Get after close: %v", err)
 	}
 	if err := db.Close(); err != nil {
@@ -751,7 +751,7 @@ func BenchmarkGetFromDisk(b *testing.B) {
 	db.Flush()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		db.Get([]byte(fmt.Sprintf("key%07d", i%n)))
+		db.Get([]byte(fmt.Sprintf("key%07d", i%n)), nil)
 	}
 }
 

@@ -61,7 +61,7 @@ func loadBigJob(t *testing.T, db *DB) map[string]string {
 func checkContents(t *testing.T, db *DB, want map[string]string, when string) {
 	t.Helper()
 	got := map[string]string{}
-	err := db.Scan(nil, nil, func(k, v []byte, _ uint64) bool {
+	err := db.Scan(nil, nil, nil, func(k, v []byte, _ uint64) bool {
 		got[string(k)] = string(v)
 		return true
 	})
@@ -426,12 +426,12 @@ func TestBackgroundCompactionStress(t *testing.T) {
 				return
 			default:
 			}
-			if _, _, err := db.Get([]byte(fmt.Sprintf("w%d-key-%05d", i%writers, i%perW))); err != nil && err != ErrClosed {
+			if _, _, err := db.Get([]byte(fmt.Sprintf("w%d-key-%05d", i%writers, i%perW)), nil); err != nil && err != ErrClosed {
 				t.Error(err)
 				return
 			}
 			if i%40 == 0 {
-				err := db.Scan([]byte("w1"), []byte("w3"), func(_, _ []byte, _ uint64) bool { return true })
+				err := db.Scan([]byte("w1"), []byte("w3"), nil, func(_, _ []byte, _ uint64) bool { return true })
 				if err != nil && err != ErrClosed {
 					t.Error(err)
 					return

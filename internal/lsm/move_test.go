@@ -335,14 +335,14 @@ func TestTrivialMoveConcurrentReads(t *testing.T) {
 					continue
 				}
 				i := rng.Intn(w)
-				v, ok, err := db.Get([]byte(moveKey(i)))
+				v, ok, err := db.Get([]byte(moveKey(i)), nil)
 				if err != nil || !ok || string(v) != moveValue(i) {
 					t.Errorf("Get(%s) = %q %v %v", moveKey(i), v, ok, err)
 					return
 				}
 				lo := rng.Intn(w - 50)
 				next := lo
-				err = db.Scan([]byte(moveKey(lo)), []byte(moveKey(lo+50)), func(k, v []byte, _ uint64) bool {
+				err = db.Scan([]byte(moveKey(lo)), []byte(moveKey(lo+50)), nil, func(k, v []byte, _ uint64) bool {
 					if string(k) != moveKey(next) || string(v) != moveValue(next) {
 						t.Errorf("Scan from %s: got %s at %s", moveKey(lo), k, moveKey(next))
 						return false

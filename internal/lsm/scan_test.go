@@ -18,7 +18,7 @@ func collectScan(t *testing.T, db *DB, lo, hiExcl string) (keys, vals []string) 
 	if hiExcl != "" {
 		hiB = []byte(hiExcl)
 	}
-	err := db.Scan([]byte(lo), hiB, func(k, v []byte, seq uint64) bool {
+	err := db.Scan([]byte(lo), hiB, nil, func(k, v []byte, seq uint64) bool {
 		keys = append(keys, string(k))
 		vals = append(vals, string(v))
 		return true
@@ -143,7 +143,7 @@ func TestScanEarlyStop(t *testing.T) {
 		mustPut(t, db, fmt.Sprintf("k%03d", i), "v")
 	}
 	n := 0
-	err := db.Scan(nil, nil, func(k, v []byte, seq uint64) bool {
+	err := db.Scan(nil, nil, nil, func(k, v []byte, seq uint64) bool {
 		n++
 		return n < 7
 	})
@@ -158,7 +158,7 @@ func TestScanSeqIsNewestVersion(t *testing.T) {
 	db.Flush()
 	mustPut(t, db, "k", "v2")
 	var got uint64
-	db.Scan(nil, nil, func(_, _ []byte, seq uint64) bool {
+	db.Scan(nil, nil, nil, func(_, _ []byte, seq uint64) bool {
 		got = seq
 		return true
 	})
@@ -212,7 +212,7 @@ func TestViewScanConsistentWithDBScan(t *testing.T) {
 		mustPut(t, db, fmt.Sprintf("k%04d", i), fmt.Sprintf("v%d", i))
 	}
 	var a, b []string
-	db.Scan(nil, nil, func(k, _ []byte, _ uint64) bool { a = append(a, string(k)); return true })
+	db.Scan(nil, nil, nil, func(k, _ []byte, _ uint64) bool { a = append(a, string(k)); return true })
 	db.View(func(v *View) error {
 		return scanStrata(v.Strata(), nil, nil, nil, func(k, _ []byte, _ uint64) bool { b = append(b, string(k)); return true })
 	})
@@ -236,8 +236,8 @@ func TestViewHelpers(t *testing.T) {
 		t.Fatal("empty DebugString")
 	}
 	db.View(func(v *View) error {
-		if _, ok, err := v.GetTraced([]byte("key00042"), nil); err != nil || !ok {
-			t.Fatalf("View.GetTraced: %v %v", ok, err)
+		if _, ok, err := v.Get([]byte("key00042"), nil); err != nil || !ok {
+			t.Fatalf("View.Get: %v %v", ok, err)
 		}
 		strata := v.Strata()
 		deepest := strata[len(strata)-1]
@@ -251,8 +251,10 @@ func TestViewHelpers(t *testing.T) {
 				if s.IsMem() {
 					continue
 				}
-				fm := s.FindFile([]byte("key00042"))
-				found = found || fm != nil && (s.Level > 0 || fm.Table().MayContainPrimary([]byte("key00042")))
+				if fm := s.FindFile([]byte("key00042")); fm != nil {
+					_, inTable := fm.Table().PrimaryBlock([]byte("key00042"), nil)
+					found = found || s.Level > 0 || inTable
+				}
 			}
 			if !found {
 				t.Fatal("FindFile found nothing at any level")
@@ -272,7 +274,7 @@ func TestViewHelpers(t *testing.T) {
 	if err := db.PutAt([]byte("pws"), []byte("w"), seq1); !errors.Is(err, ErrSeqNotAbove) {
 		t.Fatalf("PutAt at LastSeq: %v, want %v", err, ErrSeqNotAbove)
 	}
-	if v, ok, err := db.Get([]byte("pws")); err != nil || !ok || string(v) != "v" {
+	if v, ok, err := db.Get([]byte("pws"), nil); err != nil || !ok || string(v) != "v" {
 		t.Fatalf("after a refused PutAt: %q %v %v", v, ok, err)
 	}
 	if err := db.Delete([]byte("pws")); err != nil || db.LastSeq() != seq1+1 {

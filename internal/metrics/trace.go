@@ -148,10 +148,14 @@ func (p Phase) TopLevel() bool { return p < PhaseBlockLoad }
 
 // Counter identifies one exact-count I/O statistic accumulated on a Trace.
 // Unlike the process-wide IOStats counters these are per-operation: an
-// EXPLAIN report (DESIGN.md §5.7) is built from one trace's counters, and
-// the per-kind golden tests assert they equal the IOStats deltas for the
-// same operation. Counters are incremented at the same code sites as their
-// IOStats twins, so the equality holds by construction.
+// EXPLAIN report (DESIGN.md §5.7) is built from one trace's counters. Six
+// of them have an IOStats twin incremented at the same code site — block
+// reads, cache hits, point gets, entries decoded, posting fragments
+// (FragmentsMerged) and posting entries (PostingsEntriesDecoded) — and the
+// per-kind golden tests assert each equals its IOStats delta for the same
+// operation. The other seven exist only on traces: bloom probes, negatives
+// and false positives, zone-map prunes, seq prunes, candidate blocks and
+// validations.
 type Counter uint8
 
 // The counter taxonomy.
@@ -297,14 +301,6 @@ func (tr *Trace) Count(c Counter, n int64) {
 		return
 	}
 	tr.ctrs[c] += n
-}
-
-// CounterValue returns the current value of counter c (0 on nil).
-func (tr *Trace) CounterValue(c Counter) int64 {
-	if tr == nil {
-		return 0
-	}
-	return tr.ctrs[c]
 }
 
 // BlockMark snapshots the block-access total (reads + cache hits) so a

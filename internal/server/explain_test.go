@@ -165,17 +165,9 @@ func TestExplainEndpoints(t *testing.T) {
 	}
 
 	// Parameter validation.
-	for _, url := range []string{
-		"/explain/lookup?value=u1",          // missing attr
-		"/explain/lookup?attr=Nope&value=x", // unknown attr
-		"/explain/lookup?attr=UserID&value=u1&k=banana",
-		"/explain/rangelookup?attr=Nope&lo=a&hi=b",
-		"/explain/get", // missing key
-	} {
-		resp, _ := do(t, http.MethodGet, ts.URL+url, "")
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s status %d, want 400", url, resp.StatusCode)
-		}
+	checkBadQueries(t, ts, "/explain/lookup", "/explain/rangelookup")
+	if resp, _ := do(t, http.MethodGet, ts.URL+"/explain/get", ""); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("/explain/get without key: status %d, want 400", resp.StatusCode)
 	}
 }
 

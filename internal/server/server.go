@@ -37,12 +37,14 @@ import (
 	"log"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync/atomic"
 
 	"leveldbpp/internal/advisor"
 	"leveldbpp/internal/core"
+	"leveldbpp/internal/explain"
 )
 
 // Config gates the optional observability surfaces of a Server.
@@ -74,10 +76,10 @@ func New(db *core.DB) *Server { return NewWith(db, Config{Metrics: true}) }
 func NewWith(db *core.DB, cfg Config) *Server {
 	s := &Server{db: db, mux: http.NewServeMux(), monitor: advisor.NewMonitor(db)}
 	s.mux.HandleFunc("/doc/", s.handleDoc)
-	s.mux.HandleFunc("/lookup", s.handleLookup)
-	s.mux.HandleFunc("/rangelookup", s.handleRangeLookup)
-	s.mux.HandleFunc("/explain/lookup", s.handleExplainLookup)
-	s.mux.HandleFunc("/explain/rangelookup", s.handleExplainRangeLookup)
+	s.mux.HandleFunc("/lookup", s.handleQuery(false, false))
+	s.mux.HandleFunc("/rangelookup", s.handleQuery(true, false))
+	s.mux.HandleFunc("/explain/lookup", s.handleQuery(false, true))
+	s.mux.HandleFunc("/explain/rangelookup", s.handleQuery(true, true))
 	s.mux.HandleFunc("/explain/get", s.handleExplainGet)
 	s.mux.HandleFunc("/advisor", s.handleAdvisor)
 	s.mux.HandleFunc("/scan", s.handleScan)
@@ -228,8 +230,8 @@ func (s *Server) handleDoc(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func parseK(r *http.Request) (int, error) {
-	ks := r.URL.Query().Get("k")
+func parseK(q url.Values) (int, error) {
+	ks := q.Get("k")
 	if ks == "" {
 		return 0, nil
 	}
@@ -261,102 +263,49 @@ func toWire(entries []core.Entry) []entryJSON {
 	return out
 }
 
-func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	attr, value := q.Get("attr"), q.Get("value")
-	if attr == "" {
-		s.writeErr(w, http.StatusBadRequest, errors.New("attr parameter required"))
-		return
+// handleQuery returns the handler of LOOKUP (attr, value, k) or, when
+// ranged, RANGELOOKUP (attr, lo, hi, k). Explained, it answers with the
+// EXPLAIN report beside the results.
+func (s *Server) handleQuery(ranged, explained bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		q := r.URL.Query()
+		attr := q.Get("attr")
+		if attr == "" {
+			s.writeErr(w, http.StatusBadRequest, errors.New("attr parameter required"))
+			return
+		}
+		k, err := parseK(q)
+		if err != nil {
+			s.writeErr(w, http.StatusBadRequest, err)
+			return
+		}
+		var entries []core.Entry
+		var rep *explain.Report
+		switch {
+		case ranged && explained:
+			entries, rep, err = s.db.ExplainRangeLookup(attr, q.Get("lo"), q.Get("hi"), k)
+		case ranged:
+			entries, err = s.db.RangeLookup(attr, q.Get("lo"), q.Get("hi"), k)
+		case explained:
+			entries, rep, err = s.db.ExplainLookup(attr, q.Get("value"), k)
+		default:
+			entries, err = s.db.Lookup(attr, q.Get("value"), k)
+		}
+		if errors.Is(err, core.ErrUnknownAttr) {
+			s.writeErr(w, http.StatusBadRequest, err)
+			return
+		}
+		if err != nil {
+			s.writeErr(w, http.StatusInternalServerError, err)
+			return
+		}
+		if explained {
+			s.writeJSON(w, http.StatusOK, map[string]interface{}{
+				"report": rep, "results": toWire(entries)})
+			return
+		}
+		s.writeJSON(w, http.StatusOK, toWire(entries))
 	}
-	k, err := parseK(r)
-	if err != nil {
-		s.writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	entries, err := s.db.Lookup(attr, value, k)
-	if errors.Is(err, core.ErrUnknownAttr) {
-		s.writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if err != nil {
-		s.writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, toWire(entries))
-}
-
-func (s *Server) handleRangeLookup(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	attr := q.Get("attr")
-	if attr == "" {
-		s.writeErr(w, http.StatusBadRequest, errors.New("attr parameter required"))
-		return
-	}
-	k, err := parseK(r)
-	if err != nil {
-		s.writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	entries, err := s.db.RangeLookup(attr, q.Get("lo"), q.Get("hi"), k)
-	if errors.Is(err, core.ErrUnknownAttr) {
-		s.writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if err != nil {
-		s.writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, toWire(entries))
-}
-
-func (s *Server) handleExplainLookup(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	attr := q.Get("attr")
-	if attr == "" {
-		s.writeErr(w, http.StatusBadRequest, errors.New("attr parameter required"))
-		return
-	}
-	k, err := parseK(r)
-	if err != nil {
-		s.writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	entries, rep, err := s.db.ExplainLookup(attr, q.Get("value"), k)
-	if errors.Is(err, core.ErrUnknownAttr) {
-		s.writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if err != nil {
-		s.writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, map[string]interface{}{
-		"report": rep, "results": toWire(entries)})
-}
-
-func (s *Server) handleExplainRangeLookup(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	attr := q.Get("attr")
-	if attr == "" {
-		s.writeErr(w, http.StatusBadRequest, errors.New("attr parameter required"))
-		return
-	}
-	k, err := parseK(r)
-	if err != nil {
-		s.writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	entries, rep, err := s.db.ExplainRangeLookup(attr, q.Get("lo"), q.Get("hi"), k)
-	if errors.Is(err, core.ErrUnknownAttr) {
-		s.writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if err != nil {
-		s.writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, map[string]interface{}{
-		"report": rep, "results": toWire(entries)})
 }
 
 func (s *Server) handleExplainGet(w http.ResponseWriter, r *http.Request) {

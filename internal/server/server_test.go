@@ -96,16 +96,29 @@ func TestLookupEndpoints(t *testing.T) {
 	if len(entries) != 4 {
 		t.Fatalf("rangelookup = %d entries", len(entries))
 	}
+	checkBadQueries(t, ts, "/lookup", "/rangelookup")
+}
 
-	// Unknown attribute → 400.
-	resp, _ = do(t, http.MethodGet, ts.URL+"/lookup?attr=Nope&value=x", "")
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown attr status %d", resp.StatusCode)
-	}
-	// Malformed k → 400.
-	resp, _ = do(t, http.MethodGet, ts.URL+"/lookup?attr=UserID&value=u1&k=banana", "")
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad k status %d", resp.StatusCode)
+// badQueryParams are the query strings every query route must refuse
+// with 400. Each carries the parameters of both LOOKUP and RANGELOOKUP;
+// a route ignores those that are not its own.
+var badQueryParams = []string{
+	"?value=u1&lo=a&hi=b",                      // missing attr
+	"?attr=Nope&value=x&lo=a&hi=b",             // unknown attr
+	"?attr=UserID&value=u1&lo=a&hi=b&k=banana", // malformed k
+}
+
+// checkBadQueries requests each of routes with every badQueryParams
+// string and expects 400.
+func checkBadQueries(t *testing.T, ts *httptest.Server, routes ...string) {
+	t.Helper()
+	for _, route := range routes {
+		for _, params := range badQueryParams {
+			resp, body := do(t, http.MethodGet, ts.URL+route+params, "")
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s%s status %d, want 400: %s", route, params, resp.StatusCode, body)
+			}
+		}
 	}
 }
 

@@ -400,10 +400,6 @@ func (it *BlockIter) SeekGE(target []byte) bool {
 	return false
 }
 
-// Decoded returns the number of entries decoded so far (metrics: the
-// per-GET decode counter quantifies the restart-seek win).
-func (it *BlockIter) Decoded() int { return it.decoded }
-
 // Err reports any corruption hit while iterating.
 func (it *BlockIter) Err() error { return it.err }
 

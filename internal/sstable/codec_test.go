@@ -402,7 +402,7 @@ func TestBlocksAreExactSize(t *testing.T) {
 					t.Fatal(err)
 				}
 				for i := 0; i < tbl.NumBlocks(); i++ {
-					raw, err := tbl.readBlock(i, false)
+					raw, err := tbl.readBlock(i, false, nil, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -420,7 +420,7 @@ func TestBlocksAreExactSize(t *testing.T) {
 				if bc != nil {
 					var charged int64
 					for i := 0; i < tbl.NumBlocks(); i++ {
-						raw, _ := tbl.readBlock(i, false)
+						raw, _ := tbl.readBlock(i, false, nil, nil)
 						charged += int64(cap(raw))
 					}
 					if used := bc.Used(); used != charged {
@@ -483,7 +483,7 @@ func TestCorruptBlockDoesNotPoisonDecoder(t *testing.T) {
 		}
 	}
 
-	// The same through readBlockT, which returns the decoder to the pool on
+	// The same through readBlock, which returns the decoder to the pool on
 	// its error path: a table whose first block is CRC-valid garbage.
 	opts := Options{BlockSize: 1024, Compression: FlateCompression}
 	data := buildTableBytes(t, codecEntries(1, 300), opts)
@@ -499,11 +499,11 @@ func TestCorruptBlockDoesNotPoisonDecoder(t *testing.T) {
 		t.Fatal(err)
 	}
 	for round := 0; round < 4; round++ {
-		if _, err := tbl.readBlock(0, false); err == nil {
+		if _, err := tbl.readBlock(0, false, nil, nil); err == nil {
 			t.Fatal("garbage block loaded without error")
 		}
-		got, err := tbl.readBlock(1, false)
-		wantBlock, _ := intact.readBlock(1, false)
+		got, err := tbl.readBlock(1, false, nil, nil)
+		wantBlock, _ := intact.readBlock(1, false, nil, nil)
 		if err != nil || !bytes.Equal(got, wantBlock) {
 			t.Fatalf("block load after a corrupt one: err=%v", err)
 		}
@@ -544,11 +544,11 @@ func TestCodecAllocations(t *testing.T) {
 		if Compression(data[bm.offset+bm.size-5]) != FlateCompression {
 			t.Fatal("test block was not compressed")
 		}
-		if _, err := tbl.readBlock(i, false); err != nil { // grow the pooled buffers
+		if _, err := tbl.readBlock(i, false, nil, nil); err != nil { // grow the pooled buffers
 			t.Fatal(err)
 		}
 		allocs := testing.AllocsPerRun(200, func() {
-			if _, err := tbl.readBlock(i, false); err != nil {
+			if _, err := tbl.readBlock(i, false, nil, nil); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -558,7 +558,7 @@ func TestCodecAllocations(t *testing.T) {
 	})
 
 	t.Run("deflate", func(t *testing.T) {
-		raw, err := tbl.readBlock(nb/2, false)
+		raw, err := tbl.readBlock(nb/2, false, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -723,7 +723,7 @@ func BenchmarkEncodeBlock(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		raw, err := tbl.readBlock(tbl.NumBlocks()/2, false)
+		raw, err := tbl.readBlock(tbl.NumBlocks()/2, false, nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -771,7 +771,7 @@ func BenchmarkDecodeBlock(b *testing.B) {
 			b.Fatal(err)
 		}
 		i := tbl.NumBlocks() / 2
-		raw, err := tbl.readBlock(i, false)
+		raw, err := tbl.readBlock(i, false, nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -781,7 +781,7 @@ func BenchmarkDecodeBlock(b *testing.B) {
 			b.SetBytes(int64(len(raw)))
 			b.ReportAllocs()
 			for n := 0; n < b.N; n++ {
-				if benchSink, err = tbl.readBlock(i, false); err != nil {
+				if benchSink, err = tbl.readBlock(i, false, nil, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -97,7 +97,7 @@ func TestDeflateMatchesFlate(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < tbl.NumBlocks(); i++ {
-			raw, err := tbl.readBlock(i, false)
+			raw, err := tbl.readBlock(i, false, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

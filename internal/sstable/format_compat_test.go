@@ -46,7 +46,7 @@ func TestV1FooterUnchanged(t *testing.T) {
 	// v1 blocks must carry no restart trailer: the iterator sees zero
 	// restart points and GETs fall back to the linear scan.
 	var it BlockIter
-	raw, err := tbl.readBlock(0, false)
+	raw, err := tbl.readBlock(0, false, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -245,21 +245,17 @@ func (t *Table) Largest() []byte {
 }
 
 // readBlock fetches, verifies and decompresses block i, attributing I/O to
-// foreground reads or compaction according to the flag.
-func (t *Table) readBlock(i int, compaction bool) ([]byte, error) {
-	return t.readBlockT(i, compaction, nil, nil)
-}
-
-// readBlockT is readBlock with optional trace attribution: a cache-served
-// fetch is timed as PhaseCacheHit, a disk read as PhaseBlockLoad (both
-// sub-phases, nested inside whatever probe phase is running). A block the
-// cache serves or takes is immutable and, on a miss, an exact-size copy
-// that only the caller and the cache reference. Any other block is
-// decoded into buf when buf is non-nil, and is then valid only until
-// buf's next use; with a nil buf it is an exact-size copy too.
+// foreground reads or compaction according to the flag, and to tr, which
+// may be nil: a cache-served fetch is timed as PhaseCacheHit, a disk read
+// as PhaseBlockLoad (both sub-phases, nested inside whatever probe phase
+// is running). A block the cache serves or takes is immutable and, on a
+// miss, an exact-size copy that only the caller and the cache reference.
+// Any other block is decoded into buf when buf is non-nil, and is then
+// valid only until buf's next use; with a nil buf it is an exact-size copy
+// too.
 //
 //lsm:hotpath
-func (t *Table) readBlockT(i int, compaction bool, buf *blockBuf, tr *metrics.Trace) ([]byte, error) {
+func (t *Table) readBlock(i int, compaction bool, buf *blockBuf, tr *metrics.Trace) ([]byte, error) {
 	t0 := tr.Now()
 	// Foreground reads may be served from the block cache; compaction
 	// reads bypass it (LevelDB's rule) so compactions neither pollute nor
@@ -339,43 +335,24 @@ func (t *Table) candidateBlocks(userKey []byte) (int, int) {
 	return lo, hi
 }
 
-// MayContainPrimary consults only in-memory metadata (key range + primary
-// bloom filters) and reports whether userKey may exist in this table. It
-// performs no disk I/O — the cheap probe behind GetLite (paper §3).
-func (t *Table) MayContainPrimary(userKey []byte) bool {
-	return t.MayContainPrimaryTraced(userKey, nil)
-}
-
-// MayContainPrimaryTraced is MayContainPrimary counting each bloom filter
-// consulted (and each that excluded a block) on the trace.
-//
-//lsm:hotpath
-func (t *Table) MayContainPrimaryTraced(userKey []byte, tr *metrics.Trace) bool {
-	return t.primaryBlock(userKey, tr) >= 0
-}
-
 // PrimaryBlock returns the first data block whose key span and primary
 // bloom filter admit userKey — the block a point read of userKey loads
-// first — from in-memory metadata only. ok is false when no block does.
-func (t *Table) PrimaryBlock(userKey []byte) (block int, ok bool) {
-	block = t.primaryBlock(userKey, nil)
-	return block, block >= 0
-}
-
-// primaryBlock is PrimaryBlock returning -1 for none, counting each bloom
-// filter consulted (and each that excluded a block) on tr.
+// first — counting each bloom filter consulted (and each that excluded a
+// block) on tr, which may be nil. ok is false when no block does: userKey
+// is not in this table. It reads in-memory metadata only, no disk — the
+// cheap probe behind GetLite (paper §3).
 //
 //lsm:hotpath
-func (t *Table) primaryBlock(userKey []byte, tr *metrics.Trace) int {
+func (t *Table) PrimaryBlock(userKey []byte, tr *metrics.Trace) (block int, ok bool) {
 	lo, hi := t.candidateBlocks(userKey)
 	for i := lo; i < hi; i++ {
 		tr.Count(metrics.CtrBloomProbes, 1)
 		if t.blocks[i].primaryBloom.MayContain(userKey) {
-			return i
+			return i, true
 		}
 		tr.Count(metrics.CtrBloomNegatives, 1)
 	}
-	return -1
+	return -1, false
 }
 
 // OverlappingBlockCount returns how many data blocks overlap the user-key
@@ -467,7 +444,7 @@ func (t *Table) GetWith(sc *GetScratch, userKey []byte) (internalKey, value []by
 		}
 		raw := sc.blk
 		if sc.blkTable != t.id || sc.blkIdx != i {
-			if raw, err = t.readBlockT(i, false, nil, tr); err != nil {
+			if raw, err = t.readBlock(i, false, nil, tr); err != nil {
 				return nil, nil, false, err
 			}
 			sc.blkTable, sc.blkIdx, sc.blk = t.id, i, raw
@@ -538,16 +515,11 @@ func (t *Table) HasAttr(attr string) bool { return t.attrs[attr] != nil }
 
 // SecondaryCandidates returns the data blocks that may contain an entry
 // with attr == value: the file zone map, per-block zone maps, and
-// per-block bloom filters must all pass (paper §3 LOOKUP).
-func (t *Table) SecondaryCandidates(attr, value string) []int {
-	return t.SecondaryCandidatesTraced(attr, value, nil)
-}
-
-// SecondaryCandidatesTraced is SecondaryCandidates with per-filter
-// attribution on the trace: blocks pruned by zone maps (a whole-file zone
-// reject prunes every block), secondary bloom probes/negatives, and the
-// surviving candidate count.
-func (t *Table) SecondaryCandidatesTraced(attr, value string, tr *metrics.Trace) []int {
+// per-block bloom filters must all pass (paper §3 LOOKUP). It attributes
+// to tr, which may be nil, the blocks pruned by zone maps (a whole-file
+// zone reject prunes every block), secondary bloom probes/negatives, and
+// the surviving candidate count.
+func (t *Table) SecondaryCandidates(attr, value string, tr *metrics.Trace) []int {
 	am := t.attrs[attr]
 	if am == nil {
 		return nil
@@ -577,14 +549,9 @@ func (t *Table) SecondaryCandidatesTraced(attr, value string, tr *metrics.Trace)
 
 // SecondaryRangeCandidates returns the data blocks whose attr zone map
 // overlaps [lo, hi] (paper §3 RANGELOOKUP; bloom filters cannot help range
-// predicates).
-func (t *Table) SecondaryRangeCandidates(attr, lo, hi string) []int {
-	return t.SecondaryRangeCandidatesTraced(attr, lo, hi, nil)
-}
-
-// SecondaryRangeCandidatesTraced is SecondaryRangeCandidates with
-// zone-map prune and candidate counts attributed to the trace.
-func (t *Table) SecondaryRangeCandidatesTraced(attr, lo, hi string, tr *metrics.Trace) []int {
+// predicates), with zone-map prune and candidate counts attributed to tr,
+// which may be nil.
+func (t *Table) SecondaryRangeCandidates(attr, lo, hi string, tr *metrics.Trace) []int {
 	am := t.attrs[attr]
 	if am == nil {
 		return nil
@@ -654,7 +621,7 @@ func (t *Table) NewIteratorTraced(compaction bool, tr *metrics.Trace) *Iterator 
 //
 //lsm:hotpath
 func (t *Table) LoadBlock(it *BlockIter, i int, tr *metrics.Trace) error {
-	raw, err := t.readBlockT(i, false, &it.buf, tr)
+	raw, err := t.readBlock(i, false, &it.buf, tr)
 	if err != nil {
 		return err
 	}
@@ -676,7 +643,7 @@ func (it *Iterator) loadBlock(i int) bool {
 	if it.compaction {
 		buf = &it.biStore.buf
 	}
-	raw, err := it.t.readBlockT(i, it.compaction, buf, it.tr)
+	raw, err := it.t.readBlock(i, it.compaction, buf, it.tr)
 	if err != nil {
 		it.err = err
 		it.bi = nil

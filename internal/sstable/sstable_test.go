@@ -177,7 +177,7 @@ func TestSeekGE(t *testing.T) {
 func TestSecondaryCandidatesFindAllMatches(t *testing.T) {
 	tbl, _ := buildTable(t, 500, defaultOpts())
 	// u0007 appears at i=7,57,...,457: 10 entries scattered over blocks.
-	cands := tbl.SecondaryCandidates("UserID", "u0007")
+	cands := tbl.SecondaryCandidates("UserID", "u0007", nil)
 	if len(cands) == 0 {
 		t.Fatal("no candidate blocks")
 	}
@@ -199,7 +199,7 @@ func TestSecondaryCandidatesFindAllMatches(t *testing.T) {
 	// Pruning sanity: candidates should be far fewer than all blocks when
 	// the attribute is selective... UserID with 50 values in every block is
 	// NOT selective per block, so instead verify the time-correlated attr.
-	tc := tbl.SecondaryCandidates("CreationTime", "0000000123")
+	tc := tbl.SecondaryCandidates("CreationTime", "0000000123", nil)
 	if len(tc) != 1 {
 		t.Fatalf("time-correlated candidate blocks = %d, want exactly 1", len(tc))
 	}
@@ -207,11 +207,11 @@ func TestSecondaryCandidatesFindAllMatches(t *testing.T) {
 
 func TestSecondaryCandidatesAbsentValue(t *testing.T) {
 	tbl, _ := buildTable(t, 500, defaultOpts())
-	if c := tbl.SecondaryCandidates("UserID", "no-such-user"); len(c) != 0 {
+	if c := tbl.SecondaryCandidates("UserID", "no-such-user", nil); len(c) != 0 {
 		// Bloom FPs possible but zone map [u0000,u0049] excludes this value.
 		t.Fatalf("candidates for absent value: %v", c)
 	}
-	if c := tbl.SecondaryCandidates("NotIndexed", "x"); c != nil {
+	if c := tbl.SecondaryCandidates("NotIndexed", "x", nil); c != nil {
 		t.Fatal("candidates for unindexed attribute")
 	}
 }
@@ -219,7 +219,7 @@ func TestSecondaryCandidatesAbsentValue(t *testing.T) {
 func TestSecondaryRangeCandidates(t *testing.T) {
 	tbl, _ := buildTable(t, 500, defaultOpts())
 	// CreationTime is time-correlated: a narrow range must prune blocks.
-	cands := tbl.SecondaryRangeCandidates("CreationTime", "0000000100", "0000000120")
+	cands := tbl.SecondaryRangeCandidates("CreationTime", "0000000100", "0000000120", nil)
 	if len(cands) == 0 {
 		t.Fatal("no range candidates")
 	}
@@ -227,12 +227,12 @@ func TestSecondaryRangeCandidates(t *testing.T) {
 		t.Fatalf("time-correlated range did not prune: %d of %d blocks", len(cands), tbl.NumBlocks())
 	}
 	// Non-overlapping range.
-	if c := tbl.SecondaryRangeCandidates("CreationTime", "9999999999", "9999999999"); len(c) != 0 {
+	if c := tbl.SecondaryRangeCandidates("CreationTime", "9999999999", "9999999999", nil); len(c) != 0 {
 		t.Fatal("candidates outside file zone")
 	}
 	// UserID (non-time-correlated) ranges should hit most blocks — the
 	// paper's point about zone maps on uncorrelated attributes.
-	wide := tbl.SecondaryRangeCandidates("UserID", "u0000", "u0049")
+	wide := tbl.SecondaryRangeCandidates("UserID", "u0000", "u0049", nil)
 	if len(wide) != tbl.NumBlocks() {
 		t.Fatalf("uncorrelated attr should hit all blocks, got %d of %d", len(wide), tbl.NumBlocks())
 	}
@@ -252,14 +252,14 @@ func TestFileZone(t *testing.T) {
 func TestMayContainPrimary(t *testing.T) {
 	tbl, stats := buildTable(t, 500, defaultOpts())
 	r0 := stats.BlockReads.Load()
-	if !tbl.MayContainPrimary([]byte("t00000042")) {
+	if _, ok := tbl.PrimaryBlock([]byte("t00000042"), nil); !ok {
 		t.Fatal("false negative on present key")
 	}
-	if tbl.MayContainPrimary([]byte("aaaa")) {
+	if _, ok := tbl.PrimaryBlock([]byte("aaaa"), nil); ok {
 		t.Fatal("key below range should be rejected by zone")
 	}
 	if stats.BlockReads.Load() != r0 {
-		t.Fatal("MayContainPrimary must not read blocks")
+		t.Fatal("PrimaryBlock must not read blocks")
 	}
 }
 
