@@ -51,17 +51,12 @@ func (b *Batch) Len() int { return len(b.records) }
 // Reset clears the batch for reuse.
 func (b *Batch) Reset() { b.records = b.records[:0] }
 
-// Apply commits the batch. Within the batch, later operations shadow
-// earlier ones on the same key (they receive higher sequence numbers).
-// The MemTable flush check runs once, after the whole batch.
-func (db *DB) Apply(b *Batch) error {
-	return db.ApplyAt(b, 0, nil)
-}
-
-// ApplyAt is Apply with the batch's first operation at sequence number
+// ApplyAt commits the batch with its first operation at sequence number
 // seq, under PutAt's rule (operation i gets seq+i); seq 0 takes the next
-// one. It records the write-path phases (wal, mem_insert, rotate,
-// commit_wait) into tr, which may be nil.
+// one. Within the batch, later operations shadow earlier ones on the same
+// key (they receive higher sequence numbers). The MemTable flush check
+// runs once, after the whole batch. It records the write-path phases
+// (wal, mem_insert, rotate, commit_wait) into tr, which may be nil.
 func (db *DB) ApplyAt(b *Batch, seq uint64, tr *metrics.Trace) error {
 	if b.Len() == 0 {
 		return nil

@@ -1,5 +1,5 @@
 // Leader-based group commit (DESIGN.md §5.5), the engine's only write
-// path. Every Put/Delete/Apply becomes a pending commit on a queue: the
+// path. Every Put/Delete/ApplyAt becomes a pending commit on a queue: the
 // first writer to arrive leads, drains the queue up to a byte/count
 // budget, assigns one contiguous sequence range under db.mu, writes every
 // member's records as a single WAL batch frame off db.mu (one buffer

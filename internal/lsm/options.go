@@ -12,7 +12,7 @@
 // version change still happens at a fixed operation count and every
 // experiment stays deterministic: the paper picked LevelDB because a
 // single-threaded store isolates and explains index costs. Like
-// LevelDB's writer queue, every Put, Delete and Apply commits through one
+// LevelDB's writer queue, every Put, Delete and ApplyAt commits through one
 // leader-based queue (commit.go); a lone writer is a group of one, and
 // concurrent writers share a WAL write and, under wal.SyncGrouped, an
 // fsync. Reads are guarded by an RWMutex and may run concurrently with
