@@ -42,7 +42,7 @@ func main() {
 	open := cli.DBFlags(flag.CommandLine)
 	var (
 		addr      = flag.String("addr", ":8080", "listen address")
-		cache     = flag.Int64("cache-mb", 0, "block cache size in MiB (0 = off, the paper's config)")
+		cache     = flag.Int64("cache-mb", 0, "block cache size in MiB of each table, the primary and every index table (0 = off, the paper's config)")
 		metricsOn = flag.Bool("metrics", true, "expose Prometheus text format at GET /metrics")
 		pprofOn   = flag.Bool("pprof", false, "expose Go profiling at /debug/pprof/")
 		traceRate = flag.Float64("trace-sample", 0, "fraction of operations to trace (0 disables, 1 traces all)")
@@ -72,7 +72,7 @@ func main() {
 
 	db, err := open(core.Options{
 		BlockCacheBytes: *cache << 20,
-		TraceSampleRate: *traceRate,
+		Tracer:          metrics.NewTracer(*traceRate, 0),
 		Events:          events,
 		SyncMode:        sync,
 	})

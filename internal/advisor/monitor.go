@@ -35,6 +35,8 @@ type CheckResult struct {
 	Sufficient  bool             `json:"sufficient"` // enough profiled ops to advise
 	Profile     Profile          `json:"profile"`
 	Workload    explain.Workload `json:"workload"`
+
+	rec core.IndexKind // the kind Recommended names
 }
 
 // Monitor periodically re-runs the index-selection strategy against the
@@ -69,6 +71,7 @@ func (m *Monitor) Evaluate() CheckResult {
 		Sufficient:  w.TotalOps >= minOpsForAdvice,
 		Profile:     p,
 		Workload:    w,
+		rec:         rec.Index,
 	}
 }
 
@@ -80,11 +83,10 @@ func (m *Monitor) Check() CheckResult {
 	if !res.Sufficient {
 		return res
 	}
-	rec := kindFromString(res.Recommended)
 	m.mu.Lock()
-	fire := !res.Match && (!m.armed || m.lastRec != rec)
+	fire := !res.Match && (!m.armed || m.lastRec != res.rec)
 	if fire || res.Match {
-		m.lastRec, m.armed = rec, true
+		m.lastRec, m.armed = res.rec, true
 	}
 	m.mu.Unlock()
 	if fire {
@@ -95,14 +97,4 @@ func (m *Monitor) Check() CheckResult {
 		})
 	}
 	return res
-}
-
-func kindFromString(s string) core.IndexKind {
-	for _, k := range []core.IndexKind{core.IndexNone, core.IndexEmbedded,
-		core.IndexEager, core.IndexLazy, core.IndexComposite} {
-		if k.String() == s {
-			return k
-		}
-	}
-	return core.IndexNone
 }

@@ -43,19 +43,11 @@ func (n *node) leaf() bool { return len(n.children) == 0 }
 // Tree is a B-tree from attribute value to posting list. The zero value is
 // not usable; call New.
 type Tree struct {
-	root  *node
-	size  int // number of distinct keys
-	posts int // total postings
+	root *node
 }
 
 // New returns an empty tree.
 func New() *Tree { return &Tree{root: &node{}} }
-
-// Len returns the number of distinct attribute values stored.
-func (t *Tree) Len() int { return t.size }
-
-// Postings returns the total number of postings across all keys.
-func (t *Tree) Postings() int { return t.posts }
 
 // search returns the index of the first item >= key and whether it is an
 // exact match.
@@ -70,7 +62,6 @@ func (n *node) search(key string) (int, bool) {
 // A new key is stored as a copy, so key may be a view of bytes the caller
 // goes on to change.
 func (t *Tree) Add(key string, p Posting) {
-	t.posts++
 	// The posting lands below every node on key's path, whether key is
 	// found there or inserted: a split recomputes the nodes it divides.
 	for n := t.root; ; {
@@ -85,7 +76,6 @@ func (t *Tree) Add(key string, p Posting) {
 		}
 		n = n.children[i]
 	}
-	t.size++
 	if len(t.root.items) >= 2*degree-1 {
 		old := t.root
 		t.root = &node{children: []*node{old}, maxSeq: old.maxSeq}
@@ -178,12 +168,6 @@ func (t *Tree) AscendRange(lo, hi string, fn func(key string, postings []Posting
 		return
 	}
 	t.ascend(t.root, lo, &hi, fn)
-}
-
-// Ascend calls fn for every key >= lo in ascending order, stopping early
-// if fn returns false.
-func (t *Tree) Ascend(lo string, fn func(key string, postings []Posting) bool) {
-	t.ascend(t.root, lo, nil, fn)
 }
 
 func (t *Tree) ascend(n *node, lo string, hi *string, fn func(string, []Posting) bool) bool {

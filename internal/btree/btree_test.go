@@ -8,16 +8,36 @@ import (
 	"testing/quick"
 )
 
+// ascend calls fn for every key >= lo in ascending order, stopping early
+// if fn returns false.
+func ascend(tr *Tree, lo string, fn func(key string, postings []Posting) bool) {
+	tr.ascend(tr.root, lo, nil, fn)
+}
+
+// treeLen counts the tree's distinct keys.
+func treeLen(tr *Tree) int {
+	n := 0
+	ascend(tr, "", func(string, []Posting) bool { n++; return true })
+	return n
+}
+
+// treePostings counts the postings under every key.
+func treePostings(tr *Tree) int {
+	n := 0
+	ascend(tr, "", func(_ string, ps []Posting) bool { n += len(ps); return true })
+	return n
+}
+
 func TestEmpty(t *testing.T) {
 	tr := New()
-	if tr.Len() != 0 || tr.Postings() != 0 {
+	if treeLen(tr) != 0 || treePostings(tr) != 0 {
 		t.Fatal("empty tree has entries")
 	}
 	if got := tr.Get("x"); got != nil {
 		t.Fatalf("Get on empty = %v", got)
 	}
 	called := false
-	tr.Ascend("", func(string, []Posting) bool { called = true; return true })
+	ascend(tr, "", func(string, []Posting) bool { called = true; return true })
 	if called {
 		t.Fatal("AscendRange on empty tree called fn")
 	}
@@ -28,11 +48,11 @@ func TestAddGet(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		tr.Add(fmt.Sprintf("u%05d", i%100), Posting{Key: []byte(fmt.Sprintf("t%d", i)), Seq: uint64(i)})
 	}
-	if tr.Len() != 100 {
-		t.Fatalf("Len = %d, want 100", tr.Len())
+	if treeLen(tr) != 100 {
+		t.Fatalf("Len = %d, want 100", treeLen(tr))
 	}
-	if tr.Postings() != 2000 {
-		t.Fatalf("Postings = %d", tr.Postings())
+	if treePostings(tr) != 2000 {
+		t.Fatalf("Postings = %d", treePostings(tr))
 	}
 	ps := tr.Get("u00042")
 	if len(ps) != 20 {
@@ -55,11 +75,11 @@ func TestManyDistinctKeysStaySorted(t *testing.T) {
 		keys[k] = true
 		tr.Add(k, Posting{Seq: uint64(i)})
 	}
-	if tr.Len() != len(keys) {
-		t.Fatalf("Len = %d, want %d", tr.Len(), len(keys))
+	if treeLen(tr) != len(keys) {
+		t.Fatalf("Len = %d, want %d", treeLen(tr), len(keys))
 	}
 	var got []string
-	tr.Ascend("", func(k string, _ []Posting) bool {
+	ascend(tr, "", func(k string, _ []Posting) bool {
 		got = append(got, k)
 		return true
 	})
@@ -96,7 +116,7 @@ func TestAscendRangeBounds(t *testing.T) {
 		t.Fatalf("range past end = %v", got)
 	}
 	var open []string
-	tr.Ascend("k94", func(k string, _ []Posting) bool { open = append(open, k); return true })
+	ascend(tr, "k94", func(k string, _ []Posting) bool { open = append(open, k); return true })
 	if fmt.Sprint(open) != "[k94 k96 k98]" {
 		t.Fatalf("Ascend open-ended = %v", open)
 	}
@@ -111,7 +131,7 @@ func TestAscendEarlyStop(t *testing.T) {
 		tr.Add(fmt.Sprintf("k%02d", i), Posting{})
 	}
 	n := 0
-	tr.Ascend("", func(string, []Posting) bool {
+	ascend(tr, "", func(string, []Posting) bool {
 		n++
 		return n < 7
 	})
@@ -129,7 +149,7 @@ func TestQuickMatchesReferenceMap(t *testing.T) {
 			tr.Add(k, Posting{Seq: uint64(seq)})
 			ref[k] = append(ref[k], uint64(seq))
 		}
-		if tr.Len() != len(ref) {
+		if treeLen(tr) != len(ref) {
 			return false
 		}
 		for k, seqs := range ref {
@@ -151,7 +171,7 @@ func TestQuickMatchesReferenceMap(t *testing.T) {
 		sort.Strings(want)
 		i := 0
 		ok := true
-		tr.Ascend("", func(k string, _ []Posting) bool {
+		ascend(tr, "", func(k string, _ []Posting) bool {
 			if i >= len(want) || k != want[i] {
 				ok = false
 				return false

@@ -151,15 +151,3 @@ func (c *Cache) Used() int64 {
 	}
 	return used
 }
-
-// Len returns the number of cached blocks across all shards.
-func (c *Cache) Len() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += len(s.items)
-		s.mu.Unlock()
-	}
-	return n
-}

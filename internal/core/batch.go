@@ -1,6 +1,8 @@
 package core
 
 import (
+	"time"
+
 	"leveldbpp/internal/lsm"
 	"leveldbpp/internal/metrics"
 )
@@ -89,7 +91,11 @@ func (db *DB) write(ops []batchOp, slots []attrSlot, tr *metrics.Trace) error {
 		}
 		doc, ok := written[op.key]
 		if !ok {
-			v, found, err := db.primary.Get([]byte(op.key), nil)
+			// IOOnly: the GET's block reads reach the trace, its time
+			// stays in index_update.
+			tr.IOOnlyBegin()
+			v, found, err := db.primary.Get([]byte(op.key), tr)
+			tr.IOOnlyEnd()
 			if err != nil {
 				return err
 			}
@@ -105,7 +111,7 @@ func (db *DB) write(ops []batchOp, slots []attrSlot, tr *metrics.Trace) error {
 	for before < len(ops) && !ops[before].del {
 		before++
 	}
-	err := db.indexWrite(ops[:before], docs, slots, seq)
+	err := db.indexWrite(ops[:before], docs, slots, seq, tr)
 	tr.Since(metrics.PhaseIndexUpdate, tI)
 	if err == nil {
 		if db.testBetweenWrites != nil {
@@ -118,7 +124,7 @@ func (db *DB) write(ops []batchOp, slots []attrSlot, tr *metrics.Trace) error {
 		return err
 	}
 	tI = tr.Now()
-	err = db.indexWrite(ops[before:], docs[before:], slots, seq+uint64(before))
+	err = db.indexWrite(ops[before:], docs[before:], slots, seq+uint64(before), tr)
 	tr.Since(metrics.PhaseIndexUpdate, tI)
 	return err
 }
@@ -127,10 +133,11 @@ func (db *DB) write(ops []batchOp, slots []attrSlot, tr *metrics.Trace) error {
 // tables, ops[i]'s at seq+i: for every indexed attribute docs[i]
 // carries, the (attribute value, key) pair goes to that attribute's
 // table, for a delete as a deletion marker. The values go into the index
-// keys as they are; the engine copies a key before keeping it.
+// keys as they are; the engine copies a key before keeping it. Eager's
+// list reads record their block accesses into tr.
 //
 //lsm:locked — writeMu is held by write.
-func (db *DB) indexWrite(ops []batchOp, docs [][]byte, slots []attrSlot, seq uint64) error {
+func (db *DB) indexWrite(ops []batchOp, docs [][]byte, slots []attrSlot, seq uint64, tr *metrics.Trace) error {
 	for i, op := range ops {
 		if docs[i] == nil {
 			continue
@@ -144,7 +151,7 @@ func (db *DB) indexWrite(ops []batchOp, docs [][]byte, slots []attrSlot, seq uin
 			var err error
 			switch db.opts.Index {
 			case IndexEager:
-				err = db.eagerUpdate(idx, sl.val, op.key, seq+uint64(i), op.del)
+				err = db.eagerUpdate(idx, sl.val, op.key, seq+uint64(i), op.del, tr)
 			case IndexLazy:
 				err = db.lazyAppend(idx, sl.val, op.key, seq+uint64(i), op.del)
 			case IndexComposite:
@@ -161,13 +168,19 @@ func (db *DB) indexWrite(ops []batchOp, docs [][]byte, slots []attrSlot, seq uin
 // Scan iterates the primary table over [lo, hi] (inclusive; empty hi
 // means unbounded) in key order, visiting only the newest live version of
 // each key — LevelDB's range query API, which the paper's Eager
-// RANGELOOKUP builds on. fn returning false stops the scan.
+// RANGELOOKUP builds on. fn returning false stops the scan. The scan is
+// traced and observed as one operation, fn's time included.
 func (db *DB) Scan(lo, hi string, fn func(key string, value []byte) bool) error {
+	t0 := time.Now()
+	tr := db.tracer.Start(metrics.OpScan)
 	var hiExcl []byte
 	if hi != "" {
 		hiExcl = upperBoundExclusive(hi)
 	}
-	return db.primary.Scan([]byte(lo), hiExcl, nil, func(k, v []byte, _ uint64) bool {
+	err := db.primary.Scan([]byte(lo), hiExcl, tr, func(k, v []byte, _ uint64) bool {
 		return fn(string(k), v)
 	})
+	tr.Finish()
+	db.ops.Observe(metrics.OpScan, time.Since(t0))
+	return err
 }

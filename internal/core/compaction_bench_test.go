@@ -5,14 +5,14 @@ import (
 	"testing"
 )
 
-// benchCompactionOptions sizes the engine so one CompactAll performs a
+// benchCompactionOptions sizes the engine so one full CompactRange performs a
 // large multi-input merge: the L0 trigger is lifted far above the flush
 // count, so the timed section is purely the compaction merge working
 // through a stack of overlapping L0 tables (plus the mirrored index-table
 // compaction for stand-alone kinds).
 func benchCompactionOptions(kind IndexKind) Options {
 	opts := smallOptions(kind)
-	opts.L0CompactionTrigger = 1 << 20 // never compact inline; CompactAll does it all
+	opts.L0CompactionTrigger = 1 << 20 // never compact inline; CompactRange does it all
 	return opts
 }
 
@@ -48,7 +48,7 @@ func BenchmarkCompactionThroughput(b *testing.B) {
 				}
 				b.SetBytes(primary + index)
 				b.StartTimer()
-				if err := db.CompactAll(); err != nil {
+				if err := db.CompactRange("", ""); err != nil {
 					b.Fatal(err)
 				}
 				b.StopTimer()

@@ -50,7 +50,7 @@ func TestCompositeSeqBoundSkipsDeepStrata(t *testing.T) {
 	levels := map[int]bool{}
 	err := idx.View(func(v *lsm.View) error {
 		for _, s := range v.Strata() {
-			if !s.IsMem() && len(s.Overlapping([]byte("hot"), []byte("hot\x01"))) > 0 {
+			if !s.IsMem() && len(stratumTables(s, []byte("hot"), []byte("hot\x01\x00"))) > 0 {
 				levels[s.Level] = true
 			}
 		}
@@ -218,9 +218,9 @@ func TestCompositeStreamInterleavedTables(t *testing.T) {
 	for i := 0; i < 30000 && err == nil; i++ {
 		ck := compositeKey(compositeStreamValues[rng.Intn(len(compositeStreamValues))], fmt.Sprintf("p%04d", rng.Intn(3000)))
 		if rng.Intn(5) == 0 {
-			err = idx.Delete(ck)
+			err = idx.DeleteAt(ck, 0)
 		} else {
-			err = idx.Put(ck, pad)
+			err = idx.PutAt(ck, pad, 0)
 		}
 	}
 	if err != nil {

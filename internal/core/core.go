@@ -111,8 +111,10 @@ type Options struct {
 	// primary table and every index table; the zero value is off. See
 	// lsm.Options.SyncMode.
 	SyncMode wal.SyncMode
-	// BlockCacheBytes enables an LRU block cache on the primary and
-	// index tables (0 = off, the paper's configuration).
+	// BlockCacheBytes enables an LRU block cache of this capacity on
+	// each table: the primary and every index table get a cache of their
+	// own, so a database with two indexed attributes holds up to three
+	// times this (0 = off, the paper's configuration).
 	BlockCacheBytes int64
 
 	// DisableGetLite makes the Embedded index validate candidates with
@@ -123,13 +125,10 @@ type Options struct {
 	// zone map check and consult only per-block structures (ablation).
 	DisableFileZoneMap bool
 
-	// TraceSampleRate samples that fraction (0..1] of operations for
-	// per-phase tracing (DESIGN.md §5.3). 0 disables tracing; sampling is
-	// period-based (one in round(1/rate) operations), so rate 1 traces
-	// everything. Ignored when Tracer is set.
-	TraceSampleRate float64
-	// Tracer, when set, replaces the DB-owned tracer — lsmbench shares one
-	// tracer across DBs to print a single breakdown per experiment.
+	// Tracer samples operations for per-phase tracing (DESIGN.md §5.3),
+	// at the rate it was made with (metrics.NewTracer). lsmbench shares
+	// one tracer across DBs to print a single breakdown per experiment.
+	// Nil gives the DB a tracer of its own that samples nothing.
 	Tracer *metrics.Tracer
 	// Events, when set, receives every engine lifecycle event in addition
 	// to the DB-owned in-memory EventLog (e.g. a metrics.JSONLSink).
@@ -244,7 +243,7 @@ func Open(dir string, opts Options) (*DB, error) {
 
 	tracer := opts.Tracer
 	if tracer == nil {
-		tracer = metrics.NewTracer(opts.TraceSampleRate, 0)
+		tracer = metrics.NewTracer(0, 0)
 	}
 	events := metrics.NewEventLog(0)
 	events.Attach(opts.Events)
@@ -609,19 +608,6 @@ func (db *DB) Stats() Stats {
 	return s
 }
 
-// CompactAll drives a full manual compaction of the primary table and
-// every index table — lsm.CompactRange over the unbounded range,
-// surfacing any mid-merge failure (the event log carries it as a
-// compaction_error event).
-func (db *DB) CompactAll() error {
-	for _, t := range db.tables {
-		if err := t.db.CompactRange(nil, nil); err != nil {
-			return fmt.Errorf("core: compact %s: %w", t.name, err)
-		}
-	}
-	return nil
-}
-
 // GroupSizeHists returns the commits-per-WAL-write histogram of every
 // table, keyed like LevelShapes ("primary", "index-<attr>").
 func (db *DB) GroupSizeHists() map[string]*metrics.BucketHistogram {
@@ -781,8 +767,8 @@ func indent(s string) string {
 // LastSeq returns the primary table's most recent sequence number.
 func (db *DB) LastSeq() uint64 { return db.primary.LastSeq() }
 
-// Tracer returns the DB's operation tracer (never nil; disabled unless
-// Options.TraceSampleRate or Options.Tracer was set).
+// Tracer returns the DB's operation tracer (never nil; it samples nothing
+// unless Options.Tracer was set).
 func (db *DB) Tracer() *metrics.Tracer { return db.tracer }
 
 // OpStats returns the always-on per-operation latency histograms.
@@ -858,7 +844,9 @@ func (db *DB) Checkpoint(destDir string) error {
 
 // CompactRange forces the user-key range [lo, hi] (empty strings =
 // unbounded) of the primary table down to its resting level, and fully
-// compacts every index table. Useful after bulk loads and deletes.
+// compacts every index table, surfacing any mid-merge failure (the event
+// log carries it as a compaction_error event). Useful after bulk loads
+// and deletes.
 func (db *DB) CompactRange(lo, hi string) error {
 	var loB, hiB []byte
 	if lo != "" {
@@ -867,13 +855,11 @@ func (db *DB) CompactRange(lo, hi string) error {
 	if hi != "" {
 		hiB = []byte(hi)
 	}
-	if err := db.primary.CompactRange(loB, hiB); err != nil {
-		return err
-	}
-	for _, t := range db.tables[1:] {
-		if err := t.db.CompactRange(nil, nil); err != nil {
-			return err
+	for _, t := range db.tables {
+		if err := t.db.CompactRange(loB, hiB); err != nil {
+			return fmt.Errorf("core: compact %s: %w", t.name, err)
 		}
+		loB, hiB = nil, nil // index tables compact whole
 	}
 	return nil
 }

@@ -601,7 +601,7 @@ func TestWriteAmplificationOneSnapshot(t *testing.T) {
 			if err := db.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			if err := db.CompactAll(); err != nil {
+			if err := db.CompactRange("", ""); err != nil {
 				t.Fatal(err)
 			}
 			if db.Stats().Primary.CompactionWriteBytes == 0 {

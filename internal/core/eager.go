@@ -17,11 +17,14 @@ import (
 // the new posting, drop the superseded entry for the same primary key,
 // and write the list back at seq, the new posting's. The stored list is
 // already newest-first, so AppendAdd streams the update — no re-sort, and
-// no intermediate []Entry — into the DB's scratch buffer.
+// no intermediate []Entry — into the DB's scratch buffer. The list read's
+// block accesses go to tr; its time stays in the caller's index_update.
 //
 //lsm:locked — writeMu is held by indexWrite's callers.
-func (db *DB) eagerUpdate(idx *lsm.DB, attrValue []byte, key string, seq uint64, del bool) error {
-	cur, _, err := idx.Get(attrValue, nil)
+func (db *DB) eagerUpdate(idx *lsm.DB, attrValue []byte, key string, seq uint64, del bool, tr *metrics.Trace) error {
+	tr.IOOnlyBegin()
+	cur, _, err := idx.Get(attrValue, tr)
+	tr.IOOnlyEnd()
 	if err != nil {
 		return err
 	}

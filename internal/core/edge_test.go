@@ -232,14 +232,14 @@ func TestIndexKindStrings(t *testing.T) {
 
 func TestTopKHeapDirect(t *testing.T) {
 	h := newTopK(2)
-	if h.MinSeq() != 0 || h.Len() != 0 {
+	if h.MinSeq() != 0 || len(h.h) != 0 {
 		t.Fatal("empty heap state")
 	}
 	h.Add(Entry{Key: "a", Seq: 5})
 	h.Add(Entry{Key: "b", Seq: 9})
 	h.Add(Entry{Key: "c", Seq: 7}) // displaces seq 5
-	if h.Len() != 2 {
-		t.Fatalf("Len = %d", h.Len())
+	if len(h.h) != 2 {
+		t.Fatalf("Len = %d", len(h.h))
 	}
 	rs := h.Results()
 	if rs[0].Key != "b" || rs[1].Key != "c" {
@@ -256,7 +256,7 @@ func TestTopKHeapDirect(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		u.Add(Entry{Seq: uint64(i)})
 	}
-	if u.Len() != 100 || u.Full() {
+	if len(u.h) != 100 || u.Full() {
 		t.Fatal("unbounded heap truncated")
 	}
 }

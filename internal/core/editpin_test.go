@@ -78,7 +78,7 @@ func TestVersionEditsPinned(t *testing.T) {
 			case 1500:
 				err = db.Flush()
 			case 3000:
-				err = db.CompactAll()
+				err = db.CompactRange("", "")
 			}
 			if err != nil {
 				t.Fatalf("%v op %d: %v", kind, i, err)

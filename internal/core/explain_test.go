@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"testing"
+
+	"leveldbpp/internal/metrics"
 )
 
 // ioTotals flattens a Stats snapshot into the totals the trace-counter
@@ -52,10 +54,10 @@ func openGolden(t *testing.T, kind IndexKind) *DB {
 func openGoldenSampled(t *testing.T, kind IndexKind, rate float64) *DB {
 	t.Helper()
 	db, err := Open(t.TempDir(), Options{
-		Index:           kind,
-		Attrs:           []string{"UserID", "CreationTime"},
-		MemTableBytes:   32 << 10,
-		TraceSampleRate: rate,
+		Index:         kind,
+		Attrs:         []string{"UserID", "CreationTime"},
+		MemTableBytes: 32 << 10,
+		Tracer:        metrics.NewTracer(rate, 0),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -49,9 +49,6 @@ func (t *topK) Add(e Entry) {
 	}
 }
 
-// Len returns the number of retained entries.
-func (t *topK) Len() int { return len(t.h) }
-
 // Results returns the retained entries ordered newest first.
 func (t *topK) Results() []Entry {
 	out := make([]Entry, len(t.h))

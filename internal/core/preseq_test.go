@@ -187,7 +187,7 @@ func TestPreSeqFixture(t *testing.T) {
 			for _, q := range preseqQueries {
 				checkCollect(t, db, q.attr, q.lo, q.hi, q.lo == q.hi)
 			}
-			if err := db.CompactAll(); err != nil {
+			if err := db.CompactRange("", ""); err != nil {
 				t.Fatal(err)
 			}
 			reopen()

@@ -118,7 +118,7 @@ func TestEntrySeqAcrossKinds(t *testing.T) {
 				err = db.Delete(fmt.Sprintf("x%04d", i))
 			default:
 				if i%3 == 0 {
-					err = db.CompactAll()
+					err = db.CompactRange("", "")
 				} else {
 					err = db.Flush()
 				}
@@ -202,7 +202,7 @@ func TestPostingRangeSeqBoundSkipsDeepStrata(t *testing.T) {
 			levels := map[int]bool{}
 			err := db.indexes["UserID"].View(func(v *lsm.View) error {
 				for _, s := range v.Strata() {
-					if !s.IsMem() && len(s.Overlapping([]byte("hot"), []byte("hot"))) > 0 {
+					if !s.IsMem() && len(stratumTables(s, []byte("hot"), []byte("hot\x00"))) > 0 {
 						levels[s.Level] = true
 					}
 				}
@@ -264,14 +264,14 @@ func modelTopK(m map[string]fuzzDoc, attr, lo, hi string, k int) []string {
 	return keys
 }
 
-// FuzzPostingRangeTopK runs arbitrary PUT / DEL / Flush / CompactAll /
+// FuzzPostingRangeTopK runs arbitrary PUT / DEL / Flush / CompactRange /
 // reopen sequences through a Lazy or Eager DB — empty, or a copy of the
 // kind's pre-seq fixture, whose index seqs lag the primary's — and holds
 // every K ∈ {1, 3, 10} RANGELOOKUP's (Key, Seq) list to the model. The
 // first input byte picks the kind (bit 0) and the start (bit 1). Each
 // later pair of bytes is one operation: the first's low three bits pick it
 // (0–2 a PUT of a document with both attributes, 3 with CreationTime
-// only, 4 with neither, 5 a DEL, 6 Flush, 7 CompactAll or, with bit 3,
+// only, 4 with neither, 5 a DEL, 6 Flush, 7 CompactRange or, with bit 3,
 // a reopen), the second the key, UserID and CreationTime. The seed corpus
 // is testdata/fuzz/FuzzPostingRangeTopK.
 func FuzzPostingRangeTopK(f *testing.F) {
@@ -316,7 +316,7 @@ func FuzzPostingRangeTopK(f *testing.F) {
 				err = db.Flush()
 			case 7:
 				if op&8 == 0 {
-					err = db.CompactAll()
+					err = db.CompactRange("", "")
 				} else if err = db.Close(); err == nil {
 					db, err = Open(dir, opts)
 				}

@@ -113,6 +113,22 @@ func refStratumFragments(st lsm.Stratum, value []byte) (frags [][]byte, dead boo
 	return [][]byte{bytes.Clone(data)}, false, nil
 }
 
+// stratumTables returns the tables of a table stratum that a scan of the
+// user keys [lo, hiExcl) visits: a level-0 stratum's one table, or the
+// files of a deeper level intersecting the range.
+func stratumTables(s lsm.Stratum, lo, hiExcl []byte) []*lsm.FileMeta {
+	if s.Level == 0 {
+		return s.Tables
+	}
+	var out []*lsm.FileMeta
+	for _, fm := range s.Tables {
+		if fm.Overlaps(lo, hiExcl) {
+			out = append(out, fm)
+		}
+	}
+	return out
+}
+
 // lazyRangeFragments is the retired Lazy RANGELOOKUP gather: from every
 // stratum of the index table, the fragments of each secondary key in
 // [lo, hi] that the stratum holds — in a MemTable, every version above
@@ -143,7 +159,7 @@ func lazyRangeFragments(idx *lsm.DB, lo, hi string) ([][]byte, error) {
 				}
 				continue
 			}
-			for _, fm := range s.Overlapping(loB, []byte(hi)) {
+			for _, fm := range stratumTables(s, loB, hiExcl) {
 				ti := fm.Table().NewIterator(false)
 				for ok := ti.SeekGE(seek); ok; ok = ti.Next() {
 					ik := ti.Key()
@@ -356,7 +372,7 @@ func TestLazyChainStopsAtTombstone(t *testing.T) {
 		}
 	}
 	idx := db.indexes["UserID"]
-	if err := idx.Delete([]byte("hw")); err != nil {
+	if err := idx.DeleteAt([]byte("hw"), 0); err != nil {
 		t.Fatal(err)
 	}
 	db.primary.AdvanceSeq(idx.LastSeq()) // the tombstone took an index seq
@@ -407,7 +423,7 @@ func TestCollectUnsortedFragmentFallback(t *testing.T) {
 			idx := db.indexes["UserID"]
 			put := func(list postings.List) {
 				t.Helper()
-				if err := idx.Put([]byte("hw"), postings.AppendList(nil, list)); err != nil {
+				if err := idx.PutAt([]byte("hw"), postings.AppendList(nil, list), 0); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -448,7 +464,7 @@ func TestCollectUnsortedFragmentFallback(t *testing.T) {
 				}
 				fails("unsorted mid-chain")
 			}
-			if err := db.CompactAll(); err != nil {
+			if err := db.CompactRange("", ""); err != nil {
 				t.Fatal(err)
 			}
 			if kind == IndexEager {
@@ -521,7 +537,7 @@ func checkCorruptFragment(t *testing.T, kind IndexKind, point bool, damage strin
 		list = postings.AppendList(nil, l)
 	}
 	idx := db.indexes["UserID"]
-	if err := idx.Put([]byte("u2"), list); err != nil {
+	if err := idx.PutAt([]byte("u2"), list, 0); err != nil {
 		t.Fatal(err)
 	}
 	query := func(k int) ([]Entry, error) {
@@ -546,7 +562,7 @@ func checkCorruptFragment(t *testing.T, kind IndexKind, point bool, damage strin
 	if _, err := query(k); !errors.Is(err, postings.ErrCorrupt) {
 		t.Fatalf("k=%d: err = %v, want %v", k, err, postings.ErrCorrupt)
 	}
-	if err := db.CompactAll(); err != nil {
+	if err := db.CompactRange("", ""); err != nil {
 		t.Fatal(err)
 	}
 	if kind == IndexEager {

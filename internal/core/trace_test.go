@@ -11,10 +11,10 @@ import (
 func openTraced(t *testing.T, kind IndexKind) *DB {
 	t.Helper()
 	db, err := Open(t.TempDir(), Options{
-		Index:           kind,
-		Attrs:           []string{"UserID", "CreationTime"},
-		MemTableBytes:   32 << 10,
-		TraceSampleRate: 1, // trace everything; threshold 0 records all
+		Index:         kind,
+		Attrs:         []string{"UserID", "CreationTime"},
+		MemTableBytes: 32 << 10,
+		Tracer:        metrics.NewTracer(1, 0), // trace everything; threshold 0 records all
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -138,6 +138,72 @@ func TestTracePutPhases(t *testing.T) {
 		if !names[want] {
 			t.Fatalf("put trace missing phase %q: %+v", want, rec.Phases)
 		}
+	}
+}
+
+// TestScanTracedAndObserved holds Scan to the other reads: every call is
+// one observation of the scan latency histogram, and a traced scan over a
+// flushed table records its block accesses.
+func TestScanTracedAndObserved(t *testing.T) {
+	db := openTraced(t, IndexLazy)
+	fillTraced(t, db, 500)
+	const scans = 7
+	for i := 0; i < scans; i++ {
+		rows := 0
+		if err := db.Scan("t00010", "t00100", func(string, []byte) bool { rows++; return true }); err != nil {
+			t.Fatal(err)
+		}
+		if rows != 91 {
+			t.Fatalf("scan returned %d rows, want 91", rows)
+		}
+	}
+	if got := db.OpStats().Hist(metrics.OpScan).Count(); got != scans {
+		t.Fatalf("scan histogram counts %d, want %d", got, scans)
+	}
+	if rec := lastTrace(t, db, "scan"); rec.IO == nil || rec.IO.BlockAccesses() == 0 {
+		t.Fatalf("scan over a flushed table traced no block access: %+v", rec)
+	}
+}
+
+// TestWriteReadsTraced checks that the reads a write makes reach its
+// trace: an Eager PUT's read of the current posting list and a DEL's read
+// of the old document, each from a flushed table. Their time stays inside
+// index_update, so the write's coverage holds.
+func TestWriteReadsTraced(t *testing.T) {
+	for _, tc := range []struct {
+		kind IndexKind
+		op   string
+		do   func(db *DB, i int) error
+	}{
+		{IndexEager, "put", func(db *DB, i int) error {
+			return db.Put(fmt.Sprintf("n%05d", i), []byte(`{"UserID":"u01","CreationTime":"0000000001"}`))
+		}},
+		{IndexLazy, "delete", func(db *DB, i int) error { return db.Delete(fmt.Sprintf("t%05d", i)) }},
+	} {
+		t.Run(tc.kind.String()+"/"+tc.op, func(t *testing.T) {
+			db := openTraced(t, tc.kind)
+			fillTraced(t, db, 500)
+			best := 0.0
+			var rec metrics.TraceRecord
+			for attempt := 0; attempt < 5 && best < 0.95; attempt++ {
+				if err := db.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				if err := tc.do(db, attempt); err != nil {
+					t.Fatal(err)
+				}
+				r := lastTrace(t, db, tc.op)
+				if r.IO == nil || r.IO.BlockAccesses() == 0 {
+					t.Fatalf("%s over flushed tables traced no block access: %+v", tc.op, r)
+				}
+				if r.Coverage > best {
+					best, rec = r.Coverage, r
+				}
+			}
+			if best < 0.95 {
+				t.Fatalf("%s coverage %.3f < 0.95; trace: %+v", tc.op, best, rec)
+			}
+		})
 	}
 }
 

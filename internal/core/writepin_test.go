@@ -67,7 +67,7 @@ func TestWritePathFilesPinned(t *testing.T) {
 			case 400:
 				err = db.Flush()
 			case 800:
-				err = db.CompactAll()
+				err = db.CompactRange("", "")
 			}
 			if err != nil {
 				t.Fatalf("%v op %d: %v", kind, i, err)

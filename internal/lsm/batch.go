@@ -14,15 +14,6 @@ type Batch struct {
 	records []wal.Record
 }
 
-// Put queues key → value.
-func (b *Batch) Put(key, value []byte) {
-	b.records = append(b.records, wal.Record{
-		Kind:  byte(ikey.KindSet),
-		Key:   append([]byte(nil), key...),
-		Value: append([]byte(nil), value...),
-	})
-}
-
 // PutNoCopy queues key → value without copying either buffer: the batch
 // borrows them, so neither may change until ApplyAt returns. The WAL
 // frame and the MemTable's arena copy are made from them; afterwards the
@@ -47,9 +38,6 @@ func (b *Batch) Delete(key []byte) {
 
 // Len returns the number of queued operations.
 func (b *Batch) Len() int { return len(b.records) }
-
-// Reset clears the batch for reuse.
-func (b *Batch) Reset() { b.records = b.records[:0] }
 
 // ApplyAt commits the batch with its first operation at sequence number
 // seq, under PutAt's rule (operation i gets seq+i); seq 0 takes the next

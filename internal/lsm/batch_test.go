@@ -9,10 +9,10 @@ import (
 func TestBatchBasic(t *testing.T) {
 	db, _ := openTestDB(t, smallOpts())
 	var b Batch
-	b.Put([]byte("a"), []byte("1"))
-	b.Put([]byte("b"), []byte("2"))
+	b.PutNoCopy([]byte("a"), []byte("1"))
+	b.PutNoCopy([]byte("b"), []byte("2"))
 	b.Delete([]byte("a"))
-	b.Put([]byte("c"), []byte("3"))
+	b.PutNoCopy([]byte("c"), []byte("3"))
 	if b.Len() != 4 {
 		t.Fatalf("Len = %d", b.Len())
 	}
@@ -28,11 +28,7 @@ func TestBatchBasic(t *testing.T) {
 	if v, _ := mustGet(t, db, "c"); v != "3" {
 		t.Fatal("batch put lost")
 	}
-	b.Reset()
-	if b.Len() != 0 {
-		t.Fatal("Reset did not clear")
-	}
-	if err := db.ApplyAt(&b, 0, nil); err != nil {
+	if err := db.ApplyAt(&Batch{}, 0, nil); err != nil {
 		t.Fatal("empty batch must be a no-op")
 	}
 }
@@ -47,7 +43,7 @@ func TestBatchSurvivesReopen(t *testing.T) {
 	}
 	var b Batch
 	for i := 0; i < 100; i++ {
-		b.Put([]byte(fmt.Sprintf("k%03d", i)), []byte(fmt.Sprintf("v%d", i)))
+		b.PutNoCopy([]byte(fmt.Sprintf("k%03d", i)), []byte(fmt.Sprintf("v%d", i)))
 	}
 	if err := db.ApplyAt(&b, 0, nil); err != nil {
 		t.Fatal(err)
@@ -77,7 +73,7 @@ func TestBatchCrashAtomicity(t *testing.T) {
 	mustPut(t, db, "before", "yes")
 	var b Batch
 	for i := 0; i < 50; i++ {
-		b.Put([]byte(fmt.Sprintf("batch%02d", i)), []byte("v"))
+		b.PutNoCopy([]byte(fmt.Sprintf("batch%02d", i)), []byte("v"))
 	}
 	if err := db.ApplyAt(&b, 0, nil); err != nil {
 		t.Fatal(err)
@@ -115,8 +111,8 @@ func TestBatchVersionsCoalesceAtFlush(t *testing.T) {
 	db, _ := openTestDB(t, opts)
 	mustPut(t, db, "list", "a") // committed before the batch
 	var b Batch
-	b.Put([]byte("list"), []byte("b"))
-	b.Put([]byte("list"), []byte("c"))
+	b.PutNoCopy([]byte("list"), []byte("b"))
+	b.PutNoCopy([]byte("list"), []byte("c"))
 	if err := db.ApplyAt(&b, 0, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -146,8 +142,8 @@ func TestBatchVersionsSurviveReplay(t *testing.T) {
 	}
 	mustPut(t, db, "list", "w")
 	var b Batch
-	b.Put([]byte("list"), []byte("x"))
-	b.Put([]byte("list"), []byte("y"))
+	b.PutNoCopy([]byte("list"), []byte("x"))
+	b.PutNoCopy([]byte("list"), []byte("y"))
 	if err := db.ApplyAt(&b, 0, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +173,7 @@ func TestBatchTriggersFlush(t *testing.T) {
 	db, _ := openTestDB(t, smallOpts()) // 8 KiB memtable
 	var b Batch
 	for i := 0; i < 400; i++ {
-		b.Put([]byte(fmt.Sprintf("key%04d", i)), []byte(fmt.Sprintf("val%064d", i)))
+		b.PutNoCopy([]byte(fmt.Sprintf("key%04d", i)), []byte(fmt.Sprintf("val%064d", i)))
 	}
 	if err := db.ApplyAt(&b, 0, nil); err != nil {
 		t.Fatal(err)
@@ -208,7 +204,7 @@ func TestCallerBuffersReusable(t *testing.T) {
 		k, v := fmt.Sprintf("key-%03d", i), fmt.Sprintf("value-%03d-of-the-record", i)
 		key, value = append(key[:0], k...), append(value[:0], v...)
 		if i%2 == 0 {
-			err = db.Put(key, value)
+			err = db.PutAt(key, value, 0)
 		} else {
 			var b Batch
 			b.PutNoCopy(key, value)

@@ -65,7 +65,7 @@ func TestCompactionEvictsConsumedTables(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		mustGet(t, db, fmt.Sprintf("key%05d", i))
 	}
-	if db.blockCache.Len() == 0 {
+	if db.blockCache.Used() == 0 {
 		t.Fatal("cache not warmed")
 	}
 	// Drive enough churn that every original table is compacted away:

@@ -39,7 +39,7 @@ func BenchmarkIngestGroupCommit(b *testing.B) {
 				// key the MemTable holds.
 				for i := w; i < b.N; i += writers {
 					k := []byte(fmt.Sprintf("w%02d-%09d", w, i%4096))
-					if err := db.Put(k, val); err != nil {
+					if err := db.PutAt(k, val, 0); err != nil {
 						b.Error(err)
 						return
 					}

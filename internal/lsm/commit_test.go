@@ -53,7 +53,7 @@ func TestGroupCommitCrashRecovery(t *testing.T) {
 			for op := 0; ; op++ {
 				var b Batch
 				for r := 0; r < recsPerCommit; r++ {
-					b.Put(
+					b.PutNoCopy(
 						[]byte(fmt.Sprintf("w%02d-op%05d-r%d", w, op, r)),
 						[]byte(fmt.Sprintf("value-%02d-%05d-%d", w, op, r)))
 				}
@@ -142,7 +142,7 @@ func TestGroupCommitConcurrentStress(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
 				k := fmt.Sprintf("w%02d-%05d", w, i)
-				if err := db.Put([]byte(k), []byte("val-"+k)); err != nil {
+				if err := db.PutAt([]byte(k), []byte("val-"+k), 0); err != nil {
 					t.Errorf("Put(%s): %v", k, err)
 					return
 				}
@@ -198,17 +198,17 @@ func TestGroupCommitWALEquivalence(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		k := []byte(fmt.Sprintf("key-%03d", i%50))
 		if i%17 == 0 {
-			if err := db.Delete(k); err != nil {
+			if err := db.DeleteAt(k, 0); err != nil {
 				t.Fatal(err)
 			}
 			continue
 		}
-		if err := db.Put(k, []byte(fmt.Sprintf("frag-%03d", i))); err != nil {
+		if err := db.PutAt(k, []byte(fmt.Sprintf("frag-%03d", i)), 0); err != nil {
 			t.Fatal(err)
 		}
 		if i%23 == 0 {
 			var b Batch
-			b.Put([]byte(fmt.Sprintf("batch-%03d", i)), []byte("bv"))
+			b.PutNoCopy([]byte(fmt.Sprintf("batch-%03d", i)), []byte("bv"))
 			b.Delete(k)
 			if err := db.ApplyAt(&b, 0, nil); err != nil {
 				t.Fatal(err)
@@ -246,7 +246,7 @@ func TestGroupCommitLeaderHandoff(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				k := fmt.Sprintf("h%02d-%04d", w, i)
-				if err := db.Put([]byte(k), []byte(k)); err != nil {
+				if err := db.PutAt([]byte(k), []byte(k), 0); err != nil {
 					t.Errorf("Put: %v", err)
 					return
 				}
@@ -296,16 +296,16 @@ func TestUncontendedCommitAllocations(t *testing.T) {
 		db, _ := openTestDB(t, opts)
 		i := 0
 		var one, pair Batch
-		one.Put(keys[1], val)
-		pair.Put(keys[2], val)
+		one.PutNoCopy(keys[1], val)
+		pair.PutNoCopy(keys[2], val)
 		pair.Delete(keys[3])
 		for _, op := range []struct {
 			name string
 			want float64
 			fn   func() error
 		}{
-			{"Put", c.put, func() error { i++; return db.Put(keys[i%len(keys)], val) }},
-			{"Delete", c.del, func() error { i++; return db.Delete(keys[i%len(keys)]) }},
+			{"Put", c.put, func() error { i++; return db.PutAt(keys[i%len(keys)], val, 0) }},
+			{"Delete", c.del, func() error { i++; return db.DeleteAt(keys[i%len(keys)], 0) }},
 			{"Apply/1", c.apply1, func() error { return db.ApplyAt(&one, 0, nil) }},
 			{"Apply/2", c.applyPair, func() error { return db.ApplyAt(&pair, 0, nil) }},
 		} {
@@ -336,12 +336,12 @@ func TestCommitAtSeq(t *testing.T) {
 	if err := db.PutAt([]byte("a"), []byte("a10"), 10); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Put([]byte("b"), []byte("b11")); err != nil {
+	if err := db.PutAt([]byte("b"), []byte("b11"), 0); err != nil {
 		t.Fatal(err)
 	}
 	var b Batch
-	b.Put([]byte("c"), []byte("c20"))
-	b.Put([]byte("d"), []byte("d21"))
+	b.PutNoCopy([]byte("c"), []byte("c20"))
+	b.PutNoCopy([]byte("d"), []byte("d21"))
 	if err := db.ApplyAt(&b, 20, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +402,7 @@ func TestCommitAtSeq(t *testing.T) {
 	}
 	db.AdvanceSeq(50)
 	db.AdvanceSeq(45)
-	if err := db.Put([]byte("i"), nil); err != nil || db.LastSeq() != 51 {
+	if err := db.PutAt([]byte("i"), nil, 0); err != nil || db.LastSeq() != 51 {
 		t.Fatalf("Put after AdvanceSeq(50): LastSeq %d, %v", db.LastSeq(), err)
 	}
 }

@@ -25,7 +25,7 @@ func TestMergerPreservesTombstoneShadowing(t *testing.T) {
 	// two files.
 	mustPut(t, db, "frag", "old")
 	db.Flush()
-	db.Delete([]byte("frag")) // tombstone above "old"
+	db.DeleteAt([]byte("frag"), 0) // tombstone above "old"
 	db.Flush()
 	mustPut(t, db, "frag", "new") // fresh fragment above the tombstone
 	db.Flush()
@@ -54,7 +54,7 @@ func TestMergerDropsDeletedKeyAtBottom(t *testing.T) {
 	db, _ := openTestDB(t, opts)
 	mustPut(t, db, "victim", "a")
 	db.Flush()
-	db.Delete([]byte("victim"))
+	db.DeleteAt([]byte("victim"), 0)
 	db.Flush()
 	for i := 0; i < 8; i++ {
 		mustPut(t, db, fmt.Sprintf("fill%03d", i), "yyyyyyyyyyyyyyyyyy")

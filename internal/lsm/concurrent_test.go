@@ -141,7 +141,7 @@ func writeConcurrently(t *testing.T, db *DB, writers, perW int) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perW; i++ {
-				if err := db.Put([]byte(writerKey(w, i)), []byte(writerValue(w, i))); err != nil {
+				if err := db.PutAt([]byte(writerKey(w, i)), []byte(writerValue(w, i)), 0); err != nil {
 					t.Error(err)
 					return
 				}
@@ -380,7 +380,7 @@ func TestBackgroundCloseDrains(t *testing.T) {
 			go func(w int) {
 				defer wg.Done()
 				for i := 0; ; i++ {
-					if err := db.Put([]byte(writerKey(w, i)), []byte(writerValue(w, i))); err != nil {
+					if err := db.PutAt([]byte(writerKey(w, i)), []byte(writerValue(w, i)), 0); err != nil {
 						if err != ErrClosed {
 							t.Error(err)
 						}
@@ -427,7 +427,7 @@ func TestBackgroundCloseDrains(t *testing.T) {
 
 		// Closing twice is fine; writes after Close fail.
 		closeWithin(t, re)
-		if err := re.Put([]byte("x"), []byte("y")); err != ErrClosed {
+		if err := re.PutAt([]byte("x"), []byte("y"), 0); err != ErrClosed {
 			t.Fatalf("Put after Close = %v, want ErrClosed", err)
 		}
 	})
@@ -454,12 +454,12 @@ func TestBackgroundConcurrentStress(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perW; i++ {
 				k := fmt.Sprintf("w%d-key-%05d", w, i)
-				if err := db.Put([]byte(k), []byte(fmt.Sprintf("val-%d-%d", w, i))); err != nil {
+				if err := db.PutAt([]byte(k), []byte(fmt.Sprintf("val-%d-%d", w, i)), 0); err != nil {
 					t.Error(err)
 					return
 				}
 				if i%7 == 0 {
-					if err := db.Delete([]byte(fmt.Sprintf("w%d-key-%05d", w, i/2))); err != nil {
+					if err := db.DeleteAt([]byte(fmt.Sprintf("w%d-key-%05d", w, i/2)), 0); err != nil {
 						t.Error(err)
 						return
 					}
@@ -561,7 +561,7 @@ func TestBackgroundCheckpoint(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perW; i++ {
-				if err := db.Put([]byte(writerKey(w, i)), []byte(writerValue(w, i))); err != nil {
+				if err := db.PutAt([]byte(writerKey(w, i)), []byte(writerValue(w, i)), 0); err != nil {
 					t.Error(err)
 					return
 				}
@@ -770,7 +770,7 @@ func TestDeterministicConcurrentDrains(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perW; i++ {
 				k := fmt.Sprintf("w%d-key-%05d", w, i)
-				if err := db.Put([]byte(k), []byte(fmt.Sprintf("val-%d-%d-padding-padding-padding-padding-padding", w, i))); err != nil {
+				if err := db.PutAt([]byte(k), []byte(fmt.Sprintf("val-%d-%d-padding-padding-padding-padding-padding", w, i)), 0); err != nil {
 					t.Error(err)
 					return
 				}

@@ -276,27 +276,18 @@ func (db *DB) openTable(fr fileRecord) (*FileMeta, error) {
 	return fm, nil
 }
 
-// Put writes key → value. The write is blind: with a Merger configured,
-// the key's MemTable versions are combined at flush, not here.
-func (db *DB) Put(key, value []byte) error {
-	return db.write(ikey.KindSet, key, value, 0)
-}
-
-// PutAt is Put at sequence number seq, which must be above LastSeq;
-// otherwise nothing is written and the error is ErrSeqNotAbove. Seqs
-// between LastSeq and seq are skipped; seq 0 takes the next one. A
+// PutAt writes key → value at sequence number seq, which must be above
+// LastSeq; otherwise nothing is written and the error is ErrSeqNotAbove.
+// Seqs between LastSeq and seq are skipped; seq 0 takes the next one. A
 // secondary index writes its records at the seq of the primary record
-// they index.
+// they index. The write is blind: with a Merger configured, the key's
+// MemTable versions are combined at flush, not here.
 func (db *DB) PutAt(key, value []byte, seq uint64) error {
 	return db.write(ikey.KindSet, key, value, seq)
 }
 
-// Delete writes a tombstone for key.
-func (db *DB) Delete(key []byte) error {
-	return db.write(ikey.KindDelete, key, nil, 0)
-}
-
-// DeleteAt is Delete at sequence number seq, under PutAt's rule.
+// DeleteAt writes a tombstone for key at sequence number seq, under
+// PutAt's rule.
 func (db *DB) DeleteAt(key []byte, seq uint64) error {
 	return db.write(ikey.KindDelete, key, nil, seq)
 }
@@ -719,16 +710,6 @@ func (s Stratum) FindFile(key []byte) *FileMeta {
 		return s.Tables[0]
 	}
 	return findFile(s.Tables, key)
-}
-
-// Overlapping returns the tables of a table stratum that a scan of the
-// user keys [loUser, hiUser] visits: a level-0 stratum's one table, or the
-// files of a deeper level intersecting the range.
-func (s Stratum) Overlapping(loUser, hiUser []byte) []*FileMeta {
-	if s.Level == 0 {
-		return s.Tables
-	}
-	return overlappingFiles(s.Tables, loUser, hiUser)
 }
 
 // NumStrata is the live stratum count of the tree, len(View.Strata()): the

@@ -118,7 +118,7 @@ func TestInlineModeEvents(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := jsonl.Flush(); err != nil {
+	if err := jsonl.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -145,8 +145,5 @@ func TestInlineModeEvents(t *testing.T) {
 		if !strings.HasPrefix(line, `{"seq":`) {
 			t.Fatalf("unexpected JSONL line %q", line)
 		}
-	}
-	if n := jsonl.EncodeErrors(); n != 0 {
-		t.Fatalf("JSONL encode errors: %d", n)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"leveldbpp/internal/metrics"
+	"leveldbpp/internal/sstable"
 )
 
 // tableBlock names one data block of one open table.
@@ -46,7 +47,7 @@ func blocksTouched(t *testing.T, db *DB, key []byte) []tableBlock {
 			continue
 		}
 		out = append(out, tableBlock{fm.tbl.ID(), i})
-		if _, _, found, err := fm.tbl.Get(key); err != nil {
+		if _, _, found, err := fm.tbl.GetWith(&sstable.GetScratch{}, key); err != nil {
 			t.Fatal(err)
 		} else if found {
 			break
@@ -72,7 +73,7 @@ func buildMixedTree(t *testing.T, seed int64, cacheBytes int64) (*DB, [][]byte, 
 		for n := 0; n < ops; n++ {
 			k := key(rng.Intn(keys - 100)) // the last 100 keys are never written
 			if rng.Intn(10) == 0 {
-				if err := db.Delete([]byte(k)); err != nil {
+				if err := db.DeleteAt([]byte(k), 0); err != nil {
 					t.Fatal(err)
 				}
 				continue

@@ -45,7 +45,7 @@ func openTestDB(t testing.TB, opts *Options) (*DB, string) {
 
 func mustPut(t testing.TB, db *DB, k, v string) {
 	t.Helper()
-	if err := db.Put([]byte(k), []byte(v)); err != nil {
+	if err := db.PutAt([]byte(k), []byte(v), 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -106,7 +106,7 @@ func TestPutGetDelete(t *testing.T) {
 	if _, ok := mustGet(t, db, "missing"); ok {
 		t.Fatal("found missing key")
 	}
-	if err := db.Delete([]byte("k1")); err != nil {
+	if err := db.DeleteAt([]byte("k1"), 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := mustGet(t, db, "k1"); ok {
@@ -174,7 +174,7 @@ func TestDeleteSurvivesCompaction(t *testing.T) {
 	}
 	db.Flush()
 	for i := 0; i < 500; i += 2 {
-		if err := db.Delete([]byte(fmt.Sprintf("key%05d", i))); err != nil {
+		if err := db.DeleteAt([]byte(fmt.Sprintf("key%05d", i)), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -206,7 +206,7 @@ func TestRecovery(t *testing.T) {
 		want[k] = v
 		mustPut(t, db, k, v)
 	}
-	db.Delete([]byte("key00007"))
+	db.DeleteAt([]byte("key00007"), 0)
 	delete(want, "key00007")
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
@@ -279,7 +279,7 @@ func TestFlushCoalescesVersions(t *testing.T) {
 	mustPut(t, db, "list", "b")
 	mustPut(t, db, "list", "c")
 	mustPut(t, db, "gone", "x")
-	if err := db.Delete([]byte("gone")); err != nil {
+	if err := db.DeleteAt([]byte("gone"), 0); err != nil {
 		t.Fatal(err)
 	}
 	mustPut(t, db, "gone", "y")
@@ -477,7 +477,7 @@ func TestTombstoneDroppedAtBaseLevel(t *testing.T) {
 	db, _ := openTestDB(t, smallOpts())
 	mustPut(t, db, "victim", "v")
 	db.Flush()
-	db.Delete([]byte("victim"))
+	db.DeleteAt([]byte("victim"), 0)
 	db.Flush()
 	// Force compactions until L0 is empty; the tombstone should vanish
 	// once it reaches the deepest level holding the key.
@@ -543,7 +543,7 @@ func TestRandomOpsMatchReferenceMap(t *testing.T) {
 		}
 		switch rng.Intn(10) {
 		case 0:
-			if err := db.Delete([]byte(k)); err != nil {
+			if err := db.DeleteAt([]byte(k), 0); err != nil {
 				t.Fatal(err)
 			}
 			delete(ref, k)
@@ -636,7 +636,7 @@ func TestEmbeddedAttrsSurviveFlushAndCompaction(t *testing.T) {
 	for l, fms := range levelsOf(db) {
 		lvl := fmt.Sprintf("L%d", l)
 		for _, fm := range fms {
-			if !fm.Table().HasAttr("user") {
+			if _, _, ok := fm.Table().FileZone("user"); !ok {
 				t.Errorf("%s table %d lacks embedded attr", lvl, fm.Num)
 			}
 			for i := 0; i < fm.Table().NumBlocks(); i++ {
@@ -707,7 +707,7 @@ func TestViewStrata(t *testing.T) {
 func TestClosedDBErrors(t *testing.T) {
 	db, _ := openTestDB(t, smallOpts())
 	db.Close()
-	if err := db.Put([]byte("k"), []byte("v")); err != ErrClosed {
+	if err := db.PutAt([]byte("k"), []byte("v"), 0); err != ErrClosed {
 		t.Fatalf("Put after close: %v", err)
 	}
 	if _, _, err := db.Get([]byte("k"), nil); err != ErrClosed {
@@ -736,7 +736,7 @@ func BenchmarkPut(b *testing.B) {
 	val := bytes.Repeat([]byte("v"), 550) // paper's average tweet size
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := db.Put([]byte(fmt.Sprintf("tweet%010d", i)), val); err != nil {
+		if err := db.PutAt([]byte(fmt.Sprintf("tweet%010d", i)), val, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -746,7 +746,7 @@ func BenchmarkGetFromDisk(b *testing.B) {
 	db, _ := openTestDB(b, smallOpts())
 	const n = 5000
 	for i := 0; i < n; i++ {
-		db.Put([]byte(fmt.Sprintf("key%07d", i)), bytes.Repeat([]byte("v"), 100))
+		db.PutAt([]byte(fmt.Sprintf("key%07d", i)), bytes.Repeat([]byte("v"), 100), 0)
 	}
 	db.Flush()
 	b.ResetTimer()

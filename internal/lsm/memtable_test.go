@@ -19,7 +19,7 @@ func TestMemGetAllocationFree(t *testing.T) {
 	mustPut(t, db, "key-1", "v2")
 	long := strings.Repeat("k", 300)
 	mustPut(t, db, long, "v")
-	if err := db.Delete([]byte(long)); err != nil {
+	if err := db.DeleteAt([]byte(long), 0); err != nil {
 		t.Fatal(err)
 	}
 	err := db.View(func(v *View) error {

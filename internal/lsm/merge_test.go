@@ -45,7 +45,7 @@ func loadBigJob(t *testing.T, db *DB) map[string]string {
 		}
 		if i%29 == 0 && i > 0 {
 			k := fmt.Sprintf("key-%05d", i-13)
-			if err := db.Delete([]byte(k)); err != nil {
+			if err := db.DeleteAt([]byte(k), 0); err != nil {
 				t.Fatal(err)
 			}
 			delete(want, k)
@@ -291,7 +291,7 @@ func TestFlushWriterFailure(t *testing.T) {
 		mustPut(t, db, k, v)
 		want[k] = v
 	}
-	if err := db.Delete([]byte("key-00001")); err != nil {
+	if err := db.DeleteAt([]byte("key-00001"), 0); err != nil {
 		t.Fatal(err)
 	}
 	delete(want, "key-00001")
@@ -307,7 +307,7 @@ func TestFlushWriterFailure(t *testing.T) {
 	if err := db.Flush(); err != errRoll {
 		t.Fatalf("second Flush = %v, want the sticky %v", err, errRoll)
 	}
-	if err := db.Put([]byte("refused"), []byte("x")); err != errRoll {
+	if err := db.PutAt([]byte("refused"), []byte("x"), 0); err != errRoll {
 		t.Fatalf("Put after the failed flush = %v, want the sticky %v", err, errRoll)
 	}
 	if after := tableFiles(t, dir); strings.Join(after, ",") != strings.Join(before, ",") {
@@ -404,12 +404,12 @@ func TestBackgroundCompactionStress(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perW; i++ {
 				k := fmt.Sprintf("w%d-key-%05d", w, i)
-				if err := db.Put([]byte(k), []byte(fmt.Sprintf("val-%d-%d-%s", w, i, pad))); err != nil {
+				if err := db.PutAt([]byte(k), []byte(fmt.Sprintf("val-%d-%d-%s", w, i, pad)), 0); err != nil {
 					t.Error(err)
 					return
 				}
 				if i%11 == 0 {
-					if err := db.Delete([]byte(fmt.Sprintf("w%d-key-%05d", w, i/2))); err != nil {
+					if err := db.DeleteAt([]byte(fmt.Sprintf("w%d-key-%05d", w, i/2)), 0); err != nil {
 						t.Error(err)
 						return
 					}

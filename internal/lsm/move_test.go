@@ -241,7 +241,7 @@ func TestTrivialMove(t *testing.T) {
 		db, _ := openTestDB(t, moveOpts())
 		for i := 0; i < 100; i++ {
 			mustPut(t, db, moveKey(i), moveValue(i))
-			if err := db.Delete([]byte(moveKey(i))); err != nil {
+			if err := db.DeleteAt([]byte(moveKey(i)), 0); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -92,9 +92,10 @@ type Options struct {
 	// experiments run LevelDB in its default async mode) or grouped (one
 	// fsync per commit group — concurrent committers share it).
 	SyncMode wal.SyncMode
-	// BlockCacheBytes enables an LRU block cache of the given capacity.
-	// 0 disables caching — the paper's configuration ("No block cache
-	// was used"), keeping measured block I/O purely algorithmic.
+	// BlockCacheBytes enables an LRU block cache of the given capacity,
+	// private to this DB: no other DB shares it. 0 disables caching —
+	// the paper's configuration ("No block cache was used"), keeping
+	// measured block I/O purely algorithmic.
 	BlockCacheBytes int64
 	// Stats receives I/O accounting. If nil a private IOStats is used.
 	Stats *metrics.IOStats

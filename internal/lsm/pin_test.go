@@ -95,9 +95,9 @@ func TestDeterministicModeFilesPinned(t *testing.T) {
 	for i := 1; i <= 14000; i++ {
 		k := []byte(fmt.Sprintf("key%04d", rng.Intn(4000)))
 		if i%13 == 0 {
-			err = db.Delete(k)
+			err = db.DeleteAt(k, 0)
 		} else {
-			err = db.Put(k, []byte(fmt.Sprintf("v%05d-%016x", i, rng.Uint64())))
+			err = db.PutAt(k, []byte(fmt.Sprintf("v%05d-%016x", i, rng.Uint64())), 0)
 		}
 		if err != nil {
 			t.Fatal(err)

@@ -108,7 +108,7 @@ func TestScanSkipsTombstones(t *testing.T) {
 	mustPut(t, db, "b", "2")
 	mustPut(t, db, "c", "3")
 	db.Flush()
-	db.Delete([]byte("b"))
+	db.DeleteAt([]byte("b"), 0)
 	keys, _ := collectScan(t, db, "", "")
 	if fmt.Sprint(keys) != "[a c]" {
 		t.Fatalf("keys = %v", keys)
@@ -174,7 +174,7 @@ func TestScanMatchesReferenceUnderChurn(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		k := fmt.Sprintf("key%03d", rng.Intn(500))
 		if rng.Intn(8) == 0 {
-			db.Delete([]byte(k))
+			db.DeleteAt([]byte(k), 0)
 			delete(ref, k)
 		} else {
 			v := fmt.Sprintf("v%06d", i)
@@ -260,8 +260,8 @@ func TestViewHelpers(t *testing.T) {
 				t.Fatal("FindFile found nothing at any level")
 			}
 		}
-		if files := deepest.Overlapping([]byte("key00000"), []byte("key99999")); len(files) == 0 {
-			t.Fatal("Overlapping empty on full range")
+		if files := overlappingFiles(deepest.Tables, []byte("key00000"), []byte("key99999")); len(files) == 0 {
+			t.Fatal("overlappingFiles empty on full range")
 		}
 		it := strata[0].MemIter()
 		it.SeekToFirst() // memtable may be empty after flush; just exercise
@@ -277,7 +277,7 @@ func TestViewHelpers(t *testing.T) {
 	if v, ok, err := db.Get([]byte("pws"), nil); err != nil || !ok || string(v) != "v" {
 		t.Fatalf("after a refused PutAt: %q %v %v", v, ok, err)
 	}
-	if err := db.Delete([]byte("pws")); err != nil || db.LastSeq() != seq1+1 {
+	if err := db.DeleteAt([]byte("pws"), 0); err != nil || db.LastSeq() != seq1+1 {
 		t.Fatalf("Delete after PutAt(%d): LastSeq %d, %v", seq1, db.LastSeq(), err)
 	}
 }

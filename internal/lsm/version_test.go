@@ -152,7 +152,7 @@ func TestInstallFailureChangesNothing(t *testing.T) {
 			t.Fatal("Flush succeeded without a manifest")
 		}
 		checkMatchesDisk(t, db, dir, "after the failed flush")
-		if err := db.Put([]byte("third"), []byte("3")); !errors.Is(err, flushErr) {
+		if err := db.PutAt([]byte("third"), []byte("3"), 0); !errors.Is(err, flushErr) {
 			t.Fatalf("Put after the failed flush = %v, want the sticky %v", err, flushErr)
 		}
 	})

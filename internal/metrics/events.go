@@ -180,14 +180,14 @@ func (s *namedSink) Emit(e Event) {
 }
 
 // JSONLSink appends one JSON object per event to w. Writes are buffered;
-// call Flush (or Close) to force them out — lsmserver flushes on graceful
-// shutdown. Encode errors are counted, not returned (the engine cannot do
-// anything useful with a log-write failure mid-flush).
+// Close forces them out — lsmserver closes the sink on graceful shutdown.
+// A write error is not returned by Emit (the engine cannot do anything
+// useful with a log-write failure mid-flush): the buffered writer keeps
+// the first one, the sink drops every later event, and Close returns it.
 type JSONLSink struct {
 	mu     sync.Mutex
 	bw     *bufio.Writer // guarded by mu
 	closer io.Closer     // immutable after NewJSONLSink
-	errs   atomic.Int64
 }
 
 // NewJSONLSink wraps w. If w is also an io.Closer, Close closes it.
@@ -208,27 +208,10 @@ func (s *JSONLSink) Emit(e Event) {
 	}
 	enc, err := json.Marshal(e)
 	if err != nil {
-		s.errs.Add(1)
 		return
 	}
-	if _, err := s.bw.Write(append(enc, '\n')); err != nil {
-		s.errs.Add(1)
-	}
+	_, _ = s.bw.Write(append(enc, '\n')) // a failure sticks in bw; Close returns it
 }
-
-// Flush forces buffered lines to the underlying writer.
-func (s *JSONLSink) Flush() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.bw == nil {
-		return nil
-	}
-	return s.bw.Flush()
-}
-
-// EncodeErrors returns the number of events dropped by encode or write
-// failures.
-func (s *JSONLSink) EncodeErrors() int64 { return s.errs.Load() }
 
 // Close flushes and closes the underlying writer (if closable). The sink
 // drops subsequent events.

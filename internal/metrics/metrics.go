@@ -5,7 +5,6 @@
 package metrics
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -29,7 +28,7 @@ type IOStats struct {
 	CompactionWriteBytes atomic.Int64
 	CacheHits            atomic.Int64 // block reads served from the block cache
 	CacheMisses          atomic.Int64
-	PointGets            atomic.Int64 // sstable point reads (Table.Get calls)
+	PointGets            atomic.Int64 // sstable point reads (Table.GetWith calls)
 	EntriesDecoded       atomic.Int64 // block entries decoded on the point-read path
 	BlockSeeks           atomic.Int64 // in-block restart-array binary searches
 
@@ -305,41 +304,4 @@ func (h *Histogram) BoxPlot() BoxPlot {
 		}
 	}
 	return b
-}
-
-// String renders the summary in one line, in microseconds-agnostic units.
-func (b BoxPlot) String() string {
-	return fmt.Sprintf("n=%d whiskers=[%.1f, %.1f] box=[%.1f, %.1f] median=%.1f mean=%.1f",
-		b.Count, b.WhiskerLow, b.WhiskerHigh, b.Q1, b.Q3, b.Median, b.Mean)
-}
-
-// Series is an append-only (x, y) sequence for cumulative plots
-// (Figures 9 and 13–15).
-type Series struct {
-	mu     sync.Mutex
-	Name   string  // immutable after NewSeries
-	Points []Point // guarded by mu
-}
-
-// Point is a single series sample.
-type Point struct{ X, Y float64 }
-
-// NewSeries returns a named empty series.
-func NewSeries(name string) *Series { return &Series{Name: name} }
-
-// Append adds a point.
-func (s *Series) Append(x, y float64) {
-	s.mu.Lock()
-	s.Points = append(s.Points, Point{x, y})
-	s.mu.Unlock()
-}
-
-// Last returns the most recent point and whether one exists.
-func (s *Series) Last() (Point, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.Points) == 0 {
-		return Point{}, false
-	}
-	return s.Points[len(s.Points)-1], true
 }

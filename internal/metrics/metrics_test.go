@@ -112,19 +112,3 @@ func TestHistogramConcurrent(t *testing.T) {
 		t.Fatalf("Count = %d", h.Count())
 	}
 }
-
-func TestSeries(t *testing.T) {
-	s := NewSeries("compaction-io")
-	if _, ok := s.Last(); ok {
-		t.Fatal("empty series has a last point")
-	}
-	s.Append(1, 10)
-	s.Append(2, 20)
-	p, ok := s.Last()
-	if !ok || p.X != 2 || p.Y != 20 {
-		t.Fatalf("Last = %+v %v", p, ok)
-	}
-	if len(s.Points) != 2 {
-		t.Fatalf("points = %d", len(s.Points))
-	}
-}

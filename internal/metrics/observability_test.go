@@ -210,18 +210,15 @@ func (f *failWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-func TestJSONLSinkCountsWriteErrors(t *testing.T) {
+func TestJSONLSinkCloseReportsWriteErrors(t *testing.T) {
 	s := NewJSONLSink(&failWriter{n: 0})
 	// Enough events to overflow the bufio buffer so the failing writer is
 	// actually hit mid-stream.
 	for i := 0; i < 500; i++ {
 		s.Emit(Event{Seq: uint64(i + 1), Type: EventFlushStart, Table: "primary"})
 	}
-	if s.EncodeErrors() == 0 {
-		t.Fatal("EncodeErrors not incremented on failed writes")
-	}
-	if err := s.Flush(); err == nil {
-		t.Fatal("Flush swallowed the sticky write error")
+	if err := s.Close(); err == nil {
+		t.Fatal("Close swallowed the sticky write error")
 	}
 }
 

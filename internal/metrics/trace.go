@@ -176,40 +176,6 @@ const (
 	NumCounters
 )
 
-// String returns the counter's wire name.
-func (c Counter) String() string {
-	switch c {
-	case CtrBlockReads:
-		return "block_reads"
-	case CtrCacheHits:
-		return "cache_hits"
-	case CtrBloomProbes:
-		return "bloom_probes"
-	case CtrBloomNegatives:
-		return "bloom_negatives"
-	case CtrBloomFalsePositives:
-		return "bloom_false_positives"
-	case CtrZoneMapPrunes:
-		return "zone_map_prunes"
-	case CtrSeqPrunes:
-		return "seq_prunes"
-	case CtrCandidateBlocks:
-		return "candidate_blocks"
-	case CtrPointGets:
-		return "point_gets"
-	case CtrEntriesDecoded:
-		return "entries_decoded"
-	case CtrPostingFragments:
-		return "posting_fragments"
-	case CtrPostingEntries:
-		return "posting_entries"
-	case CtrValidations:
-		return "validations"
-	default:
-		return "unknown"
-	}
-}
-
 // MaxTraceLevels bounds the per-level block-access attribution array;
 // deeper levels clamp into the last bucket (MaxLevels defaults to 7, so in
 // practice nothing clamps).

@@ -46,7 +46,7 @@ func TestEveryCounterDeclared(t *testing.T) {
 		t.Errorf("IOStats has %d fields, Snapshot %d", io.NumField(), sn.NumField())
 	}
 
-	ts := httptest.NewServer(New(mustDB(t)))
+	ts := httptest.NewServer(NewWith(mustDB(t), Config{Metrics: true}))
 	defer ts.Close()
 	_, body := do(t, http.MethodGet, ts.URL+"/metrics", "")
 	samples := parsePrometheus(t, body)
@@ -76,7 +76,7 @@ func TestScrapeDuringBackgroundWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	ts := httptest.NewServer(New(db))
+	ts := httptest.NewServer(NewWith(db, Config{Metrics: true}))
 	defer ts.Close()
 
 	const writers, perWriter = 2, 600

@@ -16,15 +16,15 @@ import (
 func newTracedServer(t *testing.T) (*httptest.Server, *core.DB) {
 	t.Helper()
 	db, err := core.Open(t.TempDir(), core.Options{
-		Index:           core.IndexLazy,
-		Attrs:           []string{"UserID", "CreationTime"},
-		MemTableBytes:   16 << 10,
-		TraceSampleRate: 1,
+		Index:         core.IndexLazy,
+		Attrs:         []string{"UserID", "CreationTime"},
+		MemTableBytes: 16 << 10,
+		Tracer:        metrics.NewTracer(1, 0),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(New(db))
+	ts := httptest.NewServer(NewWith(db, Config{Metrics: true}))
 	t.Cleanup(func() { ts.Close(); db.Close() })
 	return ts, db
 }

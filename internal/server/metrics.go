@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"sort"
 
+	"leveldbpp/internal/core"
 	"leveldbpp/internal/lsm"
 	"leveldbpp/internal/metrics"
 )
@@ -201,13 +202,13 @@ func (s *Server) writeMetrics(w io.Writer) {
 	metrics.WriteSample(w, "lsmpp_advisor_match", "", matchV)
 	metrics.WriteMetricHeader(w, "lsmpp_advisor_recommended",
 		"One-hot: 1 on the index kind the advisor currently recommends.", "gauge")
-	for _, kind := range []string{"NoIndex", "Embedded", "Eager", "Lazy", "Composite"} {
+	for kind := core.IndexNone; kind <= core.IndexComposite; kind++ {
 		v := 0.0
-		if kind == check.Recommended {
+		if kind.String() == check.Recommended {
 			v = 1
 		}
 		metrics.WriteSample(w, "lsmpp_advisor_recommended",
-			metrics.Labels(map[string]string{"kind": kind}), v)
+			metrics.Labels(map[string]string{"kind": kind.String()}), v)
 	}
 	metrics.WriteMetricHeader(w, "lsmpp_advisor_profiled_ops",
 		"Operations aggregated by the workload profiler.", "gauge")

@@ -34,7 +34,7 @@ func pinnedWorkload(t *testing.T) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(New(db))
+	ts := httptest.NewServer(NewWith(db, Config{Metrics: true}))
 	defer func() { ts.Close(); db.Close() }()
 
 	for i := 0; i < 600; i++ {

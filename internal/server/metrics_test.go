@@ -327,16 +327,16 @@ func TestHealthzAndEventsEndpoints(t *testing.T) {
 // encoding failures are counted, reported by /stats, and exported.
 func TestWriteJSONCountsEncodeErrors(t *testing.T) {
 	ts, _ := newTestServer(t)
-	s := New(mustDB(t))
+	s := NewWith(mustDB(t), Config{Metrics: true})
 	rec := httptest.NewRecorder()
 	s.writeJSON(rec, http.StatusOK, make(chan int)) // channels are unencodable
-	if got := s.EncodeErrors(); got != 1 {
-		t.Fatalf("EncodeErrors = %d, want 1", got)
+	if got := s.encodeErrors.Load(); got != 1 {
+		t.Fatalf("encode errors = %d, want 1", got)
 	}
 	rec = httptest.NewRecorder()
 	s.writeJSON(rec, http.StatusOK, map[string]int{"fine": 1})
-	if got := s.EncodeErrors(); got != 1 {
-		t.Fatalf("EncodeErrors after good write = %d, want 1", got)
+	if got := s.encodeErrors.Load(); got != 1 {
+		t.Fatalf("encode errors after good write = %d, want 1", got)
 	}
 
 	// The running server reports the counter through /stats and /metrics.

@@ -69,10 +69,8 @@ type Server struct {
 	encodeErrors atomic.Int64
 }
 
-// New wraps db in an HTTP handler with /metrics enabled and pprof off.
-func New(db *core.DB) *Server { return NewWith(db, Config{Metrics: true}) }
-
-// NewWith wraps db with the given observability configuration.
+// NewWith wraps db in an HTTP handler with the given observability
+// configuration.
 func NewWith(db *core.DB, cfg Config) *Server {
 	s := &Server{db: db, mux: http.NewServeMux(), monitor: advisor.NewMonitor(db)}
 	s.mux.HandleFunc("/doc/", s.handleDoc)
@@ -107,9 +105,6 @@ func NewWith(db *core.DB, cfg Config) *Server {
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
-
-// EncodeErrors returns the number of responses whose JSON encoding failed.
-func (s *Server) EncodeErrors() int64 { return s.encodeErrors.Load() }
 
 // AdvisorMonitor returns the server's online index advisor — lsmserver's
 // -advisor-check loop drives Check() on it so flips land in the event log.

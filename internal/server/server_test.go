@@ -22,7 +22,7 @@ func newTestServer(t *testing.T) (*httptest.Server, *core.DB) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(New(db))
+	ts := httptest.NewServer(NewWith(db, Config{Metrics: true}))
 	t.Cleanup(func() { ts.Close(); db.Close() })
 	return ts, db
 }

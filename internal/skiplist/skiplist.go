@@ -319,15 +319,6 @@ func (l *List) allocNode(h int) uint32 {
 // its arrays with later ones, but later appends only write past its length.
 func (l *List) publish() { l.pages.Store(&pages{links: l.links, data: l.data}) }
 
-// Get returns the value stored at exactly key.
-func (l *List) Get(key []byte) ([]byte, bool) {
-	v := l.view()
-	if x := l.findGE(&v, key, nil); x != 0 && l.cmp(v.key(x), key) == 0 {
-		return v.value(x), true
-	}
-	return nil, false
-}
-
 // Iterator walks the list in key order. It is valid to create iterators
 // concurrently with inserts; an iterator observes a consistent prefix of
 // the insert history. An Iterator may be copied by value; the copy walks

@@ -222,12 +222,6 @@ type BlockIter struct {
 	decoded     int
 }
 
-func newBlockIter(raw []byte) *BlockIter {
-	it := &BlockIter{}
-	it.initV1(raw)
-	return it
-}
-
 // initV1 resets the iterator over a v1 payload: the whole payload is the
 // entry stream and there are no restart points.
 func (it *BlockIter) initV1(raw []byte) {

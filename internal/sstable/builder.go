@@ -371,9 +371,6 @@ func (b *Builder) Finish() (int64, error) {
 	return int64(b.offset), nil
 }
 
-// EntryCount returns the number of entries added so far.
-func (b *Builder) EntryCount() int { return b.entryCount }
-
 // EstimatedSize returns bytes written so far plus the pending block.
 func (b *Builder) EstimatedSize() int64 {
 	return int64(b.offset) + int64(b.block.sizeEstimate())

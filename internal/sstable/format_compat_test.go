@@ -81,8 +81,8 @@ func TestFormatsReadIdentically(t *testing.T) {
 
 	for i := 0; i < 500; i++ {
 		key := []byte(fmt.Sprintf("user%06d", i))
-		k1, v1, ok1, err1 := t1.Get(key)
-		k2, v2, ok2, err2 := t2.Get(key)
+		k1, v1, ok1, err1 := t1.GetWith(&GetScratch{}, key)
+		k2, v2, ok2, err2 := t2.GetWith(&GetScratch{}, key)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("get %d: %v / %v", i, err1, err2)
 		}
@@ -93,10 +93,10 @@ func TestFormatsReadIdentically(t *testing.T) {
 			t.Fatalf("get %d: contents differ between formats", i)
 		}
 	}
-	if _, _, ok, _ := t1.Get([]byte("zzz-missing")); ok {
+	if _, _, ok, _ := t1.GetWith(&GetScratch{}, []byte("zzz-missing")); ok {
 		t.Fatal("v1 found a missing key")
 	}
-	if _, _, ok, _ := t2.Get([]byte("zzz-missing")); ok {
+	if _, _, ok, _ := t2.GetWith(&GetScratch{}, []byte("zzz-missing")); ok {
 		t.Fatal("v2 found a missing key")
 	}
 

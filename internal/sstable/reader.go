@@ -408,19 +408,14 @@ type GetScratch struct {
 	Trace *metrics.Trace
 }
 
-// Get returns the newest record for userKey in this table: its internal
-// key and value. ok is false if the key is absent. A tombstone is returned
-// like any record (callers inspect the kind).
-func (t *Table) Get(userKey []byte) (internalKey, value []byte, ok bool, err error) {
-	var sc GetScratch
-	return t.GetWith(&sc, userKey)
-}
-
-// GetWith is Get with caller-provided scratch buffers. The returned
-// internal key aliases sc and is valid only until sc's next use; the
-// returned value aliases the (immutable) block contents and remains valid
-// while the table is open. Neither may be modified. A block this table
-// read last through sc is reused, not read again (and not counted again).
+// GetWith returns the newest record for userKey in this table: its
+// internal key and value. ok is false if the key is absent. A tombstone is
+// returned like any record (callers inspect the kind). A zero GetScratch
+// is ready to use. The returned internal key aliases sc and is valid only
+// until sc's next use; the returned value aliases the (immutable) block
+// contents and remains valid while the table is open. Neither may be
+// modified. A block this table read last through sc is reused, not read
+// again (and not counted again).
 //
 // On v2 tables the in-block search is a restart-array binary search that
 // decodes at most one restart interval; v1 tables fall back to the seed's
@@ -509,9 +504,6 @@ func (t *Table) FileZone(attr string) (min, max string, ok bool) {
 	}
 	return am.fileZone.min, am.fileZone.max, true
 }
-
-// HasAttr reports whether attr has embedded index structures in this table.
-func (t *Table) HasAttr(attr string) bool { return t.attrs[attr] != nil }
 
 // SecondaryCandidates returns the data blocks that may contain an entry
 // with attr == value: the file zone map, per-block zone maps, and

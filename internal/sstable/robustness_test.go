@@ -70,7 +70,7 @@ func TestOpenTableMutatedRealTable(t *testing.T) {
 			}
 			_ = it.Err()
 			// Point reads must also be panic-free.
-			_, _, _, _ = tbl.Get([]byte("k0123"))
+			_, _, _, _ = tbl.GetWith(&GetScratch{}, []byte("k0123"))
 			_ = tbl.SecondaryCandidates("a", "v03", nil)
 		}()
 	}

@@ -72,7 +72,7 @@ func TestGet(t *testing.T) {
 	tbl, stats := buildTable(t, 500, defaultOpts())
 	for _, i := range []int{0, 1, 250, 499} {
 		key := []byte(fmt.Sprintf("t%08d", i))
-		ik, val, ok, err := tbl.Get(key)
+		ik, val, ok, err := tbl.GetWith(&GetScratch{}, key)
 		if err != nil || !ok {
 			t.Fatalf("Get(%s): ok=%v err=%v", key, ok, err)
 		}
@@ -84,7 +84,7 @@ func TestGet(t *testing.T) {
 		}
 	}
 	before := stats.BlockReads.Load()
-	if _, _, ok, _ := tbl.Get([]byte("missing-key")); ok {
+	if _, _, ok, _ := tbl.GetWith(&GetScratch{}, []byte("missing-key")); ok {
 		t.Fatal("found a missing key")
 	}
 	// Bloom filter should have prevented a block read for the miss (FP
@@ -112,7 +112,7 @@ func TestGetReturnsNewestVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ik, val, ok, err := tbl.Get([]byte("k"))
+	ik, val, ok, err := tbl.GetWith(&GetScratch{}, []byte("k"))
 	if err != nil || !ok {
 		t.Fatal(ok, err)
 	}
@@ -356,7 +356,7 @@ func TestEmptyTable(t *testing.T) {
 	if it.Next() {
 		t.Fatal("iterating empty table")
 	}
-	if _, _, ok, _ := tbl.Get([]byte("k")); ok {
+	if _, _, ok, _ := tbl.GetWith(&GetScratch{}, []byte("k")); ok {
 		t.Fatal("Get on empty table")
 	}
 }
@@ -417,7 +417,7 @@ func TestQuickRoundTripArbitraryEntries(t *testing.T) {
 			return false
 		}
 		for _, e := range entries {
-			_, val, ok, err := tbl.Get([]byte(e.k))
+			_, val, ok, err := tbl.GetWith(&GetScratch{}, []byte(e.k))
 			if err != nil || !ok || string(val) != e.v {
 				return false
 			}
@@ -437,8 +437,8 @@ func TestTableAccessors(t *testing.T) {
 	if tbl.MaxSeq() != 300 {
 		t.Fatalf("MaxSeq = %d", tbl.MaxSeq())
 	}
-	if !tbl.HasAttr("UserID") || tbl.HasAttr("Nope") {
-		t.Fatal("HasAttr wrong")
+	if tbl.attrs["UserID"] == nil || tbl.attrs["Nope"] != nil {
+		t.Fatal("embedded attrs wrong")
 	}
 	if tbl.FilterMemoryBytes() <= 0 {
 		t.Fatal("FilterMemoryBytes zero")

@@ -120,21 +120,19 @@ func TestFailAfterTearsBatch(t *testing.T) {
 
 func TestParseSyncMode(t *testing.T) {
 	for _, tc := range []struct {
-		in, name string // name: the mode's String(), "" if the parse fails
-		want     SyncMode
+		in   string
+		ok   bool
+		want SyncMode
 	}{
-		{"off", "off", SyncOff},
-		{"always", "grouped", SyncGrouped},
-		{"grouped", "grouped", SyncGrouped},
-		{"", "", SyncOff},
-		{"ALWAYS", "", SyncOff},
+		{"off", true, SyncOff},
+		{"always", true, SyncGrouped},
+		{"grouped", true, SyncGrouped},
+		{"", false, SyncOff},
+		{"ALWAYS", false, SyncOff},
 	} {
 		got, err := ParseSyncMode(tc.in)
-		if (err == nil) != (tc.name != "") || got != tc.want {
-			t.Errorf("ParseSyncMode(%q) = %v, %v; want %v, ok=%v", tc.in, got, err, tc.want, tc.name != "")
-		}
-		if tc.name != "" && got.String() != tc.name {
-			t.Errorf("ParseSyncMode(%q).String() = %q, want %q", tc.in, got.String(), tc.name)
+		if (err == nil) != tc.ok || got != tc.want {
+			t.Errorf("ParseSyncMode(%q) = %v, %v; want %v, ok=%v", tc.in, got, err, tc.want, tc.ok)
 		}
 	}
 }

@@ -38,18 +38,6 @@ const (
 	SyncGrouped
 )
 
-// String returns the mode's flag spelling.
-func (m SyncMode) String() string {
-	switch m {
-	case SyncOff:
-		return "off"
-	case SyncGrouped:
-		return "grouped"
-	default:
-		return fmt.Sprintf("SyncMode(%d)", m)
-	}
-}
-
 // ParseSyncMode parses a -sync-mode flag value; "always" is another
 // spelling of "grouped".
 func ParseSyncMode(s string) (SyncMode, error) {
