@@ -38,6 +38,7 @@ import (
 	"leveldbpp/internal/metrics"
 	"leveldbpp/internal/postings"
 	"leveldbpp/internal/sstable"
+	"leveldbpp/internal/vfs"
 	"leveldbpp/internal/wal"
 )
 
@@ -236,9 +237,6 @@ func Open(dir string, opts Options) (*DB, error) {
 		return nil, fmt.Errorf("core: %s holds a %s index on %q; opened as %v on %q",
 			dir, desc.Index, desc.Attrs, opts.Index, opts.Attrs)
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("core: create dir: %w", err)
-	}
 	attrs := append([]string(nil), opts.Attrs...)
 
 	tracer := opts.Tracer
@@ -335,7 +333,7 @@ type descriptor struct {
 
 // readDescriptor returns dir's descriptor, or ok false if it has none.
 func readDescriptor(dir string) (d descriptor, ok bool, err error) {
-	data, err := os.ReadFile(filepath.Join(dir, descriptorFile))
+	data, err := vfs.ReadFile(vfs.Default, filepath.Join(dir, descriptorFile))
 	if errors.Is(err, os.ErrNotExist) {
 		return d, false, nil
 	}
@@ -367,7 +365,7 @@ func ReadDescriptor(dir string) (kind IndexKind, attrs []string, ok bool, err er
 func (db *DB) adoptDescriptor(dir string) (uint64, error) {
 	d := descriptor{Index: db.opts.Index.String(), Attrs: db.opts.Attrs}
 	legacy := filepath.Join(dir, legacySeqFloorFile)
-	data, err := os.ReadFile(legacy)
+	data, err := vfs.ReadFile(vfs.Default, legacy)
 	switch {
 	case err == nil:
 		d.SeqFloor, err = strconv.ParseUint(strings.TrimSpace(string(data)), 10, 64)
@@ -383,7 +381,7 @@ func (db *DB) adoptDescriptor(dir string) (uint64, error) {
 	if err := writeDescriptor(dir, d); err != nil {
 		return 0, err
 	}
-	if err := os.Remove(legacy); err != nil && !errors.Is(err, os.ErrNotExist) {
+	if err := vfs.Default.Remove(legacy); err != nil && !errors.Is(err, os.ErrNotExist) {
 		return 0, fmt.Errorf("core: %s: %w", legacySeqFloorFile, err)
 	}
 	return d.SeqFloor, nil
@@ -392,12 +390,7 @@ func (db *DB) adoptDescriptor(dir string) (uint64, error) {
 // writeDescriptor persists d in dir, atomically.
 func writeDescriptor(dir string, d descriptor) error {
 	data, _ := json.Marshal(d) // strings and a number: cannot fail
-	path := filepath.Join(dir, descriptorFile)
-	err := os.WriteFile(path+".tmp", append(data, '\n'), 0o644)
-	if err == nil {
-		err = os.Rename(path+".tmp", path)
-	}
-	if err != nil {
+	if err := vfs.WriteFile(vfs.Default, filepath.Join(dir, descriptorFile), append(data, '\n')); err != nil {
 		return fmt.Errorf("core: %s: %w", descriptorFile, err)
 	}
 	return nil

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"leveldbpp/internal/metrics"
-	"leveldbpp/internal/wal"
 )
 
 // background holds the state of the flush/compaction pipeline. Its one
@@ -119,7 +118,7 @@ func (db *DB) freezeMemLocked(force bool, manual *keyRange) (*handoff, error) {
 		db.logMu.Lock()
 		err := db.log.Close()
 		if err == nil {
-			db.log, err = wal.Create(seg)
+			db.log, err = db.createWAL(seg)
 		}
 		if err != nil {
 			// No writer is left to append to: poison the pipeline, so

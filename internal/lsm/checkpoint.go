@@ -3,8 +3,10 @@ package lsm
 import (
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
+	"slices"
+
+	"leveldbpp/internal/vfs"
 )
 
 // Checkpoint writes a consistent, openable copy of the database to
@@ -18,32 +20,12 @@ func (db *DB) Checkpoint(destDir string) error {
 	if db.closed {
 		return ErrClosed
 	}
-	if _, err := os.Stat(destDir); err == nil {
+	fs := db.opts.fs
+	if _, err := fs.Stat(destDir); err == nil {
 		return fmt.Errorf("lsm: checkpoint destination %q already exists", destDir)
 	}
-	if err := os.MkdirAll(destDir, 0o755); err != nil {
+	if err := fs.MkdirAll(destDir); err != nil {
 		return fmt.Errorf("lsm: create checkpoint dir: %w", err)
-	}
-
-	copyFile := func(src, dst string) error {
-		in, err := os.Open(src)
-		if err != nil {
-			return err
-		}
-		defer in.Close()
-		out, err := os.Create(dst)
-		if err != nil {
-			return err
-		}
-		if _, err := io.Copy(out, in); err != nil {
-			_ = out.Close()
-			return err
-		}
-		if err := out.Sync(); err != nil {
-			_ = out.Close()
-			return err
-		}
-		return out.Close()
 	}
 
 	// Tables first, then WAL, then the manifest last — if the copy is
@@ -51,9 +33,8 @@ func (db *DB) Checkpoint(destDir string) error {
 	// rather than subtly truncated.
 	for _, level := range db.v.levels {
 		for _, fm := range level {
-			name := fmt.Sprintf("%06d.sst", fm.Num)
-			if err := copyFile(tablePath(db.dir, fm.Num), filepath.Join(destDir, name)); err != nil {
-				return fmt.Errorf("lsm: checkpoint table %s: %w", name, err)
+			if err := copyFile(fs, tablePath(db.dir, fm.Num), destDir); err != nil {
+				return fmt.Errorf("lsm: checkpoint table: %w", err)
 			}
 		}
 	}
@@ -71,22 +52,36 @@ func (db *DB) Checkpoint(destDir string) error {
 			return fmt.Errorf("lsm: checkpoint flush WAL: %w", err)
 		}
 	}
-	copied := map[string]bool{}
-	for _, p := range append(append([]string(nil), db.immWALs...), db.memWALs...) {
-		if copied[p] {
-			continue
-		}
-		copied[p] = true
-		if _, err := os.Stat(p); err == nil {
-			if err := copyFile(p, filepath.Join(destDir, filepath.Base(p))); err != nil {
-				return fmt.Errorf("lsm: checkpoint WAL %s: %w", filepath.Base(p), err)
-			}
+	for _, p := range slices.Concat(db.immWALs, db.memWALs) {
+		if err := copyFile(fs, p, destDir); err != nil {
+			return fmt.Errorf("lsm: checkpoint WAL: %w", err)
 		}
 	}
-	if _, err := os.Stat(manifestPath(db.dir)); err == nil {
-		if err := copyFile(manifestPath(db.dir), manifestPath(destDir)); err != nil {
+	if _, err := fs.Stat(manifestPath(db.dir)); err == nil { // none before the first install
+		if err := copyFile(fs, manifestPath(db.dir), destDir); err != nil {
 			return fmt.Errorf("lsm: checkpoint manifest: %w", err)
 		}
 	}
 	return nil
+}
+
+// copyFile copies src into dir under its base name and syncs the copy.
+func copyFile(fs vfs.FS, src, dir string) error {
+	in, err := fs.Open(src)
+	if err != nil {
+		return err
+	}
+	defer in.Close()
+	out, err := fs.Create(filepath.Join(dir, filepath.Base(src)))
+	if err != nil {
+		return err
+	}
+	_, err = io.Copy(out, in)
+	if err == nil {
+		err = out.Sync()
+	}
+	if cerr := out.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

@@ -21,14 +21,16 @@ func groupOpts() *Options {
 }
 
 // TestGroupCommitCrashRecovery is the concurrent-writer crash test: N
-// goroutines commit 3-record batches through the group path while the
-// WAL's fault injector tears a write mid-group. After reopening the
-// directory, every acknowledged commit must be fully present and every
-// commit must be all-or-nothing — a torn group replays none of its
+// goroutines commit 3-record batches through the group path while a
+// torn-write file under the WAL tears a write mid-group. After reopening
+// the directory, every acknowledged commit must be fully present and
+// every commit must be all-or-nothing — a torn group replays none of its
 // records.
 func TestGroupCommitCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(dir, groupOpts())
+	o := groupOpts()
+	fs := useFaultFS(o)
+	db, err := Open(dir, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +44,7 @@ func TestGroupCommitCrashRecovery(t *testing.T) {
 	// Let ~32 KiB through, then tear. Each commit is ~150 WAL bytes, so
 	// plenty of groups succeed before the fault trips mid-frame.
 	db.logMu.Lock()
-	db.log.FailAfter(32 << 10)
+	fs.newestWAL().quota = 32 << 10
 	db.logMu.Unlock()
 
 	var wg sync.WaitGroup
@@ -58,7 +60,7 @@ func TestGroupCommitCrashRecovery(t *testing.T) {
 						[]byte(fmt.Sprintf("value-%02d-%05d-%d", w, op, r)))
 				}
 				if err := db.ApplyAt(&b, 0, nil); err != nil {
-					if !errors.Is(err, wal.ErrInjectedCrash) {
+					if !errors.Is(err, errTorn) {
 						t.Errorf("writer %d: unexpected error %v", w, err)
 					}
 					return

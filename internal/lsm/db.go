@@ -3,9 +3,8 @@ package lsm
 import (
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -82,21 +81,21 @@ type DB struct {
 	// before it builds a table — lets crash tests freeze a DB with an
 	// unflushed immutable MemTable outstanding.
 	testBlockFlush chan struct{}
-
-	// testCompactRoll, when non-nil, runs after a flush or compaction
-	// finishes each output table, while nothing references it yet — lets
-	// crash tests snapshot a directory with outputs that no version edit
-	// has installed, and a non-nil return fails the job's writer there.
-	// Set before the job starts.
-	testCompactRoll func() error
 }
 
 // Open creates or recovers a DB in dir. If it fails, it closes every
 // table it opened and unlinks none.
 func Open(dir string, o *Options) (_ *DB, err error) {
 	opts := o.withDefaults()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := opts.fs.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("lsm: create dir: %w", err)
+	}
+	// One listing serves the WAL replay, the next segment's number and
+	// the orphan sweep. Without it Open cannot know which segments hold
+	// acknowledged writes, so it fails rather than reuse their numbers.
+	entries, err := opts.fs.List(dir)
+	if err != nil {
+		return nil, fmt.Errorf("lsm: list dir: %w", err)
 	}
 	db := &DB{
 		dir:        dir,
@@ -123,7 +122,7 @@ func Open(dir string, o *Options) (_ *DB, err error) {
 			}
 		}
 	}()
-	m, found, err := loadManifest(dir)
+	m, found, err := loadManifest(opts.fs, dir)
 	if err != nil {
 		return nil, err
 	}
@@ -153,35 +152,53 @@ func Open(dir string, o *Options) (_ *DB, err error) {
 	// is deleted after its flush (record seqs are unique, so file order is
 	// immaterial).
 	replayFloor := db.lastSeq
-	segments := walSegments(dir)
-	legacy := filepath.Join(dir, "WAL")
-	if _, err := os.Stat(legacy); err == nil {
-		db.memWALs = append(db.memWALs, legacy)
-	}
-	db.memWALs = append(db.memWALs, segments...)
-	for _, path := range db.memWALs {
-		err = wal.Replay(path, func(r wal.Record) error {
+	for _, e := range entries {
+		var n uint64
+		if _, err := fmt.Sscanf(e.Name(), "WAL-%d", &n); err != nil && e.Name() != "WAL" {
+			continue
+		}
+		path := filepath.Join(dir, e.Name())
+		db.memWALs = append(db.memWALs, path)
+		db.walSeq = max(db.walSeq, n)
+		f, err := opts.fs.Open(path)
+		if err != nil {
+			return nil, fmt.Errorf("lsm: open WAL: %w", err)
+		}
+		err = wal.Replay(f, func(r wal.Record) error {
 			if r.Seq <= replayFloor {
 				return nil // already durable in an SSTable
 			}
 			db.mem.add(r.Seq, ikey.Kind(r.Kind), r.Key, r.Value, opts.Extract)
-			if r.Seq > db.lastSeq {
-				db.lastSeq = r.Seq
-			}
+			db.lastSeq = max(db.lastSeq, r.Seq)
 			return nil
 		})
+		_ = f.Close() // only read
 		if err != nil {
 			return nil, err
 		}
 	}
 
-	db.walSeq = nextWALSeq(segments) + 1
+	db.walSeq++
 	seg := walSegmentPath(dir, db.walSeq)
-	if db.log, err = wal.Create(seg); err != nil {
+	if db.log, err = db.createWAL(seg); err != nil {
 		return nil, err
 	}
 	db.memWALs = append(db.memWALs, seg)
-	db.removeOrphanTables()
+
+	// Delete the tables the manifest does not reference, which only a
+	// crash leaves: a version edit's added tables before its manifest
+	// write, its deleted ones after it.
+	live := map[string]bool{}
+	for _, level := range db.v.levels {
+		for _, fm := range level {
+			live[filepath.Base(tablePath(dir, fm.Num))] = true
+		}
+	}
+	for _, e := range entries {
+		if filepath.Ext(e.Name()) == ".sst" && !live[e.Name()] {
+			_ = opts.fs.Remove(filepath.Join(dir, e.Name()))
+		}
+	}
 	db.emit(metrics.Event{
 		Type:    metrics.EventOpen,
 		Entries: db.mem.list.Len(),
@@ -203,60 +220,17 @@ func walSegmentPath(dir string, n uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("WAL-%06d", n))
 }
 
-// walSegments lists existing numbered WAL segments, oldest first.
-func walSegments(dir string) []string {
-	entries, err := os.ReadDir(dir)
+// createWAL creates WAL segment path, truncating any file there.
+func (db *DB) createWAL(path string) (*wal.Writer, error) {
+	f, err := db.opts.fs.Create(path)
 	if err != nil {
-		return nil
+		return nil, fmt.Errorf("lsm: create WAL segment: %w", err)
 	}
-	var out []string
-	for _, e := range entries {
-		name := e.Name()
-		if strings.HasPrefix(name, "WAL-") && len(name) > 4 {
-			out = append(out, filepath.Join(dir, name))
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-func nextWALSeq(segments []string) uint64 {
-	var maxN uint64
-	for _, s := range segments {
-		var n uint64
-		if _, err := fmt.Sscanf(filepath.Base(s), "WAL-%d", &n); err == nil && n > maxN {
-			maxN = n
-		}
-	}
-	return maxN
-}
-
-// removeOrphanTables deletes .sst files not referenced by the manifest,
-// which only a crash leaves: a version edit's added tables before its
-// manifest write, its deleted ones after it. Safe at open.
-//
-//lsm:locked — called only from Open, before the DB is shared.
-func (db *DB) removeOrphanTables() {
-	live := map[string]bool{}
-	for _, level := range db.v.levels {
-		for _, fm := range level {
-			live[filepath.Base(tablePath(db.dir, fm.Num))] = true
-		}
-	}
-	entries, err := os.ReadDir(db.dir)
-	if err != nil {
-		return // best-effort; an unreadable dir will fail loudly elsewhere
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if filepath.Ext(name) == ".sst" && !live[name] {
-			_ = os.Remove(filepath.Join(db.dir, name))
-		}
-	}
+	return wal.NewWriter(f), nil
 }
 
 func (db *DB) openTable(fr fileRecord) (*FileMeta, error) {
-	f, err := os.Open(tablePath(db.dir, fr.Num))
+	f, err := db.opts.fs.Open(tablePath(db.dir, fr.Num))
 	if err != nil {
 		return nil, fmt.Errorf("lsm: open table %06d: %w", fr.Num, err)
 	}
@@ -563,13 +537,8 @@ func (db *DB) DiskUsage() (int64, error) {
 			total += fm.Size
 		}
 	}
-	seen := map[string]bool{}
-	for _, p := range append(append([]string(nil), db.memWALs...), db.immWALs...) {
-		if seen[p] {
-			continue
-		}
-		seen[p] = true
-		if fi, err := os.Stat(p); err == nil {
+	for _, p := range slices.Concat(db.memWALs, db.immWALs) {
+		if fi, err := db.opts.fs.Stat(p); err == nil {
 			total += fi.Size()
 		}
 	}

@@ -53,6 +53,7 @@ func copyDir(t *testing.T, dir string) string {
 func TestBackgroundHandoffCrashImage(t *testing.T) {
 	dir := t.TempDir()
 	o := smallOpts()
+	fs := useFaultFS(o)
 	db, err := Open(dir, o)
 	if err != nil {
 		t.Fatal(err)
@@ -83,13 +84,13 @@ func TestBackgroundHandoffCrashImage(t *testing.T) {
 	// Only the next handoff's goroutine rolls tables while it is armed.
 	parked, release := make(chan struct{}), make(chan struct{})
 	rolls := 0
-	db.testCompactRoll = func() error {
+	fs.onTableSync(func() error {
 		if rolls++; rolls == 2 {
 			close(parked)
 			<-release
 		}
 		return nil
-	}
+	})
 	for !pending(db) {
 		put()
 	}
@@ -136,7 +137,9 @@ func TestBackgroundHandoffCrashImage(t *testing.T) {
 // returned, nothing may write the MANIFEST or add or unlink a table.
 func TestCloseWaitsForJobsWhenPoisoned(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(dir, smallOpts())
+	o := smallOpts()
+	fs := useFaultFS(o)
+	db, err := Open(dir, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,13 +153,13 @@ func TestCloseWaitsForJobsWhenPoisoned(t *testing.T) {
 	}
 	parked, release := make(chan struct{}), make(chan struct{})
 	var once sync.Once
-	db.testCompactRoll = func() error {
+	fs.onTableSync(func() error {
 		once.Do(func() {
 			close(parked)
 			<-release
 		})
 		return nil
-	}
+	})
 	compacted := make(chan error, 1)
 	go func() { compacted <- db.CompactRange(nil, nil) }()
 	select {

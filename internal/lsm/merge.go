@@ -14,13 +14,13 @@ import (
 	"bytes"
 	"container/heap"
 	"errors"
-	"os"
 	"time"
 
 	"leveldbpp/internal/ikey"
 	"leveldbpp/internal/metrics"
 	"leveldbpp/internal/skiplist"
 	"leveldbpp/internal/sstable"
+	"leveldbpp/internal/vfs"
 )
 
 // compactionBatch is the number of resolved entries the merge goroutine
@@ -217,7 +217,7 @@ type compactionWriter struct {
 	tr      *metrics.Trace
 	flush   bool
 	outputs []*FileMeta
-	file    *os.File
+	file    vfs.File
 	builder *sstable.Builder
 	num     uint64
 	attrs   []sstable.AttrValue // add's extraction scratch
@@ -235,7 +235,7 @@ func (w *compactionWriter) add(ik, value []byte) error {
 	defer w.since(t0)
 	if w.builder == nil {
 		w.num = w.db.allocFileNum()
-		f, err := os.Create(tablePath(w.db.dir, w.num))
+		f, err := w.db.opts.fs.Create(tablePath(w.db.dir, w.num))
 		if err != nil {
 			return err
 		}
@@ -289,9 +289,6 @@ func (w *compactionWriter) roll() error {
 	}
 	w.outputs = append(w.outputs, fm)
 	w.file, w.builder = nil, nil
-	if w.db.testCompactRoll != nil {
-		return w.db.testCompactRoll()
-	}
 	return nil
 }
 
@@ -299,7 +296,7 @@ func (w *compactionWriter) roll() error {
 // the trailing output table and returns every table produced. On any
 // failure it drops the open output and every table produced so far,
 // which nothing references yet (a crash leaves the same residue, cleaned
-// by removeOrphanTables at next Open), and returns the error.
+// by the orphan sweep of the next Open), and returns the error.
 func (w *compactionWriter) finish(err error) ([]*FileMeta, error) {
 	if err == nil {
 		t0 := w.tr.Now()

@@ -13,6 +13,7 @@ import (
 
 	"leveldbpp/internal/ikey"
 	"leveldbpp/internal/metrics"
+	"leveldbpp/internal/vfs"
 )
 
 // bigJobOpts keeps every flush in level 0 until CompactRange, whose first
@@ -101,7 +102,9 @@ func tableFiles(t *testing.T, dir string) []string {
 // is never replayed into the tree) and must delete it as an orphan.
 func TestCompactionCrashMidMerge(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(dir, bigJobOpts())
+	o := bigJobOpts()
+	fs := useFaultFS(o)
+	db, err := Open(dir, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +115,7 @@ func TestCompactionCrashMidMerge(t *testing.T) {
 	// the on-disk state a kill -9 would leave behind at that instant.
 	crash := t.TempDir()
 	snapped := false
-	db.testCompactRoll = func() error {
+	fs.onTableSync(func() error {
 		if snapped {
 			return nil
 		}
@@ -131,11 +134,11 @@ func TestCompactionCrashMidMerge(t *testing.T) {
 			}
 		}
 		return nil
-	}
+	})
 	if err := db.CompactRange(nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	db.testCompactRoll = nil
+	fs.onTableSync(nil)
 	if !snapped {
 		t.Fatal("CompactRange rolled no output table")
 	}
@@ -168,7 +171,7 @@ func TestCompactionCrashMidMerge(t *testing.T) {
 // reference.
 func orphanTables(t *testing.T, dir string) []string {
 	t.Helper()
-	m, ok, err := loadManifest(dir)
+	m, ok, err := loadManifest(vfs.Default, dir)
 	if err != nil || !ok {
 		t.Fatalf("load manifest: %v (ok=%v)", err, ok)
 	}
@@ -195,18 +198,20 @@ func orphanTables(t *testing.T, dir string) []string {
 // serving reads, writes and a retried compaction.
 func TestCompactionWriterFailureCancels(t *testing.T) {
 	base := runtime.NumGoroutine()
-	db, dir := openTestDB(t, bigJobOpts())
+	o := bigJobOpts()
+	fs := useFaultFS(o)
+	db, dir := openTestDB(t, o)
 	want := loadBigJob(t, db)
 	before := tableFiles(t, dir)
 
 	errRoll := errors.New("injected output roll failure")
 	rolls := 0
-	db.testCompactRoll = func() error {
+	fs.onTableSync(func() error {
 		rolls++
 		return errRoll
-	}
+	})
 	err := db.CompactRange(nil, nil)
-	db.testCompactRoll = nil
+	fs.onTableSync(nil)
 	if err != errRoll {
 		t.Fatalf("CompactRange = %v, want the writer's error %v", err, errRoll)
 	}
@@ -280,7 +285,9 @@ func TestMergeGroupsAllocations(t *testing.T) {
 // serving reads; and every acknowledged write must survive a reopen.
 func TestFlushWriterFailure(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(dir, bigJobOpts())
+	o := bigJobOpts()
+	fs := useFaultFS(o)
+	db, err := Open(dir, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,9 +305,9 @@ func TestFlushWriterFailure(t *testing.T) {
 	before := tableFiles(t, dir)
 
 	errRoll := errors.New("injected flush roll failure")
-	db.testCompactRoll = func() error { return errRoll }
+	fs.onTableSync(func() error { return errRoll })
 	err = db.Flush()
-	db.testCompactRoll = nil
+	fs.onTableSync(nil)
 	if err != errRoll {
 		t.Fatalf("Flush = %v, want the writer's error %v", err, errRoll)
 	}

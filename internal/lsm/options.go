@@ -22,6 +22,7 @@ package lsm
 import (
 	"leveldbpp/internal/metrics"
 	"leveldbpp/internal/sstable"
+	"leveldbpp/internal/vfs"
 	"leveldbpp/internal/wal"
 )
 
@@ -111,6 +112,10 @@ type Options struct {
 	// is installed: at the writer's next freeze, or in Flush, CompactRange
 	// or Close.
 	Events metrics.EventSink
+
+	// fs is the file system the DB's files live on; nil is vfs.Default.
+	// Only this package's tests set it, to inject faults.
+	fs vfs.FS
 }
 
 func (o *Options) withDefaults() Options {
@@ -147,6 +152,9 @@ func (o *Options) withDefaults() Options {
 	}
 	if opts.NewMerger == nil {
 		opts.NewMerger = func() Merger { return nil }
+	}
+	if opts.fs == nil {
+		opts.fs = vfs.Default
 	}
 	return opts
 }

@@ -5,6 +5,7 @@ import (
 	"cmp"
 	"encoding/base64"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -14,6 +15,7 @@ import (
 
 	"leveldbpp/internal/ikey"
 	"leveldbpp/internal/sstable"
+	"leveldbpp/internal/vfs"
 )
 
 // FileMeta describes one SSTable in the tree: its file number, size, key
@@ -26,7 +28,7 @@ type FileMeta struct {
 	Smallest []byte // internal key
 	Largest  []byte // internal key
 	tbl      *sstable.Table
-	f        *os.File
+	f        vfs.File
 }
 
 // Table returns the open table handle.
@@ -213,7 +215,7 @@ func (v *version) isBaseLevelForKey(level int, userKey []byte) bool {
 func (db *DB) applyEditLocked(e *versionEdit) error {
 	nv, err := db.v.apply(e)
 	if err == nil {
-		err = saveManifest(db.dir, nv.toManifest(db.nextFileNum.Load(), e.flushedSeq))
+		err = saveManifest(db.opts.fs, db.dir, nv.toManifest(db.nextFileNum.Load(), e.flushedSeq))
 	}
 	if err != nil {
 		db.dropTablesExcept(e.added, e.deleted)
@@ -222,7 +224,7 @@ func (db *DB) applyEditLocked(e *versionEdit) error {
 	db.v, db.flushedSeq = nv, e.flushedSeq
 	db.dropTablesExcept(e.deleted, e.added)
 	for _, p := range e.retiredWALs {
-		_ = os.Remove(p)
+		_ = db.opts.fs.Remove(p)
 	}
 	return nil
 }
@@ -245,7 +247,7 @@ func (db *DB) dropTable(fms ...*FileMeta) {
 			db.blockCache.EvictTable(fm.tbl.ID())
 		}
 		_ = fm.f.Close()
-		_ = os.Remove(tablePath(db.dir, fm.Num))
+		_ = db.opts.fs.Remove(tablePath(db.dir, fm.Num))
 	}
 }
 
@@ -268,29 +270,25 @@ type fileRecord struct {
 
 func manifestPath(dir string) string { return filepath.Join(dir, "MANIFEST") }
 
-func saveManifest(dir string, m manifest) error {
-	data, err := json.MarshalIndent(m, "", " ")
-	if err != nil {
-		return fmt.Errorf("lsm: encode manifest: %w", err)
-	}
-	tmp := manifestPath(dir) + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+func saveManifest(fs vfs.FS, dir string, m manifest) error {
+	data, _ := json.MarshalIndent(m, "", " ") // numbers and strings: cannot fail
+	if err := vfs.WriteFile(fs, manifestPath(dir), data); err != nil {
 		return fmt.Errorf("lsm: write manifest: %w", err)
 	}
-	return os.Rename(tmp, manifestPath(dir))
+	return nil
 }
 
-func loadManifest(dir string) (manifest, bool, error) {
-	data, err := os.ReadFile(manifestPath(dir))
-	if os.IsNotExist(err) {
-		return manifest{}, false, nil
+// loadManifest returns dir's manifest, or ok false if it has none.
+func loadManifest(fs vfs.FS, dir string) (m manifest, ok bool, err error) {
+	data, err := vfs.ReadFile(fs, manifestPath(dir))
+	if errors.Is(err, os.ErrNotExist) {
+		return m, false, nil
+	}
+	if err == nil {
+		err = json.Unmarshal(data, &m)
 	}
 	if err != nil {
-		return manifest{}, false, fmt.Errorf("lsm: read manifest: %w", err)
-	}
-	var m manifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		return manifest{}, false, fmt.Errorf("lsm: decode manifest: %w", err)
+		return m, false, fmt.Errorf("lsm: manifest: %w", err)
 	}
 	return m, true, nil
 }

@@ -11,6 +11,7 @@ import (
 
 	"leveldbpp/internal/ikey"
 	"leveldbpp/internal/sstable"
+	"leveldbpp/internal/vfs"
 )
 
 // buildTable writes keys, which must be sorted, at seqs above LastSeq into
@@ -59,7 +60,7 @@ func tableNums(db *DB) [][]uint64 {
 // manifestNums returns the file numbers of each level of dir's MANIFEST.
 func manifestNums(t *testing.T, dir string) [][]uint64 {
 	t.Helper()
-	m, ok, err := loadManifest(dir)
+	m, ok, err := loadManifest(vfs.Default, dir)
 	if err != nil || !ok {
 		t.Fatalf("load manifest: %v (ok=%v)", err, ok)
 	}

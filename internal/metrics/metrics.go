@@ -83,7 +83,7 @@ var IOCounters = []IOCounter{
 	{Field: "CompactionWriteBytes", Name: "lsmpp_compaction_write_bytes_total", Help: "Bytes written by compactions."},
 	{Field: "CacheHits", Name: "lsmpp_block_cache_hits_total", Help: "Block reads served from the block cache."},
 	{Field: "CacheMisses", Name: "lsmpp_block_cache_misses_total", Help: "Block reads that missed the block cache."},
-	{Field: "PointGets", Name: "lsmpp_point_gets_total", Help: "SSTable point reads (Table.Get calls)."},
+	{Field: "PointGets", Name: "lsmpp_point_gets_total", Help: "SSTable point reads (Table.GetWith calls)."},
 	{Field: "EntriesDecoded", Name: "lsmpp_entries_decoded_total", Help: "Block entries decoded on the point-read path."},
 	{Field: "BlockSeeks", Name: "lsmpp_block_seeks_total", Help: "In-block restart-array binary searches."},
 	{Field: "PostingsBytesDecoded", Name: "lsmpp_postings_bytes_decoded_total", Help: "Encoded posting-list bytes consumed by index paths."},

@@ -31,7 +31,7 @@ func TestAppendBatchReplay(t *testing.T) {
 	w.Close()
 
 	var got []Record
-	if err := Replay(path, func(r Record) error { got = append(got, r); return nil }); err != nil {
+	if err := replayPath(path, func(r Record) error { got = append(got, r); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 26 {
@@ -62,7 +62,7 @@ func TestAppendBatchEmptyAndSingle(t *testing.T) {
 	}
 	w.Close()
 	n := 0
-	Replay(path, func(Record) error { n++; return nil })
+	replayPath(path, func(Record) error { n++; return nil })
 	if n != 1 {
 		t.Fatalf("replayed %d, want 1", n)
 	}
@@ -84,7 +84,7 @@ func TestBatchAtomicityOnCorruptTail(t *testing.T) {
 	os.WriteFile(path, data, 0o644)
 
 	var got []string
-	if err := Replay(path, func(r Record) error { got = append(got, string(r.Key)); return nil }); err != nil {
+	if err := replayPath(path, func(r Record) error { got = append(got, string(r.Key)); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 1 || got[0] != "committed" {
@@ -105,7 +105,7 @@ func TestBatchWithEmptyKeysAndValues(t *testing.T) {
 	}
 	w.Close()
 	var got []Record
-	Replay(path, func(r Record) error { got = append(got, r); return nil })
+	replayPath(path, func(r Record) error { got = append(got, r); return nil })
 	if len(got) != 3 {
 		t.Fatalf("replayed %d", len(got))
 	}

@@ -5,7 +5,43 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"leveldbpp/internal/vfs"
 )
+
+// errTorn is what a tornFile's write crossing its quota returns.
+var errTorn = errors.New("torn write")
+
+// tornFile tears a write as a power loss would: once armed (quota ≥ 0),
+// at most quota more bytes reach the file, and the write crossing that
+// boundary is cut short and fails with errTorn.
+type tornFile struct {
+	vfs.File
+	quota int64 // -1 = disarmed
+}
+
+func (f *tornFile) Write(p []byte) (int, error) {
+	if f.quota < 0 || int64(len(p)) <= f.quota {
+		if f.quota >= 0 {
+			f.quota -= int64(len(p))
+		}
+		return f.File.Write(p)
+	}
+	n, _ := f.File.Write(p[:f.quota])
+	f.quota = 0
+	return n, errTorn
+}
+
+// createTorn creates the log at path on a disarmed tornFile.
+func createTorn(t *testing.T, path string) (*Writer, *tornFile) {
+	t.Helper()
+	f, err := vfs.Default.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tf := &tornFile{File: f, quota: -1}
+	return NewWriter(tf), tf
+}
 
 // TestFlushMakesRecordsVisible verifies the buffering contract: appended
 // records are not in the file until Flush, and are after — without Close.
@@ -28,7 +64,7 @@ func TestFlushMakesRecordsVisible(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []Record
-	if err := Replay(path, func(r Record) error { got = append(got, r); return nil }); err != nil {
+	if err := replayPath(path, func(r Record) error { got = append(got, r); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 1 || string(got[0].Key) != "k" {
@@ -36,14 +72,11 @@ func TestFlushMakesRecordsVisible(t *testing.T) {
 	}
 }
 
-// TestFailAfterTearsFrame arms the crash fault mid-frame and checks that
-// replay recovers every record before the torn one and none after.
+// TestFailAfterTearsFrame tears a write mid-frame and checks that replay
+// recovers every record before the torn one and none after.
 func TestFailAfterTearsFrame(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
-	w, err := Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w, tf := createTorn(t, path)
 
 	// Two complete records, flushed durable.
 	for i := uint64(1); i <= 2; i++ {
@@ -56,24 +89,24 @@ func TestFailAfterTearsFrame(t *testing.T) {
 	}
 
 	// Allow 5 more bytes through, then crash: the third record tears.
-	w.FailAfter(5)
+	tf.quota = 5
 	if err := w.Append(Record{Seq: 3, Kind: 1, Key: []byte("torn"), Value: []byte("lost")}); err != nil {
 		t.Fatal(err) // append only buffers; the error surfaces at flush
 	}
-	if err := w.Flush(); !errors.Is(err, ErrInjectedCrash) {
-		t.Fatalf("flush err = %v, want ErrInjectedCrash", err)
+	if err := w.Flush(); !errors.Is(err, errTorn) {
+		t.Fatalf("flush err = %v, want errTorn", err)
 	}
 	// The error is sticky: every later append/sync keeps failing, so no
 	// write after the crash can ever be acknowledged.
-	if err := w.Append(Record{Seq: 4, Kind: 1, Key: []byte("x")}); !errors.Is(err, ErrInjectedCrash) {
-		t.Fatalf("append after crash = %v, want ErrInjectedCrash", err)
+	if err := w.Append(Record{Seq: 4, Kind: 1, Key: []byte("x")}); !errors.Is(err, errTorn) {
+		t.Fatalf("append after crash = %v, want errTorn", err)
 	}
-	if err := w.Sync(); !errors.Is(err, ErrInjectedCrash) {
-		t.Fatalf("sync after crash = %v, want ErrInjectedCrash", err)
+	if err := w.Sync(); !errors.Is(err, errTorn) {
+		t.Fatalf("sync after crash = %v, want errTorn", err)
 	}
 
 	var got []Record
-	if err := Replay(path, func(r Record) error { got = append(got, r); return nil }); err != nil {
+	if err := replayPath(path, func(r Record) error { got = append(got, r); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 2 || got[0].Seq != 1 || got[1].Seq != 2 {
@@ -85,10 +118,7 @@ func TestFailAfterTearsFrame(t *testing.T) {
 // frames: a batch torn mid-frame replays zero of its records.
 func TestFailAfterTearsBatch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
-	w, err := Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w, tf := createTorn(t, path)
 
 	if err := w.Append(Record{Seq: 1, Kind: 1, Key: []byte("pre"), Value: []byte("v")}); err != nil {
 		t.Fatal(err)
@@ -101,16 +131,16 @@ func TestFailAfterTearsBatch(t *testing.T) {
 	for i := range batch {
 		batch[i] = Record{Seq: uint64(2 + i), Kind: 1, Key: []byte{byte(i)}, Value: []byte("payload")}
 	}
-	w.FailAfter(40) // tears partway through the batch frame
+	tf.quota = 40 // tears partway through the batch frame
 	if err := w.AppendBatch(batch); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Flush(); !errors.Is(err, ErrInjectedCrash) {
-		t.Fatalf("flush err = %v, want ErrInjectedCrash", err)
+	if err := w.Flush(); !errors.Is(err, errTorn) {
+		t.Fatalf("flush err = %v, want errTorn", err)
 	}
 
 	var got []Record
-	if err := Replay(path, func(r Record) error { got = append(got, r); return nil }); err != nil {
+	if err := replayPath(path, func(r Record) error { got = append(got, r); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 1 || string(got[0].Key) != "pre" {

@@ -17,7 +17,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
+
+	"leveldbpp/internal/vfs"
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -60,59 +61,33 @@ type Record struct {
 	Value []byte
 }
 
-// ErrInjectedCrash is returned by a Writer whose FailAfter fault was
-// tripped: the write crossing the byte quota is torn mid-frame, exactly
-// as a power loss would leave it.
-var ErrInjectedCrash = errors.New("wal: injected crash")
-
 // bufferSize is the in-memory frame buffer. Large enough that a typical
 // commit group flushes in one write syscall.
 const bufferSize = 64 << 10
 
-// crashFile sits between the frame buffer and the file so crash tests
-// can inject a torn write: once armed, at most quota more bytes reach
-// the file and the write crossing the boundary is truncated and fails.
-type crashFile struct {
-	f     *os.File
-	quota int64 // -1 = disarmed
-}
-
-func (cf *crashFile) Write(p []byte) (int, error) {
-	if cf.quota < 0 {
-		return cf.f.Write(p)
-	}
-	if int64(len(p)) <= cf.quota {
-		cf.quota -= int64(len(p))
-		return cf.f.Write(p)
-	}
-	n, _ := cf.f.Write(p[:cf.quota])
-	cf.quota = 0
-	return n, ErrInjectedCrash
-}
-
 // Writer appends records to a log file through an in-memory buffer.
 // Frames are durable in the file only after Flush (OS-durable) or Sync
-// (storage-durable); Close flushes. Not safe for concurrent use — the
+// (storage-durable); Close flushes. A failed write is sticky: every later
+// Append, Flush and Sync returns it. Not safe for concurrent use — the
 // engine serializes WAL I/O under its log mutex.
 type Writer struct {
-	cf  crashFile
+	f   vfs.File
 	bw  *bufio.Writer
 	buf []byte // frame-encode scratch
 }
 
-func newWriter(f *os.File) *Writer {
-	w := &Writer{cf: crashFile{f: f, quota: -1}}
-	w.bw = bufio.NewWriterSize(&w.cf, bufferSize)
-	return w
+// NewWriter returns a Writer that appends to f, which it owns.
+func NewWriter(f vfs.File) *Writer {
+	return &Writer{f: f, bw: bufio.NewWriterSize(f, bufferSize)}
 }
 
-// Create opens (truncating) a log file for writing.
+// Create creates or truncates the log file at path on the OS file system.
 func Create(path string) (*Writer, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	f, err := vfs.Default.Create(path)
 	if err != nil {
 		return nil, fmt.Errorf("wal: create: %w", err)
 	}
-	return newWriter(f), nil
+	return NewWriter(f), nil
 }
 
 // Append writes one record. The frame is:
@@ -154,39 +129,23 @@ func (w *Writer) Sync() error {
 	if err := w.bw.Flush(); err != nil {
 		return err
 	}
-	return w.cf.f.Sync()
+	return w.f.Sync()
 }
 
 // Close flushes the buffer and closes the underlying file.
 func (w *Writer) Close() error {
 	ferr := w.bw.Flush()
-	cerr := w.cf.f.Close()
+	cerr := w.f.Close()
 	if ferr != nil {
 		return ferr
 	}
 	return cerr
 }
 
-// FailAfter arms the crash-injection fault: after n more bytes reach the
-// file, the write crossing the boundary is truncated and every
-// subsequent write fails with ErrInjectedCrash. Buffered bytes count
-// when they flush. Test hook; call under the same serialization as the
-// write path.
-func (w *Writer) FailAfter(n int64) { w.cf.quota = n }
-
-// Replay reads records from the log at path in order, invoking fn for
-// each. It returns nil on a clean or truncated tail (the expected result
-// of a crash); any other corruption is reported.
-func Replay(path string, fn func(Record) error) error {
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("wal: open for replay: %w", err)
-	}
-	defer f.Close()
-
+// Replay reads the records of the log f in order, invoking fn for each.
+// It returns nil at a clean end or at a torn, corrupt or zero-filled tail
+// (what a crash or a power loss leaves); any other corruption is reported.
+func Replay(f io.Reader, fn func(Record) error) error {
 	var hdr [8]byte
 	for {
 		if _, err := io.ReadFull(f, hdr[:]); err != nil {
@@ -204,27 +163,26 @@ func Replay(path string, fn func(Record) error) error {
 			}
 			return fmt.Errorf("wal: read payload: %w", err)
 		}
-		if crc32.Checksum(payload, crcTable) != wantCRC {
+		// No frame is empty, but a zeroed header passes the CRC (that of
+		// an empty payload is 0): a zero-filled tail ends replay too.
+		if plen == 0 || crc32.Checksum(payload, crcTable) != wantCRC {
 			return nil // corrupt tail; stop replay here
 		}
+		var records []Record
+		var err error
 		if len(payload) > 8 && payload[8] == batchKind {
-			records, err := decodeBatch(payload)
-			if err != nil {
-				return err
-			}
-			for _, r := range records {
-				if err := fn(r); err != nil {
-					return err
-				}
-			}
-			continue
+			records, err = decodeBatch(payload)
+		} else {
+			records = make([]Record, 1)
+			records[0], err = decode(payload)
 		}
-		r, err := decode(payload)
 		if err != nil {
 			return err
 		}
-		if err := fn(r); err != nil {
-			return err
+		for _, r := range records {
+			if err := fn(r); err != nil {
+				return err
+			}
 		}
 	}
 }
