@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"leveldbpp/internal/explain"
+	"leveldbpp/internal/metrics"
 )
 
 // explainPinGolden holds, per index kind, the EXPLAIN report of every
@@ -125,12 +126,19 @@ func TestExplainReportsPinned(t *testing.T) {
 		}
 		fmt.Fprintf(&got, "%v plain profile: %s\n", kind, profilePin(db))
 	}
-	want, err := os.ReadFile(explainPinGolden)
+	checkGolden(t, explainPinGolden, got.String())
+}
+
+// checkGolden fails t at the first line where got differs from the
+// golden file and logs got whole, to paste in when a change is meant.
+func checkGolden(t *testing.T, path, got string) {
+	t.Helper()
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.String() != string(want) {
-		gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	if got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
 		for i := 0; i < max(len(gl), len(wl)); i++ {
 			var g, w string
 			if i < len(gl) {
@@ -144,6 +152,60 @@ func TestExplainReportsPinned(t *testing.T) {
 				break
 			}
 		}
-		t.Logf("reports now:\n%s", got.String())
+		t.Logf("%s now:\n%s", path, got)
 	}
+}
+
+// writeTracePinGolden holds, per index kind, the phases (name and count)
+// and the I/O counters of the traced writes of TestWriteTracePinned.
+const writeTracePinGolden = "testdata/writetracepin.golden"
+
+// TestWriteTracePinned holds the write path's trace as TestExplainReportsPinned
+// holds the reads': on openGolden's data, with every operation traced, a
+// PUT of a new key, a DEL of a flushed one (its old document is read for
+// the index deletes), a two-op batch (a put before the primary commit, a
+// delete after it) and a PUT that fills the MemTable and so rotates it.
+// Batches are not sampled by the tracer, so the batch runs the one write
+// path under a detached trace.
+func TestWriteTracePinned(t *testing.T) {
+	var got strings.Builder
+	pin := func(kind IndexKind, what string, rec metrics.TraceRecord) {
+		phases := make([]string, len(rec.Phases))
+		for i, p := range rec.Phases {
+			phases[i] = fmt.Sprintf("%s:%d", p.Phase, p.Count)
+		}
+		b, err := json.Marshal(rec.IO)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&got, "%v %s: phases=%s io=%s\n", kind, what, strings.Join(phases, ","), b)
+	}
+	for _, kind := range allKinds {
+		db := openGoldenSampled(t, kind, 1)
+		if err := db.Put("t01500", tweetDoc("u01", 1500, "new")); err != nil {
+			t.Fatal(err)
+		}
+		pin(kind, "put t01500", lastTrace(t, db, "put"))
+		if err := db.Delete("t00042"); err != nil {
+			t.Fatal(err)
+		}
+		pin(kind, "delete t00042", lastTrace(t, db, "delete"))
+
+		var b Batch
+		b.Put("t01501", tweetDoc("u02", 1501, "batched"))
+		b.Delete("t00043")
+		var buf [4]attrSlot
+		tr := metrics.StartDetached(metrics.OpPut)
+		if err := db.write(b.ops, attrSlots(&buf, len(db.opts.Attrs)), tr); err != nil {
+			t.Fatal(err)
+		}
+		pin(kind, "apply put t01501, delete t00043", tr.Record())
+
+		big := tweetDoc("u03", 1502, strings.Repeat("x", 40<<10))
+		if err := db.Put("t01502", big); err != nil {
+			t.Fatal(err)
+		}
+		pin(kind, "put t01502 (fills the MemTable)", lastTrace(t, db, "put"))
+	}
+	checkGolden(t, writeTracePinGolden, got.String())
 }
