@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -299,6 +300,55 @@ func TestRecoveryWithZeroFilledWAL(t *testing.T) {
 		if _, ok := mustGet(t, db2, fmt.Sprintf("k%d", i)); !ok {
 			t.Fatalf("k%d lost", i)
 		}
+	}
+}
+
+// TestReplayTornFrameLengthBounded: a torn tail whose frame header claims
+// far more bytes than are left ends replay there, and replay allocates
+// about what the tail holds, not the 64 MiB the header claims.
+func TestReplayTornFrameLengthBounded(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir, smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		mustPut(t, db, fmt.Sprintf("k%d", i), "v")
+	}
+	walFile := activeWAL(db)
+	db.Close()
+	f, err := os.OpenFile(walFile, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail := make([]byte, 8+100)
+	binary.BigEndian.PutUint32(tail[0:4], 0xdeadbeef)
+	binary.BigEndian.PutUint32(tail[4:8], 64<<20)
+	for i := range tail[8:] {
+		tail[8+i] = byte(i*7 + 1)
+	}
+	if _, err := f.Write(tail); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	db2, err := Open(dir, smallOpts())
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	for i := 0; i < 3; i++ {
+		if _, ok := mustGet(t, db2, fmt.Sprintf("k%d", i)); !ok {
+			t.Fatalf("k%d lost", i)
+		}
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
+		t.Fatalf("Open allocated %d bytes replaying a tail that claims 64 MiB", grew)
+	} else {
+		t.Logf("Open allocated %d bytes", grew)
 	}
 }
 

@@ -155,9 +155,8 @@ func Replay(f io.Reader, fn func(Record) error) error {
 			return fmt.Errorf("wal: read header: %w", err)
 		}
 		wantCRC := binary.BigEndian.Uint32(hdr[0:4])
-		plen := binary.BigEndian.Uint32(hdr[4:8])
-		payload := make([]byte, plen)
-		if _, err := io.ReadFull(f, payload); err != nil {
+		payload, err := readPayload(f, int(binary.BigEndian.Uint32(hdr[4:8])))
+		if err != nil {
 			if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
 				return nil // torn payload
 			}
@@ -165,11 +164,10 @@ func Replay(f io.Reader, fn func(Record) error) error {
 		}
 		// No frame is empty, but a zeroed header passes the CRC (that of
 		// an empty payload is 0): a zero-filled tail ends replay too.
-		if plen == 0 || crc32.Checksum(payload, crcTable) != wantCRC {
+		if len(payload) == 0 || crc32.Checksum(payload, crcTable) != wantCRC {
 			return nil // corrupt tail; stop replay here
 		}
 		var records []Record
-		var err error
 		if len(payload) > 8 && payload[8] == batchKind {
 			records, err = decodeBatch(payload)
 		} else {
@@ -184,6 +182,28 @@ func Replay(f io.Reader, fn func(Record) error) error {
 				return err
 			}
 		}
+	}
+}
+
+// payloadChunk is the most readPayload allocates before any byte of a
+// payload has arrived.
+const payloadChunk = 64 << 10
+
+// readPayload reads a frame's n-byte payload. The length comes from a
+// header the CRC has not checked yet, so the buffer grows only as the
+// bytes arrive, at most doubling: a garbage length in a torn tail
+// allocates about what the tail holds, not what the header claims.
+func readPayload(f io.Reader, n int) ([]byte, error) {
+	payload := make([]byte, min(n, payloadChunk))
+	for off := 0; ; {
+		if _, err := io.ReadFull(f, payload[off:]); err != nil {
+			return nil, err
+		}
+		if len(payload) == n {
+			return payload, nil
+		}
+		off = len(payload)
+		payload = append(payload, make([]byte, min(n-off, off))...)
 	}
 }
 
