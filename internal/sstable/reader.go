@@ -37,7 +37,7 @@ type Table struct {
 }
 
 // OpenTable parses the footer and meta section of a table of the given
-// size. stats may be nil.
+// size. With nil stats the table counts into an IOStats of its own.
 func OpenTable(r io.ReaderAt, size int64, stats *metrics.IOStats) (*Table, error) {
 	return OpenTableCached(r, size, stats, nil)
 }
@@ -88,6 +88,9 @@ func OpenTableCached(r io.ReaderAt, size int64, stats *metrics.IOStats, blockCac
 	meta := make([]byte, metaLen)
 	if _, err := r.ReadAt(meta, int64(metaOff)); err != nil {
 		return nil, fmt.Errorf("sstable: read meta: %w", err)
+	}
+	if stats == nil {
+		stats = new(metrics.IOStats)
 	}
 	t := &Table{
 		r:      r,
@@ -263,16 +266,12 @@ func (t *Table) readBlock(i int, compaction bool, buf *blockBuf, tr *metrics.Tra
 	cached := t.cache != nil && !compaction
 	if cached {
 		if raw, ok := t.cache.Get(cache.Key{Table: t.id, Block: i}); ok {
-			if t.stats != nil {
-				t.stats.CacheHits.Add(1)
-			}
+			t.stats.CacheHits.Add(1)
 			tr.Count(metrics.CtrCacheHits, 1)
 			tr.Since(metrics.PhaseCacheHit, t0)
 			return raw, nil
 		}
-		if t.stats != nil {
-			t.stats.CacheMisses.Add(1)
-		}
+		t.stats.CacheMisses.Add(1)
 	}
 	d := blockDecoders.Get().(*blockDecoder)
 	if cached || buf == nil {
@@ -308,14 +307,12 @@ func (t *Table) fetchBlock(d *blockDecoder, buf *blockBuf, i int, compaction boo
 	if _, err := t.r.ReadAt(phys, int64(bm.offset)); err != nil {
 		return nil, fmt.Errorf("sstable: read block %d: %w", i, err)
 	}
-	if t.stats != nil {
-		if compaction {
-			t.stats.CompactionReads.Add(1)
-			t.stats.CompactionReadBytes.Add(int64(len(phys)))
-		} else {
-			t.stats.BlockReads.Add(1)
-			t.stats.BlockReadBytes.Add(int64(len(phys)))
-		}
+	if compaction {
+		t.stats.CompactionReads.Add(1)
+		t.stats.CompactionReadBytes.Add(int64(len(phys)))
+	} else {
+		t.stats.BlockReads.Add(1)
+		t.stats.BlockReadBytes.Add(int64(len(phys)))
 	}
 	return d.decodeBlock(phys, &buf.raw)
 }
@@ -419,14 +416,12 @@ type GetScratch struct {
 //
 // On v2 tables the in-block search is a restart-array binary search that
 // decodes at most one restart interval; v1 tables fall back to the seed's
-// linear scan. Stats (when attached) record PointGets, BlockSeeks and
+// linear scan. The table's stats record PointGets, BlockSeeks and
 // EntriesDecoded, whose ratio is the per-GET decode cost.
 //
 //lsm:hotpath
 func (t *Table) GetWith(sc *GetScratch, userKey []byte) (internalKey, value []byte, ok bool, err error) {
-	if t.stats != nil {
-		t.stats.PointGets.Add(1)
-	}
+	t.stats.PointGets.Add(1)
 	tr := sc.Trace
 	tr.Count(metrics.CtrPointGets, 1)
 	lo, hi := t.candidateBlocks(userKey)
@@ -453,15 +448,11 @@ func (t *Table) GetWith(sc *GetScratch, userKey []byte) (internalKey, value []by
 				sc.seek = ikey.AppendSeek(sc.seek[:0], userKey)
 				seek = sc.seek
 			}
-			if t.stats != nil {
-				t.stats.BlockSeeks.Add(1)
-			}
+			t.stats.BlockSeeks.Add(1)
 			// SeekKey sorts before every version of userKey, so the first
 			// entry at or after it is the newest version iff user keys match.
 			if it.SeekGE(seek) && bytes.Equal(ikey.UserKey(it.key), userKey) {
-				if t.stats != nil {
-					t.stats.EntriesDecoded.Add(int64(it.decoded))
-				}
+				t.stats.EntriesDecoded.Add(int64(it.decoded))
 				tr.Count(metrics.CtrEntriesDecoded, int64(it.decoded))
 				return it.key, it.val, true, nil
 			}
@@ -470,9 +461,7 @@ func (t *Table) GetWith(sc *GetScratch, userKey []byte) (internalKey, value []by
 				c := bytes.Compare(ikey.UserKey(it.key), userKey)
 				if c == 0 {
 					// Entries are ordered newest-first within a user key.
-					if t.stats != nil {
-						t.stats.EntriesDecoded.Add(int64(it.decoded))
-					}
+					t.stats.EntriesDecoded.Add(int64(it.decoded))
 					tr.Count(metrics.CtrEntriesDecoded, int64(it.decoded))
 					return it.key, it.val, true, nil
 				}
@@ -484,9 +473,7 @@ func (t *Table) GetWith(sc *GetScratch, userKey []byte) (internalKey, value []by
 		if err := it.Err(); err != nil {
 			return nil, nil, false, err
 		}
-		if t.stats != nil {
-			t.stats.EntriesDecoded.Add(int64(it.decoded))
-		}
+		t.stats.EntriesDecoded.Add(int64(it.decoded))
 		tr.Count(metrics.CtrEntriesDecoded, int64(it.decoded))
 		// The block passed its bloom filter but held no match for userKey.
 		tr.Count(metrics.CtrBloomFalsePositives, 1)
@@ -696,7 +683,7 @@ func (it *Iterator) SeekGE(target []byte) bool {
 	if !it.loadBlock(idx) {
 		return false
 	}
-	if it.t.stats != nil && it.bi.numRestarts > 0 && !it.compaction {
+	if it.bi.numRestarts > 0 && !it.compaction {
 		it.t.stats.BlockSeeks.Add(1)
 	}
 	if it.bi.SeekGE(target) {
