@@ -32,7 +32,9 @@ lint:
 # (TestIndexBeforeData parks a PUT and a batch between their index and
 # primary commits while a reader runs), LOOKUP and RANGELOOKUP readers
 # validating chunks of candidates while a writer flushes and compacts
-# under them, the concurrent workload profiler in internal/explain, the
+# under them, writers and readers with every operation traced (followers
+# and promoted leaders entering commit_wait), the concurrent workload
+# profiler in internal/explain, the
 # lock-free /metrics bucket histogram taking observations while it is
 # rendered, and /metrics and /stats scrapes reading the per-table
 # counters while concurrent writers commit, flush and compact. Dynamic
@@ -48,7 +50,7 @@ lint-race:
 	$(GO) test -race ./internal/skiplist/
 	$(GO) test -race -run 'TestConcurrentBuildAndRead' ./internal/sstable/
 	$(GO) test -race -run 'TestGroupCommit|TestCommit|TestUncontendedCommit|TestCompactionWriterFailureCancels|TestBackground|TestCloseWaitsForJobsWhenPoisoned|TestDeterministicConcurrentDrains|TestGetSortedMatchesGet|TestTrivialMoveConcurrentReads' ./internal/lsm/
-	$(GO) test -race -run 'TestGroupCommitConcurrentCore|TestConcurrentChunkedValidation|TestIndexBeforeData' ./internal/core/
+	$(GO) test -race -run 'TestGroupCommitConcurrentCore|TestConcurrentChunkedValidation|TestIndexBeforeData|TestTracedConcurrentWorkload' ./internal/core/
 	$(GO) test -race -run 'TestProfilerConcurrent|TestWorkloadSnapshot' ./internal/explain/
 	$(GO) test -race -run 'TestHistogramRaceMixedReadersWriters|TestBucketCountingCumulative|TestBucketHistogramObserveAllocs' ./internal/metrics/
 	$(GO) test -race -run 'TestScrapeDuringBackgroundWrites' ./internal/server/

@@ -80,7 +80,7 @@ func (db *DB) write(ops []batchOp, slots []attrSlot, tr *metrics.Trace) error {
 	if len(ops) > 1 {
 		docs, written = make([][]byte, len(ops)), map[string][]byte{}
 	}
-	tI := tr.Now()
+	tr.Enter(metrics.PhaseIndexUpdate)
 	for i, op := range ops {
 		if !op.del {
 			docs[i] = op.value
@@ -112,7 +112,6 @@ func (db *DB) write(ops []batchOp, slots []attrSlot, tr *metrics.Trace) error {
 		before++
 	}
 	err := db.indexWrite(ops[:before], docs, slots, seq, tr)
-	tr.Since(metrics.PhaseIndexUpdate, tI)
 	if err == nil {
 		if db.testBetweenWrites != nil {
 			db.testBetweenWrites()
@@ -123,10 +122,8 @@ func (db *DB) write(ops []batchOp, slots []attrSlot, tr *metrics.Trace) error {
 		db.primary.AdvanceSeq(seq + uint64(len(ops)) - 1) // an index table may hold these seqs already
 		return err
 	}
-	tI = tr.Now()
-	err = db.indexWrite(ops[before:], docs[before:], slots, seq+uint64(before), tr)
-	tr.Since(metrics.PhaseIndexUpdate, tI)
-	return err
+	tr.Enter(metrics.PhaseIndexUpdate)
+	return db.indexWrite(ops[before:], docs[before:], slots, seq+uint64(before), tr)
 }
 
 // indexWrite adds the index records of ops to the stand-alone index

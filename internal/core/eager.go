@@ -46,20 +46,18 @@ func (db *DB) eagerUpdate(idx *lsm.DB, attrValue []byte, key string, seq uint64,
 // the list's tail undecoded once K are valid.
 func (db *DB) eagerLookup(attr, value string, k int, tr *metrics.Trace) ([]Entry, error) {
 	idx := db.indexes[attr]
-	t0 := tr.Now()
+	tr.Enter(metrics.PhaseIndexProbe)
 	// IOOnly: the nested GET's own top-level phases (mem/l0/level probes)
 	// must not tile inside this op's index_probe window; only its block
 	// counters carry through to the trace.
 	tr.IOOnlyBegin()
 	list, found, err := idx.Get([]byte(value), tr)
 	tr.IOOnlyEnd()
-	tr.Since(metrics.PhaseIndexProbe, t0)
 	if err != nil || !found {
 		return nil, err
 	}
-	t0 = tr.Now()
+	tr.Enter(metrics.PhasePostingMerge)
 	src, err := newFragmentHeap([][]byte{list}, tr)
-	tr.Since(metrics.PhasePostingMerge, t0)
 	if err != nil {
 		return nil, err
 	}

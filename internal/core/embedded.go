@@ -68,14 +68,12 @@ func (db *DB) embeddedScan(attr, lo, hi string, k int, useFilters bool, tr *metr
 		// cache_hit sub-phases from the traced block reads.
 		for si, s := range strata {
 			if s.IsMem() {
-				t0 := tr.Now()
-				err := db.embeddedScanMem(strata, si, attr, lo, hi, heap, useFilters, seen, tr)
-				phase := metrics.PhaseMemProbe
 				if s.Frozen {
-					phase = metrics.PhaseImmProbe
+					tr.Enter(metrics.PhaseImmProbe)
+				} else {
+					tr.Enter(metrics.PhaseMemProbe)
 				}
-				tr.Since(phase, t0)
-				if err != nil {
+				if err := db.embeddedScanMem(strata, si, attr, lo, hi, heap, useFilters, seen, tr); err != nil {
 					return err
 				}
 			} else {
@@ -83,25 +81,22 @@ func (db *DB) embeddedScan(attr, lo, hi string, k int, useFilters bool, tr *metr
 				// the order changes no answer, but the heap fills with
 				// the newest matches and the tables after the first one
 				// too old to improve it are skipped unread.
-				t0 := tr.Now()
+				tr.Enter(metrics.PhaseIndexProbe)
 				for _, fm := range s.NewestFirst() {
 					if heap.Full() && fm.Table().MaxSeq() <= heap.MinSeq() {
 						break // nothing here or after can improve the heap
 					}
 					if err := db.embeddedScanTable(v, strata, si, fm, attr, lo, hi, useFilters, seen, &blk, heap, tr); err != nil {
-						tr.Since(metrics.PhaseIndexProbe, t0)
 						return err
 					}
 				}
-				tr.Since(metrics.PhaseIndexProbe, t0)
 			}
 		}
 		// Ordering the heap belongs to the phase that filled it: with the
 		// per-record test cheap, sorting a few hundred unbounded-K results
 		// is no longer lost in the scan.
-		t0 := tr.Now()
+		tr.Enter(metrics.PhaseIndexProbe)
 		results = heap.Results()
-		tr.Since(metrics.PhaseIndexProbe, t0)
 		return nil
 	})
 	return results, err
@@ -308,10 +303,8 @@ func (db *DB) embeddedScanTable(v *lsm.View, strata []lsm.Stratum, si int, fm *l
 			tr.Count(metrics.CtrSeqPrunes, int64(len(candidates)-i))
 			break
 		}
-		m := tr.BlockMark()
-		err := tbl.LoadBlock(it, bi, tr)
-		tr.CountLevelSince(strata[si].Level, m)
-		if err != nil {
+		tr.AtLevel(strata[si].Level)
+		if err := tbl.LoadBlock(it, bi, tr); err != nil {
 			return err
 		}
 		matchedInBlock := false
@@ -395,9 +388,8 @@ func shadowed(above []lsm.Stratum, pk []byte, tr *metrics.Trace) (bool, error) {
 			if _, ok := tbl.PrimaryBlock(pk, tr); !ok {
 				continue // pure in-memory rejection: the common case
 			}
-			m := tr.BlockMark()
+			tr.AtLevel(s.Level)
 			_, _, found, err := tbl.GetWith(&sc, pk)
-			tr.CountLevelSince(s.Level, m)
 			if err != nil || found {
 				return found, err
 			}

@@ -68,9 +68,8 @@ func (s *lazyStrata) next() (fragment, bool, error) {
 			if fm == nil {
 				continue
 			}
-			m := s.tr.BlockMark()
+			s.tr.AtLevel(st.Level)
 			ik, d, ok, err := fm.Table().GetWith(&s.sc, s.value)
-			s.tr.CountLevelSince(st.Level, m)
 			if err != nil {
 				return fragment{}, false, err
 			}

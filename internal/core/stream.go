@@ -77,7 +77,7 @@ func (db *DB) collect(src candidateSource, q *query) ([]Entry, error) {
 	var out []Entry
 	var err error
 	more := true
-	mark := q.tr.Now()
+	q.tr.Enter(q.phase)
 	for more && err == nil && (q.k <= 0 || len(out) < q.k) {
 		size := maxChunk
 		if q.k > 0 {
@@ -97,16 +97,14 @@ func (db *DB) collect(src candidateSource, q *query) ([]Entry, error) {
 		if c.n == 0 {
 			break
 		}
-		q.tr.Since(q.phase, mark)
 		err = db.validate(c, q)
 		for i := 0; i < c.n && err == nil; i++ {
 			if c.valid[i] {
 				out = append(out, Entry{Key: string(c.keys[i]), Value: c.docs[i], Seq: c.seqs[i]}) //lsm:allocok the result
 			}
 		}
-		mark = q.tr.Now()
+		q.tr.Enter(q.phase)
 	}
-	q.tr.Since(q.phase, mark)
 	if serr := src.finish(q); err == nil {
 		err = serr
 	}
@@ -128,7 +126,7 @@ func (db *DB) collect(src candidateSource, q *query) ([]Entry, error) {
 //
 //lsm:hotpath
 func (db *DB) validate(c *chunk, q *query) error {
-	t0 := q.tr.Now()
+	q.tr.Enter(metrics.PhaseValidate)
 	q.tr.Count(metrics.CtrValidations, int64(c.n))
 	// Insertion sort: a chunk is at most maxChunk long.
 	for i := 0; i < c.n; i++ {
@@ -148,7 +146,6 @@ func (db *DB) validate(c *chunk, q *query) error {
 		c.docs[j] = value
 	})
 	q.tr.IOOnlyEnd()
-	q.tr.Since(metrics.PhaseValidate, t0)
 	return err
 }
 

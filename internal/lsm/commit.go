@@ -140,12 +140,10 @@ func (db *DB) commit(pc *pendingCommit) error {
 		db.leadGroupLocked(pc, yield)
 	} else {
 		db.mu.Unlock()
-		t0 := pc.tr.Now()
+		pc.tr.Enter(metrics.PhaseCommitWait)
 		select {
 		case <-pc.done:
-			pc.tr.Since(metrics.PhaseCommitWait, t0)
 		case <-pc.lead:
-			pc.tr.Since(metrics.PhaseCommitWait, t0)
 			db.mu.Lock()
 			db.leadGroupLocked(pc, true)
 		}
@@ -229,7 +227,7 @@ func (db *DB) commitGroupLocked(group []*pendingCommit) error {
 	db.commitsInFlight++
 	db.mu.Unlock()
 
-	t0 := tr.Now()
+	tr.Enter(metrics.PhaseWAL)
 	db.logMu.Lock()
 	records := group[0].records
 	if len(group) > 1 {
@@ -253,19 +251,17 @@ func (db *DB) commitGroupLocked(group []*pendingCommit) error {
 		werr = db.syncWALLocked(tr)
 	}
 	db.logMu.Unlock()
-	tr.Since(metrics.PhaseWAL, t0)
 
 	db.mu.Lock()
 	var ingested int64 // key+value bytes, counted once per group
 	if werr == nil {
-		t0 = tr.Now()
+		tr.Enter(metrics.PhaseMemInsert)
 		for _, pc := range group {
 			for _, r := range pc.records {
 				db.mem.add(r.Seq, ikey.Kind(r.Kind), r.Key, r.Value, db.opts.Extract)
 				ingested += int64(len(r.Key) + len(r.Value))
 			}
 		}
-		tr.Since(metrics.PhaseMemInsert, t0)
 	}
 	db.commitsInFlight--
 	db.cond.Broadcast() // wake a freeze waiting on commitsInFlight
@@ -274,9 +270,8 @@ func (db *DB) commitGroupLocked(group []*pendingCommit) error {
 	}
 	var rerr error
 	if db.mem.approximateBytes() >= db.opts.MemTableBytes && !db.closed {
-		t0 = tr.Now()
+		tr.Enter(metrics.PhaseRotate)
 		_, rerr = db.freezeMemLocked(false, nil)
-		tr.Since(metrics.PhaseRotate, t0)
 	}
 	st := db.opts.Stats
 	st.CommitGroups.Add(1)

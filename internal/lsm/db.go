@@ -347,20 +347,16 @@ func scratchAt(scs []sstable.GetScratch, i int, tr *metrics.Trace) *sstable.GetS
 //
 //lsm:hotpath
 func (db *DB) walkLocked(key []byte, tr *metrics.Trace, scs []sstable.GetScratch) ([]byte, bool, error) {
-	t0 := tr.Now()
+	tr.Enter(metrics.PhaseMemProbe)
 	if value, _, kind, ok := db.mem.get(key); ok {
-		tr.Since(metrics.PhaseMemProbe, t0)
 		if kind == ikey.KindDelete {
 			return nil, false, nil
 		}
 		return value, true, nil
 	}
-	tr.Since(metrics.PhaseMemProbe, t0)
 	if db.imm != nil { // frozen MemTable: newer than any SSTable
-		t0 = tr.Now()
-		value, _, kind, ok := db.imm.get(key)
-		tr.Since(metrics.PhaseImmProbe, t0)
-		if ok {
+		tr.Enter(metrics.PhaseImmProbe)
+		if value, _, kind, ok := db.imm.get(key); ok {
 			if kind == ikey.KindDelete {
 				return nil, false, nil
 			}
@@ -370,44 +366,38 @@ func (db *DB) walkLocked(key []byte, tr *metrics.Trace, scs []sstable.GetScratch
 	// The returned value aliases immutable block contents (like the
 	// MemTable paths alias arena memory), so no per-hit copies are made.
 	l0 := db.v.levels[0]
-	t0 = tr.Now()
+	tr.Enter(metrics.PhaseL0Probe)
+	tr.AtLevel(0)
 	for j, fm := range l0 { // newest first
-		m := tr.BlockMark()
 		ik, val, ok, err := fm.tbl.GetWith(scratchAt(scs, j, tr), key)
-		tr.CountLevelSince(0, m)
 		if err != nil {
 			return nil, false, err
 		}
 		if ok {
-			tr.Since(metrics.PhaseL0Probe, t0)
 			if ikey.KindOf(ik) == ikey.KindDelete {
 				return nil, false, nil
 			}
 			return val, true, nil
 		}
 	}
-	tr.Since(metrics.PhaseL0Probe, t0)
-	t0 = tr.Now()
+	tr.Enter(metrics.PhaseLevelProbe)
 	for l := 1; l < len(db.v.levels); l++ {
 		fm := findFile(db.v.levels[l], key)
 		if fm == nil {
 			continue
 		}
-		m := tr.BlockMark()
+		tr.AtLevel(l)
 		ik, val, ok, err := fm.tbl.GetWith(scratchAt(scs, len(l0)+l-1, tr), key)
-		tr.CountLevelSince(l, m)
 		if err != nil {
 			return nil, false, err
 		}
 		if ok {
-			tr.Since(metrics.PhaseLevelProbe, t0)
 			if ikey.KindOf(ik) == ikey.KindDelete {
 				return nil, false, nil
 			}
 			return val, true, nil
 		}
 	}
-	tr.Since(metrics.PhaseLevelProbe, t0)
 	return nil, false, nil
 }
 

@@ -272,7 +272,10 @@ func TestNilTraceSafe(t *testing.T) {
 	if !t0.IsZero() {
 		t.Fatal("nil Now must return the zero time")
 	}
-	tr.Since(PhaseWAL, t0)
+	tr.Since(PhaseWALSync, t0)
+	tr.Enter(PhaseWAL)
+	tr.AtLevel(1)
+	tr.Count(CtrBlockReads, 1)
 	tr.Add(PhaseValidate, time.Second)
 	tr.SetDetail("x")
 	tr.Finish()
