@@ -30,7 +30,8 @@ lint:
 # validation over a parked frozen MemTable), concurrent core writers
 # (every write takes the commit queue), the one core write path
 # (TestIndexBeforeData parks a PUT and a batch between their index and
-# primary commits while a reader runs), LOOKUP and RANGELOOKUP readers
+# primary commits, at the write to the primary's WAL file through the
+# test FS, while a reader runs), LOOKUP and RANGELOOKUP readers
 # validating chunks of candidates while a writer flushes and compacts
 # under them, writers and readers with every operation traced (followers
 # and promoted leaders entering commit_wait), the concurrent workload

@@ -113,9 +113,6 @@ func (db *DB) write(ops []batchOp, slots []attrSlot, tr *metrics.Trace) error {
 	}
 	err := db.indexWrite(ops[:before], docs, slots, seq, tr)
 	if err == nil {
-		if db.testBetweenWrites != nil {
-			db.testBetweenWrites()
-		}
 		err = db.primary.ApplyAt(&pb, seq, tr)
 	}
 	if err != nil {

@@ -148,6 +148,7 @@ type Entry struct {
 // kinds, one LSM index table per indexed attribute.
 type DB struct {
 	opts    Options
+	fs      vfs.FS // every table's and the descriptor's file system
 	primary *lsm.DB
 	indexes map[string]*lsm.DB // stand-alone index tables by attribute
 	// tables lists every table in a fixed order: the primary, then the
@@ -171,10 +172,6 @@ type DB struct {
 	// table by max(MaxSeq, seqFloor), which stays sound for tables that
 	// hold such records.
 	seqFloor uint64
-
-	// testBetweenWrites, when set, runs in write after the index records
-	// that precede the primary commit are committed, and before it is.
-	testBetweenWrites func()
 
 	// postBuf is the posting-list encode scratch shared by the Eager RMW
 	// and Lazy fragment write paths; guarded by writeMu (always held on
@@ -219,17 +216,24 @@ const compositeSep = byte(0)
 // in dir/DESCRIPTOR when it is created, and opens only with the same
 // kind and the same attributes in the same order: any other Options
 // fail before anything is opened. A database without a descriptor
-// (written before databases recorded their index) records opts.
-func Open(dir string, opts Options) (*DB, error) {
+// (written before databases recorded their index) records opts. An
+// attribute name may not contain a path separator: it names a directory.
+func Open(dir string, opts Options) (*DB, error) { return open(dir, opts, vfs.Default) }
+
+// open is Open with every file of the database on fs.
+func open(dir string, opts Options, fs vfs.FS) (*DB, error) {
 	for i, a := range opts.Attrs {
 		if a == "" {
 			return nil, fmt.Errorf("core: attribute %q: empty name", a)
+		}
+		if strings.ContainsAny(a, "/"+string(filepath.Separator)) {
+			return nil, fmt.Errorf("core: attribute %q: contains a path separator", a)
 		}
 		if slices.Contains(opts.Attrs[:i], a) {
 			return nil, fmt.Errorf("core: attribute %q: listed twice", a)
 		}
 	}
-	desc, described, err := readDescriptor(dir)
+	desc, described, err := readDescriptor(fs, dir)
 	if err != nil {
 		return nil, err
 	}
@@ -261,6 +265,7 @@ func Open(dir string, opts Options) (*DB, error) {
 		SyncMode:            opts.SyncMode,
 		BlockCacheBytes:     opts.BlockCacheBytes,
 		Tracer:              tracer,
+		FS:                  fs,
 	}
 	primaryOpts := base
 	primaryOpts.Events = events.Named("primary")
@@ -275,7 +280,7 @@ func Open(dir string, opts Options) (*DB, error) {
 		return nil, err
 	}
 	ops := metrics.NewOpStats()
-	db := &DB{opts: opts, primary: primary,
+	db := &DB{opts: opts, fs: fs, primary: primary,
 		tables: []table{{name: "primary", db: primary}},
 		tracer: tracer, ops: ops, events: events,
 		profiler: explain.NewWorkloadProfiler(ops, events)}
@@ -331,9 +336,10 @@ type descriptor struct {
 	SeqFloor uint64   `json:"seq_floor"`
 }
 
-// readDescriptor returns dir's descriptor, or ok false if it has none.
-func readDescriptor(dir string) (d descriptor, ok bool, err error) {
-	data, err := vfs.ReadFile(vfs.Default, filepath.Join(dir, descriptorFile))
+// readDescriptor returns dir's descriptor on fs, or ok false if it has
+// none.
+func readDescriptor(fs vfs.FS, dir string) (d descriptor, ok bool, err error) {
+	data, err := vfs.ReadFile(fs, filepath.Join(dir, descriptorFile))
 	if errors.Is(err, os.ErrNotExist) {
 		return d, false, nil
 	}
@@ -351,7 +357,7 @@ func readDescriptor(dir string) (d descriptor, ok bool, err error) {
 // or it was written before databases recorded their index, and the next
 // Open records its Options.
 func ReadDescriptor(dir string) (kind IndexKind, attrs []string, ok bool, err error) {
-	d, ok, err := readDescriptor(dir)
+	d, ok, err := readDescriptor(vfs.Default, dir)
 	if ok {
 		kind, err = ParseIndexKind(d.Index)
 	}
@@ -365,7 +371,7 @@ func ReadDescriptor(dir string) (kind IndexKind, attrs []string, ok bool, err er
 func (db *DB) adoptDescriptor(dir string) (uint64, error) {
 	d := descriptor{Index: db.opts.Index.String(), Attrs: db.opts.Attrs}
 	legacy := filepath.Join(dir, legacySeqFloorFile)
-	data, err := vfs.ReadFile(vfs.Default, legacy)
+	data, err := vfs.ReadFile(db.fs, legacy)
 	switch {
 	case err == nil:
 		d.SeqFloor, err = strconv.ParseUint(strings.TrimSpace(string(data)), 10, 64)
@@ -378,19 +384,19 @@ func (db *DB) adoptDescriptor(dir string) (uint64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("core: %s: %w", legacySeqFloorFile, err)
 	}
-	if err := writeDescriptor(dir, d); err != nil {
+	if err := writeDescriptor(db.fs, dir, d); err != nil {
 		return 0, err
 	}
-	if err := vfs.Default.Remove(legacy); err != nil && !errors.Is(err, os.ErrNotExist) {
+	if err := db.fs.Remove(legacy); err != nil && !errors.Is(err, os.ErrNotExist) {
 		return 0, fmt.Errorf("core: %s: %w", legacySeqFloorFile, err)
 	}
 	return d.SeqFloor, nil
 }
 
-// writeDescriptor persists d in dir, atomically.
-func writeDescriptor(dir string, d descriptor) error {
+// writeDescriptor persists d in dir on fs, atomically.
+func writeDescriptor(fs vfs.FS, dir string, d descriptor) error {
 	data, _ := json.Marshal(d) // strings and a number: cannot fail
-	if err := vfs.WriteFile(vfs.Default, filepath.Join(dir, descriptorFile), append(data, '\n')); err != nil {
+	if err := vfs.WriteFile(fs, filepath.Join(dir, descriptorFile), append(data, '\n')); err != nil {
 		return fmt.Errorf("core: %s: %w", descriptorFile, err)
 	}
 	return nil
@@ -832,7 +838,7 @@ func (db *DB) Checkpoint(destDir string) error {
 			return err
 		}
 	}
-	return writeDescriptor(destDir, descriptor{Index: db.opts.Index.String(), Attrs: db.opts.Attrs, SeqFloor: db.seqFloor})
+	return writeDescriptor(db.fs, destDir, descriptor{Index: db.opts.Index.String(), Attrs: db.opts.Attrs, SeqFloor: db.seqFloor})
 }
 
 // CompactRange forces the user-key range [lo, hi] (empty strings =

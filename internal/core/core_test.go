@@ -45,12 +45,14 @@ func TestParseIndexKind(t *testing.T) {
 	}
 }
 
-// TestOpenRejectsBadAttrs opens every kind with an empty attribute name
-// and with one listed twice (two tables on one index directory): Open
-// fails, naming the attribute, before it creates anything.
+// TestOpenRejectsBadAttrs opens every kind with an empty attribute name,
+// with one listed twice (two tables on one index directory) and with one
+// holding a path separator (an index directory inside another table's):
+// Open fails, naming the attribute, before it creates anything.
 func TestOpenRejectsBadAttrs(t *testing.T) {
 	for _, kind := range allKinds {
-		for _, attrs := range [][]string{{""}, {"UserID", ""}, {"UserID", "UserID"}, {"UserID", "CreationTime", "UserID"}} {
+		for _, attrs := range [][]string{{""}, {"UserID", ""}, {"UserID", "UserID"}, {"UserID", "CreationTime", "UserID"},
+			{"a/../primary"}, {"UserID", "Place/Name"}} {
 			dir := filepath.Join(t.TempDir(), "db")
 			opts := smallOptions(kind)
 			opts.Attrs = attrs

@@ -7,6 +7,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"leveldbpp/internal/vfs"
 )
 
 // writeUsers puts n documents, every third of them by user u1.
@@ -146,7 +148,7 @@ func TestPreSeqSeqFloorFileAdopted(t *testing.T) {
 		if _, err := os.Stat(legacy); !os.IsNotExist(err) {
 			t.Fatalf("open %d: SEQFLOOR still there: %v", i, err)
 		}
-		d, ok, err := readDescriptor(dir)
+		d, ok, err := readDescriptor(vfs.Default, dir)
 		if !ok || err != nil || d.Index != "Lazy" || d.SeqFloor != 123 || !slices.Equal(d.Attrs, opts.Attrs) {
 			t.Fatalf("open %d: descriptor %+v, ok %v, err %v", i, d, ok, err)
 		}

@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -42,24 +41,7 @@ func TestHandoffCrashImage(t *testing.T) {
 				}
 			}
 			db.Stats() // waits for every table's handoff; installs none
-			crash := t.TempDir()
-			err = filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-				if err != nil {
-					return err
-				}
-				rel, _ := filepath.Rel(dir, path)
-				if d.IsDir() {
-					return os.MkdirAll(filepath.Join(crash, rel), 0o755)
-				}
-				data, err := os.ReadFile(path)
-				if err != nil {
-					return err
-				}
-				return os.WriteFile(filepath.Join(crash, rel), data, 0o644)
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
+			crash := copyFixture(t, dir)
 			if orphans := unnamedTables(t, filepath.Join(crash, "primary")); orphans == 0 {
 				t.Fatal("the crash image holds no primary table outside its MANIFEST")
 			}

@@ -145,7 +145,8 @@ func copySeedFormat(t *testing.T, kind IndexKind) string {
 	return copyFixture(t, filepath.Join(seedFormatDir, kind.String()))
 }
 
-// copyFixture copies the database directory src into a fresh directory.
+// copyFixture copies the database directory src into a fresh directory:
+// a fixture, or a crash image of a database nothing writes to meanwhile.
 func copyFixture(t *testing.T, src string) string {
 	t.Helper()
 	dst := t.TempDir()

@@ -14,13 +14,16 @@ import (
 	"leveldbpp/internal/lsm"
 	"leveldbpp/internal/metrics"
 	"leveldbpp/internal/postings"
+	"leveldbpp/internal/vfs/vfstest"
 )
 
 // TestIndexBeforeData parks a PUT, and an Apply, between its index and
-// primary commits. A LOOKUP bracketed by two GETs that both show the new
-// document must return it, while the writer is parked and after it
-// finishes: the index records go first, so a visible document is never
-// missing its posting.
+// primary commits: at the write to the primary's WAL, which the commit
+// leader makes after the index records are committed and before the
+// MemTable insert, holding only the primary's log lock. A LOOKUP
+// bracketed by two GETs that both show the new document must return it,
+// while the writer is parked and after it finishes: the index records go
+// first, so a visible document is never missing its posting.
 func TestIndexBeforeData(t *testing.T) {
 	for _, kind := range []IndexKind{IndexEager, IndexLazy, IndexComposite} {
 		for _, apply := range []bool{false, true} {
@@ -29,7 +32,12 @@ func TestIndexBeforeData(t *testing.T) {
 				name = kind.String() + "/apply"
 			}
 			t.Run(name, func(t *testing.T) {
-				db := openKind(t, kind)
+				fs := vfstest.New()
+				db, err := open(t.TempDir(), smallOptions(kind), fs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer db.Close()
 				for i, user := range []string{"c", "b"} {
 					if err := db.Put("d", tweetDoc(user, i, "x")); err != nil {
 						t.Fatal(err)
@@ -38,11 +46,10 @@ func TestIndexBeforeData(t *testing.T) {
 				if err := db.Put("gone", tweetDoc("a", 2, "x")); err != nil {
 					t.Fatal(err)
 				}
-				parked, release := make(chan struct{}), make(chan struct{})
-				db.testBetweenWrites = func() {
-					close(parked)
-					<-release
-				}
+				parked, release := fs.Park(func(op vfstest.Op, path string) bool {
+					return op == vfstest.OpWrite && strings.HasPrefix(filepath.Base(path), "WAL-") &&
+						filepath.Base(filepath.Dir(path)) == "primary"
+				})
 				done := make(chan error, 1)
 				go func() {
 					if !apply {
@@ -72,11 +79,10 @@ func TestIndexBeforeData(t *testing.T) {
 				}
 				<-parked
 				bracketed("writer parked")
-				close(release)
+				release()
 				if err := <-done; err != nil {
 					t.Fatal(err)
 				}
-				db.testBetweenWrites = nil
 				if !bracketed("writer done") {
 					t.Fatal("d is not under a after the write")
 				}

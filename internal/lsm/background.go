@@ -32,16 +32,15 @@ type background struct {
 // frozen MemTable and the version the handoff started from, so every
 // version change happens at a fixed operation count.
 //
-// db through block are set when the handoff starts and never change. The
+// db through manual are set when the handoff starts and never change. The
 // goroutine owns v through steps until done closes; they are read-only
 // after it.
 type handoff struct {
 	db      *DB
-	imm     *memTable     // the frozen MemTable to flush; nil for none
-	immSeq  uint64        // highest seq in imm: the flush's floor
-	immWALs []string      // WAL files backing imm, retired by its flush
-	manual  *keyRange     // CompactRange's range; nil for none
-	block   chan struct{} // testBlockFlush when the handoff started
+	imm     *memTable // the frozen MemTable to flush; nil for none
+	immSeq  uint64    // highest seq in imm: the flush's floor
+	immWALs []string  // WAL files backing imm, retired by its flush
+	manual  *keyRange // CompactRange's range; nil for none
 
 	v          *version // staged version: the installed one plus steps
 	compactPtr [][]byte // staged per-level compaction cursors
@@ -143,7 +142,7 @@ func (db *DB) freezeMemLocked(force bool, manual *keyRange) (*handoff, error) {
 			Detail: fmt.Sprintf("segment=%d", db.walSeq)})
 	}
 	h := &handoff{db: db, imm: db.imm, immSeq: db.immSeq, immWALs: db.immWALs,
-		manual: manual, block: db.testBlockFlush, v: db.v,
+		manual: manual, v: db.v,
 		compactPtr: slices.Clone(db.compactPtr), flushedSeq: db.flushedSeq,
 		done: make(chan struct{})}
 	db.bg.pending = h
@@ -289,9 +288,6 @@ func (h *handoff) flush() error {
 			Entries: h.imm.list.Len(), Bytes: h.imm.approximateBytes()}
 	}
 	t0 := time.Now()
-	if h.block != nil {
-		<-h.block
-	}
 	added, err := db.mergeFlush(h.imm)
 	if err == nil {
 		e := &versionEdit{level: 0, added: added, flushedSeq: h.immSeq, retiredWALs: h.immWALs}

@@ -20,7 +20,7 @@ func (db *DB) Checkpoint(destDir string) error {
 	if db.closed {
 		return ErrClosed
 	}
-	fs := db.opts.fs
+	fs := db.opts.FS
 	if _, err := fs.Stat(destDir); err == nil {
 		return fmt.Errorf("lsm: checkpoint destination %q already exists", destDir)
 	}

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"leveldbpp/internal/vfs/vfstest"
 	"leveldbpp/internal/wal"
 )
 
@@ -43,9 +44,7 @@ func TestGroupCommitCrashRecovery(t *testing.T) {
 
 	// Let ~32 KiB through, then tear. Each commit is ~150 WAL bytes, so
 	// plenty of groups succeed before the fault trips mid-frame.
-	db.logMu.Lock()
-	fs.newestWAL().quota = 32 << 10
-	db.logMu.Unlock()
+	fs.Tear(activeWAL(db), 32<<10)
 
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -60,7 +59,7 @@ func TestGroupCommitCrashRecovery(t *testing.T) {
 						[]byte(fmt.Sprintf("value-%02d-%05d-%d", w, op, r)))
 				}
 				if err := db.ApplyAt(&b, 0, nil); err != nil {
-					if !errors.Is(err, errTorn) {
+					if !errors.Is(err, vfstest.ErrTorn) {
 						t.Errorf("writer %d: unexpected error %v", w, err)
 					}
 					return

@@ -2,7 +2,6 @@ package lsm
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"runtime"
 	"slices"
@@ -14,66 +13,55 @@ import (
 
 	"leveldbpp/internal/ikey"
 	"leveldbpp/internal/metrics"
+	"leveldbpp/internal/vfs/vfstest"
 )
 
-// flushBlock parks every flush job that starts after blockFlushes before
-// it builds its table, until release.
+// flushBlock parks every table create that starts after blockFlushes —
+// a flush's, or a compaction's — until release.
 type flushBlock struct {
-	db     *DB
-	block  chan struct{}
-	before *memTable // frozen when the block was set; its flush is not parked
+	parked  <-chan struct{}
+	release func() // lets the parked job, and every later one, run
 }
 
-func blockFlushes(db *DB) *flushBlock {
-	b := &flushBlock{db: db, block: make(chan struct{})}
-	db.mu.Lock()
-	db.testBlockFlush = b.block
-	b.before = db.imm
-	db.mu.Unlock()
-	return b
+// blockFlushes parks db's table creates through the vfstest.FS it was
+// opened on (useFaultFS).
+func blockFlushes(t *testing.T, db *DB) *flushBlock {
+	t.Helper()
+	fs, ok := db.opts.FS.(*vfstest.FS)
+	if !ok {
+		t.Fatal("blockFlushes: the DB was not opened through useFaultFS")
+	}
+	parked, release := fs.Park(func(op vfstest.Op, path string) bool {
+		return op == vfstest.OpCreate && filepath.Ext(path) == ".sst"
+	})
+	return &flushBlock{parked, release}
 }
 
-// waitParked waits until a MemTable frozen after the block was set is
-// outstanding, so its flush job is parked. It fails after a few seconds,
-// or as soon as stop yields (a nil stop never does).
+// waitParked waits until a job has parked at its table create. It fails
+// after a few seconds, or as soon as stop yields (a nil stop never does).
 func (b *flushBlock) waitParked(t *testing.T, stop <-chan error) {
 	t.Helper()
-	deadline := time.After(5 * time.Second)
-	for {
-		b.db.mu.RLock()
-		parked := b.db.imm != nil && b.db.imm != b.before
-		b.db.mu.RUnlock()
-		if parked {
-			return
-		}
-		select {
-		case err := <-stop:
-			t.Fatalf("stopped with %v before a flush job parked", err)
-		case <-deadline:
-			t.Fatal("no flush job parked")
-		case <-time.After(time.Millisecond):
-		}
+	select {
+	case <-b.parked:
+	case err := <-stop:
+		t.Fatalf("stopped with %v before a flush job parked", err)
+	case <-time.After(5 * time.Second):
+		t.Fatal("no flush job parked")
 	}
 }
 
-// release lets the parked flush job, and every later one, run.
-func (b *flushBlock) release() {
-	b.db.mu.Lock()
-	b.db.testBlockFlush = nil
-	b.db.mu.Unlock()
-	close(b.block)
-}
-
 // parkFlush freezes db's MemTable and parks the flush job: a Flush on its
-// own goroutine freezes the MemTable and blocks before it builds the
-// table. Readers see the frozen MemTable meanwhile, and writers commit to
-// the fresh live MemTable as long as they do not fill it (a full one
-// waits for the frozen slot). The caller must have written to the
-// MemTable and must not write while parkFlush runs. The returned func
-// releases the flush and returns the parked Flush's error.
+// own goroutine freezes the MemTable and blocks as it creates the table.
+// Readers see the frozen MemTable meanwhile, and writers commit to the
+// fresh live MemTable as long as they do not fill it (a full one waits
+// for the frozen slot). db must have been opened through useFaultFS; the
+// caller must have written to the MemTable and must not write while
+// parkFlush runs. The returned func releases the flush and returns the
+// parked Flush's error.
 func parkFlush(t *testing.T, db *DB) func() error {
 	t.Helper()
-	b := blockFlushes(db)
+	installPending(t, db) // a running handoff's tables must not park
+	b := blockFlushes(t, db)
 	flushed := make(chan error, 1)
 	go func() { flushed <- db.Flush() }()
 	b.waitParked(t, flushed)
@@ -209,7 +197,9 @@ func TestBackgroundBasic(t *testing.T) {
 // View.Strata must list it second, after the live MemTable.
 func TestBackgroundFrozenMemtableVisible(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(dir, smallOpts())
+	o := smallOpts()
+	useFaultFS(o)
+	db, err := Open(dir, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +291,9 @@ func TestBackgroundFrozenMemtableVisible(t *testing.T) {
 // acknowledged write.
 func TestBackgroundCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(dir, smallOpts())
+	o := smallOpts()
+	useFaultFS(o)
+	db, err := Open(dir, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,21 +315,8 @@ func TestBackgroundCrashRecovery(t *testing.T) {
 
 	// Crash image: copy the directory while the flush is still parked
 	// (the frozen MemTable exists nowhere but its WAL segments).
-	crash := t.TempDir()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	db.mu.RLock() // exclude concurrent manifest writes while copying
-	for _, e := range entries {
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(crash, e.Name()), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	crash := copyDir(t, dir)
 	db.mu.RUnlock()
 	if err := release(); err != nil {
 		t.Fatal(err)
@@ -366,7 +345,9 @@ func TestBackgroundCloseDrains(t *testing.T) {
 	t.Run("parallelism=1", func(t *testing.T) {
 		base := runtime.NumGoroutine()
 		dir := t.TempDir()
-		db, err := Open(dir, smallOpts())
+		o := smallOpts()
+		useFaultFS(o)
+		db, err := Open(dir, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -395,7 +376,7 @@ func TestBackgroundCloseDrains(t *testing.T) {
 		}
 		// Close mid-stream, with the next writer's flush job parked: Close
 		// must wait for it, and for any compaction a writer is running.
-		b := blockFlushes(db)
+		b := blockFlushes(t, db)
 		b.waitParked(t, nil)
 		closed := closeAsync(db)
 		select {

@@ -76,24 +76,19 @@ type DB struct {
 	nextFileNum atomic.Uint64
 
 	bg *background // the flush/compaction pipeline
-
-	// testBlockFlush, when non-nil, is received from by the flush job
-	// before it builds a table — lets crash tests freeze a DB with an
-	// unflushed immutable MemTable outstanding.
-	testBlockFlush chan struct{}
 }
 
 // Open creates or recovers a DB in dir. If it fails, it closes every
 // table it opened and unlinks none.
 func Open(dir string, o *Options) (_ *DB, err error) {
 	opts := o.withDefaults()
-	if err := opts.fs.MkdirAll(dir); err != nil {
+	if err := opts.FS.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("lsm: create dir: %w", err)
 	}
 	// One listing serves the WAL replay, the next segment's number and
 	// the orphan sweep. Without it Open cannot know which segments hold
 	// acknowledged writes, so it fails rather than reuse their numbers.
-	entries, err := opts.fs.List(dir)
+	entries, err := opts.FS.List(dir)
 	if err != nil {
 		return nil, fmt.Errorf("lsm: list dir: %w", err)
 	}
@@ -122,7 +117,7 @@ func Open(dir string, o *Options) (_ *DB, err error) {
 			}
 		}
 	}()
-	m, found, err := loadManifest(opts.fs, dir)
+	m, found, err := loadManifest(opts.FS, dir)
 	if err != nil {
 		return nil, err
 	}
@@ -160,7 +155,7 @@ func Open(dir string, o *Options) (_ *DB, err error) {
 		path := filepath.Join(dir, e.Name())
 		db.memWALs = append(db.memWALs, path)
 		db.walSeq = max(db.walSeq, n)
-		f, err := opts.fs.Open(path)
+		f, err := opts.FS.Open(path)
 		if err != nil {
 			return nil, fmt.Errorf("lsm: open WAL: %w", err)
 		}
@@ -196,7 +191,7 @@ func Open(dir string, o *Options) (_ *DB, err error) {
 	}
 	for _, e := range entries {
 		if filepath.Ext(e.Name()) == ".sst" && !live[e.Name()] {
-			_ = opts.fs.Remove(filepath.Join(dir, e.Name()))
+			_ = opts.FS.Remove(filepath.Join(dir, e.Name()))
 		}
 	}
 	db.emit(metrics.Event{
@@ -222,7 +217,7 @@ func walSegmentPath(dir string, n uint64) string {
 
 // createWAL creates WAL segment path, truncating any file there.
 func (db *DB) createWAL(path string) (*wal.Writer, error) {
-	f, err := db.opts.fs.Create(path)
+	f, err := db.opts.FS.Create(path)
 	if err != nil {
 		return nil, fmt.Errorf("lsm: create WAL segment: %w", err)
 	}
@@ -230,7 +225,7 @@ func (db *DB) createWAL(path string) (*wal.Writer, error) {
 }
 
 func (db *DB) openTable(fr fileRecord) (*FileMeta, error) {
-	f, err := db.opts.fs.Open(tablePath(db.dir, fr.Num))
+	f, err := db.opts.FS.Open(tablePath(db.dir, fr.Num))
 	if err != nil {
 		return nil, fmt.Errorf("lsm: open table %06d: %w", fr.Num, err)
 	}
@@ -528,7 +523,7 @@ func (db *DB) DiskUsage() (int64, error) {
 		}
 	}
 	for _, p := range slices.Concat(db.memWALs, db.immWALs) {
-		if fi, err := db.opts.fs.Stat(p); err == nil {
+		if fi, err := db.opts.FS.Stat(p); err == nil {
 			total += fi.Size()
 		}
 	}

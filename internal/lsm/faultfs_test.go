@@ -6,115 +6,37 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
-	"sync"
 	"testing"
 
-	"leveldbpp/internal/vfs"
+	"leveldbpp/internal/vfs/vfstest"
 )
 
-// faultFS is the operating system's file system with the faults a test
-// arms: one failing List, torn writes to the WAL segment created last,
-// and a hook in every table's Sync.
-type faultFS struct {
-	vfs.FS
-	mu        sync.Mutex
-	listErr   error        // returned by the next List, once
-	tableSync func() error // runs first in a table's Sync; an error fails it
-	lastWAL   *tornFile
-}
-
-// useFaultFS makes o's DB reach its files through a fresh faultFS.
-func useFaultFS(o *Options) *faultFS {
-	fs := &faultFS{FS: vfs.Default}
-	o.fs = fs
+// useFaultFS makes o's DB reach its files through a fresh vfstest.FS.
+func useFaultFS(o *Options) *vfstest.FS {
+	fs := vfstest.New()
+	o.FS = fs
 	return fs
 }
 
-func (fs *faultFS) List(dir string) ([]os.DirEntry, error) {
-	fs.mu.Lock()
-	err := fs.listErr
-	fs.listErr = nil
-	fs.mu.Unlock()
-	if err != nil {
-		return nil, err
+// tableSync selects a table's Sync: the table's bytes are all written
+// then, and no version references it.
+func tableSync(op vfstest.Op, path string) bool {
+	return op == vfstest.OpSync && filepath.Ext(path) == ".sst"
+}
+
+// onTableSync makes fn run first in every table's Sync; an error fails
+// the Sync. A nil fn removes fs's hook.
+func onTableSync(fs *vfstest.FS, fn func() error) {
+	if fn == nil {
+		fs.SetHook(nil)
+		return
 	}
-	return fs.FS.List(dir)
-}
-
-func (fs *faultFS) Create(name string) (vfs.File, error) {
-	f, err := fs.FS.Create(name)
-	if err != nil {
-		return nil, err
-	}
-	switch base := filepath.Base(name); {
-	case strings.HasPrefix(base, "WAL-"):
-		tf := &tornFile{File: f, quota: -1}
-		fs.mu.Lock()
-		fs.lastWAL = tf
-		fs.mu.Unlock()
-		return tf, nil
-	case filepath.Ext(base) == ".sst":
-		return &hookedTable{File: f, fs: fs}, nil
-	}
-	return f, nil
-}
-
-// onTableSync sets the hook every table's Sync runs first (nil: none).
-func (fs *faultFS) onTableSync(fn func() error) {
-	fs.mu.Lock()
-	fs.tableSync = fn
-	fs.mu.Unlock()
-}
-
-// newestWAL returns the WAL segment created last.
-func (fs *faultFS) newestWAL() *tornFile {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.lastWAL
-}
-
-// hookedTable is a table file whose Sync runs its faultFS's hook first:
-// the table's bytes are all written then, and no version references it.
-type hookedTable struct {
-	vfs.File
-	fs *faultFS
-}
-
-func (f *hookedTable) Sync() error {
-	f.fs.mu.Lock()
-	fn := f.fs.tableSync
-	f.fs.mu.Unlock()
-	if fn != nil {
-		if err := fn(); err != nil {
-			return err
+	fs.SetHook(func(op vfstest.Op, path string) error {
+		if tableSync(op, path) {
+			return fn()
 		}
-	}
-	return f.File.Sync()
-}
-
-// errTorn is what a tornFile's write crossing its quota returns.
-var errTorn = errors.New("torn write")
-
-// tornFile tears a write as a power loss would: once armed (quota ≥ 0),
-// at most quota more bytes reach the file, and the write crossing that
-// boundary is cut short and fails with errTorn. Arm it under the DB's
-// logMu, which serializes the WAL's writes.
-type tornFile struct {
-	vfs.File
-	quota int64 // -1 = disarmed
-}
-
-func (f *tornFile) Write(p []byte) (int, error) {
-	if f.quota < 0 || int64(len(p)) <= f.quota {
-		if f.quota >= 0 {
-			f.quota -= int64(len(p))
-		}
-		return f.File.Write(p)
-	}
-	n, _ := f.File.Write(p[:f.quota])
-	f.quota = 0
-	return n, errTorn
+		return nil
+	})
 }
 
 // TestOpenFailsWhenListFails fails the directory listing of an Open over
@@ -142,7 +64,12 @@ func TestOpenFailsWhenListFails(t *testing.T) {
 	o := smallOpts()
 	fs := useFaultFS(o)
 	errList := errors.New("too many open files")
-	fs.listErr = errList
+	fs.SetHook(func(op vfstest.Op, _ string) error {
+		if op == vfstest.OpList {
+			return errList
+		}
+		return nil
+	})
 	if db, err := Open(dir, o); !errors.Is(err, errList) {
 		if err == nil {
 			db.Close()
@@ -153,6 +80,7 @@ func TestOpenFailsWhenListFails(t *testing.T) {
 		t.Fatalf("the failed Open changed %s (err %v): %d bytes, want %d", filepath.Base(seg), err, len(after), len(before))
 	}
 
+	fs.SetHook(nil)
 	re, err := Open(dir, o)
 	if err != nil {
 		t.Fatal(err)

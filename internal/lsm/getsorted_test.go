@@ -66,6 +66,7 @@ func buildMixedTree(t *testing.T, seed int64, cacheBytes int64) (*DB, [][]byte, 
 	dir := t.TempDir()
 	opts := smallOpts()
 	opts.BlockCacheBytes = cacheBytes
+	useFaultFS(opts)
 	rng := rand.New(rand.NewSource(seed))
 	const keys = 1500
 	key := func(i int) string { return fmt.Sprintf("key-%05d", i) }

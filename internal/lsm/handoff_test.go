@@ -13,6 +13,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"leveldbpp/internal/vfs/vfstest"
 )
 
 // pending reports whether db has a handoff that is not installed yet.
@@ -82,14 +84,13 @@ func TestBackgroundHandoffCrashImage(t *testing.T) {
 	}
 
 	// Only the next handoff's goroutine rolls tables while it is armed.
-	parked, release := make(chan struct{}), make(chan struct{})
 	rolls := 0
-	fs.onTableSync(func() error {
-		if rolls++; rolls == 2 {
-			close(parked)
-			<-release
+	parked, release := fs.Park(func(op vfstest.Op, path string) bool {
+		if !tableSync(op, path) {
+			return false
 		}
-		return nil
+		rolls++
+		return rolls == 2
 	})
 	for !pending(db) {
 		put()
@@ -106,7 +107,7 @@ func TestBackgroundHandoffCrashImage(t *testing.T) {
 	frozenWALs := slices.Clone(db.immWALs)
 	crash := copyDir(t, dir)
 	db.mu.RUnlock()
-	close(release)
+	release()
 
 	if orphans := orphanTables(t, crash); len(orphans) != 2 {
 		t.Fatalf("crash image holds unreferenced tables %v, want the flush's and the compaction's", orphans)
@@ -151,15 +152,7 @@ func TestCloseWaitsForJobsWhenPoisoned(t *testing.T) {
 			}
 		}
 	}
-	parked, release := make(chan struct{}), make(chan struct{})
-	var once sync.Once
-	fs.onTableSync(func() error {
-		once.Do(func() {
-			close(parked)
-			<-release
-		})
-		return nil
-	})
+	parked, release := fs.Park(tableSync)
 	compacted := make(chan error, 1)
 	go func() { compacted <- db.CompactRange(nil, nil) }()
 	select {
@@ -184,7 +177,7 @@ func TestCloseWaitsForJobsWhenPoisoned(t *testing.T) {
 	case <-closed:
 		t.Error("Close returned while a compaction was merging")
 		before := dirState()
-		close(release)
+		release()
 		<-compacted
 		if dirState() != before {
 			t.Error("the compaction changed the directory after Close returned")
@@ -192,7 +185,7 @@ func TestCloseWaitsForJobsWhenPoisoned(t *testing.T) {
 		return
 	case <-time.After(100 * time.Millisecond):
 	}
-	close(release)
+	release()
 	awaitClose(t, closed)
 	before := dirState()
 	<-compacted

@@ -495,14 +495,14 @@ func TestFlushElidedMemTable(t *testing.T) {
 	db.opts.NewMerger = newElideMerger
 	mustPut(t, db, "gone", "two")
 	tables, nextNum := tableFiles(t, dir), db.nextFileNum.Load()
-	fs.onTableSync(func() error {
+	onTableSync(fs, func() error {
 		t.Error("the elided flush wrote a table")
 		return nil
 	})
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	fs.onTableSync(nil)
+	onTableSync(fs, nil)
 	if n := len(levelsOf(db)[0]); n != 1 {
 		t.Fatalf("%d level-0 tables, want the first flush's only", n)
 	}

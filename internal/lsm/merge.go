@@ -235,7 +235,7 @@ func (w *compactionWriter) add(ik, value []byte) error {
 	defer w.since(t0)
 	if w.builder == nil {
 		w.num = w.db.allocFileNum()
-		f, err := w.db.opts.fs.Create(tablePath(w.db.dir, w.num))
+		f, err := w.db.opts.FS.Create(tablePath(w.db.dir, w.num))
 		if err != nil {
 			return err
 		}

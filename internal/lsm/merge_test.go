@@ -111,36 +111,20 @@ func TestCompactionCrashMidMerge(t *testing.T) {
 	defer db.Close()
 	want := loadBigJob(t, db)
 
-	// Snapshot the directory the first time a compaction output rolls —
-	// the on-disk state a kill -9 would leave behind at that instant.
-	crash := t.TempDir()
-	snapped := false
-	fs.onTableSync(func() error {
-		if snapped {
-			return nil
-		}
-		snapped = true
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			return err
-		}
-		for _, e := range entries {
-			data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(filepath.Join(crash, e.Name()), data, 0o644); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err := db.CompactRange(nil, nil); err != nil {
-		t.Fatal(err)
+	// Park the first compaction output's roll and snapshot the directory
+	// meanwhile — the on-disk state a kill -9 would leave behind then.
+	parked, release := fs.Park(tableSync)
+	compacted := make(chan error, 1)
+	go func() { compacted <- db.CompactRange(nil, nil) }()
+	select {
+	case <-parked:
+	case err := <-compacted:
+		t.Fatalf("CompactRange returned %v and rolled no output table", err)
 	}
-	fs.onTableSync(nil)
-	if !snapped {
-		t.Fatal("CompactRange rolled no output table")
+	crash := copyDir(t, dir)
+	release()
+	if err := <-compacted; err != nil {
+		t.Fatal(err)
 	}
 
 	// The snapshot must contain a table the manifest does not reference —
@@ -206,12 +190,12 @@ func TestCompactionWriterFailureCancels(t *testing.T) {
 
 	errRoll := errors.New("injected output roll failure")
 	rolls := 0
-	fs.onTableSync(func() error {
+	onTableSync(fs, func() error {
 		rolls++
 		return errRoll
 	})
 	err := db.CompactRange(nil, nil)
-	fs.onTableSync(nil)
+	onTableSync(fs, nil)
 	if err != errRoll {
 		t.Fatalf("CompactRange = %v, want the writer's error %v", err, errRoll)
 	}
@@ -305,9 +289,9 @@ func TestFlushWriterFailure(t *testing.T) {
 	before := tableFiles(t, dir)
 
 	errRoll := errors.New("injected flush roll failure")
-	fs.onTableSync(func() error { return errRoll })
+	onTableSync(fs, func() error { return errRoll })
 	err = db.Flush()
-	fs.onTableSync(nil)
+	onTableSync(fs, nil)
 	if err != errRoll {
 		t.Fatalf("Flush = %v, want the writer's error %v", err, errRoll)
 	}

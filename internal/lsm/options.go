@@ -113,9 +113,9 @@ type Options struct {
 	// or Close.
 	Events metrics.EventSink
 
-	// fs is the file system the DB's files live on; nil is vfs.Default.
-	// Only this package's tests set it, to inject faults.
-	fs vfs.FS
+	// FS is the file system the DB's files live on; nil is vfs.Default.
+	// Tests set it to fail or park file operations.
+	FS vfs.FS
 }
 
 func (o *Options) withDefaults() Options {
@@ -153,8 +153,8 @@ func (o *Options) withDefaults() Options {
 	if opts.NewMerger == nil {
 		opts.NewMerger = func() Merger { return nil }
 	}
-	if opts.fs == nil {
-		opts.fs = vfs.Default
+	if opts.FS == nil {
+		opts.FS = vfs.Default
 	}
 	return opts
 }

@@ -215,7 +215,7 @@ func (v *version) isBaseLevelForKey(level int, userKey []byte) bool {
 func (db *DB) applyEditLocked(e *versionEdit) error {
 	nv, err := db.v.apply(e)
 	if err == nil {
-		err = saveManifest(db.opts.fs, db.dir, nv.toManifest(db.nextFileNum.Load(), e.flushedSeq))
+		err = saveManifest(db.opts.FS, db.dir, nv.toManifest(db.nextFileNum.Load(), e.flushedSeq))
 	}
 	if err != nil {
 		db.dropTablesExcept(e.added, e.deleted)
@@ -224,7 +224,7 @@ func (db *DB) applyEditLocked(e *versionEdit) error {
 	db.v, db.flushedSeq = nv, e.flushedSeq
 	db.dropTablesExcept(e.deleted, e.added)
 	for _, p := range e.retiredWALs {
-		_ = db.opts.fs.Remove(p)
+		_ = db.opts.FS.Remove(p)
 	}
 	return nil
 }
@@ -247,7 +247,7 @@ func (db *DB) dropTable(fms ...*FileMeta) {
 			db.blockCache.EvictTable(fm.tbl.ID())
 		}
 		_ = fm.f.Close()
-		_ = db.opts.fs.Remove(tablePath(db.dir, fm.Num))
+		_ = db.opts.FS.Remove(tablePath(db.dir, fm.Num))
 	}
 }
 

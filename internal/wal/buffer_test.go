@@ -6,41 +6,19 @@ import (
 	"path/filepath"
 	"testing"
 
-	"leveldbpp/internal/vfs"
+	"leveldbpp/internal/vfs/vfstest"
 )
 
-// errTorn is what a tornFile's write crossing its quota returns.
-var errTorn = errors.New("torn write")
-
-// tornFile tears a write as a power loss would: once armed (quota ≥ 0),
-// at most quota more bytes reach the file, and the write crossing that
-// boundary is cut short and fails with errTorn.
-type tornFile struct {
-	vfs.File
-	quota int64 // -1 = disarmed
-}
-
-func (f *tornFile) Write(p []byte) (int, error) {
-	if f.quota < 0 || int64(len(p)) <= f.quota {
-		if f.quota >= 0 {
-			f.quota -= int64(len(p))
-		}
-		return f.File.Write(p)
-	}
-	n, _ := f.File.Write(p[:f.quota])
-	f.quota = 0
-	return n, errTorn
-}
-
-// createTorn creates the log at path on a disarmed tornFile.
-func createTorn(t *testing.T, path string) (*Writer, *tornFile) {
+// createTorn creates the log at path on a vfstest.FS, for the test to
+// Tear.
+func createTorn(t *testing.T, path string) (*Writer, *vfstest.FS) {
 	t.Helper()
-	f, err := vfs.Default.Create(path)
+	fs := vfstest.New()
+	f, err := fs.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tf := &tornFile{File: f, quota: -1}
-	return NewWriter(tf), tf
+	return NewWriter(f), fs
 }
 
 // TestFlushMakesRecordsVisible verifies the buffering contract: appended
@@ -76,7 +54,7 @@ func TestFlushMakesRecordsVisible(t *testing.T) {
 // recovers every record before the torn one and none after.
 func TestFailAfterTearsFrame(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
-	w, tf := createTorn(t, path)
+	w, fs := createTorn(t, path)
 
 	// Two complete records, flushed durable.
 	for i := uint64(1); i <= 2; i++ {
@@ -89,20 +67,20 @@ func TestFailAfterTearsFrame(t *testing.T) {
 	}
 
 	// Allow 5 more bytes through, then crash: the third record tears.
-	tf.quota = 5
+	fs.Tear(path, 5)
 	if err := w.Append(Record{Seq: 3, Kind: 1, Key: []byte("torn"), Value: []byte("lost")}); err != nil {
 		t.Fatal(err) // append only buffers; the error surfaces at flush
 	}
-	if err := w.Flush(); !errors.Is(err, errTorn) {
-		t.Fatalf("flush err = %v, want errTorn", err)
+	if err := w.Flush(); !errors.Is(err, vfstest.ErrTorn) {
+		t.Fatalf("flush err = %v, want ErrTorn", err)
 	}
 	// The error is sticky: every later append/sync keeps failing, so no
 	// write after the crash can ever be acknowledged.
-	if err := w.Append(Record{Seq: 4, Kind: 1, Key: []byte("x")}); !errors.Is(err, errTorn) {
-		t.Fatalf("append after crash = %v, want errTorn", err)
+	if err := w.Append(Record{Seq: 4, Kind: 1, Key: []byte("x")}); !errors.Is(err, vfstest.ErrTorn) {
+		t.Fatalf("append after crash = %v, want ErrTorn", err)
 	}
-	if err := w.Sync(); !errors.Is(err, errTorn) {
-		t.Fatalf("sync after crash = %v, want errTorn", err)
+	if err := w.Sync(); !errors.Is(err, vfstest.ErrTorn) {
+		t.Fatalf("sync after crash = %v, want ErrTorn", err)
 	}
 
 	var got []Record
@@ -118,7 +96,7 @@ func TestFailAfterTearsFrame(t *testing.T) {
 // frames: a batch torn mid-frame replays zero of its records.
 func TestFailAfterTearsBatch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
-	w, tf := createTorn(t, path)
+	w, fs := createTorn(t, path)
 
 	if err := w.Append(Record{Seq: 1, Kind: 1, Key: []byte("pre"), Value: []byte("v")}); err != nil {
 		t.Fatal(err)
@@ -131,12 +109,12 @@ func TestFailAfterTearsBatch(t *testing.T) {
 	for i := range batch {
 		batch[i] = Record{Seq: uint64(2 + i), Kind: 1, Key: []byte{byte(i)}, Value: []byte("payload")}
 	}
-	tf.quota = 40 // tears partway through the batch frame
+	fs.Tear(path, 40) // tears partway through the batch frame
 	if err := w.AppendBatch(batch); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Flush(); !errors.Is(err, errTorn) {
-		t.Fatalf("flush err = %v, want errTorn", err)
+	if err := w.Flush(); !errors.Is(err, vfstest.ErrTorn) {
+		t.Fatalf("flush err = %v, want ErrTorn", err)
 	}
 
 	var got []Record
