@@ -24,14 +24,14 @@ type commitGolden struct {
 	lookup, rng    string // digests of the LOOKUP / RANGELOOKUP results
 }
 
+// Every table records each block's max seq, so every kind's write
+// counters and disk usage carry the column's bytes.
 var commitGoldens = map[IndexKind]commitGolden{
-	IndexNone: {"66d50a2ba3407ae7a4153120dea07a97ba22c8758ff288aace03e8ffe5579d49",
-		"c589b368bffc2494b5d9b263299b11a4e73a8e553274232323e7f59f62f536cc", 9715, 0,
+	IndexNone: {"faa96805a7c3f351792450bc4808434e74a91030a4996300a281b88b98f6ebdd",
+		"f3adf897aa65796d55e94e97a4496b03920414c8c37d89ee6b90d0e52b7fb7c8", 9756, 0,
 		"5a8f0c56d39d20ff964f55350e04852ced87781bee63124c049aa2b163ab0105",
 		"80683bc0729fdfa24a3dfdfaaea89c0a6c2f75542fdd2ab37d80b4a450fffc05",
 		"b01c9cd2e71d1767a48488b5ae0a1609390ccc065c61b228d49869f9e82ff48f"},
-	// Embedded's tables also record each block's max seq, so its I/O
-	// digests and primary disk usage carry the column's bytes.
 	IndexEmbedded: {"3769754fdff2e22013c1407337f07f7ab44e351cb47f783a8e045af1dddac5af",
 		"39b30473c42d43d18def1623007287edcce916f0652e3b2c0940f5cbf6b125c1", 11922, 0,
 		"5a8f0c56d39d20ff964f55350e04852ced87781bee63124c049aa2b163ab0105",
@@ -50,8 +50,8 @@ var commitGoldens = map[IndexKind]commitGolden{
 	// (block reads and bytes, point gets, entries decoded, block seeks)
 	// are lower than the inline pipeline's; every write and compaction
 	// counter is unchanged.
-	IndexEager: {"1283dfcdac62b69fbc56ba2ff20fa55a4f35ba9b0eee83f02d3c331939ab1204",
-		"c311277dcbaadd51972f15893c7063a0aa72130fcf32d1b9fe5104e66a489874", 9715, 9216,
+	IndexEager: {"40b8624be3e2d79be4fd11e8241770f7fe6776a1aaf6b85e66163255fb8c42db",
+		"0055b7e34f977110ebbea617b5cdd73fbce46e3c2e50d72864e5572c5f34ecc1", 9756, 9236,
 		"5a8f0c56d39d20ff964f55350e04852ced87781bee63124c049aa2b163ab0105",
 		"80683bc0729fdfa24a3dfdfaaea89c0a6c2f75542fdd2ab37d80b4a450fffc05",
 		"b01c9cd2e71d1767a48488b5ae0a1609390ccc065c61b228d49869f9e82ff48f"},
@@ -59,13 +59,13 @@ var commitGoldens = map[IndexKind]commitGolden{
 	// fragments rather than re-merged lists, so its index tables flush at
 	// other points, and the flush, not the write, decodes and merges the
 	// postings.
-	IndexLazy: {"4dfaa23a32cf312b9628a76c75fa173f12a21a95e849bf41a1ebcbadea53c0ce",
-		"141a56aa207b0f46ee54ab44ae83be15d66f87e06fd8663db47955dcb7823f9d", 9715, 6612,
+	IndexLazy: {"2aa31aed6c61dda8dff18533bf595ea7e61c655eda191edb890da17e344d1b49",
+		"8763cdfb5a09484979c8cd92982a2621b0fbe594a5b12199e5ae171428d24a64", 9756, 6627,
 		"5a8f0c56d39d20ff964f55350e04852ced87781bee63124c049aa2b163ab0105",
 		"80683bc0729fdfa24a3dfdfaaea89c0a6c2f75542fdd2ab37d80b4a450fffc05",
 		"b01c9cd2e71d1767a48488b5ae0a1609390ccc065c61b228d49869f9e82ff48f"},
-	IndexComposite: {"1a678308e788d9d5f702217e1b8faa5e0b7fc710525dc82bf3e545bded715519",
-		"afebce2fbee1921fe7ffe1e99448a39acc7bd616d37b090f22c366039385210e", 9715, 7480,
+	IndexComposite: {"ba35250c0fb385bd20788aa03dc9e46a669b2ce51f2e6ce64a53cde59fa4c3c7",
+		"b69f63da3aa302eb110c966b25e3a3202bed6b89b3743e70ace57b40caab1c5d", 9756, 7497,
 		"5a8f0c56d39d20ff964f55350e04852ced87781bee63124c049aa2b163ab0105",
 		"80683bc0729fdfa24a3dfdfaaea89c0a6c2f75542fdd2ab37d80b4a450fffc05",
 		"b01c9cd2e71d1767a48488b5ae0a1609390ccc065c61b228d49869f9e82ff48f"},

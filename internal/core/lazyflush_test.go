@@ -22,8 +22,8 @@ import (
 // MemTable fragment at write time; flush-time coalescing must write the
 // same bytes.
 var lazyFlushPin = map[string]string{
-	"index-CreationTime/000001.sst": "7ce28b4351b47234caeb316916d7ab06bbf82ac66ea60ed4d4a830da46764103",
-	"index-UserID/000001.sst":       "e4f6a3344da093dc52de827deb5c3f960795ed3c2bf98b00c186147a7f466f6d",
+	"index-CreationTime/000001.sst": "c2e66ead11d9c0bc6393e2debc69e3838083c86126b108dea317189f1b012fb8",
+	"index-UserID/000001.sst":       "7f758f27ee04101d57bcd4e634900d04b57150feeafecb9eb618a0d8cf7f2fa5",
 }
 
 // TestLazyFlushMatchesWriteMerge runs a Lazy workload of puts, re-puts

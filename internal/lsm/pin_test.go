@@ -15,42 +15,42 @@ import (
 // leaves behind: each table by name, the MANIFEST, and the active WAL
 // segment's bytes; the engine must reproduce them exactly.
 var deterministicPin = map[string]string{
-	"10000/000058.sst": "e27d0cc65364206cc6042e0b9dd17a0c63fc8d117ee132bc3dab7fe21dda7b7a",
-	"10000/000063.sst": "e1b3154f1ecfe73394d5c5ecad4d121c3aea738470daa929429bda51e0088a5d",
-	"10000/MANIFEST":   "0472375dfb38fe2dd0155dfbcafb91a8fd4b89b8f493e88b8376da281bb2d77a",
+	"10000/000058.sst": "dfd2c0ff617a0e2e5bba1155411932bc0651cc100e049542d10c672c1875fea4",
+	"10000/000063.sst": "1ef9bbfc8774ac1d06a84457e332da60b624a123d825507650d70b7f089eaae0",
+	"10000/MANIFEST":   "e89cc9ea55e93510a9c4d733fc1be1a9b49679739cd99706b646f71e28a32507",
 	"10000/active WAL": "9aeea3fee5dccdc54129704a1963a23b4875e6271f5f9fd8b5210aa455e04b71",
-	"12000/000058.sst": "e27d0cc65364206cc6042e0b9dd17a0c63fc8d117ee132bc3dab7fe21dda7b7a",
-	"12000/000068.sst": "60db9d870aa02eed07be9f457653b4ba42de55d38a2ef1f059eb90252759119e",
-	"12000/000073.sst": "e7e131b7d1cf63a102496c6f1424c4b86d4cb4a5c90b5eb39bb8e405e9b4da64",
-	"12000/000074.sst": "dd63054341a199f3cfe4994b4bb3780b8dde60f1603ee4624e9e4bf9e160ea1b",
-	"12000/MANIFEST":   "261979e35e6d0b350b288ecdd5a4f762b009efc0fec477dd77eef9849b096b58",
+	"12000/000058.sst": "dfd2c0ff617a0e2e5bba1155411932bc0651cc100e049542d10c672c1875fea4",
+	"12000/000068.sst": "93caea7eb8d7ddfca856355dfd91d12188818593707917e1e526ddd875fb46b6",
+	"12000/000073.sst": "26f1e7d0e4861a2cecd55a76376c5a91dbbc7e4c1c5719a49c37619d4589ccc0",
+	"12000/000074.sst": "70db41c0af541e6a1ab2d7991640e96c49b4c118c1203d29100dedca1656a806",
+	"12000/MANIFEST":   "daf803a85e28e35404dd014996c08fea7a51d07d27c49df71d07e77b9c5fc6d2",
 	"12000/active WAL": "7549ec8f44b4cafb836fdec9638c905c4cadb07dceb49667fb7c230e116ac59e",
-	"14000/000058.sst": "e27d0cc65364206cc6042e0b9dd17a0c63fc8d117ee132bc3dab7fe21dda7b7a",
-	"14000/000079.sst": "8e9d4e8a64c7c5f48fc97f3eaa36d04335b4d7eebf5f310afdad27933a30c3e8",
-	"14000/000084.sst": "b3d7b68da0f3a1a86adfc3249548ccfc59612d4bf3cd8e087bd50f565835db82",
-	"14000/000085.sst": "ff9209e30a62c0acfbf8e6ca30fa7925a6828b591fa011ff7de7320b87d33bce",
-	"14000/000086.sst": "3f81be11c0766ed2702181413284d9f45e65da1f1cd66d4ca854517605feab84",
-	"14000/MANIFEST":   "f425425453f3caaf3c4acacd1fdc9702c1402ac15e58673f576fab0da4b99788",
+	"14000/000058.sst": "dfd2c0ff617a0e2e5bba1155411932bc0651cc100e049542d10c672c1875fea4",
+	"14000/000079.sst": "d65a92895ee244cc47fc32ed1df782426ace468db801ec62383bee8c71a85e0e",
+	"14000/000084.sst": "cd38374637812079285efa8d0c1f38795db5f5245f1ee1717932be0a9e4b5017",
+	"14000/000085.sst": "9bcaca37b103df414abee519fa1dcb2fabf3af723d8045a0b5e07f7c8c16b0bb",
+	"14000/000086.sst": "2923d1c4869b589f8902571a7907d61774cba37b54254102903dbc34673d94ba",
+	"14000/MANIFEST":   "3fb02d1a3c585d78e2fe75af0928c2077544e51ca97a6a4a1f766d1d18496f2a",
 	"14000/active WAL": "d27ee42bdf555d797ab5beb87e70895990081a0523f7fb5c73edd41396bc8566",
-	"2000/000010.sst":  "67c0b21fa4f1d2dbbb9bd475b25073c77a7b11f43bdd4f9847ce5b42378071b7",
-	"2000/MANIFEST":    "3b9384d026317c9d17cde4b9243f946107ef0eceddbab5231775df562c483361",
+	"2000/000010.sst":  "67771842454aeef3fc74c91fba5c8ff957eb74bcff211518797d34fa9e657d55",
+	"2000/MANIFEST":    "3d56908a0f54fade6a52481ce66dc971acaf08c9b1430b9a3df31442cb414218",
 	"2000/active WAL":  "90a5aa72a3a03d52edaa53f2fce19157e49209205d8913b01388ae3eb83befbc",
-	"4000/000016.sst":  "2f7a9e731fe4fbc20567a6463d616b6f3caa8198ffbe956a79c05a98a50423e3",
-	"4000/000021.sst":  "a5641af5d83a0973c4b1e5dbe4a86d346d6d115a2d1c478508b48b3499f2a300",
-	"4000/000022.sst":  "e29e18d7b39d507aac430e6ae5218525bc1f501379517cb18175f93eb6d010f8",
-	"4000/000023.sst":  "67ad932d10ae87864178be63a91a6a63b0e1b797d83c8af58713d41b70a29360",
-	"4000/MANIFEST":    "93a562ac284d90ef6960b538a805669d43a3e2df6e3cfdf4369ab22ddae012f5",
+	"4000/000016.sst":  "19ab4e7a3ab609d961727b499fce9b387c0d3cee606ff970d07a2f7d263f4ed7",
+	"4000/000021.sst":  "9a852ea8d737ac1c843138e2918390acf82c92e4aa8d551d6b797ab33a5980e1",
+	"4000/000022.sst":  "9918c8efa377dd65804200ec138b152d0845aa319df477615eb4cb4609b106c7",
+	"4000/000023.sst":  "4fe7a93ab92b4f9f5e3b7e35ed7e86af4763a4719dc633a73b4916e5b3542e1e",
+	"4000/MANIFEST":    "72186b68203918852e6866d5c5aac1e47862b9d75f198b93b7793c36f02f3e18",
 	"4000/active WAL":  "3f21082364eca45314ad74e79ad3c4f8526ba0810951dc3dda92982c4025398a",
-	"6000/000036.sst":  "2b49daeca54828307ed2f30f545f3e2a7627fcc0a90b56333942de9c371bd31b",
-	"6000/000037.sst":  "e8abd135183921ed9e5bee5868106a53f48271113611af2987f1b78654820e72",
-	"6000/000038.sst":  "9519b3bf4078bda0e68b886911978fd8c3436144be508596aa77faf63129c5ae",
-	"6000/MANIFEST":    "a6affbd60a4c354df2a9b291ddb966d52a66ef58c6b7d5242c16cada874bdcd8",
+	"6000/000036.sst":  "2b87b1fb4577ae4af5ae986951821b3550e95c114d8cce6cc100dc8009993b58",
+	"6000/000037.sst":  "045cf1ffc8c80287e0eecf36efce200b5a9fa5c955c796ac268dea74e0c3e9ba",
+	"6000/000038.sst":  "a6ccddabd095a67403d2331e93ce9d3d3777151d1ab1f9b53a2225be573b4ac8",
+	"6000/MANIFEST":    "8484d0ab7588e3d5d52b6d984af45b713fd69fcb6b0e34b81e88c2a5b3dee526",
 	"6000/active WAL":  "8c5b64fc30183b08ed04df80ff10988a4ae91196a74ec194e9beee3e70bfff8c",
-	"8000/000047.sst":  "c1935d37a3d689866a3830eba3b73b38cc5d84780c08e63aa8726be1f5ff4cb6",
-	"8000/000048.sst":  "688cd35147ee7541421586ca2551c3e1b5d5ade7da6cfd1b248e0d517ff08394",
-	"8000/000049.sst":  "121d04edb239d7fe6071a92db0a9ce9da081dc5a81bfe97e01a4f4e1097f243c",
-	"8000/000050.sst":  "d7c08ff19817eaff251ed0474d4457920270709f9c7b7b9bce351804df8c7c02",
-	"8000/MANIFEST":    "c339371b776391e9769061d0e0d7cf424cb52012fcc3a2dc126f60eef7c836d0",
+	"8000/000047.sst":  "e01bf0ceadf8a7161fd53221364926fc8dd2083ab66676b650a3ed811e1da0c1",
+	"8000/000048.sst":  "66a4b63685708e9db81dbaf8a39ab28ec9a11257dbccf3912499549ea9de70a8",
+	"8000/000049.sst":  "20a8e4424dca0cb2f5c03578b863c5ab90f0953b5a3cae11096865be1a45371c",
+	"8000/000050.sst":  "f7b0d8f65ab8b211c9323b21a88b2f7f9ac40a442e7bd8a1f4ce22307b2240d9",
+	"8000/MANIFEST":    "4285eac4e4014dee0f724d188f6baa07e06fe3fa454dc94c7d1b799ec648c4be",
 	"8000/active WAL":  "39da982b64348abf31998eded8cda819af14f910ab39140152eb656ec3752382",
 }
 
