@@ -684,7 +684,8 @@ func (db *DB) OverlappingBlockCount(loUser, hiExcl []byte) int {
 	n := 0
 	for _, level := range db.v.levels {
 		for _, fm := range level {
-			n += fm.tbl.OverlappingBlockCount(loUser, hiExcl)
+			first, end := fm.tbl.OverlappingBlocks(loUser, hiExcl)
+			n += end - first
 		}
 	}
 	return n
