@@ -118,16 +118,15 @@ func (db *DB) lazyLookup(attr, value string, k int, tr *metrics.Trace) ([]Entry,
 // secondary keys are not time-ordered across levels, so the paper visits
 // every level. But every index record is written at the seq of the
 // primary record it indexes, so a table's MaxSeq bounds the postings it
-// holds: postingUnits opens tables newest-bound first and the query stops
-// at the K-th valid result. The walk runs inside the view, so the
-// fragments it queues stay valid.
+// holds, and each block's max seq bounds the postings of the block:
+// postingUnits opens blocks newest-bound first and the query stops at the
+// K-th valid result. The walk runs inside the view, so the fragments it
+// queues stay valid.
 func (db *DB) postingRangeLookup(attr, lo, hi string, k int, tr *metrics.Trace) ([]Entry, error) {
 	idx := db.indexes[attr]
 	var out []Entry
 	err := idx.View(func(v *lsm.View) error {
-		units := &postingUnits{lo: []byte(lo), hiExcl: upperBoundExclusive(hi),
-			chains: db.opts.Index == IndexLazy, tr: tr}
-		units.units = seqUnits(v, units.lo, units.hiExcl, db.seqFloor)
+		units := newPostingUnits(v, []byte(lo), upperBoundExclusive(hi), db.seqFloor, db.opts.Index == IndexLazy, tr)
 		var err error
 		out, err = db.collect(newFeedHeap(units, tr),
 			&query{attr: attr, lo: lo, hi: hi, k: k, idx: idx, phase: metrics.PhaseIndexProbe, tr: tr})
@@ -138,70 +137,74 @@ func (db *DB) postingRangeLookup(attr, lo, hi string, k int, tr *metrics.Trace) 
 
 // postingUnits feeds a posting RANGELOOKUP one unit at a time: the
 // fragment of every secondary key in [lo, hiExcl) that a MemTable or a
-// table holds (a Lazy fragment or an Eager list). A fragment written at
-// seq s holds postings with seqs at or below s, and a flushed or
-// compaction-merged value keeps its newest input's seq, so a unit's
-// bound — MaxSeq, raised to the database's seq floor — bounds every
-// posting in it. A unit is due once the heap's top is older than its
-// bound. A MemTable holds every version of a key: a Lazy key's newest
-// version comes chained to its older ones, each a blind fragment of its
-// own. Eager's older lists of a key add only entries that the key's
-// newest list holds at the same or a newer seq, so they never change a
-// primary key's first occurrence, and Eager reads the newest alone.
+// table's block holds (a Lazy fragment or an Eager list). A fragment
+// written at seq s holds postings with seqs at or below s, and a flushed
+// or compaction-merged value keeps its newest input's seq, so a unit's
+// bound — a MemTable's or a block's max seq, raised to the database's seq
+// floor — bounds every posting in it. A unit is due once the heap's top
+// is older than its bound (unitQueue). A MemTable holds every version of
+// a key: a Lazy key's newest version comes chained to its older ones,
+// each a blind fragment of its own. Eager's older lists of a key add only
+// entries that the key's newest list holds at the same or a newer seq, so
+// they never change a primary key's first occurrence, and Eager reads the
+// newest alone.
 type postingUnits struct {
-	lo, hiExcl []byte
-	chains     bool // Lazy: chain a MemTable key's older versions
-	tr         *metrics.Trace
-	units      []seqUnit // not yet opened
-	past       []byte    // seek target past the current key
+	q      unitQueue
+	seek   []byte // ikey.SeekKey(lo)
+	chains bool   // Lazy: chain a MemTable key's older versions
+	tr     *metrics.Trace
+	blk    sstable.BlockIter // the block unit being opened
+	arena  []byte            // copies of block fragments; only appended to
+	past   []byte            // seek target past the current key
 }
 
-func (u *postingUnits) due(top uint64, empty bool) bool {
-	return len(u.units) > 0 && (empty || u.units[0].bound > top)
+// newPostingUnits is the feed of a RANGELOOKUP over [lo, hiExcl) in v.
+func newPostingUnits(v *lsm.View, lo, hiExcl []byte, floor uint64, chains bool, tr *metrics.Trace) *postingUnits {
+	return &postingUnits{q: seqUnits(v, lo, hiExcl, floor), seek: ikey.SeekKey(lo), chains: chains, tr: tr}
 }
 
-// fetch appends the next unit's in-range fragments to dst. A MemTable's
+func (u *postingUnits) due(top uint64, empty bool) bool { return u.q.due(top, empty) }
+
+// fetch appends the due unit's in-range fragments to dst. A MemTable's
 // values alias arena memory that is never reused, so its fragments stay
-// valid past the iteration. A table holds one version per key, and its
-// iterator reuses value bytes across Next, so fragments are copied.
+// valid past the iteration. A block holds one version per key, and its
+// values are valid only until the next block loads, so its fragments are
+// copied to u's arena. The arena is only appended to: a fragment copied
+// before it grew keeps the old array.
 func (u *postingUnits) fetch(dst []fragment) ([]fragment, bool, error) {
-	if len(u.units) == 0 {
+	if len(u.q.units) == 0 {
 		return dst, false, nil
 	}
-	st, seek := u.units[0], ikey.SeekKey(u.lo)
-	u.units = u.units[1:]
-	if st.IsMem() {
-		it := st.MemIter()
-		for it.SeekGE(seek); it.Valid(); {
-			ik := it.Key()
-			uk := ikey.UserKey(ik)
-			if bytes.Compare(uk, u.hiExcl) >= 0 {
-				break
-			}
+	st := u.q.pop()
+	if !st.IsMem() {
+		err := blockEntries(&u.blk, st, u.seek, u.q.hiExcl, u.tr, func(ik, value []byte) {
 			if ikey.KindOf(ik) != ikey.KindDelete {
-				f := fragment{data: it.Value()} //lsm:aliasok arena memory, never reused
-				if u.chains {
-					f.chain = memChain{it: *it}
-				}
-				dst = append(dst, f)
+				start := len(u.arena)
+				u.arena = append(u.arena, value...)
+				dst = append(dst, fragment{data: u.arena[start:len(u.arena):len(u.arena)]})
 			}
-			// Skip the key's other versions by a forward seek from the
-			// current node, which neither walks a hot key's versions
-			// nor descends from the head of the list.
-			u.past = ikey.AppendSeekPast(u.past[:0], uk)
-			it.SeekForward(u.past)
-		}
-		return dst, true, nil
+		})
+		return dst, true, err
 	}
-	ti := st.Tables[0].Table().NewIteratorTraced(false, u.tr)
-	for ok := ti.SeekGE(seek); ok; ok = ti.Next() {
-		ik := ti.Key()
-		if bytes.Compare(ikey.UserKey(ik), u.hiExcl) >= 0 {
+	it := st.MemIter()
+	for it.SeekGE(u.seek); it.Valid(); {
+		ik := it.Key()
+		uk := ikey.UserKey(ik)
+		if bytes.Compare(uk, u.q.hiExcl) >= 0 {
 			break
 		}
 		if ikey.KindOf(ik) != ikey.KindDelete {
-			dst = append(dst, fragment{data: bytes.Clone(ti.Value())})
+			f := fragment{data: it.Value()} //lsm:aliasok arena memory, never reused
+			if u.chains {
+				f.chain = memChain{it: *it}
+			}
+			dst = append(dst, f)
 		}
+		// Skip the key's other versions by a forward seek from the
+		// current node, which neither walks a hot key's versions
+		// nor descends from the head of the list.
+		u.past = ikey.AppendSeekPast(u.past[:0], uk)
+		it.SeekForward(u.past)
 	}
-	return dst, true, ti.Err()
+	return dst, true, nil
 }

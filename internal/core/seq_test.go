@@ -408,9 +408,7 @@ func TestPostingStreamInterleavedTables(t *testing.T) {
 		sort.SliceStable(want, func(i, j int) bool { return want[i].seq > want[j].seq })
 		var got []streamed
 		err = idx.View(func(v *lsm.View) error {
-			units := &postingUnits{lo: []byte(r[0]), hiExcl: upperBoundExclusive(r[1]), chains: true}
-			units.units = seqUnits(v, units.lo, units.hiExcl, 0)
-			h := &fragmentHeap{feed: units}
+			h := &fragmentHeap{feed: newPostingUnits(v, []byte(r[0]), upperBoundExclusive(r[1]), 0, true, nil)}
 			for key, seq, del, ok := h.next(); ok; key, seq, del, ok = h.next() {
 				got = append(got, streamed{string(key), seq, del})
 			}
