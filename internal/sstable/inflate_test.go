@@ -117,7 +117,7 @@ func compressedBlocks(tb testing.TB, blockSize, n int) [][]byte {
 	}
 	var out [][]byte
 	for _, bm := range tbl.blocks {
-		phys := data[bm.offset : bm.offset+bm.size]
+		phys := data[bm.offset : bm.offset+uint64(bm.size)]
 		if Compression(phys[len(phys)-5]) == FlateCompression {
 			out = append(out, phys[:len(phys)-5])
 		}
