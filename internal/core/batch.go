@@ -36,13 +36,19 @@ func (b *Batch) Len() int { return len(b.ops) }
 // Reset clears the batch for reuse.
 func (b *Batch) Reset() { b.ops = b.ops[:0] }
 
-// Apply commits the batch.
+// Apply commits the batch. It is sampled and observed as one operation,
+// OpBatch, as Put and Delete are.
 func (db *DB) Apply(b *Batch) error {
 	if b.Len() == 0 {
 		return nil
 	}
+	t0 := time.Now()
+	tr := db.tracer.Start(metrics.OpBatch)
 	var buf [4]attrSlot
-	return db.write(b.ops, attrSlots(&buf, len(db.opts.Attrs)), nil)
+	err := db.write(b.ops, attrSlots(&buf, len(db.opts.Attrs)), tr)
+	tr.Finish()
+	db.ops.Observe(metrics.OpBatch, time.Since(t0))
+	return err
 }
 
 // write commits ops — a batch, or a lone PUT or DEL — to the primary
@@ -70,6 +76,7 @@ func (db *DB) write(ops []batchOp, slots []attrSlot, tr *metrics.Trace) error {
 	}
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
+	tr.Enter(metrics.PhaseIndexUpdate)
 
 	// docs[i] is the document ops[i] indexes: a put's own, a delete's
 	// old one — the batch's put of the key since its last delete there,
@@ -80,7 +87,6 @@ func (db *DB) write(ops []batchOp, slots []attrSlot, tr *metrics.Trace) error {
 	if len(ops) > 1 {
 		docs, written = make([][]byte, len(ops)), map[string][]byte{}
 	}
-	tr.Enter(metrics.PhaseIndexUpdate)
 	for i, op := range ops {
 		if !op.del {
 			docs[i] = op.value

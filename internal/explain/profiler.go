@@ -177,7 +177,7 @@ func (p *WorkloadProfiler) Snapshot() Workload {
 		w.Ops[op.String()] = n
 		w.TotalOps += n
 		switch op {
-		case metrics.OpPut, metrics.OpDelete:
+		case metrics.OpPut, metrics.OpDelete, metrics.OpBatch:
 			writes += n
 		case metrics.OpLookup, metrics.OpRangeLookup:
 			secondary += n

@@ -28,7 +28,7 @@ import (
 // instrumentation point (Now on a nil trace does not even call time.Now).
 
 // Op identifies the traced operation kind (the paper's Table 1 set plus
-// the primary-key scan extension).
+// the primary-key scan, compaction and the atomic batch).
 type Op uint8
 
 // The traced operations.
@@ -40,6 +40,7 @@ const (
 	OpRangeLookup
 	OpScan
 	OpCompact
+	OpBatch
 	NumOps
 )
 
@@ -61,6 +62,8 @@ func (o Op) String() string {
 		return "scan"
 	case OpCompact:
 		return "compact"
+	case OpBatch:
+		return "batch"
 	default:
 		return "unknown"
 	}
