@@ -46,15 +46,25 @@ lint:
 # merge goroutine outlives its install. The sstable test runs concurrent table builds and
 # reads over the shared deflater and block decoder pools. The skiplist
 # package runs whole: its readers race inserts that add link and byte
-# pages to the MemTable arena, the check of its publication order.
+# pages to the MemTable arena, the check of its publication order. Each
+# -run alternative must still name a test of its package (go test -list),
+# so a renamed test fails the target instead of leaving the smoke.
 lint-race:
 	$(GO) test -race ./internal/skiplist/
-	$(GO) test -race -run 'TestConcurrentBuildAndRead' ./internal/sstable/
-	$(GO) test -race -run 'TestGroupCommit|TestCommit|TestUncontendedCommit|TestCompactionWriterFailureCancels|TestBackground|TestCloseWaitsForJobsWhenPoisoned|TestDeterministicConcurrentDrains|TestGetSortedMatchesGet|TestTrivialMoveConcurrentReads' ./internal/lsm/
-	$(GO) test -race -run 'TestGroupCommitConcurrentCore|TestConcurrentChunkedValidation|TestIndexBeforeData|TestTracedConcurrentWorkload' ./internal/core/
-	$(GO) test -race -run 'TestProfilerConcurrent|TestWorkloadSnapshot' ./internal/explain/
-	$(GO) test -race -run 'TestHistogramRaceMixedReadersWriters|TestBucketCountingCumulative|TestBucketHistogramObserveAllocs' ./internal/metrics/
-	$(GO) test -race -run 'TestScrapeDuringBackgroundWrites' ./internal/server/
+	$(call race_smoke,TestConcurrentBuildAndRead,./internal/sstable/)
+	$(call race_smoke,TestGroupCommit|TestCommit|TestUncontendedCommit|TestCompactionWriterFailureCancels|TestBackground|TestCloseWaitsForJobsWhenPoisoned|TestDeterministicConcurrentDrains|TestGetSortedMatchesGet|TestTrivialMoveConcurrentReads,./internal/lsm/)
+	$(call race_smoke,TestGroupCommitConcurrentCore|TestConcurrentChunkedValidation|TestIndexBeforeData|TestTracedConcurrentWorkload,./internal/core/)
+	$(call race_smoke,TestProfilerConcurrent|TestWorkloadSnapshot,./internal/explain/)
+	$(call race_smoke,TestHistogramRaceMixedReadersWriters|TestBucketCountingCumulative|TestBucketHistogramObserveAllocs,./internal/metrics/)
+	$(call race_smoke,TestScrapeDuringBackgroundWrites,./internal/server/)
+
+# race_smoke runs the tests of package $(2) that match the -run
+# alternatives $(1) under the race detector, after failing if an
+# alternative matches none of the package's tests.
+define race_smoke
+@names="$$($(GO) test -list . $(2))" || exit 1; for alt in $$(echo '$(1)' | tr '|' ' '); do echo "$$names" | grep -qE "$$alt" || { echo "lint-race: -run alternative $$alt names no test in $(2)"; exit 1; }; done
+$(GO) test -race -run '$(1)' $(2)
+endef
 
 test: build
 	$(GO) test ./...

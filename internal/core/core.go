@@ -521,48 +521,31 @@ func (db *DB) runQuery(op metrics.Op, attr, lo, hi string, k int, explained bool
 	}
 	t0 := time.Now()
 	tr := db.startRead(op, explained)
-	var out []Entry
-	var err error
-	if op == metrics.OpLookup {
-		if tr != nil {
-			tr.SetDetail(attr + "=" + lo + " plan=" + db.planName(op))
-		}
-		out, err = db.lookupTraced(attr, lo, k, tr)
-	} else {
-		if tr != nil {
-			tr.SetDetail(attr + "=[" + lo + "," + hi + "] plan=" + db.planName(op))
-		}
-		out, err = db.rangeLookupTraced(attr, lo, hi, k, tr)
+	point := op == metrics.OpLookup
+	if tr != nil && point {
+		tr.SetDetail(attr + "=" + lo + " plan=" + db.planName(op))
+	} else if tr != nil {
+		tr.SetDetail(attr + "=[" + lo + "," + hi + "] plan=" + db.planName(op))
 	}
+	out, err := db.query(point, attr, lo, hi, k, tr)
 	db.profiler.RecordQuery(k, len(out))
 	return out, db.finishRead(tr, t0, op, attr, lo, hi, k, len(out), out, explained, err), err
 }
 
-func (db *DB) lookupTraced(attr, value string, k int, tr *metrics.Trace) ([]Entry, error) {
-	switch db.opts.Index {
-	case IndexEmbedded:
-		return db.embeddedLookup(attr, value, k, tr)
-	case IndexEager:
-		return db.eagerLookup(attr, value, k, tr)
-	case IndexLazy:
-		return db.lazyLookup(attr, value, k, tr)
-	case IndexComposite:
-		return db.compositeLookup(attr, value, value, k, tr)
-	default:
-		return db.scanLookup(attr, value, value, k, tr)
-	}
-}
-
-func (db *DB) rangeLookupTraced(attr, lo, hi string, k int, tr *metrics.Trace) ([]Entry, error) {
-	switch db.opts.Index {
-	case IndexEmbedded:
-		return db.embeddedRangeLookup(attr, lo, hi, k, tr)
-	case IndexEager, IndexLazy:
+// query runs a LOOKUP (point; lo and hi are the value) or RANGELOOKUP
+// over [lo, hi] with the configured index kind.
+func (db *DB) query(point bool, attr, lo, hi string, k int, tr *metrics.Trace) ([]Entry, error) {
+	switch ix := db.opts.Index; {
+	case point && ix == IndexEager:
+		return db.eagerLookup(attr, lo, k, tr)
+	case point && ix == IndexLazy:
+		return db.lazyLookup(attr, lo, k, tr)
+	case ix == IndexEager || ix == IndexLazy:
 		return db.postingRangeLookup(attr, lo, hi, k, tr)
-	case IndexComposite:
+	case ix == IndexComposite:
 		return db.compositeLookup(attr, lo, hi, k, tr)
-	default:
-		return db.scanLookup(attr, lo, hi, k, tr)
+	default: // Embedded, or with its filters off the NoIndex baseline
+		return db.embeddedScan(attr, lo, hi, k, ix == IndexEmbedded, tr)
 	}
 }
 

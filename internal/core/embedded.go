@@ -31,20 +31,9 @@ import (
 // checked with GetLite: a metadata-only probe of the strata above the
 // candidate, touching disk only to confirm bloom positives.
 
-func (db *DB) embeddedLookup(attr, value string, k int, tr *metrics.Trace) ([]Entry, error) {
-	return db.embeddedScan(attr, value, value, k, true, tr)
-}
-
-func (db *DB) embeddedRangeLookup(attr, lo, hi string, k int, tr *metrics.Trace) ([]Entry, error) {
-	return db.embeddedScan(attr, lo, hi, k, true, tr)
-}
-
-// scanLookup is the NoIndex baseline: the identical traversal with every
-// data block a candidate and no MemTable B-tree.
-func (db *DB) scanLookup(attr, lo, hi string, k int, tr *metrics.Trace) ([]Entry, error) {
-	return db.embeddedScan(attr, lo, hi, k, false, tr)
-}
-
+// embeddedScan is the Embedded LOOKUP and RANGELOOKUP, and with
+// useFilters false the NoIndex baseline: the identical traversal with
+// every data block a candidate and no MemTable B-tree.
 func (db *DB) embeddedScan(attr, lo, hi string, k int, useFilters bool, tr *metrics.Trace) ([]Entry, error) {
 	var results []Entry
 	err := db.primary.View(func(v *lsm.View) error {
@@ -370,9 +359,9 @@ func (db *DB) candidateValid(v *lsm.View, strata []lsm.Stratum, si int, pk strin
 }
 
 // shadowed reports whether a stratum in above holds a version of pk: a
-// MemTable is asked directly, a table through its primary bloom filter,
-// and a bloom positive is confirmed with a real read so a false positive
-// cannot hide pk.
+// MemTable is asked directly, a table stratum through the primary bloom
+// filter of the one table that may hold pk, and a bloom positive is
+// confirmed with a real read so a false positive cannot hide pk.
 func shadowed(above []lsm.Stratum, pk []byte, tr *metrics.Trace) (bool, error) {
 	var sc sstable.GetScratch // reused across every bloom-positive probe
 	sc.Trace = tr
@@ -383,16 +372,17 @@ func shadowed(above []lsm.Stratum, pk []byte, tr *metrics.Trace) (bool, error) {
 			}
 			continue
 		}
-		for _, fm := range s.Tables {
-			tbl := fm.Table()
-			if _, ok := tbl.PrimaryBlock(pk, tr); !ok {
-				continue // pure in-memory rejection: the common case
-			}
-			tr.AtLevel(s.Level)
-			_, _, found, err := tbl.GetWith(&sc, pk)
-			if err != nil || found {
-				return found, err
-			}
+		fm := s.FindFile(pk)
+		if fm == nil {
+			continue
+		}
+		if _, ok := fm.Table().PrimaryBlock(pk, tr); !ok {
+			continue // pure in-memory rejection: the common case
+		}
+		tr.AtLevel(s.Level)
+		_, _, found, err := fm.Table().GetWith(&sc, pk)
+		if err != nil || found {
+			return found, err
 		}
 	}
 	return false, nil

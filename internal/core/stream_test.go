@@ -239,14 +239,8 @@ func checkCollect(t *testing.T, db *DB, attr, lo, hi string, point bool) {
 		s0 := db.Stats()
 		want, refValidations, werr := refCollect(db, attr, lo, hi, k, point)
 		s1 := db.Stats()
-		var got []Entry
-		var err error
 		tr := metrics.StartDetached(metrics.OpRangeLookup)
-		if point {
-			got, err = db.lookupTraced(attr, lo, k, tr)
-		} else {
-			got, err = db.rangeLookupTraced(attr, lo, hi, k, tr)
-		}
+		got, err := db.query(point, attr, lo, hi, k, tr)
 		s2 := db.Stats()
 		if (err == nil) != (werr == nil) {
 			t.Fatalf("%s: err %v, reference err %v", what, err, werr)

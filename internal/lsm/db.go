@@ -137,7 +137,7 @@ func Open(dir string, o *Options) (_ *DB, err error) {
 				db.v.levels[l] = append(db.v.levels[l], fm)
 			}
 		}
-		db.v.sortNewest()
+		db.v.buildStrata()
 	}
 
 	// Replay the WAL: records newer than the manifest's sequence were in
@@ -286,9 +286,10 @@ func (db *DB) write(kind ikey.Kind, key, value []byte, seq uint64) error {
 }
 
 // Get returns the newest live value for key, reading the MemTable, then
-// level-0 files newest-first, then one file per deeper level. It records
-// read-path phase timings (mem_probe, imm_probe, l0_probe, level_probe,
-// plus block_load/cache_hit sub-phases) into tr, which may be nil.
+// the version's table strata newest first: each level-0 file, then one
+// file per deeper level. It records read-path phase timings (mem_probe,
+// imm_probe, l0_probe, level_probe, plus block_load/cache_hit sub-phases)
+// into tr, which may be nil.
 func (db *DB) Get(key []byte, tr *metrics.Trace) ([]byte, bool, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -301,17 +302,17 @@ func (db *DB) Get(key []byte, tr *metrics.Trace) ([]byte, bool, error) {
 // GetSorted is Get over keys, which must be distinct and in ascending
 // order, under one read lock: fn receives each key's index and what Get
 // would return for it, in key order, and the first read error ends the
-// batch. Each table stratum (an L0 table, a deeper level) keeps one
-// scratch across the batch, and sorted keys visit its blocks in ascending
-// order, so keys that share a data block read, inflate and count it once.
-// Values alias immutable memory, as Get's do.
+// batch. Each table stratum keeps one scratch across the batch, and
+// sorted keys visit its blocks in ascending order, so keys that share a
+// data block read, inflate and count it once. Values alias immutable
+// memory, as Get's do.
 func (db *DB) GetSorted(keys [][]byte, tr *metrics.Trace, fn func(i int, value []byte, ok bool)) error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	if db.closed {
 		return ErrClosed
 	}
-	scs := make([]sstable.GetScratch, len(db.v.levels[0])+len(db.v.levels)-1)
+	scs := make([]sstable.GetScratch, len(db.v.strata))
 	for i, key := range keys {
 		value, ok, err := db.walkLocked(key, tr, scs)
 		if err != nil {
@@ -328,17 +329,10 @@ func (db *DB) getLocked(key []byte, tr *metrics.Trace) ([]byte, bool, error) {
 	return db.walkLocked(key, tr, sc[:])
 }
 
-// scratchAt returns the scratch of table stratum i (L0 table j is stratum
-// j, level l is stratum len(L0)+l-1), or scs' only one, set to trace tr.
-func scratchAt(scs []sstable.GetScratch, i int, tr *metrics.Trace) *sstable.GetScratch {
-	sc := &scs[min(i, len(scs)-1)]
-	sc.Trace = tr
-	return sc
-}
-
 // walkLocked returns key's newest version, reading the MemTable, the
-// frozen MemTable, the L0 tables newest first, then the one file per
-// deeper level whose range covers key, with the scratches of scratchAt.
+// frozen MemTable, then the version's table strata, probing in each the
+// one file whose range may hold key. Table stratum i reads through scs[i],
+// or through scs' only scratch.
 //
 //lsm:hotpath
 func (db *DB) walkLocked(key []byte, tr *metrics.Trace, scs []sstable.GetScratch) ([]byte, bool, error) {
@@ -360,11 +354,23 @@ func (db *DB) walkLocked(key []byte, tr *metrics.Trace, scs []sstable.GetScratch
 	}
 	// The returned value aliases immutable block contents (like the
 	// MemTable paths alias arena memory), so no per-hit copies are made.
-	l0 := db.v.levels[0]
+	// level_probe opens after the level-0 strata even when no deeper
+	// level exists.
+	l0 := len(db.v.levels[0])
 	tr.Enter(metrics.PhaseL0Probe)
-	tr.AtLevel(0)
-	for j, fm := range l0 { // newest first
-		ik, val, ok, err := fm.tbl.GetWith(scratchAt(scs, j, tr), key)
+	for i := range db.v.strata {
+		if i == l0 {
+			tr.Enter(metrics.PhaseLevelProbe)
+		}
+		s := &db.v.strata[i]
+		fm := s.FindFile(key)
+		if fm == nil {
+			continue
+		}
+		tr.AtLevel(s.Level)
+		sc := &scs[min(i, len(scs)-1)]
+		sc.Trace = tr
+		ik, val, ok, err := fm.tbl.GetWith(sc, key)
 		if err != nil {
 			return nil, false, err
 		}
@@ -375,23 +381,8 @@ func (db *DB) walkLocked(key []byte, tr *metrics.Trace, scs []sstable.GetScratch
 			return val, true, nil
 		}
 	}
-	tr.Enter(metrics.PhaseLevelProbe)
-	for l := 1; l < len(db.v.levels); l++ {
-		fm := findFile(db.v.levels[l], key)
-		if fm == nil {
-			continue
-		}
-		tr.AtLevel(l)
-		ik, val, ok, err := fm.tbl.GetWith(scratchAt(scs, len(l0)+l-1, tr), key)
-		if err != nil {
-			return nil, false, err
-		}
-		if ok {
-			if ikey.KindOf(ik) == ikey.KindDelete {
-				return nil, false, nil
-			}
-			return val, true, nil
-		}
+	if len(db.v.strata) == l0 {
+		tr.Enter(metrics.PhaseLevelProbe)
 	}
 	return nil, false, nil
 }
@@ -595,23 +586,15 @@ type Stratum struct {
 	newest []*FileMeta // a deeper level's files by descending MaxSeq
 }
 
-// strataLocked decomposes the current tree into a View's strata.
+// strataLocked puts the MemTables in front of the version's table
+// strata: a View's strata.
 func (db *DB) strataLocked() []Stratum {
-	l0 := db.v.levels[0]
-	out := make([]Stratum, 0, 1+len(l0)+len(db.v.levels))
+	out := make([]Stratum, 0, 2+len(db.v.strata))
 	out = append(out, Stratum{mem: db.mem})
 	if db.imm != nil {
 		out = append(out, Stratum{Frozen: true, mem: db.imm})
 	}
-	for i := range l0 {
-		out = append(out, Stratum{Tables: l0[i : i+1 : i+1]})
-	}
-	for l := 1; l < len(db.v.levels); l++ {
-		if files := db.v.levels[l]; len(files) > 0 {
-			out = append(out, Stratum{Level: l, Tables: files, newest: db.v.newest[l]})
-		}
-	}
-	return out
+	return append(out, db.v.strata...)
 }
 
 // NewestFirst returns the stratum's tables by descending MaxSeq. A
@@ -671,7 +654,10 @@ func (s Stratum) FindFile(key []byte) *FileMeta {
 func (db *DB) NumStrata() int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return len(db.strataLocked())
+	if db.imm != nil {
+		return 2 + len(db.v.strata)
+	}
+	return 1 + len(db.v.strata)
 }
 
 // OverlappingBlockCount sums, across every SSTable, the data blocks whose
@@ -705,15 +691,16 @@ func (db *DB) DistinctBlocks(keys [][]byte) int {
 		i     int
 	}
 	seen := make(map[block]bool, len(keys))
-	strata := db.strataLocked()
 	for _, key := range keys {
-		for _, s := range strata {
-			if s.IsMem() {
-				if _, _, _, ok := s.MemGet(key); ok {
-					break
-				}
+		if _, _, _, ok := db.mem.get(key); ok {
+			continue
+		}
+		if db.imm != nil {
+			if _, _, _, ok := db.imm.get(key); ok {
 				continue
 			}
+		}
+		for _, s := range db.v.strata {
 			if fm := s.FindFile(key); fm != nil {
 				if i, ok := fm.tbl.PrimaryBlock(key, nil); ok {
 					seen[block{fm.tbl.ID(), i}] = true

@@ -54,23 +54,32 @@ func (fm *FileMeta) Overlaps(lo, hiExcl []byte) bool {
 
 // version is the current shape of the tree: levels[0] holds overlapping
 // files ordered newest-first; deeper levels hold disjoint files sorted by
-// smallest key. newest holds each deeper level's files again, by
-// descending table MaxSeq, for Stratum.NewestFirst.
+// smallest key. strata is its read order, newest first: each level-0
+// table, then each non-empty deeper level.
 type version struct {
 	levels [][]*FileMeta
-	newest [][]*FileMeta
+	strata []Stratum
 }
 
 func newVersion(maxLevels int) *version {
-	return &version{levels: make([][]*FileMeta, maxLevels), newest: make([][]*FileMeta, maxLevels)}
+	return &version{levels: make([][]*FileMeta, maxLevels)}
 }
 
-// sortNewest fills newest from levels. A version is immutable once
-// installed, so the order is built once per edit, not per query.
-func (v *version) sortNewest() {
+// buildStrata fills strata from levels, with each deeper level's tables
+// also by descending MaxSeq for Stratum.NewestFirst. A version is
+// immutable once installed, so its read order is built once per edit, not
+// per read.
+func (v *version) buildStrata() {
+	v.strata = make([]Stratum, 0, len(v.levels[0])+len(v.levels)-1)
+	for i := range v.levels[0] {
+		v.strata = append(v.strata, Stratum{Tables: v.levels[0][i : i+1 : i+1]})
+	}
 	for l := 1; l < len(v.levels); l++ {
-		v.newest[l] = slices.Clone(v.levels[l])
-		slices.SortStableFunc(v.newest[l], func(a, b *FileMeta) int { return cmp.Compare(b.tbl.MaxSeq(), a.tbl.MaxSeq()) })
+		if files := v.levels[l]; len(files) > 0 {
+			newest := slices.Clone(files)
+			slices.SortStableFunc(newest, func(a, b *FileMeta) int { return cmp.Compare(b.tbl.MaxSeq(), a.tbl.MaxSeq()) })
+			v.strata = append(v.strata, Stratum{Level: l, Tables: files, newest: newest})
+		}
 	}
 }
 
@@ -126,7 +135,7 @@ func (v *version) apply(e *versionEdit) (*version, error) {
 	if problems := nv.check(); len(problems) > 0 {
 		return nil, fmt.Errorf("lsm: version edit refused: %s", strings.Join(problems, "; "))
 	}
-	nv.sortNewest()
+	nv.buildStrata()
 	return nv, nil
 }
 

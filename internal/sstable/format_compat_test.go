@@ -7,6 +7,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"hash/crc32"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -158,6 +159,45 @@ func TestSeekGELoadErrorSurfaces(t *testing.T) {
 	}
 	if err := it2.Err(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGetShortKeyInV1Block: a CRC-valid seed-format block holding an
+// entry whose internal key is shorter than the 8-byte trailer makes
+// GetWith return an error, as a v2 block's does, not panic.
+func TestGetShortKeyInV1Block(t *testing.T) {
+	entries := make([]tableEntry, 3)
+	for i := range entries {
+		ik := ikey.Make([]byte(fmt.Sprintf("user%06d", i)), uint64(i+1), ikey.KindSet)
+		entries[i] = tableEntry{ik: ik, val: []byte(fmt.Sprintf("payload-%06d", i))}
+	}
+	data := refTableBytes(entries, Options{Compression: NoCompression}, 0)
+	// The one data block starts the file: entries, then the codec byte
+	// and the CRC. Give entry 1 a 3-byte key (shared 0, unshared 3) and
+	// its value the bytes the key no longer takes; the headers keep their
+	// one-byte varints.
+	entryEnd := func(off int) int {
+		var h [3]uint64
+		for i := range h {
+			v, n := binary.Uvarint(data[off:])
+			h[i], off = v, off+n
+		}
+		return off + int(h[1]+h[2])
+	}
+	e1 := entryEnd(0)
+	end := entryEnd(entryEnd(e1))
+	if data[e1] != 9 || data[e1+1] != 9 {
+		t.Fatalf("entry 1 header shared %d, unshared %d; want 9, 9", data[e1], data[e1+1])
+	}
+	data[e1], data[e1+1], data[e1+2] = 0, 3, data[e1+2]+6
+	binary.BigEndian.PutUint32(data[end+1:], crc32.Checksum(data[:end+1], crcTable))
+	tbl, err := OpenTable(bytes.NewReader(data), int64(len(data)), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, ok, err := tbl.GetWith(&GetScratch{}, []byte("user000002"))
+	if err == nil || !strings.Contains(err.Error(), "entry key too short (3 bytes)") {
+		t.Fatalf("GetWith = ok %v, err %v; want the short key reported", ok, err)
 	}
 }
 

@@ -417,9 +417,9 @@ type GetScratch struct {
 // modified. A block this table read last through sc is reused, not read
 // again (and not counted again).
 //
-// On v2 tables the in-block search is a restart-array binary search that
-// decodes at most one restart interval; v1 tables fall back to the seed's
-// linear scan. The table's stats record PointGets, BlockSeeks and
+// The in-block search is BlockIter.SeekGE: on v2 tables a restart-array
+// binary search that decodes at most one restart interval, on v1 tables
+// the seed's linear scan. The table's stats record PointGets, BlockSeeks and
 // EntriesDecoded, whose ratio is the per-GET decode cost.
 //
 //lsm:hotpath
@@ -446,32 +446,19 @@ func (t *Table) GetWith(sc *GetScratch, userKey []byte) (internalKey, value []by
 		if err := t.initBlockIter(it, raw); err != nil {
 			return nil, nil, false, err
 		}
+		if seek == nil {
+			sc.seek = ikey.AppendSeek(sc.seek[:0], userKey)
+			seek = sc.seek
+		}
 		if it.numRestarts > 0 {
-			if seek == nil {
-				sc.seek = ikey.AppendSeek(sc.seek[:0], userKey)
-				seek = sc.seek
-			}
 			t.stats.BlockSeeks.Add(1)
-			// SeekKey sorts before every version of userKey, so the first
-			// entry at or after it is the newest version iff user keys match.
-			if it.SeekGE(seek) && bytes.Equal(ikey.UserKey(it.key), userKey) {
-				t.stats.EntriesDecoded.Add(int64(it.decoded))
-				tr.Count(metrics.CtrEntriesDecoded, int64(it.decoded))
-				return it.key, it.val, true, nil
-			}
-		} else {
-			for it.Next() {
-				c := bytes.Compare(ikey.UserKey(it.key), userKey)
-				if c == 0 {
-					// Entries are ordered newest-first within a user key.
-					t.stats.EntriesDecoded.Add(int64(it.decoded))
-					tr.Count(metrics.CtrEntriesDecoded, int64(it.decoded))
-					return it.key, it.val, true, nil
-				}
-				if c > 0 {
-					break // sorted: userKey cannot appear later in the block
-				}
-			}
+		}
+		// SeekKey sorts before every version of userKey, so the first
+		// entry at or after it is the newest version iff user keys match.
+		if it.SeekGE(seek) && bytes.Equal(ikey.UserKey(it.key), userKey) {
+			t.stats.EntriesDecoded.Add(int64(it.decoded))
+			tr.Count(metrics.CtrEntriesDecoded, int64(it.decoded))
+			return it.key, it.val, true, nil
 		}
 		if err := it.Err(); err != nil {
 			return nil, nil, false, err
