@@ -136,7 +136,8 @@ func stdlibInflate(src []byte) ([]byte, error) {
 // checkInflate decodes src with inf, once into an empty buffer and once
 // after a prefix no back-reference may reach, and holds both to
 // compress/flate: the same bytes where it accepts, an error where it
-// rejects.
+// rejects. Each is also decoded in steps (inflateSteps), which must give
+// the one-shot result: the same bytes, or the same error.
 func checkInflate(t *testing.T, inf *inflater, src []byte) []byte {
 	t.Helper()
 	want, werr := stdlibInflate(src)
@@ -152,7 +153,35 @@ func checkInflate(t *testing.T, inf *inflater, src []byte) []byte {
 	if (err2 == nil) != (err == nil) || err == nil && !bytes.Equal(got2, append(prefix, got...)) {
 		t.Fatalf("inflate after a prefix: err = %v, first err = %v", err2, err)
 	}
+	for _, head := range [][]byte{nil, prefix} {
+		steps, serr := inflateSteps(t, inf, append([]byte(nil), head...), src)
+		if serr != err || err == nil && !bytes.Equal(steps, append(append([]byte(nil), head...), got...)) {
+			t.Fatalf("inflate in steps after %q: err = %v, one-shot err = %v (input %x)", head, serr, err, src)
+		}
+	}
 	return got
+}
+
+// inflateSteps decodes src after dst's bytes in steps, whose output
+// limits grow by 1 to 256 bytes as the input's own bytes say, and fails t
+// if a step pauses short of its limit.
+func inflateSteps(t *testing.T, inf *inflater, dst, src []byte) ([]byte, error) {
+	t.Helper()
+	inf.start(len(dst))
+	for i := 0; ; i++ {
+		limit := len(dst) + 1
+		if len(src) > 0 {
+			limit += int(src[i%len(src)])
+		}
+		var done bool
+		var err error
+		if dst, done, err = inf.step(dst, src, limit); done || err != nil {
+			return dst, err
+		}
+		if len(dst) < limit {
+			t.Fatalf("step %d paused at %d bytes, short of its limit %d (input %x)", i, len(dst), limit, src)
+		}
+	}
 }
 
 func TestInflateMatchesFlate(t *testing.T) {
