@@ -28,7 +28,7 @@ func TestWarmReadAllocations(t *testing.T) {
 			_, err := embedded.Lookup("UserID", "u01", 10)
 			return err
 		}},
-		{"lookup", 40, func() error {
+		{"lookup", 38, func() error {
 			_, err := db.Lookup("UserID", "u01", 10)
 			return err
 		}},
@@ -36,7 +36,7 @@ func TestWarmReadAllocations(t *testing.T) {
 			_, err := db.RangeLookup("CreationTime", "0000000000", "0000000500", 10)
 			return err
 		}},
-		{"primary get", 4, func() error {
+		{"primary get", 2, func() error {
 			_, ok, err := db.primary.Get([]byte("t00042"), nil)
 			if err == nil && !ok {
 				t.Fatal("t00042 not found")

@@ -303,9 +303,11 @@ func (db *DB) Get(key []byte, tr *metrics.Trace) ([]byte, bool, error) {
 // order, under one read lock: fn receives each key's index and what Get
 // would return for it, in key order, and the first read error ends the
 // batch. Each table stratum keeps one scratch across the batch, and
-// sorted keys visit its blocks in ascending order, so keys that share a
-// data block read, inflate and count it once. Values alias immutable
-// memory, as Get's do.
+// sorted keys visit its blocks in ascending order. Each read tells its
+// scratch the keys after it, so that a block read without a cache is
+// inflated as far as the last of them it can hold: keys that share a data
+// block read, inflate and count it once. Values alias immutable memory, as
+// Get's do.
 func (db *DB) GetSorted(keys [][]byte, tr *metrics.Trace, fn func(i int, value []byte, ok bool)) error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -314,7 +316,7 @@ func (db *DB) GetSorted(keys [][]byte, tr *metrics.Trace, fn func(i int, value [
 	}
 	scs := make([]sstable.GetScratch, len(db.v.strata))
 	for i, key := range keys {
-		value, ok, err := db.walkLocked(key, tr, scs)
+		value, ok, err := db.walkLocked(key, keys[i+1:], tr, scs)
 		if err != nil {
 			return err
 		}
@@ -326,16 +328,17 @@ func (db *DB) GetSorted(keys [][]byte, tr *metrics.Trace, fn func(i int, value [
 // getLocked is one GET: a single scratch serves every table it probes.
 func (db *DB) getLocked(key []byte, tr *metrics.Trace) ([]byte, bool, error) {
 	var sc [1]sstable.GetScratch
-	return db.walkLocked(key, tr, sc[:])
+	return db.walkLocked(key, nil, tr, sc[:])
 }
 
 // walkLocked returns key's newest version, reading the MemTable, the
 // frozen MemTable, then the version's table strata, probing in each the
 // one file whose range may hold key. Table stratum i reads through scs[i],
-// or through scs' only scratch.
+// or through scs' only scratch; later, the keys of a sorted batch after
+// key, is each scratch's batch hint (sstable.GetScratch.Later).
 //
 //lsm:hotpath
-func (db *DB) walkLocked(key []byte, tr *metrics.Trace, scs []sstable.GetScratch) ([]byte, bool, error) {
+func (db *DB) walkLocked(key []byte, later [][]byte, tr *metrics.Trace, scs []sstable.GetScratch) ([]byte, bool, error) {
 	tr.Enter(metrics.PhaseMemProbe)
 	if value, _, kind, ok := db.mem.get(key); ok {
 		if kind == ikey.KindDelete {
@@ -369,7 +372,7 @@ func (db *DB) walkLocked(key []byte, tr *metrics.Trace, scs []sstable.GetScratch
 		}
 		tr.AtLevel(s.Level)
 		sc := &scs[min(i, len(scs)-1)]
-		sc.Trace = tr
+		sc.Trace, sc.Later = tr, later
 		ik, val, ok, err := fm.tbl.GetWith(sc, key)
 		if err != nil {
 			return nil, false, err

@@ -16,6 +16,7 @@
 package sstable
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -171,14 +172,31 @@ var blockDecoders = sync.Pool{New: func() any { return new(blockDecoder) }}
 //
 //lsm:hotpath
 func (d *blockDecoder) decodeBlock(phys []byte, scratch *[]byte) ([]byte, error) {
+	payload, codec, err := checkBlock(phys)
+	if err != nil {
+		return nil, err
+	}
+	return d.decodePayload(payload, codec, scratch)
+}
+
+// checkBlock verifies the CRC of a physical block and returns its payload,
+// as the codec byte says it is stored.
+func checkBlock(phys []byte) ([]byte, Compression, error) {
 	if len(phys) < 5 {
-		return nil, fmt.Errorf("sstable: block too short (%d bytes)", len(phys))
+		return nil, 0, fmt.Errorf("sstable: block too short (%d bytes)", len(phys))
 	}
 	body, crcBytes := phys[:len(phys)-4], phys[len(phys)-4:]
 	if got, want := crc32.Checksum(body, crcTable), binary.BigEndian.Uint32(crcBytes); got != want {
-		return nil, fmt.Errorf("sstable: block checksum mismatch: got %08x want %08x", got, want)
+		return nil, 0, fmt.Errorf("sstable: block checksum mismatch: got %08x want %08x", got, want)
 	}
-	payload, codec := body[:len(body)-1], Compression(body[len(body)-1])
+	return body[:len(body)-1], Compression(body[len(body)-1]), nil
+}
+
+// decodePayload returns the raw payload of a checked block: payload
+// itself when stored, else inflated whole into *scratch.
+//
+//lsm:hotpath
+func (d *blockDecoder) decodePayload(payload []byte, codec Compression, scratch *[]byte) ([]byte, error) {
 	switch codec {
 	case NoCompression:
 		return payload, nil
@@ -192,6 +210,62 @@ func (d *blockDecoder) decodeBlock(phys []byte, scratch *[]byte) ([]byte, error)
 	default:
 		return nil, fmt.Errorf("sstable: unknown block codec %d", codec)
 	}
+}
+
+// prefixStep is how many more bytes each step of a point read's inflate
+// decodes before the entries decoded so far are scanned again.
+const prefixStep = 512
+
+// inflateUntil inflates the compressed payload of a block into *scratch
+// in steps, scanning the entries each step completes as a v1 stream, and
+// stops at the first entry whose user key is at or after bound: found, with
+// it positioned on that entry and *scratch ending at it. The bytes after
+// it, including a v2 block's restart trailer, are not decoded. Otherwise,
+// when the stream ends first or an entry is malformed, *scratch holds the
+// whole payload for the caller's whole-block search, which reports what is
+// wrong with it. An error is the inflater's.
+//
+//lsm:hotpath
+func (it *BlockIter) inflateUntil(inf *inflater, payload []byte, scratch *[]byte, bound []byte) (found bool, err error) {
+	it.initV1(nil)
+	inf.start(0)
+	raw := (*scratch)[:0]
+	for done := false; !done; {
+		if raw, done, err = inf.step(raw, payload, len(raw)+prefixStep); err != nil {
+			break
+		}
+		it.data = raw
+		for entryFits(raw, it.off) {
+			if !it.Next() || !ikey.Valid(it.key) {
+				raw, _, err = inf.step(raw, payload, math.MaxInt)
+				*scratch = raw
+				return false, err
+			}
+			if bytes.Compare(ikey.UserKey(it.key), bound) >= 0 {
+				*scratch = raw[:it.off]
+				return true, nil
+			}
+		}
+	}
+	*scratch = raw
+	return false, err
+}
+
+// entryFits reports whether data holds the whole entry that starts at
+// off, or a length varint at off too long for any entry, which Next
+// reports as corruption.
+func entryFits(data []byte, off int) bool {
+	var l [3]uint64 // shared, unshared and value lengths
+	for j := range l {
+		v, n := binary.Uvarint(data[off:])
+		if n <= 0 {
+			return n < 0
+		}
+		l[j] = v
+		off += n
+	}
+	left := uint64(len(data) - off)
+	return l[1] <= left && l[2] <= left-l[1]
 }
 
 // ownedCopy returns p in a slice of exactly its length that nothing else
@@ -382,6 +456,14 @@ func (it *BlockIter) SeekGE(target []byte) bool {
 	it.off = start
 	it.key = it.key[:0]
 	it.val = nil
+	return it.nextGE(target)
+}
+
+// nextGE advances, from the entry after the current one, to the first
+// entry with internal key >= target, as SeekGE's last step.
+//
+//lsm:hotpath
+func (it *BlockIter) nextGE(target []byte) bool {
 	for it.Next() {
 		if !ikey.Valid(it.key) {
 			it.err = fmt.Errorf("sstable: entry key too short (%d bytes) at offset %d", len(it.key), it.off)
