@@ -43,15 +43,16 @@ lint:
 # contention. It is also the goroutine-leak check: the TestBackground*
 # tests bound Close (closeWithin), so a handoff that never ends fails
 # them with a goroutine dump, and the drain tests fail if a handoff or
-# merge goroutine outlives its install. The sstable test runs concurrent table builds and
-# reads over the shared deflater and block decoder pools. The skiplist
+# merge goroutine outlives its install. The sstable tests run concurrent table builds and
+# reads over the shared deflater and block decoder pools, and concurrent
+# uncached point reads whose pooled inflaters pause at their keys. The skiplist
 # package runs whole: its readers race inserts that add link and byte
 # pages to the MemTable arena, the check of its publication order. Each
 # -run alternative must still name a test of its package (go test -list),
 # so a renamed test fails the target instead of leaving the smoke.
 lint-race:
 	$(GO) test -race ./internal/skiplist/
-	$(call race_smoke,TestConcurrentBuildAndRead,./internal/sstable/)
+	$(call race_smoke,TestConcurrentBuildAndRead|TestGetPrefixConcurrent,./internal/sstable/)
 	$(call race_smoke,TestGroupCommit|TestCommit|TestUncontendedCommit|TestCompactionWriterFailureCancels|TestBackground|TestCloseWaitsForJobsWhenPoisoned|TestDeterministicConcurrentDrains|TestGetSortedMatchesGet|TestTrivialMoveConcurrentReads,./internal/lsm/)
 	$(call race_smoke,TestGroupCommitConcurrentCore|TestConcurrentChunkedValidation|TestIndexBeforeData|TestTracedConcurrentWorkload,./internal/core/)
 	$(call race_smoke,TestProfilerConcurrent|TestWorkloadSnapshot,./internal/explain/)

@@ -3,6 +3,7 @@ package sstable
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"leveldbpp/internal/ikey"
@@ -69,6 +70,40 @@ func BenchmarkTableGet(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkTableGetInflate is the point read the uncached workloads
+// make: GetWith on uniformly random keys of a flate-compressed table of
+// workload tweets in 4 KiB blocks, opened without a block cache, so each
+// read loads, inflates and searches one block. BenchmarkTableGet's tables
+// are stored raw and cannot show the inflate.
+func BenchmarkTableGetInflate(b *testing.B) {
+	entries := tweetEntries(5000)
+	data := buildTableBytes(b, entries, Options{BlockSize: 4096, BitsPerKey: 10, Compression: FlateCompression})
+	var stats metrics.IOStats
+	tbl, err := OpenTable(bytes.NewReader(data), int64(len(data)), &stats)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	keys := make([][]byte, 1<<14)
+	for i := range keys {
+		keys[i] = ikey.UserKey(entries[rng.Intn(len(entries))].ik)
+	}
+	var sc GetScratch
+	before := stats.Snapshot()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, _, ok, err := tbl.GetWith(&sc, keys[i%len(keys)])
+		if err != nil || !ok {
+			b.Fatalf("get: ok=%v err=%v", ok, err)
+		}
+	}
+	b.StopTimer()
+	d := stats.Snapshot().Sub(before)
+	b.ReportMetric(d.EntriesDecodedPerGet(), "decodes/get")
+	b.ReportMetric(float64(d.BlockReads)/float64(b.N), "blocks/get")
 }
 
 // BenchmarkSeekGE measures positioning a table iterator at a random key:
