@@ -26,8 +26,12 @@ lint:
 # poisoned pipeline; a failed compaction writer canceling its merge
 # goroutine, which only compactions start (a flush merges on the
 # handoff's goroutine); handoffs racing Flush and two CompactRange
-# callers; and the sorted batch read behind chunked
-# validation over a parked frozen MemTable), concurrent core writers
+# callers; the sorted batch read behind chunked validation over a
+# parked frozen MemTable; and the handoff goroutine's MANIFEST write
+# beside Checkpoint, which writes the installed version's manifest, and
+# beside the install that reports a failed write), the crash image of a
+# finished handoff and checkpoints of every index kind in internal/core,
+# concurrent core writers
 # (every write takes the commit queue), the one core write path
 # (TestIndexBeforeData parks a PUT and a batch between their index and
 # primary commits, at the write to the primary's WAL file through the
@@ -53,8 +57,8 @@ lint:
 lint-race:
 	$(GO) test -race ./internal/skiplist/
 	$(call race_smoke,TestConcurrentBuildAndRead|TestGetPrefixConcurrent,./internal/sstable/)
-	$(call race_smoke,TestGroupCommit|TestCommit|TestUncontendedCommit|TestCompactionWriterFailureCancels|TestBackground|TestCloseWaitsForJobsWhenPoisoned|TestDeterministicConcurrentDrains|TestGetSortedMatchesGet|TestTrivialMoveConcurrentReads,./internal/lsm/)
-	$(call race_smoke,TestGroupCommitConcurrentCore|TestConcurrentChunkedValidation|TestIndexBeforeData|TestTracedConcurrentWorkload,./internal/core/)
+	$(call race_smoke,TestGroupCommit|TestCommit|TestUncontendedCommit|TestCompactionWriterFailureCancels|TestBackground|TestCloseWaitsForJobsWhenPoisoned|TestDeterministicConcurrentDrains|TestGetSortedMatchesGet|TestTrivialMoveConcurrentReads|TestCheckpoint|TestInstallFailureChangesNothing|TestHandoffWindow,./internal/lsm/)
+	$(call race_smoke,TestGroupCommitConcurrentCore|TestConcurrentChunkedValidation|TestIndexBeforeData|TestTracedConcurrentWorkload|TestHandoffCrashImage|TestCoreCheckpointAllKinds,./internal/core/)
 	$(call race_smoke,TestProfilerConcurrent|TestWorkloadSnapshot,./internal/explain/)
 	$(call race_smoke,TestHistogramRaceMixedReadersWriters|TestBucketCountingCumulative|TestBucketHistogramObserveAllocs,./internal/metrics/)
 	$(call race_smoke,TestScrapeDuringBackgroundWrites,./internal/server/)

@@ -6,15 +6,19 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
+
+	"leveldbpp/internal/lsm"
 )
 
 // TestHandoffCrashImage copies a database while every table's last
-// handoff has finished — its flush and compaction outputs written — and
-// none is installed: the image a crash leaves between two freezes. Each
-// table's copy must hold tables its MANIFEST does not name, and the
-// reopened copy must answer every acknowledged write through Get and
-// LOOKUP, for every index kind.
+// handoff has finished — its flush and compaction outputs and its
+// MANIFEST written — and none is installed: the image a crash leaves
+// between two freezes. The primary's MANIFEST in the copy must name the
+// finished handoff's newest table, which the installed version does not
+// hold yet, and the reopened copy must answer every acknowledged write
+// through Get and LOOKUP, for every index kind.
 func TestHandoffCrashImage(t *testing.T) {
 	for _, kind := range allKinds {
 		t.Run(kind.String(), func(t *testing.T) {
@@ -42,8 +46,12 @@ func TestHandoffCrashImage(t *testing.T) {
 			}
 			db.Stats() // waits for every table's handoff; installs none
 			crash := copyFixture(t, dir)
-			if orphans := unnamedTables(t, filepath.Join(crash, "primary")); orphans == 0 {
-				t.Fatal("the crash image holds no primary table outside its MANIFEST")
+			newest := newestTable(t, filepath.Join(crash, "primary"))
+			if installedTable(t, db, newest) {
+				t.Fatalf("primary table %s is installed: the last handoff left nothing to install", newest)
+			}
+			if !manifestNames(t, filepath.Join(crash, "primary"))[newest] {
+				t.Fatalf("the crash image's primary MANIFEST does not name %s, the finished handoff's output", newest)
 			}
 
 			re, err := Open(crash, smallOptions(kind))
@@ -79,6 +87,54 @@ func TestHandoffCrashImage(t *testing.T) {
 // MANIFEST does not name.
 func unnamedTables(t *testing.T, dir string) int {
 	t.Helper()
+	named := manifestNames(t, dir)
+	tables, err := filepath.Glob(filepath.Join(dir, "*.sst"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, p := range tables {
+		if !named[filepath.Base(p)] {
+			n++
+		}
+	}
+	return n
+}
+
+// newestTable returns the file name of the highest-numbered table of an
+// engine directory.
+func newestTable(t *testing.T, dir string) string {
+	t.Helper()
+	tables, err := filepath.Glob(filepath.Join(dir, "*.sst"))
+	if err != nil || len(tables) == 0 {
+		t.Fatalf("no table in %s (%v)", dir, err)
+	}
+	return filepath.Base(slices.Max(tables)) // numbers are zero-padded
+}
+
+// installedTable reports whether the primary's installed version holds
+// the table file name.
+func installedTable(t *testing.T, db *DB, name string) bool {
+	t.Helper()
+	found := false
+	err := db.primary.View(func(v *lsm.View) error {
+		for _, s := range v.Strata() {
+			for _, fm := range s.Tables {
+				found = found || fmt.Sprintf("%06d.sst", fm.Num) == name
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return found
+}
+
+// manifestNames returns the table file names an engine directory's
+// MANIFEST names.
+func manifestNames(t *testing.T, dir string) map[string]bool {
+	t.Helper()
 	raw, err := os.ReadFile(filepath.Join(dir, "MANIFEST"))
 	if err != nil {
 		t.Fatal(err)
@@ -97,15 +153,5 @@ func unnamedTables(t *testing.T, dir string) int {
 			named[fmt.Sprintf("%06d.sst", f.Num)] = true
 		}
 	}
-	tables, err := filepath.Glob(filepath.Join(dir, "*.sst"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for _, p := range tables {
-		if !named[filepath.Base(p)] {
-			n++
-		}
-	}
-	return n
+	return named
 }

@@ -27,14 +27,15 @@ type background struct {
 // drain that brings the tree back into shape. Its goroutine runs the jobs
 // in that order against a private staged version, with the picks,
 // compaction-pointer moves, trivial moves and file numbers the jobs would
-// have had on the writer, and stops at the first failure. installLocked
-// then applies the staged edits in order. Until then readers see the
-// frozen MemTable and the version the handoff started from, so every
-// version change happens at a fixed operation count.
+// have had on the writer, and stops at the first failure. It then writes
+// the staged version's manifest, once. installLocked applies the staged
+// edits in order, in memory only. Until then readers see the frozen
+// MemTable and the version the handoff started from, so every version
+// change happens at a fixed operation count.
 //
 // db through manual are set when the handoff starts and never change. The
-// goroutine owns v through steps until done closes; they are read-only
-// after it.
+// goroutine owns v through manifestErr until done closes; they are
+// read-only after it.
 type handoff struct {
 	db      *DB
 	imm     *memTable // the frozen MemTable to flush; nil for none
@@ -42,10 +43,11 @@ type handoff struct {
 	immWALs []string  // WAL files backing imm, retired by its flush
 	manual  *keyRange // CompactRange's range; nil for none
 
-	v          *version // staged version: the installed one plus steps
-	compactPtr [][]byte // staged per-level compaction cursors
-	flushedSeq uint64   // staged flushed floor
-	steps      []step   // staged jobs, in order
+	v           *version // staged version: the installed one plus steps
+	compactPtr  [][]byte // staged per-level compaction cursors
+	flushedSeq  uint64   // staged flushed floor
+	steps       []step   // staged jobs, in order
+	manifestErr error    // the failed write of v's manifest; nil when written or not needed
 
 	done       chan struct{} // closed when the goroutine returns
 	installErr error         // guarded by db.mu; the install's outcome
@@ -150,16 +152,27 @@ func (db *DB) freezeMemLocked(force bool, manual *keyRange) (*handoff, error) {
 	return h, nil
 }
 
-// run is the handoff's goroutine.
+// run is the handoff's goroutine: it runs the jobs, then writes the
+// manifest of the staged version if a step staged an edit. Every table
+// that manifest names was synced when its writer rolled it.
 func (h *handoff) run() {
 	defer close(h.done)
+	h.runJobs()
+	if slices.ContainsFunc(h.steps, func(s step) bool { return s.edit != nil }) {
+		h.manifestErr = saveManifest(h.db.opts.FS, h.db.dir, h.v.toManifest(h.db.nextFileNum.Load(), h.flushedSeq))
+	}
+}
+
+// runJobs runs the flush, the CompactRange jobs and the drain, and stops
+// at the first failed job, which is staged with its step.
+func (h *handoff) runJobs() {
 	if h.imm != nil && h.flush() != nil {
 		return
 	}
 	if h.manual != nil && h.compactRange(h.manual.lo, h.manual.hi) != nil {
 		return
 	}
-	_ = h.drain() // a failed job is staged with its step
+	_ = h.drain()
 }
 
 // installPendingLocked installs pending handoffs, each once its goroutine
@@ -199,9 +212,11 @@ func (db *DB) awaitLocked(h *handoff) error {
 // applyEditLocked and between the events its job emits, and records and
 // returns h's failure: the job error that ended it, or an edit that did
 // not apply, in which case the tables of the steps after it are dropped.
-// A failed flush poisons the pipeline; a failed compaction does not, and
-// the next handoff's drain retries it. Caller holds db.mu; h has finished
-// and is pending.
+// A failed write of h's manifest fails its first edit, so nothing is
+// installed and the version in memory stays the one on disk. A failed
+// flush poisons the pipeline; a failed compaction does not, and the next
+// handoff's drain retries it. Caller holds db.mu; h has finished and is
+// pending.
 func (db *DB) installLocked(h *handoff) error {
 	db.bg.pending = nil
 	db.compactPtr = h.compactPtr
@@ -211,7 +226,12 @@ func (db *DB) installLocked(h *handoff) error {
 		}
 		err := s.err
 		if err == nil {
-			if err = db.applyEditLocked(s.edit); err != nil {
+			if err = h.manifestErr; err != nil {
+				db.dropTablesExcept(s.edit.added, s.edit.deleted)
+			} else {
+				err = db.applyEditLocked(s.edit)
+			}
+			if err != nil {
 				db.dropStagedLocked(h.steps[i+1:], s.edit.added)
 			}
 		}

@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"path/filepath"
@@ -11,9 +12,12 @@ import (
 
 // Checkpoint writes a consistent, openable copy of the database to
 // destDir (which must not exist). It runs under the read lock, so the
-// copied MANIFEST, SSTables and WAL describe one instant: no flush or
-// compaction can interleave. The checkpoint contains everything written
-// before the call, including MemTable contents (via the copied WAL).
+// SSTables and WAL it copies and the manifest it writes describe one
+// instant, the installed version: no install can interleave. It writes
+// that version's manifest rather than copy the MANIFEST file, which a
+// finished handoff may already have moved ahead of it. The checkpoint
+// contains everything written before the call, including MemTable
+// contents (via the copied WAL).
 func (db *DB) Checkpoint(destDir string) error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -57,10 +61,9 @@ func (db *DB) Checkpoint(destDir string) error {
 			return fmt.Errorf("lsm: checkpoint WAL: %w", err)
 		}
 	}
-	if _, err := fs.Stat(manifestPath(db.dir)); err == nil { // none before the first install
-		if err := copyFile(fs, manifestPath(db.dir), destDir); err != nil {
-			return fmt.Errorf("lsm: checkpoint manifest: %w", err)
-		}
+	m := db.v.toManifest(db.nextFileNum.Load(), db.flushedSeq)
+	if err := writeSynced(fs, manifestPath(destDir), bytes.NewReader(m.encode())); err != nil {
+		return fmt.Errorf("lsm: checkpoint manifest: %w", err)
 	}
 	return nil
 }
@@ -72,11 +75,16 @@ func copyFile(fs vfs.FS, src, dir string) error {
 		return err
 	}
 	defer in.Close()
-	out, err := fs.Create(filepath.Join(dir, filepath.Base(src)))
+	return writeSynced(fs, filepath.Join(dir, filepath.Base(src)), in)
+}
+
+// writeSynced writes what r reads into a new file at path and syncs it.
+func writeSynced(fs vfs.FS, path string, r io.Reader) error {
+	out, err := fs.Create(path)
 	if err != nil {
 		return err
 	}
-	_, err = io.Copy(out, in)
+	_, err = io.Copy(out, r)
 	if err == nil {
 		err = out.Sync()
 	}

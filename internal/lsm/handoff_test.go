@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -130,6 +131,103 @@ func TestBackgroundHandoffCrashImage(t *testing.T) {
 			t.Fatalf("after the crash, Get(%s) = %q %v, want %q", k, got, ok, v)
 		}
 	}
+}
+
+// writeUntilHandoff writes shuffled keys into db, at least n of them and
+// then until a freeze has handed off a flush, records each acknowledged
+// write in want, and waits for that handoff's goroutine, as Stats does,
+// without installing it: the window in which the handoff's MANIFEST is
+// written and its version is not installed yet.
+func writeUntilHandoff(t *testing.T, db *DB, n int, want map[string]string) *handoff {
+	t.Helper()
+	for i := 0; i < n || !pending(db); i++ {
+		k, v := shuffledKey("key-%05d", i, 4000), fmt.Sprintf("value-%05d-%040d", i, i)
+		mustPut(t, db, k, v)
+		want[k] = v
+	}
+	db.mu.RLock()
+	h := db.bg.pending
+	db.mu.RUnlock()
+	<-h.done
+	return h
+}
+
+// TestHandoffWindow holds the window between a finished handoff and its
+// install. The handoff's goroutine has written the MANIFEST of its staged
+// version, so a crash image reopens at that version and a Checkpoint,
+// which writes the installed version's manifest, at the installed one;
+// both serve every acknowledged write. A failed MANIFEST write changes
+// nothing until the next install, which reports it and installs nothing.
+// Wired into `make lint-race`.
+func TestHandoffWindow(t *testing.T) {
+	t.Run("CrashImageAndCheckpoint", func(t *testing.T) {
+		db, dir := openTestDB(t, smallOpts())
+		want := map[string]string{}
+		h := writeUntilHandoff(t, db, 600, want)
+		db.mu.RLock() // no install while copying
+		staged, installed := versionNums(h.v), versionNums(db.v)
+		crash := copyDir(t, dir)
+		db.mu.RUnlock()
+		if reflect.DeepEqual(staged, installed) {
+			t.Fatalf("the handoff staged no change to %v", installed)
+		}
+		if got := manifestNums(t, dir); !reflect.DeepEqual(got, staged) {
+			t.Fatalf("MANIFEST holds %v, want the staged version %v", got, staged)
+		}
+		ckpt := filepath.Join(t.TempDir(), "ckpt")
+		if err := db.Checkpoint(ckpt); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			name, dir string
+			want      [][]uint64
+		}{{"crash image", crash, staged}, {"checkpoint", ckpt, installed}} {
+			re, err := Open(c.dir, smallOpts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := tableNums(re); !reflect.DeepEqual(got, c.want) {
+				t.Errorf("reopened %s holds %v, want %v", c.name, got, c.want)
+			}
+			checkContents(t, re, want, "reopened "+c.name)
+			closeWithin(t, re)
+		}
+	})
+	t.Run("ManifestWriteFails", func(t *testing.T) {
+		db, dir := openTestDB(t, smallOpts())
+		want := map[string]string{}
+		writeUntilHandoff(t, db, 200, want)
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		unblock := blockManifest(t, dir)
+		h := writeUntilHandoff(t, db, 0, want)
+		if h.manifestErr == nil {
+			t.Fatal("the handoff wrote its MANIFEST through a blocked temp file")
+		}
+		if err := db.Health(); err != nil {
+			t.Fatalf("Health = %v before the install", err)
+		}
+		if mem, disk := tableNums(db), manifestNums(t, dir); !reflect.DeepEqual(mem, disk) {
+			t.Fatalf("before the install: version holds %v, MANIFEST %v", mem, disk)
+		}
+		if err := db.Flush(); err != h.manifestErr {
+			t.Fatalf("Flush = %v, want the handoff's %v", err, h.manifestErr)
+		}
+		if err := db.Health(); err != h.manifestErr {
+			t.Fatalf("Health = %v after the install, want %v", err, h.manifestErr)
+		}
+		checkMatchesDisk(t, db, dir, "after the install")
+		checkContents(t, db, want, "after the install")
+		unblock()
+		closeWithin(t, db)
+		re, err := Open(dir, smallOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer closeWithin(t, re)
+		checkContents(t, re, want, "reopened")
+	})
 }
 
 // TestCloseWaitsForJobsWhenPoisoned parks a CompactRange's compaction at

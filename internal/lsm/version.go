@@ -214,18 +214,15 @@ func (v *version) isBaseLevelForKey(level int, userKey []byte) bool {
 	return true
 }
 
-// applyEditLocked is the one way the tree changes: it builds the version
-// after e and writes its manifest, and only then swaps it in, advances the
-// flushed floor, drops e's deleted tables and removes its retired WAL
-// segments (readers hold RLock throughout, so none still reads them). A
-// refused edit or failed manifest write only drops e's added tables. A
-// table both added and deleted (a trivial move) lives on in either case.
-// Caller holds db.mu.
+// applyEditLocked is the one way the tree in memory changes: it builds
+// the version after e, swaps it in, advances the flushed floor, drops e's
+// deleted tables and removes its retired WAL segments (readers hold RLock
+// throughout, so none still reads them). The handoff that staged e has
+// already written the manifest. A refused edit only drops e's added
+// tables. A table both added and deleted (a trivial move) lives on in
+// either case. Caller holds db.mu.
 func (db *DB) applyEditLocked(e *versionEdit) error {
 	nv, err := db.v.apply(e)
-	if err == nil {
-		err = saveManifest(db.opts.FS, db.dir, nv.toManifest(db.nextFileNum.Load(), e.flushedSeq))
-	}
 	if err != nil {
 		db.dropTablesExcept(e.added, e.deleted)
 		return err
@@ -262,8 +259,10 @@ func (db *DB) dropTable(fms ...*FileMeta) {
 
 // --- manifest persistence ---------------------------------------------
 
-// manifest is the JSON-serialized tree state. applyEditLocked rewrites it
-// whole (temp file + rename, neither fsynced) before each swap of db.v.
+// manifest is the JSON-serialized tree state. A handoff's goroutine
+// rewrites it whole (temp file + rename, neither fsynced) once its jobs
+// are done, with the version they staged, before the writer swaps that
+// version into db.v; Checkpoint writes db.v's into its copy.
 type manifest struct {
 	NextFileNum uint64         `json:"next_file_num"`
 	LastSeq     uint64         `json:"last_seq"`
@@ -279,9 +278,14 @@ type fileRecord struct {
 
 func manifestPath(dir string) string { return filepath.Join(dir, "MANIFEST") }
 
-func saveManifest(fs vfs.FS, dir string, m manifest) error {
+// encode renders m as the bytes of a manifest file.
+func (m manifest) encode() []byte {
 	data, _ := json.MarshalIndent(m, "", " ") // numbers and strings: cannot fail
-	if err := vfs.WriteFile(fs, manifestPath(dir), data); err != nil {
+	return data
+}
+
+func saveManifest(fs vfs.FS, dir string, m manifest) error {
+	if err := vfs.WriteFile(fs, manifestPath(dir), m.encode()); err != nil {
 		return fmt.Errorf("lsm: write manifest: %w", err)
 	}
 	return nil

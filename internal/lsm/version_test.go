@@ -48,8 +48,13 @@ func buildTable(t *testing.T, db *DB, keys ...string) *FileMeta {
 func tableNums(db *DB) [][]uint64 {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	out := make([][]uint64, len(db.v.levels))
-	for l, files := range db.v.levels {
+	return versionNums(db.v)
+}
+
+// versionNums returns the file numbers of each level of v.
+func versionNums(v *version) [][]uint64 {
+	out := make([][]uint64, len(v.levels))
+	for l, files := range v.levels {
 		for _, fm := range files {
 			out[l] = append(out[l], fm.Num)
 		}
