@@ -44,6 +44,7 @@ func (db *DB) Apply(b *Batch) error {
 	}
 	t0 := time.Now()
 	tr := db.tracer.Start(metrics.OpBatch)
+	tr.Enter(metrics.PhaseWriteWait)
 	var buf [4]attrSlot
 	err := db.write(b.ops, attrSlots(&buf, len(db.opts.Attrs)), tr)
 	tr.Finish()

@@ -443,6 +443,7 @@ func (db *DB) get(key string, explained bool) ([]byte, bool, *explain.Report, er
 func (db *DB) Put(key string, value []byte) error {
 	t0 := time.Now()
 	tr := db.tracer.Start(metrics.OpPut)
+	tr.Enter(metrics.PhaseWriteWait)
 	var buf [4]attrSlot
 	slots := attrSlots(&buf, len(db.opts.Attrs))
 	ops := [1]batchOp{{key: key, value: value}}
@@ -470,6 +471,7 @@ func (db *DB) Put(key string, value []byte) error {
 func (db *DB) Delete(key string) error {
 	t0 := time.Now()
 	tr := db.tracer.Start(metrics.OpDelete)
+	tr.Enter(metrics.PhaseWriteWait)
 	var buf [4]attrSlot
 	ops := [1]batchOp{{del: true, key: key}}
 	err := db.write(ops[:], attrSlots(&buf, len(db.opts.Attrs)), tr)

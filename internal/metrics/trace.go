@@ -78,7 +78,8 @@ type Phase uint8
 // The phase taxonomy (DESIGN.md §5.3).
 const (
 	// Write-path top-level phases.
-	PhaseCommitWait  Phase = iota // follower wait in the group-commit queue
+	PhaseWriteWait   Phase = iota // a core write's setup and writeMu wait, before its first other phase
+	PhaseCommitWait               // follower wait in the group-commit queue
 	PhaseWAL                      // WAL append (+ fsync; see the wal_sync sub-phase)
 	PhaseMemInsert                // MemTable insert
 	PhaseRotate                   // MemTable freeze and the handoff of its flush
@@ -110,6 +111,8 @@ const (
 // String returns the phase's wire name.
 func (p Phase) String() string {
 	switch p {
+	case PhaseWriteWait:
+		return "write_wait"
 	case PhaseCommitWait:
 		return "commit_wait"
 	case PhaseWAL:
