@@ -181,8 +181,8 @@ func Open(dir string, o *Options) (_ *DB, err error) {
 	db.memWALs = append(db.memWALs, seg)
 
 	// Delete the tables the manifest does not reference, which only a
-	// crash leaves: a version edit's added tables before its manifest
-	// write, its deleted ones after it.
+	// crash leaves: a handoff's added tables before its manifest write,
+	// the tables its edits deleted after it.
 	live := map[string]bool{}
 	for _, level := range db.v.levels {
 		for _, fm := range level {

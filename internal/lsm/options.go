@@ -7,8 +7,9 @@
 // the jobs of one pipeline (background.go): the writer that fills a
 // MemTable freezes it and hands its flush, and the compactions after it,
 // to a goroutine of their own, as LevelDB's background thread takes its
-// imm_, and returns at once. That goroutine stages every version edit and
-// applies none; the writer installs them at its next freeze, so every
+// imm_, and returns at once. That goroutine stages every version edit,
+// applies none and writes the MANIFEST of the version they stage; the
+// writer installs them in memory at its next freeze, so every
 // version change still happens at a fixed operation count and every
 // experiment stays deterministic: the paper picked LevelDB because a
 // single-threaded store isolates and explains index costs. Like
